@@ -14,7 +14,7 @@ import sys
 
 from .data import example_to_dict, fewshot_sample, load_jsonl, save_jsonl
 from .errors import PromptPipeError
-from .runner import PipelineConfig, run_pipeline
+from .runner import PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .tokenization import Vocab, build_tokenizer, encode_wrapped
@@ -139,22 +139,18 @@ def cmd_score(args) -> int:
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(args.verbalizer, tokenizer)
     lines = []
-    with open(args.logits_file, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            scores = project(obj["mask_logits"], verbalizer, aggregation=args.aggregation)
-            lines.append(
-                json.dumps(
-                    {
-                        "guid": obj["guid"],
-                        "predicted_class": scores.predicted_label,
-                        "class_scores": [float(s) for s in scores.scores],
-                    },
-                    ensure_ascii=False,
-                )
+    for guid, rows in read_logits_records(args.logits_file, len(vocab)):
+        scores = project(rows, verbalizer, aggregation=args.aggregation)
+        lines.append(
+            json.dumps(
+                {
+                    "guid": guid,
+                    "predicted_class": scores.predicted_label,
+                    "class_scores": [float(s) for s in scores.scores],
+                },
+                ensure_ascii=False,
             )
+        )
     _emit(lines, args.output)
     return 0
 

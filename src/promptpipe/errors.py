@@ -129,6 +129,10 @@ class ConfigError(PromptPipeError):
     pass
 
 
+class NonFiniteValue(ConfigError):
+    """A logits row or token frequency holds NaN or an infinity."""
+
+
 class ClassListMismatch(PromptPipeError):
     pass
 

@@ -4,23 +4,27 @@ The runner composes the other modules without hidden state: templates
 and the verbalizer are loaded once, each example flows through
 wrap -> encode -> score -> project, per-template class scores are
 ensembled by arithmetic mean, and results are written as JSONL in
-dataset order. ``PROMPT_PIPE_THREADS`` caps worker threads; output is
-byte-identical for any thread count because results are buffered and
-emitted in input order.
+dataset order.
+
+Examples run serially, in blocks: each example of a block is wrapped,
+encoded and scored template by template, and then each template's
+logits rows for the whole block are projected in one kernel call.
+Every row is projected on its own, so output bytes do not depend on
+the block size.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
 context-independent toy scorer driven by a token-frequency file.
+Both reject non-finite values when they are loaded.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -30,15 +34,24 @@ from .errors import (
     ClassListMismatch,
     ConfigError,
     DimensionMismatch,
+    DuplicateGuid,
     GuidMismatch,
     MissingLogits,
+    NonFiniteValue,
     PipelineStageError,
     PromptPipeError,
 )
 from .soft_plan import SoftEmbeddingPlan, build_soft_plan
 from .template import TemplateAST, load_template_file
 from .tokenization import TokenizedInput, Vocab, build_tokenizer, encode_wrapped
-from .verbalizer import ClassScores, Verbalizer, calibrate, load_verbalizer, project
+from .verbalizer import (
+    Aggregation,
+    ClassScores,
+    Verbalizer,
+    calibrate,
+    load_verbalizer,
+    sum_positions,
+)
 from .wrapping import InputExample, wrap_example, wrapped_text
 
 __all__ = [
@@ -48,11 +61,15 @@ __all__ = [
     "RunReport",
     "ensemble_scores",
     "evaluate_accuracy",
+    "read_logits_records",
     "run_pipeline",
-    "worker_count",
 ]
 
 CONTENT_FREE_GUID = "__content_free__"
+# Bytes of logits rows per block: a block holds about this many bytes of
+# rows (at least one example), so memory does not grow with the
+# vocabulary while a small vocabulary still gets large blocks.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -117,6 +134,8 @@ class PipelineConfig:
             )
         if self.max_len < 1:
             raise ConfigError("max_len must be positive")
+        if self.aggregation.lower() not in {a.value for a in Aggregation}:
+            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
 
 
 def _resolve(base: Path, path: str | Path) -> Path:
@@ -135,21 +154,79 @@ class ToyScorer:
     def __init__(self, frequencies: dict[str, float], vocab: Vocab):
         row = np.zeros(len(vocab), dtype=np.float64)
         for token, value in frequencies.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"token {token!r} has non-numeric frequency {value!r}")
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"token {token!r} has non-finite frequency {value!r}")
             index = vocab.ids.get(token)
             if index is not None:
                 row[index] = float(value)
         self._row = row
+        # a read-only zero-stride view; a call returns a slice of it, which
+        # is cheaper than building a view or a copy per call
+        self._rows = np.broadcast_to(row, (1, row.size))
 
     @classmethod
     def from_file(cls, path: str | Path, vocab: Vocab) -> "ToyScorer":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"frequency file {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"frequency file {path} must be a JSON object")
-        return cls(raw, vocab)
+        try:
+            return cls(raw, vocab)
+        except ConfigError as exc:
+            raise type(exc)(f"frequency file {path}: {exc}") from None
 
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
         n = len(tokenized.mask_positions)
-        return np.tile(self._row, (n, 1))
+        if n > len(self._rows):
+            self._rows = np.broadcast_to(self._row, (n, self._row.size))
+        return self._rows[:n]
+
+
+def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield ``(guid, rows)`` for each record of a JSONL logits file.
+
+    Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
+    with rows of width ``vocab_size``. A malformed record, a non-finite
+    logit or a guid seen on an earlier line raises a
+    :class:`~promptpipe.errors.PromptPipeError` naming the file and line.
+    """
+    first_line: dict[str, int] = {}
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad logits record: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ConfigError(f"{where}: bad logits record: expected a JSON object")
+            guid = obj.get("guid")
+            if not isinstance(guid, str) or not guid:
+                raise ConfigError(f"{where}: bad logits record: missing or non-string 'guid'")
+            if guid in first_line:
+                raise DuplicateGuid(
+                    f"{where}: guid {guid!r} already has logits on line {first_line[guid]}"
+                )
+            first_line[guid] = line_no
+            if "mask_logits" not in obj:
+                raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
+            try:
+                rows = np.asarray(obj["mask_logits"], dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
+            if rows.ndim != 2 or rows.shape[1] != vocab_size:
+                raise DimensionMismatch(
+                    f"{where}: mask_logits must be rows of width {vocab_size}"
+                )
+            if not np.isfinite(rows).all():
+                raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
+            yield guid, rows
 
 
 class LogitsFileScorer:
@@ -157,22 +234,7 @@ class LogitsFileScorer:
 
     def __init__(self, path: str | Path, vocab_size: int):
         self.vocab_size = vocab_size
-        self._rows: dict[str, np.ndarray] = {}
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    guid = obj["guid"]
-                    rows = np.asarray(obj["mask_logits"], dtype=np.float64)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ConfigError(f"{path}:{line_no}: bad logits record: {exc}") from None
-                if rows.ndim != 2 or rows.shape[1] != vocab_size:
-                    raise DimensionMismatch(
-                        f"{path}:{line_no}: mask_logits must be rows of width {vocab_size}"
-                    )
-                self._rows[guid] = rows
+        self._rows: dict[str, np.ndarray] = dict(read_logits_records(path, vocab_size))
 
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
         rows = self._rows.get(guid)
@@ -228,15 +290,6 @@ def evaluate_accuracy(
     return correct / len(golds)
 
 
-def worker_count() -> int:
-    """Worker threads for per-example stages, capped by PROMPT_PIPE_THREADS."""
-    raw = os.environ.get("PROMPT_PIPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_scorer(cfg: PipelineConfig, vocab: Vocab) -> Scorer:
     if cfg.frequency_file is not None:
         return ToyScorer.from_file(cfg.frequency_file, vocab)
@@ -257,52 +310,66 @@ class _Pipeline:
     tokenizer: object
     verbalizer: Verbalizer
     scorer: Scorer
-    calibrations: list[list[list[float]] | None]
+    priors: list[np.ndarray | None]
     cfg: PipelineConfig
+    vocab_size: int
 
-    def process(self, example: InputExample) -> dict:
-        per_template: list[ClassScores] = []
-        text = ""
-        for index, (ast, plan) in enumerate(zip(self.templates, self.plans)):
-            stage = "wrap"
-            try:
-                wrapped = wrap_example(ast, example, plan)
-                if index == 0:
-                    text = wrapped_text(wrapped)
-                stage = "encode"
-                tokenized = encode_wrapped(
-                    wrapped,
-                    self.tokenizer,
-                    self.cfg.max_len,
-                    add_special_tokens=self.cfg.add_special_tokens,
-                )
-                stage = "score"
-                rows = self.scorer(example.guid, tokenized)
-                if np.asarray(rows).shape[0] != len(tokenized.mask_positions):
-                    raise DimensionMismatch(
-                        f"scorer returned {np.asarray(rows).shape[0]} rows for "
-                        f"{len(tokenized.mask_positions)} mask positions"
+    def __post_init__(self):
+        self.aggregation = Aggregation(self.cfg.aggregation.lower())
+        self.mask_counts = [ast.mask_count for ast in self.templates]
+        block_rows = max(1, BLOCK_BYTES // (8 * self.vocab_size))
+        self.block_size = max(1, block_rows // max(1, sum(self.mask_counts)))
+        # one C-ordered buffer per template, reused by every block
+        self.buffers = [
+            np.empty((self.block_size * m, self.vocab_size)) for m in self.mask_counts
+        ]
+
+    def process(self, examples: Sequence[InputExample]) -> list[dict]:
+        """Results for a block of at most ``block_size`` examples."""
+        index = self.verbalizer.dense
+        texts = []
+        for i, example in enumerate(examples):
+            for t, (ast, plan) in enumerate(zip(self.templates, self.plans)):
+                stage = "wrap"
+                try:
+                    wrapped = wrap_example(ast, example, plan)
+                    if t == 0:
+                        texts.append(wrapped_text(wrapped))
+                    stage = "encode"
+                    tokenized = encode_wrapped(
+                        wrapped,
+                        self.tokenizer,
+                        self.cfg.max_len,
+                        add_special_tokens=self.cfg.add_special_tokens,
                     )
-                stage = "project"
-                per_template.append(
-                    project(
-                        rows,
-                        self.verbalizer,
-                        aggregation=self.cfg.aggregation,
-                        calibration=self.calibrations[index],
-                    )
-                )
-            except PipelineStageError:
-                raise
-            except PromptPipeError as exc:
-                raise PipelineStageError(example.guid, stage, exc) from exc
-        combined = ensemble_scores(per_template)
-        return {
-            "guid": example.guid,
-            "wrapped_text": text,
-            "predicted_class": combined.predicted_label,
-            "class_scores": [float(s) for s in combined.scores],
-        }
+                    stage = "score"
+                    rows = self.scorer(example.guid, tokenized)
+                    if np.shape(rows)[0] != len(tokenized.mask_positions):
+                        raise DimensionMismatch(
+                            f"scorer returned {np.shape(rows)[0]} rows for "
+                            f"{len(tokenized.mask_positions)} mask positions"
+                        )
+                    stage = "project"
+                    m = self.mask_counts[t]
+                    self.buffers[t][i * m : (i + 1) * m] = index.check_rows(rows)
+                except PromptPipeError as exc:
+                    raise PipelineStageError(example.guid, stage, exc) from exc
+        n = len(examples)
+        per_template = []
+        for buffer, m, prior in zip(self.buffers, self.mask_counts, self.priors):
+            per_row = index.class_scores(buffer[: n * m], self.aggregation, prior)
+            per_template.append(sum_positions(per_row.reshape(n, m, -1).swapaxes(0, 1)))
+        combined = np.stack(per_template).mean(axis=0)
+        classes = self.verbalizer.classes
+        return [
+            {
+                "guid": example.guid,
+                "wrapped_text": text,
+                "predicted_class": classes[int(np.argmax(scores))],
+                "class_scores": scores.tolist(),
+            }
+            for example, text, scores in zip(examples, texts, combined)
+        ]
 
 
 def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
@@ -319,26 +386,26 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     plans = [build_soft_plan(ast, tokenizer) for ast in templates]
     dataset = load_jsonl(cfg.dataset)
 
-    calibrations: list[list[list[float]] | None] = []
+    priors: list[np.ndarray | None] = []
     for ast, plan in zip(templates, plans):
         if not cfg.calibrate:
-            calibrations.append(None)
+            priors.append(None)
             continue
         blank = wrap_example(ast, _content_free_example(ast), plan)
         tokenized = encode_wrapped(
             blank, tokenizer, cfg.max_len, add_special_tokens=cfg.add_special_tokens
         )
-        calibrations.append(
-            calibrate(lambda t: scorer(CONTENT_FREE_GUID, t), verbalizer, tokenized)
-        )
+        calibration = calibrate(lambda t: scorer(CONTENT_FREE_GUID, t), verbalizer, tokenized)
+        priors.append(verbalizer.dense.prior(calibration))
     pipeline = _Pipeline(
         templates=templates,
         plans=plans,
         tokenizer=tokenizer,
         verbalizer=verbalizer,
         scorer=scorer,
-        calibrations=calibrations,
+        priors=priors,
         cfg=cfg,
+        vocab_size=len(vocab),
     )
     return pipeline, dataset
 
@@ -346,12 +413,11 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run the full pipeline over a dataset; see the module docstring."""
     pipeline, dataset = _setup(cfg)
-    workers = worker_count()
-    if workers > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(pipeline.process, dataset.examples))
-    else:
-        results = [pipeline.process(ex) for ex in dataset.examples]
+    examples = dataset.examples
+    step = pipeline.block_size
+    results: list[dict] = []
+    for start in range(0, len(examples), step):
+        results.extend(pipeline.process(examples[start : start + step]))
 
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:

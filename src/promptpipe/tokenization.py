@@ -20,7 +20,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, DuplicateToken, MissingSpecialToken, TemplateTooLong
+from .errors import (
+    ConfigError,
+    DuplicateToken,
+    MissingSpecialToken,
+    TemplateTooLong,
+    VocabError,
+)
 from .wrapping import WrappedSequence
 
 __all__ = [
@@ -91,8 +97,15 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocab":
+        """Read one token per line; a token's id is its line number from 0."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls.from_tokens(line.rstrip("\n") for line in lines if line != "")
+        for line_no, line in enumerate(lines, start=1):
+            if not line:
+                raise VocabError(
+                    f"{path}:{line_no}: blank line; every line must hold a token "
+                    "because a token's id is its line number"
+                )
+        return cls.from_tokens(lines)
 
 
 class WhitespaceTokenizer:
@@ -121,6 +134,9 @@ class WordPieceTokenizer:
 
     def __init__(self, vocab: Vocab):
         self.vocab = vocab
+        # no piece longer than the longest token can match, so candidates
+        # start there rather than at the end of a long word
+        self._max_piece = max(map(len, vocab.tokens))
 
     def _word_pieces(self, word: str) -> list[str] | None:
         ids = self.vocab.ids
@@ -128,7 +144,7 @@ class WordPieceTokenizer:
         start = 0
         n = len(word)
         while start < n:
-            end = n
+            end = min(n, start + self._max_piece)
             match = None
             while start < end:
                 piece = word[start:end]
@@ -250,38 +266,49 @@ def encode_wrapped(
         )
 
     vocab = tokenizer.vocab
-    entries: list[TokenEntry] = []
+    # one (ids, loss, shortenable, soft slot) run per segment
+    runs: list[tuple[list[int], int, int, int]] = []
     for seg in seq.segments:
         if seg.is_mask:
             if not causal:
-                entries.append(TokenEntry(vocab.mask_id, 1, 0, -1))
+                runs.append(([vocab.mask_id], 1, 0, -1))
         elif seg.soft_slot is not None:
-            entries.append(TokenEntry(vocab.mask_id, 0, 0, seg.soft_slot))
+            runs.append(([vocab.mask_id], 0, 0, seg.soft_slot))
         elif seg.text:
-            flag = 1 if seg.shortenable else 0
-            for tid in tokenizer.encode(seg.text):
-                entries.append(TokenEntry(tid, 0, flag, -1))
+            runs.append((tokenizer.encode(seg.text), 0, 1 if seg.shortenable else 0, -1))
 
     n_special = 2 if add_special_tokens else 0
-    fixed = sum(1 for e in entries if not e.shortenable)
+    fixed = sum(len(ids) for ids, _, shortenable, _ in runs if not shortenable)
     if fixed + n_special > max_len:
         raise TemplateTooLong(
             f"non-shortenable content ({fixed} tokens + {n_special} special) "
             f"exceeds max_len {max_len}"
         )
-    entries = truncate(entries, max_len - n_special)
-    if add_special_tokens:
-        entries = (
-            [TokenEntry(vocab.cls_id, 0, 0, -1)]
-            + entries
-            + [TokenEntry(vocab.sep_id, 0, 0, -1)]
-        )
+    # the same tokens `truncate` drops: the last `excess` shortenable ones,
+    # taken from the tail of the rightmost shortenable run, moving left
+    excess = sum(len(run[0]) for run in runs) + n_special - max_len
+    for index in range(len(runs) - 1, -1, -1):
+        if excess <= 0:
+            break
+        ids, loss, shortenable, slot = runs[index]
+        if shortenable:
+            cut = min(excess, len(ids))
+            runs[index] = (ids[: len(ids) - cut], loss, shortenable, slot)
+            excess -= cut
 
-    content_len = len(entries)
-    input_ids = [e.token_id for e in entries]
-    loss_ids = [e.loss for e in entries]
-    shortenable_ids = [e.shortenable for e in entries]
-    soft_slot_ids = [e.soft_slot for e in entries]
+    input_ids: list[int] = []
+    loss_ids: list[int] = []
+    shortenable_ids: list[int] = []
+    soft_slot_ids: list[int] = []
+    if add_special_tokens:
+        runs = [([vocab.cls_id], 0, 0, -1), *runs, ([vocab.sep_id], 0, 0, -1)]
+    for ids, loss, shortenable, slot in runs:
+        n = len(ids)
+        input_ids += ids
+        loss_ids += [loss] * n
+        shortenable_ids += [shortenable] * n
+        soft_slot_ids += [slot] * n
+    content_len = len(input_ids)
     attention_mask = [1] * content_len
     if causal:
         if content_len == 0:

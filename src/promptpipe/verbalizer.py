@@ -7,6 +7,11 @@ class's words with a selectable aggregation (mean log-prob by default),
 and sums class scores across mask positions. Calibration subtracts each
 label word's prior log-probability, measured on a content-free input,
 before aggregation.
+
+All projection goes through one kernel over a verbalizer's
+:class:`DenseIndex`, which maps a block of logits rows to class scores
+at once; :func:`project`, :func:`calibrate` and
+:func:`project_per_position` are thin callers of it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -31,12 +37,14 @@ __all__ = [
     "Aggregation",
     "Verbalizer",
     "ClassScores",
+    "DenseIndex",
     "build_verbalizer",
     "load_verbalizer",
     "log_softmax",
     "project",
     "project_per_position",
     "calibrate",
+    "sum_positions",
 ]
 
 
@@ -51,6 +59,11 @@ class Verbalizer:
     classes: tuple[str, ...]
     label_words: dict[str, tuple[str, ...]]
     label_word_ids: dict[str, tuple[tuple[int, ...], ...]]
+
+    @cached_property
+    def dense(self) -> "DenseIndex":
+        """The padded label-word index, derived once on first use."""
+        return DenseIndex.build(self)
 
 
 @dataclass(frozen=True)
@@ -133,46 +146,151 @@ def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
     return build_verbalizer(mapping, tokenizer)
 
 
-def _as_rows(logits, vocab_size: int | None = None) -> np.ndarray:
-    rows = np.asarray(logits, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    if rows.ndim != 2:
-        raise DimensionMismatch(f"logits must be a 2-d array, got shape {rows.shape}")
-    if vocab_size is not None and rows.shape[1] != vocab_size:
-        raise DimensionMismatch(
-            f"logits rows have width {rows.shape[1]}, vocabulary has {vocab_size}"
-        )
-    return rows
+@dataclass(frozen=True)
+class DenseIndex:
+    """A verbalizer's label words as one padded ``(C, W, P)`` id array.
 
+    ``C`` is the class count, ``W`` the most label words of any class and
+    ``P`` the most pieces of any word. Padding pieces and padding words
+    are masked out. This is the ``label_words_ids`` / ``words_ids_mask``
+    layout of OpenPrompt's ManualVerbalizer.
 
-def _word_scores(
-    log_probs: np.ndarray, v: Verbalizer, calibration: Sequence[Sequence[float]] | None
-) -> list[np.ndarray]:
-    """Per class, the (possibly calibrated) score of each label word."""
-    per_class: list[np.ndarray] = []
-    for class_index, name in enumerate(v.classes):
-        scores = np.array(
-            [float(np.mean(log_probs[list(ids)])) for ids in v.label_word_ids[name]]
+    Sums over a padded axis add trailing zeros, which leave a numpy sum
+    unchanged while the axis has fewer than 8 entries; from 8 up numpy
+    sums pairwise, so a class with 8 or more label words (or a word with
+    8 or more pieces) may round differently in the last bit from a sum
+    over its own entries. Every caller shares this index, so the runner
+    and :func:`project` still agree exactly.
+    """
+
+    classes: tuple[str, ...]
+    ids: np.ndarray  # (C, W, P) label-word piece ids; 0 at padding
+    padding: np.ndarray | None  # flat indices into ``ids`` of padding; None if unpadded
+    piece_counts: np.ndarray  # (C, W) pieces per word; 1 for padding words
+    word_mask: np.ndarray  # (C, W) bool, True for a real word
+    word_counts: np.ndarray  # (C,) words per class
+    max_id: int
+
+    @classmethod
+    def build(cls, v: Verbalizer) -> "DenseIndex":
+        words = [v.label_word_ids[name] for name in v.classes]
+        n_words = max(len(ws) for ws in words)
+        n_pieces = max(len(ids) for ws in words for ids in ws)
+        shape = (len(words), n_words, n_pieces)
+        ids = np.zeros(shape, dtype=np.intp)
+        piece_mask = np.zeros(shape, dtype=bool)
+        piece_counts = np.ones(shape[:2], dtype=np.float64)
+        for c, ws in enumerate(words):
+            for w, word in enumerate(ws):
+                ids[c, w, : len(word)] = word
+                piece_mask[c, w, : len(word)] = True
+                piece_counts[c, w] = len(word)
+        return cls(
+            classes=v.classes,
+            ids=ids,
+            padding=None if piece_mask.all() else np.flatnonzero(~piece_mask),
+            piece_counts=piece_counts,
+            word_mask=piece_mask[:, :, 0].copy(),
+            word_counts=np.array([len(ws) for ws in words], dtype=np.float64),
+            max_id=int(ids.max()),
         )
-        if calibration is not None:
-            prior = np.asarray(calibration[class_index], dtype=np.float64)
-            if prior.shape != scores.shape:
+
+    def check_rows(self, logits) -> np.ndarray:
+        """``logits`` as a float64 ``(R, V)`` array wide enough for the label ids."""
+        rows = np.asarray(logits, dtype=np.float64)
+        if rows.ndim == 1:
+            rows = rows.reshape(1, -1)
+        if rows.ndim != 2:
+            raise DimensionMismatch(f"logits must be a 2-d array, got shape {rows.shape}")
+        if rows.shape[0] == 0:
+            raise DimensionMismatch("no logits rows: need one per mask position")
+        if rows.shape[1] <= self.max_id:
+            raise DimensionMismatch(
+                f"logits rows have width {rows.shape[1]} but label words use id {self.max_id}"
+            )
+        return rows
+
+    def prior(self, calibration: Sequence[Sequence[float]]) -> np.ndarray:
+        """Per-word priors as a ``(C, W)`` array, zero at padding words."""
+        if len(calibration) != len(self.classes):
+            raise DimensionMismatch(
+                f"calibration has {len(calibration)} classes, expected {len(self.classes)}"
+            )
+        out = np.zeros(self.word_mask.shape, dtype=np.float64)
+        for c, (name, values) in enumerate(zip(self.classes, calibration)):
+            expected = int(self.word_counts[c])
+            values = np.asarray(values, dtype=np.float64)
+            if values.shape != (expected,):
                 raise DimensionMismatch(
-                    f"calibration for class {name!r} has {prior.size} entries, "
-                    f"expected {scores.size}"
+                    f"calibration for class {name!r} has {values.size} entries, "
+                    f"expected {expected}"
                 )
-            scores = scores - prior
-        per_class.append(scores)
-    return per_class
+            out[c, :expected] = values
+        return out
+
+    def word_scores(self, rows: np.ndarray) -> np.ndarray:
+        """``(R, V)`` logits to ``(R, C, W)`` mean label-word log-probabilities.
+
+        Each row is log-softmax normalized through its max and
+        log-sum-exp; only the label columns are gathered, so the full
+        log-probability matrix is never built. Padding words score 0.
+        """
+        peak = np.maximum.reduce(rows, axis=1)
+        # C order whatever the layout of ``rows`` (a broadcast view, say),
+        # so each row's sum runs exactly as np.sum over one 1-d row does
+        shifted = np.subtract(rows, peak[:, None], order="C")
+        # gather on the flat (R, C*W*P) layout, cheaper than 4-d, before
+        # ``shifted`` is exponentiated in place
+        pieces = shifted[:, self.ids.reshape(-1)]
+        log_z = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1))
+        pieces -= log_z[:, None]
+        if self.padding is not None:
+            pieces[:, self.padding] = 0.0
+        n_classes, n_words, n_pieces = self.ids.shape
+        if n_pieces == 1:  # one piece per word: its mean is itself
+            return pieces.reshape(len(rows), n_classes, n_words)
+        pieces = pieces.reshape(len(rows), n_classes, n_words, n_pieces)
+        return np.add.reduce(pieces, axis=-1) / self.piece_counts
+
+    def class_scores(
+        self,
+        rows: np.ndarray,
+        aggregation: Aggregation,
+        prior: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The projection kernel: ``(R, V)`` logits to ``(R, C)`` class scores.
+
+        ``prior`` is a :meth:`prior` array subtracted from every row's
+        word scores before the class's words are aggregated.
+        """
+        words = self.word_scores(rows)
+        if prior is not None:
+            words -= prior
+        if aggregation is Aggregation.MEAN_LOG_PROB:
+            return np.add.reduce(words, axis=-1) / self.word_counts
+        if aggregation is Aggregation.MAX:
+            return np.where(self.word_mask, words, -np.inf).max(axis=-1)
+        return words[:, :, 0]
 
 
-def _aggregate(word_scores: np.ndarray, aggregation: Aggregation) -> float:
-    if aggregation is Aggregation.MEAN_LOG_PROB:
-        return float(np.mean(word_scores))
-    if aggregation is Aggregation.MAX:
-        return float(np.max(word_scores))
-    return float(word_scores[0])
+def sum_positions(scores: np.ndarray) -> np.ndarray:
+    """Sum ``(M, ...)`` per-mask-position scores over M, left to right."""
+    totals = scores[0]
+    for position in range(1, len(scores)):
+        totals = totals + scores[position]
+    return totals
+
+
+_AGGREGATIONS = {a.value: a for a in Aggregation}
+
+
+def _as_aggregation(aggregation: Aggregation | str) -> Aggregation:
+    if isinstance(aggregation, Aggregation):
+        return aggregation
+    found = _AGGREGATIONS.get(aggregation.lower())
+    if found is None:
+        raise ValueError(f"{aggregation!r} is not a valid Aggregation")
+    return found
 
 
 def project(
@@ -187,22 +305,12 @@ def project(
     Scores from multiple mask positions are summed per class. The
     predicted class is the argmax, ties breaking toward index 0.
     """
-    if isinstance(aggregation, str):
-        aggregation = Aggregation(aggregation.lower())
-    max_id = max(tid for name in v.classes for ids in v.label_word_ids[name] for tid in ids)
-    rows = _as_rows(logits)
-    if rows.shape[0] == 0:
-        raise DimensionMismatch("no logits rows: need one per mask position")
-    if rows.shape[1] <= max_id:
-        raise DimensionMismatch(
-            f"logits rows have width {rows.shape[1]} but label words use id {max_id}"
-        )
-    totals = np.zeros(len(v.classes), dtype=np.float64)
-    for row in rows:
-        log_probs = log_softmax(row)
-        per_class = _word_scores(log_probs, v, calibration)
-        totals += np.array([_aggregate(ws, aggregation) for ws in per_class])
-    return ClassScores(classes=v.classes, scores=tuple(float(t) for t in totals))
+    aggregation = _as_aggregation(aggregation)
+    index = v.dense
+    rows = index.check_rows(logits)
+    prior = None if calibration is None else index.prior(calibration)
+    totals = sum_positions(index.class_scores(rows, aggregation, prior))
+    return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
 
 
 def project_per_position(
@@ -217,7 +325,8 @@ def project_per_position(
     are summed, exactly as :func:`project` does for a single verbalizer
     (to which this reduces when every position uses the same one).
     """
-    rows = _as_rows(logits)
+    aggregation = _as_aggregation(aggregation)
+    rows = verbalizers[0].dense.check_rows(logits)
     if rows.shape[0] != len(verbalizers):
         raise DimensionMismatch(
             f"{rows.shape[0]} logits rows for {len(verbalizers)} verbalizers"
@@ -229,11 +338,12 @@ def project_per_position(
                 f"per-position verbalizers must share classes: {classes} vs {v.classes}"
             )
     totals = np.zeros(len(classes), dtype=np.float64)
-    for index, (row, v) in enumerate(zip(rows, verbalizers)):
-        calibration = calibrations[index] if calibrations is not None else None
-        scores = project([row], v, aggregation=aggregation, calibration=calibration)
-        totals += np.asarray(scores.scores)
-    return ClassScores(classes=classes, scores=tuple(float(t) for t in totals))
+    for position, (row, v) in enumerate(zip(rows, verbalizers)):
+        index = v.dense
+        calibration = calibrations[position] if calibrations is not None else None
+        prior = None if calibration is None else index.prior(calibration)
+        totals += index.class_scores(index.check_rows(row), aggregation, prior)[0]
+    return ClassScores(classes=classes, scores=tuple(totals.tolist()))
 
 
 def calibrate(
@@ -249,16 +359,7 @@ def calibrate(
     :func:`project` as ``calibration``; projection then subtracts each
     word's prior log-probability before aggregating.
     """
-    rows = _as_rows(scores_fn(content_free_input))
-    if rows.shape[0] == 0:
-        raise DimensionMismatch("content-free input produced no logits rows")
-    priors = None
-    for row in rows:
-        log_probs = log_softmax(row)
-        per_class = _word_scores(log_probs, v, None)
-        if priors is None:
-            priors = per_class
-        else:
-            priors = [p + w for p, w in zip(priors, per_class)]
-    assert priors is not None
-    return [[float(x) for x in class_prior] for class_prior in priors]
+    index = v.dense
+    rows = index.check_rows(scores_fn(content_free_input))
+    priors = sum_positions(index.word_scores(rows))
+    return [priors[c, : int(n)].tolist() for c, n in enumerate(index.word_counts)]

@@ -15,6 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from promptpipe import (
     InputExample,
     NodeKind,
@@ -293,17 +297,31 @@ def test_criterion_4_tokenizer_oracle(vocab, wordpiece):
 # --- criterion 5: verbalizer math ---------------------------------------------
 
 
-def _naive_project(rows, verbalizer: Verbalizer, aggregation: str = "mean"):
-    """Loop-based reference projection in pure python."""
+def _naive_word_scores(row, verbalizer: Verbalizer) -> list[list[float]]:
+    """Per class, each label word's mean piece log-probability, in pure python."""
+    m = max(row)
+    denom = m + math.log(sum(math.exp(x - m) for x in row))
+    log_probs = [x - denom for x in row]
+    return [
+        [sum(log_probs[i] for i in word_ids) / len(word_ids) for word_ids in
+         verbalizer.label_word_ids[name]]
+        for name in verbalizer.classes
+    ]
+
+
+def _naive_project(rows, verbalizer: Verbalizer, aggregation: str = "mean", priors=None):
+    """Loop-based reference projection in pure python.
+
+    ``priors`` (per class, per label word) are subtracted from the word
+    scores before aggregation, as calibration does.
+    """
     totals = [0.0] * len(verbalizer.classes)
     for row in rows:
-        m = max(row)
-        denom = m + math.log(sum(math.exp(x - m) for x in row))
-        log_probs = [x - denom for x in row]
-        for index, name in enumerate(verbalizer.classes):
-            word_scores = []
-            for word_ids in verbalizer.label_word_ids[name]:
-                word_scores.append(sum(log_probs[i] for i in word_ids) / len(word_ids))
+        per_class = _naive_word_scores(row, verbalizer)
+        for index in range(len(verbalizer.classes)):
+            word_scores = per_class[index]
+            if priors is not None:
+                word_scores = [w - p for w, p in zip(word_scores, priors[index])]
             if aggregation == "mean":
                 value = sum(word_scores) / len(word_scores)
             elif aggregation == "max":
@@ -378,6 +396,56 @@ def test_criterion_5_verbalizer_math():
         adjusted = project([row], verb, calibration=calibration)
         assert adjusted.predicted_class == raw.predicted_class
     _ok(5, "shift invariance, brute-force equivalence, calibration argmax")
+
+
+_AGGREGATION_NAMES = {"mean": "mean_log_prob", "max": "max", "first": "first"}
+
+
+@st.composite
+def _verbalizer_case(draw):
+    """A random verbalizer whose classes have uneven word and piece counts,
+    one of them with at least 8 label words, plus logits rows for it."""
+    vocab_size = draw(st.integers(2, 40))
+    n_classes = draw(st.integers(1, 4))
+    big = draw(st.integers(0, n_classes - 1))
+    word_ids = {}
+    for c in range(n_classes):
+        n_words = draw(st.integers(8, 11) if c == big else st.integers(1, 7))
+        word = st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=3).map(tuple)
+        word_ids[f"c{c}"] = tuple(draw(st.lists(word, min_size=n_words, max_size=n_words)))
+    verb = Verbalizer(
+        classes=tuple(word_ids),
+        label_words={k: tuple(map(str, v)) for k, v in word_ids.items()},
+        label_word_ids=word_ids,
+    )
+    logit = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+    n_masks = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(logit, min_size=vocab_size, max_size=vocab_size),
+                         min_size=n_masks, max_size=n_masks))
+    prior_rows = draw(st.lists(st.lists(logit, min_size=vocab_size, max_size=vocab_size),
+                               min_size=n_masks, max_size=n_masks))
+    return verb, rows, prior_rows
+
+
+@pytest.mark.parametrize("calibrated", [False, True])
+@pytest.mark.parametrize("aggregation", ["mean", "max", "first"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_verbalizer_case())
+def test_dense_kernel_matches_naive_projection(aggregation, calibrated, case):
+    verb, rows, prior_rows = case
+    priors = None
+    calibration = None
+    if calibrated:
+        calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
+        naive_rows = [_naive_word_scores(row, verb) for row in prior_rows]
+        priors = [[sum(ws) for ws in zip(*per_row)] for per_row in zip(*naive_rows)]
+        for got, want in zip(calibration, priors):
+            assert len(got) == len(want)
+            assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+    lib = project(rows, verb, aggregation=_AGGREGATION_NAMES[aggregation],
+                  calibration=calibration)
+    want_scores, _ = _naive_project(rows, verb, aggregation, priors)
+    assert max(abs(a - b) for a, b in zip(lib.scores, want_scores)) < 1e-9
 
 
 # --- criterion 6: sampler determinism --------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from promptpipe import (
     ClassScores,
+    InputExample,
     PipelineConfig,
     ensemble_scores,
     evaluate_accuracy,
@@ -18,6 +19,7 @@ from promptpipe.errors import (
     ConfigError,
     GuidMismatch,
     PipelineStageError,
+    PromptPipeError,
 )
 
 
@@ -391,3 +393,230 @@ def test_cli_reports_errors_with_guid_and_stage(fixtures_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "x1" in err and "wrap" in err
+
+
+# --- block-serial runner vs the per-example public path ---------------------------
+
+_WORDS = ["brilliant", "boring", "movie", "greatest", "great", "bad", "the", "of",
+          "a", "loved", "hated", "story", "plot", "terrible", "good", "wonderful"]
+# Three templates and three masks, so a changed order of the ensemble mean
+# or of the sum over mask positions changes the result's last bits.
+_TOY_TEMPLATES = [
+    '{"meta": "text"} It is {"mask"} .',
+    '{"meta": "text"} Really {"mask"} , truly {"mask"} !',
+    '{"mask"} {"mask"} {"meta": "text"} {"mask"}',
+]
+_REPLAY_TEMPLATES = [
+    '{"meta": "text"} {"mask"} , {"mask"} , {"mask"} .',
+    '{"mask"} and {"mask"} or {"mask"} : {"meta": "text"}',
+    'It was {"mask"} {"mask"} {"mask"} {"meta": "text"}',
+]
+
+
+def _wide_vocab(fixtures_dir, path, size: int) -> int:
+    """The fixture vocabulary padded with filler tokens to ``size`` lines."""
+    tokens = (fixtures_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    tokens += [f"zz{i}" for i in range(size - len(tokens))]
+    path.write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+    return len(tokens)
+
+
+def _block_case(fixtures_dir, tmp_path, wide: bool, scorer: str) -> tuple[PipelineConfig, int]:
+    """Config over generated templates, verbalizer and scorer files, and V."""
+    vocab_path = fixtures_dir / "vocab.txt"
+    vocab_size = 113
+    if wide:
+        vocab_path = tmp_path / "wide_vocab.txt"
+        vocab_size = _wide_vocab(fixtures_dir, vocab_path, 33000)
+    # uneven word counts and a two-piece word ("greatest" = great ##est)
+    verbalizer = tmp_path / "verbalizer.json"
+    verbalizer.write_text(json.dumps(
+        {"negative": ["bad", "boring", "terrible"], "positive": ["greatest", "good"]}))
+    sources = _TOY_TEMPLATES if scorer == "toy" else _REPLAY_TEMPLATES
+    templates = []
+    for i, source in enumerate(sources):
+        path = tmp_path / f"template{i}.txt"
+        path.write_text(source + "\n", encoding="utf-8")
+        templates.append(str(path))
+    settings = {
+        "templates": templates,
+        "vocab": str(vocab_path),
+        "verbalizer": str(verbalizer),
+        "max_len": 24,
+        "dataset": str(tmp_path / "data.jsonl"),
+        "output": str(tmp_path / "out.jsonl"),
+    }
+    if scorer == "toy":
+        frequencies = tmp_path / "frequencies.json"
+        frequencies.write_text(json.dumps(
+            {"great": 3.0, "bad": 1.5, "##est": 0.5, "boring": -1.0, "zz7": 2.0}))
+        settings.update(frequency_file=str(frequencies), aggregation="max")
+    else:
+        settings.update(logits_file=str(tmp_path / "logits.jsonl"), calibrate=True)
+    return PipelineConfig(**settings), vocab_size
+
+
+def _write_inputs(cfg: PipelineConfig, n: int, vocab_size: int) -> None:
+    """``n`` examples of random text and, for replay, their logits rows."""
+    import random
+
+    rng = random.Random(n)
+    with open(cfg.dataset, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            text = " ".join(rng.choice(_WORDS) for _ in range(rng.randrange(0, 30)))
+            handle.write(json.dumps({"guid": f"e{i}", "meta": {"text": text}}) + "\n")
+    if cfg.logits_file:
+        with open(cfg.logits_file, "w", encoding="utf-8") as handle:
+            for guid in [f"e{i}" for i in range(n)] + ["__content_free__"]:
+                rows = [[round(rng.uniform(-6, 6), 3) for _ in range(vocab_size)]
+                        for _ in range(3)]
+                handle.write(json.dumps({"guid": guid, "mask_logits": rows}) + "\n")
+
+
+def _per_example_bytes(cfg: PipelineConfig) -> bytes:
+    """Output built one example at a time through the public functions."""
+    from promptpipe import (
+        Vocab,
+        build_soft_plan,
+        build_tokenizer,
+        calibrate,
+        encode_wrapped,
+        load_jsonl,
+        load_template_file,
+        load_verbalizer,
+        project,
+        wrap_example,
+        wrapped_text,
+    )
+    from promptpipe.runner import LogitsFileScorer, ToyScorer
+
+    vocab = Vocab.from_file(cfg.vocab)
+    tok = build_tokenizer(cfg.tokenizer_kind, vocab)
+    verb = load_verbalizer(cfg.verbalizer, tok)
+    templates = [ast for path in cfg.templates for ast in load_template_file(path)]
+    plans = [build_soft_plan(ast, tok) for ast in templates]
+    if cfg.frequency_file:
+        scorer = ToyScorer.from_file(cfg.frequency_file, vocab)
+    else:
+        scorer = LogitsFileScorer(cfg.logits_file, len(vocab))
+    calibrations = [None] * len(templates)
+    if cfg.calibrate:
+        calibrations = []
+        for ast, plan in zip(templates, plans):
+            blank = InputExample(guid="__content_free__", meta={k: "" for k in ast.meta_keys()})
+            enc = encode_wrapped(wrap_example(ast, blank, plan), tok, cfg.max_len)
+            calibrations.append(
+                calibrate(lambda t: scorer("__content_free__", t), verb, enc))
+    out = []
+    for example in load_jsonl(cfg.dataset):
+        per_template = []
+        for index, (ast, plan) in enumerate(zip(templates, plans)):
+            wrapped = wrap_example(ast, example, plan)
+            if index == 0:
+                text = wrapped_text(wrapped)
+            enc = encode_wrapped(wrapped, tok, cfg.max_len)
+            per_template.append(project(scorer(example.guid, enc), verb,
+                                        aggregation=cfg.aggregation,
+                                        calibration=calibrations[index]))
+        combined = ensemble_scores(per_template)
+        record = {
+            "guid": example.guid,
+            "wrapped_text": text,
+            "predicted_class": combined.predicted_label,
+            "class_scores": [float(s) for s in combined.scores],
+        }
+        out.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+@pytest.mark.parametrize("wide,scorer", [(False, "toy"), (False, "replay"),
+                                         (True, "toy"), (True, "replay")])
+def test_block_runner_matches_per_example_path_byte_for_byte(
+    fixtures_dir, tmp_path, wide, scorer
+):
+    from promptpipe.runner import _setup
+
+    cfg, vocab_size = _block_case(fixtures_dir, tmp_path, wide, scorer)
+    _write_inputs(cfg, 1, vocab_size)
+    block = _setup(cfg)[0].block_size
+    # a wide vocabulary leaves room for one example per block, a small one for many
+    assert (block == 1) if wide else (block > 10)
+    for n in sorted({1, block - 1, block, block + 1}):
+        _write_inputs(cfg, n, vocab_size)
+        report = run_pipeline(cfg)
+        assert report.n_examples == n
+        got = (tmp_path / "out.jsonl").read_bytes()
+        assert got == _per_example_bytes(cfg), f"{n} examples, block of {block}"
+
+
+# --- logits and frequency files ----------------------------------------------------
+
+
+def _vocab_size(fixtures_dir) -> int:
+    return len((fixtures_dir / "vocab.txt").read_text().splitlines())
+
+
+def _score_cli(fixtures_dir, logits) -> list[str]:
+    return ["score", "--logits-file", str(logits),
+            "--verbalizer", str(fixtures_dir / "verbalizer.json"),
+            "--vocab", str(fixtures_dir / "vocab.txt")]
+
+
+def test_logits_record_without_mask_logits_names_file_and_line(fixtures_dir, tmp_path, capsys):
+    from promptpipe.runner import LogitsFileScorer
+
+    row = [0.0] * _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "q1", "mask_logits": [row]}) + "\n"
+                      + json.dumps({"guid": "q2"}) + "\n")
+    assert main(_score_cli(fixtures_dir, logits)) == 1
+    err = capsys.readouterr().err
+    assert f"{logits}:2" in err and "mask_logits" in err and "q2" in err
+    with pytest.raises(ConfigError, match=r"logits.jsonl:2"):
+        LogitsFileScorer(logits, _vocab_size(fixtures_dir))
+
+
+def test_duplicate_guid_in_logits_file_names_both_lines(fixtures_dir, tmp_path, capsys):
+    from promptpipe.errors import DuplicateGuid
+    from promptpipe.runner import LogitsFileScorer
+
+    row = [0.0] * _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text("".join(
+        json.dumps({"guid": guid, "mask_logits": [row]}) + "\n" for guid in ("a", "b", "a")))
+    with pytest.raises(DuplicateGuid) as err:
+        LogitsFileScorer(logits, len(row))
+    assert "logits.jsonl:3" in str(err.value) and "line 1" in str(err.value)
+    assert main(_score_cli(fixtures_dir, logits)) == 1
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad):
+    from promptpipe.errors import NonFiniteValue
+    from promptpipe.runner import LogitsFileScorer
+
+    row = [0.0] * _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    lines = [json.dumps({"guid": "ok", "mask_logits": [row]})]
+    lines.append(json.dumps({"guid": "s9", "mask_logits": [row[:-1] + [bad]]}))
+    logits.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonFiniteValue) as err:
+        LogitsFileScorer(logits, len(row))
+    assert "logits.jsonl:2" in str(err.value) and "s9" in str(err.value)
+    assert main(_score_cli(fixtures_dir, logits)) == 1
+    assert "s9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"high"'])
+def test_bad_toy_frequency_rejected_at_load(fixtures_dir, tmp_path, value):
+    from promptpipe import Vocab
+    from promptpipe.runner import ToyScorer
+
+    frequencies = tmp_path / "frequencies.json"
+    frequencies.write_text('{"great": 3.0, "bad": %s}' % value)
+    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
+    with pytest.raises(ConfigError, match="frequencies.json.*'bad'"):
+        ToyScorer.from_file(frequencies, vocab)
+    with pytest.raises(PromptPipeError):
+        run_pipeline(_config(fixtures_dir, tmp_path, frequency_file=str(frequencies)))

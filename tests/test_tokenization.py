@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptpipe import (
     InputExample,
@@ -18,8 +21,10 @@ from promptpipe.errors import (
     DuplicateToken,
     MissingSpecialToken,
     TemplateTooLong,
+    VocabError,
 )
 from promptpipe.tokenization import TokenEntry
+from promptpipe.wrapping import Segment, WrappedSequence
 
 SPECIALS = ["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]"]
 
@@ -42,6 +47,14 @@ def test_vocab_requires_special_tokens():
 def test_vocab_rejects_duplicates():
     with pytest.raises(DuplicateToken):
         Vocab.from_tokens(SPECIALS + ["x", "x"])
+
+
+def test_vocab_rejects_blank_line_and_names_it(tmp_path):
+    # skipping the blank line would give "b" id 6, not its line number 7
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(SPECIALS + ["a", "", "b"]) + "\n", encoding="utf-8")
+    with pytest.raises(VocabError, match=r"vocab.txt:7: blank line"):
+        Vocab.from_file(path)
 
 
 # --- tokenizers --------------------------------------------------------------
@@ -97,6 +110,40 @@ def test_wordpiece_matches_recursive_oracle(wordpiece, vocab):
             assert got == ["[UNK]"]
         else:
             assert got == expected
+
+
+class _CountingIds(dict):
+    """A token-id map that counts membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_wordpiece_long_word_has_bounded_lookups():
+    vocab = Vocab.from_tokens(SPECIALS + ["a", "ab", "abc", "##a", "##ab", "##abc"])
+    ids = _CountingIds(vocab.ids)
+    tok = build_tokenizer("wordpiece", dataclasses.replace(vocab, ids=ids))
+    word = "abc" * 1333 + "a"  # 4000 characters
+    # no token is longer than "##abc", so the unbounded greedy rule can only
+    # ever match "abc" pieces, then the final "a"
+    assert tok.tokenize(word) == ["abc"] + ["##abc"] * 1332 + ["##a"]
+    # at most one lookup per candidate length up to the longest token, per piece;
+    # candidates running to the end of the word would take millions
+    assert ids.lookups <= 1334 * len("##abc")
+    short = word[:301]
+    assert tok.tokenize(short) == _oracle_pieces(short, vocab.ids)
+
+
+def test_wordpiece_words_longer_than_any_token_match_oracle(wordpiece, vocab):
+    rng = random.Random(4321)
+    longest = max(map(len, vocab.tokens))
+    for _ in range(200):
+        word = "".join(rng.choice("abc") for _ in range(rng.randrange(longest, 4 * longest)))
+        expected = _oracle_pieces(word, vocab.ids)
+        assert wordpiece.tokenize(word) == (expected if expected is not None else ["[UNK]"])
 
 
 # --- truncation --------------------------------------------------------------
@@ -266,3 +313,42 @@ def test_encoding_equals_per_segment_tokenization(vocab, wordpiece):
         for i in range(enc.length)
     ]
     assert got == expected
+
+
+@st.composite
+def _wrapped_sequence(draw) -> WrappedSequence:
+    segments = []
+    kinds = draw(st.lists(st.sampled_from(["text", "mask", "soft"]), min_size=1, max_size=8))
+    for kind in kinds:
+        if kind == "mask":
+            segments.append(Segment(text="", is_mask=True, loss=True))
+        elif kind == "soft":
+            segments.append(Segment(text="", soft_slot=draw(st.integers(0, 5))))
+        else:
+            words = draw(st.lists(st.integers(0, 15), max_size=10))
+            segments.append(Segment(text=" ".join(f"w{i}" for i in words),
+                                    shortenable=draw(st.booleans())))
+    return WrappedSequence(segments=tuple(segments), example_guid="g")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seq=_wrapped_sequence(), add_specials=st.booleans(), slack=st.integers(0, 40))
+def test_encode_keeps_exactly_what_truncate_keeps(seq, add_specials, slack):
+    vocab, tok = _counting_fixture()
+    stream = []
+    for seg in seq.segments:
+        if seg.is_mask:
+            stream.append(TokenEntry(vocab.mask_id, 1, 0, -1))
+        elif seg.soft_slot is not None:
+            stream.append(TokenEntry(vocab.mask_id, 0, 0, seg.soft_slot))
+        else:
+            stream += [TokenEntry(t, 0, int(seg.shortenable), -1) for t in tok.encode(seg.text)]
+    n_special = 2 if add_specials else 0
+    max_len = sum(1 for e in stream if not e.shortenable) + n_special + slack
+    want = truncate(stream, max_len - n_special)
+    if add_specials:
+        want = [TokenEntry(vocab.cls_id, 0, 0, -1), *want, TokenEntry(vocab.sep_id, 0, 0, -1)]
+    enc = encode_wrapped(seq, tok, max_len=max_len, add_special_tokens=add_specials)
+    got = list(zip(enc.input_ids, enc.loss_ids, enc.shortenable_ids, enc.soft_slot_ids))
+    assert got[: enc.length] == [tuple(e) for e in want]
+    assert enc.mask_positions == [i for i, e in enumerate(want) if e.loss]

@@ -126,6 +126,16 @@ def test_projection_sums_across_mask_positions(toy):
     assert double.predicted_class == single.predicted_class
 
 
+def test_projection_sums_positions_left_to_right_exactly(toy):
+    vocab, tok, verb = toy
+    rng = random.Random(5)
+    for _ in range(50):
+        rows = [[rng.uniform(-9, 9) for _ in range(len(vocab))] for _ in range(4)]
+        per_row = [project([row], verb).scores for row in rows]
+        want = [((a + b) + c) + d for a, b, c, d in zip(*per_row)]
+        assert list(project(rows, verb).scores) == want
+
+
 def test_projection_aggregations(toy):
     vocab, tok, verb = toy
     row = _row(vocab, {"good": 3.0, "wonderful": 1.0, "great": -1.0})
