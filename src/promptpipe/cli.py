@@ -18,7 +18,7 @@ from .runner import PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .tokenization import Vocab, build_tokenizer, encode_wrapped
-from .verbalizer import load_verbalizer, project
+from .verbalizer import Aggregation, load_verbalizer, project
 from .wrapping import wrap_example, wrapped_text
 
 
@@ -135,12 +135,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_score(args) -> int:
+    aggregation = Aggregation.parse(args.aggregation)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(args.verbalizer, tokenizer)
     lines = []
     for guid, rows in read_logits_records(args.logits_file, len(vocab)):
-        scores = project(rows, verbalizer, aggregation=args.aggregation)
+        scores = project(rows, verbalizer, aggregation=aggregation)
         lines.append(
             json.dumps(
                 {

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 from .errors import DuplicateGuid, InsufficientExamples, MalformedLine
 from .wrapping import InputExample
 
-__all__ = ["Dataset", "load_jsonl", "save_jsonl", "fewshot_sample"]
+__all__ = ["Dataset", "load_jsonl", "read_records", "save_jsonl", "fewshot_sample"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,6 +46,7 @@ class Dataset:
 
     @classmethod
     def from_examples(cls, examples: Iterable[InputExample]) -> "Dataset":
+        """The one constructor: rejects a repeated guid and derives ``label_set``."""
         items = tuple(examples)
         seen: set[str] = set()
         for ex in items:
@@ -61,53 +62,66 @@ class Dataset:
         return Dataset.from_examples(ex for ex in self.examples if ex.guid not in drop)
 
 
-def _parse_line(line_no: int, obj: object) -> InputExample:
-    if not isinstance(obj, dict):
-        raise MalformedLine(line_no, "expected a JSON object")
-    guid = obj.get("guid")
-    if not isinstance(guid, str) or not guid:
-        raise MalformedLine(line_no, "missing or non-string 'guid'")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise MalformedLine(line_no, "'label' must be a string when present")
-    meta_raw = obj.get("meta", {})
-    if not isinstance(meta_raw, dict):
-        raise MalformedLine(line_no, "'meta' must be an object")
-    meta: dict[str, str] = {}
-    for key, value in meta_raw.items():
-        if not isinstance(value, str):
-            raise MalformedLine(line_no, f"meta value for {key!r} must be a string")
-        meta[key] = value
-    for legacy in ("text_a", "text_b"):
-        if legacy in obj:
-            if legacy in meta:
-                raise MalformedLine(line_no, f"{legacy!r} given both top-level and in meta")
-            value = obj[legacy]
-            if not isinstance(value, str):
-                raise MalformedLine(line_no, f"{legacy!r} must be a string")
-            meta[legacy] = value
-    return InputExample(guid=guid, meta=meta, label=label)
+def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
+    """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL file.
 
-
-def load_jsonl(path: str | Path) -> Dataset:
-    """Load a JSONL dataset, preserving line order."""
-    examples: list[InputExample] = []
-    seen: set[str] = set()
+    Blank lines are skipped; a line ends only at ``\\n``, ``\\r\\n`` or
+    ``\\r``. A line that is not a JSON object with a non-empty string
+    ``guid`` raises :class:`~promptpipe.errors.MalformedLine`, and a guid
+    seen on an earlier line raises :class:`~promptpipe.errors.DuplicateGuid`
+    naming both lines; every error names ``path:line``.
+    """
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                record = json.loads(line)
             except ValueError as exc:
-                raise MalformedLine(line_no, f"invalid JSON: {exc}") from None
-            example = _parse_line(line_no, obj)
-            if example.guid in seen:
-                raise DuplicateGuid(f"guid {example.guid!r} appears twice")
-            seen.add(example.guid)
-            examples.append(example)
-    labels = frozenset(ex.label for ex in examples if ex.label is not None)
-    return Dataset(examples=tuple(examples), label_set=labels)
+                raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise MalformedLine(path, line_no, "expected a JSON object")
+            guid = record.get("guid")
+            if not isinstance(guid, str) or not guid:
+                raise MalformedLine(path, line_no, "missing or non-string 'guid'")
+            if guid in first_line:
+                raise DuplicateGuid(
+                    f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
+                )
+            first_line[guid] = line_no
+            yield line_no, guid, record
+
+
+def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise MalformedLine(path, line_no, "'label' must be a string when present")
+    meta_raw = obj.get("meta", {})
+    if not isinstance(meta_raw, dict):
+        raise MalformedLine(path, line_no, "'meta' must be an object")
+    meta: dict[str, str] = {}
+    for key, value in meta_raw.items():
+        if not isinstance(value, str):
+            raise MalformedLine(path, line_no, f"meta value for {key!r} must be a string")
+        meta[key] = value
+    for legacy in ("text_a", "text_b"):
+        if legacy in obj:
+            if legacy in meta:
+                raise MalformedLine(path, line_no, f"{legacy!r} given both top-level and in meta")
+            value = obj[legacy]
+            if not isinstance(value, str):
+                raise MalformedLine(path, line_no, f"{legacy!r} must be a string")
+            meta[legacy] = value
+    return InputExample(guid=guid, meta=meta, label=label)
+
+
+def load_jsonl(path: str | Path) -> Dataset:
+    """Load a JSONL dataset, preserving line order; errors name ``path:line``."""
+    return Dataset.from_examples(
+        _parse_example(path, line_no, guid, record)
+        for line_no, guid, record in read_records(path)
+    )
 
 
 def example_to_dict(example: InputExample) -> dict:
@@ -189,7 +203,4 @@ def fewshot_sample(
             )
         rng = SplitMix64((seed & _MASK64) ^ fnv1a64(label.encode("utf-8")))
         sampled.extend(_shuffled(group, rng)[:k_per_class])
-    return Dataset(
-        examples=tuple(sampled),
-        label_set=frozenset(ex.label for ex in sampled if ex.label is not None),
-    )
+    return Dataset.from_examples(sampled)

@@ -103,8 +103,10 @@ class DataError(PromptPipeError):
 
 
 class MalformedLine(DataError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    """A JSONL record that is not valid JSON or breaks the file's format."""
+
+    def __init__(self, path: object, line_no: int, reason: str):
+        super().__init__(f"{path}:{line_no}: {reason}")
         self.line_no = line_no
 
 

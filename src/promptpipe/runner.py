@@ -29,12 +29,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import yaml
 
-from .data import Dataset, load_jsonl
+from .data import Dataset, load_jsonl, read_records
 from .errors import (
     ClassListMismatch,
     ConfigError,
     DimensionMismatch,
-    DuplicateGuid,
     GuidMismatch,
     MissingLogits,
     NonFiniteValue,
@@ -134,8 +133,7 @@ class PipelineConfig:
             )
         if self.max_len < 1:
             raise ConfigError("max_len must be positive")
-        if self.aggregation.lower() not in {a.value for a in Aggregation}:
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
+        Aggregation.parse(self.aggregation)
 
 
 def _resolve(base: Path, path: str | Path) -> Path:
@@ -190,43 +188,24 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     """Yield ``(guid, rows)`` for each record of a JSONL logits file.
 
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
-    with rows of width ``vocab_size``. A malformed record, a non-finite
-    logit or a guid seen on an earlier line raises a
+    with rows of width ``vocab_size``. Records are read by
+    :func:`~promptpipe.data.read_records`; a record without usable
+    ``mask_logits`` or with a non-finite logit raises a
     :class:`~promptpipe.errors.PromptPipeError` naming the file and line.
     """
-    first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: bad logits record: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ConfigError(f"{where}: bad logits record: expected a JSON object")
-            guid = obj.get("guid")
-            if not isinstance(guid, str) or not guid:
-                raise ConfigError(f"{where}: bad logits record: missing or non-string 'guid'")
-            if guid in first_line:
-                raise DuplicateGuid(
-                    f"{where}: guid {guid!r} already has logits on line {first_line[guid]}"
-                )
-            first_line[guid] = line_no
-            if "mask_logits" not in obj:
-                raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
-            try:
-                rows = np.asarray(obj["mask_logits"], dtype=np.float64)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
-            if rows.ndim != 2 or rows.shape[1] != vocab_size:
-                raise DimensionMismatch(
-                    f"{where}: mask_logits must be rows of width {vocab_size}"
-                )
-            if not np.isfinite(rows).all():
-                raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
-            yield guid, rows
+    for line_no, guid, record in read_records(path):
+        where = f"{path}:{line_no}"
+        if "mask_logits" not in record:
+            raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
+        try:
+            rows = np.asarray(record["mask_logits"], dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
+        if rows.ndim != 2 or rows.shape[1] != vocab_size:
+            raise DimensionMismatch(f"{where}: mask_logits must be rows of width {vocab_size}")
+        if not np.isfinite(rows).all():
+            raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
+        yield guid, rows
 
 
 class LogitsFileScorer:
@@ -315,7 +294,7 @@ class _Pipeline:
     vocab_size: int
 
     def __post_init__(self):
-        self.aggregation = Aggregation(self.cfg.aggregation.lower())
+        self.aggregation = Aggregation.parse(self.cfg.aggregation)
         self.mask_counts = [ast.mask_count for ast in self.templates]
         block_rows = max(1, BLOCK_BYTES // (8 * self.vocab_size))
         self.block_size = max(1, block_rows // max(1, sum(self.mask_counts)))

@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConflictingSoftIdInitialization
 from .template import NodeKind, TemplateAST
 
 __all__ = ["SlotSpec", "SoftEmbeddingPlan", "build_soft_plan", "assign_soft_slots"]
@@ -67,31 +66,15 @@ class SoftEmbeddingPlan:
         return json.dumps(payload, indent=2)
 
 
-def _group_init_texts(ast: TemplateAST) -> dict[int, str | None]:
-    """Resolve each soft_id group's unique initialization text (or None)."""
-    texts: dict[int, str | None] = {}
-    for node in ast.nodes:
-        if node.kind is not NodeKind.SOFT or node.soft_id is None:
-            continue
-        seen = texts.get(node.soft_id)
-        if node.text:
-            if seen is not None and seen != node.text:
-                raise ConflictingSoftIdInitialization(
-                    f"soft_id {node.soft_id} initialized with conflicting texts"
-                )
-            texts[node.soft_id] = node.text
-        else:
-            texts.setdefault(node.soft_id, None)
-    return texts
-
-
 def _layout(
     ast: TemplateAST, encode: Callable[[str], list[int]] | None
 ) -> tuple[list[SlotSpec], list[tuple[int, ...]]]:
-    group_texts = _group_init_texts(ast)
+    group_texts: dict[int, str | None] = {}
     group_notes: dict[int, str | None] = {}
     for node in ast.nodes:
         if node.kind is NodeKind.SOFT and node.soft_id is not None:
+            # TemplateAST allows one init text per group: the first found
+            group_texts[node.soft_id] = group_texts.get(node.soft_id) or node.text or None
             note = node.post_processing.value if node.post_processing else None
             if node.soft_id not in group_notes or (
                 group_notes[node.soft_id] is None and note is not None

@@ -31,7 +31,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 from .errors import (
     ConflictingAttributes,
@@ -138,6 +137,16 @@ class TemplateAST:
     def __post_init__(self):
         if not self.nodes:
             raise EmptyTemplate("template has no nodes")
+        # nodes sharing a soft_id share one slot block, so one init text
+        texts: dict[int, str] = {}
+        for node in self.nodes:
+            if node.soft_id is not None and node.text:
+                first = texts.setdefault(node.soft_id, node.text)
+                if first != node.text:
+                    raise ConflictingSoftIdInitialization(
+                        f"soft_id {node.soft_id} initialized with conflicting texts "
+                        f"{sorted({first, node.text})}"
+                    )
 
     @property
     def mask_count(self) -> int:
@@ -261,13 +270,12 @@ def _scan_value(source: str, i: int) -> tuple[tuple, int]:
 
 def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
     """Scan one ``{...}`` node starting at the opening brace."""
-    open_at = i
     i = _skip_ws(source, i + 1)
     entries: list[tuple[str, tuple]] = []
     n = len(source)
     while True:
         if i >= n:
-            raise UnbalancedBrace(f"node opened at offset {open_at} is never closed")
+            raise UnbalancedBrace("node is never closed")
         if source[i] == "}":
             return entries, i + 1
         if source[i] != '"':
@@ -283,11 +291,11 @@ def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
         entries.append((key, value))
         i = _skip_ws(source, i)
         if i >= n:
-            raise UnbalancedBrace(f"node opened at offset {open_at} is never closed")
+            raise UnbalancedBrace("node is never closed")
         if source[i] == ",":
             i = _skip_ws(source, i + 1)
             if i < n and source[i] == "}":
-                raise InvalidValueType(f"trailing comma in node at offset {open_at}")
+                raise InvalidValueType("trailing comma in node")
         elif source[i] != "}":
             raise InvalidValueType(
                 f"expected ',' or '}}' at offset {i}, got {source[i]!r}"
@@ -298,7 +306,7 @@ def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
 
 
 def _parse_post_processing(value: tuple) -> PostProcessing:
-    tag, payload = value[0], value[1] if len(value) > 1 else None
+    tag, payload = value
     if tag == "string":
         name = str(payload).strip().lower().replace("-", "_")
         for member in PostProcessing:
@@ -314,101 +322,66 @@ def _parse_post_processing(value: tuple) -> PostProcessing:
     raise InvalidValueType("post_processing must be a function name")
 
 
-def _expect(tag_ok: bool, message: str):
-    if not tag_ok:
+_KIND_KEYS = {
+    "mask": NodeKind.MASK,
+    "meta": NodeKind.META,
+    "soft": NodeKind.SOFT,
+    "soft_id": NodeKind.SOFT,
+}
+
+
+def _payload(attrs: dict[str, tuple], key: str, tags: tuple[str, ...], message: str):
+    tag, payload = attrs[key]
+    if tag not in tags:
         raise InvalidValueType(message)
+    return payload
 
 
-def _build_node(entries: list[tuple[str, tuple]], offset: int) -> TemplateNode:
+def _build_node(entries: list[tuple[str, tuple]]) -> TemplateNode:
+    """Decode a node's attribute tags into :class:`TemplateNode` fields.
+
+    Only source-level rules are checked here; the node's kind invariants
+    are :class:`TemplateNode`'s.
+    """
     attrs: dict[str, tuple] = {}
     for key, value in entries:
         if key not in _KNOWN_KEYS:
-            raise UnknownAttributeKey(f"unknown attribute key {key!r} at offset {offset}")
+            raise UnknownAttributeKey(f"unknown attribute key {key!r}")
         if key in attrs:
-            raise ConflictingAttributes(f"attribute {key!r} given twice at offset {offset}")
+            raise ConflictingAttributes(f"attribute {key!r} given twice")
         attrs[key] = value
-    if not attrs:
-        raise ConflictingAttributes(f"empty node at offset {offset}")
-
-    is_mask = "mask" in attrs
-    is_meta = "meta" in attrs
-    is_soft = "soft" in attrs or "soft_id" in attrs
-    if is_mask + is_meta + is_soft > 1:
+    kinds = {_KIND_KEYS[key] for key in attrs if key in _KIND_KEYS}
+    if len(kinds) != 1:
         raise ConflictingAttributes(
-            f"node at offset {offset} mixes mask/meta/soft attributes"
+            "node mixes mask/meta/soft attributes"
+            if kinds
+            else "node needs one of mask, meta, soft, soft_id"
         )
-    if not (is_mask or is_meta or is_soft):
-        raise ConflictingAttributes(
-            f"node at offset {offset} needs one of mask, meta, soft, soft_id"
-        )
-
-    post_processing = None
-    if "post_processing" in attrs:
-        post_processing = _parse_post_processing(attrs["post_processing"])
-
-    shortenable_value = None
-    if "shortenable" in attrs:
-        tag, payload = attrs["shortenable"]
-        _expect(tag == "bool", "shortenable must be a boolean")
-        shortenable_value = payload
-
-    if "duplicate" in attrs and not is_soft:
+    kind = kinds.pop()
+    # TemplateNode cannot tell an explicit duplicate of 1 from the default
+    if "duplicate" in attrs and kind is not NodeKind.SOFT:
         raise ConflictingAttributes("duplicate is only valid on soft nodes")
 
-    if is_mask:
-        _expect(attrs["mask"][0] == "null", '"mask" takes no value')
-        if post_processing is not None:
-            raise ConflictingAttributes("mask node cannot carry post_processing")
-        if shortenable_value:
-            raise ConflictingAttributes("mask nodes are never shortenable")
-        return TemplateNode(kind=NodeKind.MASK)
-
-    if is_meta:
-        tag, payload = attrs["meta"]
-        _expect(tag == "string" and bool(payload), '"meta" requires a non-empty string key')
-        shortenable = True if shortenable_value is None else shortenable_value
-        return TemplateNode(
-            kind=NodeKind.META,
-            meta_key=payload,
-            shortenable=shortenable,
-            post_processing=post_processing,
-        )
-
-    if shortenable_value:
-        raise ConflictingAttributes("soft nodes are never shortenable")
-    text = None
-    if "soft" in attrs:
-        tag, payload = attrs["soft"]
-        if tag == "string":
-            text = payload or None  # empty init text means anonymous
-        elif tag != "null":
-            raise InvalidValueType('"soft" must be a string or None')
-    soft_id = None
+    fields: dict = {"kind": kind}
+    if kind is NodeKind.MASK:
+        _payload(attrs, "mask", ("null",), '"mask" takes no value')
+    elif kind is NodeKind.META:
+        fields["meta_key"] = _payload(attrs, "meta", ("string",), '"meta" requires a string key')
+        fields["shortenable"] = True
+    elif "soft" in attrs:
+        text = _payload(attrs, "soft", ("string", "null"), '"soft" must be a string or None')
+        fields["text"] = text or None  # empty init text means anonymous
     if "soft_id" in attrs:
-        tag, payload = attrs["soft_id"]
-        _expect(tag == "int" and payload >= 1, "soft_id must be a positive integer")
-        soft_id = payload
-    duplicate = 1
+        fields["soft_id"] = _payload(attrs, "soft_id", ("int",), "soft_id must be an integer")
     if "duplicate" in attrs:
-        tag, payload = attrs["duplicate"]
-        _expect(tag == "int" and payload >= 1, "duplicate must be a positive integer")
-        duplicate = payload
-    return TemplateNode(
-        kind=NodeKind.SOFT,
-        text=text,
-        soft_id=soft_id,
-        duplicate=duplicate,
-        post_processing=post_processing,
-    )
-
-
-def _soft_init_conflicts(nodes: Iterable[TemplateNode]) -> dict[int, set[str]]:
-    """Map soft_id -> set of distinct init texts for ids with more than one."""
-    texts: dict[int, set[str]] = {}
-    for node in nodes:
-        if node.kind is NodeKind.SOFT and node.soft_id is not None and node.text:
-            texts.setdefault(node.soft_id, set()).add(node.text)
-    return {sid: ts for sid, ts in texts.items() if len(ts) > 1}
+        fields["duplicate"] = _payload(attrs, "duplicate", ("int",), "duplicate must be an integer")
+    if "shortenable" in attrs:
+        fields["shortenable"] = _payload(
+            attrs, "shortenable", ("bool",), "shortenable must be a boolean"
+        )
+    if "post_processing" in attrs:
+        fields["post_processing"] = _parse_post_processing(attrs["post_processing"])
+    return TemplateNode(**fields)
 
 
 # --- public API -------------------------------------------------------------
@@ -431,22 +404,18 @@ def parse_template(source: str) -> TemplateAST:
         if c == "{":
             if i > text_start:
                 nodes.append(TemplateNode(kind=NodeKind.TEXT, text=source[text_start:i]))
-            offset = i
-            entries, i = _scan_node(source, i)
-            nodes.append(_build_node(entries, offset))
-            text_start = i
+            try:
+                entries, end = _scan_node(source, i)
+                nodes.append(_build_node(entries))
+            except TemplateError as exc:
+                raise type(exc)(f"node at offset {i}: {exc}") from None
+            i = text_start = end
         elif c == "}":
             raise UnbalancedBrace(f"stray '}}' at offset {i}")
         else:
             i += 1
     if text_start < n:
         nodes.append(TemplateNode(kind=NodeKind.TEXT, text=source[text_start:]))
-    conflicts = _soft_init_conflicts(nodes)
-    if conflicts:
-        sid, texts = next(iter(sorted(conflicts.items())))
-        raise ConflictingSoftIdInitialization(
-            f"soft_id {sid} initialized with conflicting texts {sorted(texts)}"
-        )
     return TemplateAST(nodes=tuple(nodes), source=source)
 
 
@@ -508,25 +477,24 @@ def validate_template(
         diagnostics.append(
             Diagnostic(code="no_mask_node", message="template has no mask node")
         )
-    for sid, texts in sorted(_soft_init_conflicts(ast.nodes).items()):
-        diagnostics.append(
-            Diagnostic(
-                code="conflicting_soft_id_initialization",
-                message=f"soft_id {sid} initialized with conflicting texts {sorted(texts)}",
-            )
-        )
     return diagnostics
 
 
 def load_template_file(path: str | Path) -> list[TemplateAST]:
-    """Load templates from a text file: one per line, ``#`` comments, blanks skipped."""
+    """Load templates from a text file: one per line, ``#`` comments, blanks skipped.
+
+    A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``; other characters that
+    ``str.splitlines`` breaks at (``\\x0c``, ``\\x85``, ``\\u2028``, ...) are
+    literal template text.
+    """
     templates: list[TemplateAST] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            templates.append(parse_template(line))
-        except TemplateError as exc:
-            raise type(exc)(f"{path}:{line_no}: {exc}") from None
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                templates.append(parse_template(line))
+            except TemplateError as exc:
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
     return templates

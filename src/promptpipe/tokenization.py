@@ -97,8 +97,16 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocab":
-        """Read one token per line; a token's id is its line number from 0."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        """Read one token per line; a token's id is its line number from 0.
+
+        A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, so a token may hold
+        characters such as ``\\x0c`` or ``\\u2028`` that ``str.splitlines``
+        would break at.
+        """
+        # reading in text mode turns "\r\n" and "\r" into "\n"
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        if lines[-1] == "":
+            lines.pop()
         for line_no, line in enumerate(lines, start=1):
             if not line:
                 raise VocabError(

@@ -26,6 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     DuplicateClass,
     EmptyClass,
@@ -52,6 +53,21 @@ class Aggregation(Enum):
     MEAN_LOG_PROB = "mean_log_prob"
     MAX = "max"
     FIRST = "first"
+
+    @classmethod
+    def parse(cls, value: "Aggregation | str") -> "Aggregation":
+        """``value`` as an aggregation; a name matches case-insensitively.
+
+        An unknown name raises :class:`~promptpipe.errors.ConfigError`
+        listing the valid ones.
+        """
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(str(value).lower())
+        except ValueError:
+            valid = ", ".join(a.value for a in cls)
+            raise ConfigError(f"unknown aggregation {value!r}; expected one of {valid}") from None
 
 
 @dataclass(frozen=True)
@@ -281,18 +297,6 @@ def sum_positions(scores: np.ndarray) -> np.ndarray:
     return totals
 
 
-_AGGREGATIONS = {a.value: a for a in Aggregation}
-
-
-def _as_aggregation(aggregation: Aggregation | str) -> Aggregation:
-    if isinstance(aggregation, Aggregation):
-        return aggregation
-    found = _AGGREGATIONS.get(aggregation.lower())
-    if found is None:
-        raise ValueError(f"{aggregation!r} is not a valid Aggregation")
-    return found
-
-
 def project(
     logits,
     v: Verbalizer,
@@ -305,7 +309,7 @@ def project(
     Scores from multiple mask positions are summed per class. The
     predicted class is the argmax, ties breaking toward index 0.
     """
-    aggregation = _as_aggregation(aggregation)
+    aggregation = Aggregation.parse(aggregation)
     index = v.dense
     rows = index.check_rows(logits)
     prior = None if calibration is None else index.prior(calibration)
@@ -325,7 +329,7 @@ def project_per_position(
     are summed, exactly as :func:`project` does for a single verbalizer
     (to which this reduces when every position uses the same one).
     """
-    aggregation = _as_aggregation(aggregation)
+    aggregation = Aggregation.parse(aggregation)
     rows = verbalizers[0].dense.check_rows(logits)
     if rows.shape[0] != len(verbalizers):
         raise DimensionMismatch(

@@ -51,6 +51,34 @@ def test_duplicate_guid_rejected(tmp_path):
         load_jsonl(path)
 
 
+def test_duplicate_guid_names_file_and_both_lines(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"guid": "a"}\n\n{"guid": "b"}\n{"guid": "a"}\n', encoding="utf-8")
+    with pytest.raises(DuplicateGuid, match=r"d\.jsonl:4: guid 'a' already appears on line 1"):
+        load_jsonl(path)
+    with pytest.raises(DuplicateGuid):
+        Dataset.from_examples([InputExample(guid="a", meta={})] * 2)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("not json", "invalid JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"guid": ""}', "'guid'"),
+        ('{"guid": "b", "label": 3}', "'label'"),
+        ('{"guid": "b", "meta": []}', "'meta'"),
+        ('{"guid": "b", "text_a": 1}', "'text_a'"),
+    ],
+)
+def test_malformed_line_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"guid": "a"}\r\n' + line + "\r\n", encoding="utf-8")
+    with pytest.raises(MalformedLine, match=r"d\.jsonl:2: .*" + reason) as err:
+        load_jsonl(path)
+    assert err.value.line_no == 2
+
+
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"guid": "a", "meta": {}}\nnot json\n', encoding="utf-8")

@@ -591,6 +591,25 @@ def test_duplicate_guid_in_logits_file_names_both_lines(fixtures_dir, tmp_path, 
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records", ["empty", "one record", "malformed"])
+def test_score_rejects_unknown_aggregation_before_reading_logits(
+    fixtures_dir, tmp_path, capsys, records
+):
+    row = [0.0] * _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text({
+        "empty": "",
+        "one record": json.dumps({"guid": "q1", "mask_logits": [row]}) + "\n",
+        "malformed": "not json\n",
+    }[records])
+    assert main(_score_cli(fixtures_dir, logits) + ["--aggregation", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown aggregation 'bogus'; expected one of mean_log_prob, max, first\n"
+    )
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad):
     from promptpipe.errors import NonFiniteValue

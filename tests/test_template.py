@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptpipe import (
     NodeKind,
@@ -128,6 +130,49 @@ def test_conflicting_soft_id_initialization_rejected():
         parse_template('{"soft": "the", "soft_id": 1} x {"soft": "a", "soft_id": 1}')
 
 
+def test_hand_built_ast_with_conflicting_soft_id_rejected():
+    nodes = (
+        TemplateNode(kind=NodeKind.SOFT, text="the", soft_id=1),
+        TemplateNode(kind=NodeKind.SOFT, soft_id=1),
+        TemplateNode(kind=NodeKind.SOFT, text="a", soft_id=1),
+        MASK,
+    )
+    with pytest.raises(ConflictingSoftIdInitialization, match="soft_id 1"):
+        TemplateAST(nodes=nodes)
+
+
+# Each bad node sits at offset 4, after "abc ". The error names that offset
+# whichever rule rejects it.
+NODE_ERRORS = [
+    ('{"mask", "post_processing": "lowercase"}', ConflictingAttributes),
+    ('{"mask", "duplicate": 1}', ConflictingAttributes),
+    ('{"mask", "shortenable": True}', ConflictingAttributes),
+    ('{"mask": "x"}', InvalidValueType),
+    ('{"meta": ""}', InvalidValueType),
+    ('{"meta"}', InvalidValueType),
+    ('{"meta": "t", "duplicate": 1}', ConflictingAttributes),
+    ('{"soft_id": 0}', InvalidValueType),
+    ('{"soft_id": "1"}', InvalidValueType),
+    ('{"soft", "shortenable": True}', ConflictingAttributes),
+    ('{"soft": 3}', InvalidValueType),
+    ('{"soft", "duplicate": 0}', InvalidValueType),
+    ('{"soft", "post_processing": 1}', InvalidValueType),
+    ('{"soft", "soft", "soft_id": 1}', ConflictingAttributes),
+    ('{"soft", "meta": "t"}', ConflictingAttributes),
+    ('{"shortenable": False}', ConflictingAttributes),
+    ("{}", ConflictingAttributes),
+    ('{"colour": 1}', UnknownAttributeKey),
+    ('{"mask",}', InvalidValueType),
+]
+
+
+@pytest.mark.parametrize("node, error", NODE_ERRORS)
+def test_node_errors_name_class_and_offset(node, error):
+    with pytest.raises(error, match=r"node at offset 4: ") as err:
+        parse_template("abc " + node + " {\"mask\"}")
+    assert type(err.value) is error
+
+
 def test_same_initialization_twice_is_fine():
     ast = parse_template('{"soft": "the", "soft_id": 1} x {"soft": "the", "soft_id": 1}')
     assert sum(1 for n in ast.nodes if n.kind is NodeKind.SOFT) == 2
@@ -224,6 +269,51 @@ def test_round_trip_on_showcase_file(fixtures_dir):
         assert again.nodes == ast.nodes
 
 
+_LITERAL = st.text(st.characters(exclude_characters="{}"), min_size=1)
+_POST_PROCESSING = st.none() | st.sampled_from(list(PostProcessing))
+
+
+@st.composite
+def _node_sequences(draw) -> tuple[TemplateNode, ...]:
+    """Valid nodes as a parse yields them: no two text nodes in a row, one
+    init text per soft_id."""
+    init_texts: dict[int, str] = {}
+    nodes: list[TemplateNode] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            nodes.append(text(draw(_LITERAL)))
+        kind = draw(st.sampled_from([NodeKind.MASK, NodeKind.META, NodeKind.SOFT]))
+        if kind is NodeKind.MASK:
+            nodes.append(MASK)
+        elif kind is NodeKind.META:
+            key = draw(st.text(min_size=1))
+            nodes.append(meta(key, draw(st.booleans()), draw(_POST_PROCESSING)))
+        else:
+            soft_id = draw(st.none() | st.integers(1, 3))
+            init = draw(st.none() | st.text(min_size=1))
+            if soft_id is not None and init is not None:
+                init = init_texts.setdefault(soft_id, init)
+            nodes.append(
+                TemplateNode(
+                    kind=NodeKind.SOFT,
+                    text=init,
+                    soft_id=soft_id,
+                    duplicate=draw(st.integers(1, 5)),
+                    post_processing=draw(_POST_PROCESSING),
+                )
+            )
+    if not nodes or draw(st.booleans()):
+        nodes.append(text(draw(_LITERAL)))
+    return tuple(nodes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nodes=_node_sequences())
+def test_parse_inverts_serialize_on_generated_nodes(nodes):
+    ast = TemplateAST(nodes=nodes)
+    assert parse_template(serialize_template(ast)).nodes == ast.nodes
+
+
 def test_serialize_keeps_duplicate_count():
     ast = parse_template('{"soft": None, "duplicate": 100} {"mask"}')
     assert '"duplicate": 100' in serialize_template(ast)
@@ -261,6 +351,16 @@ def test_template_file_comments_and_blanks(tmp_path):
     path.write_text('# comment\n\n{"mask"} one\n\n# two\nplain\n', encoding="utf-8")
     templates = load_template_file(path)
     assert len(templates) == 2
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_template_file_lines_end_only_at_newlines(tmp_path, char):
+    path = tmp_path / "t.txt"
+    source = f'one{char}two {{"mask"}} three{char}'
+    path.write_bytes(("# c\r\n" + source + "\r\n" + source).encode("utf-8"))
+    templates = load_template_file(path)
+    assert [ast.source for ast in templates] == [source, source]
+    assert templates[0].nodes[0].text == f"one{char}two "
 
 
 def test_template_file_errors_carry_line_number(tmp_path):

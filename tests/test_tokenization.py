@@ -57,6 +57,17 @@ def test_vocab_rejects_blank_line_and_names_it(tmp_path):
         Vocab.from_file(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_vocab_lines_end_only_at_newlines(tmp_path, newline):
+    # str.splitlines would also break at \x0c and shift "b" to id 7
+    path = tmp_path / "vocab.txt"
+    tokens = SPECIALS + ["a\x0cb", "b\x1cc\x85d\u2028e"]
+    path.write_bytes(newline.join(tokens + [""]).encode("utf-8"))
+    vocab = Vocab.from_file(path)
+    assert vocab.tokens == tuple(tokens)
+    assert vocab.ids["a\x0cb"] == 5
+
+
 # --- tokenizers --------------------------------------------------------------
 
 

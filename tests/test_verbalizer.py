@@ -17,6 +17,7 @@ from promptpipe import (
     project_per_position,
 )
 from promptpipe.errors import (
+    ConfigError,
     DimensionMismatch,
     DuplicateClass,
     EmptyClass,
@@ -147,6 +148,17 @@ def test_projection_aggregations(toy):
     assert mean.scores[1] == pytest.approx(sum(by_word) / 3, abs=1e-12)
     assert Mx.scores[1] == pytest.approx(max(by_word), abs=1e-12)
     assert first.scores[1] == pytest.approx(by_word[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bogus", "", "mean"])
+def test_unknown_aggregation_is_a_config_error(toy, name):
+    _, _, verb = toy
+    row = [0.0] * 9
+    with pytest.raises(ConfigError, match="mean_log_prob, max, first"):
+        project([row], verb, aggregation=name)
+    with pytest.raises(ConfigError, match="mean_log_prob, max, first"):
+        project_per_position([row], [verb], aggregation=name)
+    assert Aggregation.parse("MAX") is Aggregation.MAX
 
 
 def test_projection_multi_subword_words_average(fixtures_dir, wordpiece, vocab):
