@@ -32,6 +32,7 @@ from .template import (
     validate_template,
 )
 from .tokenization import (
+    CompiledTemplate,
     TokenizedInput,
     TokenizerKind,
     Vocab,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Aggregation",
     "ClassScores",
+    "CompiledTemplate",
     "Dataset",
     "Diagnostic",
     "InputExample",

@@ -17,7 +17,7 @@ from .errors import PromptPipeError
 from .runner import PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
-from .tokenization import Vocab, build_tokenizer, encode_wrapped
+from .tokenization import CompiledTemplate, Vocab, build_tokenizer
 from .verbalizer import Aggregation, load_verbalizer, project
 from .wrapping import wrap_example, wrapped_text
 
@@ -99,14 +99,13 @@ def cmd_tokenize(args) -> int:
     ast = _single_template(args)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
-    plan = build_soft_plan(ast, tokenizer)
+    template = CompiledTemplate(
+        ast, build_soft_plan(ast, tokenizer), tokenizer, args.max_len, args.add_special_tokens
+    )
     dataset = load_jsonl(args.dataset)
     lines = []
     for example in dataset:
-        wrapped = wrap_example(ast, example, plan)
-        tokenized = encode_wrapped(
-            wrapped, tokenizer, args.max_len, add_special_tokens=args.add_special_tokens
-        )
+        tokenized = template.encode(template.resolve(example))
         record = {"guid": example.guid}
         record.update(tokenized.to_dict())
         lines.append(json.dumps(record, ensure_ascii=False))

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DuplicateGuid, InsufficientExamples, MalformedLine
+from .textfile import read_lines
 from .wrapping import InputExample
 
 __all__ = ["Dataset", "load_jsonl", "read_records", "save_jsonl", "fewshot_sample"]
@@ -65,32 +66,32 @@ class Dataset:
 def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
     """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL file.
 
-    Blank lines are skipped; a line ends only at ``\\n``, ``\\r\\n`` or
-    ``\\r``. A line that is not a JSON object with a non-empty string
-    ``guid`` raises :class:`~promptpipe.errors.MalformedLine`, and a guid
-    seen on an earlier line raises :class:`~promptpipe.errors.DuplicateGuid`
-    naming both lines; every error names ``path:line``.
+    The file is read by :func:`~promptpipe.textfile.read_lines`; blank
+    lines are skipped. A line that is not a JSON object with a non-empty
+    string ``guid`` raises :class:`~promptpipe.errors.MalformedLine`, and a
+    guid seen on an earlier line raises
+    :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
+    error names ``path:line``.
     """
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise MalformedLine(path, line_no, "expected a JSON object")
-            guid = record.get("guid")
-            if not isinstance(guid, str) or not guid:
-                raise MalformedLine(path, line_no, "missing or non-string 'guid'")
-            if guid in first_line:
-                raise DuplicateGuid(
-                    f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
-                )
-            first_line[guid] = line_no
-            yield line_no, guid, record
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise MalformedLine(path, line_no, "expected a JSON object")
+        guid = record.get("guid")
+        if not isinstance(guid, str) or not guid:
+            raise MalformedLine(path, line_no, "missing or non-string 'guid'")
+        if guid in first_line:
+            raise DuplicateGuid(
+                f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
+            )
+        first_line[guid] = line_no
+        yield line_no, guid, record
 
 
 def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:

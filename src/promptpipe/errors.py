@@ -13,6 +13,10 @@ class PromptPipeError(Exception):
     """Base class for all promptpipe errors."""
 
 
+class InvalidEncoding(PromptPipeError):
+    """An input file that does not decode as UTF-8."""
+
+
 # --- template language ---
 
 

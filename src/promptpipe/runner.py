@@ -1,10 +1,11 @@
 """Configuration-driven pipeline: wrap, encode, score, project, report.
 
 The runner composes the other modules without hidden state: templates
-and the verbalizer are loaded once, each example flows through
-wrap -> encode -> score -> project, per-template class scores are
-ensembled by arithmetic mean, and results are written as JSONL in
-dataset order.
+are loaded and compiled once (see
+:class:`~promptpipe.tokenization.CompiledTemplate`), the verbalizer is
+loaded once, each example flows through wrap -> encode -> score ->
+project, per-template class scores are ensembled by arithmetic mean, and
+results are written as JSONL in dataset order.
 
 Examples run serially, in blocks: each example of a block is wrapped,
 encoded and scored template by template, and then each template's
@@ -40,9 +41,10 @@ from .errors import (
     PipelineStageError,
     PromptPipeError,
 )
-from .soft_plan import SoftEmbeddingPlan, build_soft_plan
+from .soft_plan import build_soft_plan
 from .template import TemplateAST, load_template_file
-from .tokenization import TokenizedInput, Vocab, build_tokenizer, encode_wrapped
+from .textfile import read_text
+from .tokenization import CompiledTemplate, TokenizedInput, Vocab, build_tokenizer
 from .verbalizer import (
     Aggregation,
     ClassScores,
@@ -51,7 +53,7 @@ from .verbalizer import (
     load_verbalizer,
     sum_positions,
 )
-from .wrapping import InputExample, wrap_example, wrapped_text
+from .wrapping import InputExample
 
 __all__ = [
     "PipelineConfig",
@@ -90,7 +92,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
         """Load a YAML or JSON config document, then apply overrides."""
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         if str(path).endswith(".json"):
             raw = json.loads(text)
         else:
@@ -167,7 +169,7 @@ class ToyScorer:
     @classmethod
     def from_file(cls, path: str | Path, vocab: Vocab) -> "ToyScorer":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path))
         except ValueError as exc:
             raise ConfigError(f"frequency file {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -284,9 +286,7 @@ def _content_free_example(ast: TemplateAST) -> InputExample:
 
 @dataclass
 class _Pipeline:
-    templates: list[TemplateAST]
-    plans: list[SoftEmbeddingPlan]
-    tokenizer: object
+    templates: list[CompiledTemplate]
     verbalizer: Verbalizer
     scorer: Scorer
     priors: list[np.ndarray | None]
@@ -295,7 +295,7 @@ class _Pipeline:
 
     def __post_init__(self):
         self.aggregation = Aggregation.parse(self.cfg.aggregation)
-        self.mask_counts = [ast.mask_count for ast in self.templates]
+        self.mask_counts = [t.ast.mask_count for t in self.templates]
         block_rows = max(1, BLOCK_BYTES // (8 * self.vocab_size))
         self.block_size = max(1, block_rows // max(1, sum(self.mask_counts)))
         # one C-ordered buffer per template, reused by every block
@@ -308,19 +308,14 @@ class _Pipeline:
         index = self.verbalizer.dense
         texts = []
         for i, example in enumerate(examples):
-            for t, (ast, plan) in enumerate(zip(self.templates, self.plans)):
+            for t, template in enumerate(self.templates):
                 stage = "wrap"
                 try:
-                    wrapped = wrap_example(ast, example, plan)
+                    values = template.resolve(example)
                     if t == 0:
-                        texts.append(wrapped_text(wrapped))
+                        texts.append(template.render(values))
                     stage = "encode"
-                    tokenized = encode_wrapped(
-                        wrapped,
-                        self.tokenizer,
-                        self.cfg.max_len,
-                        add_special_tokens=self.cfg.add_special_tokens,
-                    )
+                    tokenized = template.encode(values)
                     stage = "score"
                     rows = self.scorer(example.guid, tokenized)
                     if np.shape(rows)[0] != len(tokenized.mask_positions):
@@ -362,24 +357,24 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     tokenizer = build_tokenizer(cfg.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(cfg.verbalizer, tokenizer)
     scorer = _build_scorer(cfg, vocab)
-    plans = [build_soft_plan(ast, tokenizer) for ast in templates]
+    compiled = [
+        CompiledTemplate(
+            ast, build_soft_plan(ast, tokenizer), tokenizer, cfg.max_len, cfg.add_special_tokens
+        )
+        for ast in templates
+    ]
     dataset = load_jsonl(cfg.dataset)
 
     priors: list[np.ndarray | None] = []
-    for ast, plan in zip(templates, plans):
+    for template in compiled:
         if not cfg.calibrate:
             priors.append(None)
             continue
-        blank = wrap_example(ast, _content_free_example(ast), plan)
-        tokenized = encode_wrapped(
-            blank, tokenizer, cfg.max_len, add_special_tokens=cfg.add_special_tokens
-        )
-        calibration = calibrate(lambda t: scorer(CONTENT_FREE_GUID, t), verbalizer, tokenized)
+        blank = template.encode(template.resolve(_content_free_example(template.ast)))
+        calibration = calibrate(lambda t: scorer(CONTENT_FREE_GUID, t), verbalizer, blank)
         priors.append(verbalizer.dense.prior(calibration))
     pipeline = _Pipeline(
-        templates=templates,
-        plans=plans,
-        tokenizer=tokenizer,
+        templates=compiled,
         verbalizer=verbalizer,
         scorer=scorer,
         priors=priors,

@@ -41,6 +41,7 @@ from .errors import (
     UnbalancedBrace,
     UnknownAttributeKey,
 )
+from .textfile import read_lines
 
 __all__ = [
     "NodeKind",
@@ -488,13 +489,12 @@ def load_template_file(path: str | Path) -> list[TemplateAST]:
     literal template text.
     """
     templates: list[TemplateAST] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                templates.append(parse_template(line))
-            except TemplateError as exc:
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            templates.append(parse_template(line))
+        except TemplateError as exc:
+            raise type(exc)(f"{path}:{line_no}: {exc}") from None
     return templates

@@ -1,0 +1,62 @@
+"""How every input file is read: UTF-8 text, a leading byte-order mark
+dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``.
+
+A file that is not valid UTF-8 raises
+:class:`~promptpipe.errors.InvalidEncoding` naming the file and the line
+of the first undecodable byte.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
+
+from .errors import InvalidEncoding
+
+__all__ = ["read_text", "read_lines"]
+
+# "utf-8-sig" drops one byte-order mark at the start of the file and
+# otherwise decodes exactly as "utf-8"
+ENCODING = "utf-8-sig"
+
+
+def read_text(path: str | Path) -> str:
+    """The whole file, with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    try:
+        with open(path, encoding=ENCODING) as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise _invalid_utf8(path) from None
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line_no, line)`` from 1, each line ending in ``\\n`` but the last."""
+    with open(path, encoding=ENCODING) as handle:
+        try:
+            yield from enumerate(handle, start=1)
+        except UnicodeDecodeError:
+            raise _invalid_utf8(path) from None
+
+
+def _invalid_utf8(path: str | Path) -> InvalidEncoding:
+    """The error for a file that failed to decode, naming its first bad line.
+
+    Text is decoded in chunks, so the failure can surface lines before the
+    bad byte; the file is read again as bytes to find it. A UTF-8 sequence
+    never holds the byte ``\\n``, so each binary line decodes on its own.
+    """
+    line_no = 1
+    with open(path, "rb") as handle:
+        for raw in handle:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[: exc.start]
+                # a "\r" not followed by "\n" also ends a line
+                line_no += head.count(b"\r") - head.count(b"\r\n")
+                return InvalidEncoding(
+                    f"{path}:{line_no}: not valid UTF-8 "
+                    f"(byte 0x{raw[exc.start]:02x}: {exc.reason})"
+                )
+            line_no += raw.count(b"\r") - raw.count(b"\r\n") + raw.endswith(b"\n")
+    return InvalidEncoding(f"{path}: not valid UTF-8")

@@ -7,6 +7,10 @@ tokens only from shortenable segments, starting at the tail of the
 rightmost shortenable run and moving left, so template control tokens
 and mask slots always survive.
 
+A :class:`CompiledTemplate` encodes a template's static text once and,
+per example, only its meta values; it shares the one truncate-and-assemble
+step with :func:`encode_wrapped`.
+
 Vocab files are plain UTF-8 text, one token per line; the line number
 (from 0) is the token id. The five special tokens ``[PAD] [UNK] [MASK]
 [CLS] [SEP]`` must be present; continuation pieces carry a ``##``
@@ -15,6 +19,7 @@ prefix.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -23,11 +28,21 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     ConfigError,
     DuplicateToken,
+    MissingMetaKey,
     MissingSpecialToken,
     TemplateTooLong,
     VocabError,
 )
-from .wrapping import WrappedSequence
+from .soft_plan import SoftEmbeddingPlan
+from .template import NodeKind, PostProcessing, TemplateAST
+from .textfile import read_text
+from .wrapping import (
+    MASK_MARKER,
+    SOFT_MARKER,
+    InputExample,
+    WrappedSequence,
+    apply_post_processing,
+)
 
 __all__ = [
     "PAD_TOKEN",
@@ -40,6 +55,7 @@ __all__ = [
     "WhitespaceTokenizer",
     "WordPieceTokenizer",
     "build_tokenizer",
+    "CompiledTemplate",
     "TokenEntry",
     "TokenizedInput",
     "truncate",
@@ -103,8 +119,7 @@ class Vocab:
         characters such as ``\\x0c`` or ``\\u2028`` that ``str.splitlines``
         would break at.
         """
-        # reading in text mode turns "\r\n" and "\r" into "\n"
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = read_text(path).split("\n")
         if lines[-1] == "":
             lines.pop()
         for line_no, line in enumerate(lines, start=1):
@@ -116,6 +131,8 @@ class Vocab:
         return cls.from_tokens(lines)
 
 
+
+
 class WhitespaceTokenizer:
     """Splits on Unicode whitespace; out-of-vocabulary words map to UNK."""
 
@@ -125,10 +142,12 @@ class WhitespaceTokenizer:
     def tokenize(self, text: str) -> list[str]:
         return text.split()
 
-    def encode(self, text: str) -> list[int]:
-        ids = self.vocab.ids
+    def encode(self, text: str, limit: int | None = None) -> list[int]:
+        """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``."""
+        get = self.vocab.ids.get
         unk = self.vocab.unk_id
-        return [ids.get(word, unk) for word in text.split()]
+        words = text.split() if limit is None else text.split(None, limit)[:limit]
+        return [get(word, unk) for word in words]
 
 
 class WordPieceTokenizer:
@@ -175,9 +194,35 @@ class WordPieceTokenizer:
             out.extend(pieces if pieces is not None else [UNK_TOKEN])
         return out
 
-    def encode(self, text: str) -> list[int]:
+    def encode(self, text: str, limit: int | None = None) -> list[int]:
+        """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``.
+
+        A word that is itself a token is looked up whole: greedy longest
+        match tries the whole word first, as no token is longer than the
+        longest one. With ``limit``, words are tokenized only until
+        ``limit`` ids are found.
+        """
         ids = self.vocab.ids
-        return [ids[piece] for piece in self.tokenize(text)]
+        get = ids.get
+        if limit is None:
+            limit = sys.maxsize
+        out: list[int] = []
+        # every word gives at least one id, so the last item of the split,
+        # which holds any words past the first `limit`, is never tokenized
+        for word in text.split(None, limit):
+            if len(out) >= limit:
+                break
+            token_id = get(word)
+            if token_id is not None:
+                out.append(token_id)
+                continue
+            pieces = self._word_pieces(word)
+            if pieces is None:
+                out.append(self.vocab.unk_id)
+            else:
+                out += [ids[piece] for piece in pieces]
+        del out[limit:]
+        return out
 
 
 def build_tokenizer(kind: TokenizerKind | str, vocab: Vocab):
@@ -223,24 +268,125 @@ class TokenizedInput:
         }
 
 
+# A run is a stretch of positions that share their flags:
+# (ids, loss, shortenable, soft slot). Encoding makes one run per segment.
+Run = tuple[list, int, int, int]
+
+
+def _cut(runs: list[Run], excess: int) -> None:
+    """The truncation rule: drop the last ``excess`` shortenable positions.
+
+    Removal starts at the tail of the rightmost shortenable run and moves
+    leftward across runs, so early context survives longest. A cut run is
+    replaced in ``runs`` by a shorter copy; no run is changed in place, so
+    runs may be shared between calls.
+    """
+    for index in range(len(runs) - 1, -1, -1):
+        if excess <= 0:
+            return
+        ids, loss, shortenable, slot = runs[index]
+        if shortenable:
+            cut = min(excess, len(ids))
+            runs[index] = (ids[: len(ids) - cut], loss, shortenable, slot)
+            excess -= cut
+
+
 def truncate(stream: Sequence[TokenEntry], budget: int) -> list[TokenEntry]:
     """Drop shortenable tokens until the stream fits the budget.
 
-    Removal starts at the tail of the rightmost shortenable run and
-    moves leftward across runs; survivor order is preserved. The caller
-    guarantees the budget covers all non-shortenable tokens.
+    The rule of :func:`encode_wrapped`, applied with one run per entry;
+    survivor order is preserved. The caller guarantees the budget covers
+    all non-shortenable tokens.
     """
-    excess = len(stream) - budget
-    if excess <= 0:
-        return list(stream)
-    keep = [True] * len(stream)
-    for i in range(len(stream) - 1, -1, -1):
-        if stream[i].shortenable:
-            keep[i] = False
-            excess -= 1
-            if excess == 0:
-                break
-    return [entry for entry, kept in zip(stream, keep) if kept]
+    runs: list[Run] = [([entry], *entry[1:]) for entry in stream]
+    _cut(runs, len(stream) - budget)
+    return [entry for run in runs for entry in run[0]]
+
+
+def _fit(
+    runs: list[Run],
+    tokenizer,
+    max_len: int,
+    add_special_tokens: bool,
+    causal: bool,
+    tail: tuple[int, str] | None = None,
+) -> TokenizedInput:
+    """Truncate runs to ``max_len`` and lay them out as padded arrays.
+
+    The one truncate-and-assemble step of :func:`encode_wrapped` and
+    :class:`CompiledTemplate`. ``tail`` is ``(index, text)`` when
+    ``runs[index]``, the rightmost shortenable run, is still empty and is
+    to hold the ids of ``text``: only the ids that survive truncation are
+    made.
+    """
+    vocab = tokenizer.vocab
+    n_special = 2 if add_special_tokens else 0
+    total = fixed = 0
+    for ids, _, shortenable, _ in runs:
+        total += len(ids)
+        if not shortenable:
+            fixed += len(ids)
+    if fixed + n_special > max_len:
+        raise TemplateTooLong(
+            f"non-shortenable content ({fixed} tokens + {n_special} special) "
+            f"exceeds max_len {max_len}"
+        )
+    if tail is not None:
+        # the rightmost shortenable run loses its tail first, so it keeps
+        # what the other runs leave of max_len, whatever its own length
+        index, text = tail
+        ids = tokenizer.encode(text, max(0, max_len - n_special - total))
+        runs[index] = (ids, *runs[index][1:])
+        total += len(ids)
+    _cut(runs, total + n_special - max_len)
+
+    content_len = min(total + n_special, max_len)
+    input_ids = [vocab.pad_id] * max_len
+    loss_ids = [0] * max_len
+    shortenable_ids = [0] * max_len
+    soft_slot_ids = [-1] * max_len
+    mask_positions: list[int] = []
+    start = 0
+    if add_special_tokens:
+        input_ids[0] = vocab.cls_id
+        input_ids[content_len - 1] = vocab.sep_id
+        start = 1
+    for ids, loss, shortenable, slot in runs:
+        end = start + len(ids)
+        input_ids[start:end] = ids
+        if loss:
+            loss_ids[start:end] = [1] * len(ids)
+            mask_positions += range(start, end)
+        if shortenable:
+            shortenable_ids[start:end] = [1] * len(ids)
+        if slot >= 0:
+            soft_slot_ids[start:end] = [slot] * len(ids)
+        start = end
+    if causal:
+        if content_len == 0:
+            raise ConfigError("cannot place a generation slot in an empty sequence")
+        loss_ids[content_len - 1] = 1
+        mask_positions = [content_len - 1]
+    return TokenizedInput(
+        input_ids=input_ids,
+        attention_mask=[1] * content_len + [0] * (max_len - content_len),
+        loss_ids=loss_ids,
+        shortenable_ids=shortenable_ids,
+        soft_slot_ids=soft_slot_ids,
+        mask_positions=mask_positions,
+    )
+
+
+def _is_causal(objective: str, mask_count: int) -> bool:
+    """Whether ``objective`` uses the generation-slot layout; checks its masks."""
+    if objective not in ("mlm", "lm", "seq2seq"):
+        raise ConfigError(f"unknown objective {objective!r}")
+    causal = objective != "mlm"
+    if causal and mask_count != 1:
+        raise ConfigError(
+            f"{objective} layout needs exactly one mask segment, got {mask_count}"
+        )
+    return causal
 
 
 def encode_wrapped(
@@ -265,76 +411,105 @@ def encode_wrapped(
     generation slot (the template must then contain exactly one mask
     segment).
     """
-    if objective not in ("mlm", "lm", "seq2seq"):
-        raise ConfigError(f"unknown objective {objective!r}")
-    causal = objective != "mlm"
-    if causal and seq.mask_count != 1:
-        raise ConfigError(
-            f"{objective} layout needs exactly one mask segment, got {seq.mask_count}"
-        )
-
-    vocab = tokenizer.vocab
-    # one (ids, loss, shortenable, soft slot) run per segment
-    runs: list[tuple[list[int], int, int, int]] = []
+    causal = _is_causal(objective, seq.mask_count)
+    mask_id = tokenizer.vocab.mask_id
+    runs: list[Run] = []
     for seg in seq.segments:
         if seg.is_mask:
             if not causal:
-                runs.append(([vocab.mask_id], 1, 0, -1))
+                runs.append(([mask_id], 1, 0, -1))
         elif seg.soft_slot is not None:
-            runs.append(([vocab.mask_id], 0, 0, seg.soft_slot))
+            runs.append(([mask_id], 0, 0, seg.soft_slot))
         elif seg.text:
-            runs.append((tokenizer.encode(seg.text), 0, 1 if seg.shortenable else 0, -1))
+            runs.append((tokenizer.encode(seg.text), 0, int(seg.shortenable), -1))
+    return _fit(runs, tokenizer, max_len, add_special_tokens, causal)
 
-    n_special = 2 if add_special_tokens else 0
-    fixed = sum(len(ids) for ids, _, shortenable, _ in runs if not shortenable)
-    if fixed + n_special > max_len:
-        raise TemplateTooLong(
-            f"non-shortenable content ({fixed} tokens + {n_special} special) "
-            f"exceeds max_len {max_len}"
+
+class CompiledTemplate:
+    """A template bound to its soft plan, tokenizer and encoding settings.
+
+    Built once per template, it holds every static run already encoded:
+    the ids of each literal text, and one placeholder position per mask
+    and per soft slot. Per example it only resolves the meta values
+    (:meth:`resolve`), renders the human-readable text (:meth:`render`)
+    and tokenizes the meta values (:meth:`encode`); when the rightmost
+    shortenable run is a meta value, only its ids that survive
+    truncation are made. The results, errors included, equal those of
+    ``wrap_example``, ``wrapped_text`` and :func:`encode_wrapped`.
+    """
+
+    def __init__(
+        self,
+        ast: TemplateAST,
+        plan: SoftEmbeddingPlan,
+        tokenizer,
+        max_len: int,
+        add_special_tokens: bool = True,
+        objective: str = "mlm",
+    ):
+        self.ast = ast
+        self.tokenizer = tokenizer
+        self.max_len = max_len
+        self.add_special_tokens = add_special_tokens
+        self._causal = _is_causal(objective, ast.mask_count)
+        mask_id = tokenizer.vocab.mask_id
+        runs: list[Run] = []
+        # per meta node: (run index, key, post-processing, shortenable)
+        metas: list[tuple[int, str, PostProcessing | None, int]] = []
+        text: list[str] = []  # str.format pieces of the rendered text
+        for node, slots in zip(ast.nodes, plan.node_slots):
+            if node.kind is NodeKind.TEXT:
+                text.append(node.text.replace("{", "{{").replace("}", "}}"))
+                if node.text:
+                    runs.append((tokenizer.encode(node.text), 0, int(node.shortenable), -1))
+            elif node.kind is NodeKind.MASK:
+                text.append(MASK_MARKER)
+                if not self._causal:
+                    runs.append(([mask_id], 1, 0, -1))
+            elif node.kind is NodeKind.META:
+                text.append("{}")
+                shortenable = int(node.shortenable)
+                metas.append((len(runs), node.meta_key, node.post_processing, shortenable))
+                runs.append(([], 0, shortenable, -1))
+            else:
+                for slot in slots:
+                    text.append(SOFT_MARKER)
+                    runs.append(([mask_id], 0, 0, slot))
+        self._runs = runs
+        self._metas = metas
+        self._format = "".join(text)
+        # the meta value, by node order, whose run is the rightmost shortenable one
+        last = max((i for i, run in enumerate(runs) if run[2]), default=None)
+        self._tail = next((k for k, meta in enumerate(metas) if meta[0] == last), None)
+
+    def resolve(self, example: InputExample) -> list[str]:
+        """The example's meta values in node order, post-processed.
+
+        A missing key raises :class:`~promptpipe.errors.MissingMetaKey`.
+        """
+        values = []
+        for _, key, post_processing, _ in self._metas:
+            value = example.meta.get(key)
+            if value is None:
+                raise MissingMetaKey(key)
+            if post_processing is not None:
+                value = apply_post_processing(post_processing, value)
+            values.append(value)
+        return values
+
+    def render(self, values: Sequence[str]) -> str:
+        """The human-readable text, as :func:`~promptpipe.wrapping.wrapped_text`."""
+        return self._format.format(*values)
+
+    def encode(self, values: Sequence[str]) -> TokenizedInput:
+        """The padded arrays for resolved meta values, as :func:`encode_wrapped`."""
+        runs = self._runs.copy()
+        tail = None
+        for k, (index, _, _, shortenable) in enumerate(self._metas):
+            if k == self._tail:
+                tail = (index, values[k])
+            else:
+                runs[index] = (self.tokenizer.encode(values[k]), 0, shortenable, -1)
+        return _fit(
+            runs, self.tokenizer, self.max_len, self.add_special_tokens, self._causal, tail
         )
-    # the same tokens `truncate` drops: the last `excess` shortenable ones,
-    # taken from the tail of the rightmost shortenable run, moving left
-    excess = sum(len(run[0]) for run in runs) + n_special - max_len
-    for index in range(len(runs) - 1, -1, -1):
-        if excess <= 0:
-            break
-        ids, loss, shortenable, slot = runs[index]
-        if shortenable:
-            cut = min(excess, len(ids))
-            runs[index] = (ids[: len(ids) - cut], loss, shortenable, slot)
-            excess -= cut
-
-    input_ids: list[int] = []
-    loss_ids: list[int] = []
-    shortenable_ids: list[int] = []
-    soft_slot_ids: list[int] = []
-    if add_special_tokens:
-        runs = [([vocab.cls_id], 0, 0, -1), *runs, ([vocab.sep_id], 0, 0, -1)]
-    for ids, loss, shortenable, slot in runs:
-        n = len(ids)
-        input_ids += ids
-        loss_ids += [loss] * n
-        shortenable_ids += [shortenable] * n
-        soft_slot_ids += [slot] * n
-    content_len = len(input_ids)
-    attention_mask = [1] * content_len
-    if causal:
-        if content_len == 0:
-            raise ConfigError("cannot place a generation slot in an empty sequence")
-        loss_ids[content_len - 1] = 1
-
-    pad = max_len - content_len
-    input_ids.extend([vocab.pad_id] * pad)
-    attention_mask.extend([0] * pad)
-    loss_ids.extend([0] * pad)
-    shortenable_ids.extend([0] * pad)
-    soft_slot_ids.extend([-1] * pad)
-    mask_positions = [i for i in range(content_len) if loss_ids[i] == 1]
-    return TokenizedInput(
-        input_ids=input_ids,
-        attention_mask=attention_mask,
-        loss_ids=loss_ids,
-        shortenable_ids=shortenable_ids,
-        soft_slot_ids=soft_slot_ids,
-        mask_positions=mask_positions,
-    )

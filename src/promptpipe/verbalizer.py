@@ -5,8 +5,8 @@ log-softmax-normalizes each mask position's logits row, scores a label
 word as the mean log-probability of its subword pieces, combines a
 class's words with a selectable aggregation (mean log-prob by default),
 and sums class scores across mask positions. Calibration subtracts each
-label word's prior log-probability, measured on a content-free input,
-before aggregation.
+label word's prior log-probability, measured at the same mask position
+of a content-free input, before aggregation.
 
 All projection goes through one kernel over a verbalizer's
 :class:`DenseIndex`, which maps a block of logits rows to class scores
@@ -33,6 +33,8 @@ from .errors import (
     UnreadableFile,
     VerbalizerError,
 )
+from .textfile import read_text
+from .tokenization import UNK_TOKEN
 
 __all__ = [
     "Aggregation",
@@ -127,6 +129,10 @@ def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Ver
             ids = tuple(tokenizer.encode(word))
             if not ids:
                 raise VerbalizerError(f"label word {word!r} tokenizes to nothing")
+            if tokenizer.vocab.unk_id in ids:
+                raise VerbalizerError(
+                    f"class {name!r}: label word {word!r} tokenizes to {UNK_TOKEN}"
+                )
             encoded.append(ids)
         words[name] = entries
         word_ids[name] = tuple(encoded)
@@ -145,7 +151,7 @@ def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
         return seen
 
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = read_text(path)
     except OSError as exc:
         raise UnreadableFile(f"cannot read verbalizer file {path}: {exc}") from None
     try:
@@ -226,22 +232,28 @@ class DenseIndex:
             )
         return rows
 
-    def prior(self, calibration: Sequence[Sequence[float]]) -> np.ndarray:
-        """Per-word priors as a ``(C, W)`` array, zero at padding words."""
-        if len(calibration) != len(self.classes):
-            raise DimensionMismatch(
-                f"calibration has {len(calibration)} classes, expected {len(self.classes)}"
-            )
-        out = np.zeros(self.word_mask.shape, dtype=np.float64)
-        for c, (name, values) in enumerate(zip(self.classes, calibration)):
-            expected = int(self.word_counts[c])
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != (expected,):
+    def prior(self, calibration: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+        """Per-position word priors as an ``(M, C, W)`` array, zero at padding words.
+
+        ``calibration`` holds, per mask position, per class, one prior per
+        label word, as :func:`calibrate` returns it.
+        """
+        out = np.zeros((len(calibration), *self.word_mask.shape), dtype=np.float64)
+        for position, per_class in enumerate(calibration):
+            if len(per_class) != len(self.classes):
                 raise DimensionMismatch(
-                    f"calibration for class {name!r} has {values.size} entries, "
-                    f"expected {expected}"
+                    f"calibration has {len(per_class)} classes at mask position "
+                    f"{position}, expected {len(self.classes)}"
                 )
-            out[c, :expected] = values
+            for c, (name, values) in enumerate(zip(self.classes, per_class)):
+                expected = int(self.word_counts[c])
+                values = np.asarray(values, dtype=np.float64)
+                if values.shape != (expected,):
+                    raise DimensionMismatch(
+                        f"calibration for class {name!r} has {values.size} entries, "
+                        f"expected {expected}"
+                    )
+                out[position, c, :expected] = values
         return out
 
     def word_scores(self, rows: np.ndarray) -> np.ndarray:
@@ -276,12 +288,14 @@ class DenseIndex:
     ) -> np.ndarray:
         """The projection kernel: ``(R, V)`` logits to ``(R, C)`` class scores.
 
-        ``prior`` is a :meth:`prior` array subtracted from every row's
-        word scores before the class's words are aggregated.
+        ``prior`` is an ``(M, C, W)`` :meth:`prior` array; rows come in
+        groups of M mask positions, and row ``r`` has the priors of
+        position ``r % M`` subtracted from its word scores before the
+        class's words are aggregated.
         """
         words = self.word_scores(rows)
         if prior is not None:
-            words -= prior
+            words = (words.reshape(-1, *prior.shape) - prior).reshape(words.shape)
         if aggregation is Aggregation.MEAN_LOG_PROB:
             return np.add.reduce(words, axis=-1) / self.word_counts
         if aggregation is Aggregation.MAX:
@@ -301,18 +315,23 @@ def project(
     logits,
     v: Verbalizer,
     aggregation: Aggregation | str = Aggregation.MEAN_LOG_PROB,
-    calibration: Sequence[Sequence[float]] | None = None,
+    calibration: Sequence[Sequence[Sequence[float]]] | None = None,
 ) -> ClassScores:
     """Project per-mask-position vocabulary logits onto class scores.
 
     ``logits`` is one row per mask position, each of vocabulary width.
-    Scores from multiple mask positions are summed per class. The
-    predicted class is the argmax, ties breaking toward index 0.
+    ``calibration`` is :func:`calibrate`'s result, one set of priors per
+    mask position. Scores from multiple mask positions are summed per
+    class. The predicted class is the argmax, ties breaking toward index 0.
     """
     aggregation = Aggregation.parse(aggregation)
     index = v.dense
     rows = index.check_rows(logits)
     prior = None if calibration is None else index.prior(calibration)
+    if prior is not None and len(prior) != len(rows):
+        raise DimensionMismatch(
+            f"calibration has {len(prior)} mask positions for {len(rows)} logits rows"
+        )
     totals = sum_positions(index.class_scores(rows, aggregation, prior))
     return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
 
@@ -328,6 +347,8 @@ def project_per_position(
     All verbalizers must share one class list; per-position class scores
     are summed, exactly as :func:`project` does for a single verbalizer
     (to which this reduces when every position uses the same one).
+    ``calibrations[p]`` holds position ``p``'s priors, per class, per label
+    word: entry ``p`` of a :func:`calibrate` result.
     """
     aggregation = Aggregation.parse(aggregation)
     rows = verbalizers[0].dense.check_rows(logits)
@@ -345,7 +366,7 @@ def project_per_position(
     for position, (row, v) in enumerate(zip(rows, verbalizers)):
         index = v.dense
         calibration = calibrations[position] if calibrations is not None else None
-        prior = None if calibration is None else index.prior(calibration)
+        prior = None if calibration is None else index.prior([calibration])
         totals += index.class_scores(index.check_rows(row), aggregation, prior)[0]
     return ClassScores(classes=classes, scores=tuple(totals.tolist()))
 
@@ -358,12 +379,16 @@ def calibrate(
     """Measure label-word priors from a content-free input.
 
     ``scores_fn`` maps the content-free tokenized input to logits rows
-    (one per mask position). The returned nested list is aligned with
-    the verbalizer's classes and label words and can be passed to
-    :func:`project` as ``calibration``; projection then subtracts each
-    word's prior log-probability before aggregating.
+    (one per mask position). The returned nested list holds, per mask
+    position, per class, each label word's prior log-probability there.
+    It can be passed to :func:`project` as ``calibration``; projection
+    then subtracts, at each mask position, that position's priors before
+    aggregating, so the content-free input itself scores 0 everywhere.
     """
     index = v.dense
     rows = index.check_rows(scores_fn(content_free_input))
-    priors = sum_positions(index.word_scores(rows))
-    return [priors[c, : int(n)].tolist() for c, n in enumerate(index.word_counts)]
+    priors = index.word_scores(rows)
+    return [
+        [per_class[c, : int(n)].tolist() for c, n in enumerate(index.word_counts)]
+        for per_class in priors
+    ]

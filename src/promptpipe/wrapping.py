@@ -17,7 +17,13 @@ from .errors import MissingMetaKey
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
 from .template import NodeKind, PostProcessing, TemplateAST
 
+# what wrapped_text prints for a mask and for each soft slot
+MASK_MARKER = "<mask>"
+SOFT_MARKER = "<soft>"
+
 __all__ = [
+    "MASK_MARKER",
+    "SOFT_MARKER",
     "InputExample",
     "Segment",
     "SegmentOrigin",
@@ -129,7 +135,7 @@ def wrap_example(
 
 
 def wrapped_text(
-    seq: WrappedSequence, mask_marker: str = "<mask>", soft_marker: str = "<soft>"
+    seq: WrappedSequence, mask_marker: str = MASK_MARKER, soft_marker: str = SOFT_MARKER
 ) -> str:
     """Human-readable form of a wrapped sequence.
 

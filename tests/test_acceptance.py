@@ -312,16 +312,17 @@ def _naive_word_scores(row, verbalizer: Verbalizer) -> list[list[float]]:
 def _naive_project(rows, verbalizer: Verbalizer, aggregation: str = "mean", priors=None):
     """Loop-based reference projection in pure python.
 
-    ``priors`` (per class, per label word) are subtracted from the word
-    scores before aggregation, as calibration does.
+    ``priors`` (per mask position, per class, per label word) are
+    subtracted from the word scores of their position before
+    aggregation, as calibration does.
     """
     totals = [0.0] * len(verbalizer.classes)
-    for row in rows:
+    for position, row in enumerate(rows):
         per_class = _naive_word_scores(row, verbalizer)
         for index in range(len(verbalizer.classes)):
             word_scores = per_class[index]
             if priors is not None:
-                word_scores = [w - p for w, p in zip(word_scores, priors[index])]
+                word_scores = [w - p for w, p in zip(word_scores, priors[position][index])]
             if aggregation == "mean":
                 value = sum(word_scores) / len(word_scores)
             elif aggregation == "max":
@@ -437,11 +438,12 @@ def test_dense_kernel_matches_naive_projection(aggregation, calibrated, case):
     calibration = None
     if calibrated:
         calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
-        naive_rows = [_naive_word_scores(row, verb) for row in prior_rows]
-        priors = [[sum(ws) for ws in zip(*per_row)] for per_row in zip(*naive_rows)]
-        for got, want in zip(calibration, priors):
-            assert len(got) == len(want)
-            assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+        priors = [_naive_word_scores(row, verb) for row in prior_rows]
+        assert len(calibration) == len(priors)
+        for got_position, want_position in zip(calibration, priors):
+            for got, want in zip(got_position, want_position, strict=True):
+                assert len(got) == len(want)
+                assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
     lib = project(rows, verb, aggregation=_AGGREGATION_NAMES[aggregation],
                   calibration=calibration)
     want_scores, _ = _naive_project(rows, verb, aggregation, priors)

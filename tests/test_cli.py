@@ -46,6 +46,15 @@ def _blank_vocab_line(fixtures, tmp):
     return argv, [f"{vocab}:6: blank line"]
 
 
+def _invalid_utf8_dataset_line(fixtures, tmp):
+    dataset = tmp / "data.jsonl"
+    dataset.write_bytes(b'{"guid": "a", "meta": {"text": "x"}}\n'
+                        b'{"guid": "b", "meta": {"text": "\xff"}}\n')
+    argv = ["wrap", "--template-file", str(fixtures / "template_sentiment.txt"),
+            "--dataset", str(dataset)]
+    return argv, [f"{dataset}:2: not valid UTF-8", "0xff"]
+
+
 def _bad_template_node(fixtures, tmp):
     templates = tmp / "templates.txt"
     templates.write_text('{"mask"}\nIt is {"mask", "shortenable": true}\n')
@@ -59,6 +68,7 @@ def _bad_template_node(fixtures, tmp):
         _malformed_dataset_line,
         _duplicate_dataset_guid,
         _blank_vocab_line,
+        _invalid_utf8_dataset_line,
         _bad_template_node,
     ],
 )

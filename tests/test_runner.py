@@ -185,6 +185,19 @@ def test_calibrated_toy_scorer_ties_every_class(fixtures_dir, tmp_path):
         assert record["predicted_class"] == "negative"  # tie breaks to class 0
 
 
+@pytest.mark.parametrize("n_masks", [1, 2, 3])
+def test_calibrated_toy_scorer_scores_zero_at_any_mask_count(fixtures_dir, tmp_path, n_masks):
+    # every mask position of every example gets the content-free row, and
+    # each position subtracts only its own priors
+    template = tmp_path / "template.txt"
+    template.write_text('{"meta": "text"}' + ' It is {"mask"}' * n_masks + "\n")
+    report = run_pipeline(_config(fixtures_dir, tmp_path, calibrate=True,
+                                  templates=[str(template)]))
+    assert report.n_examples == 5
+    for record in report.results:
+        assert record["class_scores"] == [0.0, 0.0]
+
+
 def test_logits_file_scorer_and_missing_guid(fixtures_dir, tmp_path):
     vocab_size = len((fixtures_dir / "vocab.txt").read_text().splitlines())
     lines = (fixtures_dir / "vocab.txt").read_text().splitlines()

@@ -93,6 +93,16 @@ def test_word_must_tokenize():
         build_verbalizer({"a": [""]}, tok)
 
 
+@pytest.mark.parametrize("kind", ["whitespace", "wordpiece"])
+@pytest.mark.parametrize("word", ["zebra", "great zebra", "[UNK]"])
+def test_label_word_mapping_to_unk_is_rejected(fixtures_dir, kind, word):
+    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
+    tok = build_tokenizer(kind, vocab)
+    with pytest.raises(VerbalizerError) as failure:
+        build_verbalizer({"negative": ["bad"], "positive": ["good", word]}, tok)
+    assert "'positive'" in str(failure.value) and repr(word) in str(failure.value)
+
+
 # --- projection ---------------------------------------------------------------
 
 
@@ -256,6 +266,23 @@ def test_calibration_shape_mismatch_rejected(toy):
     vocab, tok, verb = toy
     with pytest.raises(DimensionMismatch):
         project([[0.0] * len(vocab)], verb, calibration=[[0.0], [0.0]])
+    calibration = calibrate(lambda _: [[0.0] * len(vocab)] * 2, verb, content_free_input=None)
+    with pytest.raises(DimensionMismatch):
+        project([[0.0] * len(vocab)] * 3, verb, calibration=calibration)
+
+
+@pytest.mark.parametrize("aggregation", ["mean_log_prob", "max", "first"])
+@pytest.mark.parametrize("n_masks", [1, 2, 3])
+def test_self_calibrated_content_free_logits_score_zero(toy, n_masks, aggregation):
+    # each mask position subtracts its own priors, so the content-free input
+    # scored against its own calibration is 0 for every class at any M
+    vocab, tok, verb = toy
+    rng = random.Random(n_masks)
+    rows = [[rng.uniform(-4, 4) for _ in range(len(vocab))] for _ in range(n_masks)]
+    calibration = calibrate(lambda _: rows, verb, content_free_input=None)
+    assert len(calibration) == n_masks
+    scores = project(rows, verb, aggregation=aggregation, calibration=calibration).scores
+    assert scores == (0.0, 0.0)
 
 
 # --- per-position verbalizers ----------------------------------------------------
@@ -268,7 +295,7 @@ def test_per_position_verbalizers_sum_and_match_single(toy):
     same = project_per_position(rows, [verb, verb])
     assert same.scores == pytest.approx(project(rows, verb).scores, abs=1e-12)
 
-    other = build_verbalizer({"negative": ["terrible"], "positive": ["great"]}, tok)
+    other = build_verbalizer({"negative": ["bad", "good"], "positive": ["great"]}, tok)
     mixed = project_per_position(rows, [verb, other])
     want = [a + b for a, b in zip(project([rows[0]], verb).scores,
                                   project([rows[1]], other).scores)]
