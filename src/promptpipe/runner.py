@@ -16,7 +16,15 @@ the block size.
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
 context-independent toy scorer driven by a token-frequency file.
-Both reject non-finite values when they are loaded.
+Both reject non-numeric and non-finite values when they are loaded.
+
+A logits file is projected as it is read: each record's ``(M, V)`` rows
+become ``(M, C, W)`` label-word scores
+(:meth:`~promptpipe.verbalizer.DenseIndex.word_scores`), and the run
+keeps only those, so replay memory is about M·C·W floats per record,
+not M·V. Blocks then only aggregate them; calibrated replay takes its
+priors from the projected ``__content_free__`` record. The toy scorer
+fills vocabulary-wide row blocks and projects them whole.
 """
 
 from __future__ import annotations
@@ -44,7 +52,13 @@ from .errors import (
 from .soft_plan import build_soft_plan
 from .template import TemplateAST, load_template_file
 from .textfile import read_text
-from .tokenization import CompiledTemplate, TokenizedInput, Vocab, build_tokenizer
+from .tokenization import (
+    CompiledTemplate,
+    TokenizedInput,
+    TokenizerKind,
+    Vocab,
+    build_tokenizer,
+)
 from .verbalizer import (
     Aggregation,
     ClassScores,
@@ -91,12 +105,21 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
-        """Load a YAML or JSON config document, then apply overrides."""
+        """Load a YAML or JSON config document, then apply overrides.
+
+        A document that does not parse, or a value of the wrong type,
+        raises :class:`~promptpipe.errors.ConfigError` naming the file.
+        """
         text = read_text(path)
-        if str(path).endswith(".json"):
-            raw = json.loads(text)
-        else:
-            raw = yaml.safe_load(text)
+        kind = "JSON" if str(path).endswith(".json") else "YAML"
+        try:
+            raw = json.loads(text) if kind == "JSON" else yaml.safe_load(text)
+        except (ValueError, yaml.YAMLError) as exc:
+            # one line: YAML's own message spans several
+            mark = getattr(exc, "problem_mark", None)
+            at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigError(f"config file {path} is not valid {kind}{at}: {problem}") from None
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
@@ -105,11 +128,15 @@ class PipelineConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if isinstance(raw.get("templates"), str):
+            raw["templates"] = [raw["templates"]]
+        try:
+            _check_types(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
         # paths in the config file are relative to the file; override paths
         # are taken as given (the caller's working directory)
         base = Path(path).parent
-        if isinstance(raw.get("templates"), str):
-            raw["templates"] = [raw["templates"]]
         if "templates" in raw:
             raw["templates"] = [str(_resolve(base, p)) for p in raw["templates"]]
         for name in ("dataset", "vocab", "verbalizer", "logits_file", "frequency_file", "output"):
@@ -124,6 +151,7 @@ class PipelineConfig:
         return cls(**merged)
 
     def validate(self) -> None:
+        _check_types({f.name: getattr(self, f.name) for f in fields(self)})
         if not self.templates:
             raise ConfigError("config needs at least one template file")
         for name in ("dataset", "vocab", "verbalizer"):
@@ -135,7 +163,36 @@ class PipelineConfig:
             )
         if self.max_len < 1:
             raise ConfigError("max_len must be positive")
+        kinds = [kind.value for kind in TokenizerKind]
+        if self.tokenizer_kind.lower() not in kinds:
+            raise ConfigError(
+                f"unknown tokenizer_kind {self.tokenizer_kind!r}; expected one of {', '.join(kinds)}"
+            )
         Aggregation.parse(self.aggregation)
+
+
+_INT_FIELDS = ("max_len", "seed")
+_BOOL_FIELDS = ("add_special_tokens", "calibrate")
+_OPTIONAL_FIELDS = ("logits_file", "frequency_file", "output")
+
+
+def _check_types(values: dict) -> None:
+    """Raise :class:`~promptpipe.errors.ConfigError` for a config value of the wrong type."""
+    for name, value in values.items():
+        if name == "templates":
+            ok = isinstance(value, list) and all(isinstance(p, str) for p in value)
+            expected = "a list of file paths"
+        elif name in _INT_FIELDS:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+            expected = "an integer"
+        elif name in _BOOL_FIELDS:
+            ok = isinstance(value, bool)
+            expected = "true or false"
+        else:
+            ok = isinstance(value, str) or (value is None and name in _OPTIONAL_FIELDS)
+            expected = "a string"
+        if not ok:
+            raise ConfigError(f"{name!r} must be {expected}, got {value!r}")
 
 
 def _resolve(base: Path, path: str | Path) -> Path:
@@ -190,32 +247,67 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     """Yield ``(guid, rows)`` for each record of a JSONL logits file.
 
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
-    with rows of width ``vocab_size``. Records are read by
-    :func:`~promptpipe.data.read_records`; a record without usable
-    ``mask_logits`` or with a non-finite logit raises a
-    :class:`~promptpipe.errors.PromptPipeError` naming the file and line.
+    with rows of width ``vocab_size`` holding JSON numbers. Records are
+    read by :func:`~promptpipe.data.read_records`; a record without
+    usable ``mask_logits``, with a value that is not a number (a string,
+    ``true``, ``false`` or ``null``) or with a non-finite logit raises a
+    :class:`~promptpipe.errors.PromptPipeError` naming the file, line and
+    guid.
     """
-    for line_no, guid, record in read_records(path):
+    for line_no, guid, record, line in read_records(path):
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
             raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
+        values = record["mask_logits"]
         try:
-            rows = np.asarray(record["mask_logits"], dtype=np.float64)
-        except (ValueError, TypeError) as exc:
+            rows = np.asarray(values)
+        except ValueError as exc:
             raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
         if rows.ndim != 2 or rows.shape[1] != vocab_size:
             raise DimensionMismatch(f"{where}: mask_logits must be rows of width {vocab_size}")
+        # a string or null leaves the inferred dtype non-numeric, while true
+        # and false infer as 1 and 0; only a record failing the dtype test or
+        # spelling either literal is checked value by value (both hold an
+        # "e", which fixed-point numbers lack and one fast scan rules out)
+        if rows.dtype.kind not in "iuf" or (
+            "e" in line and ("true" in line or "false" in line)
+        ):
+            for row in values:
+                for value in row:
+                    if type(value) not in (int, float):
+                        raise ConfigError(
+                            f"{where}: guid {guid!r} has a non-numeric logit {json.dumps(value)}"
+                        )
+        try:
+            rows = rows.astype(np.float64, copy=False)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
         if not np.isfinite(rows).all():
             raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
         yield guid, rows
 
 
 class LogitsFileScorer:
-    """Replays logits from a JSONL file of {guid, mask_logits} records."""
+    """Replays logits from a JSONL file of {guid, mask_logits} records.
 
-    def __init__(self, path: str | Path, vocab_size: int):
+    A call returns the guid's ``(M, V)`` rows. With ``project``, each
+    record's rows go through it as they are read and only its result is
+    kept and returned: the runner passes
+    :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
+    ``(M, C, W)`` label-word scores per guid, never vocabulary-wide rows.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        vocab_size: int,
+        project: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         self.vocab_size = vocab_size
-        self._rows: dict[str, np.ndarray] = dict(read_logits_records(path, vocab_size))
+        records = read_logits_records(path, vocab_size)
+        if project is not None:
+            records = ((guid, project(rows)) for guid, rows in records)
+        self._rows: dict[str, np.ndarray] = dict(records)
 
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
         rows = self._rows.get(guid)
@@ -271,13 +363,6 @@ def evaluate_accuracy(
     return correct / len(golds)
 
 
-def _build_scorer(cfg: PipelineConfig, vocab: Vocab) -> Scorer:
-    if cfg.frequency_file is not None:
-        return ToyScorer.from_file(cfg.frequency_file, vocab)
-    assert cfg.logits_file is not None
-    return LogitsFileScorer(cfg.logits_file, len(vocab))
-
-
 def _content_free_example(ast: TemplateAST) -> InputExample:
     return InputExample(
         guid=CONTENT_FREE_GUID, meta={key: "" for key in ast.meta_keys()}
@@ -292,16 +377,19 @@ class _Pipeline:
     priors: list[np.ndarray | None]
     cfg: PipelineConfig
     vocab_size: int
+    # the scorer returns (M, C, W) label-word scores, not (M, V) logits rows
+    projected: bool
 
     def __post_init__(self):
         self.aggregation = Aggregation.parse(self.cfg.aggregation)
         self.mask_counts = [t.ast.mask_count for t in self.templates]
         block_rows = max(1, BLOCK_BYTES // (8 * self.vocab_size))
         self.block_size = max(1, block_rows // max(1, sum(self.mask_counts)))
+        index = self.verbalizer.dense
+        row_shape = index.word_mask.shape if self.projected else (self.vocab_size,)
+        self.kernel = index.aggregate if self.projected else index.class_scores
         # one C-ordered buffer per template, reused by every block
-        self.buffers = [
-            np.empty((self.block_size * m, self.vocab_size)) for m in self.mask_counts
-        ]
+        self.buffers = [np.empty((self.block_size * m, *row_shape)) for m in self.mask_counts]
 
     def process(self, examples: Sequence[InputExample]) -> list[dict]:
         """Results for a block of at most ``block_size`` examples."""
@@ -325,13 +413,15 @@ class _Pipeline:
                         )
                     stage = "project"
                     m = self.mask_counts[t]
-                    self.buffers[t][i * m : (i + 1) * m] = index.check_rows(rows)
+                    if not self.projected:
+                        rows = index.check_rows(rows)
+                    self.buffers[t][i * m : (i + 1) * m] = rows
                 except PromptPipeError as exc:
                     raise PipelineStageError(example.guid, stage, exc) from exc
         n = len(examples)
         per_template = []
         for buffer, m, prior in zip(self.buffers, self.mask_counts, self.priors):
-            per_row = index.class_scores(buffer[: n * m], self.aggregation, prior)
+            per_row = self.kernel(buffer[: n * m], self.aggregation, prior)
             per_template.append(sum_positions(per_row.reshape(n, m, -1).swapaxes(0, 1)))
         combined = np.stack(per_template).mean(axis=0)
         classes = self.verbalizer.classes
@@ -356,7 +446,14 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     vocab = Vocab.from_file(cfg.vocab)
     tokenizer = build_tokenizer(cfg.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(cfg.verbalizer, tokenizer)
-    scorer = _build_scorer(cfg, vocab)
+    projected = cfg.logits_file is not None
+    if projected:
+        # each record is projected as it is read: the run keeps label-word
+        # scores, never a vocabulary-wide row
+        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), verbalizer.dense.word_scores)
+    else:
+        assert cfg.frequency_file is not None
+        scorer = ToyScorer.from_file(cfg.frequency_file, vocab)
     compiled = [
         CompiledTemplate(
             ast, build_soft_plan(ast, tokenizer), tokenizer, cfg.max_len, cfg.add_special_tokens
@@ -371,6 +468,11 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
             priors.append(None)
             continue
         blank = template.encode(template.resolve(_content_free_example(template.ast)))
+        if projected:
+            # the projected record holds exactly the priors that
+            # ``dense.prior(calibrate(...))`` builds from its rows
+            priors.append(scorer(CONTENT_FREE_GUID, blank))
+            continue
         calibration = calibrate(lambda t: scorer(CONTENT_FREE_GUID, t), verbalizer, blank)
         priors.append(verbalizer.dense.prior(calibration))
     pipeline = _Pipeline(
@@ -380,6 +482,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         priors=priors,
         cfg=cfg,
         vocab_size=len(vocab),
+        projected=projected,
     )
     return pipeline, dataset
 

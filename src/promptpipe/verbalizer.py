@@ -11,7 +11,10 @@ of a content-free input, before aggregation.
 All projection goes through one kernel over a verbalizer's
 :class:`DenseIndex`, which maps a block of logits rows to class scores
 at once; :func:`project`, :func:`calibrate` and
-:func:`project_per_position` are thin callers of it.
+:func:`project_per_position` are thin callers of it. The kernel has two
+steps: :meth:`DenseIndex.word_scores`, the only one that reads whole
+vocabulary-wide rows, and :meth:`DenseIndex.aggregate`, which needs only
+the label-word scores, so a caller can keep those and drop the rows.
 """
 
 from __future__ import annotations
@@ -280,6 +283,27 @@ class DenseIndex:
         pieces = pieces.reshape(len(rows), n_classes, n_words, n_pieces)
         return np.add.reduce(pieces, axis=-1) / self.piece_counts
 
+    def aggregate(
+        self,
+        words: np.ndarray,
+        aggregation: Aggregation,
+        prior: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``(R, C, W)`` :meth:`word_scores` to ``(R, C)`` class scores.
+
+        ``prior`` is an ``(M, C, W)`` :meth:`prior` array; rows come in
+        groups of M mask positions, and row ``r`` has the priors of
+        position ``r % M`` subtracted from its word scores before the
+        class's words are aggregated.
+        """
+        if prior is not None:
+            words = (words.reshape(-1, *prior.shape) - prior).reshape(words.shape)
+        if aggregation is Aggregation.MEAN_LOG_PROB:
+            return np.add.reduce(words, axis=-1) / self.word_counts
+        if aggregation is Aggregation.MAX:
+            return np.where(self.word_mask, words, -np.inf).max(axis=-1)
+        return words[:, :, 0]
+
     def class_scores(
         self,
         rows: np.ndarray,
@@ -288,19 +312,10 @@ class DenseIndex:
     ) -> np.ndarray:
         """The projection kernel: ``(R, V)`` logits to ``(R, C)`` class scores.
 
-        ``prior`` is an ``(M, C, W)`` :meth:`prior` array; rows come in
-        groups of M mask positions, and row ``r`` has the priors of
-        position ``r % M`` subtracted from its word scores before the
-        class's words are aggregated.
+        :meth:`word_scores`, the one step that reads whole rows, then
+        :meth:`aggregate`.
         """
-        words = self.word_scores(rows)
-        if prior is not None:
-            words = (words.reshape(-1, *prior.shape) - prior).reshape(words.shape)
-        if aggregation is Aggregation.MEAN_LOG_PROB:
-            return np.add.reduce(words, axis=-1) / self.word_counts
-        if aggregation is Aggregation.MAX:
-            return np.where(self.word_mask, words, -np.inf).max(axis=-1)
-        return words[:, :, 0]
+        return self.aggregate(self.word_scores(rows), aggregation, prior)
 
 
 def sum_positions(scores: np.ndarray) -> np.ndarray:

@@ -61,9 +61,46 @@ def _bad_template_node(fixtures, tmp):
     return ["parse", "--template-file", str(templates)], [f"{templates}:2:", "offset 6"]
 
 
+def _config_case(name: str, text: str, *expected: str):
+    def case(fixtures, tmp):
+        config = tmp / name
+        config.write_text(text, encoding="utf-8")
+        return ["run", "--config", str(config)], [f"config file {config}", *expected]
+
+    case.__name__ = f"_config_{name}"
+    return case
+
+
+_unclosed_yaml_list = _config_case("unclosed.yaml", "templates: [a.txt, b.txt\n", "not valid YAML")
+_truncated_json = _config_case("truncated.json", '{"templates": ["a.txt"], "max_len": 3',
+                               "not valid JSON")
+_max_len_not_integer = _config_case("max_len.yaml", 'max_len: "abc"\n',
+                                    "'max_len' must be an integer", "'abc'")
+_boolean_not_boolean = _config_case("calibrate.yaml", "calibrate: 1\n",
+                                    "'calibrate' must be true or false")
+_templates_not_paths = _config_case("templates.yaml", "templates: {a: 1}\n",
+                                    "'templates' must be a list of file paths")
+
+
+def _unknown_tokenizer_kind(fixtures, tmp):
+    config = tmp / "kind.yaml"
+    config.write_text((fixtures / "run_sentiment.yaml").read_text(encoding="utf-8")
+                      .replace("tokenizer_kind: wordpiece", "tokenizer_kind: sentencepiece"))
+    for name in ("template_sentiment.txt", "sentiment.jsonl", "vocab.txt", "verbalizer.json",
+                 "word_scores.json"):
+        (tmp / name).write_bytes((fixtures / name).read_bytes())
+    return ["run", "--config", str(config)], ["'sentencepiece'", "whitespace, wordpiece"]
+
+
 @pytest.mark.parametrize(
     "case",
     [
+        _unclosed_yaml_list,
+        _truncated_json,
+        _max_len_not_integer,
+        _boolean_not_boolean,
+        _templates_not_paths,
+        _unknown_tokenizer_kind,
         _bad_aggregation,
         _malformed_dataset_line,
         _duplicate_dataset_guid,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from promptpipe import (
@@ -562,6 +563,96 @@ def test_block_runner_matches_per_example_path_byte_for_byte(
         assert got == _per_example_bytes(cfg), f"{n} examples, block of {block}"
 
 
+# --- replay: records projected as they are read -----------------------------------
+
+
+def _replay_case(fixtures_dir, tmp_path, n_masks: int, guids, vocab_size: int | None = None,
+                 calibrate: bool = False) -> PipelineConfig:
+    """A one-template replay config with random logits rows for ``guids``."""
+    vocab_path = fixtures_dir / "vocab.txt"
+    if vocab_size is not None:
+        vocab_path = tmp_path / "wide_vocab.txt"
+        _wide_vocab(fixtures_dir, vocab_path, vocab_size)
+    width = len(vocab_path.read_text(encoding="utf-8").splitlines())
+    template = tmp_path / "template.txt"
+    template.write_text('{"meta": "text"}' + ' It was {"mask"} .' * n_masks + "\n")
+    # uneven word counts pad the shorter class; "greatest" is two pieces
+    verbalizer = tmp_path / "verbalizer.json"
+    verbalizer.write_text(json.dumps(
+        {"negative": ["bad", "boring", "terrible"], "positive": ["greatest", "good"]}))
+    dataset = tmp_path / "data.jsonl"
+    logits = tmp_path / "logits.jsonl"
+    rng = np.random.default_rng(len(guids))
+    with open(dataset, "w", encoding="utf-8") as data, open(logits, "w") as rows:
+        for guid in guids:
+            if guid != "__content_free__":
+                data.write(json.dumps({"guid": guid, "meta": {"text": "a good plot"}}) + "\n")
+            values = np.round(rng.uniform(-6, 6, size=(n_masks, width)), 3)
+            rows.write(json.dumps({"guid": guid, "mask_logits": values.tolist()}) + "\n")
+    return PipelineConfig(
+        templates=[str(template)], dataset=str(dataset), vocab=str(vocab_path),
+        verbalizer=str(verbalizer), logits_file=str(logits), calibrate=calibrate,
+        output=str(tmp_path / "out.jsonl"),
+    )
+
+
+def test_replay_run_memory_does_not_grow_by_a_row_per_record(fixtures_dir, tmp_path):
+    """A replay run keeps label-word scores per record, not vocabulary-wide rows.
+
+    Peak traced memory (numpy reports its buffers to tracemalloc) of a run
+    over 40 records at V=33000 is compared with a run over 4: holding the
+    rows would add 36 rows of 264 KB; holding word scores adds a few KB.
+    """
+    import tracemalloc
+
+    width = 33000
+    row_bytes = 8 * width
+
+    def peak(n: int) -> int:
+        cfg = _replay_case(fixtures_dir, tmp_path, 1, [f"e{i}" for i in range(n)], width)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(cfg)
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_examples == n
+        return high
+
+    grown = peak(40) - peak(4)
+    assert grown < 3 * row_bytes, f"peak grew by {grown} bytes over 36 records"
+
+
+@pytest.mark.parametrize("n_masks", [1, 2])
+def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_path, n_masks):
+    from promptpipe import calibrate
+    from promptpipe.runner import CONTENT_FREE_GUID, LogitsFileScorer, _content_free_example, _setup
+
+    guids = ["e0", "e1", CONTENT_FREE_GUID]
+    cfg = _replay_case(fixtures_dir, tmp_path, n_masks, guids, calibrate=True)
+    pipeline, _ = _setup(cfg)
+    template, verbalizer = pipeline.templates[0], pipeline.verbalizer
+    index = verbalizer.dense
+    assert not index.word_mask.all(), "the case must have padding words"
+    # the reference: priors measured from the full rows, as calibrate does
+    blank = template.encode(template.resolve(_content_free_example(template.ast)))
+    rows_scorer = LogitsFileScorer(cfg.logits_file, _vocab_size(fixtures_dir))
+    assert rows_scorer(CONTENT_FREE_GUID, blank).shape == (n_masks, _vocab_size(fixtures_dir))
+    expected = index.prior(calibrate(lambda t: rows_scorer(CONTENT_FREE_GUID, t), verbalizer, blank))
+    got = pipeline.priors[0]
+    assert got.shape == expected.shape == (n_masks, *index.word_mask.shape)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_replay_calibration_without_content_free_record_fails_at_setup(fixtures_dir, tmp_path):
+    from promptpipe.errors import MissingLogits
+    from promptpipe.runner import _setup
+
+    cfg = _replay_case(fixtures_dir, tmp_path, 2, ["e0", "e1"], calibrate=True)
+    with pytest.raises(MissingLogits, match="__content_free__"):
+        _setup(cfg)
+
+
 # --- logits and frequency files ----------------------------------------------------
 
 
@@ -623,6 +714,22 @@ def test_score_rejects_unknown_aggregation_before_reading_logits(
     )
 
 
+def _run_cli(fixtures_dir, logits) -> list[str]:
+    return ["run", "--templates", str(fixtures_dir / "template_sentiment.txt"),
+            "--dataset", str(fixtures_dir / "sentiment.jsonl"),
+            "--vocab", str(fixtures_dir / "vocab.txt"),
+            "--verbalizer", str(fixtures_dir / "verbalizer.json"),
+            "--logits-file", str(logits)]
+
+
+def _assert_cli_names(argv, capsys, *parts) -> None:
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    for part in parts:
+        assert part in captured.err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad):
     from promptpipe.errors import NonFiniteValue
@@ -636,8 +743,57 @@ def test_non_finite_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad)
     with pytest.raises(NonFiniteValue) as err:
         LogitsFileScorer(logits, len(row))
     assert "logits.jsonl:2" in str(err.value) and "s9" in str(err.value)
-    assert main(_score_cli(fixtures_dir, logits)) == 1
-    assert "s9" in capsys.readouterr().err
+    for argv in (_score_cli(fixtures_dir, logits), _run_cli(fixtures_dir, logits)):
+        _assert_cli_names(argv, capsys, f"{logits}:2", "s9")
+
+
+@pytest.mark.parametrize("bad", ['"2.5"', "true", "false", "null", "{}", '"nan"'])
+@pytest.mark.parametrize("row_value", ["0.5", "0"])
+def test_non_numeric_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad, row_value):
+    # the other values of the row are floats or integers
+    from promptpipe.runner import LogitsFileScorer
+
+    width = _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(
+        json.dumps({"guid": "ok", "mask_logits": [[0.25] * width]}) + "\n"
+        + '{"guid": "s9", "mask_logits": [[%s]]}\n' % ", ".join([row_value] * (width - 1) + [bad])
+    )
+    with pytest.raises(ConfigError, match=r"logits.jsonl:2: guid 's9' has a non-numeric logit") as err:
+        LogitsFileScorer(logits, width)
+    assert bad in str(err.value)
+    for argv in (_score_cli(fixtures_dir, logits), _run_cli(fixtures_dir, logits)):
+        _assert_cli_names(argv, capsys, f"{logits}:2", "s9", "non-numeric")
+
+
+def test_json_integer_logits_keep_their_float_conversion(fixtures_dir, tmp_path):
+    from promptpipe.runner import LogitsFileScorer
+
+    width = _vocab_size(fixtures_dir)
+    records = {
+        "int64": [[3] * (width - 2) + [-7, 2**53 + 1]],
+        "beyond_int64": [[0.5] * (width - 2) + [10**20, 2**70 + 1]],
+        # "true" in the guid makes the loader check every value of the record
+        "true_int64": [[3] * (width - 1) + [2**53 + 1]],
+    }
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text("".join(
+        json.dumps({"guid": guid, "mask_logits": rows}) + "\n" for guid, rows in records.items()))
+    scorer = LogitsFileScorer(logits, width)
+    for guid, rows in records.items():
+        got = scorer._rows[guid]
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
+
+
+def test_out_of_range_integer_logit_names_file_and_guid(fixtures_dir, tmp_path):
+    from promptpipe.runner import LogitsFileScorer
+
+    width = _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "big", "mask_logits": [[10**400] * width]}) + "\n")
+    with pytest.raises(ConfigError, match=r"logits.jsonl:1: bad mask_logits for guid 'big'"):
+        LogitsFileScorer(logits, width)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", '"high"'])
