@@ -63,16 +63,15 @@ class Dataset:
         return Dataset.from_examples(ex for ex in self.examples if ex.guid not in drop)
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, str, dict, str]]:
-    """Yield ``(line_no, guid, record, line)`` for each record of a guid-keyed JSONL file.
+def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
+    """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL file.
 
     The file is read by :func:`~promptpipe.textfile.read_lines`; blank
     lines are skipped. A line that is not a JSON object with a non-empty
     string ``guid`` raises :class:`~promptpipe.errors.MalformedLine`, and a
     guid seen on an earlier line raises
     :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
-    error names ``path:line``. ``line`` is the record's raw text, for
-    checks that the parsed record cannot make.
+    error names ``path:line``.
     """
     first_line: dict[str, int] = {}
     for line_no, line in read_lines(path):
@@ -92,7 +91,7 @@ def read_records(path: str | Path) -> Iterator[tuple[int, str, dict, str]]:
                 f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
             )
         first_line[guid] = line_no
-        yield line_no, guid, record, line
+        yield line_no, guid, record
 
 
 def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:
@@ -122,7 +121,7 @@ def load_jsonl(path: str | Path) -> Dataset:
     """Load a JSONL dataset, preserving line order; errors name ``path:line``."""
     return Dataset.from_examples(
         _parse_example(path, line_no, guid, record)
-        for line_no, guid, record, _ in read_records(path)
+        for line_no, guid, record in read_records(path)
     )
 
 

@@ -9,28 +9,30 @@ results are written as JSONL in dataset order.
 
 Examples run serially, in blocks: each example of a block is wrapped,
 encoded and scored template by template, and then each template's
-logits rows for the whole block are projected in one kernel call.
-Every row is projected on its own, so output bytes do not depend on
-the block size.
+label-word scores for the whole block are aggregated in one kernel
+call. Every row is projected on its own, so output bytes do not depend
+on the block size.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
 context-independent toy scorer driven by a token-frequency file.
 Both reject non-numeric and non-finite values when they are loaded.
 
-A logits file is projected as it is read: each record's ``(M, V)`` rows
-become ``(M, C, W)`` label-word scores
+Both scorers project their rows when they load them: each ``(M, V)``
+logits record, and the toy scorer's one row, become ``(M, C, W)``
+label-word scores
 (:meth:`~promptpipe.verbalizer.DenseIndex.word_scores`), and the run
 keeps only those, so replay memory is about M·C·W floats per record,
-not M·V. Blocks then only aggregate them; calibrated replay takes its
-priors from the projected ``__content_free__`` record. The toy scorer
-fills vocabulary-wide row blocks and projects them whole.
+not M·V. Blocks then only aggregate them
+(:meth:`~promptpipe.verbalizer.DenseIndex.aggregate`), and calibration
+takes its priors from the scores of the ``__content_free__`` guid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .soft_plan import build_soft_plan
 from .template import TemplateAST, load_template_file
-from .textfile import read_text
+from .textfile import read_lines, read_text
 from .tokenization import (
     CompiledTemplate,
     TokenizedInput,
@@ -63,7 +65,6 @@ from .verbalizer import (
     Aggregation,
     ClassScores,
     Verbalizer,
-    calibrate,
     load_verbalizer,
     sum_positions,
 )
@@ -81,9 +82,10 @@ __all__ = [
 ]
 
 CONTENT_FREE_GUID = "__content_free__"
-# Bytes of logits rows per block: a block holds about this many bytes of
-# rows (at least one example), so memory does not grow with the
-# vocabulary while a small vocabulary still gets large blocks.
+# A block has as many examples as this many bytes of vocabulary-wide rows
+# would hold (at least one). Blocks hold word scores, not rows, so this
+# only sets how many examples share one aggregate call; output bytes do
+# not depend on it.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -166,7 +168,8 @@ class PipelineConfig:
         kinds = [kind.value for kind in TokenizerKind]
         if self.tokenizer_kind.lower() not in kinds:
             raise ConfigError(
-                f"unknown tokenizer_kind {self.tokenizer_kind!r}; expected one of {', '.join(kinds)}"
+                f"unknown tokenizer_kind {self.tokenizer_kind!r}; "
+                f"expected one of {', '.join(kinds)}"
             )
         Aggregation.parse(self.aggregation)
 
@@ -174,13 +177,14 @@ class PipelineConfig:
 _INT_FIELDS = ("max_len", "seed")
 _BOOL_FIELDS = ("add_special_tokens", "calibrate")
 _OPTIONAL_FIELDS = ("logits_file", "frequency_file", "output")
+_PATH_FIELDS = ("dataset", "vocab", "verbalizer", *_OPTIONAL_FIELDS)
 
 
 def _check_types(values: dict) -> None:
     """Raise :class:`~promptpipe.errors.ConfigError` for a config value of the wrong type."""
     for name, value in values.items():
         if name == "templates":
-            ok = isinstance(value, list) and all(isinstance(p, str) for p in value)
+            ok = isinstance(value, list) and all(isinstance(p, (str, os.PathLike)) for p in value)
             expected = "a list of file paths"
         elif name in _INT_FIELDS:
             ok = isinstance(value, int) and not isinstance(value, bool)
@@ -188,8 +192,13 @@ def _check_types(values: dict) -> None:
         elif name in _BOOL_FIELDS:
             ok = isinstance(value, bool)
             expected = "true or false"
+        elif name in _PATH_FIELDS:
+            ok = isinstance(value, (str, os.PathLike)) or (
+                value is None and name in _OPTIONAL_FIELDS
+            )
+            expected = "a file path"
         else:
-            ok = isinstance(value, str) or (value is None and name in _OPTIONAL_FIELDS)
+            ok = isinstance(value, str)
             expected = "a string"
         if not ok:
             raise ConfigError(f"{name!r} must be {expected}, got {value!r}")
@@ -206,9 +215,19 @@ class ToyScorer:
     Logits come from a JSON frequency file mapping token text to a real
     value; absent tokens score 0.0. Every mask position receives the
     same row, which is enough to drive the projection path end to end.
+    A call returns ``(M, V)`` rows; with ``project``, the row goes
+    through it once, here, and a call returns ``M`` copies of the result
+    (the runner passes
+    :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, as it does to
+    :class:`LogitsFileScorer`).
     """
 
-    def __init__(self, frequencies: dict[str, float], vocab: Vocab):
+    def __init__(
+        self,
+        frequencies: dict[str, float],
+        vocab: Vocab,
+        project: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         row = np.zeros(len(vocab), dtype=np.float64)
         for token, value in frequencies.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -218,13 +237,18 @@ class ToyScorer:
             index = vocab.ids.get(token)
             if index is not None:
                 row[index] = float(value)
-        self._row = row
+        self._row = row if project is None else project(row[None])[0]
         # a read-only zero-stride view; a call returns a slice of it, which
         # is cheaper than building a view or a copy per call
-        self._rows = np.broadcast_to(row, (1, row.size))
+        self._rows = np.broadcast_to(self._row, (1, *self._row.shape))
 
     @classmethod
-    def from_file(cls, path: str | Path, vocab: Vocab) -> "ToyScorer":
+    def from_file(
+        cls,
+        path: str | Path,
+        vocab: Vocab,
+        project: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> "ToyScorer":
         try:
             raw = json.loads(read_text(path))
         except ValueError as exc:
@@ -232,14 +256,14 @@ class ToyScorer:
         if not isinstance(raw, dict):
             raise ConfigError(f"frequency file {path} must be a JSON object")
         try:
-            return cls(raw, vocab)
+            return cls(raw, vocab, project)
         except ConfigError as exc:
             raise type(exc)(f"frequency file {path}: {exc}") from None
 
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
         n = len(tokenized.mask_positions)
         if n > len(self._rows):
-            self._rows = np.broadcast_to(self._row, (n, self._row.size))
+            self._rows = np.broadcast_to(self._row, (n, *self._row.shape))
         return self._rows[:n]
 
 
@@ -254,7 +278,15 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     :class:`~promptpipe.errors.PromptPipeError` naming the file, line and
     guid.
     """
-    for line_no, guid, record, line in read_records(path):
+    # a string or null leaves the inferred dtype non-numeric, while true and
+    # false infer as 1 and 0: the lines spelling either are checked value by
+    # value, and so is a record whose dtype is not numeric (both literals
+    # hold an "e", which fixed-point numbers lack and one fast scan rules out)
+    literal_lines = {
+        n for n, line in read_lines(path)
+        if "e" in line and ("true" in line or "false" in line)
+    }
+    for line_no, guid, record in read_records(path):
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
             raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
@@ -263,15 +295,15 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
             rows = np.asarray(values)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
+        numeric = rows.dtype.kind in "iuf"
+        if not numeric and rows.ndim != 2:
+            raise ConfigError(
+                f"{where}: bad mask_logits for guid {guid!r}: expected rows of numbers, "
+                f"got {json.dumps(values)[:40]}"
+            )
         if rows.ndim != 2 or rows.shape[1] != vocab_size:
             raise DimensionMismatch(f"{where}: mask_logits must be rows of width {vocab_size}")
-        # a string or null leaves the inferred dtype non-numeric, while true
-        # and false infer as 1 and 0; only a record failing the dtype test or
-        # spelling either literal is checked value by value (both hold an
-        # "e", which fixed-point numbers lack and one fast scan rules out)
-        if rows.dtype.kind not in "iuf" or (
-            "e" in line and ("true" in line or "false" in line)
-        ):
+        if not numeric or line_no in literal_lines:
             for row in values:
                 for value in row:
                     if type(value) not in (int, float):
@@ -377,23 +409,19 @@ class _Pipeline:
     priors: list[np.ndarray | None]
     cfg: PipelineConfig
     vocab_size: int
-    # the scorer returns (M, C, W) label-word scores, not (M, V) logits rows
-    projected: bool
 
     def __post_init__(self):
         self.aggregation = Aggregation.parse(self.cfg.aggregation)
         self.mask_counts = [t.ast.mask_count for t in self.templates]
         block_rows = max(1, BLOCK_BYTES // (8 * self.vocab_size))
         self.block_size = max(1, block_rows // max(1, sum(self.mask_counts)))
-        index = self.verbalizer.dense
-        row_shape = index.word_mask.shape if self.projected else (self.vocab_size,)
-        self.kernel = index.aggregate if self.projected else index.class_scores
-        # one C-ordered buffer per template, reused by every block
-        self.buffers = [np.empty((self.block_size * m, *row_shape)) for m in self.mask_counts]
+        words_shape = self.verbalizer.dense.word_mask.shape
+        # one C-ordered buffer of (M, C, W) word scores per template, reused
+        # by every block
+        self.buffers = [np.empty((self.block_size * m, *words_shape)) for m in self.mask_counts]
 
     def process(self, examples: Sequence[InputExample]) -> list[dict]:
         """Results for a block of at most ``block_size`` examples."""
-        index = self.verbalizer.dense
         texts = []
         for i, example in enumerate(examples):
             for t, template in enumerate(self.templates):
@@ -413,15 +441,13 @@ class _Pipeline:
                         )
                     stage = "project"
                     m = self.mask_counts[t]
-                    if not self.projected:
-                        rows = index.check_rows(rows)
                     self.buffers[t][i * m : (i + 1) * m] = rows
                 except PromptPipeError as exc:
                     raise PipelineStageError(example.guid, stage, exc) from exc
         n = len(examples)
         per_template = []
         for buffer, m, prior in zip(self.buffers, self.mask_counts, self.priors):
-            per_row = self.kernel(buffer[: n * m], self.aggregation, prior)
+            per_row = self.verbalizer.dense.aggregate(buffer[: n * m], self.aggregation, prior)
             per_template.append(sum_positions(per_row.reshape(n, m, -1).swapaxes(0, 1)))
         combined = np.stack(per_template).mean(axis=0)
         classes = self.verbalizer.classes
@@ -446,14 +472,15 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     vocab = Vocab.from_file(cfg.vocab)
     tokenizer = build_tokenizer(cfg.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(cfg.verbalizer, tokenizer)
-    projected = cfg.logits_file is not None
-    if projected:
-        # each record is projected as it is read: the run keeps label-word
-        # scores, never a vocabulary-wide row
-        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), verbalizer.dense.word_scores)
+    # scorers project their rows when they load them: the run keeps
+    # label-word scores, never a vocabulary-wide row
+    project = verbalizer.dense.word_scores
+    scorer: Scorer
+    if cfg.logits_file is not None:
+        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), project)
     else:
         assert cfg.frequency_file is not None
-        scorer = ToyScorer.from_file(cfg.frequency_file, vocab)
+        scorer = ToyScorer.from_file(cfg.frequency_file, vocab, project)
     compiled = [
         CompiledTemplate(
             ast, build_soft_plan(ast, tokenizer), tokenizer, cfg.max_len, cfg.add_special_tokens
@@ -468,13 +495,9 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
             priors.append(None)
             continue
         blank = template.encode(template.resolve(_content_free_example(template.ast)))
-        if projected:
-            # the projected record holds exactly the priors that
-            # ``dense.prior(calibrate(...))`` builds from its rows
-            priors.append(scorer(CONTENT_FREE_GUID, blank))
-            continue
-        calibration = calibrate(lambda t: scorer(CONTENT_FREE_GUID, t), verbalizer, blank)
-        priors.append(verbalizer.dense.prior(calibration))
+        # the projected content-free rows are exactly the priors that
+        # ``dense.prior(calibrate(...))`` builds from the rows themselves
+        priors.append(scorer(CONTENT_FREE_GUID, blank))
     pipeline = _Pipeline(
         templates=compiled,
         verbalizer=verbalizer,
@@ -482,7 +505,6 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         priors=priors,
         cfg=cfg,
         vocab_size=len(vocab),
-        projected=projected,
     )
     return pipeline, dataset
 

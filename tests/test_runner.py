@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_toy_scorer_run_predicts_positive_everywhere(fixtures_dir, tmp_path):
         assert record["class_scores"][1] == pytest.approx(1.0 - c, abs=1e-12)
     lines = (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(l)["guid"] for l in lines] == ["s1", "s2", "s3", "s4", "s5"]
+
+
+def test_config_takes_path_objects_for_file_fields(fixtures_dir, tmp_path):
+    from pathlib import Path
+
+    cfg = _config(fixtures_dir, tmp_path)
+    as_paths = PipelineConfig(**{
+        **vars(cfg),
+        **{name: Path(getattr(cfg, name))
+           for name in ("dataset", "vocab", "verbalizer", "frequency_file", "output")},
+        "templates": [Path(p) for p in cfg.templates],
+    })
+    as_paths.validate()
+    assert run_pipeline(as_paths).results == run_pipeline(cfg).results
 
 
 def test_pipeline_composition_matches_manual_stages(fixtures_dir, tmp_path):
@@ -563,6 +578,51 @@ def test_block_runner_matches_per_example_path_byte_for_byte(
         assert got == _per_example_bytes(cfg), f"{n} examples, block of {block}"
 
 
+@pytest.mark.parametrize("calibrated", [False, True])
+@pytest.mark.parametrize("aggregation", ["mean_log_prob", "max", "first"])
+def test_toy_run_matches_per_example_path_byte_for_byte(
+    fixtures_dir, tmp_path, aggregation, calibrated
+):
+    cfg, vocab_size = _block_case(fixtures_dir, tmp_path, False, "toy")
+    cfg.aggregation, cfg.calibrate = aggregation, calibrated
+    _write_inputs(cfg, 25, vocab_size)
+    run_pipeline(cfg)
+    assert (tmp_path / "out.jsonl").read_bytes() == _per_example_bytes(cfg)
+
+
+def test_projected_toy_scorer_returns_the_word_scores_of_its_rows(fixtures_dir):
+    from promptpipe import Vocab, build_tokenizer, load_verbalizer
+    from promptpipe.runner import ToyScorer
+
+    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
+    index = load_verbalizer(fixtures_dir / "verbalizer.json",
+                            build_tokenizer("wordpiece", vocab)).dense
+    frequencies = {"great": 3.0, "bad": 1.5, "boring": -1.0}
+    rows_scorer = ToyScorer(frequencies, vocab)
+    scorer = ToyScorer(frequencies, vocab, index.word_scores)
+    for n in (1, 3, 2):
+        enc = SimpleNamespace(mask_positions=list(range(n)))  # all the scorer reads
+        rows = rows_scorer("g", enc)
+        assert rows.shape == (n, len(vocab))
+        got = scorer("g", enc)
+        assert got.shape == (n, *index.word_mask.shape)
+        assert got.tobytes() == index.word_scores(rows).tobytes()
+
+
+@pytest.mark.parametrize("scorer", ["toy", "replay"])
+def test_runner_buffers_hold_word_scores_not_vocabulary_rows(fixtures_dir, tmp_path, scorer):
+    from promptpipe.runner import _setup
+
+    cfg, vocab_size = _block_case(fixtures_dir, tmp_path, True, scorer)
+    _write_inputs(cfg, 2, vocab_size)
+    pipeline, _ = _setup(cfg)
+    words_shape = pipeline.verbalizer.dense.word_mask.shape
+    for buffer, m in zip(pipeline.buffers, pipeline.mask_counts):
+        assert buffer.shape == (pipeline.block_size * m, *words_shape)
+    for prior in pipeline.priors:
+        assert prior is None or prior.shape[1:] == words_shape
+
+
 # --- replay: records projected as they are read -----------------------------------
 
 
@@ -764,6 +824,20 @@ def test_non_numeric_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad
     assert bad in str(err.value)
     for argv in (_score_cli(fixtures_dir, logits), _run_cli(fixtures_dir, logits)):
         _assert_cli_names(argv, capsys, f"{logits}:2", "s9", "non-numeric")
+
+
+@pytest.mark.parametrize("bad", ["null", "{}", '"abc"', "[null]", '["2.5"]'])
+def test_mask_logits_that_are_not_rows_of_numbers_name_the_guid(fixtures_dir, tmp_path, capsys, bad):
+    from promptpipe.runner import LogitsFileScorer
+
+    width = _vocab_size(fixtures_dir)
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "ok", "mask_logits": [[0.25] * width]}) + "\n"
+                      + '{"guid": "s9", "mask_logits": %s}\n' % bad)
+    with pytest.raises(ConfigError, match=r"logits.jsonl:2: bad mask_logits for guid 's9'"):
+        LogitsFileScorer(logits, width)
+    for argv in (_score_cli(fixtures_dir, logits), _run_cli(fixtures_dir, logits)):
+        _assert_cli_names(argv, capsys, f"{logits}:2", "s9", "bad mask_logits")
 
 
 def test_json_integer_logits_keep_their_float_conversion(fixtures_dir, tmp_path):
