@@ -13,7 +13,7 @@ import json
 import sys
 
 from .data import example_to_dict, fewshot_sample, load_jsonl, save_jsonl
-from .errors import PromptPipeError
+from .errors import ConfigError, PromptPipeError
 from .runner import PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
@@ -173,6 +173,10 @@ def cmd_run(args) -> int:
     }
     if args.config:
         cfg = PipelineConfig.from_file(args.config, overrides)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise type(exc)(f"config file {args.config}: {exc}") from None
     else:
         cfg = PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
     report = run_pipeline(cfg)

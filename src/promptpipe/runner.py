@@ -1,26 +1,28 @@
-"""Configuration-driven pipeline: wrap, encode, score, project, report.
+"""Configuration-driven pipeline: wrap, measure, score, aggregate, report.
 
-The runner composes the other modules without hidden state: templates
-are loaded and compiled once (see
-:class:`~promptpipe.tokenization.CompiledTemplate`), the verbalizer is
-loaded once, each example flows through wrap -> encode -> score ->
-project, per-template class scores are ensembled by arithmetic mean, and
-results are written as JSONL in dataset order.
+Templates are compiled once (see
+:class:`~promptpipe.tokenization.CompiledTemplate`) and the verbalizer
+loaded once; each example flows through wrap -> measure -> score ->
+aggregate, per-template class scores are ensembled by arithmetic mean,
+and results are written as JSONL in dataset order. A run builds no token
+arrays (``tokenize`` is the command that does): scoring reads only a
+template's mask count, which
+:meth:`~promptpipe.tokenization.CompiledTemplate.measure` returns after
+checking the length rule on the non-shortenable meta values alone, and
+a scorer's ``rows(guid, mask_count)`` gives that many rows.
 
 Examples run serially, in blocks: each example of a block is wrapped,
-encoded and scored template by template, and then each template's
+measured and scored template by template, and then each template's
 label-word scores for the whole block are aggregated in one kernel
 call. Every row is projected on its own, so output bytes do not depend
 on the block size.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
-context-independent toy scorer driven by a token-frequency file.
-Both reject non-numeric and non-finite values when they are loaded.
-
-Both scorers project their rows when they load them: each ``(M, V)``
-logits record, and the toy scorer's one row, become ``(M, C, W)``
-label-word scores
+context-independent toy scorer driven by a token-frequency file. Both
+reject non-numeric and non-finite values, and both project their rows
+when they load them: each ``(M, V)`` logits record, and the toy
+scorer's one row, become ``(M, C, W)`` label-word scores
 (:meth:`~promptpipe.verbalizer.DenseIndex.word_scores`), and the run
 keeps only those, so replay memory is about M·C·W floats per record,
 not M·V. Blocks then only aggregate them
@@ -38,7 +40,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import yaml
 
 from .data import Dataset, load_jsonl, read_records
 from .errors import (
@@ -114,9 +115,13 @@ class PipelineConfig:
         """
         text = read_text(path)
         kind = "JSON" if str(path).endswith(".json") else "YAML"
+        parse, errors = json.loads, (ValueError,)
+        if kind == "YAML":
+            import yaml  # only a YAML config pays for the import
+            parse, errors = yaml.safe_load, (ValueError, yaml.YAMLError)
         try:
-            raw = json.loads(text) if kind == "JSON" else yaml.safe_load(text)
-        except (ValueError, yaml.YAMLError) as exc:
+            raw = parse(text)
+        except errors as exc:
             # one line: YAML's own message spans several
             mark = getattr(exc, "problem_mark", None)
             at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -215,9 +220,9 @@ class ToyScorer:
     Logits come from a JSON frequency file mapping token text to a real
     value; absent tokens score 0.0. Every mask position receives the
     same row, which is enough to drive the projection path end to end.
-    A call returns ``(M, V)`` rows; with ``project``, the row goes
-    through it once, here, and a call returns ``M`` copies of the result
-    (the runner passes
+    ``rows(guid, M)`` returns ``(M, V)`` rows, as does a call with an
+    encoding of M masks; with ``project``, the row goes through it once,
+    here, and they return ``M`` copies of the result (the runner passes
     :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, as it does to
     :class:`LogitsFileScorer`).
     """
@@ -260,11 +265,13 @@ class ToyScorer:
         except ConfigError as exc:
             raise type(exc)(f"frequency file {path}: {exc}") from None
 
+    def rows(self, guid: str, mask_count: int) -> np.ndarray:
+        if mask_count > len(self._rows):
+            self._rows = np.broadcast_to(self._row, (mask_count, *self._row.shape))
+        return self._rows[:mask_count]
+
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
-        n = len(tokenized.mask_positions)
-        if n > len(self._rows):
-            self._rows = np.broadcast_to(self._row, (n, *self._row.shape))
-        return self._rows[:n]
+        return self.rows(guid, len(tokenized.mask_positions))
 
 
 def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
@@ -322,7 +329,8 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
 class LogitsFileScorer:
     """Replays logits from a JSONL file of {guid, mask_logits} records.
 
-    A call returns the guid's ``(M, V)`` rows. With ``project``, each
+    ``rows(guid, M)``, or a call with an encoding of M masks, returns the
+    guid's ``(M, V)`` rows, which must number M. With ``project``, each
     record's rows go through it as they are read and only its result is
     kept and returned: the runner passes
     :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
@@ -341,19 +349,21 @@ class LogitsFileScorer:
             records = ((guid, project(rows)) for guid, rows in records)
         self._rows: dict[str, np.ndarray] = dict(records)
 
-    def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
+    def rows(self, guid: str, mask_count: int) -> np.ndarray:
         rows = self._rows.get(guid)
         if rows is None:
             raise MissingLogits(guid)
-        if rows.shape[0] != len(tokenized.mask_positions):
+        if rows.shape[0] != mask_count:
             raise DimensionMismatch(
-                f"guid {guid!r} has {rows.shape[0]} logits rows for "
-                f"{len(tokenized.mask_positions)} mask positions"
+                f"guid {guid!r} has {rows.shape[0]} logits rows for {mask_count} mask positions"
             )
         return rows
 
+    def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
+        return self.rows(guid, len(tokenized.mask_positions))
 
-Scorer = Callable[[str, TokenizedInput], np.ndarray]
+
+Scorer = ToyScorer | LogitsFileScorer
 
 
 @dataclass
@@ -431,16 +441,14 @@ class _Pipeline:
                     if t == 0:
                         texts.append(template.render(values))
                     stage = "encode"
-                    tokenized = template.encode(values)
+                    m = template.measure(values)
                     stage = "score"
-                    rows = self.scorer(example.guid, tokenized)
-                    if np.shape(rows)[0] != len(tokenized.mask_positions):
+                    rows = self.scorer.rows(example.guid, m)
+                    if np.shape(rows)[0] != m:
                         raise DimensionMismatch(
-                            f"scorer returned {np.shape(rows)[0]} rows for "
-                            f"{len(tokenized.mask_positions)} mask positions"
+                            f"scorer returned {np.shape(rows)[0]} rows for {m} mask positions"
                         )
                     stage = "project"
-                    m = self.mask_counts[t]
                     self.buffers[t][i * m : (i + 1) * m] = rows
                 except PromptPipeError as exc:
                     raise PipelineStageError(example.guid, stage, exc) from exc
@@ -494,10 +502,10 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         if not cfg.calibrate:
             priors.append(None)
             continue
-        blank = template.encode(template.resolve(_content_free_example(template.ast)))
+        mask_count = template.measure(template.resolve(_content_free_example(template.ast)))
         # the projected content-free rows are exactly the priors that
         # ``dense.prior(calibrate(...))`` builds from the rows themselves
-        priors.append(scorer(CONTENT_FREE_GUID, blank))
+        priors.append(scorer.rows(CONTENT_FREE_GUID, mask_count))
     pipeline = _Pipeline(
         templates=compiled,
         verbalizer=verbalizer,

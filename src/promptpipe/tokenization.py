@@ -303,6 +303,18 @@ def truncate(stream: Sequence[TokenEntry], budget: int) -> list[TokenEntry]:
     return [entry for run in runs for entry in run[0]]
 
 
+def _check_fits(fixed: int, n_special: int, max_len: int, causal: bool, has_ids: bool) -> None:
+    """The length rules: non-shortenable content and specials must fit ``max_len``,
+    and a causal layout's slot needs a position (an id or specials, within it)."""
+    if fixed + n_special > max_len:
+        raise TemplateTooLong(
+            f"non-shortenable content ({fixed} tokens + {n_special} special) "
+            f"exceeds max_len {max_len}"
+        )
+    if causal and not (max_len and (n_special or has_ids)):
+        raise ConfigError("cannot place a generation slot in an empty sequence")
+
+
 def _fit(
     runs: list[Run],
     tokenizer,
@@ -311,7 +323,8 @@ def _fit(
     causal: bool,
     tail: tuple[int, str] | None = None,
 ) -> TokenizedInput:
-    """Truncate runs to ``max_len`` and lay them out as padded arrays.
+    """Truncate runs that pass :func:`_check_fits` to ``max_len`` and lay
+    them out as padded arrays.
 
     The one truncate-and-assemble step of :func:`encode_wrapped` and
     :class:`CompiledTemplate`. ``tail`` is ``(index, text)`` when
@@ -321,16 +334,7 @@ def _fit(
     """
     vocab = tokenizer.vocab
     n_special = 2 if add_special_tokens else 0
-    total = fixed = 0
-    for ids, _, shortenable, _ in runs:
-        total += len(ids)
-        if not shortenable:
-            fixed += len(ids)
-    if fixed + n_special > max_len:
-        raise TemplateTooLong(
-            f"non-shortenable content ({fixed} tokens + {n_special} special) "
-            f"exceeds max_len {max_len}"
-        )
+    total = sum(len(run[0]) for run in runs)
     if tail is not None:
         # the rightmost shortenable run loses its tail first, so it keeps
         # what the other runs leave of max_len, whatever its own length
@@ -363,8 +367,6 @@ def _fit(
             soft_slot_ids[start:end] = [slot] * len(ids)
         start = end
     if causal:
-        if content_len == 0:
-            raise ConfigError("cannot place a generation slot in an empty sequence")
         loss_ids[content_len - 1] = 1
         mask_positions = [content_len - 1]
     return TokenizedInput(
@@ -422,6 +424,8 @@ def encode_wrapped(
             runs.append(([mask_id], 0, 0, seg.soft_slot))
         elif seg.text:
             runs.append((tokenizer.encode(seg.text), 0, int(seg.shortenable), -1))
+    fixed = sum(len(run[0]) for run in runs if not run[2])
+    _check_fits(fixed, 2 if add_special_tokens else 0, max_len, causal, any(r[0] for r in runs))
     return _fit(runs, tokenizer, max_len, add_special_tokens, causal)
 
 
@@ -430,12 +434,12 @@ class CompiledTemplate:
 
     Built once per template, it holds every static run already encoded:
     the ids of each literal text, and one placeholder position per mask
-    and per soft slot. Per example it only resolves the meta values
-    (:meth:`resolve`), renders the human-readable text (:meth:`render`)
-    and tokenizes the meta values (:meth:`encode`); when the rightmost
-    shortenable run is a meta value, only its ids that survive
-    truncation are made. The results, errors included, equal those of
-    ``wrap_example``, ``wrapped_text`` and :func:`encode_wrapped`.
+    and per soft slot. Per example it resolves the meta values
+    (:meth:`resolve`) and renders the text (:meth:`render`); :meth:`measure`
+    checks the length rule, tokenizing only the non-shortenable values, and
+    :meth:`encode` also tokenizes the shortenable ones (the rightmost only
+    to its budget) and lays out the arrays. The results, errors included,
+    equal those of ``wrap_example``, ``wrapped_text`` and :func:`encode_wrapped`.
     """
 
     def __init__(
@@ -481,6 +485,10 @@ class CompiledTemplate:
         # the meta value, by node order, whose run is the rightmost shortenable one
         last = max((i for i, run in enumerate(runs) if run[2]), default=None)
         self._tail = next((k for k, meta in enumerate(metas) if meta[0] == last), None)
+        self._fixed = sum(len(run[0]) for run in runs if not run[2])  # static, non-shortenable
+        # (run index, value index) of the non-shortenable and the shortenable values
+        self._fixed_metas = [(meta[0], k) for k, meta in enumerate(metas) if not meta[3]]
+        self._short_metas = [(meta[0], k) for k, meta in enumerate(metas) if meta[3]]
 
     def resolve(self, example: InputExample) -> list[str]:
         """The example's meta values in node order, post-processed.
@@ -501,15 +509,34 @@ class CompiledTemplate:
         """The human-readable text, as :func:`~promptpipe.wrapping.wrapped_text`."""
         return self._format.format(*values)
 
+    def measure(self, values: Sequence[str]) -> int:
+        """The mask count for resolved meta values (masks are never cut);
+        raises what :meth:`encode` raises."""
+        self._fixed_runs(values)
+        return self.ast.mask_count  # an lm layout has one, its generation slot
+
+    def _fixed_runs(self, values: Sequence[str]) -> list[Run]:
+        """The runs with the non-shortenable values' ids placed, once they fit."""
+        runs = self._runs.copy()
+        fixed = self._fixed
+        for index, k in self._fixed_metas:
+            runs[index] = (self.tokenizer.encode(values[k]), 0, 0, -1)
+            fixed += len(runs[index][0])
+        has_ids = self._causal and (any(run[0] for run in runs) or any(
+            self.tokenizer.encode(values[k], 1) for _, k in self._short_metas))
+        n_special = 2 if self.add_special_tokens else 0
+        _check_fits(fixed, n_special, self.max_len, self._causal, has_ids)
+        return runs
+
     def encode(self, values: Sequence[str]) -> TokenizedInput:
         """The padded arrays for resolved meta values, as :func:`encode_wrapped`."""
-        runs = self._runs.copy()
+        runs = self._fixed_runs(values)
         tail = None
-        for k, (index, _, _, shortenable) in enumerate(self._metas):
+        for index, k in self._short_metas:
             if k == self._tail:
                 tail = (index, values[k])
             else:
-                runs[index] = (self.tokenizer.encode(values[k]), 0, shortenable, -1)
+                runs[index] = (self.tokenizer.encode(values[k]), 0, 1, -1)
         return _fit(
             runs, self.tokenizer, self.max_len, self.add_special_tokens, self._causal, tail
         )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -37,6 +36,7 @@ from promptpipe import (
     wrap_example,
     wrapped_text,
 )
+from promptpipe import runner
 from promptpipe.runner import PipelineConfig
 from promptpipe.verbalizer import calibrate
 
@@ -453,8 +453,7 @@ def test_dense_kernel_matches_naive_projection(aggregation, calibrated, case):
 # --- criterion 6: sampler determinism --------------------------------------------
 
 
-def _run_sample_cli(fixtures_dir: Path, out: Path, threads: str) -> bytes:
-    env = dict(os.environ, PROMPT_PIPE_THREADS=threads)
+def _run_sample_cli(fixtures_dir: Path, out: Path) -> bytes:
     subprocess.run(
         [
             sys.executable,
@@ -471,7 +470,6 @@ def _run_sample_cli(fixtures_dir: Path, out: Path, threads: str) -> bytes:
             str(out),
         ],
         check=True,
-        env=env,
     )
     return out.read_bytes()
 
@@ -479,12 +477,11 @@ def _run_sample_cli(fixtures_dir: Path, out: Path, threads: str) -> bytes:
 def test_criterion_6_sampler_determinism(fixtures_dir, tmp_path):
     golden = (fixtures_dir / "golden" / "fewshot_topics_k2_seed7.jsonl").read_bytes()
     outputs = []
-    for threads in ("1", "4"):
-        for run in range(3):
-            out = tmp_path / f"sample_{threads}_{run}.jsonl"
-            outputs.append(_run_sample_cli(fixtures_dir, out, threads))
+    for run in range(6):
+        out = tmp_path / f"sample_{run}.jsonl"
+        outputs.append(_run_sample_cli(fixtures_dir, out))
     assert all(result == golden for result in outputs)
-    _ok(6, "bit-identical sample over 3 runs x 2 thread settings")
+    _ok(6, "bit-identical sample over 6 CLI runs")
 
 
 # --- criterion 7: end-to-end golden run ------------------------------------------
@@ -494,8 +491,7 @@ def test_criterion_7_golden_run(fixtures_dir, tmp_path, monkeypatch):
     golden_path = fixtures_dir / "golden" / "run_sentiment.jsonl"
     golden = golden_path.read_bytes()
 
-    def run_once(out_name: str, threads: str) -> bytes:
-        monkeypatch.setenv("PROMPT_PIPE_THREADS", threads)
+    def run_once(out_name: str) -> bytes:
         out = tmp_path / out_name
         cfg = PipelineConfig.from_file(
             fixtures_dir / "run_sentiment.yaml", {"output": str(out)}
@@ -505,10 +501,12 @@ def test_criterion_7_golden_run(fixtures_dir, tmp_path, monkeypatch):
         assert report.n_examples == report.n_labeled == 5
         return out.read_bytes()
 
-    first = run_once("a.jsonl", "1")
+    first = run_once("a.jsonl")
     assert first == golden, "pipeline output differs from the checked-in golden"
-    assert run_once("b.jsonl", "1") == golden, "rerun not byte-identical"
-    assert run_once("c.jsonl", "4") == golden, "parallel run not byte-identical"
+    assert run_once("b.jsonl") == golden, "rerun not byte-identical"
+    # a block of one example: output bytes must not depend on the block size
+    monkeypatch.setattr(runner, "BLOCK_BYTES", 1)
+    assert run_once("c.jsonl") == golden, "one-example blocks not byte-identical"
 
     # independent verification of what is frozen in the golden file: the toy
     # scorer boosts only "great", so with mean aggregation every example
@@ -528,7 +526,8 @@ def test_criterion_7_golden_run(fixtures_dir, tmp_path, monkeypatch):
         assert record["predicted_class"] == "positive"
         assert abs(record["class_scores"][0] - want_negative) < 1e-12
         assert abs(record["class_scores"][1] - want_positive) < 1e-12
-    _ok(7, "golden bytes reproduced (serial, rerun, 4 threads) and oracle-checked")
+    _ok(7, "golden bytes reproduced (default blocks, rerun, one-example blocks) "
+           "and oracle-checked")
 
 
 # --- criterion 8: throughput -------------------------------------------------------

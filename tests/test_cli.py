@@ -80,6 +80,15 @@ _boolean_not_boolean = _config_case("calibrate.yaml", "calibrate: 1\n",
                                     "'calibrate' must be true or false")
 _templates_not_paths = _config_case("templates.yaml", "templates: {a: 1}\n",
                                     "'templates' must be a list of file paths")
+# set-up checks these before it opens a file, so the named files need not exist
+_missing_dataset = _config_case(
+    "no_dataset.yaml", "templates: [t.txt]\nvocab: v.txt\nverbalizer: b.json\n"
+    "frequency_file: f.json\n", "config is missing 'dataset'")
+_both_scorers = _config_case(
+    "two_scorers.json", json.dumps({"templates": ["t.txt"], "dataset": "d.jsonl",
+                                    "vocab": "v.txt", "verbalizer": "b.json",
+                                    "logits_file": "l.jsonl", "frequency_file": "f.json"}),
+    "exactly one model interface")
 
 
 def _unknown_tokenizer_kind(fixtures, tmp):
@@ -89,7 +98,8 @@ def _unknown_tokenizer_kind(fixtures, tmp):
     for name in ("template_sentiment.txt", "sentiment.jsonl", "vocab.txt", "verbalizer.json",
                  "word_scores.json"):
         (tmp / name).write_bytes((fixtures / name).read_bytes())
-    return ["run", "--config", str(config)], ["'sentencepiece'", "whitespace, wordpiece"]
+    return ["run", "--config", str(config)], [f"config file {config}: unknown tokenizer_kind",
+                                              "'sentencepiece'", "whitespace, wordpiece"]
 
 
 @pytest.mark.parametrize(
@@ -101,6 +111,8 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _boolean_not_boolean,
         _templates_not_paths,
         _unknown_tokenizer_kind,
+        _missing_dataset,
+        _both_scorers,
         _bad_aggregation,
         _malformed_dataset_line,
         _duplicate_dataset_guid,

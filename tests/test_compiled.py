@@ -1,6 +1,8 @@
 """A compiled template gives what the reference path gives: ``wrap_example``,
 then ``wrapped_text`` and ``encode_wrapped``, field for field, errors
-included, and the runner built on it fails at the same guid and stage."""
+included; its ``measure`` raises what its ``encode`` raises or counts its
+masks; and the runner built on it fails at the same guid and stage while
+tokenizing only non-shortenable meta values."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from promptpipe import (
@@ -35,6 +37,7 @@ from promptpipe.errors import (
     PromptPipeError,
     TemplateTooLong,
 )
+from promptpipe.runner import _setup
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 VOCAB = Vocab.from_file(FIXTURES / "vocab.txt")
@@ -127,6 +130,49 @@ def test_compiled_template_equals_reference_path(case, data):
         return template.render(values), template.encode(values)
 
     assert _outcome(compiled) == _outcome(reference)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_case(), data=st.data())
+def test_measure_raises_what_encode_raises_or_counts_its_masks(case, data):
+    ast, example, tokenizer, add_specials, objective = case
+    assume(set(ast.meta_keys()) <= set(example.meta))
+    plan = build_soft_plan(ast, tokenizer)
+    max_len = data.draw(st.sampled_from(
+        _max_lens(ast, example, tokenizer, plan, add_specials, objective)))
+    template = CompiledTemplate(ast, plan, tokenizer, max_len, add_specials, objective)
+    values = template.resolve(example)
+    assert _outcome(lambda: template.measure(values)) == _outcome(
+        lambda: len(template.encode(values).mask_positions))
+
+
+_MASK = TemplateNode(NodeKind.MASK)
+_META = TemplateNode(NodeKind.META, meta_key="a", shortenable=True)
+_FIXED_META = TemplateNode(NodeKind.META, meta_key="a")
+
+
+@pytest.mark.parametrize("kind", sorted(TOKENIZERS))
+@pytest.mark.parametrize("nodes, value, max_len", [
+    ((_META, _MASK), "great movie", 0),  # max_len 0 leaves no slot
+    ((_META, _MASK), "great movie", 1),  # the shortenable value alone holds the slot
+    ((_META, _MASK), " \t", 4),  # a blank value leaves the sequence empty
+    ((_FIXED_META, _MASK), "", 4),
+    ((_FIXED_META, _MASK), "great", 4),  # the non-shortenable value holds the slot
+    ((TemplateNode(NodeKind.TEXT, text=" "), _MASK, _META), "", 4),  # text with no ids
+    ((TemplateNode(NodeKind.TEXT, text="great", shortenable=True), _MASK, _META), "", 4),
+])
+def test_measure_finds_an_empty_generation_slot_as_encode_does(kind, nodes, value, max_len):
+    """Without specials, an ``lm`` layout is empty only when no run has an id."""
+    tokenizer = TOKENIZERS[kind]
+    ast = TemplateAST(nodes=nodes)
+    plan = build_soft_plan(ast, tokenizer)
+    template = CompiledTemplate(ast, plan, tokenizer, max_len, False, "lm")
+    example = InputExample(guid="g", meta={"a": value})
+    values = template.resolve(example)
+    want = _outcome(lambda: len(encode_wrapped(wrap_example(ast, example, plan), tokenizer,
+                                               max_len, False, "lm").mask_positions))
+    assert _outcome(lambda: template.measure(values)) == want
+    assert _outcome(lambda: len(template.encode(values).mask_positions)) == want
 
 
 @pytest.mark.parametrize("kind", sorted(TOKENIZERS))
@@ -242,27 +288,28 @@ _RUN_EXAMPLE = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(metas=st.lists(_RUN_EXAMPLE, min_size=1, max_size=6))
-def test_runner_reports_the_first_failing_guid_and_stage(metas):
-    examples = [InputExample(guid=f"e{i}", meta=meta) for i, meta in enumerate(metas)]
+def _write_run(tmp: Path, examples, sources=_RUN_TEMPLATES) -> PipelineConfig:
+    """A toy-scorer run of ``sources`` over ``examples``, written under ``tmp``."""
+    templates = []
+    for i, source in enumerate(sources):
+        templates.append(tmp / f"t{i}.txt")
+        templates[-1].write_text(source + "\n", encoding="utf-8")
+    dataset = tmp / "data.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"guid": ex.guid, "meta": dict(ex.meta)}) + "\n" for ex in examples))
+    return PipelineConfig(
+        templates=[str(path) for path in templates],
+        dataset=str(dataset),
+        vocab=str(FIXTURES / "vocab.txt"),
+        verbalizer=str(FIXTURES / "verbalizer.json"),
+        frequency_file=str(FIXTURES / "word_scores.json"),
+        max_len=_RUN_MAX_LEN,
+    )
+
+
+def _assert_run_fails_as_reference(examples) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        templates = []
-        for i, source in enumerate(_RUN_TEMPLATES):
-            templates.append(tmp / f"t{i}.txt")
-            templates[-1].write_text(source + "\n", encoding="utf-8")
-        dataset = tmp / "data.jsonl"
-        dataset.write_text("".join(
-            json.dumps({"guid": ex.guid, "meta": dict(ex.meta)}) + "\n" for ex in examples))
-        cfg = PipelineConfig(
-            templates=[str(path) for path in templates],
-            dataset=str(dataset),
-            vocab=str(FIXTURES / "vocab.txt"),
-            verbalizer=str(FIXTURES / "verbalizer.json"),
-            frequency_file=str(FIXTURES / "word_scores.json"),
-            max_len=_RUN_MAX_LEN,
-        )
+        cfg = _write_run(Path(tmp), examples)
         want = _reference_failure(examples)
         if want is None:
             assert run_pipeline(cfg).n_examples == len(examples)
@@ -270,3 +317,52 @@ def test_runner_reports_the_first_failing_guid_and_stage(metas):
         with pytest.raises(PipelineStageError) as failure:
             run_pipeline(cfg)
         assert (failure.value.guid, failure.value.stage) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(metas=st.lists(_RUN_EXAMPLE, min_size=1, max_size=6))
+def test_runner_reports_the_first_failing_guid_and_stage(metas):
+    _assert_run_fails_as_reference(
+        [InputExample(guid=f"e{i}", meta=meta) for i, meta in enumerate(metas)])
+
+
+def test_runner_fails_where_a_non_shortenable_field_overflows():
+    # seven words of "a" leave no room in max_len 9 for either template
+    metas = [{"a": "great", "b": "the movie", "c": ""},
+             {"a": "the movie " * 3 + "great", "b": "", "c": "the"},
+             {"a": "great"}]
+    examples = [InputExample(guid=f"e{i}", meta=meta) for i, meta in enumerate(metas)]
+    assert _reference_failure(examples) == ("e1", "encode")
+    _assert_run_fails_as_reference(examples)
+
+
+def _runner_tokenizer_calls(tmp_path: Path, sources, examples) -> list[str]:
+    """The texts the runner tokenizes per example, after set-up."""
+    pipeline, dataset = _setup(_write_run(tmp_path, examples, sources))
+    tokenizer = pipeline.templates[0].tokenizer
+    assert all(template.tokenizer is tokenizer for template in pipeline.templates)
+    calls = []
+    encode = tokenizer.encode
+
+    def counting(text, limit=None):
+        calls.append(text)
+        return encode(text, limit)
+
+    tokenizer.encode = counting
+    for start in range(0, len(dataset.examples), pipeline.block_size):
+        pipeline.process(dataset.examples[start : start + pipeline.block_size])
+    return calls
+
+
+_EXAMPLES = [InputExample(guid=f"e{i}", meta={"a": f"great {i}", "b": "the movie", "c": "!"})
+             for i in range(5)]
+
+
+def test_runner_tokenizes_no_shortenable_field(tmp_path):
+    sources = ['{"meta": "a"} It is {"mask"} {"meta": "b"}', '{"meta": "c"} {"mask"} {"meta": "a"}']
+    assert _runner_tokenizer_calls(tmp_path, sources, _EXAMPLES) == []
+
+
+def test_runner_tokenizes_each_non_shortenable_field_once(tmp_path):
+    calls = _runner_tokenizer_calls(tmp_path, _RUN_TEMPLATES, _EXAMPLES)
+    assert calls == [example.meta["a"] for example in _EXAMPLES for _ in _RUN_TEMPLATES]

@@ -268,6 +268,30 @@ def test_json_config_supported(fixtures_dir, tmp_path):
     assert report.accuracy == pytest.approx(0.6)
 
 
+def test_json_config_loads_without_importing_yaml(fixtures_dir, tmp_path):
+    # a fresh interpreter: this one has imported yaml already
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import promptpipe
+
+    json_path = tmp_path / "cfg.json"
+    json_path.write_text(json.dumps({"templates": ["t.txt"], "max_len": 32}), encoding="utf-8")
+    code = (
+        "import sys; from promptpipe import PipelineConfig\n"
+        f"assert PipelineConfig.from_file({str(json_path)!r}).max_len == 32\n"
+        "print('yaml' in sys.modules)\n"
+        f"PipelineConfig.from_file({str(fixtures_dir / 'run_sentiment.yaml')!r})\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    src = Path(promptpipe.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 # --- CLI -----------------------------------------------------------------------
 
 
