@@ -40,7 +40,6 @@ from .tokenization import (
     WordPieceTokenizer,
     build_tokenizer,
     encode_wrapped,
-    truncate,
 )
 from .verbalizer import (
     Aggregation,
@@ -55,7 +54,7 @@ from .verbalizer import (
 from .wrapping import (
     InputExample,
     Segment,
-    SegmentOrigin,
+    TemplateLayout,
     WrappedSequence,
     apply_post_processing,
     wrap_example,
@@ -78,10 +77,10 @@ __all__ = [
     "PromptPipeError",
     "RunReport",
     "Segment",
-    "SegmentOrigin",
     "SlotSpec",
     "SoftEmbeddingPlan",
     "TemplateAST",
+    "TemplateLayout",
     "TemplateNode",
     "TokenizedInput",
     "TokenizerKind",
@@ -109,7 +108,6 @@ __all__ = [
     "run_pipeline",
     "save_jsonl",
     "serialize_template",
-    "truncate",
     "validate_template",
     "wrap_example",
     "wrapped_text",

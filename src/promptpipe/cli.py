@@ -9,17 +9,18 @@ config fields and override config-file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .data import example_to_dict, fewshot_sample, load_jsonl, save_jsonl
 from .errors import ConfigError, PromptPipeError
 from .runner import PipelineConfig, read_logits_records, run_pipeline
-from .soft_plan import build_soft_plan
+from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .tokenization import CompiledTemplate, Vocab, build_tokenizer
 from .verbalizer import Aggregation, load_verbalizer, project
-from .wrapping import wrap_example, wrapped_text
+from .wrapping import TemplateLayout
 
 
 def _emit(lines, output: str | None) -> None:
@@ -81,15 +82,16 @@ def _single_template(args):
 
 def cmd_wrap(args) -> int:
     ast = _single_template(args)
+    try:
+        layout = TemplateLayout(ast, assign_soft_slots(ast))
+    except ConfigError as exc:
+        raise ConfigError(f"{args.template_file} template {args.template_index}: {exc}") from None
     dataset = load_jsonl(args.dataset)
     lines = []
     for example in dataset:
-        wrapped = wrap_example(ast, example)
+        text = layout.render(layout.resolve(example))
         lines.append(
-            json.dumps(
-                {"guid": example.guid, "wrapped_text": wrapped_text(wrapped)},
-                ensure_ascii=False,
-            )
+            json.dumps({"guid": example.guid, "wrapped_text": text}, ensure_ascii=False)
         )
     _emit(lines, args.output)
     return 0
@@ -156,21 +158,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "templates": args.templates,
-        "dataset": args.dataset,
-        "vocab": args.vocab,
-        "verbalizer": args.verbalizer,
-        "tokenizer_kind": args.tokenizer_kind,
-        "max_len": args.max_len,
-        "add_special_tokens": args.add_special_tokens,
-        "aggregation": args.aggregation,
-        "calibrate": args.calibrate,
-        "seed": args.seed,
-        "logits_file": args.logits_file,
-        "frequency_file": args.frequency_file,
-        "output": args.output,
-    }
+    # each config field's flag has the field's name as its dest
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
     if args.config:
         cfg = PipelineConfig.from_file(args.config, overrides)
         try:

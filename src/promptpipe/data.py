@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DuplicateGuid, InsufficientExamples, MalformedLine
+from .errors import ConfigError, DuplicateGuid, InsufficientExamples, MalformedLine
 from .textfile import read_lines
 from .wrapping import InputExample
 
@@ -56,11 +56,6 @@ class Dataset:
             seen.add(ex.guid)
         labels = frozenset(ex.label for ex in items if ex.label is not None)
         return cls(examples=items, label_set=labels)
-
-    def without_guids(self, guids: Iterable[str]) -> "Dataset":
-        """Remaining examples; used to draw disjoint train/dev samples."""
-        drop = set(guids)
-        return Dataset.from_examples(ex for ex in self.examples if ex.guid not in drop)
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
@@ -179,14 +174,15 @@ def fewshot_sample(
 ) -> Dataset:
     """Draw ``k_per_class`` labeled examples per class, deterministically.
 
-    Unlabeled examples are never sampled. With ``strict`` (the default) a
+    Unlabeled examples are never sampled; a ``k_per_class`` below 1 raises
+    :class:`~promptpipe.errors.ConfigError`. With ``strict`` (the default) a
     class with fewer than ``k_per_class`` examples raises
     :class:`~promptpipe.errors.InsufficientExamples`; otherwise the whole
     class is taken and a warning is emitted. Identical
     ``(dataset, k_per_class, seed)`` always yields the identical sample.
     """
     if k_per_class < 1:
-        raise ValueError("k_per_class must be >= 1")
+        raise ConfigError(f"k_per_class must be >= 1, got {k_per_class}")
     by_label: dict[str, list[InputExample]] = {}
     for example in dataset.examples:
         if example.label is not None:

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import ConfigError
 from .template import NodeKind, TemplateAST
 
 __all__ = ["SlotSpec", "SoftEmbeddingPlan", "build_soft_plan", "assign_soft_slots"]
@@ -85,9 +86,9 @@ def _layout(
         if text is None:
             return None
         if encode is None:
-            raise ValueError(
-                "template has text-initialized soft nodes; build a soft plan "
-                "with a tokenizer first"
+            raise ConfigError(
+                "template has text-initialized soft nodes, whose slots depend on "
+                "a tokenizer; build a soft plan with one first"
             )
         return encode(text)
 
@@ -155,7 +156,7 @@ def assign_soft_slots(ast: TemplateAST) -> tuple[tuple[int, ...], ...]:
 
     Works only for templates whose soft nodes carry no initialization
     text (their expansion is then independent of any vocabulary); raises
-    ``ValueError`` otherwise.
+    :class:`~promptpipe.errors.ConfigError` otherwise.
     """
     _, node_slots = _layout(ast, None)
     return tuple(node_slots)

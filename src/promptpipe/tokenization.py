@@ -1,11 +1,14 @@
-"""Vocabulary, tokenizers, and the wrapped-sequence encoder.
+"""Vocabulary, tokenizers, and the encoder of laid-out templates.
 
-Encoding turns a :class:`~promptpipe.wrapping.WrappedSequence` into
-aligned integer arrays: token ids, attention mask, loss flags,
-shortenable flags, soft-slot ids, and mask positions. Truncation removes
-tokens only from shortenable segments, starting at the tail of the
-rightmost shortenable run and moving left, so template control tokens
-and mask slots always survive.
+Encoding turns a template's positions into aligned integer arrays: token
+ids, attention mask, loss flags, shortenable flags, soft-slot ids, and
+mask positions. Each :class:`~promptpipe.wrapping.Segment` becomes one
+run of positions that share its flags (:func:`_run`), whether it comes
+from a :class:`~promptpipe.wrapping.WrappedSequence`
+(:func:`encode_wrapped`) or from the layout a :class:`CompiledTemplate`
+builds on. Truncation removes tokens only from shortenable runs,
+starting at the tail of the rightmost one and moving left, so template
+control tokens and mask slots always survive.
 
 A :class:`CompiledTemplate` encodes a template's static text once and,
 per example, only its meta values; it shares the one truncate-and-assemble
@@ -23,26 +26,19 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ConfigError,
     DuplicateToken,
-    MissingMetaKey,
     MissingSpecialToken,
     TemplateTooLong,
     VocabError,
 )
 from .soft_plan import SoftEmbeddingPlan
-from .template import NodeKind, PostProcessing, TemplateAST
+from .template import TemplateAST
 from .textfile import read_text
-from .wrapping import (
-    MASK_MARKER,
-    SOFT_MARKER,
-    InputExample,
-    WrappedSequence,
-    apply_post_processing,
-)
+from .wrapping import Segment, TemplateLayout, WrappedSequence
 
 __all__ = [
     "PAD_TOKEN",
@@ -56,9 +52,7 @@ __all__ = [
     "WordPieceTokenizer",
     "build_tokenizer",
     "CompiledTemplate",
-    "TokenEntry",
     "TokenizedInput",
-    "truncate",
     "encode_wrapped",
 ]
 
@@ -234,13 +228,6 @@ def build_tokenizer(kind: TokenizerKind | str, vocab: Vocab):
     return WordPieceTokenizer(vocab)
 
 
-class TokenEntry(NamedTuple):
-    token_id: int
-    loss: int
-    shortenable: int
-    soft_slot: int
-
-
 @dataclass
 class TokenizedInput:
     """Aligned arrays, all padded to the same length."""
@@ -273,6 +260,20 @@ class TokenizedInput:
 Run = tuple[list, int, int, int]
 
 
+def _run(seg: Segment, tokenizer, causal: bool) -> Run:
+    """The run of one segment.
+
+    A mask is one MASK id with loss=1, or, in a causal layout, no position
+    (the generation slot is the final content position); a soft slot is
+    one MASK placeholder carrying the slot; text is its token ids.
+    """
+    if seg.is_mask:
+        return ([], 0, 0, -1) if causal else ([tokenizer.vocab.mask_id], 1, 0, -1)
+    if seg.soft_slot is not None:
+        return ([tokenizer.vocab.mask_id], 0, 0, seg.soft_slot)
+    return (tokenizer.encode(seg.text), 0, int(seg.shortenable), -1)
+
+
 def _cut(runs: list[Run], excess: int) -> None:
     """The truncation rule: drop the last ``excess`` shortenable positions.
 
@@ -289,18 +290,6 @@ def _cut(runs: list[Run], excess: int) -> None:
             cut = min(excess, len(ids))
             runs[index] = (ids[: len(ids) - cut], loss, shortenable, slot)
             excess -= cut
-
-
-def truncate(stream: Sequence[TokenEntry], budget: int) -> list[TokenEntry]:
-    """Drop shortenable tokens until the stream fits the budget.
-
-    The rule of :func:`encode_wrapped`, applied with one run per entry;
-    survivor order is preserved. The caller guarantees the budget covers
-    all non-shortenable tokens.
-    """
-    runs: list[Run] = [([entry], *entry[1:]) for entry in stream]
-    _cut(runs, len(stream) - budget)
-    return [entry for run in runs for entry in run[0]]
 
 
 def _check_fits(fixed: int, n_special: int, max_len: int, causal: bool, has_ids: bool) -> None:
@@ -414,32 +403,24 @@ def encode_wrapped(
     segment).
     """
     causal = _is_causal(objective, seq.mask_count)
-    mask_id = tokenizer.vocab.mask_id
-    runs: list[Run] = []
-    for seg in seq.segments:
-        if seg.is_mask:
-            if not causal:
-                runs.append(([mask_id], 1, 0, -1))
-        elif seg.soft_slot is not None:
-            runs.append(([mask_id], 0, 0, seg.soft_slot))
-        elif seg.text:
-            runs.append((tokenizer.encode(seg.text), 0, int(seg.shortenable), -1))
+    runs = [_run(seg, tokenizer, causal) for seg in seq.segments]
     fixed = sum(len(run[0]) for run in runs if not run[2])
     _check_fits(fixed, 2 if add_special_tokens else 0, max_len, causal, any(r[0] for r in runs))
     return _fit(runs, tokenizer, max_len, add_special_tokens, causal)
 
 
-class CompiledTemplate:
-    """A template bound to its soft plan, tokenizer and encoding settings.
+class CompiledTemplate(TemplateLayout):
+    """A template's layout bound to a soft plan, a tokenizer and encoding settings.
 
-    Built once per template, it holds every static run already encoded:
-    the ids of each literal text, and one placeholder position per mask
-    and per soft slot. Per example it resolves the meta values
-    (:meth:`resolve`) and renders the text (:meth:`render`); :meth:`measure`
-    checks the length rule, tokenizing only the non-shortenable values, and
-    :meth:`encode` also tokenizes the shortenable ones (the rightmost only
-    to its budget) and lays out the arrays. The results, errors included,
-    equal those of ``wrap_example``, ``wrapped_text`` and :func:`encode_wrapped`.
+    Built once per template, it holds the run of every segment of its
+    layout already encoded: the ids of each literal text, and one
+    placeholder position per mask and per soft slot. Per example it
+    resolves the meta values and renders the text as its layout does;
+    :meth:`measure` checks the length rule, tokenizing only the
+    non-shortenable values, and :meth:`encode` also tokenizes the
+    shortenable ones (the rightmost only to its budget) and lays out the
+    arrays. The results, errors included, equal those of ``wrap_example``,
+    ``wrapped_text`` and :func:`encode_wrapped`.
     """
 
     def __init__(
@@ -451,63 +432,21 @@ class CompiledTemplate:
         add_special_tokens: bool = True,
         objective: str = "mlm",
     ):
-        self.ast = ast
+        super().__init__(ast, plan.node_slots)
         self.tokenizer = tokenizer
         self.max_len = max_len
         self.add_special_tokens = add_special_tokens
         self._causal = _is_causal(objective, ast.mask_count)
-        mask_id = tokenizer.vocab.mask_id
-        runs: list[Run] = []
-        # per meta node: (run index, key, post-processing, shortenable)
-        metas: list[tuple[int, str, PostProcessing | None, int]] = []
-        text: list[str] = []  # str.format pieces of the rendered text
-        for node, slots in zip(ast.nodes, plan.node_slots):
-            if node.kind is NodeKind.TEXT:
-                text.append(node.text.replace("{", "{{").replace("}", "}}"))
-                if node.text:
-                    runs.append((tokenizer.encode(node.text), 0, int(node.shortenable), -1))
-            elif node.kind is NodeKind.MASK:
-                text.append(MASK_MARKER)
-                if not self._causal:
-                    runs.append(([mask_id], 1, 0, -1))
-            elif node.kind is NodeKind.META:
-                text.append("{}")
-                shortenable = int(node.shortenable)
-                metas.append((len(runs), node.meta_key, node.post_processing, shortenable))
-                runs.append(([], 0, shortenable, -1))
-            else:
-                for slot in slots:
-                    text.append(SOFT_MARKER)
-                    runs.append(([mask_id], 0, 0, slot))
+        # one run per segment; a meta node's run is empty until its value is placed
+        runs = [_run(seg, tokenizer, self._causal) for seg in self.segments]
         self._runs = runs
-        self._metas = metas
-        self._format = "".join(text)
         # the meta value, by node order, whose run is the rightmost shortenable one
         last = max((i for i, run in enumerate(runs) if run[2]), default=None)
-        self._tail = next((k for k, meta in enumerate(metas) if meta[0] == last), None)
+        self._tail = next((k for k, meta in enumerate(self._metas) if meta[0] == last), None)
         self._fixed = sum(len(run[0]) for run in runs if not run[2])  # static, non-shortenable
         # (run index, value index) of the non-shortenable and the shortenable values
-        self._fixed_metas = [(meta[0], k) for k, meta in enumerate(metas) if not meta[3]]
-        self._short_metas = [(meta[0], k) for k, meta in enumerate(metas) if meta[3]]
-
-    def resolve(self, example: InputExample) -> list[str]:
-        """The example's meta values in node order, post-processed.
-
-        A missing key raises :class:`~promptpipe.errors.MissingMetaKey`.
-        """
-        values = []
-        for _, key, post_processing, _ in self._metas:
-            value = example.meta.get(key)
-            if value is None:
-                raise MissingMetaKey(key)
-            if post_processing is not None:
-                value = apply_post_processing(post_processing, value)
-            values.append(value)
-        return values
-
-    def render(self, values: Sequence[str]) -> str:
-        """The human-readable text, as :func:`~promptpipe.wrapping.wrapped_text`."""
-        return self._format.format(*values)
+        self._fixed_metas = [(i, k) for k, (i, _, _) in enumerate(self._metas) if not runs[i][2]]
+        self._short_metas = [(i, k) for k, (i, _, _) in enumerate(self._metas) if runs[i][2]]
 
     def measure(self, values: Sequence[str]) -> int:
         """The mask count for resolved meta values (masks are never cut);

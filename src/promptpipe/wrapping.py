@@ -1,17 +1,22 @@
-"""Combine a parsed template with one raw example into a WrappedSequence.
+"""Lay a parsed template out as positions and combine it with raw examples.
 
-Wrapping resolves meta keys against the example, applies per-node text
-post-processing, expands soft-node duplicates, and assigns soft slots in
-node order. The result is an ordered list of flagged segments that the
-tokenization stage encodes without further template knowledge.
+A :class:`TemplateLayout` is the one place where node kinds become
+positions: one :class:`Segment` per literal text, mask and soft slot (soft
+nodes expand their duplicates into their assigned slots), and an empty
+placeholder per meta node. It needs no tokenizer. Per example it resolves
+the meta values, post-processed, and renders the human-readable text;
+:class:`~promptpipe.tokenization.CompiledTemplate` builds on it to encode.
+:func:`wrap_example` substitutes the meta values into the layout's
+segments, giving a :class:`WrappedSequence` that
+:func:`~promptpipe.tokenization.encode_wrapped` encodes without further
+template knowledge.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import MissingMetaKey
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
@@ -26,7 +31,7 @@ __all__ = [
     "SOFT_MARKER",
     "InputExample",
     "Segment",
-    "SegmentOrigin",
+    "TemplateLayout",
     "WrappedSequence",
     "apply_post_processing",
     "wrap_example",
@@ -47,11 +52,6 @@ class InputExample:
             raise ValueError("guid must be non-empty")
 
 
-class SegmentOrigin(Enum):
-    TEMPLATE = "template"
-    EXAMPLE = "example"
-
-
 @dataclass(frozen=True)
 class Segment:
     text: str
@@ -59,7 +59,6 @@ class Segment:
     soft_slot: int | None = None
     shortenable: bool = False
     loss: bool = False
-    origin: SegmentOrigin = SegmentOrigin.TEMPLATE
 
     def __post_init__(self):
         if self.is_mask and not self.loss:
@@ -90,53 +89,86 @@ def apply_post_processing(fn: PostProcessing, text: str) -> str:
     raise ValueError(f"unknown post-processing function {fn!r}")
 
 
+class TemplateLayout:
+    """A template's positions, independent of any tokenizer and example.
+
+    ``segments`` holds one segment per literal text, mask and soft slot
+    (``node_slots`` gives each node's slots, as a
+    :class:`~promptpipe.soft_plan.SoftEmbeddingPlan` does), and an empty
+    placeholder per meta node, whose shortenable flag is the node's.
+    """
+
+    def __init__(self, ast: TemplateAST, node_slots: Sequence[Sequence[int]]):
+        self.ast = ast
+        segments: list[Segment] = []
+        # per meta node: (segment index, key, post-processing)
+        metas: list[tuple[int, str, PostProcessing | None]] = []
+        text: list[str] = []  # str.format pieces of the rendered text
+        for node, slots in zip(ast.nodes, node_slots):
+            if node.kind is NodeKind.TEXT:
+                text.append(node.text.replace("{", "{{").replace("}", "}}"))
+                segments.append(Segment(text=node.text, shortenable=node.shortenable))
+            elif node.kind is NodeKind.MASK:
+                text.append(MASK_MARKER)
+                segments.append(Segment(text="", is_mask=True, loss=True))
+            elif node.kind is NodeKind.META:
+                text.append("{}")
+                metas.append((len(segments), node.meta_key, node.post_processing))
+                segments.append(Segment(text="", shortenable=node.shortenable))
+            else:
+                for slot in slots:
+                    text.append(SOFT_MARKER)
+                    segments.append(Segment(text="", soft_slot=slot))
+        self.segments = tuple(segments)
+        self._metas = metas
+        self._format = "".join(text)
+
+    def resolve(self, example: InputExample) -> list[str]:
+        """The example's meta values in node order, post-processed.
+
+        A missing key raises :class:`~promptpipe.errors.MissingMetaKey`;
+        an empty value is legal.
+        """
+        values = []
+        for _, key, post_processing in self._metas:
+            value = example.meta.get(key)
+            if value is None:
+                raise MissingMetaKey(key)
+            if post_processing is not None:
+                value = apply_post_processing(post_processing, value)
+            values.append(value)
+        return values
+
+    def render(self, values: Sequence[str]) -> str:
+        """The human-readable text for resolved meta values, as :func:`wrapped_text`."""
+        return self._format.format(*values)
+
+
 def wrap_example(
     ast: TemplateAST,
     example: InputExample,
     plan: SoftEmbeddingPlan | None = None,
 ) -> WrappedSequence:
-    """Wrap one example with a template.
+    """Wrap one example with a template: its layout, with the meta values in.
 
     ``plan`` supplies soft-slot assignments; it is required when the
     template contains text-initialized soft nodes (their expansion
-    depends on the tokenizer). Without such nodes the slots are assigned
-    positionally and no plan is needed. Missing meta keys raise
-    :class:`~promptpipe.errors.MissingMetaKey`; empty meta values are
-    legal and produce empty segments.
+    depends on the tokenizer), which otherwise raise
+    :class:`~promptpipe.errors.ConfigError`. Without such nodes the slots
+    are assigned positionally and no plan is needed. A missing meta key
+    raises :class:`~promptpipe.errors.MissingMetaKey`; an empty value gives
+    an empty segment.
     """
-    node_slots = plan.node_slots if plan is not None else assign_soft_slots(ast)
-    segments: list[Segment] = []
-    for index, node in enumerate(ast.nodes):
-        if node.kind is NodeKind.TEXT:
-            segments.append(
-                Segment(text=node.text or "", shortenable=node.shortenable)
-            )
-        elif node.kind is NodeKind.MASK:
-            segments.append(Segment(text="", is_mask=True, loss=True))
-        elif node.kind is NodeKind.META:
-            value = example.meta.get(node.meta_key)  # type: ignore[arg-type]
-            if value is None:
-                raise MissingMetaKey(node.meta_key or "")
-            if node.post_processing is not None:
-                value = apply_post_processing(node.post_processing, value)
-            segments.append(
-                Segment(
-                    text=value,
-                    shortenable=node.shortenable,
-                    origin=SegmentOrigin.EXAMPLE,
-                )
-            )
-        else:
-            for slot in node_slots[index]:
-                segments.append(Segment(text="", soft_slot=slot))
+    layout = TemplateLayout(ast, plan.node_slots if plan is not None else assign_soft_slots(ast))
+    segments = list(layout.segments)
+    for (index, _, _), value in zip(layout._metas, layout.resolve(example)):
+        segments[index] = Segment(text=value, shortenable=segments[index].shortenable)
     return WrappedSequence(
         segments=tuple(segments), example_guid=example.guid, label=example.label
     )
 
 
-def wrapped_text(
-    seq: WrappedSequence, mask_marker: str = MASK_MARKER, soft_marker: str = SOFT_MARKER
-) -> str:
+def wrapped_text(seq: WrappedSequence) -> str:
     """Human-readable form of a wrapped sequence.
 
     Concatenates segment texts in order, substituting markers for mask
@@ -146,9 +178,9 @@ def wrapped_text(
     parts = []
     for seg in seq.segments:
         if seg.is_mask:
-            parts.append(mask_marker)
+            parts.append(MASK_MARKER)
         elif seg.soft_slot is not None:
-            parts.append(soft_marker)
+            parts.append(SOFT_MARKER)
         else:
             parts.append(seg.text)
     return "".join(parts)

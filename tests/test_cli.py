@@ -61,6 +61,19 @@ def _bad_template_node(fixtures, tmp):
     return ["parse", "--template-file", str(templates)], [f"{templates}:2:", "offset 6"]
 
 
+def _text_initialized_soft_wrap(fixtures, tmp):
+    # template 2 initializes a soft node from text, whose slots need a tokenizer
+    template_file = fixtures / "templates_showcase.txt"
+    argv = ["wrap", "--template-file", str(template_file), "--template-index", "2",
+            "--dataset", str(fixtures / "sentiment.jsonl")]
+    return argv, [f"{template_file} template 2", "text-initialized soft nodes"]
+
+
+def _sample_k_zero(fixtures, tmp):
+    argv = ["sample", "--dataset", str(fixtures / "topics.jsonl"), "--k", "0"]
+    return argv, ["k_per_class must be >= 1, got 0"]
+
+
 def _config_case(name: str, text: str, *expected: str):
     def case(fixtures, tmp):
         config = tmp / name
@@ -119,6 +132,8 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _blank_vocab_line,
         _invalid_utf8_dataset_line,
         _bad_template_node,
+        _text_initialized_soft_wrap,
+        _sample_k_zero,
     ],
 )
 def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):

@@ -1,6 +1,8 @@
-"""A compiled template gives what the reference path gives: ``wrap_example``,
-then ``wrapped_text`` and ``encode_wrapped``, field for field, errors
-included; its ``measure`` raises what its ``encode`` raises or counts its
+"""A compiled template gives what the reference path gives: this file's own
+node-by-node wrap (``reference_wrap``), then ``wrapped_text`` and
+``encode_wrapped``, field for field, errors included; ``wrap_example``,
+built on the template's layout, equals that reference wrap; a compiled
+template's ``measure`` raises what its ``encode`` raises or counts its
 masks; and the runner built on it fails at the same guid and stage while
 tokenizing only non-shortenable meta values."""
 
@@ -20,9 +22,12 @@ from promptpipe import (
     NodeKind,
     PipelineConfig,
     PostProcessing,
+    Segment,
     TemplateAST,
     TemplateNode,
     Vocab,
+    WrappedSequence,
+    apply_post_processing,
     build_soft_plan,
     build_tokenizer,
     encode_wrapped,
@@ -38,6 +43,7 @@ from promptpipe.errors import (
     TemplateTooLong,
 )
 from promptpipe.runner import _setup
+from promptpipe.soft_plan import assign_soft_slots
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 VOCAB = Vocab.from_file(FIXTURES / "vocab.txt")
@@ -89,6 +95,27 @@ def _case(draw):
     return ast, InputExample(guid="g", meta=meta), tokenizer, add_specials, objective
 
 
+def reference_wrap(ast, example, plan=None) -> WrappedSequence:
+    """Wrap ``example`` node by node, independently of the template layout."""
+    node_slots = plan.node_slots if plan is not None else assign_soft_slots(ast)
+    segments = []
+    for index, node in enumerate(ast.nodes):
+        if node.kind is NodeKind.TEXT:
+            segments.append(Segment(text=node.text, shortenable=node.shortenable))
+        elif node.kind is NodeKind.MASK:
+            segments.append(Segment(text="", is_mask=True, loss=True))
+        elif node.kind is NodeKind.META:
+            value = example.meta.get(node.meta_key)
+            if value is None:
+                raise MissingMetaKey(node.meta_key)
+            if node.post_processing is not None:
+                value = apply_post_processing(node.post_processing, value)
+            segments.append(Segment(text=value, shortenable=node.shortenable))
+        else:
+            segments += [Segment(text="", soft_slot=slot) for slot in node_slots[index]]
+    return WrappedSequence(tuple(segments), example_guid=example.guid, label=example.label)
+
+
 def _outcome(fn):
     """What ``fn`` returns, or the class and message of the error it raises."""
     try:
@@ -101,7 +128,7 @@ def _max_lens(ast, example, tokenizer, plan, add_specials, objective) -> list[in
     """Lengths under, at and over the example's full length, and at and
     just under its non-shortenable length."""
     try:
-        wrapped = wrap_example(ast, example, plan)
+        wrapped = reference_wrap(ast, example, plan)
         full = encode_wrapped(wrapped, tokenizer, 10_000, add_specials, objective)
     except PromptPipeError:
         return [8]
@@ -121,7 +148,7 @@ def test_compiled_template_equals_reference_path(case, data):
     template = CompiledTemplate(ast, plan, tokenizer, max_len, add_specials, objective)
 
     def reference():
-        wrapped = wrap_example(ast, example, plan)
+        wrapped = reference_wrap(ast, example, plan)
         text = wrapped_text(wrapped)
         return text, encode_wrapped(wrapped, tokenizer, max_len, add_specials, objective)
 
@@ -144,6 +171,15 @@ def test_measure_raises_what_encode_raises_or_counts_its_masks(case, data):
     values = template.resolve(example)
     assert _outcome(lambda: template.measure(values)) == _outcome(
         lambda: len(template.encode(values).mask_positions))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_case(), with_plan=st.booleans())
+def test_wrap_example_equals_reference_wrap(case, with_plan):
+    ast, example, tokenizer, _, _ = case
+    plan = build_soft_plan(ast, tokenizer) if with_plan else None
+    assert _outcome(lambda: wrap_example(ast, example, plan)) == _outcome(
+        lambda: reference_wrap(ast, example, plan))
 
 
 _MASK = TemplateNode(NodeKind.MASK)
@@ -169,7 +205,7 @@ def test_measure_finds_an_empty_generation_slot_as_encode_does(kind, nodes, valu
     template = CompiledTemplate(ast, plan, tokenizer, max_len, False, "lm")
     example = InputExample(guid="g", meta={"a": value})
     values = template.resolve(example)
-    want = _outcome(lambda: len(encode_wrapped(wrap_example(ast, example, plan), tokenizer,
+    want = _outcome(lambda: len(encode_wrapped(reference_wrap(ast, example, plan), tokenizer,
                                                max_len, False, "lm").mask_positions))
     assert _outcome(lambda: template.measure(values)) == want
     assert _outcome(lambda: len(template.encode(values).mask_positions)) == want
@@ -183,7 +219,7 @@ def test_missing_meta_key_raised_alike(kind):
     example = InputExample(guid="g", meta={"a": "great", "c": ""})
     template = CompiledTemplate(ast, plan, tokenizer, 32)
     with pytest.raises(MissingMetaKey) as want:
-        wrap_example(ast, example, plan)
+        reference_wrap(ast, example, plan)
     with pytest.raises(MissingMetaKey) as got:
         template.resolve(example)
     assert got.value.key == want.value.key == "b"
@@ -197,7 +233,7 @@ def test_template_too_long_raised_alike(kind):
     example = InputExample(guid="g", meta={"a": "the great movie", "b": "great " * 50})
     template = CompiledTemplate(ast, plan, tokenizer, 6)
     with pytest.raises(TemplateTooLong) as want:
-        encode_wrapped(wrap_example(ast, example, plan), tokenizer, 6)
+        encode_wrapped(reference_wrap(ast, example, plan), tokenizer, 6)
     with pytest.raises(TemplateTooLong) as got:
         template.encode(template.resolve(example))
     assert str(got.value) == str(want.value)
@@ -222,7 +258,7 @@ def test_last_shortenable_field_is_tokenized_only_to_its_budget():
     # CLS a MASK news : the movie SEP leave 16 - 8 = 8 positions for the body
     assert tokenizer.limits == [None, 8]
     assert encoded.length == 16
-    assert encoded == encode_wrapped(wrap_example(ast, example, plan), tokenizer.inner, 16)
+    assert encoded == encode_wrapped(reference_wrap(ast, example, plan), tokenizer.inner, 16)
 
 
 # --- tokenizers -------------------------------------------------------------------
@@ -268,7 +304,7 @@ def _reference_failure(examples) -> tuple[str, str] | None:
     for example in examples:
         for ast, plan in zip(asts, plans):
             try:
-                wrapped = wrap_example(ast, example, plan)
+                wrapped = reference_wrap(ast, example, plan)
             except PromptPipeError:
                 return example.guid, "wrap"
             try:

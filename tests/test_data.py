@@ -187,9 +187,10 @@ def test_fewshot_deterministic_and_seed_sensitive(fixtures_dir):
     assert other != runs[0]
 
 
-def test_disjoint_dev_sample_via_without_guids(fixtures_dir):
+def test_disjoint_dev_sample_from_the_remaining_examples(fixtures_dir):
     dataset = load_jsonl(fixtures_dir / "topics.jsonl")
     train = fewshot_sample(dataset, 2, 7)
-    rest = dataset.without_guids(ex.guid for ex in train)
+    taken = {ex.guid for ex in train}
+    rest = Dataset.from_examples(ex for ex in dataset if ex.guid not in taken)
     dev = fewshot_sample(rest, 2, 7)
     assert not {ex.guid for ex in train} & {ex.guid for ex in dev}

@@ -10,6 +10,7 @@ from promptpipe import (
     parse_template,
     wrap_example,
 )
+from promptpipe.errors import ConfigError
 from promptpipe.soft_plan import assign_soft_slots
 
 
@@ -104,7 +105,7 @@ def test_assign_soft_slots_without_tokenizer_matches_plan(wordpiece):
 
 def test_assign_soft_slots_requires_plan_for_text_init():
     ast = parse_template('{"soft": "warm"} {"mask"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         assign_soft_slots(ast)
 
 

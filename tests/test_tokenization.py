@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from promptpipe import (
     build_tokenizer,
     encode_wrapped,
     parse_template,
-    truncate,
     wrap_example,
 )
 from promptpipe.errors import (
@@ -23,7 +23,6 @@ from promptpipe.errors import (
     TemplateTooLong,
     VocabError,
 )
-from promptpipe.tokenization import TokenEntry
 from promptpipe.wrapping import Segment, WrappedSequence
 
 SPECIALS = ["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]"]
@@ -160,11 +159,29 @@ def test_wordpiece_words_longer_than_any_token_match_oracle(wordpiece, vocab):
 # --- truncation --------------------------------------------------------------
 
 
-def entry(shortenable: int, token_id: int = 9, loss: int = 0) -> TokenEntry:
-    return TokenEntry(token_id, loss, shortenable, -1)
+# Truncation is checked through encode_wrapped against this file's own
+# oracle, one position at a time: an entry is (token id, loss,
+# shortenable, soft slot), as the encoded arrays hold it.
+class Entry(NamedTuple):
+    token_id: int
+    loss: int
+    shortenable: int
+    soft_slot: int
 
 
-def _oracle_truncate(stream: list[TokenEntry], budget: int) -> list[TokenEntry]:
+# enough distinct words for every generated position to be told apart
+TRUNC_VOCAB = Vocab.from_tokens(SPECIALS + [f"w{i}" for i in range(100)])
+TRUNC_TOKENIZER = build_tokenizer("whitespace", TRUNC_VOCAB)
+
+
+def entry(shortenable: int, token_id: int = 9, loss: int = 0) -> Entry:
+    """A mask position for ``loss``, else the position of word ``w<token_id>``."""
+    if loss:
+        return Entry(TRUNC_VOCAB.mask_id, 1, 0, -1)
+    return Entry(TRUNC_VOCAB.ids[f"w{token_id}"], 0, shortenable, -1)
+
+
+def _oracle_truncate(stream: list[Entry], budget: int) -> list[Entry]:
     """Remove the rightmost shortenable token until the budget is met."""
     out = list(stream)
     while len(out) > budget:
@@ -173,11 +190,30 @@ def _oracle_truncate(stream: list[TokenEntry], budget: int) -> list[TokenEntry]:
     return out
 
 
+def _entries(enc) -> list[Entry]:
+    """The encoded positions, padding excluded."""
+    columns = zip(enc.input_ids, enc.loss_ids, enc.shortenable_ids, enc.soft_slot_ids)
+    return [Entry(*column) for column in columns][: enc.length]
+
+
+def _encode_stream(stream: list[Entry], budget: int) -> list[Entry]:
+    """``stream`` as one segment per entry, encoded to ``budget`` positions."""
+    segments = tuple(
+        Segment(text="", is_mask=True, loss=True) if e.loss
+        else Segment(text=TRUNC_VOCAB.tokens[e.token_id], shortenable=bool(e.shortenable))
+        for e in stream
+    )
+    enc = encode_wrapped(WrappedSequence(segments, example_guid="g"), TRUNC_TOKENIZER,
+                         max_len=budget, add_special_tokens=False)
+    return _entries(enc)
+
+
 def test_truncate_tail_of_rightmost_run():
     # [t, t, m, s1..s6] with budget 6 keeps s1..s3
     stream = [entry(0), entry(0), entry(0, loss=1)] + [entry(1, token_id=i) for i in range(6)]
-    result = truncate(stream, 6)
+    result = _encode_stream(stream, 6)
     assert result == stream[:3] + stream[3:6]
+    assert result == _oracle_truncate(stream, 6)
 
 
 def test_truncate_two_runs_consumes_right_run_first():
@@ -186,15 +222,15 @@ def test_truncate_two_runs_consumes_right_run_first():
     fixed = [entry(0), entry(0), entry(0)]
     right = [entry(1, token_id=10 + i) for i in range(4)]
     stream = left + fixed + right
-    result = truncate(stream, 9)
+    result = _encode_stream(stream, 9)
     assert result == left + fixed + right[:2]
     assert result == _oracle_truncate(stream, 9)
 
 
 def test_truncate_noop_when_within_budget():
     stream = [entry(1), entry(0), entry(1)]
-    assert truncate(stream, 3) == stream
-    assert truncate(stream, 5) == stream
+    assert _encode_stream(stream, 3) == stream
+    assert _encode_stream(stream, 5) == stream
 
 
 def test_truncate_matches_oracle_on_random_streams():
@@ -203,7 +239,7 @@ def test_truncate_matches_oracle_on_random_streams():
         stream = [entry(rng.randrange(2), token_id=i) for i in range(rng.randrange(1, 30))]
         n_fixed = sum(1 for e in stream if not e.shortenable)
         budget = rng.randrange(n_fixed, len(stream) + 1)
-        assert truncate(stream, budget) == _oracle_truncate(stream, budget)
+        assert _encode_stream(stream, budget) == _oracle_truncate(stream, budget)
 
 
 # --- encoding ----------------------------------------------------------------
@@ -328,38 +364,74 @@ def test_encoding_equals_per_segment_tokenization(vocab, wordpiece):
 
 @st.composite
 def _wrapped_sequence(draw) -> WrappedSequence:
+    """Text, mask and soft segments; no word or soft slot appears twice."""
     segments = []
+    words = iter(range(100))
+    slots = iter(range(8))
     kinds = draw(st.lists(st.sampled_from(["text", "mask", "soft"]), min_size=1, max_size=8))
     for kind in kinds:
         if kind == "mask":
             segments.append(Segment(text="", is_mask=True, loss=True))
         elif kind == "soft":
-            segments.append(Segment(text="", soft_slot=draw(st.integers(0, 5))))
+            segments.append(Segment(text="", soft_slot=next(slots)))
         else:
-            words = draw(st.lists(st.integers(0, 15), max_size=10))
-            segments.append(Segment(text=" ".join(f"w{i}" for i in words),
-                                    shortenable=draw(st.booleans())))
+            text = " ".join(f"w{next(words)}" for _ in range(draw(st.integers(0, 10))))
+            segments.append(Segment(text=text, shortenable=draw(st.booleans())))
     return WrappedSequence(segments=tuple(segments), example_guid="g")
+
+
+def _stream(seq: WrappedSequence) -> list[Entry]:
+    """Every position of ``seq`` before truncation, without specials."""
+    stream = []
+    for seg in seq.segments:
+        if seg.is_mask:
+            stream.append(Entry(TRUNC_VOCAB.mask_id, 1, 0, -1))
+        elif seg.soft_slot is not None:
+            stream.append(Entry(TRUNC_VOCAB.mask_id, 0, 0, seg.soft_slot))
+        else:
+            stream += [Entry(t, 0, int(seg.shortenable), -1)
+                       for t in TRUNC_TOKENIZER.encode(seg.text)]
+    return stream
+
+
+def _encode_generated(seq, add_specials, slack):
+    """The stream, the encoded positions without specials, max_len, the
+    special count and the mask positions."""
+    stream = _stream(seq)
+    n_special = 2 if add_specials else 0
+    max_len = sum(1 for e in stream if not e.shortenable) + n_special + slack
+    enc = encode_wrapped(seq, TRUNC_TOKENIZER, max_len=max_len, add_special_tokens=add_specials)
+    kept = _entries(enc)
+    if add_specials:
+        assert kept[0] == Entry(TRUNC_VOCAB.cls_id, 0, 0, -1)
+        assert kept[-1] == Entry(TRUNC_VOCAB.sep_id, 0, 0, -1)
+        kept = kept[1:-1]
+    return stream, kept, max_len, n_special, enc.mask_positions
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seq=_wrapped_sequence(), add_specials=st.booleans(), slack=st.integers(0, 40))
 def test_encode_keeps_exactly_what_truncate_keeps(seq, add_specials, slack):
-    vocab, tok = _counting_fixture()
-    stream = []
-    for seg in seq.segments:
-        if seg.is_mask:
-            stream.append(TokenEntry(vocab.mask_id, 1, 0, -1))
-        elif seg.soft_slot is not None:
-            stream.append(TokenEntry(vocab.mask_id, 0, 0, seg.soft_slot))
-        else:
-            stream += [TokenEntry(t, 0, int(seg.shortenable), -1) for t in tok.encode(seg.text)]
-    n_special = 2 if add_specials else 0
-    max_len = sum(1 for e in stream if not e.shortenable) + n_special + slack
-    want = truncate(stream, max_len - n_special)
-    if add_specials:
-        want = [TokenEntry(vocab.cls_id, 0, 0, -1), *want, TokenEntry(vocab.sep_id, 0, 0, -1)]
-    enc = encode_wrapped(seq, tok, max_len=max_len, add_special_tokens=add_specials)
-    got = list(zip(enc.input_ids, enc.loss_ids, enc.shortenable_ids, enc.soft_slot_ids))
-    assert got[: enc.length] == [tuple(e) for e in want]
-    assert enc.mask_positions == [i for i, e in enumerate(want) if e.loss]
+    stream, kept, max_len, n_special, mask_positions = _encode_generated(seq, add_specials, slack)
+    want = _oracle_truncate(stream, max_len - n_special)
+    assert kept == want
+    assert mask_positions == [i + n_special // 2 for i, e in enumerate(want) if e.loss]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seq=_wrapped_sequence(), add_specials=st.booleans(), slack=st.integers(0, 40))
+def test_truncation_invariants(seq, add_specials, slack):
+    stream, kept, max_len, n_special, _ = _encode_generated(seq, add_specials, slack)
+    # the length is min(total + specials, max_len)
+    assert len(kept) + n_special == min(len(stream) + n_special, max_len)
+    # survivors keep their order: they are a subsequence of the stream
+    rest = iter(stream)
+    assert all(any(e == s for s in rest) for e in kept)
+    # only shortenable positions are removed
+    fixed = [e for e in stream if not e.shortenable]
+    assert [e for e in kept if not e.shortenable] == fixed
+    # the rightmost run is cut first: the shortenable survivors are the
+    # leading shortenable positions, so every cut one lies right of them
+    shortenable = [e for e in stream if e.shortenable]
+    survivors = [e for e in kept if e.shortenable]
+    assert survivors == shortenable[: len(survivors)]

@@ -7,7 +7,7 @@ import pytest
 from promptpipe import (
     InputExample,
     PostProcessing,
-    SegmentOrigin,
+    Segment,
     apply_post_processing,
     parse_template,
     wrap_example,
@@ -32,8 +32,9 @@ def test_duplicated_soft_nodes_expand_in_place():
     soft = [s for s in wrapped.segments if s.soft_slot is not None]
     assert len(soft) == 100
     assert [s.soft_slot for s in soft] == list(range(100))
-    # the soft block precedes the meta segment
-    first_meta = next(i for i, s in enumerate(wrapped.segments) if s.origin is SegmentOrigin.EXAMPLE)
+    # the soft block, then " ", then the meta segment
+    first_meta = 101
+    assert wrapped.segments[first_meta] == Segment(text="hi", shortenable=True)
     assert all(i < first_meta for i, s in enumerate(wrapped.segments) if s.soft_slot is not None)
 
 
@@ -117,8 +118,10 @@ def test_origin_soundness():
     ast = parse_template('head {"meta": "a", "post_processing": "lowercase"} tail {"mask"}')
     example = InputExample(guid="g", meta={"a": "TeXT"})
     wrapped = wrap_example(ast, example)
-    for seg in wrapped.segments:
-        if seg.origin is SegmentOrigin.EXAMPLE:
+    meta = 1  # the meta node's segment: after "head ", before " tail " and the mask
+    for index, seg in enumerate(wrapped.segments):
+        if index == meta:
             assert seg.text == "text"  # post-processed copy of the meta value
         elif not seg.is_mask and seg.soft_slot is None:
             assert seg.text in ("head ", " tail ")
+    assert wrapped.segments[3].is_mask
