@@ -18,9 +18,11 @@ from .errors import ConfigError, PromptPipeError
 from .runner import PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
-from .tokenization import CompiledTemplate, Vocab, build_tokenizer
+from .tokenization import CompiledTemplate, TokenizerKind, Vocab, build_tokenizer
 from .verbalizer import Aggregation, load_verbalizer, project
 from .wrapping import TemplateLayout
+
+TOKENIZER_KINDS = [kind.value for kind in TokenizerKind]
 
 
 def _emit(lines, output: str | None) -> None:
@@ -188,9 +190,7 @@ def _add_template_args(parser, with_index: bool = True) -> None:
 
 def _add_tokenizer_args(parser) -> None:
     parser.add_argument("--vocab", required=True, help="vocabulary file")
-    parser.add_argument(
-        "--tokenizer-kind", default="wordpiece", choices=["whitespace", "wordpiece"]
-    )
+    parser.add_argument("--tokenizer-kind", default="wordpiece", choices=TOKENIZER_KINDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--vocab")
     p.add_argument("--verbalizer")
-    p.add_argument("--tokenizer-kind", choices=["whitespace", "wordpiece"])
+    p.add_argument("--tokenizer-kind", choices=TOKENIZER_KINDS)
     p.add_argument("--max-len", type=int)
     p.add_argument(
         "--add-special-tokens", dest="add_special_tokens", action="store_true"

@@ -11,11 +11,11 @@ template's mask count, which
 checking the length rule on the non-shortenable meta values alone, and
 a scorer's ``rows(guid, mask_count)`` gives that many rows.
 
-Examples run serially, in blocks: each example of a block is wrapped,
-measured and scored template by template, and then each template's
-label-word scores for the whole block are aggregated in one kernel
-call. Every row is projected on its own, so output bytes do not depend
-on the block size.
+Examples run serially: each is wrapped, measured and scored template
+by template into one ``(N·M, C, W)`` array of label-word scores per
+template, and each array is then aggregated in one kernel call for the
+whole run. Every row is reduced on its own, so output bytes do not
+depend on how many examples share a call.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
@@ -25,9 +25,11 @@ when they load them: each ``(M, V)`` logits record, and the toy
 scorer's one row, become ``(M, C, W)`` label-word scores
 (:meth:`~promptpipe.verbalizer.DenseIndex.word_scores`), and the run
 keeps only those, so replay memory is about M·C·W floats per record,
-not M·V. Blocks then only aggregate them
+not M·V. The run then only aggregates them
 (:meth:`~promptpipe.verbalizer.DenseIndex.aggregate`), and calibration
-takes its priors from the scores of the ``__content_free__`` guid.
+takes its priors from the scores of the ``__content_free__`` guid: the
+same ``(M, C, W)`` array :func:`~promptpipe.verbalizer.calibrate`
+returns.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .data import Dataset, load_jsonl, read_records
 from .errors import (
     ClassListMismatch,
     ConfigError,
+    DataError,
     DimensionMismatch,
     GuidMismatch,
     MissingLogits,
@@ -83,11 +86,6 @@ __all__ = [
 ]
 
 CONTENT_FREE_GUID = "__content_free__"
-# A block has as many examples as this many bytes of vocabulary-wide rows
-# would hold (at least one). Blocks hold word scores, not rows, so this
-# only sets how many examples share one aggregate call; output bytes do
-# not depend on it.
-BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -170,12 +168,7 @@ class PipelineConfig:
             )
         if self.max_len < 1:
             raise ConfigError("max_len must be positive")
-        kinds = [kind.value for kind in TokenizerKind]
-        if self.tokenizer_kind.lower() not in kinds:
-            raise ConfigError(
-                f"unknown tokenizer_kind {self.tokenizer_kind!r}; "
-                f"expected one of {', '.join(kinds)}"
-            )
+        TokenizerKind.parse(self.tokenizer_kind)
         Aggregation.parse(self.aggregation)
 
 
@@ -394,7 +387,7 @@ def evaluate_accuracy(
 ) -> float:
     """Exact-match accuracy over (guid, class) pairs aligned by position."""
     if not golds:
-        raise ValueError("golds must be non-empty")
+        raise DataError("golds must be non-empty")
     if len(preds) != len(golds):
         raise GuidMismatch(f"{len(preds)} predictions for {len(golds)} golds")
     correct = 0
@@ -418,20 +411,17 @@ class _Pipeline:
     scorer: Scorer
     priors: list[np.ndarray | None]
     cfg: PipelineConfig
-    vocab_size: int
 
     def __post_init__(self):
         self.aggregation = Aggregation.parse(self.cfg.aggregation)
         self.mask_counts = [t.ast.mask_count for t in self.templates]
-        block_rows = max(1, BLOCK_BYTES // (8 * self.vocab_size))
-        self.block_size = max(1, block_rows // max(1, sum(self.mask_counts)))
-        words_shape = self.verbalizer.dense.word_mask.shape
-        # one C-ordered buffer of (M, C, W) word scores per template, reused
-        # by every block
-        self.buffers = [np.empty((self.block_size * m, *words_shape)) for m in self.mask_counts]
 
     def process(self, examples: Sequence[InputExample]) -> list[dict]:
-        """Results for a block of at most ``block_size`` examples."""
+        """Results for ``examples``, with one aggregate call per template."""
+        n = len(examples)
+        words_shape = self.verbalizer.dense.word_mask.shape
+        # one C-ordered array of (M, C, W) word scores per example, per template
+        words = [np.empty((n * m, *words_shape)) for m in self.mask_counts]
         texts = []
         for i, example in enumerate(examples):
             for t, template in enumerate(self.templates):
@@ -449,14 +439,14 @@ class _Pipeline:
                             f"scorer returned {np.shape(rows)[0]} rows for {m} mask positions"
                         )
                     stage = "project"
-                    self.buffers[t][i * m : (i + 1) * m] = rows
+                    words[t][i * m : (i + 1) * m] = rows
                 except PromptPipeError as exc:
                     raise PipelineStageError(example.guid, stage, exc) from exc
-        n = len(examples)
         per_template = []
-        for buffer, m, prior in zip(self.buffers, self.mask_counts, self.priors):
-            per_row = self.verbalizer.dense.aggregate(buffer[: n * m], self.aggregation, prior)
-            per_template.append(sum_positions(per_row.reshape(n, m, -1).swapaxes(0, 1)))
+        for scores, m, prior in zip(words, self.mask_counts, self.priors):
+            per_row = self.verbalizer.dense.aggregate(scores, self.aggregation, prior)
+            by_position = per_row.reshape(n, m, per_row.shape[-1]).swapaxes(0, 1)
+            per_template.append(sum_positions(by_position))
         combined = np.stack(per_template).mean(axis=0)
         classes = self.verbalizer.classes
         return [
@@ -504,7 +494,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
             continue
         mask_count = template.measure(template.resolve(_content_free_example(template.ast)))
         # the projected content-free rows are exactly the priors that
-        # ``dense.prior(calibrate(...))`` builds from the rows themselves
+        # ``calibrate`` measures from the rows themselves
         priors.append(scorer.rows(CONTENT_FREE_GUID, mask_count))
     pipeline = _Pipeline(
         templates=compiled,
@@ -512,7 +502,6 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         scorer=scorer,
         priors=priors,
         cfg=cfg,
-        vocab_size=len(vocab),
     )
     return pipeline, dataset
 
@@ -520,11 +509,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run the full pipeline over a dataset; see the module docstring."""
     pipeline, dataset = _setup(cfg)
-    examples = dataset.examples
-    step = pipeline.block_size
-    results: list[dict] = []
-    for start in range(0, len(examples), step):
-        results.extend(pipeline.process(examples[start : start + step]))
+    results = pipeline.process(dataset.examples)
 
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:

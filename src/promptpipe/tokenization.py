@@ -68,6 +68,23 @@ class TokenizerKind(Enum):
     WHITESPACE = "whitespace"
     WORDPIECE = "wordpiece"
 
+    @classmethod
+    def parse(cls, value: "TokenizerKind | str") -> "TokenizerKind":
+        """``value`` as a tokenizer kind; a name matches case-insensitively.
+
+        An unknown name raises :class:`~promptpipe.errors.ConfigError`
+        listing the valid ones.
+        """
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(str(value).lower())
+        except ValueError:
+            valid = ", ".join(kind.value for kind in cls)
+            raise ConfigError(
+                f"unknown tokenizer_kind {value!r}; expected one of {valid}"
+            ) from None
+
 
 @dataclass(frozen=True)
 class Vocab:
@@ -221,9 +238,7 @@ class WordPieceTokenizer:
 
 def build_tokenizer(kind: TokenizerKind | str, vocab: Vocab):
     """Construct a tokenizer of the requested kind over a vocabulary."""
-    if isinstance(kind, str):
-        kind = TokenizerKind(kind.lower())
-    if kind is TokenizerKind.WHITESPACE:
+    if TokenizerKind.parse(kind) is TokenizerKind.WHITESPACE:
         return WhitespaceTokenizer(vocab)
     return WordPieceTokenizer(vocab)
 

@@ -9,12 +9,15 @@ label word's prior log-probability, measured at the same mask position
 of a content-free input, before aggregation.
 
 All projection goes through one kernel over a verbalizer's
-:class:`DenseIndex`, which maps a block of logits rows to class scores
-at once; :func:`project`, :func:`calibrate` and
+:class:`DenseIndex`; :func:`project`, :func:`calibrate` and
 :func:`project_per_position` are thin callers of it. The kernel has two
 steps: :meth:`DenseIndex.word_scores`, the only one that reads whole
 vocabulary-wide rows, and :meth:`DenseIndex.aggregate`, which needs only
 the label-word scores, so a caller can keep those and drop the rows.
+Priors have that same form: :func:`calibrate` returns the content-free
+rows' ``(M, C, W)`` word scores, and :meth:`DenseIndex.check_prior` is
+the one check a prior passes before :meth:`DenseIndex.aggregate`
+subtracts it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateClass,
     EmptyClass,
+    NonFiniteValue,
     UnreadableFile,
     VerbalizerError,
 )
@@ -235,29 +239,24 @@ class DenseIndex:
             )
         return rows
 
-    def prior(self, calibration: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-        """Per-position word priors as an ``(M, C, W)`` array, zero at padding words.
+    def check_prior(self, prior, positions: tuple[int, ...]) -> np.ndarray:
+        """``prior`` as a float64 ``(*positions, C, W)`` array, zero at padding words.
 
-        ``calibration`` holds, per mask position, per class, one prior per
-        label word, as :func:`calibrate` returns it.
+        ``prior`` is a :func:`calibrate` result, or for one mask position
+        (``positions == ()``) one entry of it. A wrong shape raises
+        :class:`~promptpipe.errors.DimensionMismatch` and a NaN or an
+        infinity :class:`~promptpipe.errors.NonFiniteValue`.
         """
-        out = np.zeros((len(calibration), *self.word_mask.shape), dtype=np.float64)
-        for position, per_class in enumerate(calibration):
-            if len(per_class) != len(self.classes):
-                raise DimensionMismatch(
-                    f"calibration has {len(per_class)} classes at mask position "
-                    f"{position}, expected {len(self.classes)}"
-                )
-            for c, (name, values) in enumerate(zip(self.classes, per_class)):
-                expected = int(self.word_counts[c])
-                values = np.asarray(values, dtype=np.float64)
-                if values.shape != (expected,):
-                    raise DimensionMismatch(
-                        f"calibration for class {name!r} has {values.size} entries, "
-                        f"expected {expected}"
-                    )
-                out[position, c, :expected] = values
-        return out
+        shape = (*positions, *self.word_mask.shape)
+        try:
+            values = np.asarray(prior, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(f"calibration must be a {shape} array: {exc}") from None
+        if values.shape != shape:
+            raise DimensionMismatch(f"calibration has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise NonFiniteValue("calibration holds a non-finite prior")
+        return np.where(self.word_mask, values, 0.0)
 
     def word_scores(self, rows: np.ndarray) -> np.ndarray:
         """``(R, V)`` logits to ``(R, C, W)`` mean label-word log-probabilities.
@@ -291,7 +290,7 @@ class DenseIndex:
     ) -> np.ndarray:
         """``(R, C, W)`` :meth:`word_scores` to ``(R, C)`` class scores.
 
-        ``prior`` is an ``(M, C, W)`` :meth:`prior` array; rows come in
+        ``prior`` is an ``(M, C, W)`` :meth:`check_prior` array; rows come in
         groups of M mask positions, and row ``r`` has the priors of
         position ``r % M`` subtracted from its word scores before the
         class's words are aggregated.
@@ -303,19 +302,6 @@ class DenseIndex:
         if aggregation is Aggregation.MAX:
             return np.where(self.word_mask, words, -np.inf).max(axis=-1)
         return words[:, :, 0]
-
-    def class_scores(
-        self,
-        rows: np.ndarray,
-        aggregation: Aggregation,
-        prior: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The projection kernel: ``(R, V)`` logits to ``(R, C)`` class scores.
-
-        :meth:`word_scores`, the one step that reads whole rows, then
-        :meth:`aggregate`.
-        """
-        return self.aggregate(self.word_scores(rows), aggregation, prior)
 
 
 def sum_positions(scores: np.ndarray) -> np.ndarray:
@@ -330,24 +316,21 @@ def project(
     logits,
     v: Verbalizer,
     aggregation: Aggregation | str = Aggregation.MEAN_LOG_PROB,
-    calibration: Sequence[Sequence[Sequence[float]]] | None = None,
+    calibration: np.ndarray | None = None,
 ) -> ClassScores:
     """Project per-mask-position vocabulary logits onto class scores.
 
     ``logits`` is one row per mask position, each of vocabulary width.
-    ``calibration`` is :func:`calibrate`'s result, one set of priors per
-    mask position. Scores from multiple mask positions are summed per
-    class. The predicted class is the argmax, ties breaking toward index 0.
+    ``calibration`` is :func:`calibrate`'s ``(M, C, W)`` array, one set of
+    priors per mask position. Scores from multiple mask positions are
+    summed per class. The predicted class is the argmax, ties breaking
+    toward index 0.
     """
     aggregation = Aggregation.parse(aggregation)
     index = v.dense
     rows = index.check_rows(logits)
-    prior = None if calibration is None else index.prior(calibration)
-    if prior is not None and len(prior) != len(rows):
-        raise DimensionMismatch(
-            f"calibration has {len(prior)} mask positions for {len(rows)} logits rows"
-        )
-    totals = sum_positions(index.class_scores(rows, aggregation, prior))
+    prior = None if calibration is None else index.check_prior(calibration, (len(rows),))
+    totals = sum_positions(index.aggregate(index.word_scores(rows), aggregation, prior))
     return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
 
 
@@ -355,21 +338,27 @@ def project_per_position(
     logits,
     verbalizers: Sequence[Verbalizer],
     aggregation: Aggregation | str = Aggregation.MEAN_LOG_PROB,
-    calibrations: Sequence[Sequence[Sequence[float]] | None] | None = None,
+    calibrations: Sequence[np.ndarray | None] | None = None,
 ) -> ClassScores:
     """Project with a distinct verbalizer per mask position.
 
     All verbalizers must share one class list; per-position class scores
     are summed, exactly as :func:`project` does for a single verbalizer
     (to which this reduces when every position uses the same one).
-    ``calibrations[p]`` holds position ``p``'s priors, per class, per label
-    word: entry ``p`` of a :func:`calibrate` result.
+    ``calibrations[p]`` is position ``p``'s ``(C, W)`` priors for its own
+    verbalizer (entry ``p`` of a :func:`calibrate` result), or None.
     """
     aggregation = Aggregation.parse(aggregation)
+    if not verbalizers:
+        raise DimensionMismatch("no verbalizers: need one per mask position")
     rows = verbalizers[0].dense.check_rows(logits)
     if rows.shape[0] != len(verbalizers):
         raise DimensionMismatch(
             f"{rows.shape[0]} logits rows for {len(verbalizers)} verbalizers"
+        )
+    if calibrations is not None and len(calibrations) != len(verbalizers):
+        raise DimensionMismatch(
+            f"{len(calibrations)} calibrations for {len(verbalizers)} verbalizers"
         )
     classes = verbalizers[0].classes
     for v in verbalizers[1:]:
@@ -381,8 +370,9 @@ def project_per_position(
     for position, (row, v) in enumerate(zip(rows, verbalizers)):
         index = v.dense
         calibration = calibrations[position] if calibrations is not None else None
-        prior = None if calibration is None else index.prior([calibration])
-        totals += index.class_scores(index.check_rows(row), aggregation, prior)[0]
+        prior = None if calibration is None else index.check_prior(calibration, ())
+        words = index.word_scores(index.check_rows(row))
+        totals += index.aggregate(words, aggregation, prior)[0]
     return ClassScores(classes=classes, scores=tuple(totals.tolist()))
 
 
@@ -390,20 +380,16 @@ def calibrate(
     scores_fn: Callable[[object], object],
     v: Verbalizer,
     content_free_input,
-) -> list[list[float]]:
+) -> np.ndarray:
     """Measure label-word priors from a content-free input.
 
     ``scores_fn`` maps the content-free tokenized input to logits rows
-    (one per mask position). The returned nested list holds, per mask
-    position, per class, each label word's prior log-probability there.
-    It can be passed to :func:`project` as ``calibration``; projection
-    then subtracts, at each mask position, that position's priors before
+    (one per mask position). The result is their ``(M, C, W)``
+    :meth:`DenseIndex.word_scores`: per mask position, per class, each
+    label word's prior log-probability there, 0 at padding words. It can
+    be passed to :func:`project` as ``calibration``; projection then
+    subtracts, at each mask position, that position's priors before
     aggregating, so the content-free input itself scores 0 everywhere.
     """
     index = v.dense
-    rows = index.check_rows(scores_fn(content_free_input))
-    priors = index.word_scores(rows)
-    return [
-        [per_class[c, : int(n)].tolist() for c, n in enumerate(index.word_counts)]
-        for per_class in priors
-    ]
+    return index.word_scores(index.check_rows(scores_fn(content_free_input)))

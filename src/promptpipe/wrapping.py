@@ -18,7 +18,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import MissingMetaKey
+from .errors import DataError, MissingMetaKey
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
 from .template import NodeKind, PostProcessing, TemplateAST
 
@@ -49,7 +49,7 @@ class InputExample:
 
     def __post_init__(self):
         if not self.guid:
-            raise ValueError("guid must be non-empty")
+            raise DataError("guid must be non-empty")
 
 
 @dataclass(frozen=True)

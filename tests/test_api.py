@@ -35,6 +35,9 @@ def test_removed_names_are_not_importable(name):
 
 def test_removed_members_are_gone():
     assert not hasattr(promptpipe.Dataset, "without_guids")
+    assert not hasattr(promptpipe.verbalizer.DenseIndex, "prior")
+    assert not hasattr(promptpipe.verbalizer.DenseIndex, "class_scores")
+    assert not hasattr(promptpipe.runner, "BLOCK_BYTES")
     assert "origin" not in {f.name for f in dataclasses.fields(promptpipe.Segment)}
     for module in MODULES:
         for name in ("SegmentOrigin", "TokenEntry", "truncate"):

@@ -385,8 +385,7 @@ def _runner_tokenizer_calls(tmp_path: Path, sources, examples) -> list[str]:
         return encode(text, limit)
 
     tokenizer.encode = counting
-    for start in range(0, len(dataset.examples), pipeline.block_size):
-        pipeline.process(dataset.examples[start : start + pipeline.block_size])
+    pipeline.process(dataset.examples)
     return calls
 
 

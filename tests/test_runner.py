@@ -19,6 +19,7 @@ from promptpipe.cli import main
 from promptpipe.errors import (
     ClassListMismatch,
     ConfigError,
+    DataError,
     GuidMismatch,
     PipelineStageError,
     PromptPipeError,
@@ -69,7 +70,7 @@ def test_accuracy_values():
 def test_accuracy_guid_mismatch():
     with pytest.raises(GuidMismatch):
         evaluate_accuracy([("a", "x")], [("b", "x")])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="golds must be non-empty"):
         evaluate_accuracy([], [])
 
 
@@ -587,19 +588,14 @@ def _per_example_bytes(cfg: PipelineConfig) -> bytes:
 def test_block_runner_matches_per_example_path_byte_for_byte(
     fixtures_dir, tmp_path, wide, scorer
 ):
-    from promptpipe.runner import _setup
-
     cfg, vocab_size = _block_case(fixtures_dir, tmp_path, wide, scorer)
-    _write_inputs(cfg, 1, vocab_size)
-    block = _setup(cfg)[0].block_size
-    # a wide vocabulary leaves room for one example per block, a small one for many
-    assert (block == 1) if wide else (block > 10)
-    for n in sorted({1, block - 1, block, block + 1}):
+    # one aggregate call covers the whole run: its size must not change the bytes
+    for n in (1, 2) if wide else (1, 2, 49):
         _write_inputs(cfg, n, vocab_size)
         report = run_pipeline(cfg)
         assert report.n_examples == n
         got = (tmp_path / "out.jsonl").read_bytes()
-        assert got == _per_example_bytes(cfg), f"{n} examples, block of {block}"
+        assert got == _per_example_bytes(cfg), f"{n} examples"
 
 
 @pytest.mark.parametrize("calibrated", [False, True])
@@ -634,17 +630,31 @@ def test_projected_toy_scorer_returns_the_word_scores_of_its_rows(fixtures_dir):
 
 
 @pytest.mark.parametrize("scorer", ["toy", "replay"])
-def test_runner_buffers_hold_word_scores_not_vocabulary_rows(fixtures_dir, tmp_path, scorer):
+def test_runner_buffers_hold_word_scores_not_vocabulary_rows(
+    fixtures_dir, tmp_path, scorer, monkeypatch
+):
     from promptpipe.runner import _setup
+    from promptpipe.verbalizer import DenseIndex
 
     cfg, vocab_size = _block_case(fixtures_dir, tmp_path, True, scorer)
-    _write_inputs(cfg, 2, vocab_size)
-    pipeline, _ = _setup(cfg)
+    n = 3
+    _write_inputs(cfg, n, vocab_size)
+    pipeline, dataset = _setup(cfg)
+    calls = []
+    aggregate = DenseIndex.aggregate
+
+    def spy(self, words, aggregation, prior=None):
+        calls.append((words.shape, None if prior is None else prior.shape))
+        return aggregate(self, words, aggregation, prior)
+
+    monkeypatch.setattr(DenseIndex, "aggregate", spy)
+    pipeline.process(dataset.examples)
+    # one call per template for the whole run, over (N·M, C, W) word scores
     words_shape = pipeline.verbalizer.dense.word_mask.shape
-    for buffer, m in zip(pipeline.buffers, pipeline.mask_counts):
-        assert buffer.shape == (pipeline.block_size * m, *words_shape)
-    for prior in pipeline.priors:
-        assert prior is None or prior.shape[1:] == words_shape
+    assert calls == [
+        ((n * m, *words_shape), (m, *words_shape) if cfg.calibrate else None)
+        for m in pipeline.mask_counts
+    ]
 
 
 # --- replay: records projected as they are read -----------------------------------
@@ -722,10 +732,11 @@ def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_p
     blank = template.encode(template.resolve(_content_free_example(template.ast)))
     rows_scorer = LogitsFileScorer(cfg.logits_file, _vocab_size(fixtures_dir))
     assert rows_scorer(CONTENT_FREE_GUID, blank).shape == (n_masks, _vocab_size(fixtures_dir))
-    expected = index.prior(calibrate(lambda t: rows_scorer(CONTENT_FREE_GUID, t), verbalizer, blank))
+    expected = calibrate(lambda t: rows_scorer(CONTENT_FREE_GUID, t), verbalizer, blank)
     got = pipeline.priors[0]
     assert got.shape == expected.shape == (n_masks, *index.word_mask.shape)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert (expected[:, ~index.word_mask] == 0.0).all()
 
 
 def test_replay_calibration_without_content_free_record_fails_at_setup(fixtures_dir, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from promptpipe import (
     InputExample,
+    TokenizerKind,
     Vocab,
     build_tokenizer,
     encode_wrapped,
@@ -68,6 +69,16 @@ def test_vocab_lines_end_only_at_newlines(tmp_path, newline):
 
 
 # --- tokenizers --------------------------------------------------------------
+
+
+def test_tokenizer_kind_parses_names_and_rejects_unknown_ones(vocab):
+    assert TokenizerKind.parse("WordPiece") is TokenizerKind.WORDPIECE
+    assert TokenizerKind.parse(TokenizerKind.WHITESPACE) is TokenizerKind.WHITESPACE
+    message = "unknown tokenizer_kind 'bogus'; expected one of whitespace, wordpiece"
+    with pytest.raises(ConfigError, match=message):
+        TokenizerKind.parse("bogus")
+    with pytest.raises(ConfigError, match=message):
+        build_tokenizer("bogus", vocab)
 
 
 def test_whitespace_tokenizer_splits_and_maps(whitespace, vocab):

@@ -21,6 +21,7 @@ from promptpipe.errors import (
     DimensionMismatch,
     DuplicateClass,
     EmptyClass,
+    NonFiniteValue,
     UnreadableFile,
     VerbalizerError,
 )
@@ -271,6 +272,48 @@ def test_calibration_shape_mismatch_rejected(toy):
         project([[0.0] * len(vocab)] * 3, verb, calibration=calibration)
 
 
+def test_calibrate_returns_the_padded_word_scores_of_the_rows(toy):
+    vocab, tok, verb = toy
+    rng = random.Random(8)
+    rows = [[rng.uniform(-4, 4) for _ in range(len(vocab))] for _ in range(2)]
+    calibration = calibrate(lambda _: rows, verb, content_free_input=None)
+    index = verb.dense
+    assert calibration.shape == (2, *index.word_mask.shape)
+    assert calibration.tobytes() == index.word_scores(np.asarray(rows)).tobytes()
+    # "negative" has one label word of three: its padding words are 0
+    assert (calibration[:, 0, 1:] == 0.0).all()
+
+
+def test_calibration_padding_entries_are_ignored(toy):
+    vocab, tok, verb = toy
+    row = [float(i) for i in range(len(vocab))]
+    calibration = calibrate(lambda _: [row], verb, content_free_input=None)
+    dirty = calibration.copy()
+    dirty[:, ~verb.dense.word_mask] = 5.0
+    for aggregation in ("mean_log_prob", "max", "first"):
+        want = project([row], verb, aggregation=aggregation, calibration=calibration)
+        assert project([row], verb, aggregation=aggregation, calibration=dirty) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_prior_rejected(toy, bad):
+    vocab, tok, verb = toy
+    row = [0.0] * len(vocab)
+    calibration = calibrate(lambda _: [row], verb, content_free_input=None)
+    calibration[0, 1, 2] = bad
+    with pytest.raises(NonFiniteValue):
+        project([row], verb, calibration=calibration)
+    with pytest.raises(NonFiniteValue):
+        project_per_position([row], [verb], calibrations=[calibration[0]])
+
+
+def test_nested_list_calibration_rejected(toy):
+    # the old ragged per-class lists are not an (M, C, W) array
+    vocab, tok, verb = toy
+    with pytest.raises(DimensionMismatch):
+        project([[0.0] * len(vocab)], verb, calibration=[[[0.0], [0.0, 0.0, 0.0]]])
+
+
 @pytest.mark.parametrize("aggregation", ["mean_log_prob", "max", "first"])
 @pytest.mark.parametrize("n_masks", [1, 2, 3])
 def test_self_calibrated_content_free_logits_score_zero(toy, n_masks, aggregation):
@@ -309,3 +352,31 @@ def test_per_position_verbalizers_require_matching_classes(toy):
         project_per_position([[0.0] * len(vocab)] * 2, [verb, renamed])
     with pytest.raises(DimensionMismatch):
         project_per_position([[0.0] * len(vocab)], [verb, verb])
+
+
+def test_per_position_without_verbalizers_rejected(toy):
+    vocab, tok, verb = toy
+    with pytest.raises(DimensionMismatch, match="no verbalizers"):
+        project_per_position([[0.0] * len(vocab)], [])
+
+
+def test_per_position_calibrations_must_match_verbalizers(toy):
+    vocab, tok, verb = toy
+    rows = [[0.0] * len(vocab)] * 2
+    calibration = calibrate(lambda _: rows, verb, content_free_input=None)
+    with pytest.raises(DimensionMismatch, match="1 calibrations for 2 verbalizers"):
+        project_per_position(rows, [verb, verb], calibrations=[calibration[0]])
+    # a position's (C, W) priors for another verbalizer have the wrong shape
+    other = build_verbalizer({"negative": ["bad", "good"], "positive": ["great"]}, tok)
+    with pytest.raises(DimensionMismatch):
+        project_per_position(rows, [verb, other], calibrations=list(calibration))
+
+
+def test_per_position_calibration_matches_single_verbalizer(toy):
+    vocab, tok, verb = toy
+    rng = random.Random(5)
+    rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
+    prior_rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
+    calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
+    got = project_per_position(rows, [verb, verb], calibrations=list(calibration))
+    assert got.scores == project(rows, verb, calibration=calibration).scores

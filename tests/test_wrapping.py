@@ -13,9 +13,14 @@ from promptpipe import (
     wrap_example,
     wrapped_text,
 )
-from promptpipe.errors import MissingMetaKey
+from promptpipe.errors import DataError, MissingMetaKey
 
 EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
+
+
+def test_example_guid_must_be_non_empty():
+    with pytest.raises(DataError, match="guid must be non-empty"):
+        InputExample(guid="")
 
 
 def test_sentiment_wrap_matches_expected_sentence():
