@@ -245,7 +245,8 @@ class DenseIndex:
         ``prior`` is a :func:`calibrate` result, or for one mask position
         (``positions == ()``) one entry of it. A wrong shape raises
         :class:`~promptpipe.errors.DimensionMismatch` and a NaN or an
-        infinity :class:`~promptpipe.errors.NonFiniteValue`.
+        infinity at a real word :class:`~promptpipe.errors.NonFiniteValue`;
+        padding entries are ignored whatever they hold.
         """
         shape = (*positions, *self.word_mask.shape)
         try:
@@ -254,9 +255,10 @@ class DenseIndex:
             raise DimensionMismatch(f"calibration must be a {shape} array: {exc}") from None
         if values.shape != shape:
             raise DimensionMismatch(f"calibration has shape {values.shape}, expected {shape}")
+        values = np.where(self.word_mask, values, 0.0)
         if not np.isfinite(values).all():
             raise NonFiniteValue("calibration holds a non-finite prior")
-        return np.where(self.word_mask, values, 0.0)
+        return values
 
     def word_scores(self, rows: np.ndarray) -> np.ndarray:
         """``(R, V)`` logits to ``(R, C, W)`` mean label-word log-probabilities.

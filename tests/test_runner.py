@@ -590,7 +590,7 @@ def test_block_runner_matches_per_example_path_byte_for_byte(
 ):
     cfg, vocab_size = _block_case(fixtures_dir, tmp_path, wide, scorer)
     # one aggregate call covers the whole run: its size must not change the bytes
-    for n in (1, 2) if wide else (1, 2, 49):
+    for n in (0, 1, 2) if wide else (0, 1, 2, 49):
         _write_inputs(cfg, n, vocab_size)
         report = run_pipeline(cfg)
         assert report.n_examples == n

@@ -288,11 +288,14 @@ def test_calibration_padding_entries_are_ignored(toy):
     vocab, tok, verb = toy
     row = [float(i) for i in range(len(vocab))]
     calibration = calibrate(lambda _: [row], verb, content_free_input=None)
-    dirty = calibration.copy()
-    dirty[:, ~verb.dense.word_mask] = 5.0
-    for aggregation in ("mean_log_prob", "max", "first"):
-        want = project([row], verb, aggregation=aggregation, calibration=calibration)
-        assert project([row], verb, aggregation=aggregation, calibration=dirty) == want
+    for junk in (5.0, math.nan, math.inf):
+        dirty = calibration.copy()
+        dirty[:, ~verb.dense.word_mask] = junk
+        for aggregation in ("mean_log_prob", "max", "first"):
+            want = project([row], verb, aggregation=aggregation, calibration=calibration)
+            assert project([row], verb, aggregation=aggregation, calibration=dirty) == want
+        assert project_per_position([row], [verb], calibrations=[dirty[0]]) == \
+            project_per_position([row], [verb], calibrations=[calibration[0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
