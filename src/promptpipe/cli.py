@@ -10,28 +10,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
-from .data import example_to_dict, fewshot_sample, load_jsonl, save_jsonl
+from .data import example_to_dict, fewshot_sample, load_jsonl
 from .errors import ConfigError, PromptPipeError
 from .runner import PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
+from .textfile import write_jsonl
 from .tokenization import CompiledTemplate, TokenizerKind, Vocab, build_tokenizer
 from .verbalizer import Aggregation, load_verbalizer, project
 from .wrapping import TemplateLayout
 
 TOKENIZER_KINDS = [kind.value for kind in TokenizerKind]
-
-
-def _emit(lines, output: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _node_to_dict(node) -> dict:
@@ -53,7 +44,7 @@ def _node_to_dict(node) -> dict:
 def cmd_parse(args) -> int:
     templates = load_template_file(args.template_file)
     known = set(args.meta_keys.split(",")) if args.meta_keys else None
-    lines = []
+    records = []
     for ast in templates:
         record = {
             "source": ast.source,
@@ -65,8 +56,8 @@ def cmd_parse(args) -> int:
                 {"code": d.code, "message": d.message, "node_index": d.node_index}
                 for d in validate_template(ast, known)
             ]
-        lines.append(json.dumps(record, ensure_ascii=False))
-    _emit(lines, args.output)
+        records.append(record)
+    write_jsonl(records, args.output)
     return 0
 
 
@@ -89,13 +80,11 @@ def cmd_wrap(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{args.template_file} template {args.template_index}: {exc}") from None
     dataset = load_jsonl(args.dataset)
-    lines = []
-    for example in dataset:
-        text = layout.render(layout.resolve(example))
-        lines.append(
-            json.dumps({"guid": example.guid, "wrapped_text": text}, ensure_ascii=False)
-        )
-    _emit(lines, args.output)
+    records = [
+        {"guid": example.guid, "wrapped_text": layout.render(layout.resolve(example))}
+        for example in dataset
+    ]
+    write_jsonl(records, args.output)
     return 0
 
 
@@ -107,13 +96,11 @@ def cmd_tokenize(args) -> int:
         ast, build_soft_plan(ast, tokenizer), tokenizer, args.max_len, args.add_special_tokens
     )
     dataset = load_jsonl(args.dataset)
-    lines = []
-    for example in dataset:
-        tokenized = template.encode(template.resolve(example))
-        record = {"guid": example.guid}
-        record.update(tokenized.to_dict())
-        lines.append(json.dumps(record, ensure_ascii=False))
-    _emit(lines, args.output)
+    records = [
+        {"guid": example.guid, **template.encode(template.resolve(example)).to_dict()}
+        for example in dataset
+    ]
+    write_jsonl(records, args.output)
     return 0
 
 
@@ -121,19 +108,19 @@ def cmd_plan(args) -> int:
     ast = _single_template(args)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
-    plan = build_soft_plan(ast, tokenizer)
-    _emit([plan.to_json()], args.output)
+    text = build_soft_plan(ast, tokenizer).to_json() + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_sample(args) -> int:
     dataset = load_jsonl(args.dataset)
     sampled = fewshot_sample(dataset, args.k, args.seed, strict=not args.lenient)
-    if args.output:
-        save_jsonl(sampled, args.output)
-    else:
-        for example in sampled:
-            sys.stdout.write(json.dumps(example_to_dict(example), ensure_ascii=False) + "\n")
+    write_jsonl(map(example_to_dict, sampled), args.output)
     return 0
 
 
@@ -142,20 +129,15 @@ def cmd_score(args) -> int:
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(args.verbalizer, tokenizer)
-    lines = []
+    records = []
     for guid, rows in read_logits_records(args.logits_file, len(vocab)):
         scores = project(rows, verbalizer, aggregation=aggregation)
-        lines.append(
-            json.dumps(
-                {
-                    "guid": guid,
-                    "predicted_class": scores.predicted_label,
-                    "class_scores": [float(s) for s in scores.scores],
-                },
-                ensure_ascii=False,
-            )
-        )
-    _emit(lines, args.output)
+        records.append({
+            "guid": guid,
+            "predicted_class": scores.predicted_label,
+            "class_scores": [float(s) for s in scores.scores],
+        })
+    write_jsonl(records, args.output)
     return 0
 
 
@@ -164,10 +146,6 @@ def cmd_run(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
     if args.config:
         cfg = PipelineConfig.from_file(args.config, overrides)
-        try:
-            cfg.validate()
-        except ConfigError as exc:
-            raise type(exc)(f"config file {args.config}: {exc}") from None
     else:
         cfg = PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
     report = run_pipeline(cfg)
@@ -176,7 +154,7 @@ def cmd_run(args) -> int:
         "n_labeled": report.n_labeled,
         "accuracy": report.accuracy,
     }
-    sys.stdout.write(json.dumps(summary) + "\n")
+    write_jsonl([summary])
     return 0
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, DuplicateGuid, InsufficientExamples, MalformedLine
-from .textfile import read_lines
+from .textfile import read_lines, write_jsonl
 from .wrapping import InputExample
 
 __all__ = ["Dataset", "load_jsonl", "read_records", "save_jsonl", "fewshot_sample"]
@@ -130,10 +130,7 @@ def example_to_dict(example: InputExample) -> dict:
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the same JSONL format ``load_jsonl`` reads."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in dataset.examples:
-            handle.write(json.dumps(example_to_dict(example), ensure_ascii=False))
-            handle.write("\n")
+    write_jsonl(map(example_to_dict, dataset.examples), path)
 
 
 # --- fixed PRNG (see module docstring) --------------------------------------

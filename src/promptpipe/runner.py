@@ -11,11 +11,16 @@ template's mask count, which
 checking the length rule on the non-shortenable meta values alone, and
 a scorer's ``rows(guid, mask_count)`` gives that many rows.
 
-Examples run serially: each is wrapped, measured and scored template
-by template into one ``(N·M, C, W)`` array of label-word scores per
-template, and each array is then aggregated in one kernel call for the
-whole run. Every row is reduced on its own, so output bytes do not
-depend on how many examples share a call.
+Examples run serially, and the per-example loop holds only per-example
+work: each example is wrapped, measured and scored template by template
+into one ``(N·M, C, W)`` array of label-word scores per template. A
+template's mask count is computed once (``TemplateAST.mask_count`` is
+cached). After the loop, each array is aggregated in one kernel call
+for the whole run, the predictions come from one ``argmax`` and the
+score lists from one ``tolist``, and the records are written through
+one JSON encoder (:func:`~promptpipe.textfile.write_jsonl`). Every row
+is reduced on its own, so output bytes do not depend on how many
+examples share a call.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
@@ -57,7 +62,7 @@ from .errors import (
 )
 from .soft_plan import build_soft_plan
 from .template import TemplateAST, load_template_file
-from .textfile import read_lines, read_text
+from .textfile import read_lines, read_text, write_jsonl
 from .tokenization import (
     CompiledTemplate,
     TokenizedInput,
@@ -106,10 +111,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
-        """Load a YAML or JSON config document, then apply overrides.
+        """Load a YAML or JSON config document, apply overrides, then validate.
 
-        A document that does not parse, or a value of the wrong type,
-        raises :class:`~promptpipe.errors.ConfigError` naming the file.
+        A document that does not parse, or a merged config that fails
+        :meth:`validate`, raises :class:`~promptpipe.errors.ConfigError`
+        naming the file.
         """
         text = read_text(path)
         kind = "JSON" if str(path).endswith(".json") else "YAML"
@@ -129,31 +135,29 @@ class PipelineConfig:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if isinstance(raw.get("templates"), str):
             raw["templates"] = [raw["templates"]]
         try:
-            _check_types(raw)
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            _check_types(raw)  # before paths are resolved against the file
+            # paths in the config file are relative to the file; override paths
+            # are taken as given (the caller's working directory)
+            base = Path(path).parent
+            if "templates" in raw:
+                raw["templates"] = [str(_resolve(base, p)) for p in raw["templates"]]
+            for name in _PATH_FIELDS:
+                if raw.get(name):
+                    raw[name] = str(_resolve(base, raw[name]))
+            merged = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+            if isinstance(merged.get("templates"), str):
+                merged["templates"] = [merged["templates"]]
+            cfg = cls(**merged)
+            cfg.validate()
         except ConfigError as exc:
-            raise ConfigError(f"config file {path}: {exc}") from None
-        # paths in the config file are relative to the file; override paths
-        # are taken as given (the caller's working directory)
-        base = Path(path).parent
-        if "templates" in raw:
-            raw["templates"] = [str(_resolve(base, p)) for p in raw["templates"]]
-        for name in ("dataset", "vocab", "verbalizer", "logits_file", "frequency_file", "output"):
-            if raw.get(name):
-                raw[name] = str(_resolve(base, raw[name]))
-        merged = dict(raw)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                merged[key] = value
-        if isinstance(merged.get("templates"), str):
-            merged["templates"] = [merged["templates"]]
-        return cls(**merged)
+            raise type(exc)(f"config file {path}: {exc}") from None
+        return cfg
 
     def validate(self) -> None:
         _check_types({f.name: getattr(self, f.name) for f in fields(self)})
@@ -434,9 +438,9 @@ class _Pipeline:
                     m = template.measure(values)
                     stage = "score"
                     rows = self.scorer.rows(example.guid, m)
-                    if np.shape(rows)[0] != m:
+                    if len(rows) != m:
                         raise DimensionMismatch(
-                            f"scorer returned {np.shape(rows)[0]} rows for {m} mask positions"
+                            f"scorer returned {len(rows)} rows for {m} mask positions"
                         )
                     stage = "project"
                     words[t][i * m : (i + 1) * m] = rows
@@ -449,14 +453,15 @@ class _Pipeline:
             per_template.append(sum_positions(by_position))
         combined = np.stack(per_template).mean(axis=0)
         classes = self.verbalizer.classes
+        predicted = combined.argmax(axis=1).tolist()
         return [
             {
                 "guid": example.guid,
                 "wrapped_text": text,
-                "predicted_class": classes[int(np.argmax(scores))],
-                "class_scores": scores.tolist(),
+                "predicted_class": classes[k],
+                "class_scores": scores,
             }
-            for example, text, scores in zip(examples, texts, combined)
+            for example, text, k, scores in zip(examples, texts, predicted, combined.tolist())
         ]
 
 
@@ -512,10 +517,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     results = pipeline.process(dataset.examples)
 
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            for record in results:
-                handle.write(json.dumps(record, ensure_ascii=False))
-                handle.write("\n")
+        write_jsonl(results, cfg.output)
 
     labeled = [(ex, res) for ex, res in zip(dataset.examples, results) if ex.label]
     accuracy = None

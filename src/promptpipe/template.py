@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -149,7 +150,7 @@ class TemplateAST:
                         f"{sorted({first, node.text})}"
                     )
 
-    @property
+    @cached_property  # nodes never change, so count them once
     def mask_count(self) -> int:
         return sum(1 for n in self.nodes if n.kind is NodeKind.MASK)
 

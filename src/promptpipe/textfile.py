@@ -1,5 +1,6 @@
 """How every input file is read: UTF-8 text, a leading byte-order mark
-dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``.
+dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``; and how
+every JSONL output is written.
 
 A file that is not valid UTF-8 raises
 :class:`~promptpipe.errors.InvalidEncoding` naming the file and the line
@@ -8,16 +9,21 @@ of the first undecodable byte.
 
 from __future__ import annotations
 
+import json
+import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidEncoding
 
-__all__ = ["read_text", "read_lines"]
+__all__ = ["read_text", "read_lines", "write_jsonl"]
 
 # "utf-8-sig" drops one byte-order mark at the start of the file and
 # otherwise decodes exactly as "utf-8"
 ENCODING = "utf-8-sig"
+
+# one encoder for every record; its encode gives json.dumps(..., ensure_ascii=False)
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def read_text(path: str | Path) -> str:
@@ -60,3 +66,14 @@ def _invalid_utf8(path: str | Path) -> InvalidEncoding:
                 )
             line_no += raw.count(b"\r") - raw.count(b"\r\n") + raw.endswith(b"\n")
     return InvalidEncoding(f"{path}: not valid UTF-8")
+
+
+def write_jsonl(records: Iterable, output: str | Path | None = None) -> None:
+    """Write one JSON line per record, non-ASCII text kept as is, to the
+    UTF-8 file ``output``, or to standard output without one."""
+    lines = (_encode(record) + "\n" for record in records)
+    if not output:
+        sys.stdout.writelines(lines)
+        return
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)

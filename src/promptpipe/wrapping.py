@@ -18,7 +18,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import DataError, MissingMetaKey
+from .errors import ConfigError, ConflictingAttributes, DataError, MissingMetaKey
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
 from .template import NodeKind, PostProcessing, TemplateAST
 
@@ -62,9 +62,9 @@ class Segment:
 
     def __post_init__(self):
         if self.is_mask and not self.loss:
-            raise ValueError("mask segments carry the loss flag")
+            raise ConflictingAttributes("mask segments carry the loss flag")
         if self.soft_slot is not None and (self.is_mask or self.text):
-            raise ValueError("soft segments have no text and are not masks")
+            raise ConflictingAttributes("soft segments have no text and are not masks")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def apply_post_processing(fn: PostProcessing, text: str) -> str:
         return text.lower()
     if fn is PostProcessing.PREPEND_SPACE:
         return " " + text if text else text
-    raise ValueError(f"unknown post-processing function {fn!r}")
+    valid = ", ".join(p.value for p in PostProcessing)
+    raise ConfigError(f"unknown post-processing function {fn!r}; expected one of {valid}")
 
 
 class TemplateLayout:

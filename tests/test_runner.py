@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -224,10 +225,10 @@ def test_logits_file_scorer_and_missing_guid(fixtures_dir, tmp_path):
     with open(logits_path, "w", encoding="utf-8") as handle:
         for guid in ("s1", "s2", "s3", "s4"):  # s5 intentionally missing
             handle.write(json.dumps({"guid": guid, "mask_logits": [bad_row]}) + "\n")
-    cfg = _config(
-        fixtures_dir, tmp_path, logits_file=str(logits_path), frequency_file=None
+    # from_file validates, and a None override leaves a key as the file sets it
+    cfg = dataclasses.replace(
+        _config(fixtures_dir, tmp_path), logits_file=str(logits_path), frequency_file=None
     )
-    cfg.frequency_file = None
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert "s5" in str(err.value)
@@ -245,13 +246,26 @@ def test_config_validation_errors(fixtures_dir, tmp_path):
     cfg.templates = []
     with pytest.raises(ConfigError):
         run_pipeline(cfg)
-    cfg = _config(fixtures_dir, tmp_path, logits_file="x.jsonl")
-    with pytest.raises(ConfigError):  # both model interfaces set
-        cfg.validate()
+    with pytest.raises(ConfigError, match="^config file .*: configure exactly one"):
+        _config(fixtures_dir, tmp_path, logits_file="x.jsonl")  # both model interfaces set
     unknown = tmp_path / "bad.yaml"
     unknown.write_text("no_such_key: 1\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^config file .*: unknown config keys: .'no_such_key'.$"):
         PipelineConfig.from_file(unknown)
+
+
+def test_from_file_validates_the_merged_config_and_names_the_file(fixtures_dir, tmp_path):
+    config = tmp_path / "c.yaml"
+    config.write_text((fixtures_dir / "run_sentiment.yaml").read_text(encoding="utf-8")
+                      .replace("tokenizer_kind: wordpiece", "tokenizer_kind: sentencepiece"),
+                      encoding="utf-8")
+    with pytest.raises(ConfigError) as failure:
+        run_pipeline(PipelineConfig.from_file(config))
+    assert str(failure.value).startswith(f"config file {config}: unknown tokenizer_kind")
+    # an override is validated with the document it overrides
+    with pytest.raises(ConfigError, match=f"^config file {config}: max_len must be positive"):
+        PipelineConfig.from_file(config, {"tokenizer_kind": "whitespace", "max_len": 0})
+    assert PipelineConfig.from_file(config, {"tokenizer_kind": "whitespace"}).max_len == 32
 
 
 def test_json_config_supported(fixtures_dir, tmp_path):
@@ -279,7 +293,9 @@ def test_json_config_loads_without_importing_yaml(fixtures_dir, tmp_path):
     import promptpipe
 
     json_path = tmp_path / "cfg.json"
-    json_path.write_text(json.dumps({"templates": ["t.txt"], "max_len": 32}), encoding="utf-8")
+    minimal = {"templates": ["t.txt"], "dataset": "d.jsonl", "vocab": "v.txt",
+               "verbalizer": "b.json", "frequency_file": "f.json", "max_len": 32}
+    json_path.write_text(json.dumps(minimal), encoding="utf-8")
     code = (
         "import sys; from promptpipe import PipelineConfig\n"
         f"assert PipelineConfig.from_file({str(json_path)!r}).max_len == 32\n"

@@ -20,6 +20,7 @@ from promptpipe import (
 )
 from promptpipe.errors import InvalidEncoding
 from promptpipe.runner import read_logits_records
+from promptpipe.textfile import write_jsonl
 
 BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 
@@ -58,7 +59,7 @@ def _read_config(path, fixtures_dir):
     return PipelineConfig.from_file(path)
 
 
-# reader, then three lines of a valid file in its format
+# reader, then at least three lines of a valid file in its format
 READERS = {
     "vocab": (_read_vocab, None),
     "template": (_read_templates, ['# templates', '{"mask"} x', 'It is {"mask"}']),
@@ -66,7 +67,8 @@ READERS = {
     "logits": (_read_logits, [json.dumps({"guid": g, "mask_logits": [[0, 1, 2]]}) for g in "abc"]),
     "verbalizer": (_read_verbalizer, ["{", '"negative": ["bad"],', '"positive": ["good"]}']),
     "frequency": (_read_frequencies, ["{", '"great": 1.0,', '"bad": 2.0}']),
-    "config": (_read_config, ["max_len: 16", "seed: 3", "calibrate: false"]),
+    "config": (_read_config, ["templates: [t.txt]", "dataset: d.jsonl", "vocab: v.txt",
+                              "verbalizer: b.json", "frequency_file: f.json", "max_len: 16"]),
 }
 
 
@@ -124,3 +126,16 @@ def test_bom_after_the_start_is_text(tmp_path):
     path = tmp_path / "templates.txt"
     path.write_bytes(b'{"mask"}\n' + BOM + b"x\n")
     assert load_template_file(path)[1].nodes[0].text == "\ufeffx"
+
+
+def test_write_jsonl_writes_the_bytes_json_dumps_gives(tmp_path, capsys):
+    records = [
+        {"guid": "ü1", "text": 'café "q" \\ \t\n\u2028\u2029 😀 日本', "scores": [0.1, -2.5e-300, 1e16]},
+        {"nested": {"k": [None, True, False, 3]}, "nan": float("nan"), "inf": float("-inf")},
+    ]
+    want = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    path = tmp_path / "out.jsonl"
+    write_jsonl(records, path)
+    assert path.read_bytes() == want.encode("utf-8")
+    write_jsonl(iter(records))
+    assert capsys.readouterr().out == want

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -21,6 +22,7 @@ from promptpipe.errors import (
     ConfigError,
     DuplicateToken,
     MissingSpecialToken,
+    PromptPipeError,
     TemplateTooLong,
     VocabError,
 )
@@ -446,3 +448,29 @@ def test_truncation_invariants(seq, add_specials, slack):
     shortenable = [e for e in stream if e.shortenable]
     survivors = [e for e in kept if e.shortenable]
     assert survivors == shortenable[: len(survivors)]
+
+
+# --- totality over arbitrary text -------------------------------------------
+
+FIXTURE_VOCAB = Vocab.from_file(Path(__file__).resolve().parent.parent / "fixtures" / "vocab.txt")
+# vocabulary pieces and Unicode whitespace, so generated text also matches
+# whole words and continuations, not only UNK
+_PIECES = list(FIXTURE_VOCAB.tokens) + [" ", "\t", "\n", "\u3000", "\xa0", "##"]
+_TEXT = st.one_of(st.text(), st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)))
+                  .map("".join))
+
+
+@pytest.mark.parametrize("kind", list(TokenizerKind))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_TEXT, limit=st.integers(0, 12))
+def test_tokenizers_are_total_and_encode_ids_of_tokenize(kind, text, limit):
+    tokenizer = build_tokenizer(kind, FIXTURE_VOCAB)
+    try:
+        pieces = tokenizer.tokenize(text)
+        ids = tokenizer.encode(text)
+        limited = tokenizer.encode(text, limit)
+    except PromptPipeError:
+        return  # the only kind of error a tokenizer may raise
+    get, unk = FIXTURE_VOCAB.ids.get, FIXTURE_VOCAB.unk_id
+    assert ids == [get(piece, unk) for piece in pieces]
+    assert limited == ids[:limit]

@@ -13,7 +13,7 @@ from promptpipe import (
     wrap_example,
     wrapped_text,
 )
-from promptpipe.errors import DataError, MissingMetaKey
+from promptpipe.errors import ConfigError, ConflictingAttributes, DataError, MissingMetaKey
 
 EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 
@@ -21,6 +21,28 @@ EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 def test_example_guid_must_be_non_empty():
     with pytest.raises(DataError, match="guid must be non-empty"):
         InputExample(guid="")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ({"is_mask": True}, "mask segments carry the loss flag"),
+        ({"soft_slot": 0, "is_mask": True, "loss": True}, "soft segments have no text"),
+        ({"soft_slot": 0, "text": "x"}, "soft segments have no text"),
+    ],
+)
+def test_segment_flag_conflicts_raise_conflicting_attributes(flags, message):
+    with pytest.raises(ConflictingAttributes, match=message):
+        Segment(**{"text": "", **flags})
+
+
+def test_unknown_post_processing_is_a_config_error_listing_valid_names():
+    with pytest.raises(ConfigError) as failure:
+        apply_post_processing("lowercase", "X")  # a name, not a PostProcessing
+    assert str(failure.value) == (
+        "unknown post-processing function 'lowercase'; expected one of "
+        "strip_trailing_punctuation, lowercase, prepend_space"
+    )
 
 
 def test_sentiment_wrap_matches_expected_sentence():
