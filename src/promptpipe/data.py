@@ -23,7 +23,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, DuplicateGuid, InsufficientExamples, MalformedLine
 from .textfile import read_lines, write_jsonl
@@ -68,17 +68,36 @@ def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
     :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
     error names ``path:line``.
     """
+    for line_no, guid, record, _ in read_guid_lines(path):
+        yield line_no, guid, record
+
+
+def read_guid_lines(
+    path: str | Path, read_line: Callable[[str], tuple[str, Any] | None] | None = None
+) -> Iterator[tuple[int, str, Any, str]]:
+    """:func:`read_records` that also yields each line, and may read a line itself.
+
+    ``read_line(line)`` returns ``(guid, record)`` for a line it reads, and
+    must do so only when ``json.loads(line)`` is an object whose ``guid``
+    is that string; it returns ``None`` for any other line, which is then
+    read as :func:`read_records` reads it. The guid rules apply to every
+    line either way.
+    """
     first_line: dict[str, int] = {}
     for line_no, line in read_lines(path):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
-        if not isinstance(record, dict):
-            raise MalformedLine(path, line_no, "expected a JSON object")
-        guid = record.get("guid")
+        read = read_line(line) if read_line else None
+        if read is None:
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise MalformedLine(path, line_no, "expected a JSON object")
+            guid = record.get("guid")
+        else:
+            guid, record = read
         if not isinstance(guid, str) or not guid:
             raise MalformedLine(path, line_no, "missing or non-string 'guid'")
         if guid in first_line:
@@ -86,7 +105,7 @@ def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
                 f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
             )
         first_line[guid] = line_no
-        yield line_no, guid, record
+        yield line_no, guid, record, line
 
 
 def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:

@@ -42,13 +42,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset, load_jsonl, read_records
+from .data import Dataset, load_jsonl, read_guid_lines
 from .errors import (
     ClassListMismatch,
     ConfigError,
@@ -62,7 +64,7 @@ from .errors import (
 )
 from .soft_plan import build_soft_plan
 from .template import TemplateAST, load_template_file
-from .textfile import read_lines, read_text, write_jsonl
+from .textfile import read_text, write_jsonl
 from .tokenization import (
     CompiledTemplate,
     TokenizedInput,
@@ -135,12 +137,13 @@ class PipelineConfig:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        # override keys are checked as file keys are
+        unknown = (set(raw) | set(overrides or {})) - {f.name for f in fields(cls)}
         if isinstance(raw.get("templates"), str):
             raw["templates"] = [raw["templates"]]
         try:
             if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+                raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
             _check_types(raw)  # before paths are resolved against the file
             # paths in the config file are relative to the file; override paths
             # are taken as given (the caller's working directory)
@@ -272,25 +275,25 @@ class ToyScorer:
 
 
 def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield ``(guid, rows)`` for each record of a JSONL logits file.
+    """Yield ``(guid, rows)`` for each record of a JSONL logits file, in one pass.
 
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
     with rows of width ``vocab_size`` holding JSON numbers. Records are
-    read by :func:`~promptpipe.data.read_records`; a record without
-    usable ``mask_logits``, with a value that is not a number (a string,
-    ``true``, ``false`` or ``null``) or with a non-finite logit raises a
-    :class:`~promptpipe.errors.PromptPipeError` naming the file, line and
-    guid.
+    read by :func:`~promptpipe.data.read_guid_lines`, so the guid rules
+    are those of every guid-keyed file. A line of exactly that form
+    whose rows hold finite JSON numbers only has its row text parsed by
+    one ``np.loadtxt`` call, which gives the values ``json.loads`` gives.
+    Every other line is decoded by ``json.loads``, the only path that
+    raises: a record without usable ``mask_logits``, with a value that
+    is not a number (a string, ``true``, ``false`` or ``null``) or with a
+    non-finite logit raises a :class:`~promptpipe.errors.PromptPipeError`
+    naming the file, line and guid.
     """
-    # a string or null leaves the inferred dtype non-numeric, while true and
-    # false infer as 1 and 0: the lines spelling either are checked value by
-    # value, and so is a record whose dtype is not numeric (both literals
-    # hold an "e", which fixed-point numbers lack and one fast scan rules out)
-    literal_lines = {
-        n for n, line in read_lines(path)
-        if "e" in line and ("true" in line or "false" in line)
-    }
-    for line_no, guid, record in read_records(path):
+    read_line = partial(_numeric_record, vocab_size=vocab_size)
+    for line_no, guid, record, line in read_guid_lines(path, read_line):
+        if isinstance(record, np.ndarray):
+            yield guid, record
+            continue
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
             raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
@@ -307,7 +310,9 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
             )
         if rows.ndim != 2 or rows.shape[1] != vocab_size:
             raise DimensionMismatch(f"{where}: mask_logits must be rows of width {vocab_size}")
-        if not numeric or line_no in literal_lines:
+        # a string or null leaves the inferred dtype non-numeric, while true and
+        # false infer as 1 and 0: a line spelling either is checked value by value
+        if not numeric or "true" in line or "false" in line:
             for row in values:
                 for value in row:
                     if type(value) not in (int, float):
@@ -321,6 +326,92 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
         if not np.isfinite(rows).all():
             raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
         yield guid, rows
+
+
+# The documented record form, with any spaces or tabs between its parts; the
+# rows group is the text between the outer "[[" and "]]".
+_WS = r"[ \t]*"
+_NUMERIC_LINE = re.compile(
+    rf'{_WS}\{{{_WS}"guid"{_WS}:{_WS}(?P<guid>"(?:[^"\\]|\\.)*"){_WS},'
+    rf'{_WS}"mask_logits"{_WS}:{_WS}\[{_WS}\[(?P<rows>.*)\]{_WS}\]{_WS}\}}[ \t\n]*'
+)
+_ROW_SEPARATOR = re.compile(rf"\]{_WS},{_WS}\[")
+
+
+def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None:
+    """``(guid, rows)`` for a line that ``json.loads`` reads as a record of
+    ``vocab_size``-wide rows of finite numbers, parsed without it; else ``None``.
+
+    The rows must hold JSON numbers only (:func:`_json_number_row`), and
+    ``np.loadtxt`` must read one row of ``vocab_size`` finite values per
+    ``[...]``. Its values are those of ``float()``, so of ``json.loads``
+    followed by the float64 conversion. Any other line, valid or not, is
+    left to ``json.loads``.
+    """
+    match = _NUMERIC_LINE.fullmatch(line)
+    if match is None:
+        return None
+    rows = _ROW_SEPARATOR.split(match["rows"])
+    # an empty row fails here, before loadtxt, which would drop it and warn
+    if not all(map(_json_number_row, rows)):
+        return None
+    try:
+        guid = json.loads(match["guid"])
+        values = np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), vocab_size) or not np.isfinite(values).all():
+        return None
+    return guid, values
+
+
+# Byte classes for _json_number_row: "0" stays "0", the other digits read
+# as "1", "e" and "E" as "*", and "," space and tab as ","; "-", "+" and "."
+# stay, and every other byte reads as "?".
+_NUMBER_BYTES = b"0123456789eE, \t-+."
+_ROW_CLASSES = bytes.maketrans(
+    _NUMBER_BYTES + bytes(b for b in range(256) if b not in _NUMBER_BYTES),
+    b"0111111111**,,,-+.".ljust(256, b"?"),
+)
+# once a row holding "?" is refused, "0" and "1" are the only classes >= "0"
+_SEP, _MINUS, _PLUS, _DOT, _ZERO = b",-+.0"
+_CHUNK = 1 << 15  # bytes per step; the step's temporaries stay in cache
+
+
+def _json_number_row(row: str) -> bool:
+    """Whether the comma-separated fields of ``row`` are JSON numbers,
+    given that ``np.loadtxt`` reads each of them as a float.
+
+    Besides JSON numbers, loadtxt reads a leading ``+``, a ``.`` without
+    a digit on either side, and a leading zero before a digit, and reads
+    the integer ``-0`` as -0.0 where ``json.loads`` gives 0; a row
+    spelling any of them is refused, and so is a row without a field or
+    with a character other than digits, ``-+.eE``, comma, space and tab.
+    """
+    if not row.isascii() or not row.strip(" \t"):
+        return False
+    classes = row.encode("ascii").translate(_ROW_CLASSES)
+    if b"?" in classes:
+        return False
+    # two separators before the row and one after, so every byte of it has
+    # two bytes before it and one after
+    x = np.frombuffer(b",," + classes + b",", dtype=np.uint8)
+    for start in range(0, len(x) - 3, _CHUNK):
+        chunk = x[start : start + _CHUNK + 3]
+        sep = chunk == _SEP
+        digit = chunk >= _ZERO
+        before, here, after = chunk[1:-2], chunk[2:-1], digit[3:]
+        # a "+" that starts a number
+        bad = sep[1:-2] & (here == _PLUS)
+        # "." without a digit on both sides
+        bad |= (here == _DOT) & ~(digit[1:-2] & after)
+        # a "0" that starts a number, followed by a digit; a "-0" integer
+        signed = (before == _MINUS) & sep[:-3]
+        starts = (here == _ZERO) & (sep[1:-2] | signed)
+        bad |= starts & (after | (signed & sep[3:]))
+        if bad.any():
+            return False
+    return True
 
 
 class LogitsFileScorer:

@@ -3,10 +3,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptpipe import (
     ClassScores,
@@ -251,6 +254,12 @@ def test_config_validation_errors(fixtures_dir, tmp_path):
     unknown = tmp_path / "bad.yaml"
     unknown.write_text("no_such_key: 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="^config file .*: unknown config keys: .'no_such_key'.$"):
+        PipelineConfig.from_file(unknown)
+    overridden = r"^config file .*run_sentiment.yaml: unknown config keys: \['bogus'\]$"
+    with pytest.raises(ConfigError, match=overridden):
+        PipelineConfig.from_file(fixtures_dir / "run_sentiment.yaml", {"bogus": 1})
+    unknown.write_text("1: 2\nno_such_key: 1\n", encoding="utf-8")  # keys of two types
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[1, 'no_such_key'\]$"):
         PipelineConfig.from_file(unknown)
 
 
@@ -898,12 +907,15 @@ def test_json_integer_logits_keep_their_float_conversion(fixtures_dir, tmp_path)
     records = {
         "int64": [[3] * (width - 2) + [-7, 2**53 + 1]],
         "beyond_int64": [[0.5] * (width - 2) + [10**20, 2**70 + 1]],
-        # "true" in the guid makes the loader check every value of the record
+        # written with mask_logits first, so json.loads reads it, and "true" in
+        # the guid makes the loader check every value of the record
         "true_int64": [[3] * (width - 1) + [2**53 + 1]],
     }
     logits = tmp_path / "logits.jsonl"
     logits.write_text("".join(
-        json.dumps({"guid": guid, "mask_logits": rows}) + "\n" for guid, rows in records.items()))
+        json.dumps({"guid": guid, "mask_logits": rows}) + "\n" for guid, rows in records.items()
+        if guid != "true_int64"
+    ) + json.dumps({"mask_logits": records["true_int64"], "guid": "true_int64"}) + "\n")
     scorer = LogitsFileScorer(logits, width)
     for guid, rows in records.items():
         got = scorer._rows[guid]
@@ -919,6 +931,181 @@ def test_out_of_range_integer_logit_names_file_and_guid(fixtures_dir, tmp_path):
     logits.write_text(json.dumps({"guid": "big", "mask_logits": [[10**400] * width]}) + "\n")
     with pytest.raises(ConfigError, match=r"logits.jsonl:1: bad mask_logits for guid 'big'"):
         LogitsFileScorer(logits, width)
+
+
+def _oracle_read_logits_records(path, vocab_size):
+    """The logits reader before the numeric path: ``json.loads`` and a
+    dtype-inferring ``np.asarray`` for every record, after a pass over the
+    file for the lines spelling ``true`` or ``false``."""
+    from promptpipe.data import read_records
+    from promptpipe.errors import DimensionMismatch, NonFiniteValue
+    from promptpipe.textfile import read_lines
+
+    literal_lines = {
+        n for n, line in read_lines(path)
+        if "e" in line and ("true" in line or "false" in line)
+    }
+    for line_no, guid, record in read_records(path):
+        where = f"{path}:{line_no}"
+        if "mask_logits" not in record:
+            raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
+        values = record["mask_logits"]
+        try:
+            rows = np.asarray(values)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
+        numeric = rows.dtype.kind in "iuf"
+        if not numeric and rows.ndim != 2:
+            raise ConfigError(
+                f"{where}: bad mask_logits for guid {guid!r}: expected rows of numbers, "
+                f"got {json.dumps(values)[:40]}"
+            )
+        if rows.ndim != 2 or rows.shape[1] != vocab_size:
+            raise DimensionMismatch(f"{where}: mask_logits must be rows of width {vocab_size}")
+        if not numeric or line_no in literal_lines:
+            for row in values:
+                for value in row:
+                    if type(value) not in (int, float):
+                        raise ConfigError(
+                            f"{where}: guid {guid!r} has a non-numeric logit {json.dumps(value)}"
+                        )
+        try:
+            rows = rows.astype(np.float64, copy=False)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
+        if not np.isfinite(rows).all():
+            raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
+        yield guid, rows
+
+
+def _read_outcome(reader, path, vocab_size):
+    """The records a reader yields as ``(guid, dtype, bytes)``, then its error, if any."""
+    records = []
+    try:
+        for guid, rows in reader(path, vocab_size):
+            records.append((guid, rows.dtype.str, rows.tobytes()))
+    except PromptPipeError as exc:
+        return records, type(exc), str(exc)
+    return records, None, None
+
+
+# JSON numbers, the first ten as json.dumps writes them
+_JSON_LOGITS = [
+    "0.5", "-1.25", "3", "0", "-7", "0.0", "-0.0", "1e+16", "1e-05", "-2.5e-07",
+    "1E-05", "1E+300", "2.5e3", "1e05", "0e0", "-0e5", "9007199254740993",
+    "18446744073709551617", "123456789012345678901", str(2**1024 - 2**970 - 1),
+    str(2**1024 - 2**970), "1" + "0" * 400, "1e999", "-1e999", "1e-400",
+]
+# values loadtxt reads as floats that JSON rejects or reads otherwise, and
+# values that are not numbers
+_ODD_LOGITS = [
+    "+1", ".5", "1.", "-.5", "01", "-01", "00", "-0", "-00", "1.e5", "+.5", "1e", "--1",
+    "NaN", "Infinity", "-Infinity", "true", "false", "null", '"2"', "[]", "[1]", "{}",
+    "nan", "1_0", "\x0c1", "1\x0b", "1\u2003", "\xa01",
+]
+
+
+@st.composite
+def _logits_line(draw, width):
+    """One line of a logits file: mostly a valid record, at times with one
+    odd value, an odd row or an odd layout."""
+    guid = draw(st.sampled_from(["a", "b", "c", "d", "[[a", 'q"x', "é", "", "\\"]))
+
+    def row():
+        n = draw(st.sampled_from([width] * 6 + [0, width - 1, width + 1]))
+        values = [draw(st.sampled_from(_JSON_LOGITS[:10] * 3 + _JSON_LOGITS)) for _ in range(n)]
+        if values and draw(st.integers(0, 3)) == 0:
+            values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_LOGITS))
+        return draw(st.sampled_from([", "] * 3 + [",", ",\t", " , "])).join(values)
+
+    separator = draw(st.sampled_from(["], ["] * 3 + ["],[", "], \t["]))
+    rows = "[[" + separator.join(row() for _ in range(draw(st.integers(1, 3)))) + "]]"
+    if draw(st.integers(0, 9)) == 0:
+        rows = draw(st.sampled_from(["[]", "[[]]", "[[], []]", "[[[1]]]", "null", '"x"']))
+    fields = [f'"guid": {json.dumps(guid, ensure_ascii=draw(st.booleans()))}',
+              f'"mask_logits": {rows}']
+    shape = draw(st.sampled_from(["plain"] * 12 + [
+        "logits first", "extra key", "no logits", "blank", "not json", "padded", "raw tab"]))
+    if shape == "logits first":
+        fields.reverse()
+    elif shape == "extra key":
+        fields.append('"model": "m"')
+    elif shape == "no logits":
+        fields.pop()
+    elif shape == "blank":
+        return ""
+    elif shape == "not json":
+        return "[[1, 2]"
+    elif shape == "raw tab":
+        fields[0] = '"guid": "t\tb"'
+    line = "{" + ", ".join(fields) + "}"
+    return f" {line}\t" if shape == "padded" else line
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_logits_reader_equals_json_oracle(data):
+    import tempfile
+    import warnings
+
+    from promptpipe.runner import read_logits_records
+
+    width = data.draw(st.integers(1, 3))
+    lines = data.draw(st.lists(_logits_line(width), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "logits.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _read_outcome(read_logits_records, path, width)
+            expected = _read_outcome(_oracle_read_logits_records, path, width)
+    assert got == expected
+
+
+def test_logits_reader_equals_json_oracle_on_each_spelling(tmp_path):
+    from promptpipe.runner import read_logits_records
+
+    path = tmp_path / "logits.jsonl"
+    for spelling in _JSON_LOGITS + _ODD_LOGITS:
+        for row in (f"0.5, {spelling}, -1", f"{spelling}, 0.5, -1", f"-1, 0.5,{spelling}"):
+            path.write_text('{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]}\n' % row,
+                            encoding="utf-8")
+            got = _read_outcome(read_logits_records, path, 3)
+            assert got == _read_outcome(_oracle_read_logits_records, path, 3), row
+
+
+def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
+    """A file json.dumps wrote, with exponents, integers and -0.0, never
+    reaches json.loads: each of its records is read by loadtxt."""
+    import promptpipe.data
+    from promptpipe.runner import read_logits_records
+
+    rng = np.random.default_rng(7)
+    records = {}
+    for i in range(6):
+        rows = rng.normal(0.0, 3.0, size=(1 + i % 3, 40)) * 10.0 ** rng.integers(-9, 18, 40)
+        records[f"g{i}"] = rows.tolist()
+    records["g0"][0][:6] = [-0.0, 0.0, 7, -3, 0, 10**20]
+    records["g1"][0][:3] = [1e16, 1e-05, -2.5e-300]
+    path = tmp_path / "logits.jsonl"
+    path.write_text("".join(
+        json.dumps({"guid": guid, "mask_logits": rows}) + "\n" for guid, rows in records.items()))
+
+    decoded = []
+    real_loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        decoded.append(text[:30])
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(promptpipe.data.json, "loads", spy)
+    got = list(read_logits_records(path, 40))
+    monkeypatch.undo()
+    assert [guid for guid, _ in got] == list(records)
+    # the guid literals only, never a whole line
+    assert all(not text.startswith("{") for text in decoded)
+    for guid, rows in got:
+        assert rows.tobytes() == np.asarray(records[guid], dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", '"high"'])
