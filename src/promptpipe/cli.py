@@ -9,20 +9,17 @@ config fields and override config-file values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .data import example_to_dict, fewshot_sample, load_jsonl
-from .errors import ConfigError, PromptPipeError
-from .runner import PipelineConfig, read_logits_records, run_pipeline
+from .errors import ConfigError, NonFiniteValue, PipelineStageError, PromptPipeError
+from .runner import CONFIG_SCHEMA, PipelineConfig, read_logits_records, run_pipeline
 from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .textfile import write_jsonl
-from .tokenization import CompiledTemplate, TokenizerKind, Vocab, build_tokenizer
+from .tokenization import CompiledTemplate, Vocab, build_tokenizer
 from .verbalizer import Aggregation, load_verbalizer, project
 from .wrapping import TemplateLayout
-
-TOKENIZER_KINDS = [kind.value for kind in TokenizerKind]
 
 
 def _node_to_dict(node) -> dict:
@@ -73,6 +70,14 @@ def _single_template(args):
     return templates[index]
 
 
+def _staged(stage: str, guid: str, step, value):
+    """``step(value)``; an error names the example's guid and the stage, as ``run``'s do."""
+    try:
+        return step(value)
+    except PromptPipeError as exc:
+        raise PipelineStageError(guid, stage, exc) from exc
+
+
 def cmd_wrap(args) -> int:
     ast = _single_template(args)
     try:
@@ -80,15 +85,16 @@ def cmd_wrap(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{args.template_file} template {args.template_index}: {exc}") from None
     dataset = load_jsonl(args.dataset)
-    records = [
-        {"guid": example.guid, "wrapped_text": layout.render(layout.resolve(example))}
-        for example in dataset
-    ]
+    records = []
+    for example in dataset:
+        values = _staged("wrap", example.guid, layout.resolve, example)
+        records.append({"guid": example.guid, "wrapped_text": layout.render(values)})
     write_jsonl(records, args.output)
     return 0
 
 
 def cmd_tokenize(args) -> int:
+    CONFIG_SCHEMA["max_len"].check("max_len", args.max_len)
     ast = _single_template(args)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
@@ -96,10 +102,11 @@ def cmd_tokenize(args) -> int:
         ast, build_soft_plan(ast, tokenizer), tokenizer, args.max_len, args.add_special_tokens
     )
     dataset = load_jsonl(args.dataset)
-    records = [
-        {"guid": example.guid, **template.encode(template.resolve(example)).to_dict()}
-        for example in dataset
-    ]
+    records = []
+    for example in dataset:
+        values = _staged("wrap", example.guid, template.resolve, example)
+        encoded = _staged("encode", example.guid, template.encode, values)
+        records.append({"guid": example.guid, **encoded.to_dict()})
     write_jsonl(records, args.output)
     return 0
 
@@ -131,7 +138,10 @@ def cmd_score(args) -> int:
     verbalizer = load_verbalizer(args.verbalizer, tokenizer)
     records = []
     for guid, rows in read_logits_records(args.logits_file, len(vocab)):
-        scores = project(rows, verbalizer, aggregation=aggregation)
+        try:
+            scores = project(rows, verbalizer, aggregation=aggregation)
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"{args.logits_file}: guid {guid!r}: {exc}") from None
         records.append({
             "guid": guid,
             "predicted_class": scores.predicted_label,
@@ -142,8 +152,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # each config field's flag has the field's name as its dest
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
+    overrides = {name: getattr(args, name) for name in CONFIG_SCHEMA}
     if args.config:
         cfg = PipelineConfig.from_file(args.config, overrides)
     else:
@@ -168,7 +177,9 @@ def _add_template_args(parser, with_index: bool = True) -> None:
 
 def _add_tokenizer_args(parser) -> None:
     parser.add_argument("--vocab", required=True, help="vocabulary file")
-    parser.add_argument("--tokenizer-kind", default="wordpiece", choices=TOKENIZER_KINDS)
+    parser.add_argument(
+        "--tokenizer-kind", default="wordpiece", **CONFIG_SCHEMA["tokenizer_kind"].flag
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,26 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", help="YAML or JSON config file")
-    p.add_argument("--templates", action="append", help="template file (repeatable)")
-    p.add_argument("--dataset")
-    p.add_argument("--vocab")
-    p.add_argument("--verbalizer")
-    p.add_argument("--tokenizer-kind", choices=TOKENIZER_KINDS)
-    p.add_argument("--max-len", type=int)
-    p.add_argument(
-        "--add-special-tokens", dest="add_special_tokens", action="store_true"
-    )
-    p.add_argument(
-        "--no-special-tokens", dest="add_special_tokens", action="store_false"
-    )
-    p.add_argument("--aggregation")
-    p.add_argument("--calibrate", action="store_true", default=None)
-    p.add_argument("--no-calibrate", dest="calibrate", action="store_false")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--logits-file")
-    p.add_argument("--frequency-file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_run, add_special_tokens=None)
+    # one flag per config field, and a boolean's negation; an absent flag is None
+    for name, setting in CONFIG_SCHEMA.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **setting.flag)
+        if setting.negation:
+            p.add_argument(setting.negation, dest=name, action="store_false")
+    p.set_defaults(func=cmd_run)
 
     return parser
 

@@ -43,7 +43,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -82,7 +82,9 @@ from .verbalizer import (
 from .wrapping import InputExample
 
 __all__ = [
+    "CONFIG_SCHEMA",
     "PipelineConfig",
+    "Setting",
     "ToyScorer",
     "LogitsFileScorer",
     "RunReport",
@@ -95,21 +97,66 @@ __all__ = [
 CONTENT_FREE_GUID = "__content_free__"
 
 
+@dataclass(frozen=True)
+class Setting:
+    """One config field's schema entry: its type rule and its ``run`` flag.
+
+    A ``path`` value in a config file is relative to the file. ``flag``
+    holds the field's ``add_argument`` keywords, and ``negation`` names a
+    boolean's store-false flag.
+    """
+
+    expected: str
+    accepts: Callable[[object], bool]
+    path: bool = False
+    positive: bool = False
+    flag: dict = field(default_factory=dict)
+    negation: str | None = None
+
+    def check(self, name: str, value) -> None:
+        """Raise :class:`~promptpipe.errors.ConfigError` unless ``value`` is valid."""
+        if not self.accepts(value):
+            raise ConfigError(f"{name!r} must be {self.expected}, got {value!r}")
+        if self.positive and value < 1:
+            raise ConfigError(f"{name} must be positive")
+
+
+_PATH = Setting("a file path", lambda v: isinstance(v, (str, os.PathLike)), path=True)
+_OPTIONAL_PATH = replace(_PATH, accepts=lambda v: v is None or _PATH.accepts(v))
+_PATHS = Setting(
+    "a list of file paths", lambda v: isinstance(v, list) and all(map(_PATH.accepts, v)),
+    path=True, flag={"action": "append", "help": "template file (repeatable)"},
+)
+_STRING = Setting("a string", lambda v: isinstance(v, str))
+_INTEGER = Setting(
+    "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), flag={"type": int}
+)
+_BOOLEAN = Setting("true or false", lambda v: isinstance(v, bool), flag={"action": "store_true"})
+
+
+def _setting(setting: Setting, default=MISSING, **kwargs):
+    return field(default=default, metadata={"setting": setting}, **kwargs)
+
+
 @dataclass
 class PipelineConfig:
-    templates: list[str] = field(default_factory=list)
-    dataset: str = ""
-    vocab: str = ""
-    verbalizer: str = ""
-    tokenizer_kind: str = "wordpiece"
-    max_len: int = 128
-    add_special_tokens: bool = True
-    aggregation: str = "mean_log_prob"
-    calibrate: bool = False
-    seed: int = 0
-    logits_file: str | None = None
-    frequency_file: str | None = None
-    output: str | None = None
+    """A run's settings; each field's :class:`Setting` is its type rule and ``run`` flag."""
+
+    templates: list[str] = _setting(_PATHS, default_factory=list)
+    dataset: str = _setting(_PATH, "")
+    vocab: str = _setting(_PATH, "")
+    verbalizer: str = _setting(_PATH, "")
+    tokenizer_kind: str = _setting(
+        replace(_STRING, flag={"choices": [kind.value for kind in TokenizerKind]}), "wordpiece"
+    )
+    max_len: int = _setting(replace(_INTEGER, positive=True), 128)
+    add_special_tokens: bool = _setting(replace(_BOOLEAN, negation="--no-special-tokens"), True)
+    aggregation: str = _setting(_STRING, "mean_log_prob")
+    calibrate: bool = _setting(replace(_BOOLEAN, negation="--no-calibrate"), False)
+    seed: int = _setting(_INTEGER, 0)
+    logits_file: str | None = _setting(_OPTIONAL_PATH, None)
+    frequency_file: str | None = _setting(_OPTIONAL_PATH, None)
+    output: str | None = _setting(_OPTIONAL_PATH, None)
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
@@ -137,25 +184,23 @@ class PipelineConfig:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
+        given = {k: v for k, v in (overrides or {}).items() if v is not None}
         # override keys are checked as file keys are
-        unknown = (set(raw) | set(overrides or {})) - {f.name for f in fields(cls)}
-        if isinstance(raw.get("templates"), str):
-            raw["templates"] = [raw["templates"]]
+        unknown = (set(raw) | set(overrides or {})) - CONFIG_SCHEMA.keys()
         try:
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-            _check_types(raw)  # before paths are resolved against the file
+            merged = {**raw, **given}
+            if isinstance(merged.get("templates"), str):
+                merged["templates"] = [merged["templates"]]
             # paths in the config file are relative to the file; override paths
             # are taken as given (the caller's working directory)
             base = Path(path).parent
-            if "templates" in raw:
-                raw["templates"] = [str(_resolve(base, p)) for p in raw["templates"]]
-            for name in _PATH_FIELDS:
-                if raw.get(name):
-                    raw[name] = str(_resolve(base, raw[name]))
-            merged = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
-            if isinstance(merged.get("templates"), str):
-                merged["templates"] = [merged["templates"]]
+            for name in raw.keys() - given.keys():
+                value, setting = merged[name], CONFIG_SCHEMA[name]
+                if setting.path and value and setting.accepts(value):
+                    many = isinstance(value, list)
+                    merged[name] = [str(base / p) for p in value] if many else str(base / value)
             cfg = cls(**merged)
             cfg.validate()
         except ConfigError as exc:
@@ -163,7 +208,8 @@ class PipelineConfig:
         return cfg
 
     def validate(self) -> None:
-        _check_types({f.name: getattr(self, f.name) for f in fields(self)})
+        for name, setting in CONFIG_SCHEMA.items():
+            setting.check(name, getattr(self, name))
         if not self.templates:
             raise ConfigError("config needs at least one template file")
         for name in ("dataset", "vocab", "verbalizer"):
@@ -173,45 +219,11 @@ class PipelineConfig:
             raise ConfigError(
                 "configure exactly one model interface: logits_file or frequency_file"
             )
-        if self.max_len < 1:
-            raise ConfigError("max_len must be positive")
         TokenizerKind.parse(self.tokenizer_kind)
         Aggregation.parse(self.aggregation)
 
 
-_INT_FIELDS = ("max_len", "seed")
-_BOOL_FIELDS = ("add_special_tokens", "calibrate")
-_OPTIONAL_FIELDS = ("logits_file", "frequency_file", "output")
-_PATH_FIELDS = ("dataset", "vocab", "verbalizer", *_OPTIONAL_FIELDS)
-
-
-def _check_types(values: dict) -> None:
-    """Raise :class:`~promptpipe.errors.ConfigError` for a config value of the wrong type."""
-    for name, value in values.items():
-        if name == "templates":
-            ok = isinstance(value, list) and all(isinstance(p, (str, os.PathLike)) for p in value)
-            expected = "a list of file paths"
-        elif name in _INT_FIELDS:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-            expected = "an integer"
-        elif name in _BOOL_FIELDS:
-            ok = isinstance(value, bool)
-            expected = "true or false"
-        elif name in _PATH_FIELDS:
-            ok = isinstance(value, (str, os.PathLike)) or (
-                value is None and name in _OPTIONAL_FIELDS
-            )
-            expected = "a file path"
-        else:
-            ok = isinstance(value, str)
-            expected = "a string"
-        if not ok:
-            raise ConfigError(f"{name!r} must be {expected}, got {value!r}")
-
-
-def _resolve(base: Path, path: str | Path) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() else base / p
+CONFIG_SCHEMA: dict[str, Setting] = {f.name: f.metadata["setting"] for f in fields(PipelineConfig)}
 
 
 class ToyScorer:
@@ -237,11 +249,17 @@ class ToyScorer:
         for token, value in frequencies.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"token {token!r} has non-numeric frequency {value!r}")
-            if not math.isfinite(value):
+            try:
+                number = float(value)
+            except OverflowError:
+                raise NonFiniteValue(
+                    f"token {token!r} has a frequency too large for a float"
+                ) from None
+            if not math.isfinite(number):
                 raise NonFiniteValue(f"token {token!r} has non-finite frequency {value!r}")
             index = vocab.ids.get(token)
             if index is not None:
-                row[index] = float(value)
+                row[index] = number
         self._row = row if project is None else project(row[None])[0]
         # a read-only zero-stride view; a call returns a slice of it, which
         # is cheaper than building a view or a copy per call
@@ -538,11 +556,18 @@ class _Pipeline:
                 except PromptPipeError as exc:
                     raise PipelineStageError(example.guid, stage, exc) from exc
         per_template = []
-        for scores, m, prior in zip(words, self.mask_counts, self.priors):
-            per_row = self.verbalizer.dense.aggregate(scores, self.aggregation, prior)
-            by_position = per_row.reshape(n, m, per_row.shape[-1]).swapaxes(0, 1)
-            per_template.append(sum_positions(by_position))
-        combined = np.stack(per_template).mean(axis=0)
+        # finite word scores can still overflow once summed; a row that does
+        # is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for scores, m, prior in zip(words, self.mask_counts, self.priors):
+                per_row = self.verbalizer.dense.aggregate(scores, self.aggregation, prior)
+                by_position = per_row.reshape(n, m, per_row.shape[-1]).swapaxes(0, 1)
+                per_template.append(sum_positions(by_position))
+            combined = np.stack(per_template).mean(axis=0)
+        finite = np.isfinite(combined).all(axis=1)
+        if not finite.all():
+            guid = examples[int(finite.argmin())].guid
+            raise NonFiniteValue(f"guid {guid!r} has class scores beyond the float64 range")
         classes = self.verbalizer.classes
         predicted = combined.argmax(axis=1).tolist()
         return [
@@ -591,7 +616,12 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         mask_count = template.measure(template.resolve(_content_free_example(template.ast)))
         # the projected content-free rows are exactly the priors that
         # ``calibrate`` measures from the rows themselves
-        priors.append(scorer.rows(CONTENT_FREE_GUID, mask_count))
+        prior = scorer.rows(CONTENT_FREE_GUID, mask_count)
+        if not np.isfinite(prior).all():
+            raise NonFiniteValue(
+                f"guid {CONTENT_FREE_GUID!r} has label-word scores beyond the float64 range"
+            )
+        priors.append(prior)
     pipeline = _Pipeline(
         templates=compiled,
         verbalizer=verbalizer,

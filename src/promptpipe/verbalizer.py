@@ -225,7 +225,8 @@ class DenseIndex:
         )
 
     def check_rows(self, logits) -> np.ndarray:
-        """``logits`` as a float64 ``(R, V)`` array wide enough for the label ids."""
+        """``logits`` as a float64 ``(R, V)`` array of finite values, wide enough
+        for the label ids."""
         rows = np.asarray(logits, dtype=np.float64)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
@@ -237,6 +238,8 @@ class DenseIndex:
             raise DimensionMismatch(
                 f"logits rows have width {rows.shape[1]} but label words use id {self.max_id}"
             )
+        if not np.isfinite(rows).all():
+            raise NonFiniteValue("logits hold a NaN or an infinity")
         return rows
 
     def check_prior(self, prior, positions: tuple[int, ...]) -> np.ndarray:
@@ -265,12 +268,15 @@ class DenseIndex:
 
         Each row is log-softmax normalized through its max and
         log-sum-exp; only the label columns are gathered, so the full
-        log-probability matrix is never built. Padding words score 0.
+        log-probability matrix is never built. Padding words score 0. Finite
+        logits that span more than the float64 range give ``-inf`` scores,
+        without a warning; the callers that aggregate them reject them.
         """
         peak = np.maximum.reduce(rows, axis=1)
         # C order whatever the layout of ``rows`` (a broadcast view, say),
         # so each row's sum runs exactly as np.sum over one 1-d row does
-        shifted = np.subtract(rows, peak[:, None], order="C")
+        with np.errstate(over="ignore"):
+            shifted = np.subtract(rows, peak[:, None], order="C")
         # gather on the flat (R, C*W*P) layout, cheaper than 4-d, before
         # ``shifted`` is exponentiated in place
         pieces = shifted[:, self.ids.reshape(-1)]
@@ -282,7 +288,8 @@ class DenseIndex:
         if n_pieces == 1:  # one piece per word: its mean is itself
             return pieces.reshape(len(rows), n_classes, n_words)
         pieces = pieces.reshape(len(rows), n_classes, n_words, n_pieces)
-        return np.add.reduce(pieces, axis=-1) / self.piece_counts
+        with np.errstate(over="ignore"):
+            return np.add.reduce(pieces, axis=-1) / self.piece_counts
 
     def aggregate(
         self,
@@ -332,8 +339,9 @@ def project(
     index = v.dense
     rows = index.check_rows(logits)
     prior = None if calibration is None else index.check_prior(calibration, (len(rows),))
-    totals = sum_positions(index.aggregate(index.word_scores(rows), aggregation, prior))
-    return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = sum_positions(index.aggregate(index.word_scores(rows), aggregation, prior))
+    return ClassScores(classes=v.classes, scores=tuple(_finite(totals).tolist()))
 
 
 def project_per_position(
@@ -374,8 +382,9 @@ def project_per_position(
         calibration = calibrations[position] if calibrations is not None else None
         prior = None if calibration is None else index.check_prior(calibration, ())
         words = index.word_scores(index.check_rows(row))
-        totals += index.aggregate(words, aggregation, prior)[0]
-    return ClassScores(classes=classes, scores=tuple(totals.tolist()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals += index.aggregate(words, aggregation, prior)[0]
+    return ClassScores(classes=classes, scores=tuple(_finite(totals).tolist()))
 
 
 def calibrate(
@@ -394,4 +403,15 @@ def calibrate(
     aggregating, so the content-free input itself scores 0 everywhere.
     """
     index = v.dense
-    return index.word_scores(index.check_rows(scores_fn(content_free_input)))
+    priors = index.word_scores(index.check_rows(scores_fn(content_free_input)))
+    if not np.isfinite(priors).all():
+        raise NonFiniteValue("content-free label-word scores are beyond the float64 range")
+    return priors
+
+
+def _finite(totals: np.ndarray) -> np.ndarray:
+    """``totals`` if every class score is finite; finite logits whose range
+    overflows float64 can give a score that is not."""
+    if not np.isfinite(totals).all():
+        raise NonFiniteValue("class scores are beyond the float64 range")
+    return totals

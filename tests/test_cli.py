@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
 import pytest
 
+from promptpipe import cli
 from promptpipe.cli import main
+from promptpipe.runner import PipelineConfig, RunReport
 
 
 def _bad_aggregation(fixtures, tmp):
@@ -74,6 +78,60 @@ def _sample_k_zero(fixtures, tmp):
     return argv, ["k_per_class must be >= 1, got 0"]
 
 
+def _frequency_run(fixtures, tmp, frequencies: str) -> list[str]:
+    path = tmp / "frequencies.json"
+    path.write_text(frequencies, encoding="utf-8")
+    return ["run", "--config", str(fixtures / "run_sentiment.yaml"), "--frequency-file", str(path),
+            "--output", str(tmp / "out.jsonl")]
+
+
+def _integer_frequency_beyond_float(fixtures, tmp):
+    argv = _frequency_run(fixtures, tmp, '{"great": 1' + "0" * 400 + "}")
+    return argv, [f"frequency file {tmp / 'frequencies.json'}", "'great'", "too large for a float"]
+
+
+def _class_score_beyond_float(fixtures, tmp):
+    # every label-word score is finite; positive's mean_log_prob sum is not
+    argv = _frequency_run(fixtures, tmp, '{"great": 1e308}')
+    return argv, ["guid 's1'", "beyond the float64 range"]
+
+
+def _score_beyond_float(fixtures, tmp):
+    tokens = (fixtures / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    row = [0.0] * len(tokens)
+    row[tokens.index("great")] = 1e308
+    logits = tmp / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "x", "mask_logits": [row]}) + "\n")
+    argv = ["score", "--logits-file", str(logits),
+            "--verbalizer", str(fixtures / "verbalizer.json"),
+            "--vocab", str(fixtures / "vocab.txt")]
+    return argv, [f"{logits}: guid 'x'", "beyond the float64 range"]
+
+
+def _wrap_missing_meta_key(fixtures, tmp):
+    template = tmp / "title.txt"
+    template.write_text('{"meta": "title"} {"mask"}\n')
+    argv = ["wrap", "--template-file", str(template),
+            "--dataset", str(fixtures / "sentiment.jsonl")]
+    return argv, ["stage 'wrap' failed for guid 's1'", "no meta value for key 'title'"]
+
+
+def _tokenize_template_too_long(fixtures, tmp):
+    template = tmp / "fixed.txt"
+    template.write_text('{"meta": "text", "shortenable": false} {"mask"}\n')
+    argv = ["tokenize", "--template-file", str(template), "--max-len", "8",
+            "--dataset", str(fixtures / "sentiment.jsonl"), "--vocab", str(fixtures / "vocab.txt")]
+    return argv, ["stage 'encode' failed for guid 's1'", "exceeds max_len 8"]
+
+
+def _tokenize_max_len_zero(fixtures, tmp):
+    template = tmp / "text.txt"
+    template.write_text('{"meta": "text"}\n')
+    argv = ["tokenize", "--template-file", str(template), "--max-len", "0", "--no-special-tokens",
+            "--dataset", str(fixtures / "sentiment.jsonl"), "--vocab", str(fixtures / "vocab.txt")]
+    return argv, ["max_len must be positive"]
+
+
 def _config_case(name: str, text: str, *expected: str):
     def case(fixtures, tmp):
         config = tmp / name
@@ -134,6 +192,12 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _bad_template_node,
         _text_initialized_soft_wrap,
         _sample_k_zero,
+        _integer_frequency_beyond_float,
+        _class_score_beyond_float,
+        _score_beyond_float,
+        _wrap_missing_meta_key,
+        _tokenize_template_too_long,
+        _tokenize_max_len_zero,
     ],
 )
 def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
@@ -146,3 +210,76 @@ def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
     for part in expected:
         assert part in lines[0]
     assert "Traceback" not in captured.err
+
+
+# (flags, the config fields they set): every spelling `run` accepts, with both
+# orders of each boolean pair (the last flag wins)
+_FLAG_SPELLINGS = [
+    ([], {}),
+    (["--templates", "a.txt"], {"templates": ["a.txt"]}),
+    (["--templates", "a.txt", "--templates", "b.txt"], {"templates": ["a.txt", "b.txt"]}),
+    (["--add-special-tokens"], {"add_special_tokens": True}),
+    (["--no-special-tokens"], {"add_special_tokens": False}),
+    (["--no-special-tokens", "--add-special-tokens"], {"add_special_tokens": True}),
+    (["--add-special-tokens", "--no-special-tokens"], {"add_special_tokens": False}),
+    (["--calibrate"], {"calibrate": True}),
+    (["--no-calibrate"], {"calibrate": False}),
+    (["--no-calibrate", "--calibrate"], {"calibrate": True}),
+    (["--calibrate", "--no-calibrate"], {"calibrate": False}),
+    (["--max-len", "7"], {"max_len": 7}),
+    (["--seed", "-3"], {"seed": -3}),
+    (["--tokenizer-kind", "whitespace"], {"tokenizer_kind": "whitespace"}),
+    (["--tokenizer-kind", "wordpiece"], {"tokenizer_kind": "wordpiece"}),
+    (["--dataset", "d.jsonl", "--vocab", "v.txt", "--verbalizer", "b.json",
+      "--aggregation", "max", "--output", "o.jsonl"],
+     {"dataset": "d.jsonl", "vocab": "v.txt", "verbalizer": "b.json", "aggregation": "max",
+      "output": "o.jsonl"}),
+    (["--frequency-file", "f.json"], {"frequency_file": "f.json"}),
+]
+
+
+def _run_config(monkeypatch, argv: list[str]) -> PipelineConfig:
+    """The config ``run`` builds from ``argv``, without running it."""
+    built = []
+
+    def run_pipeline(cfg):
+        built.append(cfg)
+        return RunReport(results=[], accuracy=None, n_examples=0, n_labeled=0)
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    assert main(["run", *argv]) == 0
+    return built[0]
+
+
+@pytest.mark.parametrize("flags, fields", _FLAG_SPELLINGS)
+def test_run_flags_parse_to_the_same_config(fixtures_dir, monkeypatch, capsys, flags, fields):
+    assert _run_config(monkeypatch, flags) == PipelineConfig(**fields)
+    config = fixtures_dir / "run_sentiment.yaml"
+    # an absent flag leaves the file's value; a given one overrides it
+    expected = dataclasses.replace(PipelineConfig.from_file(config), **fields)
+    assert _run_config(monkeypatch, ["--config", str(config), *flags]) == expected
+
+
+def test_logits_file_flag_parses(monkeypatch, capsys):
+    assert _run_config(monkeypatch, ["--logits-file", "l.jsonl"]) == PipelineConfig(
+        logits_file="l.jsonl"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-len", "x"], ["--seed", "1.5"], ["--tokenizer-kind", "sentencepiece"]]
+)
+def test_run_flag_types_are_checked_by_argparse(monkeypatch, capsys, flags):
+    with pytest.raises(SystemExit) as exit_:
+        _run_config(monkeypatch, flags)
+    assert exit_.value.code == 2
+
+
+def test_run_help_offers_one_flag_per_config_field(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    options = capsys.readouterr().out.split("options:")[1]
+    offered = re.findall(r"^  (--[a-z-]+)", options, flags=re.MULTILINE)
+    fields = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(PipelineConfig)]
+    negations = ["--no-special-tokens", "--no-calibrate"]
+    assert sorted(offered) == sorted(["--config", *fields, *negations])

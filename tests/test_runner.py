@@ -25,6 +25,7 @@ from promptpipe.errors import (
     ConfigError,
     DataError,
     GuidMismatch,
+    NonFiniteValue,
     PipelineStageError,
     PromptPipeError,
 )
@@ -275,6 +276,29 @@ def test_from_file_validates_the_merged_config_and_names_the_file(fixtures_dir, 
     with pytest.raises(ConfigError, match=f"^config file {config}: max_len must be positive"):
         PipelineConfig.from_file(config, {"tokenizer_kind": "whitespace", "max_len": 0})
     assert PipelineConfig.from_file(config, {"tokenizer_kind": "whitespace"}).max_len == 32
+
+
+def test_readme_config_example_has_exactly_the_config_fields(fixtures_dir):
+    import yaml
+
+    readme = (fixtures_dir.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file")[1].split("```yaml\n")[1].split("```")[0]
+    keys = sorted(yaml.safe_load(example))
+    assert keys == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+
+
+def test_calibration_priors_beyond_the_float_range_rejected(fixtures_dir, tmp_path):
+    tokens = (fixtures_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    row = [0.0] * len(tokens)
+    row[tokens.index("great")], row[tokens.index("bad")] = 1e308, -1e308
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "__content_free__", "mask_logits": [row]}) + "\n")
+    cfg = dataclasses.replace(
+        _config(fixtures_dir, tmp_path), logits_file=str(logits), frequency_file=None,
+        calibrate=True,
+    )
+    with pytest.raises(NonFiniteValue, match="'__content_free__' has label-word scores beyond"):
+        run_pipeline(cfg)
 
 
 def test_json_config_supported(fixtures_dir, tmp_path):
@@ -1108,7 +1132,9 @@ def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
         assert rows.tobytes() == np.asarray(records[guid], dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", '"high"'])
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", '"high"', pytest.param("1" + "0" * 400, id="1e400")]
+)
 def test_bad_toy_frequency_rejected_at_load(fixtures_dir, tmp_path, value):
     from promptpipe import Vocab
     from promptpipe.runner import ToyScorer

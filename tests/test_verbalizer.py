@@ -310,6 +310,44 @@ def test_non_finite_prior_rejected(toy, bad):
         project_per_position([row], [verb], calibrations=[calibration[0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_logits_rejected(toy, bad):
+    # check_rows gates project, project_per_position and calibrate
+    vocab, tok, verb = toy
+    row = _row(vocab, {"good": bad})
+    with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
+        project([row], verb)
+    with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
+        project_per_position([row], [verb])
+    with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
+        calibrate(lambda _: [row], verb, content_free_input=None)
+
+
+@pytest.mark.parametrize(
+    "values, aggregation",
+    [
+        # every word score is finite, but positive's sum of three is below -1.8e308
+        ({"great": 1e308}, "mean_log_prob"),
+        # bad's log-probability, about -2e308, is itself beyond the range
+        ({"great": 1e308, "bad": -1e308}, "mean_log_prob"),
+        ({"great": 1e308, "bad": -1e308}, "max"),
+        ({"great": 1e308, "bad": -1e308}, "first"),
+    ],
+)
+def test_finite_logits_beyond_the_float_range_give_an_error_not_a_warning(
+    toy, values, aggregation
+):
+    vocab, tok, verb = toy
+    row = _row(vocab, values)
+    with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
+        project([row], verb, aggregation=aggregation)
+    with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
+        project_per_position([row], [verb], aggregation=aggregation)
+    if "bad" in values:
+        with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
+            calibrate(lambda _: [row], verb, content_free_input=None)
+
+
 def test_nested_list_calibration_rejected(toy):
     # the old ragged per-class lists are not an (M, C, W) array
     vocab, tok, verb = toy
