@@ -13,14 +13,15 @@ a scorer's ``rows(guid, mask_count)`` gives that many rows.
 
 Examples run serially, and the per-example loop holds only per-example
 work: each example is wrapped, measured and scored template by template
-into one ``(N·M, C, W)`` array of label-word scores per template. A
+into one ``(N, M, C, W)`` array of label-word scores per template. A
 template's mask count is computed once (``TemplateAST.mask_count`` is
-cached). After the loop, each array is aggregated in one kernel call
-for the whole run, the predictions come from one ``argmax`` and the
-score lists from one ``tolist``, and the records are written through
-one JSON encoder (:func:`~promptpipe.textfile.write_jsonl`). Every row
-is reduced on its own, so output bytes do not depend on how many
-examples share a call.
+cached). After the loop, one aggregate call per template for the whole
+run sums each example's mask positions, one mean over templates (the
+one :func:`ensemble_scores` uses) ensembles the ``(N, C)`` class scores,
+the predictions come from one ``argmax`` and the score lists from one
+``tolist``, and the records are written through one JSON encoder
+(:func:`~promptpipe.textfile.write_jsonl`). Every example is reduced on
+its own, so output bytes do not depend on how many examples share a call.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
@@ -77,7 +78,6 @@ from .verbalizer import (
     ClassScores,
     Verbalizer,
     load_verbalizer,
-    sum_positions,
 )
 from .wrapping import InputExample
 
@@ -490,9 +490,22 @@ def ensemble_scores(per_template: Sequence[ClassScores]) -> ClassScores:
             raise ClassListMismatch(
                 f"class lists differ: {first.classes} vs {other.classes}"
             )
-    stacked = np.array([s.scores for s in per_template], dtype=np.float64)
-    mean = stacked.mean(axis=0)
+    stacked = np.array([[s.scores] for s in per_template], dtype=np.float64)
+    mean = _mean_over_templates(stacked)[0]
     return ClassScores(classes=first.classes, scores=tuple(float(v) for v in mean))
+
+
+def _mean_over_templates(stack: np.ndarray) -> np.ndarray:
+    """``(T, N, C)`` per-template class scores to their ``(N, C)`` mean.
+
+    The plain mean sums before it divides; only an example whose finite
+    scores overflow there is recomputed, as the sum of ``x / T``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = stack.mean(axis=0)
+        redo = ~np.isfinite(mean).all(axis=-1) & np.isfinite(stack).all(axis=(0, 2))
+        mean[redo] = np.add.reduce(stack[:, redo] / len(stack), axis=0)
+    return mean
 
 
 def evaluate_accuracy(
@@ -531,10 +544,9 @@ class _Pipeline:
 
     def process(self, examples: Sequence[InputExample]) -> list[dict]:
         """Results for ``examples``, with one aggregate call per template."""
-        n = len(examples)
-        words_shape = self.verbalizer.dense.word_mask.shape
-        # one C-ordered array of (M, C, W) word scores per example, per template
-        words = [np.empty((n * m, *words_shape)) for m in self.mask_counts]
+        index = self.verbalizer.dense
+        # one (N, M, C, W) array of word scores per template
+        words = [np.empty((len(examples), m, *index.word_mask.shape)) for m in self.mask_counts]
         texts = []
         for i, example in enumerate(examples):
             for t, template in enumerate(self.templates):
@@ -546,24 +558,14 @@ class _Pipeline:
                     stage = "encode"
                     m = template.measure(values)
                     stage = "score"
-                    rows = self.scorer.rows(example.guid, m)
-                    if len(rows) != m:
-                        raise DimensionMismatch(
-                            f"scorer returned {len(rows)} rows for {m} mask positions"
-                        )
-                    stage = "project"
-                    words[t][i * m : (i + 1) * m] = rows
+                    words[t][i] = self.scorer.rows(example.guid, m)
                 except PromptPipeError as exc:
                     raise PipelineStageError(example.guid, stage, exc) from exc
-        per_template = []
-        # finite word scores can still overflow once summed; a row that does
-        # is reported below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            for scores, m, prior in zip(words, self.mask_counts, self.priors):
-                per_row = self.verbalizer.dense.aggregate(scores, self.aggregation, prior)
-                by_position = per_row.reshape(n, m, per_row.shape[-1]).swapaxes(0, 1)
-                per_template.append(sum_positions(by_position))
-            combined = np.stack(per_template).mean(axis=0)
+        combined = _mean_over_templates(np.stack([
+            index.aggregate(scores, self.aggregation, prior)
+            for scores, prior in zip(words, self.priors)
+        ]))
+        # finite word scores can still overflow once summed
         finite = np.isfinite(combined).all(axis=1)
         if not finite.all():
             guid = examples[int(finite.argmin())].guid

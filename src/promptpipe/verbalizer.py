@@ -13,11 +13,11 @@ All projection goes through one kernel over a verbalizer's
 :func:`project_per_position` are thin callers of it. The kernel has two
 steps: :meth:`DenseIndex.word_scores`, the only one that reads whole
 vocabulary-wide rows, and :meth:`DenseIndex.aggregate`, which needs only
-the label-word scores, so a caller can keep those and drop the rows.
-Priors have that same form: :func:`calibrate` returns the content-free
-rows' ``(M, C, W)`` word scores, and :meth:`DenseIndex.check_prior` is
-the one check a prior passes before :meth:`DenseIndex.aggregate`
-subtracts it.
+the ``(M, C, W)`` label-word scores of one example (or ``(N, M, C, W)`` of
+many), so a caller can keep those and drop the rows. Priors have that
+same form: :func:`calibrate` returns the content-free rows' word scores,
+and :meth:`DenseIndex.check_prior` is the one check a prior passes before
+:meth:`DenseIndex.aggregate` subtracts it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "project",
     "project_per_position",
     "calibrate",
-    "sum_positions",
 ]
 
 
@@ -297,28 +296,25 @@ class DenseIndex:
         aggregation: Aggregation,
         prior: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``(R, C, W)`` :meth:`word_scores` to ``(R, C)`` class scores.
+        """``(..., M, C, W)`` :meth:`word_scores` to ``(..., C)`` class scores.
 
-        ``prior`` is an ``(M, C, W)`` :meth:`check_prior` array; rows come in
-        groups of M mask positions, and row ``r`` has the priors of
-        position ``r % M`` subtracted from its word scores before the
-        class's words are aggregated.
+        An ``(M, C, W)`` :meth:`check_prior` ``prior`` is subtracted before each
+        class's words are aggregated; the M positions are then summed left to
+        right. A sum that overflows gives an infinity, without a warning.
         """
-        if prior is not None:
-            words = (words.reshape(-1, *prior.shape) - prior).reshape(words.shape)
-        if aggregation is Aggregation.MEAN_LOG_PROB:
-            return np.add.reduce(words, axis=-1) / self.word_counts
-        if aggregation is Aggregation.MAX:
-            return np.where(self.word_mask, words, -np.inf).max(axis=-1)
-        return words[:, :, 0]
-
-
-def sum_positions(scores: np.ndarray) -> np.ndarray:
-    """Sum ``(M, ...)`` per-mask-position scores over M, left to right."""
-    totals = scores[0]
-    for position in range(1, len(scores)):
-        totals = totals + scores[position]
-    return totals
+        with np.errstate(over="ignore", invalid="ignore"):
+            if prior is not None:
+                words = words - prior
+            if aggregation is Aggregation.MEAN_LOG_PROB:
+                per_position = np.add.reduce(words, axis=-1) / self.word_counts
+            elif aggregation is Aggregation.MAX:
+                per_position = np.where(self.word_mask, words, -np.inf).max(axis=-1)
+            else:
+                per_position = words[..., 0]
+            totals = per_position[..., 0, :]
+            for position in range(1, per_position.shape[-2]):
+                totals = totals + per_position[..., position, :]
+        return totals
 
 
 def project(
@@ -339,8 +335,7 @@ def project(
     index = v.dense
     rows = index.check_rows(logits)
     prior = None if calibration is None else index.check_prior(calibration, (len(rows),))
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = sum_positions(index.aggregate(index.word_scores(rows), aggregation, prior))
+    totals = index.aggregate(index.word_scores(rows), aggregation, prior)
     return ClassScores(classes=v.classes, scores=tuple(_finite(totals).tolist()))
 
 
@@ -381,9 +376,9 @@ def project_per_position(
         index = v.dense
         calibration = calibrations[position] if calibrations is not None else None
         prior = None if calibration is None else index.check_prior(calibration, ())
-        words = index.word_scores(index.check_rows(row))
+        scores = index.aggregate(index.word_scores(index.check_rows(row)), aggregation, prior)
         with np.errstate(over="ignore", invalid="ignore"):
-            totals += index.aggregate(words, aggregation, prior)[0]
+            totals += scores
     return ClassScores(classes=classes, scores=tuple(_finite(totals).tolist()))
 
 

@@ -61,8 +61,8 @@ class Segment:
     loss: bool = False
 
     def __post_init__(self):
-        if self.is_mask and not self.loss:
-            raise ConflictingAttributes("mask segments carry the loss flag")
+        if self.is_mask != self.loss:
+            raise ConflictingAttributes("mask segments carry the loss flag, and no other does")
         if self.soft_slot is not None and (self.is_mask or self.text):
             raise ConflictingAttributes("soft segments have no text and are not masks")
 

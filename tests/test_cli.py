@@ -212,6 +212,17 @@ def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
     assert "Traceback" not in captured.err
 
 
+def test_ensemble_of_finite_scores_near_the_float_limit_is_finite(fixtures_dir, tmp_path):
+    # each template scores negative at about -1e308: finite, while the sum of
+    # two such scores is not
+    template = str(fixtures_dir / "template_sentiment.txt")
+    argv = _frequency_run(fixtures_dir, tmp_path, '{"great": 1e308}') + ["--aggregation", "max"]
+    assert main(argv + ["--templates", template]) == 0
+    single = (tmp_path / "out.jsonl").read_bytes()
+    assert main(argv + ["--templates", template] * 2) == 0
+    assert (tmp_path / "out.jsonl").read_bytes() == single
+
+
 # (flags, the config fields they set): every spelling `run` accepts, with both
 # orders of each boolean pair (the last flag wins)
 _FLAG_SPELLINGS = [

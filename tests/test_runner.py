@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,6 +53,14 @@ def test_ensemble_means_and_tie_breaks_low_index():
 def test_ensemble_of_identical_scores_is_unchanged():
     s = scores(-0.5, -1.5)
     assert ensemble_scores([s, s, s]) == s
+
+
+def test_ensemble_of_finite_scores_is_finite():
+    # the plain mean sums before dividing: -1e308 + -1e308 overflows
+    s = scores(-1e308, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ensemble_scores([s, s]) == s
 
 
 def test_ensemble_rejects_mismatched_classes():
@@ -698,10 +707,10 @@ def test_runner_buffers_hold_word_scores_not_vocabulary_rows(
 
     monkeypatch.setattr(DenseIndex, "aggregate", spy)
     pipeline.process(dataset.examples)
-    # one call per template for the whole run, over (N·M, C, W) word scores
+    # one call per template for the whole run, over (N, M, C, W) word scores
     words_shape = pipeline.verbalizer.dense.word_mask.shape
     assert calls == [
-        ((n * m, *words_shape), (m, *words_shape) if cfg.calibrate else None)
+        ((n, m, *words_shape), (m, *words_shape) if cfg.calibrate else None)
         for m in pipeline.mask_counts
     ]
 

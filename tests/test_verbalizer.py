@@ -5,9 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptpipe import (
     Aggregation,
+    Verbalizer,
     Vocab,
     build_tokenizer,
     build_verbalizer,
@@ -367,6 +370,36 @@ def test_self_calibrated_content_free_logits_score_zero(toy, n_masks, aggregatio
     assert len(calibration) == n_masks
     scores = project(rows, verb, aggregation=aggregation, calibration=calibration).scores
     assert scores == (0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    words_per_class=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+    n=st.integers(0, 40),
+    n_masks=st.integers(1, 3),
+    aggregation=st.sampled_from(Aggregation),
+    calibrated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_reduces_each_example_on_its_own(
+    words_per_class, n, n_masks, aggregation, calibrated, seed
+):
+    # classes with fewer words are padded; from 8 words a class sum is pairwise
+    classes = tuple(f"c{k}" for k in range(len(words_per_class)))
+    ids = {c: tuple((w,) for w in range(k)) for c, k in zip(classes, words_per_class)}
+    index = Verbalizer(classes, {c: ("w",) * len(ids[c]) for c in classes}, ids).dense
+    shape = (n_masks, *index.word_mask.shape)
+    rng = np.random.default_rng(seed)
+    # padding words score 0, as word_scores gives them
+    words = np.where(index.word_mask, rng.uniform(-30, 0, (n, *shape)), 0.0)
+    prior = None
+    if calibrated:
+        prior = index.check_prior(rng.uniform(-30, 0, shape), (n_masks,))
+    together = index.aggregate(words, aggregation, prior)
+    assert together.shape == (n, len(classes))
+    for i in range(n):
+        alone = index.aggregate(words[i], aggregation, prior)
+        assert together[i].tobytes() == alone.tobytes()
 
 
 # --- per-position verbalizers ----------------------------------------------------

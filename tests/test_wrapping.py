@@ -29,6 +29,7 @@ def test_example_guid_must_be_non_empty():
         ({"is_mask": True}, "mask segments carry the loss flag"),
         ({"soft_slot": 0, "is_mask": True, "loss": True}, "soft segments have no text"),
         ({"soft_slot": 0, "text": "x"}, "soft segments have no text"),
+        ({"text": "great", "loss": True}, "and no other does"),
     ],
 )
 def test_segment_flag_conflicts_raise_conflicting_attributes(flags, message):
