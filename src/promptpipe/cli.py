@@ -98,9 +98,7 @@ def cmd_tokenize(args) -> int:
     ast = _single_template(args)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
-    template = CompiledTemplate(
-        ast, build_soft_plan(ast, tokenizer), tokenizer, args.max_len, args.add_special_tokens
-    )
+    template = CompiledTemplate(ast, tokenizer, args.max_len, args.add_special_tokens)
     dataset = load_jsonl(args.dataset)
     records = []
     for example in dataset:

@@ -63,7 +63,6 @@ from .errors import (
     PipelineStageError,
     PromptPipeError,
 )
-from .soft_plan import build_soft_plan
 from .template import TemplateAST, load_template_file
 from .textfile import read_text, write_jsonl
 from .tokenization import (
@@ -587,7 +586,11 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     cfg.validate()
     templates: list[TemplateAST] = []
     for path in cfg.templates:
-        templates.extend(load_template_file(path))
+        for ast in load_template_file(path):
+            # class scores sum over mask positions: a template needs one
+            if ast.mask_count == 0:
+                raise ConfigError(f"{path}: template {ast.source!r}: template has no mask node")
+            templates.append(ast)
     if not templates:
         raise ConfigError("template files define no templates")
     vocab = Vocab.from_file(cfg.vocab)
@@ -603,10 +606,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         assert cfg.frequency_file is not None
         scorer = ToyScorer.from_file(cfg.frequency_file, vocab, project)
     compiled = [
-        CompiledTemplate(
-            ast, build_soft_plan(ast, tokenizer), tokenizer, cfg.max_len, cfg.add_special_tokens
-        )
-        for ast in templates
+        CompiledTemplate(ast, tokenizer, cfg.max_len, cfg.add_special_tokens) for ast in templates
     ]
     dataset = load_jsonl(cfg.dataset)
 

@@ -1,18 +1,20 @@
 """Soft-token slot planning: which trainable embedding slots exist, how
 soft nodes share them, and which token ids initialize them.
 
-Slot layout rules (deterministic, independent of examples):
+Slot layout rules (deterministic, independent of examples). One walk
+over the template's nodes allocates each slot block once, in node order:
 
-* An ungrouped soft node with initialization text of k tokens expands to
-  k fresh slots (one token id per slot); with no text and duplicate=n it
-  expands to n fresh uninitialized slots; text with duplicate=d repeats
-  the k-slot block d times (k*d fresh slots).
-* Nodes sharing a ``soft_id`` reference one slot block. The block is
-  sized by the group's unique initialization text (or a single
-  uninitialized slot when no group node carries text) and allocated at
-  the group's first occurrence in node order. Every occurrence emits the
-  shared block, repeated by its own ``duplicate``; no new slots are
-  created for repeat occurrences.
+* An ungrouped soft node gets fresh slots for each of its ``duplicate``
+  copies: one slot per token of its initialization text (one token id
+  per slot), or a single uninitialized slot when it has no text. Its
+  slots note its post-processing.
+* Nodes sharing a ``soft_id`` reference one slot block, allocated at the
+  group's first node. The block takes the group's initialization text
+  (one per group, whichever node carries it) and the first
+  post-processing note of any of the group's nodes, and is a single
+  uninitialized slot when no group node carries text. Every node of the
+  group emits the shared block, repeated by its own ``duplicate``; no
+  new slots are created for later nodes.
 
 Slot ids are dense and assigned in node order, so re-planning the same
 template always yields the same table.
@@ -21,11 +23,11 @@ template always yields the same table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import ConfigError
-from .template import NodeKind, TemplateAST
+from .template import NodeKind, TemplateAST, TemplateNode
 
 __all__ = ["SlotSpec", "SoftEmbeddingPlan", "build_soft_plan", "assign_soft_slots"]
 
@@ -50,96 +52,53 @@ class SoftEmbeddingPlan:
         return len(self.slots)
 
     def to_json(self) -> str:
-        payload = {
-            "slots": [
-                {
-                    "slot_id": s.slot_id,
-                    "share_group": s.share_group,
-                    "init_token_ids": list(s.init_token_ids)
-                    if s.init_token_ids is not None
-                    else None,
-                    "trainable": s.trainable,
-                    "post_processing_note": s.post_processing_note,
-                }
-                for s in self.slots
-            ]
-        }
-        return json.dumps(payload, indent=2)
+        # SlotSpec's field order is the JSON's; tuples serialize as lists
+        return json.dumps({"slots": [asdict(s) for s in self.slots]}, indent=2)
 
 
 def _layout(
     ast: TemplateAST, encode: Callable[[str], list[int]] | None
 ) -> tuple[list[SlotSpec], list[tuple[int, ...]]]:
-    group_texts: dict[int, str | None] = {}
-    group_notes: dict[int, str | None] = {}
-    for node in ast.nodes:
-        if node.kind is NodeKind.SOFT and node.soft_id is not None:
-            # TemplateAST allows one init text per group: the first found
-            group_texts[node.soft_id] = group_texts.get(node.soft_id) or node.text or None
-            note = node.post_processing.value if node.post_processing else None
-            if node.soft_id not in group_notes or (
-                group_notes[node.soft_id] is None and note is not None
-            ):
-                group_notes[node.soft_id] = note
-
-    def init_ids(text: str | None) -> list[int] | None:
-        if text is None:
-            return None
-        if encode is None:
-            raise ConfigError(
-                "template has text-initialized soft nodes, whose slots depend on "
-                "a tokenizer; build a soft plan with one first"
-            )
-        return encode(text)
-
     slots: list[SlotSpec] = []
-    group_blocks: dict[int, list[int]] = {}
+    blocks: dict[int, tuple[int, ...]] = {}  # per soft_id, its shared block
     node_slots: list[tuple[int, ...]] = []
-
-    def allocate(
-        text: str | None, share_group: int | None, duplicate: int, note: str | None
-    ) -> list[int]:
-        ids = init_ids(text)
-        block: list[int] = []
-        for _ in range(duplicate):
-            if ids is None:
-                slots.append(
-                    SlotSpec(
-                        slot_id=len(slots),
-                        share_group=share_group,
-                        post_processing_note=note,
-                    )
-                )
-                block.append(slots[-1].slot_id)
-            else:
-                for tid in ids:
-                    slots.append(
-                        SlotSpec(
-                            slot_id=len(slots),
-                            share_group=share_group,
-                            init_token_ids=(tid,),
-                            post_processing_note=note,
-                        )
-                    )
-                    block.append(slots[-1].slot_id)
-        return block
-
     for node in ast.nodes:
+        gid = node.soft_id
         if node.kind is not NodeKind.SOFT:
             node_slots.append(())
-            continue
-        note = node.post_processing.value if node.post_processing else None
-        if node.soft_id is None:
-            emitted = allocate(node.text, None, node.duplicate, note)
+        elif gid is None:
+            node_slots.append(_allocate(slots, [node], node.text, None, node.duplicate, encode))
         else:
-            gid = node.soft_id
-            if gid not in group_blocks:
-                group_blocks[gid] = allocate(
-                    group_texts[gid], gid, 1, group_notes.get(gid)
-                )
-            emitted = group_blocks[gid] * node.duplicate
-        node_slots.append(tuple(emitted))
+            if gid not in blocks:
+                group = [n for n in ast.nodes if n.soft_id == gid]
+                text = next((n.text for n in group if n.text), None)
+                blocks[gid] = _allocate(slots, group, text, gid, 1, encode)
+            node_slots.append(blocks[gid] * node.duplicate)
     return slots, node_slots
+
+
+def _allocate(
+    slots: list[SlotSpec], nodes: list[TemplateNode], text: str | None,
+    share_group: int | None, copies: int, encode: Callable[[str], list[int]] | None,
+) -> tuple[int, ...]:
+    """Append ``copies`` fresh blocks for ``nodes`` to ``slots`` and return
+    their slot ids. A block is one slot per token of ``text``, or one
+    uninitialized slot without text; each slot notes the first
+    post-processing of ``nodes``."""
+    if text is None:
+        inits: list[tuple[int, ...] | None] = [None]
+    elif encode is None:
+        raise ConfigError(
+            "template has text-initialized soft nodes, whose slots depend on "
+            "a tokenizer; build a soft plan with one first"
+        )
+    else:
+        inits = [(tid,) for tid in encode(text)]
+    note = next((n.post_processing.value for n in nodes if n.post_processing), None)
+    start = len(slots)
+    for init in inits * copies:
+        slots.append(SlotSpec(len(slots), share_group, init, post_processing_note=note))
+    return tuple(range(start, len(slots)))
 
 
 def build_soft_plan(ast: TemplateAST, tokenizer) -> SoftEmbeddingPlan:

@@ -35,7 +35,7 @@ from .errors import (
     TemplateTooLong,
     VocabError,
 )
-from .soft_plan import SoftEmbeddingPlan
+from .soft_plan import build_soft_plan
 from .template import TemplateAST
 from .textfile import read_text
 from .wrapping import Segment, TemplateLayout, WrappedSequence
@@ -425,29 +425,29 @@ def encode_wrapped(
 
 
 class CompiledTemplate(TemplateLayout):
-    """A template's layout bound to a soft plan, a tokenizer and encoding settings.
+    """A template's layout bound to a tokenizer and encoding settings.
 
-    Built once per template, it holds the run of every segment of its
-    layout already encoded: the ids of each literal text, and one
-    placeholder position per mask and per soft slot. Per example it
-    resolves the meta values and renders the text as its layout does;
-    :meth:`measure` checks the length rule, tokenizing only the
-    non-shortenable values, and :meth:`encode` also tokenizes the
-    shortenable ones (the rightmost only to its budget) and lays out the
-    arrays. The results, errors included, equal those of ``wrap_example``,
-    ``wrapped_text`` and :func:`encode_wrapped`.
+    Built once per template, it plans the template's soft slots with its
+    own tokenizer (:func:`~promptpipe.soft_plan.build_soft_plan`) and
+    holds the run of every segment of its layout already encoded: the ids
+    of each literal text, and one placeholder position per mask and per
+    soft slot. Per example it resolves the meta values and renders the
+    text as its layout does; :meth:`measure` checks the length rule,
+    tokenizing only the non-shortenable values, and :meth:`encode` also
+    tokenizes the shortenable ones (the rightmost only to its budget) and
+    lays out the arrays. The results, errors included, equal those of
+    ``wrap_example``, ``wrapped_text`` and :func:`encode_wrapped`.
     """
 
     def __init__(
         self,
         ast: TemplateAST,
-        plan: SoftEmbeddingPlan,
         tokenizer,
         max_len: int,
         add_special_tokens: bool = True,
         objective: str = "mlm",
     ):
-        super().__init__(ast, plan.node_slots)
+        super().__init__(ast, build_soft_plan(ast, tokenizer).node_slots)
         self.tokenizer = tokenizer
         self.max_len = max_len
         self.add_special_tokens = add_special_tokens

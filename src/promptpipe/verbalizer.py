@@ -301,7 +301,15 @@ class DenseIndex:
         An ``(M, C, W)`` :meth:`check_prior` ``prior`` is subtracted before each
         class's words are aggregated; the M positions are then summed left to
         right. A sum that overflows gives an infinity, without a warning.
+        Scores of another shape, or with no mask position, raise
+        :class:`~promptpipe.errors.DimensionMismatch`.
         """
+        shape = words.shape[-3:]
+        if len(shape) < 3 or shape[0] == 0 or shape[1:] != self.word_mask.shape:
+            raise DimensionMismatch(
+                f"word scores have shape {words.shape}, expected (..., M, "
+                f"{', '.join(map(str, self.word_mask.shape))}) with M >= 1"
+            )
         with np.errstate(over="ignore", invalid="ignore"):
             if prior is not None:
                 words = words - prior

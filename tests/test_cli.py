@@ -132,6 +132,15 @@ def _tokenize_max_len_zero(fixtures, tmp):
     return argv, ["max_len must be positive"]
 
 
+def _run_template_without_mask(fixtures, tmp):
+    # class scores sum over mask positions, so set-up rejects the template
+    source = 'It was {"meta": "text"}'
+    template = tmp / "nomask.txt"
+    template.write_text(source + "\n", encoding="utf-8")
+    argv = _frequency_run(fixtures, tmp, "{}") + ["--templates", str(template)]
+    return argv, [f"{template}: template {source!r}: template has no mask node"]
+
+
 def _config_case(name: str, text: str, *expected: str):
     def case(fixtures, tmp):
         config = tmp / name
@@ -198,6 +207,7 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _wrap_missing_meta_key,
         _tokenize_template_too_long,
         _tokenize_max_len_zero,
+        _run_template_without_mask,
     ],
 )
 def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):

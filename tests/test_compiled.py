@@ -145,7 +145,7 @@ def test_compiled_template_equals_reference_path(case, data):
     plan = build_soft_plan(ast, tokenizer)
     max_len = data.draw(st.sampled_from(
         _max_lens(ast, example, tokenizer, plan, add_specials, objective)))
-    template = CompiledTemplate(ast, plan, tokenizer, max_len, add_specials, objective)
+    template = CompiledTemplate(ast, tokenizer, max_len, add_specials, objective)
 
     def reference():
         wrapped = reference_wrap(ast, example, plan)
@@ -167,7 +167,7 @@ def test_measure_raises_what_encode_raises_or_counts_its_masks(case, data):
     plan = build_soft_plan(ast, tokenizer)
     max_len = data.draw(st.sampled_from(
         _max_lens(ast, example, tokenizer, plan, add_specials, objective)))
-    template = CompiledTemplate(ast, plan, tokenizer, max_len, add_specials, objective)
+    template = CompiledTemplate(ast, tokenizer, max_len, add_specials, objective)
     values = template.resolve(example)
     assert _outcome(lambda: template.measure(values)) == _outcome(
         lambda: len(template.encode(values).mask_positions))
@@ -202,7 +202,7 @@ def test_measure_finds_an_empty_generation_slot_as_encode_does(kind, nodes, valu
     tokenizer = TOKENIZERS[kind]
     ast = TemplateAST(nodes=nodes)
     plan = build_soft_plan(ast, tokenizer)
-    template = CompiledTemplate(ast, plan, tokenizer, max_len, False, "lm")
+    template = CompiledTemplate(ast, tokenizer, max_len, False, "lm")
     example = InputExample(guid="g", meta={"a": value})
     values = template.resolve(example)
     want = _outcome(lambda: len(encode_wrapped(reference_wrap(ast, example, plan), tokenizer,
@@ -217,7 +217,7 @@ def test_missing_meta_key_raised_alike(kind):
     ast = parse_template('{"meta": "a"} {"mask"} {"meta": "b"} {"meta": "c"}')
     plan = build_soft_plan(ast, tokenizer)
     example = InputExample(guid="g", meta={"a": "great", "c": ""})
-    template = CompiledTemplate(ast, plan, tokenizer, 32)
+    template = CompiledTemplate(ast, tokenizer, 32)
     with pytest.raises(MissingMetaKey) as want:
         reference_wrap(ast, example, plan)
     with pytest.raises(MissingMetaKey) as got:
@@ -231,7 +231,7 @@ def test_template_too_long_raised_alike(kind):
     ast = parse_template('{"meta": "a", "shortenable": False} It is {"mask"} {"meta": "b"}')
     plan = build_soft_plan(ast, tokenizer)
     example = InputExample(guid="g", meta={"a": "the great movie", "b": "great " * 50})
-    template = CompiledTemplate(ast, plan, tokenizer, 6)
+    template = CompiledTemplate(ast, tokenizer, 6)
     with pytest.raises(TemplateTooLong) as want:
         encode_wrapped(reference_wrap(ast, example, plan), tokenizer, 6)
     with pytest.raises(TemplateTooLong) as got:
@@ -251,7 +251,7 @@ def test_last_shortenable_field_is_tokenized_only_to_its_budget():
     tokenizer = Counting(TOKENIZERS["wordpiece"])
     ast = parse_template('a {"mask"} news: {"meta": "title"} {"meta": "body"}')
     plan = build_soft_plan(ast, tokenizer)
-    template = CompiledTemplate(ast, plan, tokenizer, 16)
+    template = CompiledTemplate(ast, tokenizer, 16)
     example = InputExample(guid="g", meta={"title": "the movie", "body": "greatest " * 400})
     tokenizer.limits.clear()
     encoded = template.encode(template.resolve(example))

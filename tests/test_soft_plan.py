@@ -3,15 +3,22 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptpipe import (
     InputExample,
+    NodeKind,
+    PostProcessing,
+    TemplateAST,
+    TemplateNode,
     build_soft_plan,
     parse_template,
     wrap_example,
 )
+from promptpipe.cli import main
 from promptpipe.errors import ConfigError
-from promptpipe.soft_plan import assign_soft_slots
+from promptpipe.soft_plan import SlotSpec, assign_soft_slots
 
 
 def test_shared_slot_initialized_once(wordpiece):
@@ -129,3 +136,147 @@ def test_plan_json_export_shape(wordpiece):
         "post_processing_note": None,
     }
     assert payload["slots"][1]["init_token_ids"] is None
+
+
+# --- the plan golden -----------------------------------------------------------------
+
+
+def test_plan_command_reproduces_the_showcase_golden(fixtures_dir, tmp_path):
+    # the golden is the `plan` output of templates 0-6 of the showcase file, joined in order
+    outputs = []
+    for index in range(7):
+        out = tmp_path / f"plan_{index}.json"
+        argv = ["plan", "--template-file", str(fixtures_dir / "templates_showcase.txt"),
+                "--template-index", str(index), "--vocab", str(fixtures_dir / "vocab.txt"),
+                "--output", str(out)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert b"".join(outputs) == (fixtures_dir / "golden" / "plan_showcase.txt").read_bytes()
+
+
+# --- the two-walk layout this module replaced, as an oracle --------------------------
+
+
+def _reference_layout(ast, encode):
+    group_texts: dict[int, str | None] = {}
+    group_notes: dict[int, str | None] = {}
+    for node in ast.nodes:
+        if node.kind is NodeKind.SOFT and node.soft_id is not None:
+            group_texts[node.soft_id] = group_texts.get(node.soft_id) or node.text or None
+            note = node.post_processing.value if node.post_processing else None
+            if node.soft_id not in group_notes or (
+                group_notes[node.soft_id] is None and note is not None
+            ):
+                group_notes[node.soft_id] = note
+
+    def init_ids(text):
+        if text is None:
+            return None
+        if encode is None:
+            raise ConfigError(
+                "template has text-initialized soft nodes, whose slots depend on "
+                "a tokenizer; build a soft plan with one first"
+            )
+        return encode(text)
+
+    slots: list[SlotSpec] = []
+    group_blocks: dict[int, list[int]] = {}
+    node_slots: list[tuple[int, ...]] = []
+
+    def allocate(text, share_group, duplicate, note):
+        ids = init_ids(text)
+        block: list[int] = []
+        for _ in range(duplicate):
+            if ids is None:
+                slots.append(
+                    SlotSpec(slot_id=len(slots), share_group=share_group,
+                             post_processing_note=note)
+                )
+                block.append(slots[-1].slot_id)
+            else:
+                for tid in ids:
+                    slots.append(
+                        SlotSpec(slot_id=len(slots), share_group=share_group,
+                                 init_token_ids=(tid,), post_processing_note=note)
+                    )
+                    block.append(slots[-1].slot_id)
+        return block
+
+    for node in ast.nodes:
+        if node.kind is not NodeKind.SOFT:
+            node_slots.append(())
+            continue
+        note = node.post_processing.value if node.post_processing else None
+        if node.soft_id is None:
+            emitted = allocate(node.text, None, node.duplicate, note)
+        else:
+            gid = node.soft_id
+            if gid not in group_blocks:
+                group_blocks[gid] = allocate(group_texts[gid], gid, 1, group_notes.get(gid))
+            emitted = group_blocks[gid] * node.duplicate
+        node_slots.append(tuple(emitted))
+    return slots, node_slots
+
+
+def _reference_json(slots) -> str:
+    payload = {
+        "slots": [
+            {
+                "slot_id": s.slot_id,
+                "share_group": s.share_group,
+                "init_token_ids": list(s.init_token_ids)
+                if s.init_token_ids is not None
+                else None,
+                "trainable": s.trainable,
+                "post_processing_note": s.post_processing_note,
+            }
+            for s in slots
+        ]
+    }
+    return json.dumps(payload, indent=2)
+
+
+# an empty text and blank text tokenize to no ids; "zzz" is [UNK]
+_INIT_TEXTS = ["It was", "great", "Does the first sentence", "zzz", "", " "]
+_OTHER_NODES = [TemplateNode(NodeKind.MASK), TemplateNode(NodeKind.TEXT, text="a"),
+                TemplateNode(NodeKind.META, meta_key="x")]
+
+
+@st.composite
+def _soft_template(draw) -> TemplateAST:
+    # one init text per group (a group may carry none), as TemplateAST allows
+    group_texts = {gid: draw(st.sampled_from(_INIT_TEXTS)) for gid in (1, 2, 3)}
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            nodes.append(draw(st.sampled_from(_OTHER_NODES)))
+            continue
+        gid = draw(st.none() | st.integers(1, 3))
+        choices = _INIT_TEXTS if gid is None else [group_texts[gid]]
+        nodes.append(TemplateNode(
+            NodeKind.SOFT,
+            text=draw(st.none() | st.sampled_from(choices)),
+            soft_id=gid,
+            duplicate=draw(st.integers(1, 4)),
+            post_processing=draw(st.none() | st.sampled_from(list(PostProcessing))),
+        ))
+    return TemplateAST(nodes=tuple(nodes))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ConfigError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ast=_soft_template())
+def test_one_walk_layout_equals_the_two_walk_reference(wordpiece, ast):
+    plan = build_soft_plan(ast, wordpiece)
+    slots, node_slots = _reference_layout(ast, wordpiece.encode)
+    assert plan.slots == tuple(slots)
+    assert plan.node_slots == tuple(node_slots)
+    assert plan.to_json() == _reference_json(slots)
+    assert _outcome(lambda: assign_soft_slots(ast)) == _outcome(
+        lambda: tuple(_reference_layout(ast, None)[1]))

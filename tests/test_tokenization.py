@@ -102,6 +102,13 @@ def test_wordpiece_unmatched_word_is_unk(wordpiece, vocab):
     assert wordpiece.tokenize("zzzz great") == ["[UNK]", "great"]
 
 
+def test_wordpiece_has_no_word_length_cut_off(wordpiece, vocab):
+    # BERT's max_input_chars_per_word would map a word over 100 characters to [UNK]
+    pieces = wordpiece.tokenize("a" * 150)
+    assert pieces == ["a"] + ["##a"] * 149
+    assert wordpiece.encode("a" * 150) == [vocab.ids[piece] for piece in pieces]
+
+
 def _oracle_pieces(word: str, ids: dict[str, int]) -> list[str] | None:
     """Recursive greedy longest-prefix matcher, independent of the library."""
     if not word:

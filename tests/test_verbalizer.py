@@ -402,6 +402,17 @@ def test_aggregate_reduces_each_example_on_its_own(
         assert together[i].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2, 2), (2, 2), (1, 2, 3), (1, 3, 2)])
+def test_aggregate_rejects_no_mask_position_or_another_shape(aggregation, shape):
+    # a template without a mask gives (N, 0, C, W) word scores: no class score to sum
+    ids = {"a": ((0,), (1,)), "b": ((2,),)}
+    index = Verbalizer(("a", "b"), {"a": ("x", "y"), "b": ("z",)}, ids).dense
+    assert index.word_mask.shape == (2, 2)
+    with pytest.raises(DimensionMismatch, match=r"word scores have shape .*M >= 1"):
+        index.aggregate(np.zeros(shape), aggregation)
+
+
 # --- per-position verbalizers ----------------------------------------------------
 
 
