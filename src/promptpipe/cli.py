@@ -2,8 +2,10 @@
 
 One subcommand per pipeline stage for debuggability (`parse`, `wrap`,
 `tokenize`, `plan`, `sample`, `score`) plus `run` for the full
-configuration-driven pipeline. Flags are the kebab-case spellings of the
-config fields and override config-file values.
+configuration-driven pipeline. A flag that sets a config field is the
+field's name in kebab case, and every command builds it, its default and
+its check from the field's ``CONFIG_SCHEMA`` entry (:func:`_add_config_args`).
+A ``run`` flag overrides the config file's value.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ def cmd_wrap(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    CONFIG_SCHEMA["max_len"].check("max_len", args.max_len)
     ast = _single_template(args)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
@@ -173,11 +174,25 @@ def _add_template_args(parser, with_index: bool = True) -> None:
         )
 
 
-def _add_tokenizer_args(parser) -> None:
-    parser.add_argument("--vocab", required=True, help="vocabulary file")
-    parser.add_argument(
-        "--tokenizer-kind", default="wordpiece", **CONFIG_SCHEMA["tokenizer_kind"].flag
-    )
+def _add_config_args(parser, required, optional, run: bool = False) -> None:
+    """One flag per named config field, its keywords from the field's schema entry.
+
+    A ``run`` flag defaults to ``None`` and a boolean has both spellings.
+    Elsewhere a flag takes the field's default, a boolean only the spelling
+    that changes it, and :func:`main` checks the values.
+    """
+    defaults = PipelineConfig()
+    for name in (*required, *optional):
+        setting = CONFIG_SCHEMA[name]
+        default = None if run else getattr(defaults, name)
+        if run or not (setting.negation and default):
+            parser.add_argument("--" + name.replace("_", "-"), dest=name, default=default,
+                                required=name in required, **setting.flag)
+        if setting.negation and (run or default):
+            said = setting.flag.get("help")
+            parser.add_argument(setting.negation, dest=name, action="store_false",
+                                help=said and "do not " + said)
+    parser.set_defaults(checked=() if run else (*required, *optional))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,60 +205,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse templates and print their structure")
     _add_template_args(p, with_index=False)
     p.add_argument("--meta-keys", help="comma-separated keys to validate against")
-    p.add_argument("--output")
+    _add_config_args(p, [], ["output"])
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("wrap", help="wrap a dataset with one template")
     _add_template_args(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--output")
+    _add_config_args(p, ["dataset"], ["output"])
     p.set_defaults(func=cmd_wrap)
 
     p = sub.add_parser("tokenize", help="wrap and encode a dataset")
     _add_template_args(p)
-    p.add_argument("--dataset", required=True)
-    _add_tokenizer_args(p)
-    p.add_argument("--max-len", type=int, default=128)
-    p.add_argument(
-        "--no-special-tokens",
-        dest="add_special_tokens",
-        action="store_false",
-        help="do not add CLS/SEP",
-    )
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_tokenize, add_special_tokens=True)
+    _add_config_args(p, ["dataset", "vocab"],
+                     ["tokenizer_kind", "max_len", "add_special_tokens", "output"])
+    p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("plan", help="export a template's soft-token slot plan")
     _add_template_args(p)
-    _add_tokenizer_args(p)
-    p.add_argument("--output")
+    _add_config_args(p, ["vocab"], ["tokenizer_kind", "output"])
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sample", help="draw a deterministic few-shot sample")
-    p.add_argument("--dataset", required=True)
     p.add_argument("--k", type=int, required=True, help="examples per class")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--lenient", action="store_true", help="take whole class when short of k"
-    )
-    p.add_argument("--output")
+    p.add_argument("--lenient", action="store_true", help="take whole class when short of k")
+    _add_config_args(p, ["dataset"], ["seed", "output"])
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("score", help="project a logits file onto classes")
-    p.add_argument("--logits-file", required=True)
-    p.add_argument("--verbalizer", required=True)
-    _add_tokenizer_args(p)
-    p.add_argument("--aggregation", default="mean_log_prob")
-    p.add_argument("--output")
+    _add_config_args(p, ["logits_file", "verbalizer", "vocab"],
+                     ["tokenizer_kind", "aggregation", "output"])
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", help="YAML or JSON config file")
-    # one flag per config field, and a boolean's negation; an absent flag is None
-    for name, setting in CONFIG_SCHEMA.items():
-        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **setting.flag)
-        if setting.negation:
-            p.add_argument(setting.negation, dest=name, action="store_false")
+    _add_config_args(p, [], CONFIG_SCHEMA, run=True)
     p.set_defaults(func=cmd_run)
 
     return parser
@@ -253,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in args.checked:
+            CONFIG_SCHEMA[name].check(name, getattr(args, name))
         return args.func(args)
     except PromptPipeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -98,11 +98,11 @@ CONTENT_FREE_GUID = "__content_free__"
 
 @dataclass(frozen=True)
 class Setting:
-    """One config field's schema entry: its type rule and its ``run`` flag.
+    """One config field's schema entry: its type rule and its command-line flag.
 
     A ``path`` value in a config file is relative to the file. ``flag``
     holds the field's ``add_argument`` keywords, and ``negation`` names a
-    boolean's store-false flag.
+    boolean's store-false flag, whose help negates the field's.
     """
 
     expected: str
@@ -139,17 +139,20 @@ def _setting(setting: Setting, default=MISSING, **kwargs):
 
 @dataclass
 class PipelineConfig:
-    """A run's settings; each field's :class:`Setting` is its type rule and ``run`` flag."""
+    """A run's settings; each field's :class:`Setting` is its type rule and flag."""
 
     templates: list[str] = _setting(_PATHS, default_factory=list)
     dataset: str = _setting(_PATH, "")
-    vocab: str = _setting(_PATH, "")
+    vocab: str = _setting(replace(_PATH, flag={"help": "vocabulary file"}), "")
     verbalizer: str = _setting(_PATH, "")
     tokenizer_kind: str = _setting(
         replace(_STRING, flag={"choices": [kind.value for kind in TokenizerKind]}), "wordpiece"
     )
     max_len: int = _setting(replace(_INTEGER, positive=True), 128)
-    add_special_tokens: bool = _setting(replace(_BOOLEAN, negation="--no-special-tokens"), True)
+    add_special_tokens: bool = _setting(replace(
+        _BOOLEAN, flag={"action": "store_true", "help": "add CLS/SEP"},
+        negation="--no-special-tokens",
+    ), True)
     aggregation: str = _setting(_STRING, "mean_log_prob")
     calibrate: bool = _setting(replace(_BOOLEAN, negation="--no-calibrate"), False)
     seed: int = _setting(_INTEGER, 0)

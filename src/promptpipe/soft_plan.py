@@ -6,8 +6,9 @@ over the template's nodes allocates each slot block once, in node order:
 
 * An ungrouped soft node gets fresh slots for each of its ``duplicate``
   copies: one slot per token of its initialization text (one token id
-  per slot), or a single uninitialized slot when it has no text. Its
-  slots note its post-processing.
+  per slot), or a single uninitialized slot when it has no text. A text
+  that tokenizes to no ids (``""``, ``" "``) counts as no text, so every
+  soft node emits at least one slot. Its slots note its post-processing.
 * Nodes sharing a ``soft_id`` reference one slot block, allocated at the
   group's first node. The block takes the group's initialization text
   (one per group, whichever node carries it) and the first
@@ -83,17 +84,15 @@ def _allocate(
 ) -> tuple[int, ...]:
     """Append ``copies`` fresh blocks for ``nodes`` to ``slots`` and return
     their slot ids. A block is one slot per token of ``text``, or one
-    uninitialized slot without text; each slot notes the first
+    uninitialized slot when ``text`` has no ids; each slot notes the first
     post-processing of ``nodes``."""
-    if text is None:
-        inits: list[tuple[int, ...] | None] = [None]
-    elif encode is None:
+    if text and encode is None:
         raise ConfigError(
             "template has text-initialized soft nodes, whose slots depend on "
             "a tokenizer; build a soft plan with one first"
         )
-    else:
-        inits = [(tid,) for tid in encode(text)]
+    ids = encode(text) if text else []
+    inits: list[tuple[int, ...] | None] = [(tid,) for tid in ids] or [None]
     note = next((n.post_processing.value for n in nodes if n.post_processing), None)
     start = len(slots)
     for init in inits * copies:

@@ -301,7 +301,8 @@ class DenseIndex:
         An ``(M, C, W)`` :meth:`check_prior` ``prior`` is subtracted before each
         class's words are aggregated; the M positions are then summed left to
         right. A sum that overflows gives an infinity, without a warning.
-        Scores of another shape, or with no mask position, raise
+        Scores of another shape or with no mask position, or a prior whose
+        shape is not the scores' last three axes, raise
         :class:`~promptpipe.errors.DimensionMismatch`.
         """
         shape = words.shape[-3:]
@@ -310,6 +311,8 @@ class DenseIndex:
                 f"word scores have shape {words.shape}, expected (..., M, "
                 f"{', '.join(map(str, self.word_mask.shape))}) with M >= 1"
             )
+        if prior is not None and prior.shape != shape:
+            raise DimensionMismatch(f"prior has shape {prior.shape}, expected {shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             if prior is not None:
                 words = words - prior
@@ -383,7 +386,8 @@ def project_per_position(
     for position, (row, v) in enumerate(zip(rows, verbalizers)):
         index = v.dense
         calibration = calibrations[position] if calibrations is not None else None
-        prior = None if calibration is None else index.check_prior(calibration, ())
+        # one position's (C, W) priors, as aggregate's (M, C, W) with M = 1
+        prior = None if calibration is None else index.check_prior(calibration, ())[None]
         scores = index.aggregate(index.word_scores(index.check_rows(row)), aggregation, prior)
         with np.errstate(over="ignore", invalid="ignore"):
             totals += scores

@@ -304,3 +304,101 @@ def test_run_help_offers_one_flag_per_config_field(capsys):
     fields = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(PipelineConfig)]
     negations = ["--no-special-tokens", "--no-calibrate"]
     assert sorted(offered) == sorted(["--config", *fields, *negations])
+
+
+# (command line with every flag spelled, the values it parses to) for each
+# subcommand but `run`, whose spellings are checked above
+_COMMAND_LINES = [
+    (["parse", "--template-file", "t.txt", "--meta-keys", "a,b", "--output", "o.jsonl"],
+     {"template_file": "t.txt", "meta_keys": "a,b", "output": "o.jsonl"}),
+    (["wrap", "--template-file", "t.txt", "--template-index", "2", "--dataset", "d.jsonl",
+      "--output", "o.jsonl"],
+     {"template_file": "t.txt", "template_index": 2, "dataset": "d.jsonl", "output": "o.jsonl"}),
+    (["tokenize", "--template-file", "t.txt", "--template-index", "1", "--dataset", "d.jsonl",
+      "--vocab", "v.txt", "--tokenizer-kind", "whitespace", "--max-len", "7",
+      "--no-special-tokens", "--output", "o.jsonl"],
+     {"template_file": "t.txt", "template_index": 1, "dataset": "d.jsonl", "vocab": "v.txt",
+      "tokenizer_kind": "whitespace", "max_len": 7, "add_special_tokens": False,
+      "output": "o.jsonl"}),
+    (["plan", "--template-file", "t.txt", "--template-index", "3", "--vocab", "v.txt",
+      "--tokenizer-kind", "whitespace", "--output", "o.json"],
+     {"template_file": "t.txt", "template_index": 3, "vocab": "v.txt",
+      "tokenizer_kind": "whitespace", "output": "o.json"}),
+    (["sample", "--dataset", "d.jsonl", "--k", "2", "--seed", "-5", "--lenient",
+      "--output", "o.jsonl"],
+     {"dataset": "d.jsonl", "k": 2, "seed": -5, "lenient": True, "output": "o.jsonl"}),
+    (["score", "--logits-file", "l.jsonl", "--verbalizer", "b.json", "--vocab", "v.txt",
+      "--tokenizer-kind", "whitespace", "--aggregation", "max", "--output", "o.jsonl"],
+     {"logits_file": "l.jsonl", "verbalizer": "b.json", "vocab": "v.txt",
+      "tokenizer_kind": "whitespace", "aggregation": "max", "output": "o.jsonl"}),
+]
+
+# each subcommand's required flags, and the config fields its optional flags set
+_MINIMAL_COMMAND_LINES = [
+    (["parse", "--template-file", "t.txt"], ["output"]),
+    (["wrap", "--template-file", "t.txt", "--dataset", "d.jsonl"], ["output"]),
+    (["tokenize", "--template-file", "t.txt", "--dataset", "d.jsonl", "--vocab", "v.txt"],
+     ["tokenizer_kind", "max_len", "add_special_tokens", "output"]),
+    (["plan", "--template-file", "t.txt", "--vocab", "v.txt"], ["tokenizer_kind", "output"]),
+    (["sample", "--dataset", "d.jsonl", "--k", "2"], ["seed", "output"]),
+    (["score", "--logits-file", "l.jsonl", "--verbalizer", "b.json", "--vocab", "v.txt"],
+     ["tokenizer_kind", "aggregation", "output"]),
+]
+
+
+def _parsed(argv: list[str], names) -> dict:
+    args = cli.build_parser().parse_args(argv)
+    return {name: getattr(args, name) for name in names}
+
+
+@pytest.mark.parametrize("argv, values", _COMMAND_LINES, ids=[a[0] for a, _ in _COMMAND_LINES])
+def test_every_flag_of_a_command_parses(argv, values):
+    assert _parsed(argv, values) == values
+
+
+@pytest.mark.parametrize("argv, omitted", _MINIMAL_COMMAND_LINES,
+                         ids=[a[0] for a, _ in _MINIMAL_COMMAND_LINES])
+def test_an_omitted_config_flag_takes_the_field_default(argv, omitted):
+    defaults = PipelineConfig()
+    assert _parsed(argv, omitted) == {name: getattr(defaults, name) for name in omitted}
+
+
+def test_every_flag_of_a_command_is_in_the_table(capsys):
+    # no subcommand offers a flag the table above does not spell
+    for argv, values in _COMMAND_LINES:
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        offered = set(re.findall(r"^  (--[a-z-]+)", options, flags=re.MULTILINE))
+        assert offered == {arg for arg in argv if arg.startswith("--")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize", "--template-file", "t.txt", "--dataset", "d.jsonl", "--vocab", "v.txt",
+     "--max-len", "x"],
+    ["plan", "--template-file", "t.txt", "--vocab", "v.txt", "--tokenizer-kind", "sentencepiece"],
+])
+def test_command_flag_types_are_checked_by_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+
+
+# (golden file, the command line that made it); `sample`'s golden is checked in test_runner
+_CLI_GOLDENS = [
+    ("parse_showcase.jsonl", ["parse", "--template-file", "templates_showcase.txt",
+                              "--meta-keys", "title,description"]),
+    ("wrap_sentiment.jsonl", ["wrap", "--template-file", "template_sentiment.txt",
+                              "--dataset", "sentiment.jsonl"]),
+    ("tokenize_sentiment.jsonl", ["tokenize", "--template-file", "template_sentiment.txt",
+                                  "--dataset", "sentiment.jsonl", "--vocab", "vocab.txt",
+                                  "--max-len", "32"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", _CLI_GOLDENS, ids=[g for g, _ in _CLI_GOLDENS])
+def test_command_reproduces_its_golden(fixtures_dir, tmp_path, golden, argv):
+    out = tmp_path / golden
+    argv = [str(fixtures_dir / arg) if (fixtures_dir / arg).is_file() else arg for arg in argv]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_bytes() == (fixtures_dir / "golden" / golden).read_bytes()

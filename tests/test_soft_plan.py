@@ -11,9 +11,11 @@ from promptpipe import (
     NodeKind,
     PostProcessing,
     TemplateAST,
+    TemplateLayout,
     TemplateNode,
     build_soft_plan,
     parse_template,
+    serialize_template,
     wrap_example,
 )
 from promptpipe.cli import main
@@ -155,6 +157,7 @@ def test_plan_command_reproduces_the_showcase_golden(fixtures_dir, tmp_path):
 
 
 # --- the two-walk layout this module replaced, as an oracle --------------------------
+# (changed since on purpose in one rule: an init text with no ids counts as no text)
 
 
 def _reference_layout(ast, encode):
@@ -170,14 +173,14 @@ def _reference_layout(ast, encode):
                 group_notes[node.soft_id] = note
 
     def init_ids(text):
-        if text is None:
+        if not text:
             return None
         if encode is None:
             raise ConfigError(
                 "template has text-initialized soft nodes, whose slots depend on "
                 "a tokenizer; build a soft plan with one first"
             )
-        return encode(text)
+        return encode(text) or None
 
     slots: list[SlotSpec] = []
     group_blocks: dict[int, list[int]] = {}
@@ -280,3 +283,39 @@ def test_one_walk_layout_equals_the_two_walk_reference(wordpiece, ast):
     assert plan.to_json() == _reference_json(slots)
     assert _outcome(lambda: assign_soft_slots(ast)) == _outcome(
         lambda: tuple(_reference_layout(ast, None)[1]))
+
+
+def _soft_node_slots(ast, plan):
+    return [slots for node, slots in zip(ast.nodes, plan.node_slots) if node.kind is NodeKind.SOFT]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ast=_soft_template())
+def test_a_serialized_template_plans_the_same_slots(wordpiece, ast):
+    # re-parsing merges adjacent text nodes, so only the soft nodes' slots are compared
+    reparsed = parse_template(serialize_template(ast))
+    plan, replan = build_soft_plan(ast, wordpiece), build_soft_plan(reparsed, wordpiece)
+    assert replan.slots == plan.slots
+    assert _soft_node_slots(reparsed, replan) == _soft_node_slots(ast, plan)
+    # every soft node emits at least one slot per copy
+    assert all(len(slots) >= node.duplicate for node, slots in zip(ast.nodes, plan.node_slots)
+               if node.kind is NodeKind.SOFT)
+
+
+@pytest.mark.parametrize("source", ['{"soft": " "} {"mask"}', '{"soft": ""} {"mask"}'])
+def test_init_text_without_ids_gives_one_uninitialized_slot(wordpiece, source):
+    ast = parse_template(source)
+    plan = build_soft_plan(ast, wordpiece)
+    assert plan.node_slots == ((0,), (), ())
+    assert plan.slots == (SlotSpec(slot_id=0),)
+    layout = TemplateLayout(ast, plan.node_slots)
+    assert layout.render(layout.resolve(InputExample(guid="g", meta={}))) == "<soft> <mask>"
+
+
+@pytest.mark.parametrize("text", ["", " "])
+def test_group_whose_text_has_no_ids_gets_one_uninitialized_slot(wordpiece, text):
+    nodes = (TemplateNode(NodeKind.SOFT, text=text, soft_id=2), TemplateNode(NodeKind.MASK),
+             TemplateNode(NodeKind.SOFT, soft_id=2, duplicate=3))
+    plan = build_soft_plan(TemplateAST(nodes=nodes), wordpiece)
+    assert plan.slots == (SlotSpec(slot_id=0, share_group=2),)
+    assert plan.node_slots == ((0,), (), (0, 0, 0))

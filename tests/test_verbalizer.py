@@ -413,6 +413,17 @@ def test_aggregate_rejects_no_mask_position_or_another_shape(aggregation, shape)
         index.aggregate(np.zeros(shape), aggregation)
 
 
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+@pytest.mark.parametrize("prior_shape", [(3, 2, 2), (2, 2), (1, 1, 2, 2), (1, 2, 3)])
+def test_aggregate_rejects_a_prior_of_another_shape(aggregation, prior_shape):
+    # a prior for another mask count used to broadcast over the word scores
+    ids = {"a": ((0,), (1,)), "b": ((2,),)}
+    index = Verbalizer(("a", "b"), {"a": ("x", "y"), "b": ("z",)}, ids).dense
+    with pytest.raises(DimensionMismatch, match=r"prior has shape .*expected \(1, 2, 2\)"):
+        index.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros(prior_shape))
+    assert index.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros((1, 2, 2))).shape == (4, 2)
+
+
 # --- per-position verbalizers ----------------------------------------------------
 
 
