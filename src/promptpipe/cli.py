@@ -20,7 +20,7 @@ from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .textfile import write_jsonl
 from .tokenization import CompiledTemplate, Vocab, build_tokenizer
-from .verbalizer import Aggregation, load_verbalizer, project
+from .verbalizer import load_verbalizer, project
 from .wrapping import TemplateLayout
 
 
@@ -131,14 +131,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_score(args) -> int:
-    aggregation = Aggregation.parse(args.aggregation)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(args.verbalizer, tokenizer)
     records = []
     for guid, rows in read_logits_records(args.logits_file, len(vocab)):
         try:
-            scores = project(rows, verbalizer, aggregation=aggregation)
+            scores = project(rows, verbalizer, aggregation=args.aggregation)
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"{args.logits_file}: guid {guid!r}: {exc}") from None
         records.append({

@@ -1,9 +1,10 @@
 """Dataset ingestion (JSONL) and deterministic few-shot sampling.
 
 Dataset lines are JSON objects with a ``guid`` string, an optional
-``label`` string, and a ``meta`` map of string fields. The legacy
-top-level fields ``text_a``/``text_b`` are folded into ``meta`` under
-those names.
+``label`` (a non-empty string), and a ``meta`` map of string fields;
+the rules for the last two are :class:`~promptpipe.wrapping.InputExample`'s.
+The legacy top-level fields ``text_a``/``text_b`` are folded into
+``meta`` under those names.
 
 The few-shot sampler uses a fixed, self-contained PRNG so samples are
 bit-reproducible across platforms, runs, and reimplementations:
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import ConfigError, DuplicateGuid, InsufficientExamples, MalformedLine
+from .errors import ConfigError, DataError, DuplicateGuid, InsufficientExamples, MalformedLine
 from .textfile import read_lines, write_jsonl
 from .wrapping import InputExample
 
@@ -109,26 +110,17 @@ def read_guid_lines(
 
 
 def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise MalformedLine(path, line_no, "'label' must be a string when present")
-    meta_raw = obj.get("meta", {})
-    if not isinstance(meta_raw, dict):
-        raise MalformedLine(path, line_no, "'meta' must be an object")
-    meta: dict[str, str] = {}
-    for key, value in meta_raw.items():
-        if not isinstance(value, str):
-            raise MalformedLine(path, line_no, f"meta value for {key!r} must be a string")
-        meta[key] = value
+    """The line's example; the legacy ``text_a``/``text_b`` fields fold into ``meta``."""
+    meta = obj.get("meta", {})
     for legacy in ("text_a", "text_b"):
-        if legacy in obj:
+        if legacy in obj and isinstance(meta, dict):
             if legacy in meta:
                 raise MalformedLine(path, line_no, f"{legacy!r} given both top-level and in meta")
-            value = obj[legacy]
-            if not isinstance(value, str):
-                raise MalformedLine(path, line_no, f"{legacy!r} must be a string")
-            meta[legacy] = value
-    return InputExample(guid=guid, meta=meta, label=label)
+            meta = {**meta, legacy: obj[legacy]}
+    try:
+        return InputExample(guid=guid, meta=meta, label=obj.get("label"))
+    except DataError as exc:
+        raise MalformedLine(path, line_no, str(exc)) from None
 
 
 def load_jsonl(path: str | Path) -> Dataset:

@@ -63,7 +63,7 @@ from .errors import (
     PipelineStageError,
     PromptPipeError,
 )
-from .template import TemplateAST, load_template_file
+from .template import Choice, TemplateAST, load_template_file
 from .textfile import read_text, write_jsonl
 from .tokenization import (
     CompiledTemplate,
@@ -100,7 +100,8 @@ CONTENT_FREE_GUID = "__content_free__"
 class Setting:
     """One config field's schema entry: its type rule and its command-line flag.
 
-    A ``path`` value in a config file is relative to the file. ``flag``
+    A ``path`` value in a config file is relative to the file. ``choices``
+    is a named choice's enum, whose ``parse`` checks the name. ``flag``
     holds the field's ``add_argument`` keywords, and ``negation`` names a
     boolean's store-false flag, whose help negates the field's.
     """
@@ -109,6 +110,7 @@ class Setting:
     accepts: Callable[[object], bool]
     path: bool = False
     positive: bool = False
+    choices: type[Choice] | None = None
     flag: dict = field(default_factory=dict)
     negation: str | None = None
 
@@ -118,6 +120,8 @@ class Setting:
             raise ConfigError(f"{name!r} must be {self.expected}, got {value!r}")
         if self.positive and value < 1:
             raise ConfigError(f"{name} must be positive")
+        if self.choices is not None:
+            self.choices.parse(value)
 
 
 _PATH = Setting("a file path", lambda v: isinstance(v, (str, os.PathLike)), path=True)
@@ -133,6 +137,11 @@ _INTEGER = Setting(
 _BOOLEAN = Setting("true or false", lambda v: isinstance(v, bool), flag={"action": "store_true"})
 
 
+def _choice(choices: type[Choice]) -> Setting:
+    names = ",".join(member.value for member in choices)
+    return replace(_STRING, choices=choices, flag={"metavar": "{" + names + "}"})
+
+
 def _setting(setting: Setting, default=MISSING, **kwargs):
     return field(default=default, metadata={"setting": setting}, **kwargs)
 
@@ -145,15 +154,13 @@ class PipelineConfig:
     dataset: str = _setting(_PATH, "")
     vocab: str = _setting(replace(_PATH, flag={"help": "vocabulary file"}), "")
     verbalizer: str = _setting(_PATH, "")
-    tokenizer_kind: str = _setting(
-        replace(_STRING, flag={"choices": [kind.value for kind in TokenizerKind]}), "wordpiece"
-    )
+    tokenizer_kind: str = _setting(_choice(TokenizerKind), "wordpiece")
     max_len: int = _setting(replace(_INTEGER, positive=True), 128)
     add_special_tokens: bool = _setting(replace(
         _BOOLEAN, flag={"action": "store_true", "help": "add CLS/SEP"},
         negation="--no-special-tokens",
     ), True)
-    aggregation: str = _setting(_STRING, "mean_log_prob")
+    aggregation: str = _setting(_choice(Aggregation), "mean_log_prob")
     calibrate: bool = _setting(replace(_BOOLEAN, negation="--no-calibrate"), False)
     seed: int = _setting(_INTEGER, 0)
     logits_file: str | None = _setting(_OPTIONAL_PATH, None)
@@ -221,8 +228,6 @@ class PipelineConfig:
             raise ConfigError(
                 "configure exactly one model interface: logits_file or frequency_file"
             )
-        TokenizerKind.parse(self.tokenizer_kind)
-        Aggregation.parse(self.aggregation)
 
 
 CONFIG_SCHEMA: dict[str, Setting] = {f.name: f.metadata["setting"] for f in fields(PipelineConfig)}
@@ -645,7 +650,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     if cfg.output:
         write_jsonl(results, cfg.output)
 
-    labeled = [(ex, res) for ex, res in zip(dataset.examples, results) if ex.label]
+    labeled = [(ex, res) for ex, res in zip(dataset.examples, results) if ex.label is not None]
     accuracy = None
     if labeled:
         preds = [(res["guid"], res["predicted_class"]) for _, res in labeled]

@@ -6,9 +6,10 @@ over the template's nodes allocates each slot block once, in node order:
 
 * An ungrouped soft node gets fresh slots for each of its ``duplicate``
   copies: one slot per token of its initialization text (one token id
-  per slot), or a single uninitialized slot when it has no text. A text
-  that tokenizes to no ids (``""``, ``" "``) counts as no text, so every
-  soft node emits at least one slot. Its slots note its post-processing.
+  per slot), or a single uninitialized slot when it has no text. A blank
+  text (``""``, ``" "``; see :func:`~promptpipe.template.is_init_text`)
+  counts as no text, with or without a tokenizer, so every soft node
+  emits at least one slot. Its slots note its post-processing.
 * Nodes sharing a ``soft_id`` reference one slot block, allocated at the
   group's first node. The block takes the group's initialization text
   (one per group, whichever node carries it) and the first
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import ConfigError
-from .template import NodeKind, TemplateAST, TemplateNode
+from .template import NodeKind, TemplateAST, TemplateNode, is_init_text
 
 __all__ = ["SlotSpec", "SoftEmbeddingPlan", "build_soft_plan", "assign_soft_slots"]
 
@@ -72,7 +73,7 @@ def _layout(
         else:
             if gid not in blocks:
                 group = [n for n in ast.nodes if n.soft_id == gid]
-                text = next((n.text for n in group if n.text), None)
+                text = next((n.text for n in group if is_init_text(n.text)), None)
                 blocks[gid] = _allocate(slots, group, text, gid, 1, encode)
             node_slots.append(blocks[gid] * node.duplicate)
     return slots, node_slots
@@ -86,12 +87,12 @@ def _allocate(
     their slot ids. A block is one slot per token of ``text``, or one
     uninitialized slot when ``text`` has no ids; each slot notes the first
     post-processing of ``nodes``."""
-    if text and encode is None:
+    if is_init_text(text) and encode is None:
         raise ConfigError(
             "template has text-initialized soft nodes, whose slots depend on "
             "a tokenizer; build a soft plan with one first"
         )
-    ids = encode(text) if text else []
+    ids = encode(text) if is_init_text(text) else []
     inits: list[tuple[int, ...] | None] = [(tid,) for tid in ids] or [None]
     note = next((n.post_processing.value for n in nodes if n.post_processing), None)
     start = len(slots)

@@ -28,12 +28,15 @@ template control tokens.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import (
+    ConfigError,
     ConflictingAttributes,
     ConflictingSoftIdInitialization,
     EmptyTemplate,
@@ -45,6 +48,7 @@ from .errors import (
 from .textfile import read_lines
 
 __all__ = [
+    "Choice",
     "NodeKind",
     "PostProcessing",
     "TemplateNode",
@@ -64,7 +68,32 @@ class NodeKind(Enum):
     META = "meta"
 
 
-class PostProcessing(Enum):
+_C = TypeVar("_C", bound="Choice")
+
+
+class Choice(Enum):
+    """An enum chosen by name: in a config file, on a flag or in the API.
+
+    A name matches a member's value whatever its case, its surrounding
+    whitespace, or ``-`` written for ``_``. The setting a choice names is
+    its class name in snake case (``TokenizerKind``: ``tokenizer_kind``).
+    """
+
+    @classmethod
+    def parse(cls: type[_C], value) -> _C:
+        """``value`` as a member; an unknown name raises
+        :class:`~promptpipe.errors.ConfigError` listing the valid ones."""
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(str(value).strip().lower().replace("-", "_"))
+        except ValueError:
+            setting = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
+            valid = ", ".join(member.value for member in cls)
+            raise ConfigError(f"unknown {setting} {value!r}; expected one of {valid}") from None
+
+
+class PostProcessing(Choice):
     STRIP_TRAILING_PUNCTUATION = "strip_trailing_punctuation"
     LOWERCASE = "lowercase"
     PREPEND_SPACE = "prepend_space"
@@ -129,6 +158,12 @@ class TemplateNode:
                 raise InvalidValueType("soft_id must be a positive integer")
 
 
+def is_init_text(text: str | None) -> bool:
+    """Whether a soft node's ``text`` initializes it: only a text with a
+    non-whitespace character does, as only such a text tokenizes to ids."""
+    return bool(text) and not text.isspace()
+
+
 @dataclass(frozen=True)
 class TemplateAST:
     """Immutable parse result: ordered nodes plus the original source."""
@@ -142,7 +177,7 @@ class TemplateAST:
         # nodes sharing a soft_id share one slot block, so one init text
         texts: dict[int, str] = {}
         for node in self.nodes:
-            if node.soft_id is not None and node.text:
+            if node.soft_id is not None and is_init_text(node.text):
                 first = texts.setdefault(node.soft_id, node.text)
                 if first != node.text:
                     raise ConflictingSoftIdInitialization(
@@ -310,11 +345,10 @@ def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
 def _parse_post_processing(value: tuple) -> PostProcessing:
     tag, payload = value
     if tag == "string":
-        name = str(payload).strip().lower().replace("-", "_")
-        for member in PostProcessing:
-            if member.value == name:
-                return member
-        raise InvalidValueType(f"unknown post_processing function {payload!r}")
+        try:
+            return PostProcessing.parse(payload)
+        except ConfigError as exc:
+            raise InvalidValueType(str(exc)) from None
     if tag == "raw":
         normalized = "".join(str(payload).split())
         alias = _POST_PROCESSING_ALIASES.get(normalized)

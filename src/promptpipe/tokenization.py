@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,7 +35,7 @@ from .errors import (
     VocabError,
 )
 from .soft_plan import build_soft_plan
-from .template import TemplateAST
+from .template import Choice, TemplateAST
 from .textfile import read_text
 from .wrapping import Segment, TemplateLayout, WrappedSequence
 
@@ -64,26 +63,9 @@ SEP_TOKEN = "[SEP]"
 CONTINUATION_PREFIX = "##"
 
 
-class TokenizerKind(Enum):
+class TokenizerKind(Choice):
     WHITESPACE = "whitespace"
     WORDPIECE = "wordpiece"
-
-    @classmethod
-    def parse(cls, value: "TokenizerKind | str") -> "TokenizerKind":
-        """``value`` as a tokenizer kind; a name matches case-insensitively.
-
-        An unknown name raises :class:`~promptpipe.errors.ConfigError`
-        listing the valid ones.
-        """
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            valid = ", ".join(kind.value for kind in cls)
-            raise ConfigError(
-                f"unknown tokenizer_kind {value!r}; expected one of {valid}"
-            ) from None
 
 
 @dataclass(frozen=True)

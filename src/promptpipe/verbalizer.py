@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -32,7 +31,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     DuplicateClass,
     EmptyClass,
@@ -40,6 +38,7 @@ from .errors import (
     UnreadableFile,
     VerbalizerError,
 )
+from .template import Choice
 from .textfile import read_text
 from .tokenization import UNK_TOKEN
 
@@ -57,25 +56,10 @@ __all__ = [
 ]
 
 
-class Aggregation(Enum):
+class Aggregation(Choice):
     MEAN_LOG_PROB = "mean_log_prob"
     MAX = "max"
     FIRST = "first"
-
-    @classmethod
-    def parse(cls, value: "Aggregation | str") -> "Aggregation":
-        """``value`` as an aggregation; a name matches case-insensitively.
-
-        An unknown name raises :class:`~promptpipe.errors.ConfigError`
-        listing the valid ones.
-        """
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            valid = ", ".join(a.value for a in cls)
-            raise ConfigError(f"unknown aggregation {value!r}; expected one of {valid}") from None
 
 
 @dataclass(frozen=True)
@@ -118,13 +102,19 @@ def log_softmax(row: np.ndarray) -> np.ndarray:
 
 
 def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Verbalizer:
-    """Construct a verbalizer from a class -> word-list mapping."""
+    """Construct a verbalizer from a class -> word-list mapping.
+
+    Each class maps to a list (or tuple) of words; a string or any other
+    value raises :class:`~promptpipe.errors.VerbalizerError`.
+    """
     if not label_words:
         raise EmptyClass("verbalizer defines no classes")
     classes = tuple(label_words.keys())
     words: dict[str, tuple[str, ...]] = {}
     word_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
     for name in classes:
+        if not isinstance(label_words[name], (list, tuple)):
+            raise VerbalizerError(f"class {name!r} must map to a list of words")
         entries = tuple(label_words[name])
         if not entries:
             raise EmptyClass(f"class {name!r} has no label words")
@@ -168,9 +158,6 @@ def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
         raise UnreadableFile(f"verbalizer file {path} is not valid JSON: {exc}") from None
     if not isinstance(mapping, dict):
         raise UnreadableFile(f"verbalizer file {path} must be a JSON object")
-    for name, value in mapping.items():
-        if not isinstance(value, list):
-            raise VerbalizerError(f"class {name!r} must map to a list of words")
     return build_verbalizer(mapping, tokenizer)
 
 

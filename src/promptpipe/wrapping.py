@@ -41,7 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InputExample:
-    """One raw dataset record: guid, optional class label, meta fields."""
+    """One raw dataset record: guid, optional class label, meta fields.
+
+    A label, when present, is a non-empty string, and every meta value is
+    a string; anything else raises :class:`~promptpipe.errors.DataError`.
+    """
 
     guid: str
     meta: Mapping[str, str] = field(default_factory=dict)
@@ -50,6 +54,13 @@ class InputExample:
     def __post_init__(self):
         if not self.guid:
             raise DataError("guid must be non-empty")
+        if self.label is not None and not (isinstance(self.label, str) and self.label):
+            raise DataError(f"'label' must be a non-empty string when present, got {self.label!r}")
+        if not isinstance(self.meta, Mapping):
+            raise DataError(f"'meta' must be an object, got {type(self.meta).__name__}")
+        for key, value in self.meta.items():
+            if not isinstance(value, str):
+                raise DataError(f"meta value for {key!r} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ import re
 
 import pytest
 
+from promptpipe import Vocab, build_tokenizer, load_verbalizer, project, project_per_position
 from promptpipe import cli
 from promptpipe.cli import main
-from promptpipe.runner import PipelineConfig, RunReport
+from promptpipe.errors import ConfigError
+from promptpipe.runner import PipelineConfig, RunReport, run_pipeline
 
 
 def _bad_aggregation(fixtures, tmp):
@@ -141,6 +143,38 @@ def _run_template_without_mask(fixtures, tmp):
     return argv, [f"{template}: template {source!r}: template has no mask node"]
 
 
+def _unknown_tokenizer_kind_flag(command: str):
+    # the name is checked before any file is read, so the named files need not exist
+    argv = {
+        "plan": ["plan", "--template-file", "t.txt", "--vocab", "v.txt"],
+        "tokenize": ["tokenize", "--template-file", "t.txt", "--dataset", "d.jsonl",
+                     "--vocab", "v.txt"],
+        "score": ["score", "--logits-file", "l.jsonl", "--verbalizer", "b.json",
+                  "--vocab", "v.txt"],
+        "run": ["run", "--templates", "t.txt", "--dataset", "d.jsonl"],
+    }[command]
+
+    def case(fixtures, tmp):
+        return argv + ["--tokenizer-kind", "sentencepiece"], [
+            "error: unknown tokenizer_kind 'sentencepiece'; expected one of whitespace, wordpiece"]
+
+    case.__name__ = f"_{command}_unknown_tokenizer_kind_flag"
+    return case
+
+
+def _empty_label(command: str):
+    def case(fixtures, tmp):
+        dataset = tmp / "data.jsonl"
+        dataset.write_text('{"guid": "a", "label": "positive", "meta": {"text": "x"}}\n'
+                           '{"guid": "b", "label": "", "meta": {"text": "y"}}\n')
+        argv = (["sample", "--k", "1", "--dataset", str(dataset)] if command == "sample"
+                else _frequency_run(fixtures, tmp, "{}") + ["--dataset", str(dataset)])
+        return argv, [f"{dataset}:2: 'label' must be a non-empty string when present, got ''"]
+
+    case.__name__ = f"_{command}_empty_label"
+    return case
+
+
 def _config_case(name: str, text: str, *expected: str):
     def case(fixtures, tmp):
         config = tmp / name
@@ -171,12 +205,16 @@ _both_scorers = _config_case(
     "exactly one model interface")
 
 
+# the files fixtures/run_sentiment.yaml names
+_RUN_FILES = ("template_sentiment.txt", "sentiment.jsonl", "vocab.txt", "verbalizer.json",
+              "word_scores.json")
+
+
 def _unknown_tokenizer_kind(fixtures, tmp):
     config = tmp / "kind.yaml"
     config.write_text((fixtures / "run_sentiment.yaml").read_text(encoding="utf-8")
                       .replace("tokenizer_kind: wordpiece", "tokenizer_kind: sentencepiece"))
-    for name in ("template_sentiment.txt", "sentiment.jsonl", "vocab.txt", "verbalizer.json",
-                 "word_scores.json"):
+    for name in _RUN_FILES:
         (tmp / name).write_bytes((fixtures / name).read_bytes())
     return ["run", "--config", str(config)], [f"config file {config}: unknown tokenizer_kind",
                                               "'sentencepiece'", "whitespace, wordpiece"]
@@ -208,6 +246,8 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _tokenize_template_too_long,
         _tokenize_max_len_zero,
         _run_template_without_mask,
+        *map(_unknown_tokenizer_kind_flag, ["plan", "tokenize", "score", "run"]),
+        *map(_empty_label, ["sample", "run"]),
     ],
 )
 def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
@@ -287,9 +327,7 @@ def test_logits_file_flag_parses(monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "flags", [["--max-len", "x"], ["--seed", "1.5"], ["--tokenizer-kind", "sentencepiece"]]
-)
+@pytest.mark.parametrize("flags", [["--max-len", "x"], ["--seed", "1.5"]])
 def test_run_flag_types_are_checked_by_argparse(monkeypatch, capsys, flags):
     with pytest.raises(SystemExit) as exit_:
         _run_config(monkeypatch, flags)
@@ -376,7 +414,6 @@ def test_every_flag_of_a_command_is_in_the_table(capsys):
 @pytest.mark.parametrize("argv", [
     ["tokenize", "--template-file", "t.txt", "--dataset", "d.jsonl", "--vocab", "v.txt",
      "--max-len", "x"],
-    ["plan", "--template-file", "t.txt", "--vocab", "v.txt", "--tokenizer-kind", "sentencepiece"],
 ])
 def test_command_flag_types_are_checked_by_argparse(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
@@ -402,3 +439,114 @@ def test_command_reproduces_its_golden(fixtures_dir, tmp_path, golden, argv):
     argv = [str(fixtures_dir / arg) if (fixtures_dir / arg).is_file() else arg for arg in argv]
     assert main([*argv, "--output", str(out)]) == 0
     assert out.read_bytes() == (fixtures_dir / "golden" / golden).read_bytes()
+
+
+# --- one rule for a named choice ----------------------------------------------
+# Each surface returns its output bytes, or None when it rejects the value.
+
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+def _logits_rows(width: int) -> list[list[float]]:
+    # two rows whose label words score unevenly, so aggregations differ
+    return [[(i * 7 % 13) / 4 for i in range(width)], [(i * 5 % 11) / 3 for i in range(width)]]
+
+
+def _output(argv: list[str], out) -> bytes | None:
+    return out.read_bytes() if main([*argv, "--output", str(out)]) == 0 else None
+
+
+def _via_config_file(fixtures, tmp, field, value):
+    for name in _RUN_FILES:
+        (tmp / name).write_bytes((fixtures / name).read_bytes())
+    default = getattr(PipelineConfig(), field)
+    config = tmp / "run.yaml"
+    config.write_text((fixtures / "run_sentiment.yaml").read_text(encoding="utf-8")
+                      .replace(f"{field}: {default}\n", f"{field}: {json.dumps(value)}\n"))
+    return _output(["run", "--config", str(config)], tmp / "run.jsonl")
+
+
+def _via_run_flag(fixtures, tmp, field, value):
+    argv = ["run", "--config", str(fixtures / "run_sentiment.yaml"), _flag(field), value]
+    return _output(argv, tmp / "run.jsonl")
+
+
+def _via_tokenize_flag(fixtures, tmp, field, value):
+    argv = ["tokenize", "--template-file", str(fixtures / "template_sentiment.txt"),
+            "--dataset", str(fixtures / "sentiment.jsonl"), "--vocab", str(fixtures / "vocab.txt"),
+            "--max-len", "32", _flag(field), value]
+    return _output(argv, tmp / "tokenize.jsonl")
+
+
+def _via_plan_flag(fixtures, tmp, field, value):
+    # template 2 initializes a soft node from text, so its plan depends on the tokenizer
+    argv = ["plan", "--template-file", str(fixtures / "templates_showcase.txt"),
+            "--template-index", "2", "--vocab", str(fixtures / "vocab.txt"), _flag(field), value]
+    return _output(argv, tmp / "plan.json")
+
+
+def _via_score_flag(fixtures, tmp, field, value):
+    width = len(Vocab.from_file(fixtures / "vocab.txt"))
+    logits = tmp / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "q", "mask_logits": _logits_rows(width)}) + "\n")
+    argv = ["score", "--logits-file", str(logits), "--verbalizer", str(fixtures / "verbalizer.json"),
+            "--vocab", str(fixtures / "vocab.txt"), _flag(field), value]
+    return _output(argv, tmp / "score.jsonl")
+
+
+def _via_api(fixtures, tmp, field, value):
+    cfg = dataclasses.replace(
+        PipelineConfig.from_file(fixtures / "run_sentiment.yaml"), output=None, **{field: value})
+    vocab = Vocab.from_file(fixtures / "vocab.txt")
+    rows = _logits_rows(len(vocab))
+    try:
+        tokenizer = build_tokenizer(cfg.tokenizer_kind, vocab)
+        verbalizer = load_verbalizer(fixtures / "verbalizer.json", tokenizer)
+        return json.dumps([
+            run_pipeline(cfg).results,
+            tokenizer.encode("the greatest"),
+            project(rows, verbalizer, aggregation=cfg.aggregation).scores,
+            project_per_position(rows, [verbalizer] * 2, aggregation=cfg.aggregation).scores,
+        ]).encode()
+    except ConfigError:
+        return None
+
+
+# (surface, the fields it takes)
+_SURFACES = [
+    (_via_config_file, ["tokenizer_kind", "aggregation"]),
+    (_via_run_flag, ["tokenizer_kind", "aggregation"]),
+    (_via_tokenize_flag, ["tokenizer_kind"]),
+    (_via_plan_flag, ["tokenizer_kind"]),
+    (_via_score_flag, ["tokenizer_kind", "aggregation"]),
+    (_via_api, ["tokenizer_kind", "aggregation"]),
+]
+# (field, spelling, the member value it names)
+_SPELLINGS = [
+    ("tokenizer_kind", "WordPiece", "wordpiece"),
+    ("tokenizer_kind", " wordpiece ", "wordpiece"),
+    ("aggregation", "MAX", "max"),
+    ("aggregation", "Mean-Log-Prob", "mean_log_prob"),
+]
+_SPELLED = [
+    pytest.param(surface, field, spelling, name,
+                 id=f"{surface.__name__[5:]}-{spelling.replace(' ', '_')}")
+    for surface, fields in _SURFACES
+    for field, spelling, name in _SPELLINGS
+    if field in fields
+]
+
+
+@pytest.mark.parametrize("surface, field, spelling, name", _SPELLED)
+def test_a_spelled_name_gives_the_canonical_names_bytes_everywhere(
+    fixtures_dir, tmp_path, capsys, surface, field, spelling, name
+):
+    outputs = []
+    for i, value in enumerate((spelling, name, "bogus")):
+        (tmp_path / str(i)).mkdir()
+        outputs.append(surface(fixtures_dir, tmp_path / str(i), field, value))
+    spelled, canonical, bogus = outputs
+    assert canonical is not None and spelled == canonical
+    # the surface reads the field: it rejects an unknown name
+    assert bogus is None

@@ -67,6 +67,8 @@ def test_duplicate_guid_names_file_and_both_lines(tmp_path):
         ("[1, 2]", "expected a JSON object"),
         ('{"guid": ""}', "'guid'"),
         ('{"guid": "b", "label": 3}', "'label'"),
+        ('{"guid": "b", "label": ""}', "'label' must be a non-empty string"),
+        ('{"guid": "b", "meta": {"text": 5}}', "meta value for 'text'"),
         ('{"guid": "b", "meta": []}', "'meta'"),
         ('{"guid": "b", "text_a": 1}', "'text_a'"),
     ],

@@ -161,11 +161,15 @@ def test_plan_command_reproduces_the_showcase_golden(fixtures_dir, tmp_path):
 
 
 def _reference_layout(ast, encode):
+    # a blank text (no non-whitespace character) is no init text
+    def text_of(node):
+        return node.text if node.text and node.text.strip() else None
+
     group_texts: dict[int, str | None] = {}
     group_notes: dict[int, str | None] = {}
     for node in ast.nodes:
         if node.kind is NodeKind.SOFT and node.soft_id is not None:
-            group_texts[node.soft_id] = group_texts.get(node.soft_id) or node.text or None
+            group_texts[node.soft_id] = group_texts.get(node.soft_id) or text_of(node)
             note = node.post_processing.value if node.post_processing else None
             if node.soft_id not in group_notes or (
                 group_notes[node.soft_id] is None and note is not None
@@ -211,7 +215,7 @@ def _reference_layout(ast, encode):
             continue
         note = node.post_processing.value if node.post_processing else None
         if node.soft_id is None:
-            emitted = allocate(node.text, None, node.duplicate, note)
+            emitted = allocate(text_of(node), None, node.duplicate, note)
         else:
             gid = node.soft_id
             if gid not in group_blocks:
@@ -239,15 +243,17 @@ def _reference_json(slots) -> str:
     return json.dumps(payload, indent=2)
 
 
-# an empty text and blank text tokenize to no ids; "zzz" is [UNK]
-_INIT_TEXTS = ["It was", "great", "Does the first sentence", "zzz", "", " "]
+# an empty text and blank texts tokenize to no ids; "zzz" is [UNK]
+_BLANK_TEXTS = ["", " ", "\t\n"]
+_INIT_TEXTS = ["It was", "great", "Does the first sentence", "zzz", *_BLANK_TEXTS]
 _OTHER_NODES = [TemplateNode(NodeKind.MASK), TemplateNode(NodeKind.TEXT, text="a"),
                 TemplateNode(NodeKind.META, meta_key="x")]
 
 
 @st.composite
 def _soft_template(draw) -> TemplateAST:
-    # one init text per group (a group may carry none), as TemplateAST allows
+    # one init text per group (a group may carry none), as TemplateAST allows;
+    # blank texts are no init text, so a group's nodes may carry them too
     group_texts = {gid: draw(st.sampled_from(_INIT_TEXTS)) for gid in (1, 2, 3)}
     nodes = []
     for _ in range(draw(st.integers(1, 8))):
@@ -255,7 +261,7 @@ def _soft_template(draw) -> TemplateAST:
             nodes.append(draw(st.sampled_from(_OTHER_NODES)))
             continue
         gid = draw(st.none() | st.integers(1, 3))
-        choices = _INIT_TEXTS if gid is None else [group_texts[gid]]
+        choices = _INIT_TEXTS if gid is None else [group_texts[gid], *_BLANK_TEXTS]
         nodes.append(TemplateNode(
             NodeKind.SOFT,
             text=draw(st.none() | st.sampled_from(choices)),
@@ -319,3 +325,28 @@ def test_group_whose_text_has_no_ids_gets_one_uninitialized_slot(wordpiece, text
     plan = build_soft_plan(TemplateAST(nodes=nodes), wordpiece)
     assert plan.slots == (SlotSpec(slot_id=0, share_group=2),)
     assert plan.node_slots == ((0,), (), (0, 0, 0))
+
+
+def test_blank_and_real_text_in_one_group_share_the_real_texts_slots(wordpiece, vocab):
+    # a blank text is no init text, so it cannot conflict with the group's text
+    ast = parse_template('{"soft": " ", "soft_id": 1} {"soft": "the", "soft_id": 1} {"mask"}')
+    plan = build_soft_plan(ast, wordpiece)
+    assert plan.slots == (SlotSpec(slot_id=0, share_group=1, init_token_ids=(vocab.ids["the"],)),)
+    assert vocab.ids["the"] == 27
+    assert _soft_node_slots(ast, plan) == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t \n"], ids=["empty", "space", "mixed"])
+def test_blank_init_text_needs_no_tokenizer(fixtures_dir, tmp_path, wordpiece, text):
+    source = '{"soft": %s} {"mask"}' % json.dumps(text)
+    ast = parse_template(source)
+    assert assign_soft_slots(ast) == ((0,), (), ())
+    assert assign_soft_slots(ast) == build_soft_plan(ast, wordpiece).node_slots
+    template = tmp_path / "blank.txt"
+    template.write_text(source + "\n", encoding="utf-8")
+    out = tmp_path / "wrap.jsonl"
+    argv = ["wrap", "--template-file", str(template), "--dataset",
+            str(fixtures_dir / "sentiment.jsonl"), "--output", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text(encoding="utf-8").splitlines()[0])["wrapped_text"] == (
+        "<soft> <mask>")

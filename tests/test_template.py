@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -199,6 +200,25 @@ def test_post_processing_lambda_alias_and_names():
     assert ast.nodes[0].post_processing is PostProcessing.LOWERCASE
     with pytest.raises(InvalidValueType):
         parse_template('{"meta": "t", "post_processing": lambda s: s[::-1]} {"mask"}')
+
+
+@pytest.mark.parametrize("name, member", [
+    ("Lowercase", PostProcessing.LOWERCASE),
+    (" lowercase ", PostProcessing.LOWERCASE),
+    ("Strip-Trailing-Punctuation", PostProcessing.STRIP_TRAILING_PUNCTUATION),
+], ids=["capitalized", "padded", "hyphenated"])
+def test_post_processing_names_match_as_every_choice_does(name, member):
+    ast = parse_template('{"meta": "t", "post_processing": %s} {"mask"}' % json.dumps(name))
+    assert ast.nodes[0].post_processing is member is PostProcessing.parse(name)
+
+
+def test_unknown_post_processing_name_lists_the_valid_ones():
+    with pytest.raises(InvalidValueType) as failure:
+        parse_template('abc {"meta": "t", "post_processing": "reverse"} {"mask"}')
+    assert str(failure.value) == (
+        "node at offset 4: unknown post_processing 'reverse'; expected one of "
+        "strip_trailing_punctuation, lowercase, prepend_space"
+    )
 
 
 def test_meta_defaults_shortenable_others_not():

@@ -97,6 +97,16 @@ def test_word_must_tokenize():
         build_verbalizer({"a": [""]}, tok)
 
 
+@pytest.mark.parametrize("words", ["god", 5, None])
+def test_a_class_must_map_to_a_list_of_words(words):
+    # each letter of "god" is a token, so a string would iterate as three words
+    tok = build_tokenizer("whitespace", Vocab.from_tokens(SPECIALS + ["g", "o", "d", "bad"]))
+    with pytest.raises(VerbalizerError, match="^class 'pos' must map to a list of words$"):
+        build_verbalizer({"pos": words, "neg": ["bad"]}, tok)
+    assert build_verbalizer({"pos": ("g", "o"), "neg": ["bad"]}, tok).label_words["pos"] == (
+        "g", "o")
+
+
 @pytest.mark.parametrize("kind", ["whitespace", "wordpiece"])
 @pytest.mark.parametrize("word", ["zebra", "great zebra", "[UNK]"])
 def test_label_word_mapping_to_unk_is_rejected(fixtures_dir, kind, word):

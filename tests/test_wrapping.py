@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,23 @@ EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 def test_example_guid_must_be_non_empty():
     with pytest.raises(DataError, match="guid must be non-empty"):
         InputExample(guid="")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"label": ""}, "'label' must be a non-empty string when present, got ''"),
+        ({"label": 3}, "'label' must be a non-empty string when present, got 3"),
+        ({"meta": {"text": 5}}, "meta value for 'text' must be a string, got 5"),
+        ({"meta": {"text": None}}, "meta value for 'text' must be a string, got None"),
+        ({"meta": ["text"]}, "'meta' must be an object"),
+    ],
+    ids=["empty_label", "int_label", "int_meta_value", "none_meta_value", "list_meta"],
+)
+def test_example_label_and_meta_values_are_checked_at_construction(fields, message):
+    # before, a non-string meta value surfaced as a bare AttributeError at encode time
+    with pytest.raises(DataError, match=re.escape(message)):
+        InputExample(guid="g", **fields)
 
 
 @pytest.mark.parametrize(
