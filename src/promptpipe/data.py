@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import ConfigError, DataError, DuplicateGuid, InsufficientExamples, MalformedLine
+from .errors import (
+    ConfigError,
+    DataError,
+    DuplicateGuid,
+    InsufficientExamples,
+    MalformedLine,
+    check_integer,
+)
 from .textfile import read_lines, write_jsonl
 from .wrapping import InputExample
 
@@ -182,13 +189,16 @@ def fewshot_sample(
 ) -> Dataset:
     """Draw ``k_per_class`` labeled examples per class, deterministically.
 
-    Unlabeled examples are never sampled; a ``k_per_class`` below 1 raises
+    Unlabeled examples are never sampled; a ``k_per_class`` or ``seed``
+    that is not an ``int``, or a ``k_per_class`` below 1, raises
     :class:`~promptpipe.errors.ConfigError`. With ``strict`` (the default) a
     class with fewer than ``k_per_class`` examples raises
     :class:`~promptpipe.errors.InsufficientExamples`; otherwise the whole
     class is taken and a warning is emitted. Identical
     ``(dataset, k_per_class, seed)`` always yields the identical sample.
     """
+    check_integer("k_per_class", k_per_class)
+    check_integer("seed", seed)
     if k_per_class < 1:
         raise ConfigError(f"k_per_class must be >= 1, got {k_per_class}")
     by_label: dict[str, list[InputExample]] = {}

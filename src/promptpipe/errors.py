@@ -135,6 +135,13 @@ class ConfigError(PromptPipeError):
     pass
 
 
+def check_integer(name: str, value: object) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an ``int`` and not a
+    ``bool``, in the words of the config schema's integer rule."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+
+
 class NonFiniteValue(ConfigError):
     """A logits row or token frequency holds NaN or an infinity."""
 

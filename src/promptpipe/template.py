@@ -156,6 +156,8 @@ class TemplateNode:
                 raise ConflictingAttributes("soft nodes are never shortenable")
             if self.soft_id is not None and self.soft_id < 1:
                 raise InvalidValueType("soft_id must be a positive integer")
+        else:
+            raise InvalidValueType(f"node kind must be a NodeKind, got {self.kind!r}")
 
 
 def is_init_text(text: str | None) -> bool:

@@ -6,7 +6,8 @@ mask positions. Each :class:`~promptpipe.wrapping.Segment` becomes one
 run of positions that share its flags (:func:`_run`), whether it comes
 from a :class:`~promptpipe.wrapping.WrappedSequence`
 (:func:`encode_wrapped`) or from the layout a :class:`CompiledTemplate`
-builds on. Truncation removes tokens only from shortenable runs,
+builds on. A mask is the only prediction slot: one MASK id, and the only
+position with loss=1. Truncation removes tokens only from shortenable runs,
 starting at the tail of the rightmost one and moving left, so template
 control tokens and mask slots always survive.
 
@@ -28,11 +29,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
-    ConfigError,
     DuplicateToken,
     MissingSpecialToken,
     TemplateTooLong,
     VocabError,
+    check_integer,
 )
 from .soft_plan import build_soft_plan
 from .template import Choice, TemplateAST
@@ -257,15 +258,14 @@ class TokenizedInput:
 Run = tuple[list, int, int, int]
 
 
-def _run(seg: Segment, tokenizer, causal: bool) -> Run:
+def _run(seg: Segment, tokenizer) -> Run:
     """The run of one segment.
 
-    A mask is one MASK id with loss=1, or, in a causal layout, no position
-    (the generation slot is the final content position); a soft slot is
-    one MASK placeholder carrying the slot; text is its token ids.
+    A mask is one MASK id with loss=1, the only prediction slot; a soft
+    slot is one MASK placeholder carrying the slot; text is its token ids.
     """
     if seg.is_mask:
-        return ([], 0, 0, -1) if causal else ([tokenizer.vocab.mask_id], 1, 0, -1)
+        return ([tokenizer.vocab.mask_id], 1, 0, -1)
     if seg.soft_slot is not None:
         return ([tokenizer.vocab.mask_id], 0, 0, seg.soft_slot)
     return (tokenizer.encode(seg.text), 0, int(seg.shortenable), -1)
@@ -289,16 +289,13 @@ def _cut(runs: list[Run], excess: int) -> None:
             excess -= cut
 
 
-def _check_fits(fixed: int, n_special: int, max_len: int, causal: bool, has_ids: bool) -> None:
-    """The length rules: non-shortenable content and specials must fit ``max_len``,
-    and a causal layout's slot needs a position (an id or specials, within it)."""
+def _check_fits(fixed: int, n_special: int, max_len: int) -> None:
+    """The length rule: non-shortenable content and specials must fit ``max_len``."""
     if fixed + n_special > max_len:
         raise TemplateTooLong(
             f"non-shortenable content ({fixed} tokens + {n_special} special) "
             f"exceeds max_len {max_len}"
         )
-    if causal and not (max_len and (n_special or has_ids)):
-        raise ConfigError("cannot place a generation slot in an empty sequence")
 
 
 def _fit(
@@ -306,7 +303,6 @@ def _fit(
     tokenizer,
     max_len: int,
     add_special_tokens: bool,
-    causal: bool,
     tail: tuple[int, str] | None = None,
 ) -> TokenizedInput:
     """Truncate runs that pass :func:`_check_fits` to ``max_len`` and lay
@@ -352,9 +348,6 @@ def _fit(
         if slot >= 0:
             soft_slot_ids[start:end] = [slot] * len(ids)
         start = end
-    if causal:
-        loss_ids[content_len - 1] = 1
-        mask_positions = [content_len - 1]
     return TokenizedInput(
         input_ids=input_ids,
         attention_mask=[1] * content_len + [0] * (max_len - content_len),
@@ -365,24 +358,11 @@ def _fit(
     )
 
 
-def _is_causal(objective: str, mask_count: int) -> bool:
-    """Whether ``objective`` uses the generation-slot layout; checks its masks."""
-    if objective not in ("mlm", "lm", "seq2seq"):
-        raise ConfigError(f"unknown objective {objective!r}")
-    causal = objective != "mlm"
-    if causal and mask_count != 1:
-        raise ConfigError(
-            f"{objective} layout needs exactly one mask segment, got {mask_count}"
-        )
-    return causal
-
-
 def encode_wrapped(
     seq: WrappedSequence,
     tokenizer,
     max_len: int,
     add_special_tokens: bool = True,
-    objective: str = "mlm",
 ) -> TokenizedInput:
     """Encode a wrapped sequence into aligned, padded arrays.
 
@@ -392,18 +372,11 @@ def encode_wrapped(
     the real identity carried by ``soft_slot_ids``). With
     ``add_special_tokens`` a CLS/SEP pair is added and counted against
     ``max_len``.
-
-    ``objective`` selects the prediction-slot layout: ``"mlm"`` places a
-    MASK token per mask segment; ``"lm"`` and ``"seq2seq"`` emit no MASK
-    id and instead flag the final content position as the single
-    generation slot (the template must then contain exactly one mask
-    segment).
     """
-    causal = _is_causal(objective, seq.mask_count)
-    runs = [_run(seg, tokenizer, causal) for seg in seq.segments]
+    runs = [_run(seg, tokenizer) for seg in seq.segments]
     fixed = sum(len(run[0]) for run in runs if not run[2])
-    _check_fits(fixed, 2 if add_special_tokens else 0, max_len, causal, any(r[0] for r in runs))
-    return _fit(runs, tokenizer, max_len, add_special_tokens, causal)
+    _check_fits(fixed, 2 if add_special_tokens else 0, max_len)
+    return _fit(runs, tokenizer, max_len, add_special_tokens)
 
 
 class CompiledTemplate(TemplateLayout):
@@ -427,15 +400,14 @@ class CompiledTemplate(TemplateLayout):
         tokenizer,
         max_len: int,
         add_special_tokens: bool = True,
-        objective: str = "mlm",
     ):
+        check_integer("max_len", max_len)
         super().__init__(ast, build_soft_plan(ast, tokenizer).node_slots)
         self.tokenizer = tokenizer
         self.max_len = max_len
         self.add_special_tokens = add_special_tokens
-        self._causal = _is_causal(objective, ast.mask_count)
         # one run per segment; a meta node's run is empty until its value is placed
-        runs = [_run(seg, tokenizer, self._causal) for seg in self.segments]
+        runs = [_run(seg, tokenizer) for seg in self.segments]
         self._runs = runs
         # the meta value, by node order, whose run is the rightmost shortenable one
         last = max((i for i, run in enumerate(runs) if run[2]), default=None)
@@ -449,7 +421,7 @@ class CompiledTemplate(TemplateLayout):
         """The mask count for resolved meta values (masks are never cut);
         raises what :meth:`encode` raises."""
         self._fixed_runs(values)
-        return self.ast.mask_count  # an lm layout has one, its generation slot
+        return self.ast.mask_count
 
     def _fixed_runs(self, values: Sequence[str]) -> list[Run]:
         """The runs with the non-shortenable values' ids placed, once they fit."""
@@ -458,10 +430,7 @@ class CompiledTemplate(TemplateLayout):
         for index, k in self._fixed_metas:
             runs[index] = (self.tokenizer.encode(values[k]), 0, 0, -1)
             fixed += len(runs[index][0])
-        has_ids = self._causal and (any(run[0] for run in runs) or any(
-            self.tokenizer.encode(values[k], 1) for _, k in self._short_metas))
-        n_special = 2 if self.add_special_tokens else 0
-        _check_fits(fixed, n_special, self.max_len, self._causal, has_ids)
+        _check_fits(fixed, 2 if self.add_special_tokens else 0, self.max_len)
         return runs
 
     def encode(self, values: Sequence[str]) -> TokenizedInput:
@@ -473,6 +442,4 @@ class CompiledTemplate(TemplateLayout):
                 tail = (index, values[k])
             else:
                 runs[index] = (self.tokenizer.encode(values[k]), 0, 1, -1)
-        return _fit(
-            runs, self.tokenizer, self.max_len, self.add_special_tokens, self._causal, tail
-        )
+        return _fit(runs, self.tokenizer, self.max_len, self.add_special_tokens, tail)

@@ -76,10 +76,17 @@ class Verbalizer:
 
 @dataclass(frozen=True)
 class ClassScores:
-    """Per-class scores aligned with the verbalizer's class order."""
+    """Per-class scores aligned with the verbalizer's class order: one score
+    per class, and at least one class."""
 
     classes: tuple[str, ...]
     scores: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.classes or len(self.classes) != len(self.scores):
+            raise DimensionMismatch(
+                f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
+            )
 
     @property
     def predicted_class(self) -> int:

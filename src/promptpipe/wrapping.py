@@ -3,8 +3,9 @@
 A :class:`TemplateLayout` is the one place where node kinds become
 positions: one :class:`Segment` per literal text, mask and soft slot (soft
 nodes expand their duplicates into their assigned slots), and an empty
-placeholder per meta node. It needs no tokenizer. Per example it resolves
-the meta values, post-processed, and renders the human-readable text;
+placeholder per meta node; a mask segment is the only prediction slot.
+It needs no tokenizer. Per example it resolves the meta values,
+post-processed, and renders the human-readable text;
 :class:`~promptpipe.tokenization.CompiledTemplate` builds on it to encode.
 :func:`wrap_example` substitutes the meta values into the layout's
 segments, giving a :class:`WrappedSequence` that
@@ -43,8 +44,9 @@ __all__ = [
 class InputExample:
     """One raw dataset record: guid, optional class label, meta fields.
 
-    A label, when present, is a non-empty string, and every meta value is
-    a string; anything else raises :class:`~promptpipe.errors.DataError`.
+    The guid and a label, when present, are non-empty strings, and every
+    meta value is a string; anything else raises
+    :class:`~promptpipe.errors.DataError`.
     """
 
     guid: str
@@ -52,6 +54,8 @@ class InputExample:
     label: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.guid, str):
+            raise DataError(f"'guid' must be a string, got {self.guid!r}")
         if not self.guid:
             raise DataError("guid must be non-empty")
         if self.label is not None and not (isinstance(self.label, str) and self.label):
@@ -69,11 +73,8 @@ class Segment:
     is_mask: bool = False
     soft_slot: int | None = None
     shortenable: bool = False
-    loss: bool = False
 
     def __post_init__(self):
-        if self.is_mask != self.loss:
-            raise ConflictingAttributes("mask segments carry the loss flag, and no other does")
         if self.soft_slot is not None and (self.is_mask or self.text):
             raise ConflictingAttributes("soft segments have no text and are not masks")
 
@@ -122,7 +123,7 @@ class TemplateLayout:
                 segments.append(Segment(text=node.text, shortenable=node.shortenable))
             elif node.kind is NodeKind.MASK:
                 text.append(MASK_MARKER)
-                segments.append(Segment(text="", is_mask=True, loss=True))
+                segments.append(Segment(text="", is_mask=True))
             elif node.kind is NodeKind.META:
                 text.append("{}")
                 metas.append((len(segments), node.meta_key, node.post_processing))

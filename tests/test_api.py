@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -38,7 +39,10 @@ def test_removed_members_are_gone():
     assert not hasattr(promptpipe.verbalizer.DenseIndex, "prior")
     assert not hasattr(promptpipe.verbalizer.DenseIndex, "class_scores")
     assert not hasattr(promptpipe.runner, "BLOCK_BYTES")
-    assert "origin" not in {f.name for f in dataclasses.fields(promptpipe.Segment)}
+    assert not {"origin", "loss"} & {f.name for f in dataclasses.fields(promptpipe.Segment)}
+    for fn in (promptpipe.CompiledTemplate, promptpipe.encode_wrapped):
+        assert "objective" not in inspect.signature(fn).parameters, fn
+    assert not hasattr(promptpipe.tokenization, "_is_causal")
     for module in MODULES:
         for name in ("SegmentOrigin", "TokenEntry", "truncate"):
             assert not hasattr(module, name), (module.__name__, name)

@@ -37,12 +37,13 @@ from promptpipe import (
     wrapped_text,
 )
 from promptpipe.errors import (
+    ConfigError,
     MissingMetaKey,
     PipelineStageError,
     PromptPipeError,
     TemplateTooLong,
 )
-from promptpipe.runner import _setup
+from promptpipe.runner import CONFIG_SCHEMA, _setup
 from promptpipe.soft_plan import assign_soft_slots
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -91,8 +92,7 @@ def _case(draw):
     meta = {key: draw(TEXT) for key in KEYS if draw(st.integers(0, 9))}
     tokenizer = TOKENIZERS[draw(st.sampled_from(sorted(TOKENIZERS)))]
     add_specials = draw(st.booleans())
-    objective = draw(st.sampled_from(["mlm", "lm"])) if ast.mask_count == 1 else "mlm"
-    return ast, InputExample(guid="g", meta=meta), tokenizer, add_specials, objective
+    return ast, InputExample(guid="g", meta=meta), tokenizer, add_specials
 
 
 def reference_wrap(ast, example, plan=None) -> WrappedSequence:
@@ -103,7 +103,7 @@ def reference_wrap(ast, example, plan=None) -> WrappedSequence:
         if node.kind is NodeKind.TEXT:
             segments.append(Segment(text=node.text, shortenable=node.shortenable))
         elif node.kind is NodeKind.MASK:
-            segments.append(Segment(text="", is_mask=True, loss=True))
+            segments.append(Segment(text="", is_mask=True))
         elif node.kind is NodeKind.META:
             value = example.meta.get(node.meta_key)
             if value is None:
@@ -124,12 +124,12 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _max_lens(ast, example, tokenizer, plan, add_specials, objective) -> list[int]:
+def _max_lens(ast, example, tokenizer, plan, add_specials) -> list[int]:
     """Lengths under, at and over the example's full length, and at and
     just under its non-shortenable length."""
     try:
         wrapped = reference_wrap(ast, example, plan)
-        full = encode_wrapped(wrapped, tokenizer, 10_000, add_specials, objective)
+        full = encode_wrapped(wrapped, tokenizer, 10_000, add_specials)
     except PromptPipeError:
         return [8]
     length = full.length
@@ -141,16 +141,15 @@ def _max_lens(ast, example, tokenizer, plan, add_specials, objective) -> list[in
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(case=_case(), data=st.data())
 def test_compiled_template_equals_reference_path(case, data):
-    ast, example, tokenizer, add_specials, objective = case
+    ast, example, tokenizer, add_specials = case
     plan = build_soft_plan(ast, tokenizer)
-    max_len = data.draw(st.sampled_from(
-        _max_lens(ast, example, tokenizer, plan, add_specials, objective)))
-    template = CompiledTemplate(ast, tokenizer, max_len, add_specials, objective)
+    max_len = data.draw(st.sampled_from(_max_lens(ast, example, tokenizer, plan, add_specials)))
+    template = CompiledTemplate(ast, tokenizer, max_len, add_specials)
 
     def reference():
         wrapped = reference_wrap(ast, example, plan)
         text = wrapped_text(wrapped)
-        return text, encode_wrapped(wrapped, tokenizer, max_len, add_specials, objective)
+        return text, encode_wrapped(wrapped, tokenizer, max_len, add_specials)
 
     def compiled():
         values = template.resolve(example)
@@ -162,12 +161,11 @@ def test_compiled_template_equals_reference_path(case, data):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(case=_case(), data=st.data())
 def test_measure_raises_what_encode_raises_or_counts_its_masks(case, data):
-    ast, example, tokenizer, add_specials, objective = case
+    ast, example, tokenizer, add_specials = case
     assume(set(ast.meta_keys()) <= set(example.meta))
     plan = build_soft_plan(ast, tokenizer)
-    max_len = data.draw(st.sampled_from(
-        _max_lens(ast, example, tokenizer, plan, add_specials, objective)))
-    template = CompiledTemplate(ast, tokenizer, max_len, add_specials, objective)
+    max_len = data.draw(st.sampled_from(_max_lens(ast, example, tokenizer, plan, add_specials)))
+    template = CompiledTemplate(ast, tokenizer, max_len, add_specials)
     values = template.resolve(example)
     assert _outcome(lambda: template.measure(values)) == _outcome(
         lambda: len(template.encode(values).mask_positions))
@@ -176,39 +174,10 @@ def test_measure_raises_what_encode_raises_or_counts_its_masks(case, data):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(case=_case(), with_plan=st.booleans())
 def test_wrap_example_equals_reference_wrap(case, with_plan):
-    ast, example, tokenizer, _, _ = case
+    ast, example, tokenizer, _ = case
     plan = build_soft_plan(ast, tokenizer) if with_plan else None
     assert _outcome(lambda: wrap_example(ast, example, plan)) == _outcome(
         lambda: reference_wrap(ast, example, plan))
-
-
-_MASK = TemplateNode(NodeKind.MASK)
-_META = TemplateNode(NodeKind.META, meta_key="a", shortenable=True)
-_FIXED_META = TemplateNode(NodeKind.META, meta_key="a")
-
-
-@pytest.mark.parametrize("kind", sorted(TOKENIZERS))
-@pytest.mark.parametrize("nodes, value, max_len", [
-    ((_META, _MASK), "great movie", 0),  # max_len 0 leaves no slot
-    ((_META, _MASK), "great movie", 1),  # the shortenable value alone holds the slot
-    ((_META, _MASK), " \t", 4),  # a blank value leaves the sequence empty
-    ((_FIXED_META, _MASK), "", 4),
-    ((_FIXED_META, _MASK), "great", 4),  # the non-shortenable value holds the slot
-    ((TemplateNode(NodeKind.TEXT, text=" "), _MASK, _META), "", 4),  # text with no ids
-    ((TemplateNode(NodeKind.TEXT, text="great", shortenable=True), _MASK, _META), "", 4),
-])
-def test_measure_finds_an_empty_generation_slot_as_encode_does(kind, nodes, value, max_len):
-    """Without specials, an ``lm`` layout is empty only when no run has an id."""
-    tokenizer = TOKENIZERS[kind]
-    ast = TemplateAST(nodes=nodes)
-    plan = build_soft_plan(ast, tokenizer)
-    template = CompiledTemplate(ast, tokenizer, max_len, False, "lm")
-    example = InputExample(guid="g", meta={"a": value})
-    values = template.resolve(example)
-    want = _outcome(lambda: len(encode_wrapped(reference_wrap(ast, example, plan), tokenizer,
-                                               max_len, False, "lm").mask_positions))
-    assert _outcome(lambda: template.measure(values)) == want
-    assert _outcome(lambda: len(template.encode(values).mask_positions)) == want
 
 
 @pytest.mark.parametrize("kind", sorted(TOKENIZERS))
@@ -237,6 +206,16 @@ def test_template_too_long_raised_alike(kind):
     with pytest.raises(TemplateTooLong) as got:
         template.encode(template.resolve(example))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("max_len", ["8", 8.0, True, None])
+def test_max_len_must_be_an_integer_as_the_config_schema_says(max_len):
+    ast = parse_template('{"meta": "a"} {"mask"}')
+    with pytest.raises(ConfigError) as got:
+        CompiledTemplate(ast, TOKENIZERS["wordpiece"], max_len)
+    with pytest.raises(ConfigError) as want:
+        CONFIG_SCHEMA["max_len"].check("max_len", max_len)
+    assert str(got.value) == str(want.value) == f"'max_len' must be an integer, got {max_len!r}"
 
 
 def test_last_shortenable_field_is_tokenized_only_to_its_budget():

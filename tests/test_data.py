@@ -6,7 +6,7 @@ import pytest
 
 from promptpipe import Dataset, InputExample, fewshot_sample, load_jsonl, save_jsonl
 from promptpipe.data import SplitMix64, fnv1a64
-from promptpipe.errors import DuplicateGuid, InsufficientExamples, MalformedLine
+from promptpipe.errors import ConfigError, DuplicateGuid, InsufficientExamples, MalformedLine
 
 
 def write_jsonl(path, rows):
@@ -171,6 +171,19 @@ def test_fewshot_lenient_takes_whole_class(fixtures_dir):
     with pytest.warns(UserWarning):
         sample = fewshot_sample(dataset, 6, 7, strict=False)
     assert len(sample) == 10
+
+
+@pytest.mark.parametrize("k, seed, message", [
+    (2.5, 7, "'k_per_class' must be an integer, got 2.5"),
+    (True, 7, "'k_per_class' must be an integer, got True"),
+    (2, "x", "'seed' must be an integer, got 'x'"),
+    (2, None, "'seed' must be an integer, got None"),
+])
+def test_fewshot_rejects_counts_that_are_not_integers(fixtures_dir, k, seed, message):
+    dataset = load_jsonl(fixtures_dir / "topics.jsonl")
+    with pytest.raises(ConfigError) as failure:
+        fewshot_sample(dataset, k, seed)
+    assert str(failure.value) == message
 
 
 def test_fewshot_skips_unlabeled():

@@ -174,6 +174,13 @@ def test_node_errors_name_class_and_offset(node, error):
     assert type(err.value) is error
 
 
+@pytest.mark.parametrize("kind", ["x", "text", None])
+def test_node_kind_must_be_a_node_kind(kind):
+    with pytest.raises(InvalidValueType, match="node kind must be a NodeKind") as failure:
+        TemplateNode(kind=kind)
+    assert isinstance(failure.value, TemplateError)
+
+
 def test_same_initialization_twice_is_fine():
     ast = parse_template('{"soft": "the", "soft_id": 1} x {"soft": "the", "soft_id": 1}')
     assert sum(1 for n in ast.nodes if n.kind is NodeKind.SOFT) == 2

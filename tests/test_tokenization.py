@@ -219,7 +219,7 @@ def _entries(enc) -> list[Entry]:
 def _encode_stream(stream: list[Entry], budget: int) -> list[Entry]:
     """``stream`` as one segment per entry, encoded to ``budget`` positions."""
     segments = tuple(
-        Segment(text="", is_mask=True, loss=True) if e.loss
+        Segment(text="", is_mask=True) if e.loss
         else Segment(text=TRUNC_VOCAB.tokens[e.token_id], shortenable=bool(e.shortenable))
         for e in stream
     )
@@ -333,26 +333,6 @@ def test_encode_mask_positions_align_with_loss(vocab, wordpiece):
     assert len(enc.mask_positions) == 2
 
 
-def test_causal_layout_records_trailing_slot(vocab, wordpiece):
-    ast = parse_template('{"meta": "text"} {"mask"}')
-    wrapped = wrap_example(ast, InputExample(guid="g", meta={"text": "It is great"}))
-    enc = encode_wrapped(wrapped, wordpiece, max_len=8, add_special_tokens=False, objective="lm")
-    assert vocab.mask_id not in enc.input_ids
-    assert enc.mask_positions == [enc.length - 1]
-    assert sum(enc.loss_ids) == 1
-    seq2seq = encode_wrapped(
-        wrapped, wordpiece, max_len=8, add_special_tokens=False, objective="seq2seq"
-    )
-    assert seq2seq == enc
-
-
-def test_causal_layout_requires_single_mask(wordpiece):
-    ast = parse_template('{"mask"} x {"mask"}')
-    wrapped = wrap_example(ast, InputExample(guid="g"))
-    with pytest.raises(ConfigError):
-        encode_wrapped(wrapped, wordpiece, max_len=8, objective="lm")
-
-
 def test_encoding_equals_per_segment_tokenization(vocab, wordpiece):
     # the flag-aligned encoding is the concatenation of independently
     # tokenized segments, each tagged with its segment's flags
@@ -391,7 +371,7 @@ def _wrapped_sequence(draw) -> WrappedSequence:
     kinds = draw(st.lists(st.sampled_from(["text", "mask", "soft"]), min_size=1, max_size=8))
     for kind in kinds:
         if kind == "mask":
-            segments.append(Segment(text="", is_mask=True, loss=True))
+            segments.append(Segment(text="", is_mask=True))
         elif kind == "soft":
             segments.append(Segment(text="", soft_slot=next(slots)))
         else:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from promptpipe import (
     Aggregation,
+    ClassScores,
     Verbalizer,
     Vocab,
     build_tokenizer,
@@ -202,6 +203,17 @@ def test_projection_dimension_errors(toy):
         project([[0.0, 1.0]], verb)  # row narrower than the label-word ids
     with pytest.raises(DimensionMismatch):
         project(np.zeros((0, len(vocab))), verb)
+
+
+@pytest.mark.parametrize("classes, scores", [
+    (("a",), (1.0, 2.0)),
+    (("a", "b"), (1.0,)),
+    ((), ()),
+])
+def test_class_scores_need_one_score_per_class(classes, scores):
+    # before, ClassScores(("a",), (1.0, 2.0)).predicted_label raised a bare IndexError
+    with pytest.raises(DimensionMismatch, match="need one per class"):
+        ClassScores(classes, scores)
 
 
 def test_permuting_label_words_does_not_change_mean_or_max(toy):

@@ -6,11 +6,14 @@ import re
 import pytest
 
 from promptpipe import (
+    Dataset,
     InputExample,
     PostProcessing,
     Segment,
     apply_post_processing,
     parse_template,
+    load_jsonl,
+    save_jsonl,
     wrap_example,
     wrapped_text,
 )
@@ -22,6 +25,15 @@ EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 def test_example_guid_must_be_non_empty():
     with pytest.raises(DataError, match="guid must be non-empty"):
         InputExample(guid="")
+
+
+def test_example_guid_must_be_a_string(tmp_path):
+    # before, a guid of 5 was saved to a file that load_jsonl rejects
+    with pytest.raises(DataError, match="'guid' must be a string, got 5"):
+        InputExample(guid=5)
+    dataset = Dataset.from_examples([InputExample(guid="5", meta={"text": "x"}, label="a")])
+    save_jsonl(dataset, tmp_path / "data.jsonl")
+    assert load_jsonl(tmp_path / "data.jsonl") == dataset
 
 
 @pytest.mark.parametrize(
@@ -44,10 +56,8 @@ def test_example_label_and_meta_values_are_checked_at_construction(fields, messa
 @pytest.mark.parametrize(
     "flags, message",
     [
-        ({"is_mask": True}, "mask segments carry the loss flag"),
-        ({"soft_slot": 0, "is_mask": True, "loss": True}, "soft segments have no text"),
+        ({"soft_slot": 0, "is_mask": True}, "soft segments have no text"),
         ({"soft_slot": 0, "text": "x"}, "soft segments have no text"),
-        ({"text": "great", "loss": True}, "and no other does"),
     ],
 )
 def test_segment_flag_conflicts_raise_conflicting_attributes(flags, message):
@@ -88,7 +98,7 @@ def test_mask_only_template():
     ast = parse_template('{"mask"}')
     wrapped = wrap_example(ast, InputExample(guid="g"))
     assert len(wrapped.segments) == 1
-    assert wrapped.segments[0].is_mask and wrapped.segments[0].loss
+    assert wrapped.segments[0].is_mask
 
 
 def test_missing_meta_key_raises():
