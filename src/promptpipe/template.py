@@ -23,6 +23,9 @@ Node kinds and their attributes:
 
 Mask and soft nodes are never shortenable: truncation must not remove
 template control tokens.
+
+:class:`TemplateNode` checks every field, its type and its kind's rules,
+however it is built; the parser only maps attribute keys to fields.
 """
 
 from __future__ import annotations
@@ -99,10 +102,6 @@ class PostProcessing(Choice):
     PREPEND_SPACE = "prepend_space"
 
 
-_KNOWN_KEYS = frozenset(
-    {"mask", "soft", "meta", "soft_id", "duplicate", "shortenable", "post_processing"}
-)
-
 # Inline expressions accepted as aliases for the named post-processing
 # functions. Matching ignores internal whitespace.
 _POST_PROCESSING_ALIASES = {
@@ -110,10 +109,24 @@ _POST_PROCESSING_ALIASES = {
     "lambdas:s.lower()": PostProcessing.LOWERCASE,
 }
 
+_TEXT, _MASK, _META, _SOFT = NodeKind.TEXT, NodeKind.MASK, NodeKind.META, NodeKind.SOFT
+
+# Each field: its accepted types, how a message names them, and the kinds
+# that may set it to other than its default. A bool is an int to Python,
+# but only ``shortenable`` takes one.
+_FIELD_RULES = {
+    "text": ((str, type(None)), "a string", {_TEXT, _SOFT}),
+    "meta_key": ((str, type(None)), "a string", {_META}),
+    "soft_id": ((int, type(None)), "an integer", {_SOFT}),
+    "duplicate": ((int,), "an integer", {_SOFT}),
+    "shortenable": ((bool,), "a boolean", {_TEXT, _META}),
+    "post_processing": ((PostProcessing, type(None)), "a PostProcessing member", {_META, _SOFT}),
+}
+
 
 @dataclass(frozen=True)
 class TemplateNode:
-    """One parsed node. Invariants are enforced at construction time."""
+    """One parsed node. Every field is checked at construction time."""
 
     kind: NodeKind
     text: str | None = None
@@ -124,40 +137,24 @@ class TemplateNode:
     post_processing: PostProcessing | None = None
 
     def __post_init__(self):
-        if self.duplicate < 1:
-            raise InvalidValueType("duplicate must be a positive integer")
-        if self.kind is NodeKind.TEXT:
-            if self.text is None:
-                raise InvalidValueType("text node requires text")
-            if self.meta_key is not None or self.soft_id is not None:
-                raise ConflictingAttributes("text node cannot carry meta_key/soft_id")
-            if self.duplicate != 1 or self.post_processing is not None:
-                raise ConflictingAttributes("text node cannot carry duplicate/post_processing")
-        elif self.kind is NodeKind.MASK:
-            if self.text is not None or self.meta_key is not None or self.soft_id is not None:
-                raise ConflictingAttributes("mask node cannot carry text/meta_key/soft_id")
-            if self.duplicate != 1:
-                raise ConflictingAttributes("duplicate is only valid on soft nodes")
-            if self.shortenable:
-                raise ConflictingAttributes("mask nodes are never shortenable")
-            if self.post_processing is not None:
-                raise ConflictingAttributes("mask node cannot carry post_processing")
-        elif self.kind is NodeKind.META:
-            if not self.meta_key:
-                raise InvalidValueType("meta node requires a non-empty meta key")
-            if self.text is not None or self.soft_id is not None:
-                raise ConflictingAttributes("meta node cannot carry text/soft_id")
-            if self.duplicate != 1:
-                raise ConflictingAttributes("duplicate is only valid on soft nodes")
-        elif self.kind is NodeKind.SOFT:
-            if self.meta_key is not None:
-                raise ConflictingAttributes("soft node cannot carry meta_key")
-            if self.shortenable:
-                raise ConflictingAttributes("soft nodes are never shortenable")
-            if self.soft_id is not None and self.soft_id < 1:
-                raise InvalidValueType("soft_id must be a positive integer")
-        else:
+        if not isinstance(self.kind, NodeKind):
             raise InvalidValueType(f"node kind must be a NodeKind, got {self.kind!r}")
+        for name, (types, expected, _) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise InvalidValueType(f"{name} must be {expected}, got {value!r}")
+        if self.duplicate < 1:
+            raise InvalidValueType(f"duplicate must be a positive integer, got {self.duplicate}")
+        for name, (_, _, kinds) in _FIELD_RULES.items():
+            # the class attribute holds the field's default
+            if self.kind not in kinds and getattr(self, name) != getattr(TemplateNode, name):
+                raise ConflictingAttributes(f"{self.kind.value} node cannot carry {name}")
+        if self.kind is _TEXT and self.text is None:
+            raise InvalidValueType("text node requires text")
+        if self.kind is _META and not self.meta_key:
+            raise InvalidValueType("meta node requires a non-empty meta key")
+        if self.soft_id is not None and self.soft_id < 1:
+            raise InvalidValueType(f"soft_id must be a positive integer, got {self.soft_id}")
 
 
 def is_init_text(text: str | None) -> bool:
@@ -174,11 +171,17 @@ class TemplateAST:
     source: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.nodes, tuple):
+            raise InvalidValueType(f"nodes must be a tuple, got {type(self.nodes).__name__}")
+        if not isinstance(self.source, str):
+            raise InvalidValueType(f"source must be a string, got {self.source!r}")
         if not self.nodes:
             raise EmptyTemplate("template has no nodes")
         # nodes sharing a soft_id share one slot block, so one init text
         texts: dict[int, str] = {}
-        for node in self.nodes:
+        for index, node in enumerate(self.nodes):
+            if not isinstance(node, TemplateNode):
+                raise InvalidValueType(f"nodes[{index}] must be a TemplateNode, got {node!r}")
             if node.soft_id is not None and is_init_text(node.text):
                 first = texts.setdefault(node.soft_id, node.text)
                 if first != node.text:
@@ -204,7 +207,16 @@ class Diagnostic:
 
 # --- scanner ---------------------------------------------------------------
 
-_NULL = ("null", None)
+
+@dataclass(frozen=True)
+class _Expression:
+    """An unquoted attribute value, such as a lambda. It is not a ``str``,
+    so no field that takes a string accepts it: ``{"meta": abc}`` is no key."""
+
+    source: str
+
+    def __repr__(self) -> str:
+        return self.source
 
 
 def _skip_ws(source: str, i: int) -> int:
@@ -235,12 +247,12 @@ def _scan_string(source: str, i: int) -> tuple[str, int]:
 
 
 _KEYWORDS = {
-    "None": _NULL,
-    "null": _NULL,
-    "True": ("bool", True),
-    "true": ("bool", True),
-    "False": ("bool", False),
-    "false": ("bool", False),
+    "None": None,
+    "null": None,
+    "True": True,
+    "true": True,
+    "False": False,
+    "false": False,
 }
 
 
@@ -272,21 +284,21 @@ def _scan_raw(source: str, i: int) -> tuple[str, int]:
     raise UnbalancedBrace("node not closed before end of template")
 
 
-def _scan_value(source: str, i: int) -> tuple[tuple, int]:
-    """Scan one attribute value; returns a (tag, payload) pair and next index."""
+def _scan_value(source: str, i: int) -> tuple[object, int]:
+    """Scan one attribute value: a ``str``, ``int``, ``float``, ``bool``,
+    ``None`` or :class:`_Expression`. Returns it and the next index."""
     i = _skip_ws(source, i)
     if i >= len(source):
         raise UnbalancedBrace("node not closed before end of template")
     c = source[i]
     if c == '"':
-        value, i = _scan_string(source, i)
-        return ("string", value), i
-    for word, tagged in _KEYWORDS.items():
+        return _scan_string(source, i)
+    for word, value in _KEYWORDS.items():
         end = i + len(word)
         if source.startswith(word, i) and (
             end >= len(source) or not (source[end].isalnum() or source[end] == "_")
         ):
-            return tagged, end
+            return value, end
     if c.isdigit() or c == "-":
         j = i + 1
         n = len(source)
@@ -294,23 +306,22 @@ def _scan_value(source: str, i: int) -> tuple[tuple, int]:
             j += 1
         literal = source[i:j]
         try:
-            return ("int", int(literal)), j
+            return int(literal), j
         except ValueError:
             try:
-                float(literal)
+                return float(literal), j
             except ValueError:
                 raise InvalidValueType(f"bad numeric literal {literal!r}") from None
-            return ("float", literal), j
     raw, i = _scan_raw(source, i)
     if not raw:
         raise InvalidValueType(f"missing attribute value at offset {i}")
-    return ("raw", raw), i
+    return _Expression(raw), i
 
 
-def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
+def _scan_node(source: str, i: int) -> tuple[list[tuple[str, object]], int]:
     """Scan one ``{...}`` node starting at the opening brace."""
     i = _skip_ws(source, i + 1)
-    entries: list[tuple[str, tuple]] = []
+    entries: list[tuple[str, object]] = []
     n = len(source)
     while True:
         if i >= n:
@@ -326,7 +337,7 @@ def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
         if i < n and source[i] == ":":
             value, i = _scan_value(source, i + 1)
         else:
-            value = _NULL
+            value = None
         entries.append((key, value))
         i = _skip_ws(source, i)
         if i >= n:
@@ -344,51 +355,48 @@ def _scan_node(source: str, i: int) -> tuple[list[tuple[str, tuple]], int]:
 # --- node construction ------------------------------------------------------
 
 
-def _parse_post_processing(value: tuple) -> PostProcessing:
-    tag, payload = value
-    if tag == "string":
+def _decode_post_processing(value: object) -> object:
+    """A name or an alias expression as a member; TemplateNode rejects the rest."""
+    if isinstance(value, str):
         try:
-            return PostProcessing.parse(payload)
+            return PostProcessing.parse(value)
         except ConfigError as exc:
             raise InvalidValueType(str(exc)) from None
-    if tag == "raw":
-        normalized = "".join(str(payload).split())
-        alias = _POST_PROCESSING_ALIASES.get(normalized)
-        if alias is not None:
-            return alias
-        raise InvalidValueType(f"unsupported post_processing expression {payload!r}")
-    raise InvalidValueType("post_processing must be a function name")
+    if isinstance(value, _Expression):
+        alias = _POST_PROCESSING_ALIASES.get("".join(value.source.split()))
+        if alias is None:
+            raise InvalidValueType(f"unsupported post_processing expression {value.source!r}")
+        return alias
+    return value
 
 
-_KIND_KEYS = {
-    "mask": NodeKind.MASK,
-    "meta": NodeKind.META,
-    "soft": NodeKind.SOFT,
-    "soft_id": NodeKind.SOFT,
+# Each attribute key: the TemplateNode field its value sets, and the kind
+# it names, if any
+_KEYS = {
+    "mask": (None, _MASK),
+    "meta": ("meta_key", _META),
+    "soft": ("text", _SOFT),
+    "soft_id": ("soft_id", _SOFT),
+    "duplicate": ("duplicate", None),
+    "shortenable": ("shortenable", None),
+    "post_processing": ("post_processing", None),
 }
 
 
-def _payload(attrs: dict[str, tuple], key: str, tags: tuple[str, ...], message: str):
-    tag, payload = attrs[key]
-    if tag not in tags:
-        raise InvalidValueType(message)
-    return payload
+def _build_node(entries: list[tuple[str, object]]) -> TemplateNode:
+    """Map a node's attributes to :class:`TemplateNode` fields.
 
-
-def _build_node(entries: list[tuple[str, tuple]]) -> TemplateNode:
-    """Decode a node's attribute tags into :class:`TemplateNode` fields.
-
-    Only source-level rules are checked here; the node's kind invariants
-    are :class:`TemplateNode`'s.
+    Only source-level rules are checked here; every field's type and the
+    node's kind invariants are :class:`TemplateNode`'s.
     """
-    attrs: dict[str, tuple] = {}
+    attrs: dict[str, object] = {}
     for key, value in entries:
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise UnknownAttributeKey(f"unknown attribute key {key!r}")
         if key in attrs:
             raise ConflictingAttributes(f"attribute {key!r} given twice")
         attrs[key] = value
-    kinds = {_KIND_KEYS[key] for key in attrs if key in _KIND_KEYS}
+    kinds = {_KEYS[key][1] for key in attrs} - {None}
     if len(kinds) != 1:
         raise ConflictingAttributes(
             "node mixes mask/meta/soft attributes"
@@ -397,28 +405,19 @@ def _build_node(entries: list[tuple[str, tuple]]) -> TemplateNode:
         )
     kind = kinds.pop()
     # TemplateNode cannot tell an explicit duplicate of 1 from the default
-    if "duplicate" in attrs and kind is not NodeKind.SOFT:
+    if "duplicate" in attrs and kind is not _SOFT:
         raise ConflictingAttributes("duplicate is only valid on soft nodes")
-
-    fields: dict = {"kind": kind}
-    if kind is NodeKind.MASK:
-        _payload(attrs, "mask", ("null",), '"mask" takes no value')
-    elif kind is NodeKind.META:
-        fields["meta_key"] = _payload(attrs, "meta", ("string",), '"meta" requires a string key')
-        fields["shortenable"] = True
-    elif "soft" in attrs:
-        text = _payload(attrs, "soft", ("string", "null"), '"soft" must be a string or None')
-        fields["text"] = text or None  # empty init text means anonymous
-    if "soft_id" in attrs:
-        fields["soft_id"] = _payload(attrs, "soft_id", ("int",), "soft_id must be an integer")
-    if "duplicate" in attrs:
-        fields["duplicate"] = _payload(attrs, "duplicate", ("int",), "duplicate must be an integer")
-    if "shortenable" in attrs:
-        fields["shortenable"] = _payload(
-            attrs, "shortenable", ("bool",), "shortenable must be a boolean"
-        )
-    if "post_processing" in attrs:
-        fields["post_processing"] = _parse_post_processing(attrs["post_processing"])
+    if attrs.pop("mask", None) is not None:
+        raise InvalidValueType('"mask" takes no value')
+    fields = {"kind": kind, "shortenable": kind is _META}
+    for key, value in attrs.items():
+        if value is None and key != "soft":  # TemplateNode would take it for the default
+            raise InvalidValueType(f'"{key}" needs a value')
+        if key == "post_processing":
+            value = _decode_post_processing(value)
+        elif key == "soft" and value == "":
+            value = None  # empty init text means anonymous
+        fields[_KEYS[key][0]] = value
     return TemplateNode(**fields)
 
 
@@ -428,9 +427,11 @@ def _build_node(entries: list[tuple[str, tuple]]) -> TemplateNode:
 def parse_template(source: str) -> TemplateAST:
     """Parse a template string into a validated AST.
 
-    Total over string input: returns a :class:`TemplateAST` or raises a
+    Total: returns a :class:`TemplateAST` or raises a
     :class:`~promptpipe.errors.TemplateError` subclass.
     """
+    if not isinstance(source, str):
+        raise InvalidValueType(f"template source must be a string, got {source!r}")
     if source == "":
         raise EmptyTemplate("template source is empty")
     nodes: list[TemplateNode] = []
@@ -488,6 +489,8 @@ def serialize_template(ast: TemplateAST) -> str:
 
     ``parse_template(serialize_template(ast))`` yields the same nodes.
     """
+    if not isinstance(ast, TemplateAST):
+        raise InvalidValueType(f"serialize_template takes a TemplateAST, got {ast!r}")
     return "".join(_serialize_node(node) for node in ast.nodes)
 
 

@@ -77,6 +77,8 @@ class Segment:
     def __post_init__(self):
         if self.soft_slot is not None and (self.is_mask or self.text):
             raise ConflictingAttributes("soft segments have no text and are not masks")
+        if self.is_mask and self.text:
+            raise ConflictingAttributes("mask segments have no text")
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,9 @@ NODE_ERRORS = [
     ("{}", ConflictingAttributes),
     ('{"colour": 1}', UnknownAttributeKey),
     ('{"mask",}', InvalidValueType),
+    ('{"soft", "duplicate": 1.5}', InvalidValueType),
+    ('{"soft_id": true}', InvalidValueType),
+    ('{"meta": abc}', InvalidValueType),
 ]
 
 
@@ -174,11 +177,105 @@ def test_node_errors_name_class_and_offset(node, error):
     assert type(err.value) is error
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ('{"soft", "duplicate": 1.5}', "duplicate must be an integer, got 1.5"),
+        ('{"soft_id": true}', "soft_id must be an integer, got True"),
+        ('{"meta": abc}', "meta_key must be a string, got abc"),
+        ('{"meta": 3}', "meta_key must be a string, got 3"),
+        ('{"soft", "post_processing": null}', '"post_processing" needs a value'),
+        ('{"soft_id"}', '"soft_id" needs a value'),
+    ],
+)
+def test_value_type_errors_name_the_field_and_value(node, message):
+    with pytest.raises(InvalidValueType) as failure:
+        parse_template(node)
+    assert str(failure.value) == f"node at offset 0: {message}"
+
+
 @pytest.mark.parametrize("kind", ["x", "text", None])
 def test_node_kind_must_be_a_node_kind(kind):
     with pytest.raises(InvalidValueType, match="node kind must be a NodeKind") as failure:
         TemplateNode(kind=kind)
     assert isinstance(failure.value, TemplateError)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        (NodeKind.SOFT, "soft_id", "1"),
+        (NodeKind.SOFT, "soft_id", True),
+        (NodeKind.SOFT, "soft_id", 1.0),
+        (NodeKind.SOFT, "duplicate", "many"),
+        (NodeKind.SOFT, "duplicate", True),
+        (NodeKind.SOFT, "duplicate", 2.5),
+        (NodeKind.TEXT, "text", 5),
+        (NodeKind.SOFT, "text", b"It was"),
+        (NodeKind.META, "meta_key", 5),
+        (NodeKind.META, "shortenable", "no"),
+        (NodeKind.META, "shortenable", 1),
+        (NodeKind.META, "post_processing", "lowercase"),
+    ],
+)
+def test_node_fields_are_type_checked_at_construction(kind, field, value):
+    fields = {"text": "x"} if kind is NodeKind.TEXT else {}
+    if kind is NodeKind.META:
+        fields["meta_key"] = "t"
+    fields[field] = value
+    with pytest.raises(InvalidValueType) as failure:
+        TemplateNode(kind, **fields)
+    assert str(failure.value).startswith(f"{field} must be ")
+    assert str(failure.value).endswith(f", got {value!r}")
+
+
+# a value other than the default for each field, and the fields each kind
+# may carry (as the module docstring describes)
+_NOT_DEFAULT = {"text": "x", "meta_key": "k", "soft_id": 1, "duplicate": 2, "shortenable": True,
+        "post_processing": PostProcessing.LOWERCASE}
+_CARRIES = {
+    NodeKind.TEXT: {"text", "shortenable"},
+    NodeKind.MASK: set(),
+    NodeKind.META: {"meta_key", "shortenable", "post_processing"},
+    NodeKind.SOFT: {"text", "soft_id", "duplicate", "post_processing"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(k, f) for k in NodeKind for f in _NOT_DEFAULT if f not in _CARRIES[k]]
+)
+def test_a_kind_carries_only_its_own_fields(kind, field):
+    required = {NodeKind.TEXT: {"text": "x"}, NodeKind.META: {"meta_key": "k"}}.get(kind, {})
+    with pytest.raises(ConflictingAttributes, match=f"^{kind.value} node cannot carry {field}$"):
+        TemplateNode(kind, **{**required, field: _NOT_DEFAULT[field]})
+    for allowed in _CARRIES[kind]:
+        TemplateNode(kind, **{**required, allowed: _NOT_DEFAULT[allowed]})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"nodes": (1,)}, "nodes[0] must be a TemplateNode, got 1"),
+        ({"nodes": [MASK]}, "nodes must be a tuple, got list"),
+        ({"nodes": (MASK,), "source": None}, "source must be a string, got None"),
+    ],
+    ids=["int_node", "list_nodes", "none_source"],
+)
+def test_ast_fields_are_type_checked_at_construction(fields, message):
+    with pytest.raises(InvalidValueType) as failure:
+        TemplateAST(**fields)
+    assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("source", [5, None, b'{"mask"}'])
+def test_parse_template_takes_only_a_string(source):
+    with pytest.raises(InvalidValueType, match="template source must be a string"):
+        parse_template(source)
+
+
+def test_serialize_template_takes_only_an_ast():
+    with pytest.raises(InvalidValueType, match="serialize_template takes a TemplateAST, got 5"):
+        serialize_template(5)
 
 
 def test_same_initialization_twice_is_fine():

@@ -58,6 +58,7 @@ def test_example_label_and_meta_values_are_checked_at_construction(fields, messa
     [
         ({"soft_slot": 0, "is_mask": True}, "soft segments have no text"),
         ({"soft_slot": 0, "text": "x"}, "soft segments have no text"),
+        ({"is_mask": True, "text": "great movie"}, "mask segments have no text"),
     ],
 )
 def test_segment_flag_conflicts_raise_conflicting_attributes(flags, message):
