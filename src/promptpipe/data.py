@@ -20,7 +20,6 @@ bit-reproducible across platforms, runs, and reimplementations:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from .errors import (
     MalformedLine,
     check_integer,
 )
-from .textfile import read_lines, write_jsonl
+from .textfile import JSON_DECODER, read_lines, write_jsonl
 from .wrapping import InputExample
 
 __all__ = ["Dataset", "load_jsonl", "read_records", "save_jsonl", "fewshot_sample"]
@@ -59,6 +58,8 @@ class Dataset:
         items = tuple(examples)
         seen: set[str] = set()
         for ex in items:
+            if not isinstance(ex, InputExample):
+                raise DataError(f"examples must hold InputExample values, got {ex!r}")
             if ex.guid in seen:
                 raise DuplicateGuid(f"guid {ex.guid!r} appears twice")
             seen.add(ex.guid)
@@ -71,8 +72,8 @@ def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
 
     The file is read by :func:`~promptpipe.textfile.read_lines`; blank
     lines are skipped. A line that is not a JSON object with a non-empty
-    string ``guid`` raises :class:`~promptpipe.errors.MalformedLine`, and a
-    guid seen on an earlier line raises
+    string ``guid``, or that repeats a key, raises :class:`~promptpipe.errors.MalformedLine`,
+    and a guid seen on an earlier line raises
     :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
     error names ``path:line``.
     """
@@ -86,10 +87,10 @@ def read_guid_lines(
     """:func:`read_records` that also yields each line, and may read a line itself.
 
     ``read_line(line)`` returns ``(guid, record)`` for a line it reads, and
-    must do so only when ``json.loads(line)`` is an object whose ``guid``
-    is that string; it returns ``None`` for any other line, which is then
-    read as :func:`read_records` reads it. The guid rules apply to every
-    line either way.
+    must do so only when :data:`~promptpipe.textfile.JSON_DECODER` decodes
+    the line as an object whose ``guid`` is that string; it returns ``None``
+    for any other line, which is then read as :func:`read_records` reads it,
+    by that decoder. The guid rules apply to every line either way.
     """
     first_line: dict[str, int] = {}
     for line_no, line in read_lines(path):
@@ -98,7 +99,7 @@ def read_guid_lines(
         read = read_line(line) if read_line else None
         if read is None:
             try:
-                record = json.loads(line)
+                record = JSON_DECODER.decode(line)
             except ValueError as exc:
                 raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):

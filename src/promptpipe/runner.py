@@ -64,7 +64,7 @@ from .errors import (
     PromptPipeError,
 )
 from .template import Choice, TemplateAST, load_template_file
-from .textfile import read_text, write_jsonl
+from .textfile import JSON_DECODER, read_json_object, read_text, unique_keys, write_jsonl
 from .tokenization import (
     CompiledTemplate,
     TokenizedInput,
@@ -175,24 +175,8 @@ class PipelineConfig:
         :meth:`validate`, raises :class:`~promptpipe.errors.ConfigError`
         naming the file.
         """
-        text = read_text(path)
-        kind = "JSON" if str(path).endswith(".json") else "YAML"
-        parse, errors = json.loads, (ValueError,)
-        if kind == "YAML":
-            import yaml  # only a YAML config pays for the import
-            parse, errors = yaml.safe_load, (ValueError, yaml.YAMLError)
-        try:
-            raw = parse(text)
-        except errors as exc:
-            # one line: YAML's own message spans several
-            mark = getattr(exc, "problem_mark", None)
-            at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-            raise ConfigError(f"config file {path} is not valid {kind}{at}: {problem}") from None
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a mapping")
+        raw = (read_json_object(path, "config file", ConfigError)
+               if str(path).endswith(".json") else _read_yaml(path))
         given = {k: v for k, v in (overrides or {}).items() if v is not None}
         # override keys are checked as file keys are
         unknown = (set(raw) | set(overrides or {})) - CONFIG_SCHEMA.keys()
@@ -231,6 +215,30 @@ class PipelineConfig:
 
 
 CONFIG_SCHEMA: dict[str, Setting] = {f.name: f.metadata["setting"] for f in fields(PipelineConfig)}
+
+
+def _read_yaml(path: str | Path) -> dict:
+    """A YAML config file's mapping, each mapping built by :func:`unique_keys`."""
+    import yaml  # only a YAML config pays for the import
+
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            # the parent resolves merges (<<) and checks every key; a key a merge
+            # also gives is then repeated
+            super().construct_mapping(node, deep)
+            return unique_keys(self.construct_pairs(node, deep))
+
+    try:
+        raw = yaml.load(read_text(path), Loader)
+    except (ValueError, yaml.YAMLError) as exc:
+        # one line: YAML's own message spans several
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"config file {path} is not valid YAML{at}: {problem}") from None
+    if not isinstance(raw, (dict, type(None))):
+        raise ConfigError(f"config file {path} must hold a mapping")
+    return raw or {}
 
 
 class ToyScorer:
@@ -279,12 +287,7 @@ class ToyScorer:
         vocab: Vocab,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "ToyScorer":
-        try:
-            raw = json.loads(read_text(path))
-        except ValueError as exc:
-            raise ConfigError(f"frequency file {path} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"frequency file {path} must be a JSON object")
+        raw = read_json_object(path, "frequency file", ConfigError)
         try:
             return cls(raw, vocab, project)
         except ConfigError as exc:
@@ -308,7 +311,7 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     are those of every guid-keyed file. A line of exactly that form
     whose rows hold finite JSON numbers only has its row text parsed by
     one ``np.loadtxt`` call, which gives the values ``json.loads`` gives.
-    Every other line is decoded by ``json.loads``, the only path that
+    Every other line is decoded by the one JSON decoder, the only path that
     raises: a record without usable ``mask_logits``, with a value that
     is not a number (a string, ``true``, ``false`` or ``null``) or with a
     non-finite logit raises a :class:`~promptpipe.errors.PromptPipeError`
@@ -364,14 +367,14 @@ _ROW_SEPARATOR = re.compile(rf"\]{_WS},{_WS}\[")
 
 
 def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None:
-    """``(guid, rows)`` for a line that ``json.loads`` reads as a record of
-    ``vocab_size``-wide rows of finite numbers, parsed without it; else ``None``.
+    """``(guid, rows)`` for a line that the one JSON decoder reads as a record
+    of ``vocab_size``-wide rows of finite numbers, parsed without it; else ``None``.
 
     The rows must hold JSON numbers only (:func:`_json_number_row`), and
     ``np.loadtxt`` must read one row of ``vocab_size`` finite values per
     ``[...]``. Its values are those of ``float()``, so of ``json.loads``
     followed by the float64 conversion. Any other line, valid or not, is
-    left to ``json.loads``.
+    left to the decoder, which reads only the guid literal of this one.
     """
     match = _NUMERIC_LINE.fullmatch(line)
     if match is None:
@@ -381,7 +384,7 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
     if not all(map(_json_number_row, rows)):
         return None
     try:
-        guid = json.loads(match["guid"])
+        guid = JSON_DECODER.decode(match["guid"])
         values = np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError:
         return None
@@ -492,7 +495,9 @@ def ensemble_scores(per_template: Sequence[ClassScores]) -> ClassScores:
     if not per_template:
         raise ClassListMismatch("no scores to ensemble")
     first = per_template[0]
-    for other in per_template[1:]:
+    for other in per_template:
+        if not isinstance(other, ClassScores):
+            raise ClassListMismatch(f"per_template must hold ClassScores, got {other!r}")
         if other.classes != first.classes:
             raise ClassListMismatch(
                 f"class lists differ: {first.classes} vs {other.classes}"
@@ -524,7 +529,13 @@ def evaluate_accuracy(
     if len(preds) != len(golds):
         raise GuidMismatch(f"{len(preds)} predictions for {len(golds)} golds")
     correct = 0
-    for (pred_guid, pred_label), (gold_guid, gold_label) in zip(preds, golds):
+    for pred, gold in zip(preds, golds):
+        try:
+            (pred_guid, pred_label), (gold_guid, gold_label) = pred, gold
+        except (TypeError, ValueError):
+            raise DataError(
+                f"preds and golds must hold (guid, class) pairs, got {pred!r} and {gold!r}"
+            ) from None
         if pred_guid != gold_guid:
             raise GuidMismatch(f"prediction guid {pred_guid!r} != gold guid {gold_guid!r}")
         correct += pred_label == gold_label

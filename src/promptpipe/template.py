@@ -504,6 +504,8 @@ def validate_template(
     An empty list means the template is usable. ``require_mask`` should be
     true when the template drives classification.
     """
+    if not isinstance(ast, TemplateAST):
+        raise InvalidValueType(f"validate_template takes a TemplateAST, got {ast!r}")
     diagnostics: list[Diagnostic] = []
     for index, node in enumerate(ast.nodes):
         if node.kind is NodeKind.META and node.meta_key not in known_meta_keys:

@@ -1,22 +1,28 @@
 """How every input file is read: UTF-8 text, a leading byte-order mark
-dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``; and how
-every JSONL output is written.
+dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``; how every
+JSON document is decoded; and how every JSONL output is written.
 
 A file that is not valid UTF-8 raises
 :class:`~promptpipe.errors.InvalidEncoding` naming the file and the line
-of the first undecodable byte.
+of the first undecodable byte, and a path that is not a ``str`` or an
+``os.PathLike`` raises :class:`~promptpipe.errors.ConfigError`. Every JSON
+or YAML input rejects a repeated key, at any depth: each JSON file and
+JSONL line is decoded by :data:`JSON_DECODER`, whose hook
+:func:`unique_keys` also builds the YAML config's mappings.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import InvalidEncoding
+from .errors import ConfigError, InvalidEncoding
 
-__all__ = ["read_text", "read_lines", "write_jsonl"]
+__all__ = ["JSON_DECODER", "read_json_object", "read_lines", "read_text", "unique_keys",
+           "write_jsonl"]
 
 # "utf-8-sig" drops one byte-order mark at the start of the file and
 # otherwise decodes exactly as "utf-8"
@@ -26,10 +32,51 @@ ENCODING = "utf-8-sig"
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
+class RepeatedKey(ValueError):
+    """A key that one object names twice: bad JSON wherever it is decoded."""
+
+    def __init__(self, key):
+        super().__init__(f"repeated key {key!r}")
+        self.key = key
+
+
+def unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``, unless a key repeats; every input's ``object_pairs_hook``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        raise RepeatedKey(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return obj
+
+
+JSON_DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)  # of every JSON input
+
+
+def _file_path(path: object, what: str = "input") -> str | os.PathLike:
+    """``path``, if a ``str`` or ``os.PathLike``; ``open(5)`` would open file descriptor 5."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{what} must be a file path, got {path!r}")
+    return path
+
+
+def read_json_object(path: str | Path, what: str, error: type[Exception], repeated=None) -> dict:
+    """The JSON object in file ``path``; any other content raises ``error`` naming
+    ``what`` and the file, but a repeated key ``repeated(key)`` if given."""
+    try:
+        value = JSON_DECODER.decode(read_text(path))
+    except ValueError as exc:
+        if repeated and isinstance(exc, RepeatedKey):
+            raise repeated(exc.key) from None
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise error(f"{what} {path} must be a JSON object")
+    return value
+
+
 def read_text(path: str | Path) -> str:
     """The whole file, with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
     try:
-        with open(path, encoding=ENCODING) as handle:
+        with open(_file_path(path), encoding=ENCODING) as handle:
             return handle.read()
     except UnicodeDecodeError:
         raise _invalid_utf8(path) from None
@@ -37,7 +84,7 @@ def read_text(path: str | Path) -> str:
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, line)`` from 1, each line ending in ``\\n`` but the last."""
-    with open(path, encoding=ENCODING) as handle:
+    with open(_file_path(path), encoding=ENCODING) as handle:
         try:
             yield from enumerate(handle, start=1)
         except UnicodeDecodeError:
@@ -72,7 +119,7 @@ def write_jsonl(records: Iterable, output: str | Path | None = None) -> None:
     """Write one JSON line per record, non-ASCII text kept as is, to the
     UTF-8 file ``output``, or to standard output without one."""
     lines = (_encode(record) + "\n" for record in records)
-    if not output:
+    if output is None or not _file_path(output, "output"):
         sys.stdout.writelines(lines)
         return
     with open(output, "w", encoding="utf-8") as handle:

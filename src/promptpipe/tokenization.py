@@ -125,6 +125,11 @@ class Vocab:
         return cls.from_tokens(lines)
 
 
+def _text(text: object) -> str:
+    """``text``, which a tokenizer splits; anything but a string raises :class:`VocabError`."""
+    if not isinstance(text, str):
+        raise VocabError(f"text must be a string, got {text!r}")
+    return text
 
 
 class WhitespaceTokenizer:
@@ -134,12 +139,13 @@ class WhitespaceTokenizer:
         self.vocab = vocab
 
     def tokenize(self, text: str) -> list[str]:
-        return text.split()
+        return _text(text).split()
 
     def encode(self, text: str, limit: int | None = None) -> list[int]:
         """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``."""
         get = self.vocab.ids.get
         unk = self.vocab.unk_id
+        text = _text(text)
         words = text.split() if limit is None else text.split(None, limit)[:limit]
         return [get(word, unk) for word in words]
 
@@ -183,7 +189,7 @@ class WordPieceTokenizer:
 
     def tokenize(self, text: str) -> list[str]:
         out: list[str] = []
-        for word in text.split():
+        for word in _text(text).split():
             pieces = self._word_pieces(word)
             out.extend(pieces if pieces is not None else [UNK_TOKEN])
         return out
@@ -203,7 +209,7 @@ class WordPieceTokenizer:
         out: list[int] = []
         # every word gives at least one id, so the last item of the split,
         # which holds any words past the first `limit`, is never tokenized
-        for word in text.split(None, limit):
+        for word in _text(text).split(None, limit):
             if len(out) >= limit:
                 break
             token_id = get(word)

@@ -22,7 +22,6 @@ and :meth:`DenseIndex.check_prior` is the one check a prior passes before
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,7 +38,7 @@ from .errors import (
     VerbalizerError,
 )
 from .template import Choice
-from .textfile import read_text
+from .textfile import read_json_object
 from .tokenization import UNK_TOKEN
 
 __all__ = [
@@ -144,27 +143,12 @@ def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Ver
 
 def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
     """Load a JSON verbalizer file: a map from class name to word list."""
-
-    def reject_duplicates(pairs):
-        seen = {}
-        for key, value in pairs:
-            if key in seen:
-                raise DuplicateClass(f"class {key!r} defined twice")
-            seen[key] = value
-        return seen
-
     try:
-        raw = read_text(path)
+        mapping = read_json_object(
+            path, "verbalizer file", UnreadableFile,
+            lambda key: DuplicateClass(f"verbalizer file {path}: class {key!r} defined twice"))
     except OSError as exc:
         raise UnreadableFile(f"cannot read verbalizer file {path}: {exc}") from None
-    try:
-        mapping = json.loads(raw, object_pairs_hook=reject_duplicates)
-    except DuplicateClass:
-        raise
-    except ValueError as exc:
-        raise UnreadableFile(f"verbalizer file {path} is not valid JSON: {exc}") from None
-    if not isinstance(mapping, dict):
-        raise UnreadableFile(f"verbalizer file {path} must be a JSON object")
     return build_verbalizer(mapping, tokenizer)
 
 

@@ -19,7 +19,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, ConflictingAttributes, DataError, MissingMetaKey
+from .errors import ConfigError, ConflictingAttributes, DataError, InvalidValueType, MissingMetaKey
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
 from .template import NodeKind, PostProcessing, TemplateAST
 
@@ -75,6 +75,8 @@ class Segment:
     shortenable: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise InvalidValueType(f"segment text must be a string, got {self.text!r}")
         if self.soft_slot is not None and (self.is_mask or self.text):
             raise ConflictingAttributes("soft segments have no text and are not masks")
         if self.is_mask and self.text:

@@ -1,4 +1,5 @@
-"""The public API: every exported name resolves, and removed names stay gone."""
+"""The public API: every exported name resolves, removed names stay gone,
+and an ill-typed argument raises a PromptPipeError that names it."""
 
 from __future__ import annotations
 
@@ -10,6 +11,16 @@ import pkgutil
 import pytest
 
 import promptpipe
+from promptpipe.errors import (
+    ClassListMismatch,
+    ConfigError,
+    DataError,
+    InvalidValueType,
+    VocabError,
+)
+from promptpipe.runner import evaluate_accuracy
+from promptpipe.template import validate_template
+from promptpipe.textfile import write_jsonl
 
 MODULES = [
     importlib.import_module(f"promptpipe.{info.name}")
@@ -46,3 +57,47 @@ def test_removed_members_are_gone():
     for module in MODULES:
         for name in ("SegmentOrigin", "TokenEntry", "truncate"):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def _vocab():
+    return promptpipe.Vocab.from_tokens(["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]", "a"])
+
+
+# a public call with an ill-typed argument: the stage error it raises, and its
+# message, which names the argument. A file descriptor taken for a path would
+# be opened, and 0 is standard input.
+BAD_ARGUMENTS = {
+    "validate_template": (lambda: validate_template(5, set()), InvalidValueType,
+                          "validate_template takes a TemplateAST, got 5"),
+    "segment_text": (lambda: promptpipe.Segment(text=5), InvalidValueType,
+                     "segment text must be a string, got 5"),
+    "mask_segment_text": (lambda: promptpipe.Segment(text=None, is_mask=True), InvalidValueType,
+                          "segment text must be a string, got None"),
+    "load_template_file": (lambda: promptpipe.load_template_file(5), ConfigError,
+                           "input must be a file path, got 5"),
+    "vocab_from_file": (lambda: promptpipe.Vocab.from_file(0), ConfigError,
+                        "input must be a file path, got 0"),
+    "load_jsonl": (lambda: promptpipe.load_jsonl(5), ConfigError,
+                   "input must be a file path, got 5"),
+    "write_jsonl": (lambda: write_jsonl([{}], 5), ConfigError,
+                    "output must be a file path, got 5"),
+    "from_examples": (lambda: promptpipe.Dataset.from_examples([1]), DataError,
+                      "examples must hold InputExample values, got 1"),
+    "evaluate_accuracy": (
+        lambda: evaluate_accuracy([("a",)], [("a", "b")]), DataError,
+        "preds and golds must hold (guid, class) pairs, got ('a',) and ('a', 'b')"),
+    "ensemble_scores": (lambda: promptpipe.ensemble_scores([1]), ClassListMismatch,
+                        "per_template must hold ClassScores, got 1"),
+    "wordpiece_encode": (lambda: promptpipe.WordPieceTokenizer(_vocab()).encode(5), VocabError,
+                         "text must be a string, got 5"),
+    "whitespace_encode": (lambda: promptpipe.WhitespaceTokenizer(_vocab()).encode(5), VocabError,
+                          "text must be a string, got 5"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_an_ill_typed_argument_raises_its_stage_error(name):
+    call, error, message = BAD_ARGUMENTS[name]
+    with pytest.raises(error) as failure:
+        call()
+    assert str(failure.value) == message

@@ -1109,9 +1109,9 @@ def test_logits_reader_equals_json_oracle_on_each_spelling(tmp_path):
 
 def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
     """A file json.dumps wrote, with exponents, integers and -0.0, never
-    reaches json.loads: each of its records is read by loadtxt."""
-    import promptpipe.data
+    reaches the JSON decoder: each of its records is read by loadtxt."""
     from promptpipe.runner import read_logits_records
+    from promptpipe.textfile import JSON_DECODER
 
     rng = np.random.default_rng(7)
     records = {}
@@ -1125,17 +1125,18 @@ def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
         json.dumps({"guid": guid, "mask_logits": rows}) + "\n" for guid, rows in records.items()))
 
     decoded = []
-    real_loads = json.loads
+    real_decode = JSON_DECODER.decode
 
     def spy(text, *args, **kwargs):
         decoded.append(text[:30])
-        return real_loads(text, *args, **kwargs)
+        return real_decode(text, *args, **kwargs)
 
-    monkeypatch.setattr(promptpipe.data.json, "loads", spy)
+    monkeypatch.setattr(JSON_DECODER, "decode", spy)
     got = list(read_logits_records(path, 40))
     monkeypatch.undo()
     assert [guid for guid, _ in got] == list(records)
     # the guid literals only, never a whole line
+    assert len(decoded) == len(records)
     assert all(not text.startswith("{") for text in decoded)
     for guid, rows in got:
         assert rows.tobytes() == np.asarray(records[guid], dtype=np.float64).tobytes()

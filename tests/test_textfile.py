@@ -1,9 +1,12 @@
 """Every input file is read as UTF-8 with an optional byte-order mark;
-bytes that are not UTF-8 raise an error naming the file and the line."""
+bytes that are not UTF-8 raise an error naming the file and the line.
+Every JSON or YAML input rejects a repeated key, and every reader takes
+only a ``str`` or ``os.PathLike`` path."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -18,7 +21,7 @@ from promptpipe import (
     load_verbalizer,
     parse_template,
 )
-from promptpipe.errors import InvalidEncoding
+from promptpipe.errors import ConfigError, DuplicateClass, InvalidEncoding, MalformedLine
 from promptpipe.runner import read_logits_records
 from promptpipe.textfile import write_jsonl
 
@@ -139,3 +142,55 @@ def test_write_jsonl_writes_the_bytes_json_dumps_gives(tmp_path, capsys):
     assert path.read_bytes() == want.encode("utf-8")
     write_jsonl(iter(records))
     assert capsys.readouterr().out == want
+
+
+# input, file name, a file whose last object repeats a key (on line 2 of
+# each JSONL file), the key and the error
+REPEATED_KEYS = {
+    "dataset": ("dataset", "d.jsonl", '{"guid": "a", "meta": {"t": "x"}}\n'
+                '{"guid": "b", "meta": {"t": "x"}, "guid": "c"}\n', "guid", MalformedLine),
+    "dataset_meta": ("dataset", "d.jsonl", '{"guid": "a", "meta": {"t": "x"}}\n'
+                     '{"guid": "b", "meta": {"t": "x", "t": "y"}}\n', "t", MalformedLine),
+    "logits": ("logits", "l.jsonl", '{"guid": "a", "mask_logits": [[0, 1, 2]]}\n'
+               '{"guid": "b", "mask_logits": [[0, 1, 2]], "guid": "c"}\n', "guid", MalformedLine),
+    "verbalizer": ("verbalizer", "v.json", '{"positive": ["good"], "negative": ["bad"], '
+                   '"positive": ["great"]}', "positive", DuplicateClass),
+    "frequency": ("frequency", "f.json", '{"great": 1.0, "bad": 2.0, "great": 3.0}', "great",
+                  ConfigError),
+    "json_config": ("config", "c.json", '{"templates": ["t.txt"], "max_len": 32, "max_len": 8}',
+                    "max_len", ConfigError),
+    "yaml_config": ("config", "c.yaml", "templates: [t.txt]\nmax_len: 32\nmax_len: 8\n",
+                    "max_len", ConfigError),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_KEYS)
+def test_a_repeated_key_is_an_error_naming_file_and_key(fixtures_dir, tmp_path, case):
+    name, file_name, text, key, error = REPEATED_KEYS[case]
+    path = tmp_path / file_name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as failure:
+        READERS[name][0](path, fixtures_dir)
+    message = str(failure.value)
+    assert str(path) in message
+    assert repr(key) in message
+    if path.suffix == ".jsonl":
+        assert message.startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("path", [5, 0, None, b"data.jsonl"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_path_that_is_not_str_or_pathlike_is_a_config_error(fixtures_dir, name, path):
+    read, _ = READERS[name]
+    message = f"input must be a file path, got {path!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        read(path, fixtures_dir)
+
+
+@pytest.mark.parametrize("output", [5, 0, b"out.jsonl"])
+def test_write_jsonl_takes_a_file_path_or_none(output, capsys):
+    message = f"output must be a file path, got {output!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        write_jsonl([{"a": 1}], output)
+    write_jsonl([{"a": 1}], None)
+    assert capsys.readouterr().out == '{"a": 1}\n'
