@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -64,7 +63,15 @@ from .errors import (
     PromptPipeError,
 )
 from .template import Choice, TemplateAST, load_template_file
-from .textfile import JSON_DECODER, read_json_object, read_text, unique_keys, write_jsonl
+from .textfile import (
+    JSON_DECODER,
+    RepeatedKey,
+    is_file_path,
+    read_json_object,
+    read_text,
+    unique_keys,
+    write_jsonl,
+)
 from .tokenization import (
     CompiledTemplate,
     TokenizedInput,
@@ -124,7 +131,7 @@ class Setting:
             self.choices.parse(value)
 
 
-_PATH = Setting("a file path", lambda v: isinstance(v, (str, os.PathLike)), path=True)
+_PATH = Setting("a file path", is_file_path, path=True)
 _OPTIONAL_PATH = replace(_PATH, accepts=lambda v: v is None or _PATH.accepts(v))
 _PATHS = Setting(
     "a list of file paths", lambda v: isinstance(v, list) and all(map(_PATH.accepts, v)),
@@ -201,13 +208,16 @@ class PipelineConfig:
         return cfg
 
     def validate(self) -> None:
+        # a required path left at its default "" is missing, not a bad path
+        missing = [name for name in ("dataset", "vocab", "verbalizer")
+                   if getattr(self, name) == ""]
         for name, setting in CONFIG_SCHEMA.items():
-            setting.check(name, getattr(self, name))
+            if name not in missing:
+                setting.check(name, getattr(self, name))
         if not self.templates:
             raise ConfigError("config needs at least one template file")
-        for name in ("dataset", "vocab", "verbalizer"):
-            if not getattr(self, name):
-                raise ConfigError(f"config is missing {name!r}")
+        if missing:
+            raise ConfigError(f"config is missing {missing[0]!r}")
         if (self.logits_file is None) == (self.frequency_file is None):
             raise ConfigError(
                 "configure exactly one model interface: logits_file or frequency_file"
@@ -226,7 +236,11 @@ def _read_yaml(path: str | Path) -> dict:
             # the parent resolves merges (<<) and checks every key; a key a merge
             # also gives is then repeated
             super().construct_mapping(node, deep)
-            return unique_keys(self.construct_pairs(node, deep))
+            try:
+                return unique_keys(self.construct_pairs(node, deep))
+            except RepeatedKey as exc:
+                key_node = node.value[exc.index][0]
+                raise yaml.MarkedYAMLError(problem=str(exc), problem_mark=key_node.start_mark)
 
     try:
         raw = yaml.load(read_text(path), Loader)
@@ -658,7 +672,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     pipeline, dataset = _setup(cfg)
     results = pipeline.process(dataset.examples)
 
-    if cfg.output:
+    if cfg.output is not None:
         write_jsonl(results, cfg.output)
 
     labeled = [(ex, res) for ex, res in zip(dataset.examples, results) if ex.label is not None]

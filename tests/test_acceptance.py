@@ -506,6 +506,16 @@ def test_criterion_7_golden_run(fixtures_dir, tmp_path):
     assert first == golden, "pipeline output differs from the checked-in golden"
     assert run_once("b.jsonl") == golden, "rerun not byte-identical"
 
+    # the same bytes, and the summary line, through the process entry
+    out = tmp_path / "c.jsonl"
+    summary = subprocess.run(
+        [sys.executable, "-m", "promptpipe", "run", "--config",
+         str(fixtures_dir / "run_sentiment.yaml"), "--output", str(out)],
+        check=True, capture_output=True,
+    ).stdout
+    assert out.read_bytes() == golden, "python -m promptpipe run differs from the golden"
+    assert summary == b'{"n_examples": 5, "n_labeled": 5, "accuracy": 0.6}\n'
+
     # independent verification of what is frozen in the golden file: the toy
     # scorer boosts only "great", so with mean aggregation every example
     # scores negative = lp(bad) and positive = mean lp(good, wonderful, great)
@@ -524,7 +534,7 @@ def test_criterion_7_golden_run(fixtures_dir, tmp_path):
         assert record["predicted_class"] == "positive"
         assert abs(record["class_scores"][0] - want_negative) < 1e-12
         assert abs(record["class_scores"][1] - want_positive) < 1e-12
-    _ok(7, "golden bytes reproduced (run, rerun) and oracle-checked")
+    _ok(7, "golden bytes reproduced (run, rerun, CLI process) and oracle-checked")
 
 
 # --- criterion 8: throughput -------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
 
@@ -10,6 +11,7 @@ import pytest
 
 from promptpipe import Vocab, build_tokenizer, load_verbalizer, project, project_per_position
 from promptpipe import cli
+from promptpipe.__main__ import entry
 from promptpipe.cli import main
 from promptpipe.errors import ConfigError
 from promptpipe.runner import PipelineConfig, RunReport, run_pipeline
@@ -175,6 +177,20 @@ def _empty_label(command: str):
     return case
 
 
+def _empty_path_flag(command: str, flag: str):
+    def case(fixtures, tmp):
+        argv = {
+            "run": ["run", "--config", str(fixtures / "run_sentiment.yaml")],
+            "wrap": ["wrap", "--template-file", str(fixtures / "template_sentiment.txt"),
+                     "--dataset", str(fixtures / "sentiment.jsonl")],
+        }[command]
+        # "" names no file: it is neither standard output nor "no results file"
+        return argv + [flag, ""], [f"'{flag[2:]}' must be a file path, got ''"]
+
+    case.__name__ = f"_{command}_empty_{flag[2:]}_flag"
+    return case
+
+
 def _config_case(name: str, text: str, *expected: str):
     def case(fixtures, tmp):
         config = tmp / name
@@ -195,6 +211,8 @@ _boolean_not_boolean = _config_case("calibrate.yaml", "calibrate: 1\n",
 _templates_not_paths = _config_case("templates.yaml", "templates: {a: 1}\n",
                                     "'templates' must be a list of file paths")
 # set-up checks these before it opens a file, so the named files need not exist
+_empty_output = _config_case("empty_output.yaml", 'output: ""\n',
+                             "'output' must be a file path, got ''")
 _missing_dataset = _config_case(
     "no_dataset.yaml", "templates: [t.txt]\nvocab: v.txt\nverbalizer: b.json\n"
     "frequency_file: f.json\n", "config is missing 'dataset'")
@@ -248,6 +266,10 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _run_template_without_mask,
         *map(_unknown_tokenizer_kind_flag, ["plan", "tokenize", "score", "run"]),
         *map(_empty_label, ["sample", "run"]),
+        _empty_output,
+        _empty_path_flag("run", "--output"),
+        _empty_path_flag("wrap", "--output"),
+        _empty_path_flag("wrap", "--dataset"),
     ],
 )
 def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
@@ -260,6 +282,22 @@ def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
     for part in expected:
         assert part in lines[0]
     assert "Traceback" not in captured.err
+
+
+def test_main_leaves_the_collector_unfrozen(fixtures_dir, tmp_path, capsys):
+    before = gc.get_freeze_count()
+    argv = ["run", "--config", str(fixtures_dir / "run_sentiment.yaml"),
+            "--output", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_freezes_before_it_runs_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    assert entry() == 7
+    assert calls == ["freeze", "main"]
 
 
 def test_ensemble_of_finite_scores_near_the_float_limit_is_finite(fixtures_dir, tmp_path):

@@ -21,7 +21,13 @@ from promptpipe import (
     load_verbalizer,
     parse_template,
 )
-from promptpipe.errors import ConfigError, DuplicateClass, InvalidEncoding, MalformedLine
+from promptpipe.errors import (
+    ConfigError,
+    DuplicateClass,
+    InvalidEncoding,
+    MalformedLine,
+    UnreadableFile,
+)
 from promptpipe.runner import read_logits_records
 from promptpipe.textfile import write_jsonl
 
@@ -155,6 +161,9 @@ REPEATED_KEYS = {
                '{"guid": "b", "mask_logits": [[0, 1, 2]], "guid": "c"}\n', "guid", MalformedLine),
     "verbalizer": ("verbalizer", "v.json", '{"positive": ["good"], "negative": ["bad"], '
                    '"positive": ["great"]}', "positive", DuplicateClass),
+    # a key repeated below the top level names no class
+    "verbalizer_nested": ("verbalizer", "v.json", '{"positive": ["good"], '
+                          '"negative": {"x": 1, "x": 2}}', "x", UnreadableFile),
     "frequency": ("frequency", "f.json", '{"great": 1.0, "bad": 2.0, "great": 3.0}', "great",
                   ConfigError),
     "json_config": ("config", "c.json", '{"templates": ["t.txt"], "max_len": 32, "max_len": 8}',
@@ -178,7 +187,22 @@ def test_a_repeated_key_is_an_error_naming_file_and_key(fixtures_dir, tmp_path, 
         assert message.startswith(f"{path}:2: ")
 
 
-@pytest.mark.parametrize("path", [5, 0, None, b"data.jsonl"])
+@pytest.mark.parametrize(("text", "key", "line", "column"), [
+    ("templates: [t.txt]\nmax_len: 32\nmax_len: 8\n", "max_len", 3, 1),
+    ("templates: [t.txt]\nx:\n  a: 1\n  a: 2\n", "a", 4, 3),
+    # a merge gives its keys first, so the mapping's own key is the repeat
+    ("base: &b {max_len: 3}\n<<: *b\nmax_len: 8\n", "max_len", 3, 1),
+], ids=["top_level", "nested", "after_merge"])
+def test_a_repeated_yaml_key_names_its_line_and_column(tmp_path, text, key, line, column):
+    path = tmp_path / "c.yaml"
+    path.write_text(text, encoding="utf-8")
+    message = (f"config file {path} is not valid YAML at line {line}, column {column}: "
+               f"repeated key {key!r}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("path", [5, 0, None, "", b"data.jsonl"])
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_a_path_that_is_not_str_or_pathlike_is_a_config_error(fixtures_dir, name, path):
     read, _ = READERS[name]
@@ -187,7 +211,7 @@ def test_a_path_that_is_not_str_or_pathlike_is_a_config_error(fixtures_dir, name
         read(path, fixtures_dir)
 
 
-@pytest.mark.parametrize("output", [5, 0, b"out.jsonl"])
+@pytest.mark.parametrize("output", [5, 0, "", b"out.jsonl"])
 def test_write_jsonl_takes_a_file_path_or_none(output, capsys):
     message = f"output must be a file path, got {output!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
