@@ -6,9 +6,13 @@ from . import cli
 
 def entry() -> int:
     """``python -m promptpipe`` and the ``promptpipe`` script: :func:`cli.main`, with
-    the import-time heap, which lives until exit, frozen out of the collector's reach."""
+    the import-time heap, which lives until exit, frozen out of the collector's reach,
+    and frozen again once it returns, for the modules it imported (PyYAML for a YAML
+    config)."""
     gc.freeze()
-    return cli.main()
+    status = cli.main()
+    gc.freeze()
+    return status
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ def read_guid_lines(
     """
     first_line: dict[str, int] = {}
     for line_no, line in read_lines(path):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         read = read_line(line) if read_line else None
         if read is None:

@@ -370,13 +370,15 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
         yield guid, rows
 
 
-# The documented record form, with any spaces or tabs between its parts; the
-# rows group is the text between the outer "[[" and "]]".
+# The documented record form, with any spaces or tabs between its parts: the
+# head up to the outer "[[", the tail from the rows' closing "]", and the
+# separator between two rows.
 _WS = r"[ \t]*"
-_NUMERIC_LINE = re.compile(
+_HEAD = re.compile(
     rf'{_WS}\{{{_WS}"guid"{_WS}:{_WS}(?P<guid>"(?:[^"\\]|\\.)*"){_WS},'
-    rf'{_WS}"mask_logits"{_WS}:{_WS}\[{_WS}\[(?P<rows>.*)\]{_WS}\]{_WS}\}}[ \t\n]*'
+    rf'{_WS}"mask_logits"{_WS}:{_WS}\[{_WS}\['
 )
+_TAIL = re.compile(rf"\]{_WS}\]{_WS}\}}[ \t\n]*")
 _ROW_SEPARATOR = re.compile(rf"\]{_WS},{_WS}\[")
 
 
@@ -384,21 +386,36 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
     """``(guid, rows)`` for a line that the one JSON decoder reads as a record
     of ``vocab_size``-wide rows of finite numbers, parsed without it; else ``None``.
 
-    The rows must hold JSON numbers only (:func:`_json_number_row`), and
-    ``np.loadtxt`` must read one row of ``vocab_size`` finite values per
-    ``[...]``. Its values are those of ``float()``, so of ``json.loads``
-    followed by the float64 conversion. Any other line, valid or not, is
-    left to the decoder, which reads only the guid literal of this one.
+    The line is framed in one pass: ``_HEAD`` matches it up to the outer
+    ``[[``; the rows end at the line's second-to-last ``]``, from which
+    ``_TAIL`` must match the rest of the line; and every ``]`` between
+    must start a ``_ROW_SEPARATOR``, where the rows are cut. The rows must
+    hold JSON numbers only (:func:`_json_number_row`), and ``np.loadtxt``
+    must read one row of ``vocab_size`` finite values per ``[...]``. Its
+    values are those of ``float()``, so of ``json.loads`` followed by the
+    float64 conversion. Any other line, valid or not, is left to the
+    decoder, which reads only the guid literal of this one.
     """
-    match = _NUMERIC_LINE.fullmatch(line)
-    if match is None:
+    head = _HEAD.match(line)
+    if head is None:
         return None
-    rows = _ROW_SEPARATOR.split(match["rows"])
+    start = head.end()
+    end = line.rfind("]", start, line.rfind("]"))
+    if end < 0 or _TAIL.fullmatch(line, end) is None:
+        return None
+    rows = []
+    while (close := line.find("]", start, end)) >= 0:
+        separator = _ROW_SEPARATOR.match(line, close, end)
+        if separator is None:
+            return None
+        rows.append(line[start:close])
+        start = separator.end()
+    rows.append(line[start:end])
     # an empty row fails here, before loadtxt, which would drop it and warn
     if not all(map(_json_number_row, rows)):
         return None
     try:
-        guid = JSON_DECODER.decode(match["guid"])
+        guid = JSON_DECODER.decode(head["guid"])
         values = np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError:
         return None

@@ -85,11 +85,14 @@ class Vocab:
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocab":
         token_list = tuple(tokens)
-        ids: dict[str, int] = {}
-        for index, token in enumerate(token_list):
-            if token in ids:
-                raise DuplicateToken(f"token {token!r} appears twice (ids {ids[token]} and {index})")
-            ids[token] = index
+        ids = dict(zip(token_list, range(len(token_list))))
+        if len(ids) < len(token_list):
+            first: dict[str, int] = {}
+            for index, token in enumerate(token_list):
+                if first.setdefault(token, index) != index:
+                    raise DuplicateToken(
+                        f"token {token!r} appears twice (ids {first[token]} and {index})"
+                    )
         specials = {}
         for name in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, CLS_TOKEN, SEP_TOKEN):
             if name not in ids:
@@ -116,12 +119,11 @@ class Vocab:
         lines = read_text(path).split("\n")
         if lines[-1] == "":
             lines.pop()
-        for line_no, line in enumerate(lines, start=1):
-            if not line:
-                raise VocabError(
-                    f"{path}:{line_no}: blank line; every line must hold a token "
-                    "because a token's id is its line number"
-                )
+        if not all(lines):
+            raise VocabError(
+                f"{path}:{lines.index('') + 1}: blank line; every line must hold a token "
+                "because a token's id is its line number"
+            )
         return cls.from_tokens(lines)
 
 

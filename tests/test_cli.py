@@ -297,7 +297,7 @@ def test_the_process_entry_freezes_before_it_runs_main(monkeypatch):
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
     assert entry() == 7
-    assert calls == ["freeze", "main"]
+    assert calls == ["freeze", "main", "freeze"]
 
 
 def test_ensemble_of_finite_scores_near_the_float_limit_is_finite(fixtures_dir, tmp_path):

@@ -1042,7 +1042,7 @@ _ODD_LOGITS = [
 def _logits_line(draw, width):
     """One line of a logits file: mostly a valid record, at times with one
     odd value, an odd row or an odd layout."""
-    guid = draw(st.sampled_from(["a", "b", "c", "d", "[[a", 'q"x', "é", "", "\\"]))
+    guid = draw(st.sampled_from(["a", "b", "c", "d", "[[a", 'q"x', "é", "", "\\", "a]]}", "], ["]))
 
     def row():
         n = draw(st.sampled_from([width] * 6 + [0, width - 1, width + 1]))
@@ -1095,16 +1095,35 @@ def test_logits_reader_equals_json_oracle(data):
     assert got == expected
 
 
+# line layouts around a row: the plain one, a stray "]" or "[" inside a
+# row, spaces and tabs at the outer brackets and after "}", a second "]]}"
+# later on the line, and text after the closing "}"
+_LOGITS_LAYOUTS = [
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2], 3]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2]], 3]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, [2], 3]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, [2, 3]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]] \t}',
+    '{"guid": "g", "mask_logits": [ \t[%s], [1, 2, 3]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]} \t \t',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]], "model": "]]}"}',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]} ]]}',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]}x',
+    '{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]} {}',
+]
+
+
 def test_logits_reader_equals_json_oracle_on_each_spelling(tmp_path):
     from promptpipe.runner import read_logits_records
 
     path = tmp_path / "logits.jsonl"
-    for spelling in _JSON_LOGITS + _ODD_LOGITS:
-        for row in (f"0.5, {spelling}, -1", f"{spelling}, 0.5, -1", f"-1, 0.5,{spelling}"):
-            path.write_text('{"guid": "g", "mask_logits": [[%s], [1, 2, 3]]}\n' % row,
-                            encoding="utf-8")
-            got = _read_outcome(read_logits_records, path, 3)
-            assert got == _read_outcome(_oracle_read_logits_records, path, 3), row
+    for layout in _LOGITS_LAYOUTS:
+        for spelling in _JSON_LOGITS + _ODD_LOGITS:
+            for row in (f"0.5, {spelling}, -1", f"{spelling}, 0.5, -1", f"-1, 0.5,{spelling}"):
+                path.write_text(layout % row + "\n", encoding="utf-8")
+                got = _read_outcome(read_logits_records, path, 3)
+                assert got == _read_outcome(_oracle_read_logits_records, path, 3), layout % row
 
 
 def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):

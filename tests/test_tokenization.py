@@ -49,6 +49,9 @@ def test_vocab_requires_special_tokens():
 def test_vocab_rejects_duplicates():
     with pytest.raises(DuplicateToken):
         Vocab.from_tokens(SPECIALS + ["x", "x"])
+    # the first repeat is named, with both of its ids
+    with pytest.raises(DuplicateToken, match=r"^token 'x' appears twice \(ids 5 and 7\)$"):
+        Vocab.from_tokens(SPECIALS + ["x", "y", "x", "y"])
 
 
 def test_vocab_rejects_blank_line_and_names_it(tmp_path):
