@@ -14,13 +14,12 @@ import argparse
 import sys
 
 from .data import example_to_dict, fewshot_sample, load_jsonl
-from .errors import ConfigError, NonFiniteValue, PipelineStageError, PromptPipeError
-from .runner import CONFIG_SCHEMA, PipelineConfig, read_logits_records, run_pipeline
+from .errors import ConfigError, PipelineStageError, PromptPipeError
+from .runner import CONFIG_SCHEMA, PipelineConfig, _score_logits_file, run_pipeline
 from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .textfile import write_jsonl
 from .tokenization import CompiledTemplate, Vocab, build_tokenizer
-from .verbalizer import load_verbalizer, project
 from .wrapping import TemplateLayout
 
 
@@ -131,20 +130,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_score(args) -> int:
-    vocab = Vocab.from_file(args.vocab)
-    tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
-    verbalizer = load_verbalizer(args.verbalizer, tokenizer)
-    records = []
-    for guid, rows in read_logits_records(args.logits_file, len(vocab)):
-        try:
-            scores = project(rows, verbalizer, aggregation=args.aggregation)
-        except NonFiniteValue as exc:
-            raise NonFiniteValue(f"{args.logits_file}: guid {guid!r}: {exc}") from None
-        records.append({
-            "guid": guid,
-            "predicted_class": scores.predicted_label,
-            "class_scores": [float(s) for s in scores.scores],
-        })
+    records = _score_logits_file(args.logits_file, args.vocab, args.verbalizer,
+                                 args.tokenizer_kind, args.aggregation)
     write_jsonl(records, args.output)
     return 0
 

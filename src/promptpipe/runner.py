@@ -13,13 +13,13 @@ a scorer's ``rows(guid, mask_count)`` gives that many rows.
 
 Examples run serially, and the per-example loop holds only per-example
 work: each example is wrapped, measured and scored template by template
-into one ``(N, M, C, W)`` array of label-word scores per template. A
-template's mask count is computed once (``TemplateAST.mask_count`` is
-cached). After the loop, one aggregate call per template for the whole
-run sums each example's mask positions, one mean over templates (the
-one :func:`ensemble_scores` uses) ensembles the ``(N, C)`` class scores,
-the predictions come from one ``argmax`` and the score lists from one
-``tolist``, and the records are written through one JSON encoder
+into one ``(N, M, C, W)`` array of label-word scores per template
+(``TemplateAST.mask_count`` is cached). After the loop, one aggregate
+call per template sums each example's mask positions and one mean over
+templates (the one :func:`ensemble_scores` uses) ensembles the ``(N, C)``
+class scores; ``score`` reduces each record to its class scores as it
+reads it. Both then take one finite check, one ``argmax`` and one
+``tolist``, and write through one JSON encoder
 (:func:`~promptpipe.textfile.write_jsonl`). Every example is reduced on
 its own, so output bytes do not depend on how many examples share a call.
 
@@ -46,6 +46,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -477,11 +478,11 @@ class LogitsFileScorer:
     """Replays logits from a JSONL file of {guid, mask_logits} records.
 
     ``rows(guid, M)``, or a call with an encoding of M masks, returns the
-    guid's ``(M, V)`` rows, which must number M. With ``project``, each
-    record's rows go through it as they are read and only its result is
-    kept and returned: the runner passes
-    :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
-    ``(M, C, W)`` label-word scores per guid, never vocabulary-wide rows.
+    guid's ``(M, V)`` rows, which must number M; ``records`` maps each guid
+    to its rows in file order, read-only. With ``project``, each record's
+    rows go through it as they are read and only its result is kept: the
+    runner passes :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so
+    it holds ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
     """
 
     def __init__(
@@ -490,14 +491,13 @@ class LogitsFileScorer:
         vocab_size: int,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        self.vocab_size = vocab_size
         records = read_logits_records(path, vocab_size)
         if project is not None:
             records = ((guid, project(rows)) for guid, rows in records)
-        self._rows: dict[str, np.ndarray] = dict(records)
+        self.records = MappingProxyType(dict(records))
 
     def rows(self, guid: str, mask_count: int) -> np.ndarray:
-        rows = self._rows.get(guid)
+        rows = self.records.get(guid)
         if rows is None:
             raise MissingLogits(guid)
         if rows.shape[0] != mask_count:
@@ -596,14 +596,15 @@ class _Pipeline:
         index = self.verbalizer.dense
         # one (N, M, C, W) array of word scores per template
         words = [np.empty((len(examples), m, *index.word_mask.shape)) for m in self.mask_counts]
-        texts = []
+        records = []
         for i, example in enumerate(examples):
             for t, template in enumerate(self.templates):
                 stage = "wrap"
                 try:
                     values = template.resolve(example)
                     if t == 0:
-                        texts.append(template.render(values))
+                        records.append(
+                            {"guid": example.guid, "wrapped_text": template.render(values)})
                     stage = "encode"
                     m = template.measure(values)
                     stage = "score"
@@ -614,22 +615,35 @@ class _Pipeline:
             index.aggregate(scores, self.aggregation, prior)
             for scores, prior in zip(words, self.priors)
         ]))
-        # finite word scores can still overflow once summed
-        finite = np.isfinite(combined).all(axis=1)
-        if not finite.all():
-            guid = examples[int(finite.argmin())].guid
-            raise NonFiniteValue(f"guid {guid!r} has class scores beyond the float64 range")
-        classes = self.verbalizer.classes
-        predicted = combined.argmax(axis=1).tolist()
-        return [
-            {
-                "guid": example.guid,
-                "wrapped_text": text,
-                "predicted_class": classes[k],
-                "class_scores": scores,
-            }
-            for example, text, k, scores in zip(examples, texts, predicted, combined.tolist())
-        ]
+        return _predict(records, combined, self.verbalizer.classes)
+
+
+def _predict(records: list[dict], scores: np.ndarray, classes: Sequence[str]) -> list[dict]:
+    """``records`` with each one's predicted class and score list added; finite
+    word scores can overflow once summed, and the first such guid is named."""
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        guid = records[int(finite.argmin())]["guid"]
+        raise NonFiniteValue(f"guid {guid!r} has class scores beyond the float64 range")
+    for record, k, row in zip(records, scores.argmax(axis=1).tolist(), scores.tolist()):
+        record["predicted_class"] = classes[k]
+        record["class_scores"] = row
+    return records
+
+
+def _score_logits_file(path: str, vocab: str, verbalizer: str, tokenizer_kind: str,
+                       aggregation: Aggregation | str) -> list[dict]:
+    """``score``'s records in file order: each record is read as a run reads it
+    and reduced to its C class scores as it is read."""
+    aggregation = Aggregation.parse(aggregation)
+    tokenizer = build_tokenizer(tokenizer_kind, Vocab.from_file(vocab))
+    index = load_verbalizer(verbalizer, tokenizer).dense
+    records = LogitsFileScorer(
+        path, len(tokenizer.vocab),
+        lambda rows: index.aggregate(index.word_scores(rows), aggregation),
+    ).records
+    totals = np.array(list(records.values())).reshape(len(records), len(index.classes))
+    return _predict([{"guid": guid} for guid in records], totals, index.classes)
 
 
 def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:

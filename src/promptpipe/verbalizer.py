@@ -22,6 +22,8 @@ and :meth:`DenseIndex.check_prior` is the one check a prior passes before
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -75,8 +77,8 @@ class Verbalizer:
 
 @dataclass(frozen=True)
 class ClassScores:
-    """Per-class scores aligned with the verbalizer's class order: one score
-    per class, and at least one class."""
+    """Per-class scores aligned with the verbalizer's class order: one finite
+    real score per class, and at least one class."""
 
     classes: tuple[str, ...]
     scores: tuple[float, ...]
@@ -86,6 +88,12 @@ class ClassScores:
             raise DimensionMismatch(
                 f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
             )
+        for score in self.scores:
+            if isinstance(score, bool) or not isinstance(score, numbers.Real):
+                raise DimensionMismatch(f"a class score must be a real number, got {score!r}")
+            if not math.isfinite(score):
+                raise NonFiniteValue(f"class score {score!r} is not finite: a NaN, an "
+                                     "infinity or a sum beyond the float64 range")
 
     @property
     def predicted_class(self) -> int:
@@ -97,8 +105,11 @@ class ClassScores:
         return self.classes[self.predicted_class]
 
     def normalized(self) -> "ClassScores":
-        """Scores log-softmaxed over classes, so their exps sum to one."""
-        normed = log_softmax(np.asarray(self.scores, dtype=np.float64))
+        """Scores log-softmaxed over classes, so their exps sum to one; scores
+        whose spread is beyond the float64 range raise
+        :class:`~promptpipe.errors.NonFiniteValue`."""
+        with np.errstate(over="ignore"):
+            normed = log_softmax(np.asarray(self.scores, dtype=np.float64))
         return ClassScores(classes=self.classes, scores=tuple(float(v) for v in normed))
 
 
@@ -152,7 +163,8 @@ def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
     return build_verbalizer(mapping, tokenizer)
 
 
-@dataclass(frozen=True)
+# compared by identity: the generated __eq__ would compare arrays
+@dataclass(frozen=True, eq=False)
 class DenseIndex:
     """A verbalizer's label words as one padded ``(C, W, P)`` id array.
 
@@ -203,8 +215,12 @@ class DenseIndex:
 
     def check_rows(self, logits) -> np.ndarray:
         """``logits`` as a float64 ``(R, V)`` array of finite values, wide enough
-        for the label ids."""
-        rows = np.asarray(logits, dtype=np.float64)
+        for the label ids; ``logits`` that numpy cannot read as such an array of
+        numbers raise :class:`~promptpipe.errors.DimensionMismatch`."""
+        try:
+            rows = np.asarray(logits, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatch(f"logits must be rows of numbers: {exc}") from None
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
         if rows.ndim != 2:
@@ -231,7 +247,7 @@ class DenseIndex:
         shape = (*positions, *self.word_mask.shape)
         try:
             values = np.asarray(prior, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch(f"calibration must be a {shape} array: {exc}") from None
         if values.shape != shape:
             raise DimensionMismatch(f"calibration has shape {values.shape}, expected {shape}")
@@ -325,7 +341,7 @@ def project(
     rows = index.check_rows(logits)
     prior = None if calibration is None else index.check_prior(calibration, (len(rows),))
     totals = index.aggregate(index.word_scores(rows), aggregation, prior)
-    return ClassScores(classes=v.classes, scores=tuple(_finite(totals).tolist()))
+    return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
 
 
 def project_per_position(
@@ -369,7 +385,7 @@ def project_per_position(
         scores = index.aggregate(index.word_scores(index.check_rows(row)), aggregation, prior)
         with np.errstate(over="ignore", invalid="ignore"):
             totals += scores
-    return ClassScores(classes=classes, scores=tuple(_finite(totals).tolist()))
+    return ClassScores(classes=classes, scores=tuple(totals.tolist()))
 
 
 def calibrate(
@@ -392,11 +408,3 @@ def calibrate(
     if not np.isfinite(priors).all():
         raise NonFiniteValue("content-free label-word scores are beyond the float64 range")
     return priors
-
-
-def _finite(totals: np.ndarray) -> np.ndarray:
-    """``totals`` if every class score is finite; finite logits whose range
-    overflows float64 can give a score that is not."""
-    if not np.isfinite(totals).all():
-        raise NonFiniteValue("class scores are beyond the float64 range")
-    return totals

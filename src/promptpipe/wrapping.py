@@ -16,8 +16,9 @@ template knowledge.
 from __future__ import annotations
 
 import string
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, ConflictingAttributes, DataError, InvalidValueType, MissingMetaKey
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots

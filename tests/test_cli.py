@@ -6,15 +6,28 @@ import dataclasses
 import gc
 import json
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from promptpipe import Vocab, build_tokenizer, load_verbalizer, project, project_per_position
+from promptpipe import (
+    Aggregation,
+    Vocab,
+    build_tokenizer,
+    load_verbalizer,
+    project,
+    project_per_position,
+)
 from promptpipe import cli
 from promptpipe.__main__ import entry
 from promptpipe.cli import main
 from promptpipe.errors import ConfigError
 from promptpipe.runner import PipelineConfig, RunReport, run_pipeline
+from promptpipe.textfile import write_jsonl
 
 
 def _bad_aggregation(fixtures, tmp):
@@ -100,16 +113,31 @@ def _class_score_beyond_float(fixtures, tmp):
     return argv, ["guid 's1'", "beyond the float64 range"]
 
 
-def _score_beyond_float(fixtures, tmp):
+def _score_records(fixtures, tmp, records: dict[str, float]) -> list[str]:
+    """``score`` on one single-row record per guid, whose "great" logit is given
+    and every other logit 0."""
     tokens = (fixtures / "vocab.txt").read_text(encoding="utf-8").splitlines()
-    row = [0.0] * len(tokens)
-    row[tokens.index("great")] = 1e308
+    lines = []
+    for guid, great in records.items():
+        row = [0.0] * len(tokens)
+        row[tokens.index("great")] = great
+        lines.append(json.dumps({"guid": guid, "mask_logits": [row]}) + "\n")
     logits = tmp / "logits.jsonl"
-    logits.write_text(json.dumps({"guid": "x", "mask_logits": [row]}) + "\n")
-    argv = ["score", "--logits-file", str(logits),
+    logits.write_text("".join(lines))
+    return ["score", "--logits-file", str(logits),
             "--verbalizer", str(fixtures / "verbalizer.json"),
             "--vocab", str(fixtures / "vocab.txt")]
-    return argv, [f"{logits}: guid 'x'", "beyond the float64 range"]
+
+
+def _score_beyond_float(fixtures, tmp):
+    # run's message: the one file on the command line needs no naming
+    argv = _score_records(fixtures, tmp, {"x": 1e308})
+    return argv, ["error: guid 'x' has class scores beyond the float64 range"]
+
+
+def _score_first_of_two_beyond_float(fixtures, tmp):
+    argv = _score_records(fixtures, tmp, {"ok": 2.0, "y": 1e308, "z": 1e308})
+    return argv, ["error: guid 'y' has class scores beyond the float64 range"]
 
 
 def _wrap_missing_meta_key(fixtures, tmp):
@@ -260,6 +288,7 @@ def _unknown_tokenizer_kind(fixtures, tmp):
         _integer_frequency_beyond_float,
         _class_score_beyond_float,
         _score_beyond_float,
+        _score_first_of_two_beyond_float,
         _wrap_missing_meta_key,
         _tokenize_template_too_long,
         _tokenize_max_len_zero,
@@ -309,6 +338,43 @@ def test_ensemble_of_finite_scores_near_the_float_limit_is_finite(fixtures_dir, 
     single = (tmp_path / "out.jsonl").read_bytes()
     assert main(argv + ["--templates", template] * 2) == 0
     assert (tmp_path / "out.jsonl").read_bytes() == single
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "d", "e", "f", "__content_free__"]),
+                  st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1)),
+        max_size=6, unique_by=lambda record: record[0]),
+    aggregation=st.sampled_from(Aggregation),
+)
+def test_score_writes_each_records_projection_in_file_order(
+    fixtures_dir, records, aggregation
+):
+    # records of 1-3 rows, mixed in file order; small integer logits tie label
+    # words and classes
+    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
+    tokenizer = build_tokenizer("wordpiece", vocab)
+    verbalizer = load_verbalizer(fixtures_dir / "verbalizer.json", tokenizer)
+    logits, expected = [], []
+    for guid, n_rows, ties, seed in records:
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, len(vocab))
+        rows = (rng.integers(-2, 3, shape) if ties else rng.uniform(-30, 30, shape)).tolist()
+        logits.append(json.dumps({"guid": guid, "mask_logits": rows}) + "\n")
+        scores = project(rows, verbalizer, aggregation=aggregation)
+        expected.append({"guid": guid, "predicted_class": scores.predicted_label,
+                         "class_scores": list(scores.scores)})
+    with tempfile.TemporaryDirectory() as directory:
+        tmp = Path(directory)
+        (tmp / "logits.jsonl").write_text("".join(logits), encoding="utf-8")
+        write_jsonl(expected, tmp / "expected.jsonl")
+        argv = ["score", "--logits-file", str(tmp / "logits.jsonl"),
+                "--verbalizer", str(fixtures_dir / "verbalizer.json"),
+                "--vocab", str(fixtures_dir / "vocab.txt"), "--aggregation", aggregation.value,
+                "--output", str(tmp / "score.jsonl")]
+        assert main(argv) == 0
+        assert (tmp / "score.jsonl").read_bytes() == (tmp / "expected.jsonl").read_bytes()
 
 
 # (flags, the config fields they set): every spelling `run` accepts, with both

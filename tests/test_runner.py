@@ -951,7 +951,7 @@ def test_json_integer_logits_keep_their_float_conversion(fixtures_dir, tmp_path)
     ) + json.dumps({"mask_logits": records["true_int64"], "guid": "true_int64"}) + "\n")
     scorer = LogitsFileScorer(logits, width)
     for guid, rows in records.items():
-        got = scorer._rows[guid]
+        got = scorer.records[guid]
         assert got.dtype == np.float64
         assert got.tobytes() == np.asarray(rows, dtype=np.float64).tobytes()
 

@@ -29,6 +29,7 @@ from promptpipe.errors import (
     UnreadableFile,
     VerbalizerError,
 )
+from promptpipe.verbalizer import DenseIndex
 
 SPECIALS = ["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]"]
 WORDS = ["bad", "good", "wonderful", "great"]
@@ -203,6 +204,17 @@ def test_projection_dimension_errors(toy):
         project([[0.0, 1.0]], verb)  # row narrower than the label-word ids
     with pytest.raises(DimensionMismatch):
         project(np.zeros((0, len(vocab))), verb)
+    # numpy cannot read these as an array of numbers
+    with pytest.raises(DimensionMismatch, match="rows of numbers"):
+        project("abc", verb)
+    with pytest.raises(DimensionMismatch, match="rows of numbers"):
+        project([[0.0] * len(vocab), [0.0]], verb)  # ragged rows
+    with pytest.raises(DimensionMismatch, match="rows of numbers"):
+        project([[10**400] * len(vocab)], verb)
+    with pytest.raises(DimensionMismatch, match="rows of numbers"):
+        calibrate(lambda _: "abc", verb, None)
+    with pytest.raises(DimensionMismatch, match="calibration must be"):
+        project([[0.0] * len(vocab)], verb, calibration=[[[10**400, 0.0, 0.0]] * 2])
 
 
 @pytest.mark.parametrize("classes, scores", [
@@ -214,6 +226,36 @@ def test_class_scores_need_one_score_per_class(classes, scores):
     # before, ClassScores(("a",), (1.0, 2.0)).predicted_label raised a bare IndexError
     with pytest.raises(DimensionMismatch, match="need one per class"):
         ClassScores(classes, scores)
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_class_scores_must_be_finite(score):
+    with pytest.raises(NonFiniteValue, match="is not finite"):
+        ClassScores(("a", "b"), (0.0, score))
+
+
+@pytest.mark.parametrize("score", [True, np.bool_(False), "1.0", None, 1j, [1.0]])
+def test_class_scores_must_be_real_numbers(score):
+    with pytest.raises(DimensionMismatch, match="must be a real number"):
+        ClassScores(("a", "b"), (0.0, score))
+
+
+def test_class_scores_take_any_finite_real_number():
+    scores = ClassScores(("a", "b", "c"), (1, np.float32(2.5), -0.0))
+    assert scores.predicted_label == "b"
+
+
+def test_normalizing_scores_whose_spread_overflows_raises():
+    # log-softmax subtracts the max: -1e308 - 1e308 is beyond float64
+    with pytest.raises(NonFiniteValue, match="is not finite"):
+        ClassScores(("a", "b"), (1e308, -1e308)).normalized()
+
+
+def test_dense_index_compares_by_identity(toy):
+    _, _, verb = toy
+    assert verb.dense == verb.dense
+    assert (verb.dense == DenseIndex.build(verb)) is False
+    assert hash(verb.dense) == hash(verb.dense)
 
 
 def test_permuting_label_words_does_not_change_mean_or_max(toy):
