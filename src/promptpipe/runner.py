@@ -36,6 +36,13 @@ not M·V. The run then only aggregates them
 takes its priors from the scores of the ``__content_free__`` guid: the
 same ``(M, C, W)`` array :func:`~promptpipe.verbalizer.calibrate`
 returns.
+
+A logits file is read in three tiers (:func:`read_logits_records`), each
+giving the values ``json.loads`` gives: rows of short decimals (at most 8
+integer and 8 fraction digits, 15 in all) are converted exactly by numpy
+arithmetic, one division per value; rows of other finite JSON numbers,
+such as 17-digit reprs or exponents, by ``np.loadtxt``; every other line
+by the JSON decoder, the only path that raises.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from .errors import (
     NonFiniteValue,
     PipelineStageError,
     PromptPipeError,
+    check_integer,
 )
 from .template import Choice, TemplateAST, load_template_file
 from .textfile import (
@@ -256,6 +264,11 @@ def _read_yaml(path: str | Path) -> dict:
     return raw or {}
 
 
+def _check_project(project) -> None:
+    if project is not None and not callable(project):
+        raise ConfigError(f"project must be callable or None, got {project!r}")
+
+
 class ToyScorer:
     """Context-independent scorer: one logit per vocabulary token.
 
@@ -275,6 +288,7 @@ class ToyScorer:
         vocab: Vocab,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
+        _check_project(project)
         row = np.zeros(len(vocab), dtype=np.float64)
         for token, value in frequencies.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -318,20 +332,38 @@ class ToyScorer:
 
 
 def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield ``(guid, rows)`` for each record of a JSONL logits file, in one pass.
+    """An iterator of ``(guid, rows)`` for each record of a JSONL logits file,
+    read in one pass; ``vocab_size`` is checked at the call.
 
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
-    with rows of width ``vocab_size`` holding JSON numbers. Records are
-    read by :func:`~promptpipe.data.read_guid_lines`, so the guid rules
-    are those of every guid-keyed file. A line of exactly that form
-    whose rows hold finite JSON numbers only has its row text parsed by
-    one ``np.loadtxt`` call, which gives the values ``json.loads`` gives.
-    Every other line is decoded by the one JSON decoder, the only path that
-    raises: a record without usable ``mask_logits``, with a value that
-    is not a number (a string, ``true``, ``false`` or ``null``) or with a
-    non-finite logit raises a :class:`~promptpipe.errors.PromptPipeError`
-    naming the file, line and guid.
+    with rows of width ``vocab_size`` (an integer, at least 1) holding JSON
+    numbers. Records are read by :func:`~promptpipe.data.read_guid_lines`,
+    so the guid rules are those of every guid-keyed file. A line of
+    exactly that form is read in one of three tiers, which all give the
+    values ``json.loads`` gives:
+
+    - rows whose every value is a short decimal (up to 8 integer and 8
+      fraction digits, 15 in all, as ``json.dumps`` writes logits rounded
+      to a few decimals) are converted by numpy arithmetic
+      (:func:`_decimal_row`), bit-identical to ``float()`` because each
+      value is one correctly rounded division of two exact doubles;
+    - rows of other finite JSON numbers, such as the 16- and 17-digit
+      reprs of float32 logits upcast or numbers with an exponent, are
+      parsed by one ``np.loadtxt`` call, which reads as ``float()`` does;
+    - every other line is decoded by the one JSON decoder, the only path
+      that raises: a record without usable ``mask_logits``, with a value
+      that is not a number (a string, ``true``, ``false`` or ``null``) or
+      with a non-finite logit raises a
+      :class:`~promptpipe.errors.PromptPipeError` naming the file, line
+      and guid.
     """
+    check_integer("vocab_size", vocab_size)
+    if vocab_size < 1:
+        raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
+    return _logits_records(path, vocab_size)
+
+
+def _logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
     read_line = partial(_numeric_record, vocab_size=vocab_size)
     for line_no, guid, record, line in read_guid_lines(path, read_line):
         if isinstance(record, np.ndarray):
@@ -390,12 +422,13 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
     The line is framed in one pass: ``_HEAD`` matches it up to the outer
     ``[[``; the rows end at the line's second-to-last ``]``, from which
     ``_TAIL`` must match the rest of the line; and every ``]`` between
-    must start a ``_ROW_SEPARATOR``, where the rows are cut. The rows must
-    hold JSON numbers only (:func:`_json_number_row`), and ``np.loadtxt``
-    must read one row of ``vocab_size`` finite values per ``[...]``. Its
-    values are those of ``float()``, so of ``json.loads`` followed by the
-    float64 conversion. Any other line, valid or not, is left to the
-    decoder, which reads only the guid literal of this one.
+    must start a ``_ROW_SEPARATOR``, where the rows are cut. Rows of short
+    decimals only are converted by :func:`_decimal_row`; otherwise the rows
+    must hold JSON numbers only (:func:`_json_number_row`), and
+    ``np.loadtxt`` must read one row of ``vocab_size`` finite values per
+    ``[...]``. Both give the values of ``float()``, so of ``json.loads``
+    followed by the float64 conversion. Any other line, valid or not, is
+    left to the decoder, which reads only the guid literal of this one.
     """
     head = _HEAD.match(line)
     if head is None:
@@ -412,11 +445,17 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
         rows.append(line[start:close])
         start = separator.end()
     rows.append(line[start:end])
+    try:
+        guid = JSON_DECODER.decode(head["guid"])
+    except ValueError:
+        return None
+    decimals = [_decimal_row(row.encode(), vocab_size) for row in rows]
+    if all(values is not None for values in decimals):
+        return guid, np.stack(decimals)
     # an empty row fails here, before loadtxt, which would drop it and warn
     if not all(map(_json_number_row, rows)):
         return None
     try:
-        guid = JSON_DECODER.decode(head["guid"])
         values = np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError:
         return None
@@ -434,8 +473,8 @@ _ROW_CLASSES = bytes.maketrans(
     b"0111111111**,,,-+.".ljust(256, b"?"),
 )
 # once a row holding "?" is refused, "0" and "1" are the only classes >= "0"
-_SEP, _MINUS, _PLUS, _DOT, _ZERO = b",-+.0"
-_CHUNK = 1 << 15  # bytes per step; the step's temporaries stay in cache
+_SEP, _MINUS, _PLUS, _DOT, _ZERO, _SPACE = b",-+.0 "
+_CHUNK = 1 << 16  # bytes per step; the step's temporaries stay in cache
 
 
 def _json_number_row(row: str) -> bool:
@@ -474,6 +513,104 @@ def _json_number_row(row: str) -> bool:
     return True
 
 
+# Tables for _decimal_row, indexed by a digit count k <= 8: the bits that
+# hold the digit values of the last k bytes of an 8-byte window, 10**k,
+# the divisor 10.0**k (negated at k + 9) and the least k-digit integer with
+# no leading zero (0 for k = 1).
+_DIGIT_BITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in range(9)],
+                       dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(9)], dtype=np.uint64)
+_SCALE = np.array([float(sign * 10**k) for sign in (1, -1) for k in range(9)])
+_LEAST = np.array([0, 0] + [10 ** (k - 1) for k in range(2, 9)], dtype=np.uint64)
+
+
+def _decimal_row(row: bytes, width: int) -> np.ndarray | None:
+    """The ``width`` values of a logits row of short decimals, each the
+    value ``float()`` reads; ``None`` for any other row.
+
+    Each field is ``-?(0|[1-9][0-9]{0,7})\\.[0-9]{1,8}`` with at most 15
+    digits in all, and one space may follow each comma and lead the row.
+    Such a field is a JSON number, and its value is exact (Clinger's fast
+    path): its digits without the dot make an integer below
+    10**15 < 2**53, which a float64 holds exactly, as it does 10.0**f for
+    f fraction digits, so the one division rounds once, to the double
+    nearest the decimal. A minus sign divides by -10.0**f, so ``-0.0``
+    stays negative.
+
+    The row is read in steps of about ``_CHUNK`` bytes, each cut at a
+    comma, so every temporary stays small: whole-row temporaries come as
+    fresh pages, whose faults cost more than the arithmetic (a replay_bert
+    row took about twice as long). A step finds its commas and
+    dots in one pass, which must alternate, and converts the digits
+    before each dot and before each next comma from the unaligned 8-byte
+    window that ends there, masked to those digits, by multiply and shift.
+    """
+    # a field takes at least 4 bytes with its comma: this also bounds the
+    # memory a short row can ask for
+    if len(row) < 4 * width - 1:
+        return None
+    # a comma before and after the row, so every step runs from a comma to
+    # a comma, and 8 bytes before those for the first field's windows
+    data = bytes(8) + b"," + row + b","
+    x = np.frombuffer(data, np.uint8)
+    windows = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
+    values = np.empty(width)
+    done = 0
+    start = 8
+    while start < len(data) - 1:
+        stop = data.find(b",", start + _CHUNK, len(data) - 1)
+        if stop < 0:
+            stop = len(data) - 1
+        text = x[start : stop + 1]
+        # "," and "." differ only in bit 1; commas at even places and dots
+        # at odd ones make k fields of one dot each
+        marks = ((text & 0xFD) == _SEP).nonzero()[0]
+        k = len(marks) // 2
+        if len(marks) % 2 == 0 or done + k > width:
+            return None
+        kinds = text[marks]
+        if kinds[0::2].max() != _SEP or kinds[1::2].min() != _DOT:
+            return None
+        # each field's first digit, after its comma, a space and a sign
+        first = marks[:-1:2] + 1
+        first += text[first] == _SPACE
+        negative = text[first] == _MINUS
+        first += negative
+        # the digits before each dot, then before the next comma
+        n = marks[1:] - marks[:-1]
+        n -= 1
+        np.subtract(marks[1::2], first, out=n[0::2])
+        if n.min() < 1 or n.max() > 8 or (n[0::2] + n[1::2]).max() > 15:
+            return None
+        # every byte of those runs is a digit, as no byte outside them is one
+        if np.count_nonzero((text - _ZERO) < 10) != n.sum():
+            return None
+        # the window ending at place p of the step starts at data[start + p - 8]
+        digits = windows[start - 8 :][marks[1:]]
+        digits &= _DIGIT_BITS[n]
+        # byte values to 2-digit, 4-digit, then 8-digit numbers; the first
+        # digit is the low byte, and masked bytes lead with zeros
+        digits *= 10 << 8 | 1
+        digits >>= 8
+        digits &= 0x00FF00FF00FF00FF
+        digits *= 100 << 16 | 1
+        digits >>= 16
+        digits &= 0x0000FFFF0000FFFF
+        digits *= 10000 << 32 | 1
+        digits >>= 32
+        integers, fractions = digits[0::2], digits[1::2]
+        if (integers < _LEAST[n[0::2]]).any():
+            return None
+        f = n[1::2]
+        integers *= _POW10[f]
+        integers += fractions
+        f += 9 * negative
+        np.divide(integers, _SCALE[f], out=values[done : done + k])
+        done += k
+        start = stop
+    return values if done == width else None
+
+
 class LogitsFileScorer:
     """Replays logits from a JSONL file of {guid, mask_logits} records.
 
@@ -491,6 +628,7 @@ class LogitsFileScorer:
         vocab_size: int,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
+        _check_project(project)
         records = read_logits_records(path, vocab_size)
         if project is not None:
             records = ((guid, project(rows)) for guid, rows in records)

@@ -216,9 +216,18 @@ class DenseIndex:
     def check_rows(self, logits) -> np.ndarray:
         """``logits`` as a float64 ``(R, V)`` array of finite values, wide enough
         for the label ids; ``logits`` that numpy cannot read as such an array of
-        numbers raise :class:`~promptpipe.errors.DimensionMismatch`."""
+        numbers, or that hold a string, a boolean or ``None``, raise
+        :class:`~promptpipe.errors.DimensionMismatch`."""
         try:
-            rows = np.asarray(logits, dtype=np.float64)
+            rows = np.asarray(logits)
+            # float64 would read "1" and True as 1.0 and None as NaN; an
+            # object array may hold ints too large for int64, which are numbers
+            if rows.dtype.kind not in "iuf":
+                for value in rows.flat:
+                    value = value.item() if isinstance(value, np.generic) else value
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise TypeError(f"got {value!r}")
+            rows = rows.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch(f"logits must be rows of numbers: {exc}") from None
         if rows.ndim == 1:

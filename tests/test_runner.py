@@ -3,13 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptpipe import (
@@ -1159,6 +1160,129 @@ def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
     assert all(not text.startswith("{") for text in decoded)
     for guid, rows in got:
         assert rows.tobytes() == np.asarray(records[guid], dtype=np.float64).tobytes()
+
+
+# the short decimals _decimal_row takes, by definition
+_FAST_FORM = re.compile(r"-?(0|[1-9][0-9]{0,7})\.[0-9]{1,8}")
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+@st.composite
+def _decimal_text(draw):
+    """A number spelled in the fast form or one step outside it: 9 integer
+    or fraction digits, 16 digits in all, a leading zero, an integer, an
+    exponent, or a dot with no digit on one side or a second dot."""
+    digits = st.text("0123456789", min_size=1, max_size=9)
+    integer = draw(st.sampled_from(["0", "1"])) if draw(st.booleans()) else draw(digits)
+    shape = draw(st.sampled_from(
+        ["decimal"] * 8 + ["integer", "exponent", "no integer", "no fraction", "two dots"]))
+    text = draw(st.sampled_from(["", "-"])) + ("" if shape == "no integer" else integer)
+    if shape != "integer":
+        text += "." + ("" if shape == "no fraction" else draw(digits))
+    if shape == "exponent":
+        text += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "-", "+"])) + "7"
+    elif shape == "two dots":
+        text += "." + draw(digits)
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    texts=st.lists(_decimal_text(), min_size=1, max_size=5)
+    | st.sampled_from([["0.0"], ["-0.0"], ["-0.0", "0.0"], ["1234567.12345678"],
+                       ["12345678.1234567"], ["12345678.12345678"], ["-99999999.9999999"]]),
+    separator=st.sampled_from([", ", ","]),
+)
+# a dot where a comma belongs, and a comma where a dot belongs
+@example(texts=["1.5.2", "3"], separator=",")
+@example(texts=["5", "6.7.8"], separator=",")
+def test_decimal_logits_read_back_as_float(texts, separator):
+    """Decimals in the fast form and just outside it read back bit for bit as
+    float() reads them, and every row in the form takes the fast path."""
+    import tempfile
+
+    from promptpipe.runner import _decimal_row, read_logits_records
+
+    row = separator.join(texts)
+    fast = _decimal_row(row.encode(), len(texts))
+    in_form = all(_FAST_FORM.fullmatch(t) and sum(map(str.isdigit, t)) <= 15 for t in texts)
+    assert (fast is not None) == in_form
+    if fast is not None:
+        assert fast.tobytes() == np.array([float(t) for t in texts]).tobytes()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "logits.jsonl"
+        path.write_text('{"guid": "g", "mask_logits": [[%s], [%s]]}\n' % (row, row))
+        if all(_JSON_NUMBER.fullmatch(t) for t in texts):
+            # as JSON reads them: the integer -0 is 0
+            expected = np.array([[float(json.loads(t)) for t in texts]] * 2)
+            [(guid, rows)] = read_logits_records(path, len(texts))
+            assert rows.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(PromptPipeError, match="logits.jsonl:1"):
+                list(read_logits_records(path, len(texts)))
+
+
+def test_replay_spelled_logits_skip_loadtxt_and_the_decoder(tmp_path, monkeypatch):
+    """Records of 4-decimal logits, written as the replay benchmark writes
+    them, are read by the fast path alone."""
+    from promptpipe.runner import read_logits_records
+    from promptpipe.textfile import JSON_DECODER
+
+    rng = np.random.default_rng(11)
+    records = {f"r{i}": np.round(rng.normal(0.0, 2.0, size=(2, 5000)) * 1e4) / 1e4
+               for i in range(3)}
+    records["r0"][0, :4] = [-0.0, 0.0, 12345678.5, -3.25]
+    path = tmp_path / "logits.jsonl"
+    path.write_text("".join(json.dumps({"guid": guid, "mask_logits": rows.tolist()}) + "\n"
+                            for guid, rows in records.items()))
+    decoded, loaded = [], []
+    real_decode = JSON_DECODER.decode
+    monkeypatch.setattr(JSON_DECODER, "decode",
+                        lambda text, *a, **k: decoded.append(text) or real_decode(text, *a, **k))
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loaded.append(a))
+    got = dict(read_logits_records(path, 5000))
+    monkeypatch.undo()
+    assert loaded == []
+    # the guid literals only, never a whole line
+    assert decoded == [json.dumps(guid) for guid in records]
+    for guid, rows in records.items():
+        assert got[guid].tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("vocab_size", ["113", True, 0, -1, 113.0, None])
+def test_logits_vocab_size_must_be_a_positive_integer(tmp_path, vocab_size):
+    from promptpipe.runner import LogitsFileScorer, read_logits_records
+
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113]}) + "\n")
+    # at the call, before the file is read
+    with pytest.raises(ConfigError, match="vocab_size"):
+        read_logits_records(logits, vocab_size)
+    with pytest.raises(ConfigError, match="vocab_size"):
+        LogitsFileScorer(logits, vocab_size)
+
+
+def test_logits_wider_than_the_line_can_hold_are_a_mismatch(tmp_path):
+    from promptpipe.errors import DimensionMismatch
+    from promptpipe.runner import read_logits_records
+
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text('{"guid": "a", "mask_logits": [[0.5, 1.5]]}\n')
+    with pytest.raises(DimensionMismatch, match="rows of width 1000000000000"):
+        list(read_logits_records(logits, 10**12))
+
+
+def test_scorer_project_must_be_callable(fixtures_dir, tmp_path):
+    from promptpipe import Vocab
+    from promptpipe.runner import LogitsFileScorer, ToyScorer
+
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113]}) + "\n")
+    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
+    with pytest.raises(ConfigError, match="project must be callable or None, got 5"):
+        LogitsFileScorer(logits, 113, 5)
+    with pytest.raises(ConfigError, match="project must be callable or None, got 5"):
+        ToyScorer({}, vocab, 5)
 
 
 @pytest.mark.parametrize(

@@ -377,6 +377,35 @@ def test_non_finite_prior_rejected(toy, bad):
         project_per_position([row], [verb], calibrations=[calibration[0]])
 
 
+@pytest.mark.parametrize(
+    "make_row",
+    [
+        lambda n: ["1"] * n,
+        lambda n: [True] * n,
+        lambda n: [None] * n,
+        lambda n: [object()] * n,
+        lambda n: np.ones(n, dtype=bool),
+        lambda n: np.full(n, "1"),
+        lambda n: [0.0] * (n - 1) + [None],
+    ],
+    ids=["digit strings", "true", "null", "object", "bool array", "str array", "null last"],
+)
+def test_non_number_logits_rejected(toy, make_row):
+    # float64 would read these as 1.0 or NaN
+    vocab, tok, verb = toy
+    row = make_row(len(vocab))
+    with pytest.raises(DimensionMismatch, match="logits must be rows of numbers"):
+        project([row], verb)
+    with pytest.raises(DimensionMismatch, match="logits must be rows of numbers"):
+        calibrate(lambda _: [row], verb, content_free_input=None)
+
+
+def test_int_logits_beyond_int64_are_numbers(toy):
+    vocab, tok, verb = toy
+    row = [2**70] + [0] * (len(vocab) - 1)
+    assert project([row], verb) == project([[float(2**70)] + [0.0] * (len(vocab) - 1)], verb)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_logits_rejected(toy, bad):
     # check_rows gates project, project_per_position and calibrate
