@@ -142,6 +142,13 @@ def check_integer(name: str, value: object) -> None:
         raise ConfigError(f"{name!r} must be an integer, got {value!r}")
 
 
+def check_instance(name: str, value: object, cls: type, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {cls.__name__}, got {value!r}")
+
+
 class NonFiniteValue(ConfigError):
     """A logits row or token frequency holds NaN or an infinity."""
 

@@ -37,12 +37,12 @@ takes its priors from the scores of the ``__content_free__`` guid: the
 same ``(M, C, W)`` array :func:`~promptpipe.verbalizer.calibrate`
 returns.
 
-A logits file is read in three tiers (:func:`read_logits_records`), each
+A logits file is read in two tiers (:func:`read_logits_records`), both
 giving the values ``json.loads`` gives: rows of short decimals (at most 8
 integer and 8 fraction digits, 15 in all) are converted exactly by numpy
-arithmetic, one division per value; rows of other finite JSON numbers,
-such as 17-digit reprs or exponents, by ``np.loadtxt``; every other line
-by the JSON decoder, the only path that raises.
+arithmetic, one division per value; every other line, such as one of
+17-digit reprs or exponents, is read by the JSON decoder, the only path
+that raises.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +69,7 @@ from .errors import (
     NonFiniteValue,
     PipelineStageError,
     PromptPipeError,
+    check_instance,
     check_integer,
 )
 from .template import Choice, TemplateAST, load_template_file
@@ -269,17 +270,23 @@ def _check_project(project) -> None:
         raise ConfigError(f"project must be callable or None, got {project!r}")
 
 
+def _check_mask_count(mask_count) -> None:
+    check_integer("mask_count", mask_count)
+    if mask_count < 1:
+        raise DimensionMismatch(f"mask_count must be >= 1, got {mask_count}")
+
+
 class ToyScorer:
     """Context-independent scorer: one logit per vocabulary token.
 
     Logits come from a JSON frequency file mapping token text to a real
     value; absent tokens score 0.0. Every mask position receives the
     same row, which is enough to drive the projection path end to end.
-    ``rows(guid, M)`` returns ``(M, V)`` rows, as does a call with an
-    encoding of M masks; with ``project``, the row goes through it once,
-    here, and they return ``M`` copies of the result (the runner passes
-    :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, as it does to
-    :class:`LogitsFileScorer`).
+    ``rows(guid, M)`` returns ``(M, V)`` rows for an integer M >= 1, as
+    does a call with an encoding of M masks; with ``project``, the row goes
+    through it once, here, and they return ``M`` copies of the result (the
+    runner passes :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, as
+    it does to :class:`LogitsFileScorer`).
     """
 
     def __init__(
@@ -288,6 +295,8 @@ class ToyScorer:
         vocab: Vocab,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
+        check_instance("frequencies", frequencies, Mapping)
+        check_instance("vocab", vocab, Vocab)
         _check_project(project)
         row = np.zeros(len(vocab), dtype=np.float64)
         for token, value in frequencies.items():
@@ -316,6 +325,7 @@ class ToyScorer:
         vocab: Vocab,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "ToyScorer":
+        check_instance("vocab", vocab, Vocab)
         raw = read_json_object(path, "frequency file", ConfigError)
         try:
             return cls(raw, vocab, project)
@@ -323,7 +333,8 @@ class ToyScorer:
             raise type(exc)(f"frequency file {path}: {exc}") from None
 
     def rows(self, guid: str, mask_count: int) -> np.ndarray:
-        if mask_count > len(self._rows):
+        if type(mask_count) is not int or not 0 < mask_count <= len(self._rows):
+            _check_mask_count(mask_count)
             self._rows = np.broadcast_to(self._row, (mask_count, *self._row.shape))
         return self._rows[:mask_count]
 
@@ -338,24 +349,22 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
     with rows of width ``vocab_size`` (an integer, at least 1) holding JSON
     numbers. Records are read by :func:`~promptpipe.data.read_guid_lines`,
-    so the guid rules are those of every guid-keyed file. A line of
-    exactly that form is read in one of three tiers, which all give the
-    values ``json.loads`` gives:
+    so the guid rules are those of every guid-keyed file. A line is read
+    in one of two tiers, which both give the values ``json.loads`` gives:
 
-    - rows whose every value is a short decimal (up to 8 integer and 8
-      fraction digits, 15 in all, as ``json.dumps`` writes logits rounded
-      to a few decimals) are converted by numpy arithmetic
-      (:func:`_decimal_row`), bit-identical to ``float()`` because each
-      value is one correctly rounded division of two exact doubles;
-    - rows of other finite JSON numbers, such as the 16- and 17-digit
-      reprs of float32 logits upcast or numbers with an exponent, are
-      parsed by one ``np.loadtxt`` call, which reads as ``float()`` does;
-    - every other line is decoded by the one JSON decoder, the only path
-      that raises: a record without usable ``mask_logits``, with a value
-      that is not a number (a string, ``true``, ``false`` or ``null``) or
-      with a non-finite logit raises a
-      :class:`~promptpipe.errors.PromptPipeError` naming the file, line
-      and guid.
+    - a line of exactly that form whose every value is a short decimal
+      (up to 8 integer and 8 fraction digits, 15 in all, as ``json.dumps``
+      writes logits rounded to a few decimals) is converted by numpy
+      arithmetic (:func:`_decimal_row`), bit-identical to ``float()``
+      because each value is one correctly rounded division of two exact
+      doubles;
+    - every other line, such as one holding the 16- and 17-digit reprs of
+      float32 logits upcast or numbers with an exponent, is decoded by the
+      one JSON decoder, the only path that raises: a record without
+      usable ``mask_logits``, with a value that is not a number (a
+      string, ``true``, ``false`` or ``null``) or with a non-finite logit
+      raises a :class:`~promptpipe.errors.PromptPipeError` naming the
+      file, line and guid.
     """
     check_integer("vocab_size", vocab_size)
     if vocab_size < 1:
@@ -422,13 +431,12 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
     The line is framed in one pass: ``_HEAD`` matches it up to the outer
     ``[[``; the rows end at the line's second-to-last ``]``, from which
     ``_TAIL`` must match the rest of the line; and every ``]`` between
-    must start a ``_ROW_SEPARATOR``, where the rows are cut. Rows of short
-    decimals only are converted by :func:`_decimal_row`; otherwise the rows
-    must hold JSON numbers only (:func:`_json_number_row`), and
-    ``np.loadtxt`` must read one row of ``vocab_size`` finite values per
-    ``[...]``. Both give the values of ``float()``, so of ``json.loads``
-    followed by the float64 conversion. Any other line, valid or not, is
-    left to the decoder, which reads only the guid literal of this one.
+    must start a ``_ROW_SEPARATOR``, where the rows are cut. Each row is
+    converted by :func:`_decimal_row`, which gives the values of
+    ``float()``, so of ``json.loads`` followed by the float64 conversion;
+    at the first row it refuses, the line is left to the decoder, as is
+    any other line, valid or not. Of a line read here, the decoder reads
+    only the guid literal.
     """
     head = _HEAD.match(line)
     if head is None:
@@ -449,69 +457,16 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
         guid = JSON_DECODER.decode(head["guid"])
     except ValueError:
         return None
-    decimals = [_decimal_row(row.encode(), vocab_size) for row in rows]
-    if all(values is not None for values in decimals):
-        return guid, np.stack(decimals)
-    # an empty row fails here, before loadtxt, which would drop it and warn
-    if not all(map(_json_number_row, rows)):
-        return None
-    try:
-        values = np.loadtxt(rows, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(rows), vocab_size) or not np.isfinite(values).all():
-        return None
-    return guid, values
+    values = []
+    for row in rows:
+        if (decimals := _decimal_row(row.encode(), vocab_size)) is None:
+            return None
+        values.append(decimals)
+    return guid, np.stack(values)
 
 
-# Byte classes for _json_number_row: "0" stays "0", the other digits read
-# as "1", "e" and "E" as "*", and "," space and tab as ","; "-", "+" and "."
-# stay, and every other byte reads as "?".
-_NUMBER_BYTES = b"0123456789eE, \t-+."
-_ROW_CLASSES = bytes.maketrans(
-    _NUMBER_BYTES + bytes(b for b in range(256) if b not in _NUMBER_BYTES),
-    b"0111111111**,,,-+.".ljust(256, b"?"),
-)
-# once a row holding "?" is refused, "0" and "1" are the only classes >= "0"
-_SEP, _MINUS, _PLUS, _DOT, _ZERO, _SPACE = b",-+.0 "
+_SEP, _MINUS, _DOT, _ZERO, _SPACE = b",-.0 "
 _CHUNK = 1 << 16  # bytes per step; the step's temporaries stay in cache
-
-
-def _json_number_row(row: str) -> bool:
-    """Whether the comma-separated fields of ``row`` are JSON numbers,
-    given that ``np.loadtxt`` reads each of them as a float.
-
-    Besides JSON numbers, loadtxt reads a leading ``+``, a ``.`` without
-    a digit on either side, and a leading zero before a digit, and reads
-    the integer ``-0`` as -0.0 where ``json.loads`` gives 0; a row
-    spelling any of them is refused, and so is a row without a field or
-    with a character other than digits, ``-+.eE``, comma, space and tab.
-    """
-    if not row.isascii() or not row.strip(" \t"):
-        return False
-    classes = row.encode("ascii").translate(_ROW_CLASSES)
-    if b"?" in classes:
-        return False
-    # two separators before the row and one after, so every byte of it has
-    # two bytes before it and one after
-    x = np.frombuffer(b",," + classes + b",", dtype=np.uint8)
-    for start in range(0, len(x) - 3, _CHUNK):
-        chunk = x[start : start + _CHUNK + 3]
-        sep = chunk == _SEP
-        digit = chunk >= _ZERO
-        before, here, after = chunk[1:-2], chunk[2:-1], digit[3:]
-        # a "+" that starts a number
-        bad = sep[1:-2] & (here == _PLUS)
-        # "." without a digit on both sides
-        bad |= (here == _DOT) & ~(digit[1:-2] & after)
-        # a "0" that starts a number, followed by a digit; a "-0" integer
-        signed = (before == _MINUS) & sep[:-3]
-        starts = (here == _ZERO) & (sep[1:-2] | signed)
-        bad |= starts & (after | (signed & sep[3:]))
-        if bad.any():
-            return False
-    return True
-
 
 # Tables for _decimal_row, indexed by a digit count k <= 8: the bits that
 # hold the digit values of the last k bytes of an 8-byte window, 10**k,
@@ -615,11 +570,12 @@ class LogitsFileScorer:
     """Replays logits from a JSONL file of {guid, mask_logits} records.
 
     ``rows(guid, M)``, or a call with an encoding of M masks, returns the
-    guid's ``(M, V)`` rows, which must number M; ``records`` maps each guid
-    to its rows in file order, read-only. With ``project``, each record's
-    rows go through it as they are read and only its result is kept: the
-    runner passes :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so
-    it holds ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
+    guid's ``(M, V)`` rows, which must number M, an integer >= 1;
+    ``records`` maps each guid to its rows in file order, read-only. With
+    ``project``, each record's rows go through it as they are read and
+    only its result is kept: the runner passes
+    :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
+    ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
     """
 
     def __init__(
@@ -638,7 +594,8 @@ class LogitsFileScorer:
         rows = self.records.get(guid)
         if rows is None:
             raise MissingLogits(guid)
-        if rows.shape[0] != mask_count:
+        if type(mask_count) is not int or rows.shape[0] != mask_count:
+            _check_mask_count(mask_count)
             raise DimensionMismatch(
                 f"guid {guid!r} has {rows.shape[0]} logits rows for {mask_count} mask positions"
             )
@@ -693,6 +650,8 @@ def evaluate_accuracy(
     preds: Sequence[tuple[str, str]], golds: Sequence[tuple[str, str]]
 ) -> float:
     """Exact-match accuracy over (guid, class) pairs aligned by position."""
+    check_instance("preds", preds, Sequence, DataError)
+    check_instance("golds", golds, Sequence, DataError)
     if not golds:
         raise DataError("golds must be non-empty")
     if len(preds) != len(golds):
@@ -838,6 +797,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run the full pipeline over a dataset; see the module docstring."""
+    check_instance("cfg", cfg, PipelineConfig)
     pipeline, dataset = _setup(cfg)
     results = pipeline.process(dataset.examples)
 

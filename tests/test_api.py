@@ -86,6 +86,17 @@ BAD_ARGUMENTS = {
     "evaluate_accuracy": (
         lambda: evaluate_accuracy([("a",)], [("a", "b")]), DataError,
         "preds and golds must hold (guid, class) pairs, got ('a',) and ('a', 'b')"),
+    "evaluate_accuracy_not_sequences": (lambda: evaluate_accuracy(5, 5), DataError,
+                                        "preds must be a Sequence, got 5"),
+    "toy_scorer_frequencies": (lambda: promptpipe.ToyScorer(5, _vocab()), ConfigError,
+                               "frequencies must be a Mapping, got 5"),
+    "toy_scorer_vocab": (lambda: promptpipe.ToyScorer({}, 5), ConfigError,
+                         "vocab must be a Vocab, got 5"),
+    # vocab is checked before the file is read, so the file need not exist
+    "toy_scorer_from_file_vocab": (lambda: promptpipe.ToyScorer.from_file("freq.json", 5),
+                                   ConfigError, "vocab must be a Vocab, got 5"),
+    "run_pipeline": (lambda: promptpipe.run_pipeline(5), ConfigError,
+                     "cfg must be a PipelineConfig, got 5"),
     "ensemble_scores": (lambda: promptpipe.ensemble_scores([1]), ClassListMismatch,
                         "per_template must hold ClassScores, got 1"),
     "wordpiece_encode": (lambda: promptpipe.WordPieceTokenizer(_vocab()).encode(5), VocabError,

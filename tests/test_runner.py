@@ -26,6 +26,7 @@ from promptpipe.errors import (
     ClassListMismatch,
     ConfigError,
     DataError,
+    DimensionMismatch,
     GuidMismatch,
     NonFiniteValue,
     PipelineStageError,
@@ -1030,8 +1031,8 @@ _JSON_LOGITS = [
     "18446744073709551617", "123456789012345678901", str(2**1024 - 2**970 - 1),
     str(2**1024 - 2**970), "1" + "0" * 400, "1e999", "-1e999", "1e-400",
 ]
-# values loadtxt reads as floats that JSON rejects or reads otherwise, and
-# values that are not numbers
+# values float() or np.loadtxt reads as floats that JSON rejects or reads
+# otherwise, and values that are not numbers
 _ODD_LOGITS = [
     "+1", ".5", "1.", "-.5", "01", "-01", "00", "-0", "-00", "1.e5", "+.5", "1e", "--1",
     "NaN", "Infinity", "-Infinity", "true", "false", "null", '"2"', "[]", "[1]", "{}",
@@ -1127,9 +1128,10 @@ def test_logits_reader_equals_json_oracle_on_each_spelling(tmp_path):
                 assert got == _read_outcome(_oracle_read_logits_records, path, 3), layout % row
 
 
-def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
-    """A file json.dumps wrote, with exponents, integers and -0.0, never
-    reaches the JSON decoder: each of its records is read by loadtxt."""
+def test_json_dumps_logits_reach_the_decoder_unless_short_decimals(tmp_path, monkeypatch):
+    """A file json.dumps wrote, with exponents, integers, -0.0 and 17-digit
+    reprs, reads bit for bit as float64; a record reaches the JSON decoder
+    whole exactly when one of its rows is not a row of short decimals."""
     from promptpipe.runner import read_logits_records
     from promptpipe.textfile import JSON_DECODER
 
@@ -1140,24 +1142,34 @@ def test_json_dumps_logits_all_take_the_numeric_path(tmp_path, monkeypatch):
         records[f"g{i}"] = rows.tolist()
     records["g0"][0][:6] = [-0.0, 0.0, 7, -3, 0, 10**20]
     records["g1"][0][:3] = [1e16, 1e-05, -2.5e-300]
+    # rows of short decimals: all of them, then all but the last row
+    decimals = (np.round(rng.normal(0.0, 3.0, size=(3, 40)) * 1e4) / 1e4).tolist()
+    records["d0"] = decimals
+    records["d1"] = decimals[:2] + records["g2"][:1]
     path = tmp_path / "logits.jsonl"
     path.write_text("".join(
         json.dumps({"guid": guid, "mask_logits": rows}) + "\n" for guid, rows in records.items()))
+
+    def short_decimals(row):
+        texts = json.dumps(row)[1:-1].split(", ")
+        return all(_FAST_FORM.fullmatch(t) and sum(map(str.isdigit, t)) <= 15 for t in texts)
 
     decoded = []
     real_decode = JSON_DECODER.decode
 
     def spy(text, *args, **kwargs):
-        decoded.append(text[:30])
+        decoded.append(text)
         return real_decode(text, *args, **kwargs)
 
     monkeypatch.setattr(JSON_DECODER, "decode", spy)
     got = list(read_logits_records(path, 40))
     monkeypatch.undo()
     assert [guid for guid, _ in got] == list(records)
-    # the guid literals only, never a whole line
-    assert len(decoded) == len(records)
-    assert all(not text.startswith("{") for text in decoded)
+    # each guid literal, and each line with a row that is not short decimals
+    whole = [json.loads(text)["guid"] for text in decoded if text.startswith("{")]
+    assert whole == [guid for guid, rows in records.items() if not all(map(short_decimals, rows))]
+    assert whole[-1] == "d1" and "d0" not in whole
+    assert len(decoded) - len(whole) == len(records)
     for guid, rows in got:
         assert rows.tobytes() == np.asarray(records[guid], dtype=np.float64).tobytes()
 
@@ -1222,7 +1234,7 @@ def test_decimal_logits_read_back_as_float(texts, separator):
                 list(read_logits_records(path, len(texts)))
 
 
-def test_replay_spelled_logits_skip_loadtxt_and_the_decoder(tmp_path, monkeypatch):
+def test_replay_spelled_logits_skip_the_decoder(tmp_path, monkeypatch):
     """Records of 4-decimal logits, written as the replay benchmark writes
     them, are read by the fast path alone."""
     from promptpipe.runner import read_logits_records
@@ -1235,14 +1247,12 @@ def test_replay_spelled_logits_skip_loadtxt_and_the_decoder(tmp_path, monkeypatc
     path = tmp_path / "logits.jsonl"
     path.write_text("".join(json.dumps({"guid": guid, "mask_logits": rows.tolist()}) + "\n"
                             for guid, rows in records.items()))
-    decoded, loaded = [], []
+    decoded = []
     real_decode = JSON_DECODER.decode
     monkeypatch.setattr(JSON_DECODER, "decode",
                         lambda text, *a, **k: decoded.append(text) or real_decode(text, *a, **k))
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loaded.append(a))
     got = dict(read_logits_records(path, 5000))
     monkeypatch.undo()
-    assert loaded == []
     # the guid literals only, never a whole line
     assert decoded == [json.dumps(guid) for guid in records]
     for guid, rows in records.items():
@@ -1283,6 +1293,33 @@ def test_scorer_project_must_be_callable(fixtures_dir, tmp_path):
         LogitsFileScorer(logits, 113, 5)
     with pytest.raises(ConfigError, match="project must be callable or None, got 5"):
         ToyScorer({}, vocab, 5)
+
+
+@pytest.mark.parametrize("scorer_kind", ["toy", "logits"])
+@pytest.mark.parametrize("mask_count, error, message", [
+    (0, DimensionMismatch, "mask_count must be >= 1, got 0"),
+    (-1, DimensionMismatch, "mask_count must be >= 1, got -1"),
+    ("1", ConfigError, "'mask_count' must be an integer, got '1'"),
+    (1.0, ConfigError, "'mask_count' must be an integer, got 1.0"),
+    (True, ConfigError, "'mask_count' must be an integer, got True"),
+    (None, ConfigError, "'mask_count' must be an integer, got None"),
+])
+def test_scorer_rows_reject_a_bad_mask_count(fixtures_dir, tmp_path, scorer_kind, mask_count,
+                                             error, message):
+    from promptpipe import Vocab
+    from promptpipe.runner import LogitsFileScorer, ToyScorer
+
+    if scorer_kind == "toy":
+        scorer = ToyScorer({}, Vocab.from_file(fixtures_dir / "vocab.txt"))
+    else:
+        logits = tmp_path / "logits.jsonl"
+        logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113]}) + "\n")
+        scorer = LogitsFileScorer(logits, 113)
+    with pytest.raises(error) as failure:
+        scorer.rows("a", mask_count)
+    assert str(failure.value) == message
+    # a good count still gives its rows
+    assert scorer.rows("a", 1).shape == (1, 113)
 
 
 @pytest.mark.parametrize(
