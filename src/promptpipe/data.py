@@ -31,6 +31,7 @@ from .errors import (
     DuplicateGuid,
     InsufficientExamples,
     MalformedLine,
+    check_instance,
     check_integer,
 )
 from .textfile import JSON_DECODER, read_lines, write_jsonl
@@ -149,6 +150,7 @@ def example_to_dict(example: InputExample) -> dict:
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the same JSONL format ``load_jsonl`` reads."""
+    check_instance("dataset", dataset, Dataset, DataError)
     write_jsonl(map(example_to_dict, dataset.examples), path)
 
 
@@ -190,14 +192,16 @@ def fewshot_sample(
 ) -> Dataset:
     """Draw ``k_per_class`` labeled examples per class, deterministically.
 
-    Unlabeled examples are never sampled; a ``k_per_class`` or ``seed``
-    that is not an ``int``, or a ``k_per_class`` below 1, raises
-    :class:`~promptpipe.errors.ConfigError`. With ``strict`` (the default) a
-    class with fewer than ``k_per_class`` examples raises
-    :class:`~promptpipe.errors.InsufficientExamples`; otherwise the whole
-    class is taken and a warning is emitted. Identical
+    Unlabeled examples are never sampled; a ``dataset`` that is not a
+    :class:`Dataset` raises :class:`~promptpipe.errors.DataError`, and a
+    ``k_per_class`` or ``seed`` that is not an ``int``, or a
+    ``k_per_class`` below 1, raises :class:`~promptpipe.errors.ConfigError`.
+    With ``strict`` (the default) a class with fewer than ``k_per_class``
+    examples raises :class:`~promptpipe.errors.InsufficientExamples`;
+    otherwise the whole class is taken and a warning is emitted. Identical
     ``(dataset, k_per_class, seed)`` always yields the identical sample.
     """
+    check_instance("dataset", dataset, Dataset, DataError)
     check_integer("k_per_class", k_per_class)
     check_integer("seed", seed)
     if k_per_class < 1:

@@ -42,7 +42,9 @@ giving the values ``json.loads`` gives: rows of short decimals (at most 8
 integer and 8 fraction digits, 15 in all) are converted exactly by numpy
 arithmetic, one division per value; every other line, such as one of
 17-digit reprs or exponents, is read by the JSON decoder, the only path
-that raises.
+that raises. A run reads its dataset first and checks every line of the
+logits file, but converts and projects only the records of the guids it
+scores: its examples', and the content-free one when it calibrates.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -366,17 +368,36 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
       raises a :class:`~promptpipe.errors.PromptPipeError` naming the
       file, line and guid.
     """
-    check_integer("vocab_size", vocab_size)
-    if vocab_size < 1:
-        raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
+    _check_vocab_size(vocab_size)
     return _logits_records(path, vocab_size)
 
 
-def _logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
-    read_line = partial(_numeric_record, vocab_size=vocab_size)
+def _check_vocab_size(vocab_size) -> None:
+    check_integer("vocab_size", vocab_size)
+    if vocab_size < 1:
+        raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
+
+
+def _check_guids(guids) -> frozenset[str] | None:
+    if guids is None:
+        return None
+    if not isinstance(guids, Collection) or isinstance(guids, (str, bytes)):
+        raise ConfigError(f"guids must be None or a collection of strings, got {guids!r}")
+    for guid in guids:
+        if not isinstance(guid, str):
+            raise ConfigError(f"guids must hold strings, got {guid!r}")
+    return frozenset(guids)
+
+
+def _logits_records(
+    path: str | Path, vocab_size: int, guids: frozenset[str] | None = None
+) -> Iterator[tuple[str, np.ndarray]]:
+    """The records of ``guids`` (all of them for ``None``), every line checked."""
+    read_line = partial(_numeric_record, vocab_size=vocab_size, guids=guids)
     for line_no, guid, record, line in read_guid_lines(path, read_line):
-        if isinstance(record, np.ndarray):
-            yield guid, record
+        if not isinstance(record, dict):  # read by _numeric_record; None if not kept
+            if record is not None:
+                yield guid, record
             continue
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
@@ -409,7 +430,8 @@ def _logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np
             raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
         if not np.isfinite(rows).all():
             raise NonFiniteValue(f"{where}: guid {guid!r} has a non-finite logit")
-        yield guid, rows
+        if guids is None or guid in guids:
+            yield guid, rows
 
 
 # The documented record form, with any spaces or tabs between its parts: the
@@ -424,7 +446,9 @@ _TAIL = re.compile(rf"\]{_WS}\]{_WS}\}}[ \t\n]*")
 _ROW_SEPARATOR = re.compile(rf"\]{_WS},{_WS}\[")
 
 
-def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None:
+def _numeric_record(
+    line: str, vocab_size: int, guids: frozenset[str] | None
+) -> tuple[str, np.ndarray | None] | None:
     """``(guid, rows)`` for a line that the one JSON decoder reads as a record
     of ``vocab_size``-wide rows of finite numbers, parsed without it; else ``None``.
 
@@ -432,11 +456,12 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
     ``[[``; the rows end at the line's second-to-last ``]``, from which
     ``_TAIL`` must match the rest of the line; and every ``]`` between
     must start a ``_ROW_SEPARATOR``, where the rows are cut. Each row is
-    converted by :func:`_decimal_row`, which gives the values of
-    ``float()``, so of ``json.loads`` followed by the float64 conversion;
-    at the first row it refuses, the line is left to the decoder, as is
-    any other line, valid or not. Of a line read here, the decoder reads
-    only the guid literal.
+    checked by :func:`_decimal_row`, and converted, to the values of
+    ``float()``, so of ``json.loads`` followed by the float64 conversion,
+    only if ``guids`` is ``None`` or holds the guid; ``rows`` is ``None``
+    for a line checked but not converted. At the first row it refuses,
+    the line is left to the decoder, as is any other line, valid or not.
+    Of a line read here, the decoder reads only the guid literal.
     """
     head = _HEAD.match(line)
     if head is None:
@@ -457,31 +482,31 @@ def _numeric_record(line: str, vocab_size: int) -> tuple[str, np.ndarray] | None
         guid = JSON_DECODER.decode(head["guid"])
     except ValueError:
         return None
+    convert = guids is None or guid in guids
     values = []
     for row in rows:
-        if (decimals := _decimal_row(row.encode(), vocab_size)) is None:
+        if (decimals := _decimal_row(row.encode(), vocab_size, convert)) is None:
             return None
         values.append(decimals)
-    return guid, np.stack(values)
+    return guid, np.stack(values) if convert else None
 
 
 _SEP, _MINUS, _DOT, _ZERO, _SPACE = b",-.0 "
 _CHUNK = 1 << 16  # bytes per step; the step's temporaries stay in cache
 
 # Tables for _decimal_row, indexed by a digit count k <= 8: the bits that
-# hold the digit values of the last k bytes of an 8-byte window, 10**k,
-# the divisor 10.0**k (negated at k + 9) and the least k-digit integer with
-# no leading zero (0 for k = 1).
+# hold the digit values of the last k bytes of an 8-byte window, 10**k and
+# the divisor 10.0**k (negated at k + 9).
 _DIGIT_BITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - k) << 8 * (8 - k) for k in range(9)],
                        dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(9)], dtype=np.uint64)
 _SCALE = np.array([float(sign * 10**k) for sign in (1, -1) for k in range(9)])
-_LEAST = np.array([0, 0] + [10 ** (k - 1) for k in range(2, 9)], dtype=np.uint64)
 
 
-def _decimal_row(row: bytes, width: int) -> np.ndarray | None:
+def _decimal_row(row: bytes, width: int, convert: bool = True) -> np.ndarray | None:
     """The ``width`` values of a logits row of short decimals, each the
-    value ``float()`` reads; ``None`` for any other row.
+    value ``float()`` reads, or without ``convert`` an empty array once the
+    row is checked; ``None`` for any other row.
 
     Each field is ``-?(0|[1-9][0-9]{0,7})\\.[0-9]{1,8}`` with at most 15
     digits in all, and one space may follow each comma and lead the row.
@@ -495,10 +520,12 @@ def _decimal_row(row: bytes, width: int) -> np.ndarray | None:
     The row is read in steps of about ``_CHUNK`` bytes, each cut at a
     comma, so every temporary stays small: whole-row temporaries come as
     fresh pages, whose faults cost more than the arithmetic (a replay_bert
-    row took about twice as long). A step finds its commas and
-    dots in one pass, which must alternate, and converts the digits
-    before each dot and before each next comma from the unaligned 8-byte
-    window that ends there, masked to those digits, by multiply and shift.
+    row took about twice as long). A step finds its commas and dots in one
+    pass, which must alternate, and checks the form; with ``convert``, it
+    then converts the digits before each dot and before each next comma
+    from the unaligned 8-byte window that ends there, masked to those
+    digits, by multiply and shift. A row is accepted or refused alike
+    either way.
     """
     # a field takes at least 4 bytes with its comma: this also bounds the
     # memory a short row can ask for
@@ -509,7 +536,7 @@ def _decimal_row(row: bytes, width: int) -> np.ndarray | None:
     data = bytes(8) + b"," + row + b","
     x = np.frombuffer(data, np.uint8)
     windows = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
-    values = np.empty(width)
+    values = np.empty(width if convert else 0)
     done = 0
     start = 8
     while start < len(data) - 1:
@@ -540,27 +567,29 @@ def _decimal_row(row: bytes, width: int) -> np.ndarray | None:
         # every byte of those runs is a digit, as no byte outside them is one
         if np.count_nonzero((text - _ZERO) < 10) != n.sum():
             return None
-        # the window ending at place p of the step starts at data[start + p - 8]
-        digits = windows[start - 8 :][marks[1:]]
-        digits &= _DIGIT_BITS[n]
-        # byte values to 2-digit, 4-digit, then 8-digit numbers; the first
-        # digit is the low byte, and masked bytes lead with zeros
-        digits *= 10 << 8 | 1
-        digits >>= 8
-        digits &= 0x00FF00FF00FF00FF
-        digits *= 100 << 16 | 1
-        digits >>= 16
-        digits &= 0x0000FFFF0000FFFF
-        digits *= 10000 << 32 | 1
-        digits >>= 32
-        integers, fractions = digits[0::2], digits[1::2]
-        if (integers < _LEAST[n[0::2]]).any():
+        # no leading zero: an integer part of several digits starts with 1-9
+        if ((text[first] == _ZERO) & (n[0::2] > 1)).any():
             return None
-        f = n[1::2]
-        integers *= _POW10[f]
-        integers += fractions
-        f += 9 * negative
-        np.divide(integers, _SCALE[f], out=values[done : done + k])
+        if convert:
+            # the window ending at place p of the step starts at data[start + p - 8]
+            digits = windows[start - 8 :][marks[1:]]
+            digits &= _DIGIT_BITS[n]
+            # byte values to 2-digit, 4-digit, then 8-digit numbers; the first
+            # digit is the low byte, and masked bytes lead with zeros
+            digits *= 10 << 8 | 1
+            digits >>= 8
+            digits &= 0x00FF00FF00FF00FF
+            digits *= 100 << 16 | 1
+            digits >>= 16
+            digits &= 0x0000FFFF0000FFFF
+            digits *= 10000 << 32 | 1
+            digits >>= 32
+            integers, fractions = digits[0::2], digits[1::2]
+            f = n[1::2]
+            integers *= _POW10[f]
+            integers += fractions
+            f += 9 * negative
+            np.divide(integers, _SCALE[f], out=values[done : done + k])
         done += k
         start = stop
     return values if done == width else None
@@ -576,6 +605,12 @@ class LogitsFileScorer:
     only its result is kept: the runner passes
     :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
     ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
+
+    With ``guids``, a collection of strings, every line is still read and
+    checked as :func:`read_logits_records` checks it, and rejected alike,
+    but only the records of those guids are converted, projected and
+    kept; the runner passes its dataset's guids, and the content-free one
+    when it calibrates.
     """
 
     def __init__(
@@ -583,9 +618,11 @@ class LogitsFileScorer:
         path: str | Path,
         vocab_size: int,
         project: Callable[[np.ndarray], np.ndarray] | None = None,
+        guids: Collection[str] | None = None,
     ):
         _check_project(project)
-        records = read_logits_records(path, vocab_size)
+        _check_vocab_size(vocab_size)
+        records = _logits_records(path, vocab_size, _check_guids(guids))
         if project is not None:
             records = ((guid, project(rows)) for guid, rows in records)
         self.records = MappingProxyType(dict(records))
@@ -618,6 +655,7 @@ class RunReport:
 
 def ensemble_scores(per_template: Sequence[ClassScores]) -> ClassScores:
     """Arithmetic mean of aligned class scores across templates."""
+    check_instance("per_template", per_template, Sequence, ClassListMismatch)
     if not per_template:
         raise ClassListMismatch("no scores to ensemble")
     first = per_template[0]
@@ -757,19 +795,23 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     vocab = Vocab.from_file(cfg.vocab)
     tokenizer = build_tokenizer(cfg.tokenizer_kind, vocab)
     verbalizer = load_verbalizer(cfg.verbalizer, tokenizer)
+    # the dataset first: a logits file is converted only for the guids it scores
+    dataset = load_jsonl(cfg.dataset)
     # scorers project their rows when they load them: the run keeps
     # label-word scores, never a vocabulary-wide row
     project = verbalizer.dense.word_scores
     scorer: Scorer
     if cfg.logits_file is not None:
-        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), project)
+        guids = [example.guid for example in dataset]
+        if cfg.calibrate:
+            guids.append(CONTENT_FREE_GUID)
+        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), project, guids)
     else:
         assert cfg.frequency_file is not None
         scorer = ToyScorer.from_file(cfg.frequency_file, vocab, project)
     compiled = [
         CompiledTemplate(ast, tokenizer, cfg.max_len, cfg.add_special_tokens) for ast in templates
     ]
-    dataset = load_jsonl(cfg.dataset)
 
     priors: list[np.ndarray | None] = []
     for template in compiled:

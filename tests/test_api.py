@@ -99,6 +99,13 @@ BAD_ARGUMENTS = {
                      "cfg must be a PipelineConfig, got 5"),
     "ensemble_scores": (lambda: promptpipe.ensemble_scores([1]), ClassListMismatch,
                         "per_template must hold ClassScores, got 1"),
+    "ensemble_scores_not_a_sequence": (lambda: promptpipe.ensemble_scores(5), ClassListMismatch,
+                                       "per_template must be a Sequence, got 5"),
+    "fewshot_sample": (lambda: promptpipe.fewshot_sample(5, 1, 0), DataError,
+                       "dataset must be a Dataset, got 5"),
+    # dataset is checked before the file is opened, so none is written
+    "save_jsonl": (lambda: promptpipe.save_jsonl(5, "unwritten.jsonl"), DataError,
+                   "dataset must be a Dataset, got 5"),
     "wordpiece_encode": (lambda: promptpipe.WordPieceTokenizer(_vocab()).encode(5), VocabError,
                          "text must be a string, got 5"),
     "whitespace_encode": (lambda: promptpipe.WhitespaceTokenizer(_vocab()).encode(5), VocabError,

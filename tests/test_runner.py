@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1280,6 +1281,180 @@ def test_logits_wider_than_the_line_can_hold_are_a_mismatch(tmp_path):
     logits.write_text('{"guid": "a", "mask_logits": [[0.5, 1.5]]}\n')
     with pytest.raises(DimensionMismatch, match="rows of width 1000000000000"):
         list(read_logits_records(logits, 10**12))
+
+
+# spellings on either side of the short-decimal form: leading zeros, a
+# negative zero, 8+7 and 8+8 digits, a missing digit, an exponent
+_ROW_SPELLINGS = ["01.5", "00.1", "-01.5", "-0.0", "0.0", "0.5", "12345678.1234567",
+                  "12345678.12345678", "1.", ".5", "1.5e0"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    texts=st.lists(_decimal_text() | st.sampled_from(_ROW_SPELLINGS), min_size=1, max_size=6),
+    separator=st.sampled_from([", ", ",", ",  "]),
+    lead=st.sampled_from(["", " ", "  "]),
+    chunk=st.sampled_from([1 << 16, 1]),
+)
+@example(texts=["01.5", "0.5"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["0.5", "00.1"], separator=",", lead="", chunk=1)
+@example(texts=["-0.0", "0.5"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["1.5", "-2.5"], separator=", ", lead=" ", chunk=1)
+@example(texts=["12345678.1234567"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["12345678.12345678"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["1.", "0.5"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["0.5", ".5"], separator=", ", lead="", chunk=1)
+@example(texts=["1.5e0"], separator=", ", lead="", chunk=1 << 16)
+def test_decimal_row_check_accepts_exactly_the_rows_it_converts(texts, separator, lead, chunk):
+    """Checking a row without converting it accepts or refuses it as the
+    converting step does, at the row's width and one off, in one step or
+    in a step per field."""
+    from unittest import mock
+
+    from promptpipe import runner
+
+    row = (lead + separator.join(texts)).encode()
+    in_form = (len(lead) < 2 and (separator != ",  " or len(texts) == 1) and all(
+        _FAST_FORM.fullmatch(t) and sum(map(str.isdigit, t)) <= 15 for t in texts))
+    with mock.patch.object(runner, "_CHUNK", chunk):
+        for width in {len(texts) - 1, len(texts), len(texts) + 1} - {0}:
+            converted = runner._decimal_row(row, width)
+            checked = runner._decimal_row(row, width, convert=False)
+            assert (converted is not None) == (in_form and width == len(texts))
+            assert (checked is not None) == (converted is not None)
+            if converted is not None:
+                assert converted.tobytes() == np.array([float(t) for t in texts]).tobytes()
+                assert checked.size == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_logits_reader_keeps_named_guids_and_checks_every_line(data):
+    """Given guids, the reader yields the JSON oracle's records of those guids
+    alone, and raises the oracle's error on any line, named or not."""
+    import tempfile
+    import warnings
+
+    from promptpipe.runner import _logits_records
+
+    width = data.draw(st.integers(1, 3))
+    lines = data.draw(st.lists(_logits_line(width), min_size=1, max_size=4))
+    named = data.draw(st.frozensets(st.sampled_from(["a", "b", "c", "[[a", "é"])))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "logits.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _read_outcome(partial(_logits_records, guids=named), path, width)
+            records, error, message = _read_outcome(_oracle_read_logits_records, path, width)
+    assert got == ([record for record in records if record[0] in named], error, message)
+
+
+def _subset_case(fixtures_dir, tmp_path, calibrate: bool) -> PipelineConfig:
+    """A replay run of the fixture dataset whose logits file also holds
+    records no example names, on lines of either tier: short decimals (read
+    by numpy arithmetic) and 17-digit reprs (read by the JSON decoder)."""
+    from promptpipe.runner import CONTENT_FREE_GUID
+
+    width = _vocab_size(fixtures_dir)
+    rng = np.random.default_rng(24)
+    tiers = [("s1", 4), ("x1", 4), ("s2", None), ("s3", 4), ("x2", None), ("s4", None),
+             (CONTENT_FREE_GUID, 4), ("s5", 4), ("x3", None)]
+    logits = tmp_path / "logits.jsonl"
+    with open(logits, "w", encoding="utf-8") as handle:
+        for guid, decimals in tiers:
+            values = rng.normal(0.0, 3.0, size=(1, width))
+            if decimals is not None:
+                values = np.round(values, decimals)
+            handle.write(json.dumps({"guid": guid, "mask_logits": values.tolist()}) + "\n")
+    return PipelineConfig(
+        templates=[str(fixtures_dir / "template_sentiment.txt")],
+        dataset=str(fixtures_dir / "sentiment.jsonl"), vocab=str(fixtures_dir / "vocab.txt"),
+        verbalizer=str(fixtures_dir / "verbalizer.json"), logits_file=str(logits),
+        calibrate=calibrate, output=str(tmp_path / "out.jsonl"),
+    )
+
+
+@pytest.mark.parametrize("calibrate", [False, True])
+def test_run_on_each_one_example_subset_matches_the_full_run(fixtures_dir, tmp_path, calibrate):
+    """A run converts only the records it scores, and each one-example run
+    writes the full run's line for its example, byte for byte."""
+    from promptpipe.runner import CONTENT_FREE_GUID, _setup
+
+    cfg = _subset_case(fixtures_dir, tmp_path, calibrate)
+    run_pipeline(cfg)
+    full = Path(cfg.output).read_bytes().splitlines(keepends=True)
+    examples = (fixtures_dir / "sentiment.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(full) == len(examples) == 5
+    for example_line, expected in zip(examples, full):
+        guid = json.loads(example_line)["guid"]
+        subset = tmp_path / "one.jsonl"
+        subset.write_bytes(example_line)
+        one = dataclasses.replace(cfg, dataset=str(subset), output=str(tmp_path / "one_out.jsonl"))
+        pipeline, _ = _setup(one)
+        assert set(pipeline.scorer.records) == {guid} | ({CONTENT_FREE_GUID} if calibrate else set())
+        run_pipeline(one)
+        assert (tmp_path / "one_out.jsonl").read_bytes() == expected, guid
+
+
+# an unnamed record that the reader must still refuse: the line written after
+# s1's, and the text its message must hold
+_BAD_UNNAMED = {
+    "string value": ('{"guid": "x9", "mask_logits": [[%s, "2.5"]]}', "guid 'x9'"),
+    "1e999": ('{"guid": "x9", "mask_logits": [[%s, 1e999]]}', "guid 'x9'"),
+    "leading zero": ('{"guid": "x9", "mask_logits": [[%s, 01.5]]}', "invalid JSON"),
+    "wrong width": ('{"guid": "x9", "mask_logits": [[%s]]}', "rows of width"),
+    "repeated guid": ('{"guid": "x1", "mask_logits": [[%s, 0.5]]}',
+                      "guid 'x1' already appears on line 2"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_UNNAMED)
+def test_bad_unnamed_logits_record_still_fails_the_run(fixtures_dir, tmp_path, bad):
+    from promptpipe.runner import read_logits_records
+
+    cfg = _subset_case(fixtures_dir, tmp_path, calibrate=False)
+    lines = Path(cfg.logits_file).read_text(encoding="utf-8").splitlines(keepends=True)
+    layout, fragment = _BAD_UNNAMED[bad]
+    lines.insert(2, layout % ", ".join(["0.25"] * (_vocab_size(fixtures_dir) - 1)) + "\n")
+    Path(cfg.logits_file).write_text("".join(lines), encoding="utf-8")
+    subset = tmp_path / "one.jsonl"
+    subset.write_text(json.dumps({"guid": "s1", "meta": {"text": "a good plot"}}) + "\n")
+    with pytest.raises(PromptPipeError) as failure:
+        run_pipeline(dataclasses.replace(cfg, dataset=str(subset)))
+    # what the reader that converts every record raises
+    with pytest.raises(PromptPipeError) as expected:
+        list(read_logits_records(cfg.logits_file, _vocab_size(fixtures_dir)))
+    assert type(failure.value) is type(expected.value)
+    assert str(failure.value) == str(expected.value)
+    assert f"{cfg.logits_file}:3: " in str(failure.value) and fragment in str(failure.value)
+
+
+@pytest.mark.parametrize("guids, message", [
+    (5, "guids must be None or a collection of strings, got 5"),
+    ("a", "guids must be None or a collection of strings, got 'a'"),
+    (b"a", "guids must be None or a collection of strings, got b'a'"),
+    (iter(["a"]), "guids must be None or a collection of strings, got <list_iterator"),
+    (["a", 5], "guids must hold strings, got 5"),
+    (("a", None), "guids must hold strings, got None"),
+])
+def test_scorer_guids_must_be_a_collection_of_strings(tmp_path, guids, message):
+    from promptpipe.runner import LogitsFileScorer
+
+    # checked at the call: the file need not exist
+    with pytest.raises(ConfigError) as failure:
+        LogitsFileScorer(tmp_path / "absent.jsonl", 3, None, guids)
+    assert str(failure.value).startswith(message)
+
+
+def test_scorer_keeps_only_the_named_guids(tmp_path):
+    from promptpipe.runner import LogitsFileScorer
+
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text("".join(json.dumps({"guid": g, "mask_logits": [[0.5, -1.0]]}) + "\n"
+                              for g in ("a", "b", "c")))
+    for guids, kept in [(None, ["a", "b", "c"]), (["c", "a", "z"], ["a", "c"]), (set(), [])]:
+        assert list(LogitsFileScorer(logits, 2, None, guids).records) == kept
 
 
 def test_scorer_project_must_be_callable(fixtures_dir, tmp_path):
