@@ -49,7 +49,6 @@ from .verbalizer import (
     calibrate,
     load_verbalizer,
     project,
-    project_per_position,
 )
 from .wrapping import (
     InputExample,
@@ -104,7 +103,6 @@ __all__ = [
     "load_verbalizer",
     "parse_template",
     "project",
-    "project_per_position",
     "run_pipeline",
     "save_jsonl",
     "serialize_template",

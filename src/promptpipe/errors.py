@@ -142,11 +142,14 @@ def check_integer(name: str, value: object) -> None:
         raise ConfigError(f"{name!r} must be an integer, got {value!r}")
 
 
-def check_instance(name: str, value: object, cls: type, error: type = ConfigError) -> None:
-    """Raise ``error`` unless ``value`` is an instance of ``cls``."""
+def check_instance(name: str, value: object, cls: type | tuple[type, ...],
+                   error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an instance of ``cls``, a type or a
+    tuple of types."""
     if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise error(f"{name} must be {article} {cls.__name__}, got {value!r}")
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {names}, got {value!r}")
 
 
 class NonFiniteValue(ConfigError):

@@ -9,9 +9,9 @@ label word's prior log-probability, measured at the same mask position
 of a content-free input, before aggregation.
 
 All projection goes through one kernel over a verbalizer's
-:class:`DenseIndex`; :func:`project`, :func:`calibrate` and
-:func:`project_per_position` are thin callers of it. The kernel has two
-steps: :meth:`DenseIndex.word_scores`, the only one that reads whole
+:class:`DenseIndex`; :func:`project` and :func:`calibrate` are its only
+callers, and one verbalizer scores every mask position. The kernel has
+two steps: :meth:`DenseIndex.word_scores`, the only one that reads whole
 vocabulary-wide rows, and :meth:`DenseIndex.aggregate`, which needs only
 the ``(M, C, W)`` label-word scores of one example (or ``(N, M, C, W)`` of
 many), so a caller can keep those and drop the rows. Priors have that
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,10 +38,11 @@ from .errors import (
     NonFiniteValue,
     UnreadableFile,
     VerbalizerError,
+    check_instance,
 )
 from .template import Choice
 from .textfile import read_json_object
-from .tokenization import UNK_TOKEN
+from .tokenization import UNK_TOKEN, WhitespaceTokenizer, WordPieceTokenizer
 
 __all__ = [
     "Aggregation",
@@ -52,7 +53,6 @@ __all__ = [
     "load_verbalizer",
     "log_softmax",
     "project",
-    "project_per_position",
     "calibrate",
 ]
 
@@ -84,6 +84,8 @@ class ClassScores:
     scores: tuple[float, ...]
 
     def __post_init__(self):
+        check_instance("classes", self.classes, Sequence, DimensionMismatch)
+        check_instance("scores", self.scores, Sequence, DimensionMismatch)
         if not self.classes or len(self.classes) != len(self.scores):
             raise DimensionMismatch(
                 f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
@@ -122,8 +124,11 @@ def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Ver
     """Construct a verbalizer from a class -> word-list mapping.
 
     Each class maps to a list (or tuple) of words; a string or any other
-    value raises :class:`~promptpipe.errors.VerbalizerError`.
+    value raises :class:`~promptpipe.errors.VerbalizerError`, and a
+    tokenizer of another type :class:`~promptpipe.errors.ConfigError`.
     """
+    check_instance("label_words", label_words, Mapping, VerbalizerError)
+    check_instance("tokenizer", tokenizer, (WhitespaceTokenizer, WordPieceTokenizer))
     if not label_words:
         raise EmptyClass("verbalizer defines no classes")
     classes = tuple(label_words.keys())
@@ -244,16 +249,16 @@ class DenseIndex:
             raise NonFiniteValue("logits hold a NaN or an infinity")
         return rows
 
-    def check_prior(self, prior, positions: tuple[int, ...]) -> np.ndarray:
-        """``prior`` as a float64 ``(*positions, C, W)`` array, zero at padding words.
+    def check_prior(self, prior, mask_count: int) -> np.ndarray:
+        """``prior`` as a float64 ``(M, C, W)`` array, zero at padding words.
 
-        ``prior`` is a :func:`calibrate` result, or for one mask position
-        (``positions == ()``) one entry of it. A wrong shape raises
-        :class:`~promptpipe.errors.DimensionMismatch` and a NaN or an
-        infinity at a real word :class:`~promptpipe.errors.NonFiniteValue`;
-        padding entries are ignored whatever they hold.
+        ``prior`` is a :func:`calibrate` result for ``mask_count`` positions.
+        Any other shape raises :class:`~promptpipe.errors.DimensionMismatch`
+        and a NaN or an infinity at a real word
+        :class:`~promptpipe.errors.NonFiniteValue`; padding entries are
+        ignored whatever they hold.
         """
-        shape = (*positions, *self.word_mask.shape)
+        shape = (mask_count, *self.word_mask.shape)
         try:
             values = np.asarray(prior, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -296,7 +301,7 @@ class DenseIndex:
     def aggregate(
         self,
         words: np.ndarray,
-        aggregation: Aggregation,
+        aggregation: Aggregation | str,
         prior: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(..., M, C, W)`` :meth:`word_scores` to ``(..., C)`` class scores.
@@ -306,8 +311,10 @@ class DenseIndex:
         right. A sum that overflows gives an infinity, without a warning.
         Scores of another shape or with no mask position, or a prior whose
         shape is not the scores' last three axes, raise
-        :class:`~promptpipe.errors.DimensionMismatch`.
+        :class:`~promptpipe.errors.DimensionMismatch`, and an unknown
+        aggregation :class:`~promptpipe.errors.ConfigError`.
         """
+        aggregation = Aggregation.parse(aggregation)
         shape = words.shape[-3:]
         if len(shape) < 3 or shape[0] == 0 or shape[1:] != self.word_mask.shape:
             raise DimensionMismatch(
@@ -345,56 +352,12 @@ def project(
     summed per class. The predicted class is the argmax, ties breaking
     toward index 0.
     """
-    aggregation = Aggregation.parse(aggregation)
+    check_instance("verbalizer", v, Verbalizer, VerbalizerError)
     index = v.dense
     rows = index.check_rows(logits)
-    prior = None if calibration is None else index.check_prior(calibration, (len(rows),))
+    prior = None if calibration is None else index.check_prior(calibration, len(rows))
     totals = index.aggregate(index.word_scores(rows), aggregation, prior)
     return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
-
-
-def project_per_position(
-    logits,
-    verbalizers: Sequence[Verbalizer],
-    aggregation: Aggregation | str = Aggregation.MEAN_LOG_PROB,
-    calibrations: Sequence[np.ndarray | None] | None = None,
-) -> ClassScores:
-    """Project with a distinct verbalizer per mask position.
-
-    All verbalizers must share one class list; per-position class scores
-    are summed, exactly as :func:`project` does for a single verbalizer
-    (to which this reduces when every position uses the same one).
-    ``calibrations[p]`` is position ``p``'s ``(C, W)`` priors for its own
-    verbalizer (entry ``p`` of a :func:`calibrate` result), or None.
-    """
-    aggregation = Aggregation.parse(aggregation)
-    if not verbalizers:
-        raise DimensionMismatch("no verbalizers: need one per mask position")
-    rows = verbalizers[0].dense.check_rows(logits)
-    if rows.shape[0] != len(verbalizers):
-        raise DimensionMismatch(
-            f"{rows.shape[0]} logits rows for {len(verbalizers)} verbalizers"
-        )
-    if calibrations is not None and len(calibrations) != len(verbalizers):
-        raise DimensionMismatch(
-            f"{len(calibrations)} calibrations for {len(verbalizers)} verbalizers"
-        )
-    classes = verbalizers[0].classes
-    for v in verbalizers[1:]:
-        if v.classes != classes:
-            raise VerbalizerError(
-                f"per-position verbalizers must share classes: {classes} vs {v.classes}"
-            )
-    totals = np.zeros(len(classes), dtype=np.float64)
-    for position, (row, v) in enumerate(zip(rows, verbalizers)):
-        index = v.dense
-        calibration = calibrations[position] if calibrations is not None else None
-        # one position's (C, W) priors, as aggregate's (M, C, W) with M = 1
-        prior = None if calibration is None else index.check_prior(calibration, ())[None]
-        scores = index.aggregate(index.word_scores(index.check_rows(row)), aggregation, prior)
-        with np.errstate(over="ignore", invalid="ignore"):
-            totals += scores
-    return ClassScores(classes=classes, scores=tuple(totals.tolist()))
 
 
 def calibrate(
@@ -412,6 +375,8 @@ def calibrate(
     subtracts, at each mask position, that position's priors before
     aggregating, so the content-free input itself scores 0 everywhere.
     """
+    check_instance("scores_fn", scores_fn, Callable)
+    check_instance("verbalizer", v, Verbalizer, VerbalizerError)
     index = v.dense
     priors = index.word_scores(index.check_rows(scores_fn(content_free_input)))
     if not np.isfinite(priors).all():

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +16,16 @@ from promptpipe.errors import (
     ClassListMismatch,
     ConfigError,
     DataError,
+    DimensionMismatch,
     InvalidValueType,
+    VerbalizerError,
     VocabError,
 )
 from promptpipe.runner import evaluate_accuracy
 from promptpipe.template import validate_template
 from promptpipe.textfile import write_jsonl
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MODULES = [
     importlib.import_module(f"promptpipe.{info.name}")
     for info in pkgutil.iter_modules(promptpipe.__path__)
@@ -37,7 +41,8 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["SegmentOrigin", "TokenEntry", "truncate"])
+@pytest.mark.parametrize("name", ["SegmentOrigin", "TokenEntry", "truncate",
+                                  "project_per_position"])
 def test_removed_names_are_not_importable(name):
     assert not hasattr(promptpipe, name)
     assert name not in promptpipe.__all__
@@ -55,12 +60,17 @@ def test_removed_members_are_gone():
         assert "objective" not in inspect.signature(fn).parameters, fn
     assert not hasattr(promptpipe.tokenization, "_is_causal")
     for module in MODULES:
-        for name in ("SegmentOrigin", "TokenEntry", "truncate"):
+        for name in ("SegmentOrigin", "TokenEntry", "truncate", "project_per_position"):
             assert not hasattr(module, name), (module.__name__, name)
 
 
 def _vocab():
     return promptpipe.Vocab.from_tokens(["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]", "a"])
+
+
+def _verbalizer():
+    tokenizer = promptpipe.WhitespaceTokenizer(_vocab())
+    return promptpipe.build_verbalizer({"a": ["a"]}, tokenizer)
 
 
 # a public call with an ill-typed argument: the stage error it raises, and its
@@ -110,6 +120,27 @@ BAD_ARGUMENTS = {
                          "text must be a string, got 5"),
     "whitespace_encode": (lambda: promptpipe.WhitespaceTokenizer(_vocab()).encode(5), VocabError,
                           "text must be a string, got 5"),
+    "build_verbalizer_label_words": (
+        lambda: promptpipe.build_verbalizer(5, promptpipe.WhitespaceTokenizer(_vocab())),
+        VerbalizerError, "label_words must be a Mapping, got 5"),
+    "build_verbalizer_tokenizer": (
+        lambda: promptpipe.build_verbalizer({"a": ["good"]}, 5), ConfigError,
+        "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 5"),
+    # the file is read first, and its words are built with the tokenizer
+    "load_verbalizer_tokenizer": (
+        lambda: promptpipe.load_verbalizer(FIXTURES / "verbalizer.json", 5), ConfigError,
+        "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 5"),
+    "project_verbalizer": (lambda: promptpipe.project([[0.0] * 6], 5), VerbalizerError,
+                           "verbalizer must be a Verbalizer, got 5"),
+    "calibrate_verbalizer": (
+        lambda: promptpipe.calibrate(lambda _: [[0.0] * 6], 5, None), VerbalizerError,
+        "verbalizer must be a Verbalizer, got 5"),
+    "calibrate_scores_fn": (lambda: promptpipe.calibrate(5, _verbalizer(), None), ConfigError,
+                            "scores_fn must be a Callable, got 5"),
+    "class_scores_classes": (lambda: promptpipe.ClassScores(5, (1.0,)), DimensionMismatch,
+                             "classes must be a Sequence, got 5"),
+    "class_scores_scores": (lambda: promptpipe.ClassScores(("a",), 5), DimensionMismatch,
+                            "scores must be a Sequence, got 5"),
 }
 
 

@@ -20,7 +20,6 @@ from promptpipe import (
     build_tokenizer,
     load_verbalizer,
     project,
-    project_per_position,
 )
 from promptpipe import cli
 from promptpipe.__main__ import entry
@@ -611,7 +610,6 @@ def _via_api(fixtures, tmp, field, value):
             run_pipeline(cfg).results,
             tokenizer.encode("the greatest"),
             project(rows, verbalizer, aggregation=cfg.aggregation).scores,
-            project_per_position(rows, [verbalizer] * 2, aggregation=cfg.aggregation).scores,
         ]).encode()
     except ConfigError:
         return None

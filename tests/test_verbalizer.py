@@ -18,7 +18,6 @@ from promptpipe import (
     calibrate,
     load_verbalizer,
     project,
-    project_per_position,
 )
 from promptpipe.errors import (
     ConfigError,
@@ -154,13 +153,24 @@ def test_projection_sums_across_mask_positions(toy):
 
 
 def test_projection_sums_positions_left_to_right_exactly(toy):
+    # each position scored on its own, with its own priors, then summed left
+    # to right; a caller who wants a word set per position sums the same way
     vocab, tok, verb = toy
     rng = random.Random(5)
-    for _ in range(50):
-        rows = [[rng.uniform(-9, 9) for _ in range(len(vocab))] for _ in range(4)]
-        per_row = [project([row], verb).scores for row in rows]
-        want = [((a + b) + c) + d for a, b, c, d in zip(*per_row)]
-        assert list(project(rows, verb).scores) == want
+    for aggregation in Aggregation:
+        for n_masks in (1, 2, 3, 4):
+            for _ in range(10):
+                rows = [[rng.uniform(-9, 9) for _ in range(len(vocab))] for _ in range(n_masks)]
+                prior_rows = [[rng.uniform(-9, 9) for _ in range(len(vocab))]
+                              for _ in range(n_masks)]
+                for cal in (None, calibrate(lambda _: prior_rows, verb, None)):
+                    per_position = [
+                        project([row], verb, aggregation, None if cal is None else cal[p:p + 1])
+                        for p, row in enumerate(rows)]
+                    want = list(per_position[0].scores)
+                    for one in per_position[1:]:
+                        want = [a + b for a, b in zip(want, one.scores)]
+                    assert list(project(rows, verb, aggregation, cal).scores) == want
 
 
 def test_projection_aggregations(toy):
@@ -182,9 +192,22 @@ def test_unknown_aggregation_is_a_config_error(toy, name):
     row = [0.0] * 9
     with pytest.raises(ConfigError, match="mean_log_prob, max, first"):
         project([row], verb, aggregation=name)
-    with pytest.raises(ConfigError, match="mean_log_prob, max, first"):
-        project_per_position([row], [verb], aggregation=name)
+    with pytest.raises(ConfigError, match=f"^unknown aggregation {name!r}; expected one of "
+                                          "mean_log_prob, max, first$"):
+        verb.dense.aggregate(np.zeros((1, *verb.dense.word_mask.shape)), name)
     assert Aggregation.parse("MAX") is Aggregation.MAX
+
+
+def test_aggregate_takes_an_aggregation_name(toy):
+    # a name, not a member, used to fall through to the first word's score
+    vocab, tok, verb = toy
+    row = _row(vocab, {"good": 1.0, "great": 2.0})
+    index = verb.dense
+    words = index.word_scores(np.array([row]))
+    want = index.aggregate(words, Aggregation.MAX)
+    assert want.tolist() != index.aggregate(words, Aggregation.FIRST).tolist()
+    for name in ("max", "MAX", " Max "):
+        assert index.aggregate(words, name).tolist() == want.tolist()
 
 
 def test_projection_multi_subword_words_average(fixtures_dir, wordpiece, vocab):
@@ -361,8 +384,7 @@ def test_calibration_padding_entries_are_ignored(toy):
         for aggregation in ("mean_log_prob", "max", "first"):
             want = project([row], verb, aggregation=aggregation, calibration=calibration)
             assert project([row], verb, aggregation=aggregation, calibration=dirty) == want
-        assert project_per_position([row], [verb], calibrations=[dirty[0]]) == \
-            project_per_position([row], [verb], calibrations=[calibration[0]])
+        assert verb.dense.check_prior(dirty, 1).tobytes() == calibration.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -374,7 +396,7 @@ def test_non_finite_prior_rejected(toy, bad):
     with pytest.raises(NonFiniteValue):
         project([row], verb, calibration=calibration)
     with pytest.raises(NonFiniteValue):
-        project_per_position([row], [verb], calibrations=[calibration[0]])
+        verb.dense.check_prior(calibration, 1)
 
 
 @pytest.mark.parametrize(
@@ -408,13 +430,11 @@ def test_int_logits_beyond_int64_are_numbers(toy):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_logits_rejected(toy, bad):
-    # check_rows gates project, project_per_position and calibrate
+    # check_rows gates project and calibrate
     vocab, tok, verb = toy
     row = _row(vocab, {"good": bad})
     with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
         project([row], verb)
-    with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
-        project_per_position([row], [verb])
     with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
         calibrate(lambda _: [row], verb, content_free_input=None)
 
@@ -437,8 +457,6 @@ def test_finite_logits_beyond_the_float_range_give_an_error_not_a_warning(
     row = _row(vocab, values)
     with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
         project([row], verb, aggregation=aggregation)
-    with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
-        project_per_position([row], [verb], aggregation=aggregation)
     if "bad" in values:
         with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
             calibrate(lambda _: [row], verb, content_free_input=None)
@@ -487,7 +505,7 @@ def test_aggregate_reduces_each_example_on_its_own(
     words = np.where(index.word_mask, rng.uniform(-30, 0, (n, *shape)), 0.0)
     prior = None
     if calibrated:
-        prior = index.check_prior(rng.uniform(-30, 0, shape), (n_masks,))
+        prior = index.check_prior(rng.uniform(-30, 0, shape), n_masks)
     together = index.aggregate(words, aggregation, prior)
     assert together.shape == (n, len(classes))
     for i in range(n):
@@ -517,48 +535,35 @@ def test_aggregate_rejects_a_prior_of_another_shape(aggregation, prior_shape):
     assert index.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros((1, 2, 2))).shape == (4, 2)
 
 
-# --- per-position verbalizers ----------------------------------------------------
+# --- a word set per mask position ---------------------------------------------
+# One verbalizer serves every mask position; a caller who wants a word set per
+# position projects each position on its own and sums the scores left to right.
+
+
+def _log_softmax(row):
+    c = math.log(sum(math.exp(x) for x in row))
+    return [x - c for x in row]
 
 
 def test_per_position_verbalizers_sum_and_match_single(toy):
     vocab, tok, verb = toy
     rng = random.Random(17)
     rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
-    same = project_per_position(rows, [verb, verb])
-    assert same.scores == pytest.approx(project(rows, verb).scores, abs=1e-12)
+    same = [project([row], verb).scores for row in rows]
+    assert [a + b for a, b in zip(*same)] == list(project(rows, verb).scores)
 
     other = build_verbalizer({"negative": ["bad", "good"], "positive": ["great"]}, tok)
-    mixed = project_per_position(rows, [verb, other])
-    want = [a + b for a, b in zip(project([rows[0]], verb).scores,
-                                  project([rows[1]], other).scores)]
-    assert mixed.scores == pytest.approx(want, abs=1e-12)
-
-
-def test_per_position_verbalizers_require_matching_classes(toy):
-    vocab, tok, verb = toy
-    renamed = build_verbalizer({"neg": ["bad"], "pos": ["good"]}, tok)
-    with pytest.raises(VerbalizerError):
-        project_per_position([[0.0] * len(vocab)] * 2, [verb, renamed])
-    with pytest.raises(DimensionMismatch):
-        project_per_position([[0.0] * len(vocab)], [verb, verb])
-
-
-def test_per_position_without_verbalizers_rejected(toy):
-    vocab, tok, verb = toy
-    with pytest.raises(DimensionMismatch, match="no verbalizers"):
-        project_per_position([[0.0] * len(vocab)], [])
-
-
-def test_per_position_calibrations_must_match_verbalizers(toy):
-    vocab, tok, verb = toy
-    rows = [[0.0] * len(vocab)] * 2
-    calibration = calibrate(lambda _: rows, verb, content_free_input=None)
-    with pytest.raises(DimensionMismatch, match="1 calibrations for 2 verbalizers"):
-        project_per_position(rows, [verb, verb], calibrations=[calibration[0]])
-    # a position's (C, W) priors for another verbalizer have the wrong shape
-    other = build_verbalizer({"negative": ["bad", "good"], "positive": ["great"]}, tok)
-    with pytest.raises(DimensionMismatch):
-        project_per_position(rows, [verb, other], calibrations=list(calibration))
+    assert other.classes == verb.classes
+    mixed = [a + b for a, b in zip(project([rows[0]], verb).scores,
+                                   project([rows[1]], other).scores)]
+    lp = [_log_softmax(row) for row in rows]
+    ids = vocab.ids
+    want = [
+        lp[0][ids["bad"]] + (lp[1][ids["bad"]] + lp[1][ids["good"]]) / 2,
+        (lp[0][ids["good"]] + lp[0][ids["wonderful"]] + lp[0][ids["great"]]) / 3
+        + lp[1][ids["great"]],
+    ]
+    assert mixed == pytest.approx(want, abs=1e-12)
 
 
 def test_per_position_calibration_matches_single_verbalizer(toy):
@@ -567,5 +572,25 @@ def test_per_position_calibration_matches_single_verbalizer(toy):
     rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
     prior_rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
     calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
-    got = project_per_position(rows, [verb, verb], calibrations=list(calibration))
-    assert got.scores == project(rows, verb, calibration=calibration).scores
+    assert calibration.shape == (2, 2, 3)
+    per_position = [project([row], verb, calibration=calibration[p:p + 1]).scores
+                    for p, row in enumerate(rows)]
+    got = [a + b for a, b in zip(*per_position)]
+    assert got == list(project(rows, verb, calibration=calibration).scores)
+    # each position's priors are that position's own (1, C, W) slice
+    for p, row in enumerate(rows):
+        own = calibrate(lambda _: [prior_rows[p]], verb, content_free_input=None)
+        assert own.tobytes() == calibration[p:p + 1].tobytes()
+
+
+def test_check_prior_takes_only_the_per_position_form(toy):
+    # one position's (C, W) priors are not an (M, C, W) array with M = 1
+    vocab, tok, verb = toy
+    calibration = calibrate(lambda _: [[0.0] * len(vocab)], verb, content_free_input=None)
+    index = verb.dense
+    assert index.check_prior(calibration, 1).shape == (1, 2, 3)
+    with pytest.raises(DimensionMismatch, match=r"^calibration has shape \(2, 3\), "
+                                                r"expected \(1, 2, 3\)$"):
+        index.check_prior(calibration[0], 1)
+    with pytest.raises(DimensionMismatch):
+        project([[0.0] * len(vocab)], verb, calibration=calibration[0])
