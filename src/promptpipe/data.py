@@ -34,7 +34,7 @@ from .errors import (
     check_instance,
     check_integer,
 )
-from .textfile import JSON_DECODER, read_lines, write_jsonl
+from .textfile import JSON_DECODER, decode_line, read_spans, write_jsonl
 from .wrapping import InputExample
 
 __all__ = ["Dataset", "load_jsonl", "read_records", "save_jsonl", "fewshot_sample"]
@@ -71,9 +71,11 @@ class Dataset:
 def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
     """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL file.
 
-    The file is read by :func:`~promptpipe.textfile.read_lines`; blank
-    lines are skipped. A line that is not a JSON object with a non-empty
-    string ``guid``, or that repeats a key, raises :class:`~promptpipe.errors.MalformedLine`,
+    The file is read line by line, as :func:`~promptpipe.textfile.read_lines`
+    reads it, so an error is the one of the first bad line in the file,
+    whether its bytes are not UTF-8 or its record is bad; blank lines are
+    skipped. A line that is not a JSON object with a non-empty string
+    ``guid``, or that repeats a key, raises :class:`~promptpipe.errors.MalformedLine`,
     and a guid seen on an earlier line raises
     :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
     error names ``path:line``.
@@ -83,22 +85,28 @@ def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
 
 
 def read_guid_lines(
-    path: str | Path, read_line: Callable[[str], tuple[str, Any] | None] | None = None
-) -> Iterator[tuple[int, str, Any, str]]:
-    """:func:`read_records` that also yields each line, and may read a line itself.
+    path: str | Path,
+    read_line: Callable[[bytearray, int, int], tuple[str, Any] | None] | None = None,
+) -> Iterator[tuple[int, str, Any, str | None]]:
+    """:func:`read_records` that also yields each line it decodes, and may read a line itself.
 
-    ``read_line(line)`` returns ``(guid, record)`` for a line it reads, and
+    ``read_line(buffer, start, end)`` gets each line's bytes as
+    :func:`~promptpipe.textfile.read_spans` yields them, which hold only
+    during the call. It returns ``(guid, record)`` for a line it reads, and
     must do so only when :data:`~promptpipe.textfile.JSON_DECODER` decodes
-    the line as an object whose ``guid`` is that string; it returns ``None``
-    for any other line, which is then read as :func:`read_records` reads it,
+    the line, as UTF-8 text, as an object whose ``guid`` is that string;
+    the yielded line is then ``None``. It returns ``None`` for any other
+    line, which is then decoded and read as :func:`read_records` reads it,
     by that decoder. The guid rules apply to every line either way.
     """
     first_line: dict[str, int] = {}
-    for line_no, line in read_lines(path):
-        if not line or line.isspace():
-            continue
-        read = read_line(line) if read_line else None
+    for line_no, buffer, start, end in read_spans(path):
+        read = read_line(buffer, start, end) if read_line else None
+        line = None
         if read is None:
+            line = decode_line(path, line_no, buffer, start, end)
+            if line.isspace():
+                continue
             try:
                 record = JSON_DECODER.decode(line)
             except ValueError as exc:

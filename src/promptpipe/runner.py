@@ -351,15 +351,17 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
     with rows of width ``vocab_size`` (an integer, at least 1) holding JSON
     numbers. Records are read by :func:`~promptpipe.data.read_guid_lines`,
-    so the guid rules are those of every guid-keyed file. A line is read
-    in one of two tiers, which both give the values ``json.loads`` gives:
+    so the guid rules are those of every guid-keyed file. The file is read
+    as bytes through one reused buffer, and memory does not grow with the
+    line count. A line is read in one of two tiers, which both give the
+    values ``json.loads`` gives:
 
     - a line of exactly that form whose every value is a short decimal
       (up to 8 integer and 8 fraction digits, 15 in all, as ``json.dumps``
-      writes logits rounded to a few decimals) is converted by numpy
-      arithmetic (:func:`_decimal_row`), bit-identical to ``float()``
-      because each value is one correctly rounded division of two exact
-      doubles;
+      writes logits rounded to a few decimals) is converted from its bytes
+      by numpy arithmetic (:func:`_decimal_row`), bit-identical to
+      ``float()`` because each value is one correctly rounded division of
+      two exact doubles; the line is never decoded to text;
     - every other line, such as one holding the 16- and 17-digit reprs of
       float32 logits upcast or numbers with an exponent, is decoded by the
       one JSON decoder, the only path that raises: a record without
@@ -393,7 +395,8 @@ def _logits_records(
     path: str | Path, vocab_size: int, guids: frozenset[str] | None = None
 ) -> Iterator[tuple[str, np.ndarray]]:
     """The records of ``guids`` (all of them for ``None``), every line checked."""
-    read_line = partial(_numeric_record, vocab_size=vocab_size, guids=guids)
+    # one padded row buffer for the whole file, which _decimal_row grows to the longest row
+    read_line = partial(_numeric_record, vocab_size=vocab_size, guids=guids, pad=bytearray())
     for line_no, guid, record, line in read_guid_lines(path, read_line):
         if not isinstance(record, dict):  # read by _numeric_record; None if not kept
             if record is not None:
@@ -435,60 +438,74 @@ def _logits_records(
 
 
 # The documented record form, with any spaces or tabs between its parts: the
-# head up to the outer "[[", the tail from the rows' closing "]", and the
-# separator between two rows.
+# head up to the outer "[[", the tail from the rows' closing "]" to the line
+# end, and the separator between two rows.
 _WS = r"[ \t]*"
 _HEAD = re.compile(
     rf'{_WS}\{{{_WS}"guid"{_WS}:{_WS}(?P<guid>"(?:[^"\\]|\\.)*"){_WS},'
-    rf'{_WS}"mask_logits"{_WS}:{_WS}\[{_WS}\['
+    rf'{_WS}"mask_logits"{_WS}:{_WS}\[{_WS}\['.encode()
 )
-_TAIL = re.compile(rf"\]{_WS}\]{_WS}\}}[ \t\n]*")
-_ROW_SEPARATOR = re.compile(rf"\]{_WS},{_WS}\[")
+_TAIL = re.compile(rf"\]{_WS}\]{_WS}\}}[ \t\r\n]*".encode())
+_ROW_SEPARATOR = re.compile(rf"\]{_WS},{_WS}\[".encode())
 
 
 def _numeric_record(
-    line: str, vocab_size: int, guids: frozenset[str] | None
+    line: bytearray,
+    start: int,
+    end: int,
+    vocab_size: int,
+    guids: frozenset[str] | None,
+    pad: bytearray,
 ) -> tuple[str, np.ndarray | None] | None:
-    """``(guid, rows)`` for a line that the one JSON decoder reads as a record
-    of ``vocab_size``-wide rows of finite numbers, parsed without it; else ``None``.
+    """``(guid, rows)`` for the line ``line[start:end]`` if the one JSON decoder
+    reads it as a record of ``vocab_size``-wide rows of finite numbers,
+    parsed without it; else ``None``.
 
-    The line is framed in one pass: ``_HEAD`` matches it up to the outer
-    ``[[``; the rows end at the line's second-to-last ``]``, from which
-    ``_TAIL`` must match the rest of the line; and every ``]`` between
-    must start a ``_ROW_SEPARATOR``, where the rows are cut. Each row is
-    checked by :func:`_decimal_row`, and converted, to the values of
-    ``float()``, so of ``json.loads`` followed by the float64 conversion,
-    only if ``guids`` is ``None`` or holds the guid; ``rows`` is ``None``
-    for a line checked but not converted. At the first row it refuses,
-    the line is left to the decoder, as is any other line, valid or not.
-    Of a line read here, the decoder reads only the guid literal.
+    The line is framed in one pass, as byte offsets: ``_HEAD`` matches it
+    up to the outer ``[[``; the rows end at the line's second-to-last
+    ``]``, from which ``_TAIL`` must match the rest of the line; and every
+    ``]`` between must start a ``_ROW_SEPARATOR``, where the rows are cut.
+    Each row is padded in ``pad`` and checked by :func:`_decimal_row`, and
+    converted, to the values of ``float()``, so of ``json.loads`` followed
+    by the float64 conversion, into a fresh ``(M, V)`` array only if
+    ``guids`` is ``None`` or holds the guid; ``rows`` is ``None`` for a
+    line checked but not converted. At the first row it refuses, the line
+    is left to the decoder, as is any other line, valid or not. Of a line
+    read here, the decoder reads only the guid literal.
     """
-    head = _HEAD.match(line)
+    head = _HEAD.match(line, start, end)
     if head is None:
         return None
     start = head.end()
-    end = line.rfind("]", start, line.rfind("]"))
-    if end < 0 or _TAIL.fullmatch(line, end) is None:
+    stop = line.rfind(b"]", start, max(line.rfind(b"]", start, end), start))
+    if stop < 0 or _TAIL.fullmatch(line, stop, end) is None:
         return None
-    rows = []
-    while (close := line.find("]", start, end)) >= 0:
-        separator = _ROW_SEPARATOR.match(line, close, end)
+    bounds = []
+    while (close := line.find(b"]", start, stop)) >= 0:
+        separator = _ROW_SEPARATOR.match(line, close, stop)
         if separator is None:
             return None
-        rows.append(line[start:close])
+        bounds.append((start, close))
         start = separator.end()
-    rows.append(line[start:end])
+    bounds.append((start, stop))
     try:
-        guid = JSON_DECODER.decode(head["guid"])
+        # a literal that is not UTF-8 is left to the decoder, which names its line
+        guid = JSON_DECODER.decode(head["guid"].decode())
     except ValueError:
         return None
-    convert = guids is None or guid in guids
-    values = []
-    for row in rows:
-        if (decimals := _decimal_row(row.encode(), vocab_size, convert)) is None:
+    # a field takes at least 4 bytes with its comma: this also bounds the
+    # memory a short row can ask for
+    if any(close - begin < 4 * vocab_size - 1 for begin, close in bounds):
+        return None
+    rows = None
+    if guids is None or guid in guids:
+        rows = np.empty((len(bounds), vocab_size))
+    view = memoryview(line)
+    for m, (begin, close) in enumerate(bounds):
+        out = None if rows is None else rows[m]
+        if _decimal_row(view[begin:close], vocab_size, out is not None, out, pad) is None:
             return None
-        values.append(decimals)
-    return guid, np.stack(values) if convert else None
+    return guid, rows
 
 
 _SEP, _MINUS, _DOT, _ZERO, _SPACE = b",-.0 "
@@ -503,10 +520,18 @@ _POW10 = np.array([10**k for k in range(9)], dtype=np.uint64)
 _SCALE = np.array([float(sign * 10**k) for sign in (1, -1) for k in range(9)])
 
 
-def _decimal_row(row: bytes, width: int, convert: bool = True) -> np.ndarray | None:
-    """The ``width`` values of a logits row of short decimals, each the
-    value ``float()`` reads, or without ``convert`` an empty array once the
-    row is checked; ``None`` for any other row.
+def _decimal_row(
+    row,
+    width: int,
+    convert: bool = True,
+    out: np.ndarray | None = None,
+    pad: bytearray | None = None,
+) -> np.ndarray | None:
+    """The ``width`` values of a logits row of short decimals, in bytes, each
+    the value ``float()`` reads, written to ``out`` if given, or without
+    ``convert`` an empty array once the row is checked; ``None`` for any
+    other row. The row is copied once, padded, into ``pad`` if given, a
+    buffer of zeros grown as needed that a reader reuses across rows.
 
     Each field is ``-?(0|[1-9][0-9]{0,7})\\.[0-9]{1,8}`` with at most 15
     digits in all, and one space may follow each comma and lead the row.
@@ -532,17 +557,23 @@ def _decimal_row(row: bytes, width: int, convert: bool = True) -> np.ndarray | N
     if len(row) < 4 * width - 1:
         return None
     # a comma before and after the row, so every step runs from a comma to
-    # a comma, and 8 bytes before those for the first field's windows
-    data = bytes(8) + b"," + row + b","
-    x = np.frombuffer(data, np.uint8)
-    windows = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
-    values = np.empty(width if convert else 0)
+    # a comma, and 8 zero bytes before those for the first field's windows;
+    # bytes after the second comma are not read
+    length = len(row) + 10
+    data = bytearray(length) if pad is None else pad
+    if len(data) < length:
+        data.extend(bytes(length - len(data)))
+    data[9 : length - 1] = row
+    data[8] = data[length - 1] = _SEP
+    x = np.frombuffer(data, np.uint8, length)
+    windows = np.ndarray((length - 7,), "<u8", buffer=data, strides=(1,))
+    values = np.empty(width if convert else 0) if out is None else out
     done = 0
     start = 8
-    while start < len(data) - 1:
-        stop = data.find(b",", start + _CHUNK, len(data) - 1)
+    while start < length - 1:
+        stop = data.find(b",", start + _CHUNK, length - 1)
         if stop < 0:
-            stop = len(data) - 1
+            stop = length - 1
         text = x[start : stop + 1]
         # "," and "." differ only in bit 1; commas at even places and dots
         # at odd ones make k fields of one dot each

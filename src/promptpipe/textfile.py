@@ -2,7 +2,10 @@
 dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``; how every
 JSON document is decoded; and how every JSONL output is written.
 
-A file that is not valid UTF-8 raises
+Line-by-line files (templates, datasets, logits) are read as bytes through
+one reused buffer (:func:`read_spans`), so memory is bounded by the longest
+line, and each line is decoded as it is reached (:func:`decode_line`). A
+file that is not valid UTF-8 raises
 :class:`~promptpipe.errors.InvalidEncoding` naming the file and the line
 of the first undecodable byte, and a path that is not a non-empty ``str``
 or an ``os.PathLike`` raises :class:`~promptpipe.errors.ConfigError`. Every JSON
@@ -21,12 +24,16 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError, InvalidEncoding
 
-__all__ = ["JSON_DECODER", "is_file_path", "read_json_object", "read_lines", "read_text",
-           "unique_keys", "write_jsonl"]
+__all__ = ["JSON_DECODER", "decode_line", "is_file_path", "read_json_object", "read_lines",
+           "read_spans", "read_text", "unique_keys", "write_jsonl"]
 
 # "utf-8-sig" drops one byte-order mark at the start of the file and
 # otherwise decodes exactly as "utf-8"
 ENCODING = "utf-8-sig"
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+# bytes that read_spans reads at a time, into one buffer that grows only to
+# hold a line longer than itself
+_BUFFER = 1 << 20
 
 # one encoder for every record; its encode gives json.dumps(..., ensure_ascii=False)
 _encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -104,40 +111,91 @@ def read_text(path: str | Path) -> str:
         with open(_file_path(path), encoding=ENCODING) as handle:
             return handle.read()
     except UnicodeDecodeError:
-        raise _invalid_utf8(path) from None
+        pass
+    for _ in read_lines(path):  # raises at the first line that is not UTF-8
+        pass
+    raise InvalidEncoding(f"{path}: not valid UTF-8")
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, line)`` from 1, each line ending in ``\\n`` but the last."""
-    with open(_file_path(path), encoding=ENCODING) as handle:
-        try:
-            yield from enumerate(handle, start=1)
-        except UnicodeDecodeError:
-            raise _invalid_utf8(path) from None
+    for line_no, buffer, start, end in read_spans(path):
+        yield line_no, decode_line(path, line_no, buffer, start, end)
 
 
-def _invalid_utf8(path: str | Path) -> InvalidEncoding:
-    """The error for a file that failed to decode, naming its first bad line.
+def read_spans(path: str | Path) -> Iterator[tuple[int, bytearray, int, int]]:
+    """Yield ``(line_no, buffer, start, end)`` from 1 for each line of the file,
+    whose bytes, line end included, are ``buffer[start:end]``.
 
-    Text is decoded in chunks, so the failure can surface lines before the
-    bad byte; the file is read again as bytes to find it. A UTF-8 sequence
-    never holds the byte ``\\n``, so each binary line decodes on its own.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, and a byte-order mark
+    at the start of the file is dropped. The file is read into one buffer
+    of ``_BUFFER`` bytes, or of the file's size if that is smaller, reused
+    for every line, so a line's bytes hold only until the next line is
+    asked for; a line longer than the buffer grows it to twice its size.
     """
-    line_no = 1
-    with open(path, "rb") as handle:
-        for raw in handle:
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = raw[: exc.start]
-                # a "\r" not followed by "\n" also ends a line
-                line_no += head.count(b"\r") - head.count(b"\r\n")
-                return InvalidEncoding(
-                    f"{path}:{line_no}: not valid UTF-8 "
-                    f"(byte 0x{raw[exc.start]:02x}: {exc.reason})"
-                )
-            line_no += raw.count(b"\r") - raw.count(b"\r\n") + raw.endswith(b"\n")
-    return InvalidEncoding(f"{path}: not valid UTF-8")
+    with open(_file_path(path), "rb", buffering=0) as handle:
+        # a smaller file needs its size, and one byte more for the read that finds its end
+        size = os.fstat(handle.fileno()).st_size
+        buffer = bytearray(min(_BUFFER, size + 1) if size else _BUFFER)
+        view = memoryview(buffer)
+        filled = 0
+        while filled < len(BOM) and (got := handle.readinto(view[filled:])):
+            filled += got
+        start = len(BOM) if buffer.startswith(BOM, 0, filled) else 0
+        line_no, eof = 0, False
+        newline = -1  # the first "\n" from start, or filled if none; kept across lines
+        while True:
+            # searched again only once passed, so lines that end at a lone "\r"
+            # do not each scan the rest of the buffer for one
+            if newline < start:
+                newline = buffer.find(b"\n", start, filled)
+                if newline < 0:
+                    newline = filled
+            cr = buffer.find(b"\r", start, newline)
+            if cr < 0 and newline < filled:
+                end = newline + 1
+            elif 0 <= cr < filled - 1:
+                end = cr + 1 + (buffer[cr + 1] == 10)  # "\r\n" or a lone "\r"
+            elif eof:
+                # the last line, or a "\r" that no "\n" can follow
+                if start == filled:
+                    return
+                end = filled
+            else:
+                # the rest of the line to the front, then more of the file after it
+                kept = filled - start
+                if kept == len(buffer):
+                    grown = bytearray(2 * len(buffer))
+                    grown[:kept] = view[start:filled]
+                    buffer, view = grown, memoryview(grown)
+                else:
+                    view[:kept] = view[start:filled]
+                got = handle.readinto(view[kept:])
+                start, filled, eof, newline = 0, kept + got, got == 0, -1
+                continue
+            line_no += 1
+            yield line_no, buffer, start, end
+            start = end
+
+
+def decode_line(path: str | Path, line_no: int, buffer: bytearray, start: int, end: int) -> str:
+    """Line ``line_no`` of ``path``, ``buffer[start:end]`` as :func:`read_spans`
+    gives it, as text whose line end is ``\\n``; bytes that are not UTF-8
+    raise :class:`~promptpipe.errors.InvalidEncoding` naming the line and
+    the first of them."""
+    try:
+        line = buffer[start:end].decode()
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(
+            f"{path}:{line_no}: not valid UTF-8 "
+            f"(byte 0x{buffer[start + exc.start]:02x}: {exc.reason})"
+        ) from None
+    # a "\r" inside a line ends it, so one can only be last or before a last "\n"
+    if buffer[end - 1] == 13:
+        return line[:-1] + "\n"
+    if end - start > 1 and buffer[end - 2] == 13:
+        return line[:-2] + "\n"
+    return line
 
 
 def write_jsonl(records: Iterable, output: str | Path | None = None) -> None:

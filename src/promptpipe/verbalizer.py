@@ -78,7 +78,7 @@ class Verbalizer:
 @dataclass(frozen=True)
 class ClassScores:
     """Per-class scores aligned with the verbalizer's class order: one finite
-    real score per class, and at least one class."""
+    real score per class, and at least one class, named by a string."""
 
     classes: tuple[str, ...]
     scores: tuple[float, ...]
@@ -86,6 +86,8 @@ class ClassScores:
     def __post_init__(self):
         check_instance("classes", self.classes, Sequence, DimensionMismatch)
         check_instance("scores", self.scores, Sequence, DimensionMismatch)
+        if isinstance(self.classes, str) or not all(isinstance(c, str) for c in self.classes):
+            raise DimensionMismatch(f"classes must be a sequence of strings, got {self.classes!r}")
         if not self.classes or len(self.classes) != len(self.scores):
             raise DimensionMismatch(
                 f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
@@ -123,9 +125,10 @@ def log_softmax(row: np.ndarray) -> np.ndarray:
 def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Verbalizer:
     """Construct a verbalizer from a class -> word-list mapping.
 
-    Each class maps to a list (or tuple) of words; a string or any other
-    value raises :class:`~promptpipe.errors.VerbalizerError`, and a
-    tokenizer of another type :class:`~promptpipe.errors.ConfigError`.
+    Each class is named by a string and maps to a list (or tuple) of words;
+    any other name, and a string or any other value for the words, raises
+    :class:`~promptpipe.errors.VerbalizerError`, and a tokenizer of another
+    type :class:`~promptpipe.errors.ConfigError`.
     """
     check_instance("label_words", label_words, Mapping, VerbalizerError)
     check_instance("tokenizer", tokenizer, (WhitespaceTokenizer, WordPieceTokenizer))
@@ -135,6 +138,8 @@ def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Ver
     words: dict[str, tuple[str, ...]] = {}
     word_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
     for name in classes:
+        if not isinstance(name, str):
+            raise VerbalizerError(f"class name must be a string, got {name!r}")
         if not isinstance(label_words[name], (list, tuple)):
             raise VerbalizerError(f"class {name!r} must map to a list of words")
         entries = tuple(label_words[name])

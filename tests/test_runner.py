@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -1258,6 +1259,42 @@ def test_replay_spelled_logits_skip_the_decoder(tmp_path, monkeypatch):
     assert decoded == [json.dumps(guid) for guid in records]
     for guid, rows in records.items():
         assert got[guid].tobytes() == rows.tobytes()
+
+
+def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
+    """Each record is converted into an array of its own that no later record
+    overwrites, so a projecting scorer keeps every record's own projected
+    scores, a view of its rows too, and so do the reader and a scorer
+    without a projection."""
+    from promptpipe import Vocab, build_tokenizer, load_verbalizer
+    from promptpipe.runner import LogitsFileScorer, read_logits_records
+
+    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
+    tokenizer = build_tokenizer("wordpiece", vocab)
+    index = load_verbalizer(fixtures_dir / "verbalizer.json", tokenizer).dense
+    rng = np.random.default_rng(26)
+    records = {guid: np.round(rng.normal(0.0, 3.0, size=(m, len(vocab))), 4)
+               for guid, m in [("a", 1), ("b", 1), ("c", 2), ("d", 1), ("e", 2)]}
+    records["x"] = rng.normal(0.0, 3.0, size=(1, len(vocab)))  # 17-digit reprs: the decoder's
+    path = tmp_path / "logits.jsonl"
+    path.write_text("".join(json.dumps({"guid": guid, "mask_logits": rows.tolist()}) + "\n"
+                            for guid, rows in records.items()))
+    seen = []
+    LogitsFileScorer(path, len(vocab), lambda rows: seen.append(rows) or rows.sum(axis=1))
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
+    # the identity, a slice and a list of row views all keep views of the rows
+    for project in (index.word_scores, lambda rows: rows, lambda rows: rows[:, 2:5], list):
+        kept = LogitsFileScorer(path, len(vocab), project).records
+        assert list(kept) == list(records)
+        for guid, rows in records.items():
+            expected = np.asarray(project(rows.copy())).tobytes()
+            assert np.asarray(kept[guid]).tobytes() == expected, guid
+    assert not np.array_equal(kept["a"], kept["b"])
+    for got in (list(read_logits_records(path, len(vocab))),
+                list(LogitsFileScorer(path, len(vocab)).records.items())):
+        assert [guid for guid, _ in got] == list(records)
+        for guid, rows in got:
+            assert rows.tobytes() == records[guid].tobytes(), guid
 
 
 @pytest.mark.parametrize("vocab_size", ["113", True, 0, -1, 113.0, None])

@@ -9,6 +9,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptpipe import (
     PipelineConfig,
@@ -28,8 +30,9 @@ from promptpipe.errors import (
     MalformedLine,
     UnreadableFile,
 )
-from promptpipe.runner import read_logits_records
-from promptpipe.textfile import write_jsonl
+from promptpipe import textfile
+from promptpipe.runner import LogitsFileScorer, read_logits_records
+from promptpipe.textfile import read_lines, write_jsonl
 
 BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 
@@ -74,6 +77,9 @@ READERS = {
     "template": (_read_templates, ['# templates', '{"mask"} x', 'It is {"mask"}']),
     "dataset": (_read_dataset, [json.dumps({"guid": g, "meta": {"t": "x"}}) for g in "abc"]),
     "logits": (_read_logits, [json.dumps({"guid": g, "mask_logits": [[0, 1, 2]]}) for g in "abc"]),
+    # short decimals: read from their bytes, never decoded to text
+    "logits_decimal": (_read_logits, [json.dumps({"guid": g, "mask_logits": [[0.5, -1.25, 2.0]]})
+                                      for g in "abc"]),
     "verbalizer": (_read_verbalizer, ["{", '"negative": ["bad"],', '"positive": ["good"]}']),
     "frequency": (_read_frequencies, ["{", '"great": 1.0,', '"bad": 2.0}']),
     "config": (_read_config, ["templates: [t.txt]", "dataset: d.jsonl", "vocab: v.txt",
@@ -97,6 +103,79 @@ def test_invalid_utf8_names_file_and_line(fixtures_dir, tmp_path, name, newline)
     with pytest.raises(InvalidEncoding) as failure:
         read(path, fixtures_dir)
     assert str(failure.value).startswith(f"{path}:2: not valid UTF-8 (byte 0xff")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_invalid_utf8_in_the_guid_of_a_decimal_line_names_the_line(tmp_path, newline):
+    lines = READERS["logits_decimal"][1].copy()
+    lines[1] = lines[1].replace('"b"', '"b\udcff"')
+    path = tmp_path / "logits.jsonl"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8", "surrogateescape"))
+    message = f"{path}:2: not valid UTF-8 (byte 0xff: invalid start byte)"
+    with pytest.raises(InvalidEncoding, match=f"^{re.escape(message)}$"):
+        list(read_logits_records(path, 3))
+    # a line whose record is only checked, not converted, alike
+    with pytest.raises(InvalidEncoding, match=f"^{re.escape(message)}$"):
+        LogitsFileScorer(path, 3, guids=["a"])
+
+
+@pytest.mark.parametrize("first", ["not UTF-8", "bad record"])
+@pytest.mark.parametrize("name", ["dataset", "logits", "logits_decimal"])
+def test_the_first_bad_line_in_the_file_gives_the_error(fixtures_dir, tmp_path, name, first):
+    """Each line is decoded as it is read, so of a line that is not UTF-8 and
+    a bad record, the error is the one of the line that comes first."""
+    read, lines = READERS[name]
+    undecodable, bad = lines[0].encode() + b"\xff", b"[1, 2]"
+    if first == "bad record":
+        undecodable, bad = bad, undecodable
+    path = tmp_path / f"{name}.jsonl"
+    path.write_bytes(b"\n".join([undecodable, lines[1].encode(), bad]) + b"\n")
+    error = InvalidEncoding if first == "not UTF-8" else MalformedLine
+    with pytest.raises(error, match=f"^{re.escape(str(path))}:1: "):
+        read(path, fixtures_dir)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(st.sampled_from(["a", "é", "\n", "\r", "\r\n", "\ufeff", "\x0c", "\u2028"])),
+    bom=st.booleans(),
+    size=st.integers(4, 9),
+)
+def test_read_lines_reads_as_text_mode_does(tmp_path_factory, parts, bom, size):
+    """Lines end at \\n, \\r\\n or \\r, one leading byte-order mark is
+    dropped, and a line or line end cut by the buffer's end reads the same."""
+    from unittest import mock
+
+    path = tmp_path_factory.mktemp("lines") / "lines.txt"
+    path.write_bytes((BOM if bom else b"") + "".join(parts).encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as handle:
+        expected = list(enumerate(handle, start=1))
+    with mock.patch.object(textfile, "_BUFFER", size):
+        assert list(read_lines(path)) == expected
+
+
+def test_lines_ending_at_a_lone_cr_are_framed_in_linear_time(tmp_path, monkeypatch):
+    """A file of many short lines is framed with a bounded number of bytes
+    scanned per byte at the real buffer size, whichever line end it uses:
+    a line ending at a lone \r does not scan the rest of the buffer for a
+    \n that is not there."""
+    scanned = 0
+
+    class Buffer(bytearray):
+        def find(self, sub, start, end):
+            nonlocal scanned
+            found = super().find(sub, start, end)
+            scanned += (end if found < 0 else found + 1) - start
+            return found
+
+    monkeypatch.setattr(textfile, "bytearray", Buffer, raising=False)
+    lines = [f"line {i}".ljust(39, ".") for i in range(30_000)]  # 1.2 MB: more than one buffer
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "lines.txt"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        scanned = 0
+        assert [line for _, line in read_lines(path)] == [line + "\n" for line in lines]
+        assert scanned <= 3 * path.stat().st_size, repr(newline)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

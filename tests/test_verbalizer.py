@@ -108,6 +108,14 @@ def test_a_class_must_map_to_a_list_of_words(words):
         "g", "o")
 
 
+@pytest.mark.parametrize("name", [5, None, ("pos",), b"pos"])
+def test_a_class_name_must_be_a_string(name):
+    tok = build_tokenizer("whitespace", Vocab.from_tokens(SPECIALS + ["good", "bad"]))
+    with pytest.raises(VerbalizerError) as failure:
+        build_verbalizer({"neg": ["bad"], name: ["good"]}, tok)
+    assert str(failure.value) == f"class name must be a string, got {name!r}"
+
+
 @pytest.mark.parametrize("kind", ["whitespace", "wordpiece"])
 @pytest.mark.parametrize("word", ["zebra", "great zebra", "[UNK]"])
 def test_label_word_mapping_to_unk_is_rejected(fixtures_dir, kind, word):
@@ -249,6 +257,13 @@ def test_class_scores_need_one_score_per_class(classes, scores):
     # before, ClassScores(("a",), (1.0, 2.0)).predicted_label raised a bare IndexError
     with pytest.raises(DimensionMismatch, match="need one per class"):
         ClassScores(classes, scores)
+
+
+@pytest.mark.parametrize("classes", ["ab", ("a", 5), [None, "b"], (b"a", "b")])
+def test_class_scores_classes_must_be_strings(classes):
+    # before, ClassScores("ab", (1.0, 2.0)).predicted_label was "b"
+    with pytest.raises(DimensionMismatch, match="^classes must be a sequence of strings, got "):
+        ClassScores(classes, (1.0, 2.0))
 
 
 @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, np.float64("nan")])
