@@ -47,6 +47,10 @@ class Dataset:
     examples: tuple[InputExample, ...]
     label_set: frozenset[str]
 
+    def __post_init__(self):
+        check_instance("examples", self.examples, tuple, DataError)
+        check_instance("label_set", self.label_set, frozenset, DataError)
+
     def __len__(self) -> int:
         return len(self.examples)
 

@@ -11,17 +11,23 @@ template's mask count, which
 checking the length rule on the non-shortenable meta values alone, and
 a scorer's ``rows(guid, mask_count)`` gives that many rows.
 
-Examples run serially, and the per-example loop holds only per-example
-work: each example is wrapped, measured and scored template by template
-into one ``(N, M, C, W)`` array of label-word scores per template
-(``TemplateAST.mask_count`` is cached). After the loop, one aggregate
-call per template sums each example's mask positions and one mean over
-templates (the one :func:`ensemble_scores` uses) ensembles the ``(N, C)``
-class scores; ``score`` reduces each record to its class scores as it
-reads it. Both then take one finite check, one ``argmax`` and one
-``tolist``, and write through one JSON encoder
-(:func:`~promptpipe.textfile.write_jsonl`). Every example is reduced on
-its own, so output bytes do not depend on how many examples share a call.
+Examples run serially, and the per-example loop holds only the work that
+can depend on the example: the first template resolves and renders its
+values, a template with non-shortenable values resolves and measures
+them, and every other template only checks the example's meta keys (its
+length rule has one verdict for every example, raised at each example's
+``encode`` stage if it fails); each scorer result is collected, and each
+template's ``(N, M, C, W)`` array of label-word scores built in one call
+after the loop. One aggregate call per template then sums each
+example's mask positions and one mean over templates (the one
+:func:`ensemble_scores` uses) ensembles the ``(N, C)`` class scores;
+``score`` reduces each record to its class scores as it reads it. Both
+then take one finite check, one ``argmax`` and one ``tolist``. ``score``
+writes through one JSON encoder
+(:func:`~promptpipe.textfile.write_jsonl`), and ``run`` formats its
+fixed-schema lines directly, to the same bytes (:func:`_result_lines`).
+Every example is reduced on its own, so output bytes do not depend on
+how many examples share a call.
 
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
@@ -52,7 +58,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -77,12 +83,13 @@ from .errors import (
 from .template import Choice, TemplateAST, load_template_file
 from .textfile import (
     JSON_DECODER,
+    JSON_ENCODER,
     RepeatedKey,
     is_file_path,
     read_json_object,
     read_text,
     unique_keys,
-    write_jsonl,
+    write_lines,
 )
 from .tokenization import (
     CompiledTemplate,
@@ -272,6 +279,18 @@ def _check_project(project) -> None:
         raise ConfigError(f"project must be callable or None, got {project!r}")
 
 
+def _projected(project: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
+               what: str) -> np.ndarray:
+    """``project(rows)``, which must be an array of as many rows, on axis 0, as
+    ``rows``; any other result raises :class:`~promptpipe.errors.ConfigError`
+    naming ``what``."""
+    result = project(rows)
+    if not isinstance(result, np.ndarray) or result.shape[:1] != rows.shape[:1]:
+        raise ConfigError(f"project result for {what} must be an array with {len(rows)} "
+                          f"row(s) on axis 0, got {result!r:.60}")
+    return result
+
+
 def _check_mask_count(mask_count) -> None:
     check_integer("mask_count", mask_count)
     if mask_count < 1:
@@ -286,7 +305,8 @@ class ToyScorer:
     same row, which is enough to drive the projection path end to end.
     ``rows(guid, M)`` returns ``(M, V)`` rows for an integer M >= 1, as
     does a call with an encoding of M masks; with ``project``, the row goes
-    through it once, here, and they return ``M`` copies of the result (the
+    through it once, here, as a one-row array whose result must be one too,
+    and they return ``M`` copies of the result (the
     runner passes :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, as
     it does to :class:`LogitsFileScorer`).
     """
@@ -315,10 +335,12 @@ class ToyScorer:
             index = vocab.ids.get(token)
             if index is not None:
                 row[index] = number
-        self._row = row if project is None else project(row[None])[0]
-        # a read-only zero-stride view; a call returns a slice of it, which
-        # is cheaper than building a view or a copy per call
-        self._rows = np.broadcast_to(self._row, (1, *self._row.shape))
+        if project is not None:
+            row = _projected(project, row[None], "the frequency row")[0]
+        self._row = row
+        # per mask count, one read-only zero-stride view that every call
+        # returns, which is cheaper than building a view or a copy per call
+        self._rows: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_file(
@@ -335,10 +357,12 @@ class ToyScorer:
             raise type(exc)(f"frequency file {path}: {exc}") from None
 
     def rows(self, guid: str, mask_count: int) -> np.ndarray:
-        if type(mask_count) is not int or not 0 < mask_count <= len(self._rows):
+        rows = self._rows.get(mask_count) if type(mask_count) is int else None
+        if rows is None:
             _check_mask_count(mask_count)
-            self._rows = np.broadcast_to(self._row, (mask_count, *self._row.shape))
-        return self._rows[:mask_count]
+            rows = self._rows[mask_count] = np.broadcast_to(
+                self._row, (mask_count, *self._row.shape))
+        return rows
 
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
         return self.rows(guid, len(tokenized.mask_positions))
@@ -633,7 +657,9 @@ class LogitsFileScorer:
     guid's ``(M, V)`` rows, which must number M, an integer >= 1;
     ``records`` maps each guid to its rows in file order, read-only. With
     ``project``, each record's rows go through it as they are read and
-    only its result is kept: the runner passes
+    only its result is kept, which must be an array of the record's M rows
+    on axis 0 (a :class:`~promptpipe.errors.ConfigError` naming the guid
+    otherwise): the runner passes
     :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
     ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
 
@@ -655,7 +681,8 @@ class LogitsFileScorer:
         _check_vocab_size(vocab_size)
         records = _logits_records(path, vocab_size, _check_guids(guids))
         if project is not None:
-            records = ((guid, project(rows)) for guid, rows in records)
+            records = ((guid, _projected(project, rows, f"guid {guid!r}"))
+                       for guid, rows in records)
         self.records = MappingProxyType(dict(records))
 
     def rows(self, guid: str, mask_count: int) -> np.ndarray:
@@ -758,28 +785,43 @@ class _Pipeline:
         self.mask_counts = [t.ast.mask_count for t in self.templates]
 
     def process(self, examples: Sequence[InputExample]) -> list[dict]:
-        """Results for ``examples``, with one aggregate call per template."""
+        """Results for ``examples``, with one aggregate call per template.
+
+        Per example, only the first template renders its text and only a
+        template that measures values resolves them; every other template
+        checks that the example has its meta keys.
+        """
         index = self.verbalizer.dense
-        # one (N, M, C, W) array of word scores per template
-        words = [np.empty((len(examples), m, *index.word_mask.shape)) for m in self.mask_counts]
+        rows = self.scorer.rows
+        resolving = [t == 0 or template.measures_values
+                     for t, template in enumerate(self.templates)]
+        # each template's word scores, one (M, C, W) array per example
+        found: list[list[np.ndarray]] = [[] for _ in self.templates]
         records = []
-        for i, example in enumerate(examples):
+        for example in examples:
+            guid = example.guid
             for t, template in enumerate(self.templates):
                 stage = "wrap"
                 try:
-                    values = template.resolve(example)
-                    if t == 0:
-                        records.append(
-                            {"guid": example.guid, "wrapped_text": template.render(values)})
+                    if resolving[t]:
+                        values = template.resolve(example)
+                        if t == 0:
+                            records.append({"guid": guid, "wrapped_text": template.render(values)})
+                    else:
+                        # measure reads none of this template's values
+                        template.check_keys(example)
+                        values = ()
                     stage = "encode"
                     m = template.measure(values)
                     stage = "score"
-                    words[t][i] = self.scorer.rows(example.guid, m)
+                    found[t].append(rows(guid, m))
                 except PromptPipeError as exc:
-                    raise PipelineStageError(example.guid, stage, exc) from exc
+                    raise PipelineStageError(guid, stage, exc) from exc
+        shape = index.word_mask.shape
         combined = _mean_over_templates(np.stack([
-            index.aggregate(scores, self.aggregation, prior)
-            for scores, prior in zip(words, self.priors)
+            index.aggregate(np.array(scores).reshape(len(examples), m, *shape),
+                            self.aggregation, prior)
+            for scores, m, prior in zip(found, self.mask_counts, self.priors)
         ]))
         return _predict(records, combined, self.verbalizer.classes)
 
@@ -797,6 +839,19 @@ def _predict(records: list[dict], scores: np.ndarray, classes: Sequence[str]) ->
     return records
 
 
+def _result_lines(results: Iterable[dict]) -> Iterator[str]:
+    """Each of ``run``'s results as the line :func:`~promptpipe.textfile.write_jsonl`
+    writes for it, formatted directly: its strings through the same encoder,
+    and its class scores, finite floats (:func:`_predict`), as the repr of
+    their list, which is their JSON text."""
+    encode = JSON_ENCODER.encode
+    for record in results:
+        yield (f'{{"guid": {encode(record["guid"])}, '
+               f'"wrapped_text": {encode(record["wrapped_text"])}, '
+               f'"predicted_class": {encode(record["predicted_class"])}, '
+               f'"class_scores": {record["class_scores"]!r}}}\n')
+
+
 def _score_logits_file(path: str, vocab: str, verbalizer: str, tokenizer_kind: str,
                        aggregation: Aggregation | str) -> list[dict]:
     """``score``'s records in file order: each record is read as a run reads it
@@ -804,12 +859,10 @@ def _score_logits_file(path: str, vocab: str, verbalizer: str, tokenizer_kind: s
     aggregation = Aggregation.parse(aggregation)
     tokenizer = build_tokenizer(tokenizer_kind, Vocab.from_file(vocab))
     index = load_verbalizer(verbalizer, tokenizer).dense
-    records = LogitsFileScorer(
-        path, len(tokenizer.vocab),
-        lambda rows: index.aggregate(index.word_scores(rows), aggregation),
-    ).records
-    totals = np.array(list(records.values())).reshape(len(records), len(index.classes))
-    return _predict([{"guid": guid} for guid in records], totals, index.classes)
+    records = [(guid, index.aggregate(index.word_scores(rows), aggregation))
+               for guid, rows in read_logits_records(path, len(tokenizer.vocab))]
+    totals = np.array([scores for _, scores in records]).reshape(len(records), len(index.classes))
+    return _predict([{"guid": guid} for guid, _ in records], totals, index.classes)
 
 
 def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
@@ -875,7 +928,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     results = pipeline.process(dataset.examples)
 
     if cfg.output is not None:
-        write_jsonl(results, cfg.output)
+        write_lines(_result_lines(results), cfg.output)
 
     labeled = [(ex, res) for ex, res in zip(dataset.examples, results) if ex.label is not None]
     accuracy = None

@@ -28,7 +28,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidValueType, check_instance
 from .template import NodeKind, TemplateAST, TemplateNode, is_init_text
 
 __all__ = ["SlotSpec", "SoftEmbeddingPlan", "build_soft_plan", "assign_soft_slots"]
@@ -106,6 +106,7 @@ def build_soft_plan(ast: TemplateAST, tokenizer) -> SoftEmbeddingPlan:
 
     ``tokenizer`` is anything with an ``encode(text) -> list[int]`` method.
     """
+    check_instance("ast", ast, TemplateAST, InvalidValueType)
     slots, node_slots = _layout(ast, tokenizer.encode)
     return SoftEmbeddingPlan(slots=tuple(slots), node_slots=tuple(node_slots))
 

@@ -11,7 +11,8 @@ of the first undecodable byte, and a path that is not a non-empty ``str``
 or an ``os.PathLike`` raises :class:`~promptpipe.errors.ConfigError`. Every JSON
 or YAML input rejects a repeated key, at any depth: each JSON file and
 JSONL line is decoded by :data:`JSON_DECODER`, whose hook
-:func:`unique_keys` also builds the YAML config's mappings.
+:func:`unique_keys` also builds the YAML config's mappings. Every JSONL
+output is encoded by :data:`JSON_ENCODER`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError, InvalidEncoding
 
-__all__ = ["JSON_DECODER", "decode_line", "is_file_path", "read_json_object", "read_lines",
-           "read_spans", "read_text", "unique_keys", "write_jsonl"]
+__all__ = ["JSON_DECODER", "JSON_ENCODER", "decode_line", "is_file_path", "read_json_object",
+           "read_lines", "read_spans", "read_text", "unique_keys", "write_jsonl", "write_lines"]
 
 # "utf-8-sig" drops one byte-order mark at the start of the file and
 # otherwise decodes exactly as "utf-8"
@@ -35,8 +36,8 @@ BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 # hold a line longer than itself
 _BUFFER = 1 << 20
 
-# one encoder for every record; its encode gives json.dumps(..., ensure_ascii=False)
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# one encoder for every output; its encode gives json.dumps(..., ensure_ascii=False)
+JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 class RepeatedKey(ValueError):
@@ -201,7 +202,14 @@ def decode_line(path: str | Path, line_no: int, buffer: bytearray, start: int, e
 def write_jsonl(records: Iterable, output: str | Path | None = None) -> None:
     """Write one JSON line per record, non-ASCII text kept as is, to the
     UTF-8 file ``output``, or to standard output if ``output`` is ``None``."""
-    lines = (_encode(record) + "\n" for record in records)
+    encode = JSON_ENCODER.encode
+    write_lines((encode(record) + "\n" for record in records), output)
+
+
+def write_lines(lines: Iterable[str], output: str | Path | None = None) -> None:
+    """Write text ``lines``, each ending in ``\\n``, to the UTF-8 file ``output``,
+    or to standard output if ``output`` is ``None``: the one output path of
+    :func:`write_jsonl` and of ``run``'s result lines."""
     if output is None:
         sys.stdout.writelines(lines)
         return

@@ -29,10 +29,13 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
+    ConfigError,
     DuplicateToken,
+    InvalidValueType,
     MissingSpecialToken,
     TemplateTooLong,
     VocabError,
+    check_instance,
     check_integer,
 )
 from .soft_plan import build_soft_plan
@@ -84,6 +87,7 @@ class Vocab:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocab":
+        check_instance("tokens", tokens, Iterable, VocabError)
         token_list = tuple(tokens)
         ids = dict(zip(token_list, range(len(token_list))))
         if len(ids) < len(token_list):
@@ -138,6 +142,7 @@ class WhitespaceTokenizer:
     """Splits on Unicode whitespace; out-of-vocabulary words map to UNK."""
 
     def __init__(self, vocab: Vocab):
+        check_instance("vocab", vocab, Vocab, VocabError)
         self.vocab = vocab
 
     def tokenize(self, text: str) -> list[str]:
@@ -162,6 +167,7 @@ class WordPieceTokenizer:
     """
 
     def __init__(self, vocab: Vocab):
+        check_instance("vocab", vocab, Vocab, VocabError)
         self.vocab = vocab
         # no piece longer than the longest token can match, so candidates
         # start there rather than at the end of a long word
@@ -409,6 +415,12 @@ class CompiledTemplate(TemplateLayout):
         max_len: int,
         add_special_tokens: bool = True,
     ):
+        check_instance("ast", ast, TemplateAST, InvalidValueType)
+        # any tokenizer will do that has the two parts an encoding uses
+        if not (isinstance(getattr(tokenizer, "vocab", None), Vocab)
+                and callable(getattr(tokenizer, "encode", None))):
+            raise ConfigError(f"tokenizer must have a Vocab vocab and an encode method, "
+                              f"got {tokenizer!r}")
         check_integer("max_len", max_len)
         super().__init__(ast, build_soft_plan(ast, tokenizer).node_slots)
         self.tokenizer = tokenizer
@@ -424,11 +436,22 @@ class CompiledTemplate(TemplateLayout):
         # (run index, value index) of the non-shortenable and the shortenable values
         self._fixed_metas = [(i, k) for k, (i, _, _) in enumerate(self._metas) if not runs[i][2]]
         self._short_metas = [(i, k) for k, (i, _, _) in enumerate(self._metas) if runs[i][2]]
+        # without a non-shortenable value, the length rule has one verdict for
+        # every example; a failing one is still raised per example
+        self._always_fits = not self._fixed_metas and self._fixed + (
+            2 if add_special_tokens else 0) <= max_len
+
+    @property
+    def measures_values(self) -> bool:
+        """Whether :meth:`measure` reads the values: only a non-shortenable
+        value counts toward the length rule."""
+        return bool(self._fixed_metas)
 
     def measure(self, values: Sequence[str]) -> int:
         """The mask count for resolved meta values (masks are never cut);
         raises what :meth:`encode` raises."""
-        self._fixed_runs(values)
+        if not self._always_fits:
+            self._fixed_runs(values)
         return self.ast.mask_count
 
     def _fixed_runs(self, values: Sequence[str]) -> list[Run]:

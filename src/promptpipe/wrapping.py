@@ -139,6 +139,7 @@ class TemplateLayout:
                     segments.append(Segment(text="", soft_slot=slot))
         self.segments = tuple(segments)
         self._metas = metas
+        self._keys = frozenset(key for _, key, _ in metas)
         self._format = "".join(text)
 
     def resolve(self, example: InputExample) -> list[str]:
@@ -156,6 +157,11 @@ class TemplateLayout:
                 value = apply_post_processing(post_processing, value)
             values.append(value)
         return values
+
+    def check_keys(self, example: InputExample) -> None:
+        """Raise what :meth:`resolve` raises, without resolving the values."""
+        if not example.meta.keys() >= self._keys:
+            self.resolve(example)
 
     def render(self, values: Sequence[str]) -> str:
         """The human-readable text for resolved meta values, as :func:`wrapped_text`."""

@@ -141,6 +141,27 @@ BAD_ARGUMENTS = {
                              "classes must be a Sequence, got 5"),
     "class_scores_scores": (lambda: promptpipe.ClassScores(("a",), 5), DimensionMismatch,
                             "scores must be a Sequence, got 5"),
+    "compiled_template_ast": (
+        lambda: promptpipe.CompiledTemplate(5, promptpipe.WhitespaceTokenizer(_vocab()), 8),
+        InvalidValueType, "ast must be a TemplateAST, got 5"),
+    "compiled_template_tokenizer": (
+        lambda: promptpipe.CompiledTemplate(promptpipe.parse_template('{"mask"}'), 5, 8),
+        ConfigError, "tokenizer must have a Vocab vocab and an encode method, got 5"),
+    "build_soft_plan": (
+        lambda: promptpipe.build_soft_plan(5, promptpipe.WhitespaceTokenizer(_vocab())),
+        InvalidValueType, "ast must be a TemplateAST, got 5"),
+    "wordpiece_tokenizer": (lambda: promptpipe.WordPieceTokenizer(5), VocabError,
+                            "vocab must be a Vocab, got 5"),
+    "whitespace_tokenizer": (lambda: promptpipe.WhitespaceTokenizer(5), VocabError,
+                             "vocab must be a Vocab, got 5"),
+    "build_tokenizer": (lambda: promptpipe.build_tokenizer("wordpiece", 5), VocabError,
+                        "vocab must be a Vocab, got 5"),
+    "vocab_from_tokens": (lambda: promptpipe.Vocab.from_tokens(5), VocabError,
+                          "tokens must be an Iterable, got 5"),
+    "dataset_examples": (lambda: promptpipe.Dataset(5, frozenset()), DataError,
+                         "examples must be a tuple, got 5"),
+    "dataset_label_set": (lambda: promptpipe.Dataset((), {"a"}), DataError,
+                          "label_set must be a frozenset, got {'a'}"),
 }
 
 

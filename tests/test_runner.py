@@ -492,6 +492,31 @@ def test_cli_plan_and_sample_and_score(fixtures_dir, tmp_path, capsys):
     assert record["predicted_class"] == "positive"
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    strings=st.lists(st.text(), min_size=3, max_size=3),
+    class_scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                          max_size=4),
+)
+@example(strings=['"q" \\ \x00\x1f\x7f', "\t\n\u2028\u2029 café 😀", "日本"],
+         class_scores=[-0.0, 5e-324, 1e16, 1.7976931348623157e308])
+def test_run_result_lines_are_the_bytes_write_jsonl_writes(tmp_path_factory, strings,
+                                                           class_scores):
+    """``run`` formats its fixed-schema lines itself; for any strings and any
+    finite floats, they are the bytes the JSON encoder writes."""
+    from promptpipe.runner import _result_lines
+    from promptpipe.textfile import write_jsonl, write_lines
+
+    guid, text, predicted = strings
+    record = {"guid": guid, "wrapped_text": text, "predicted_class": predicted,
+              "class_scores": class_scores}
+    directory = tmp_path_factory.mktemp("lines")
+    write_jsonl([record], directory / "encoder.jsonl")
+    write_lines(_result_lines([record]), directory / "formatted.jsonl")
+    assert (directory / "formatted.jsonl").read_bytes() == (
+        directory / "encoder.jsonl").read_bytes()
+
+
 def test_cli_reports_errors_with_guid_and_stage(fixtures_dir, tmp_path, capsys):
     bad_dataset = tmp_path / "bad.jsonl"
     bad_dataset.write_text('{"guid": "x1", "meta": {"wrong_key": "v"}}\n')
@@ -1282,8 +1307,8 @@ def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
     seen = []
     LogitsFileScorer(path, len(vocab), lambda rows: seen.append(rows) or rows.sum(axis=1))
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
-    # the identity, a slice and a list of row views all keep views of the rows
-    for project in (index.word_scores, lambda rows: rows, lambda rows: rows[:, 2:5], list):
+    # the identity and a slice keep views of the rows
+    for project in (index.word_scores, lambda rows: rows, lambda rows: rows[:, 2:5]):
         kept = LogitsFileScorer(path, len(vocab), project).records
         assert list(kept) == list(records)
         for guid, rows in records.items():
@@ -1505,6 +1530,30 @@ def test_scorer_project_must_be_callable(fixtures_dir, tmp_path):
         LogitsFileScorer(logits, 113, 5)
     with pytest.raises(ConfigError, match="project must be callable or None, got 5"):
         ToyScorer({}, vocab, 5)
+
+
+@pytest.mark.parametrize("project, shown", [
+    (lambda rows: rows.tolist(), "[[0.5, 0.5, "),
+    (lambda rows: None, "None"),
+], ids=["list", "none"])
+def test_scorer_project_must_give_an_array_of_the_records_rows(fixtures_dir, tmp_path, project,
+                                                                shown):
+    """A result that is not an array of the record's M rows names the guid at
+    load, rather than failing later as a bare AttributeError at ``rows`` or
+    a MissingLogits for a guid the file holds; the toy scorer's row alike."""
+    from promptpipe import Vocab
+    from promptpipe.runner import LogitsFileScorer, ToyScorer
+
+    logits = tmp_path / "logits.jsonl"
+    logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113] * 2}) + "\n")
+    for bad, got in ((project, shown), (lambda rows: rows[:1], "array([[0.5, 0.5, ")):
+        message = ("project result for guid 'a' must be an array with 2 row(s) on axis 0, "
+                   f"got {got}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            LogitsFileScorer(logits, 113, bad)
+    message = "project result for the frequency row must be an array with 1 row(s) on axis 0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}, got "):
+        ToyScorer({}, Vocab.from_file(fixtures_dir / "vocab.txt"), project)
 
 
 @pytest.mark.parametrize("scorer_kind", ["toy", "logits"])
