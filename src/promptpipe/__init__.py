@@ -8,17 +8,11 @@ projection and calibration -> reporting. See the README for the file
 formats and CLI.
 """
 
-from .data import Dataset, fewshot_sample, load_jsonl, save_jsonl
+from importlib import import_module
+
+from .config import Aggregation, PipelineConfig
+from .data import Dataset, fewshot_sample, load_jsonl
 from .errors import PromptPipeError
-from .runner import (
-    LogitsFileScorer,
-    PipelineConfig,
-    RunReport,
-    ToyScorer,
-    ensemble_scores,
-    evaluate_accuracy,
-    run_pipeline,
-)
 from .soft_plan import SlotSpec, SoftEmbeddingPlan, build_soft_plan
 from .template import (
     Diagnostic,
@@ -40,15 +34,6 @@ from .tokenization import (
     WordPieceTokenizer,
     build_tokenizer,
     encode_wrapped,
-)
-from .verbalizer import (
-    Aggregation,
-    ClassScores,
-    Verbalizer,
-    build_verbalizer,
-    calibrate,
-    load_verbalizer,
-    project,
 )
 from .wrapping import (
     InputExample,
@@ -104,9 +89,27 @@ __all__ = [
     "parse_template",
     "project",
     "run_pipeline",
-    "save_jsonl",
     "serialize_template",
     "validate_template",
     "wrap_example",
     "wrapped_text",
 ]
+
+
+# the names whose modules build arrays, each imported with numpy on first use
+_ARRAY_MODULES = {
+    "verbalizer": ("ClassScores", "Verbalizer", "build_verbalizer", "calibrate",
+                   "load_verbalizer", "project"),
+    "logits": ("LogitsFileScorer",),
+    "runner": ("RunReport", "ToyScorer", "ensemble_scores", "evaluate_accuracy", "run_pipeline"),
+}
+_ARRAY_NAMES = {name: module for module, names in _ARRAY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A name of ``_ARRAY_NAMES``, from its module (PEP 562), kept once found."""
+    module = _ARRAY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f".{module}", __name__), name)
+    return value

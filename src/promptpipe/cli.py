@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import CONFIG_SCHEMA, PipelineConfig
 from .data import example_to_dict, fewshot_sample, load_jsonl
 from .errors import ConfigError, PipelineStageError, PromptPipeError
-from .runner import CONFIG_SCHEMA, PipelineConfig, _score_logits_file, run_pipeline
 from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
 from .textfile import write_jsonl
@@ -130,6 +130,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .runner import _score_logits_file  # only score and run load numpy
     records = _score_logits_file(args.logits_file, args.vocab, args.verbalizer,
                                  args.tokenizer_kind, args.aggregation)
     write_jsonl(records, args.output)
@@ -137,6 +138,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .runner import run_pipeline
     overrides = {name: getattr(args, name) for name in CONFIG_SCHEMA}
     if args.config:
         cfg = PipelineConfig.from_file(args.config, overrides)

@@ -34,10 +34,10 @@ from .errors import (
     check_instance,
     check_integer,
 )
-from .textfile import JSON_DECODER, decode_line, read_spans, write_jsonl
+from .textfile import JSON_DECODER, decode_line, read_spans
 from .wrapping import InputExample
 
-__all__ = ["Dataset", "load_jsonl", "read_records", "save_jsonl", "fewshot_sample"]
+__all__ = ["Dataset", "load_jsonl", "fewshot_sample"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,8 +72,12 @@ class Dataset:
         return cls(examples=items, label_set=labels)
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
-    """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL file.
+def read_guid_lines(
+    path: str | Path,
+    read_line: Callable[[bytearray, int, int], tuple[str, Any] | None] | None = None,
+) -> Iterator[tuple[int, str, Any, str | None]]:
+    """Yield ``(line_no, guid, record, line)`` for each record of a guid-keyed
+    JSONL file, with the text of each line it decodes.
 
     The file is read line by line, as :func:`~promptpipe.textfile.read_lines`
     reads it, so an error is the one of the first bad line in the file,
@@ -83,16 +87,6 @@ def read_records(path: str | Path) -> Iterator[tuple[int, str, dict]]:
     and a guid seen on an earlier line raises
     :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
     error names ``path:line``.
-    """
-    for line_no, guid, record, _ in read_guid_lines(path):
-        yield line_no, guid, record
-
-
-def read_guid_lines(
-    path: str | Path,
-    read_line: Callable[[bytearray, int, int], tuple[str, Any] | None] | None = None,
-) -> Iterator[tuple[int, str, Any, str | None]]:
-    """:func:`read_records` that also yields each line it decodes, and may read a line itself.
 
     ``read_line(buffer, start, end)`` gets each line's bytes as
     :func:`~promptpipe.textfile.read_spans` yields them, which hold only
@@ -100,8 +94,8 @@ def read_guid_lines(
     must do so only when :data:`~promptpipe.textfile.JSON_DECODER` decodes
     the line, as UTF-8 text, as an object whose ``guid`` is that string;
     the yielded line is then ``None``. It returns ``None`` for any other
-    line, which is then decoded and read as :func:`read_records` reads it,
-    by that decoder. The guid rules apply to every line either way.
+    line, which is then decoded and read by that decoder. The guid rules
+    apply to every line either way.
     """
     first_line: dict[str, int] = {}
     for line_no, buffer, start, end in read_spans(path):
@@ -148,7 +142,7 @@ def load_jsonl(path: str | Path) -> Dataset:
     """Load a JSONL dataset, preserving line order; errors name ``path:line``."""
     return Dataset.from_examples(
         _parse_example(path, line_no, guid, record)
-        for line_no, guid, record in read_records(path)
+        for line_no, guid, record, _ in read_guid_lines(path)
     )
 
 
@@ -158,12 +152,6 @@ def example_to_dict(example: InputExample) -> dict:
         record["label"] = example.label
     record["meta"] = dict(example.meta)
     return record
-
-
-def save_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset in the same JSONL format ``load_jsonl`` reads."""
-    check_instance("dataset", dataset, Dataset, DataError)
-    write_jsonl(map(example_to_dict, dataset.examples), path)
 
 
 # --- fixed PRNG (see module docstring) --------------------------------------

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import Aggregation
 from .errors import (
     DimensionMismatch,
     DuplicateClass,
@@ -40,7 +41,6 @@ from .errors import (
     VerbalizerError,
     check_instance,
 )
-from .template import Choice
 from .textfile import read_json_object
 from .tokenization import UNK_TOKEN, WhitespaceTokenizer, WordPieceTokenizer
 
@@ -51,16 +51,9 @@ __all__ = [
     "DenseIndex",
     "build_verbalizer",
     "load_verbalizer",
-    "log_softmax",
     "project",
     "calibrate",
 ]
-
-
-class Aggregation(Choice):
-    MEAN_LOG_PROB = "mean_log_prob"
-    MAX = "max"
-    FIRST = "first"
 
 
 @dataclass(frozen=True)
@@ -107,19 +100,6 @@ class ClassScores:
     @property
     def predicted_label(self) -> str:
         return self.classes[self.predicted_class]
-
-    def normalized(self) -> "ClassScores":
-        """Scores log-softmaxed over classes, so their exps sum to one; scores
-        whose spread is beyond the float64 range raise
-        :class:`~promptpipe.errors.NonFiniteValue`."""
-        with np.errstate(over="ignore"):
-            normed = log_softmax(np.asarray(self.scores, dtype=np.float64))
-        return ClassScores(classes=self.classes, scores=tuple(float(v) for v in normed))
-
-
-def log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - np.max(row)
-    return shifted - np.log(np.sum(np.exp(shifted)))
 
 
 def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Verbalizer:

@@ -36,7 +36,7 @@ from promptpipe import (
     wrap_example,
     wrapped_text,
 )
-from promptpipe.runner import PipelineConfig
+from promptpipe.config import PipelineConfig
 from promptpipe.verbalizer import calibrate
 
 EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."

@@ -41,8 +41,17 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["SegmentOrigin", "TokenEntry", "truncate",
-                                  "project_per_position"])
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from promptpipe import *", namespace)
+    assert [name for name in promptpipe.__all__ if name not in namespace] == []
+
+
+REMOVED_NAMES = ["SegmentOrigin", "TokenEntry", "truncate", "project_per_position",
+                 "save_jsonl", "log_softmax"]
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
 def test_removed_names_are_not_importable(name):
     assert not hasattr(promptpipe, name)
     assert name not in promptpipe.__all__
@@ -55,12 +64,14 @@ def test_removed_members_are_gone():
     assert not hasattr(promptpipe.verbalizer.DenseIndex, "prior")
     assert not hasattr(promptpipe.verbalizer.DenseIndex, "class_scores")
     assert not hasattr(promptpipe.runner, "BLOCK_BYTES")
+    assert not hasattr(promptpipe.ClassScores, "normalized")
+    assert not {"Setting", "CONFIG_SCHEMA"} & {*promptpipe.runner.__all__}
     assert not {"origin", "loss"} & {f.name for f in dataclasses.fields(promptpipe.Segment)}
     for fn in (promptpipe.CompiledTemplate, promptpipe.encode_wrapped):
         assert "objective" not in inspect.signature(fn).parameters, fn
     assert not hasattr(promptpipe.tokenization, "_is_causal")
     for module in MODULES:
-        for name in ("SegmentOrigin", "TokenEntry", "truncate", "project_per_position"):
+        for name in (*REMOVED_NAMES, "read_records"):
             assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -113,9 +124,6 @@ BAD_ARGUMENTS = {
                                        "per_template must be a Sequence, got 5"),
     "fewshot_sample": (lambda: promptpipe.fewshot_sample(5, 1, 0), DataError,
                        "dataset must be a Dataset, got 5"),
-    # dataset is checked before the file is opened, so none is written
-    "save_jsonl": (lambda: promptpipe.save_jsonl(5, "unwritten.jsonl"), DataError,
-                   "dataset must be a Dataset, got 5"),
     "wordpiece_encode": (lambda: promptpipe.WordPieceTokenizer(_vocab()).encode(5), VocabError,
                          "text must be a string, got 5"),
     "whitespace_encode": (lambda: promptpipe.WhitespaceTokenizer(_vocab()).encode(5), VocabError,
@@ -150,6 +158,9 @@ BAD_ARGUMENTS = {
     "build_soft_plan": (
         lambda: promptpipe.build_soft_plan(5, promptpipe.WhitespaceTokenizer(_vocab())),
         InvalidValueType, "ast must be a TemplateAST, got 5"),
+    "build_soft_plan_tokenizer": (
+        lambda: promptpipe.build_soft_plan(promptpipe.parse_template('{"mask"}'), 5),
+        ConfigError, "tokenizer must have an encode method, got 5"),
     "wordpiece_tokenizer": (lambda: promptpipe.WordPieceTokenizer(5), VocabError,
                             "vocab must be a Vocab, got 5"),
     "whitespace_tokenizer": (lambda: promptpipe.WhitespaceTokenizer(5), VocabError,

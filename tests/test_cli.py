@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,11 +24,12 @@ from promptpipe import (
     load_verbalizer,
     project,
 )
-from promptpipe import cli
+from promptpipe import cli, runner
 from promptpipe.__main__ import entry
 from promptpipe.cli import main
+from promptpipe.config import PipelineConfig
 from promptpipe.errors import ConfigError
-from promptpipe.runner import PipelineConfig, RunReport, run_pipeline
+from promptpipe.runner import RunReport, run_pipeline
 from promptpipe.textfile import write_jsonl
 
 
@@ -410,7 +414,7 @@ def _run_config(monkeypatch, argv: list[str]) -> PipelineConfig:
         built.append(cfg)
         return RunReport(results=[], accuracy=None, n_examples=0, n_labeled=0)
 
-    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    monkeypatch.setattr(runner, "run_pipeline", run_pipeline)
     assert main(["run", *argv]) == 0
     return built[0]
 
@@ -542,6 +546,31 @@ def test_command_reproduces_its_golden(fixtures_dir, tmp_path, golden, argv):
     argv = [str(fixtures_dir / arg) if (fixtures_dir / arg).is_file() else arg for arg in argv]
     assert main([*argv, "--output", str(out)]) == 0
     assert out.read_bytes() == (fixtures_dir / "golden" / golden).read_bytes()
+
+
+# the commands that build no array, on the fixtures
+_ARRAY_FREE_COMMANDS = [
+    ["parse", "--template-file", "templates_showcase.txt", "--meta-keys", "title,description"],
+    ["wrap", "--template-file", "template_sentiment.txt", "--dataset", "sentiment.jsonl"],
+    ["sample", "--dataset", "topics.jsonl", "--k", "2", "--seed", "7"],
+    ["plan", "--template-file", "templates_showcase.txt", "--vocab", "vocab.txt"],
+    ["tokenize", "--template-file", "template_sentiment.txt", "--dataset", "sentiment.jsonl",
+     "--vocab", "vocab.txt", "--max-len", "32"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARRAY_FREE_COMMANDS, ids=lambda argv: argv[0])
+def test_a_command_that_builds_no_array_leaves_numpy_unimported(fixtures_dir, tmp_path, argv):
+    # python -m promptpipe in a fresh interpreter, whose modules are listed at exit
+    argv = [str(fixtures_dir / arg) if (fixtures_dir / arg).is_file() else arg for arg in argv]
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(lambda: print('numpy' in sys.modules))\n"
+            "runpy.run_module('promptpipe', run_name='__main__', alter_sys=True)\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--output", str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "False\n")
 
 
 # --- one rule for a named choice ----------------------------------------------

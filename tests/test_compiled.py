@@ -36,6 +36,7 @@ from promptpipe import (
     wrap_example,
     wrapped_text,
 )
+from promptpipe.config import CONFIG_SCHEMA
 from promptpipe.errors import (
     ConfigError,
     MissingMetaKey,
@@ -43,7 +44,7 @@ from promptpipe.errors import (
     PromptPipeError,
     TemplateTooLong,
 )
-from promptpipe.runner import CONFIG_SCHEMA, _setup
+from promptpipe.runner import _setup
 from promptpipe.soft_plan import assign_soft_slots
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -629,7 +629,8 @@ def _per_example_bytes(cfg: PipelineConfig) -> bytes:
         wrap_example,
         wrapped_text,
     )
-    from promptpipe.runner import LogitsFileScorer, ToyScorer
+    from promptpipe.logits import LogitsFileScorer
+    from promptpipe.runner import ToyScorer
 
     vocab = Vocab.from_file(cfg.vocab)
     tok = build_tokenizer(cfg.tokenizer_kind, vocab)
@@ -807,7 +808,8 @@ def test_replay_run_memory_does_not_grow_by_a_row_per_record(fixtures_dir, tmp_p
 @pytest.mark.parametrize("n_masks", [1, 2])
 def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_path, n_masks):
     from promptpipe import calibrate
-    from promptpipe.runner import CONTENT_FREE_GUID, LogitsFileScorer, _content_free_example, _setup
+    from promptpipe.logits import LogitsFileScorer
+    from promptpipe.runner import CONTENT_FREE_GUID, _content_free_example, _setup
 
     guids = ["e0", "e1", CONTENT_FREE_GUID]
     cfg = _replay_case(fixtures_dir, tmp_path, n_masks, guids, calibrate=True)
@@ -849,7 +851,7 @@ def _score_cli(fixtures_dir, logits) -> list[str]:
 
 
 def test_logits_record_without_mask_logits_names_file_and_line(fixtures_dir, tmp_path, capsys):
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     row = [0.0] * _vocab_size(fixtures_dir)
     logits = tmp_path / "logits.jsonl"
@@ -864,7 +866,7 @@ def test_logits_record_without_mask_logits_names_file_and_line(fixtures_dir, tmp
 
 def test_duplicate_guid_in_logits_file_names_both_lines(fixtures_dir, tmp_path, capsys):
     from promptpipe.errors import DuplicateGuid
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     row = [0.0] * _vocab_size(fixtures_dir)
     logits = tmp_path / "logits.jsonl"
@@ -915,7 +917,7 @@ def _assert_cli_names(argv, capsys, *parts) -> None:
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad):
     from promptpipe.errors import NonFiniteValue
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     row = [0.0] * _vocab_size(fixtures_dir)
     logits = tmp_path / "logits.jsonl"
@@ -933,7 +935,7 @@ def test_non_finite_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad)
 @pytest.mark.parametrize("row_value", ["0.5", "0"])
 def test_non_numeric_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad, row_value):
     # the other values of the row are floats or integers
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     width = _vocab_size(fixtures_dir)
     logits = tmp_path / "logits.jsonl"
@@ -950,7 +952,7 @@ def test_non_numeric_logits_rejected_at_load(fixtures_dir, tmp_path, capsys, bad
 
 @pytest.mark.parametrize("bad", ["null", "{}", '"abc"', "[null]", '["2.5"]'])
 def test_mask_logits_that_are_not_rows_of_numbers_name_the_guid(fixtures_dir, tmp_path, capsys, bad):
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     width = _vocab_size(fixtures_dir)
     logits = tmp_path / "logits.jsonl"
@@ -963,7 +965,7 @@ def test_mask_logits_that_are_not_rows_of_numbers_name_the_guid(fixtures_dir, tm
 
 
 def test_json_integer_logits_keep_their_float_conversion(fixtures_dir, tmp_path):
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     width = _vocab_size(fixtures_dir)
     records = {
@@ -986,7 +988,7 @@ def test_json_integer_logits_keep_their_float_conversion(fixtures_dir, tmp_path)
 
 
 def test_out_of_range_integer_logit_names_file_and_guid(fixtures_dir, tmp_path):
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     width = _vocab_size(fixtures_dir)
     logits = tmp_path / "logits.jsonl"
@@ -999,7 +1001,7 @@ def _oracle_read_logits_records(path, vocab_size):
     """The logits reader before the numeric path: ``json.loads`` and a
     dtype-inferring ``np.asarray`` for every record, after a pass over the
     file for the lines spelling ``true`` or ``false``."""
-    from promptpipe.data import read_records
+    from promptpipe.data import read_guid_lines
     from promptpipe.errors import DimensionMismatch, NonFiniteValue
     from promptpipe.textfile import read_lines
 
@@ -1007,7 +1009,7 @@ def _oracle_read_logits_records(path, vocab_size):
         n for n, line in read_lines(path)
         if "e" in line and ("true" in line or "false" in line)
     }
-    for line_no, guid, record in read_records(path):
+    for line_no, guid, record, _ in read_guid_lines(path):
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
             raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
@@ -1110,7 +1112,7 @@ def test_logits_reader_equals_json_oracle(data):
     import tempfile
     import warnings
 
-    from promptpipe.runner import read_logits_records
+    from promptpipe.logits import read_logits_records
 
     width = data.draw(st.integers(1, 3))
     lines = data.draw(st.lists(_logits_line(width), min_size=1, max_size=4))
@@ -1144,7 +1146,7 @@ _LOGITS_LAYOUTS = [
 
 
 def test_logits_reader_equals_json_oracle_on_each_spelling(tmp_path):
-    from promptpipe.runner import read_logits_records
+    from promptpipe.logits import read_logits_records
 
     path = tmp_path / "logits.jsonl"
     for layout in _LOGITS_LAYOUTS:
@@ -1159,7 +1161,7 @@ def test_json_dumps_logits_reach_the_decoder_unless_short_decimals(tmp_path, mon
     """A file json.dumps wrote, with exponents, integers, -0.0 and 17-digit
     reprs, reads bit for bit as float64; a record reaches the JSON decoder
     whole exactly when one of its rows is not a row of short decimals."""
-    from promptpipe.runner import read_logits_records
+    from promptpipe.logits import read_logits_records
     from promptpipe.textfile import JSON_DECODER
 
     rng = np.random.default_rng(7)
@@ -1240,7 +1242,7 @@ def test_decimal_logits_read_back_as_float(texts, separator):
     float() reads them, and every row in the form takes the fast path."""
     import tempfile
 
-    from promptpipe.runner import _decimal_row, read_logits_records
+    from promptpipe.logits import _decimal_row, read_logits_records
 
     row = separator.join(texts)
     fast = _decimal_row(row.encode(), len(texts))
@@ -1264,7 +1266,7 @@ def test_decimal_logits_read_back_as_float(texts, separator):
 def test_replay_spelled_logits_skip_the_decoder(tmp_path, monkeypatch):
     """Records of 4-decimal logits, written as the replay benchmark writes
     them, are read by the fast path alone."""
-    from promptpipe.runner import read_logits_records
+    from promptpipe.logits import read_logits_records
     from promptpipe.textfile import JSON_DECODER
 
     rng = np.random.default_rng(11)
@@ -1292,7 +1294,7 @@ def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
     scores, a view of its rows too, and so do the reader and a scorer
     without a projection."""
     from promptpipe import Vocab, build_tokenizer, load_verbalizer
-    from promptpipe.runner import LogitsFileScorer, read_logits_records
+    from promptpipe.logits import LogitsFileScorer, read_logits_records
 
     vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
     tokenizer = build_tokenizer("wordpiece", vocab)
@@ -1324,7 +1326,7 @@ def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
 
 @pytest.mark.parametrize("vocab_size", ["113", True, 0, -1, 113.0, None])
 def test_logits_vocab_size_must_be_a_positive_integer(tmp_path, vocab_size):
-    from promptpipe.runner import LogitsFileScorer, read_logits_records
+    from promptpipe.logits import LogitsFileScorer, read_logits_records
 
     logits = tmp_path / "logits.jsonl"
     logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113]}) + "\n")
@@ -1337,7 +1339,7 @@ def test_logits_vocab_size_must_be_a_positive_integer(tmp_path, vocab_size):
 
 def test_logits_wider_than_the_line_can_hold_are_a_mismatch(tmp_path):
     from promptpipe.errors import DimensionMismatch
-    from promptpipe.runner import read_logits_records
+    from promptpipe.logits import read_logits_records
 
     logits = tmp_path / "logits.jsonl"
     logits.write_text('{"guid": "a", "mask_logits": [[0.5, 1.5]]}\n')
@@ -1373,15 +1375,15 @@ def test_decimal_row_check_accepts_exactly_the_rows_it_converts(texts, separator
     in a step per field."""
     from unittest import mock
 
-    from promptpipe import runner
+    from promptpipe import logits
 
     row = (lead + separator.join(texts)).encode()
     in_form = (len(lead) < 2 and (separator != ",  " or len(texts) == 1) and all(
         _FAST_FORM.fullmatch(t) and sum(map(str.isdigit, t)) <= 15 for t in texts))
-    with mock.patch.object(runner, "_CHUNK", chunk):
+    with mock.patch.object(logits, "_CHUNK", chunk):
         for width in {len(texts) - 1, len(texts), len(texts) + 1} - {0}:
-            converted = runner._decimal_row(row, width)
-            checked = runner._decimal_row(row, width, convert=False)
+            converted = logits._decimal_row(row, width)
+            checked = logits._decimal_row(row, width, convert=False)
             assert (converted is not None) == (in_form and width == len(texts))
             assert (checked is not None) == (converted is not None)
             if converted is not None:
@@ -1397,7 +1399,7 @@ def test_logits_reader_keeps_named_guids_and_checks_every_line(data):
     import tempfile
     import warnings
 
-    from promptpipe.runner import _logits_records
+    from promptpipe.logits import _logits_records
 
     width = data.draw(st.integers(1, 3))
     lines = data.draw(st.lists(_logits_line(width), min_size=1, max_size=4))
@@ -1473,7 +1475,7 @@ _BAD_UNNAMED = {
 
 @pytest.mark.parametrize("bad", _BAD_UNNAMED)
 def test_bad_unnamed_logits_record_still_fails_the_run(fixtures_dir, tmp_path, bad):
-    from promptpipe.runner import read_logits_records
+    from promptpipe.logits import read_logits_records
 
     cfg = _subset_case(fixtures_dir, tmp_path, calibrate=False)
     lines = Path(cfg.logits_file).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1501,7 +1503,7 @@ def test_bad_unnamed_logits_record_still_fails_the_run(fixtures_dir, tmp_path, b
     (("a", None), "guids must hold strings, got None"),
 ])
 def test_scorer_guids_must_be_a_collection_of_strings(tmp_path, guids, message):
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     # checked at the call: the file need not exist
     with pytest.raises(ConfigError) as failure:
@@ -1510,7 +1512,7 @@ def test_scorer_guids_must_be_a_collection_of_strings(tmp_path, guids, message):
 
 
 def test_scorer_keeps_only_the_named_guids(tmp_path):
-    from promptpipe.runner import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer
 
     logits = tmp_path / "logits.jsonl"
     logits.write_text("".join(json.dumps({"guid": g, "mask_logits": [[0.5, -1.0]]}) + "\n"
@@ -1521,7 +1523,8 @@ def test_scorer_keeps_only_the_named_guids(tmp_path):
 
 def test_scorer_project_must_be_callable(fixtures_dir, tmp_path):
     from promptpipe import Vocab
-    from promptpipe.runner import LogitsFileScorer, ToyScorer
+    from promptpipe.logits import LogitsFileScorer
+    from promptpipe.runner import ToyScorer
 
     logits = tmp_path / "logits.jsonl"
     logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113]}) + "\n")
@@ -1542,7 +1545,8 @@ def test_scorer_project_must_give_an_array_of_the_records_rows(fixtures_dir, tmp
     load, rather than failing later as a bare AttributeError at ``rows`` or
     a MissingLogits for a guid the file holds; the toy scorer's row alike."""
     from promptpipe import Vocab
-    from promptpipe.runner import LogitsFileScorer, ToyScorer
+    from promptpipe.logits import LogitsFileScorer
+    from promptpipe.runner import ToyScorer
 
     logits = tmp_path / "logits.jsonl"
     logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113] * 2}) + "\n")
@@ -1568,7 +1572,8 @@ def test_scorer_project_must_give_an_array_of_the_records_rows(fixtures_dir, tmp
 def test_scorer_rows_reject_a_bad_mask_count(fixtures_dir, tmp_path, scorer_kind, mask_count,
                                              error, message):
     from promptpipe import Vocab
-    from promptpipe.runner import LogitsFileScorer, ToyScorer
+    from promptpipe.logits import LogitsFileScorer
+    from promptpipe.runner import ToyScorer
 
     if scorer_kind == "toy":
         scorer = ToyScorer({}, Vocab.from_file(fixtures_dir / "vocab.txt"))

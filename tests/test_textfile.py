@@ -31,7 +31,7 @@ from promptpipe.errors import (
     UnreadableFile,
 )
 from promptpipe import textfile
-from promptpipe.runner import LogitsFileScorer, read_logits_records
+from promptpipe.logits import LogitsFileScorer, read_logits_records
 from promptpipe.textfile import read_lines, write_jsonl
 
 BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8

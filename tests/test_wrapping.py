@@ -13,11 +13,12 @@ from promptpipe import (
     apply_post_processing,
     parse_template,
     load_jsonl,
-    save_jsonl,
     wrap_example,
     wrapped_text,
 )
+from promptpipe.data import example_to_dict
 from promptpipe.errors import ConfigError, ConflictingAttributes, DataError, MissingMetaKey
+from promptpipe.textfile import write_jsonl
 
 EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 
@@ -32,7 +33,7 @@ def test_example_guid_must_be_a_string(tmp_path):
     with pytest.raises(DataError, match="'guid' must be a string, got 5"):
         InputExample(guid=5)
     dataset = Dataset.from_examples([InputExample(guid="5", meta={"text": "x"}, label="a")])
-    save_jsonl(dataset, tmp_path / "data.jsonl")
+    write_jsonl(map(example_to_dict, dataset), tmp_path / "data.jsonl")
     assert load_jsonl(tmp_path / "data.jsonl") == dataset
 
 
