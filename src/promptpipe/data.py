@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -44,12 +45,26 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class Dataset:
+    """Examples in order, each an :class:`~promptpipe.wrapping.InputExample`
+    whose guid no other example has; a repeated guid raises
+    :class:`~promptpipe.errors.DuplicateGuid`."""
+
     examples: tuple[InputExample, ...]
-    label_set: frozenset[str]
 
     def __post_init__(self):
         check_instance("examples", self.examples, tuple, DataError)
-        check_instance("label_set", self.label_set, frozenset, DataError)
+        seen: set[str] = set()
+        for ex in self.examples:
+            if not isinstance(ex, InputExample):
+                raise DataError(f"examples must hold InputExample values, got {ex!r}")
+            if ex.guid in seen:
+                raise DuplicateGuid(f"guid {ex.guid!r} appears twice")
+            seen.add(ex.guid)
+
+    @cached_property
+    def label_set(self) -> frozenset[str]:
+        """The labels of the labeled examples, derived once on first use."""
+        return frozenset(ex.label for ex in self.examples if ex.label is not None)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -59,25 +74,17 @@ class Dataset:
 
     @classmethod
     def from_examples(cls, examples: Iterable[InputExample]) -> "Dataset":
-        """The one constructor: rejects a repeated guid and derives ``label_set``."""
-        items = tuple(examples)
-        seen: set[str] = set()
-        for ex in items:
-            if not isinstance(ex, InputExample):
-                raise DataError(f"examples must hold InputExample values, got {ex!r}")
-            if ex.guid in seen:
-                raise DuplicateGuid(f"guid {ex.guid!r} appears twice")
-            seen.add(ex.guid)
-        labels = frozenset(ex.label for ex in items if ex.label is not None)
-        return cls(examples=items, label_set=labels)
+        """A dataset of any iterable of examples, checked as the constructor checks them."""
+        check_instance("examples", examples, Iterable, DataError)
+        return cls(tuple(examples))
 
 
 def read_guid_lines(
     path: str | Path,
     read_line: Callable[[bytearray, int, int], tuple[str, Any] | None] | None = None,
-) -> Iterator[tuple[int, str, Any, str | None]]:
-    """Yield ``(line_no, guid, record, line)`` for each record of a guid-keyed
-    JSONL file, with the text of each line it decodes.
+) -> Iterator[tuple[int, str, Any]]:
+    """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL
+    file.
 
     The file is read line by line, as :func:`~promptpipe.textfile.read_lines`
     reads it, so an error is the one of the first bad line in the file,
@@ -92,15 +99,13 @@ def read_guid_lines(
     :func:`~promptpipe.textfile.read_spans` yields them, which hold only
     during the call. It returns ``(guid, record)`` for a line it reads, and
     must do so only when :data:`~promptpipe.textfile.JSON_DECODER` decodes
-    the line, as UTF-8 text, as an object whose ``guid`` is that string;
-    the yielded line is then ``None``. It returns ``None`` for any other
-    line, which is then decoded and read by that decoder. The guid rules
-    apply to every line either way.
+    the line, as UTF-8 text, as an object whose ``guid`` is that string.
+    It returns ``None`` for any other line, which is then decoded and read
+    by that decoder. The guid rules apply to every line either way.
     """
     first_line: dict[str, int] = {}
     for line_no, buffer, start, end in read_spans(path):
         read = read_line(buffer, start, end) if read_line else None
-        line = None
         if read is None:
             line = decode_line(path, line_no, buffer, start, end)
             if line.isspace():
@@ -121,7 +126,7 @@ def read_guid_lines(
                 f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
             )
         first_line[guid] = line_no
-        yield line_no, guid, record, line
+        yield line_no, guid, record
 
 
 def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:
@@ -142,7 +147,7 @@ def load_jsonl(path: str | Path) -> Dataset:
     """Load a JSONL dataset, preserving line order; errors name ``path:line``."""
     return Dataset.from_examples(
         _parse_example(path, line_no, guid, record)
-        for line_no, guid, record, _ in read_guid_lines(path)
+        for line_no, guid, record in read_guid_lines(path)
     )
 
 

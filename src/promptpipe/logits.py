@@ -25,6 +25,7 @@ from .data import read_guid_lines
 from .errors import ConfigError, DimensionMismatch, MissingLogits, NonFiniteValue, check_integer
 from .textfile import JSON_DECODER
 from .tokenization import TokenizedInput
+from .verbalizer import float_array
 
 __all__ = ["LogitsFileScorer", "read_logits_records"]
 
@@ -73,8 +74,9 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
     - every other line, such as one holding the 16- and 17-digit reprs of
       float32 logits upcast or numbers with an exponent, is decoded by the
       one JSON decoder, the only path that raises: a record without
-      usable ``mask_logits``, with a value that is not a number (a
-      string, ``true``, ``false`` or ``null``) or with a non-finite logit
+      usable ``mask_logits``, with a value that is not a number
+      (:func:`~promptpipe.verbalizer.float_array`: a string, ``true``,
+      ``false`` or ``null``) or with a non-finite logit
       raises a :class:`~promptpipe.errors.PromptPipeError` naming the
       file, line and guid.
     """
@@ -105,7 +107,7 @@ def _logits_records(
     """The records of ``guids`` (all of them for ``None``), every line checked."""
     # one padded row buffer for the whole file, which _decimal_row grows to the longest row
     read_line = partial(_numeric_record, vocab_size=vocab_size, guids=guids, pad=bytearray())
-    for line_no, guid, record, line in read_guid_lines(path, read_line):
+    for line_no, guid, record in read_guid_lines(path, read_line):
         if not isinstance(record, dict):  # read by _numeric_record; None if not kept
             if record is not None:
                 yield guid, record
@@ -118,25 +120,19 @@ def _logits_records(
             rows = np.asarray(values)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
-        numeric = rows.dtype.kind in "iuf"
-        if not numeric and rows.ndim != 2:
+        if rows.dtype.kind not in "iuf" and rows.ndim != 2:
             raise ConfigError(
                 f"{where}: bad mask_logits for guid {guid!r}: expected rows of numbers, "
                 f"got {json.dumps(values)[:40]}"
             )
         if rows.ndim != 2 or rows.shape[1] != vocab_size:
             raise DimensionMismatch(f"{where}: mask_logits must be rows of width {vocab_size}")
-        # a string or null leaves the inferred dtype non-numeric, while true and
-        # false infer as 1 and 0: a line spelling either is checked value by value
-        if not numeric or "true" in line or "false" in line:
-            for row in values:
-                for value in row:
-                    if type(value) not in (int, float):
-                        raise ConfigError(
-                            f"{where}: guid {guid!r} has a non-numeric logit {json.dumps(value)}"
-                        )
         try:
-            rows = rows.astype(np.float64, copy=False)
+            rows = float_array(values, rows)
+        except TypeError as exc:
+            raise ConfigError(
+                f"{where}: guid {guid!r} has a non-numeric logit {json.dumps(exc.value)}"
+            ) from None
         except OverflowError as exc:
             raise ConfigError(f"{where}: bad mask_logits for guid {guid!r}: {exc}") from None
         if not np.isfinite(rows).all():

@@ -46,7 +46,6 @@ returns.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,7 +74,7 @@ from .logits import (
 from .template import TemplateAST, load_template_file
 from .textfile import JSON_ENCODER, read_json_object, write_lines
 from .tokenization import CompiledTemplate, TokenizedInput, Vocab, build_tokenizer
-from .verbalizer import ClassScores, Verbalizer, load_verbalizer
+from .verbalizer import ClassScores, Verbalizer, float_array, load_verbalizer
 from .wrapping import InputExample
 
 __all__ = [
@@ -92,9 +91,10 @@ CONTENT_FREE_GUID = "__content_free__"
 class ToyScorer:
     """Context-independent scorer: one logit per vocabulary token.
 
-    Logits come from a JSON frequency file mapping token text to a real
-    value; absent tokens score 0.0. Every mask position receives the
-    same row, which is enough to drive the projection path end to end.
+    Logits come from a JSON frequency file mapping token text to a finite
+    number (:func:`~promptpipe.verbalizer.float_array`'s); absent tokens
+    score 0.0. Every mask position receives the same row, which is enough
+    to drive the projection path end to end.
     ``rows(guid, M)`` returns ``(M, V)`` rows for an integer M >= 1, as
     does a call with an encoding of M masks; with ``project``, the row goes
     through it once, here, as a one-row array whose result must be one too,
@@ -112,21 +112,23 @@ class ToyScorer:
         check_instance("frequencies", frequencies, Mapping)
         check_instance("vocab", vocab, Vocab)
         _check_project(project)
+        tokens = list(frequencies)
+        try:
+            values = float_array(np.fromiter(frequencies.values(), object, len(tokens)))
+        except (TypeError, OverflowError) as exc:
+            token = next(token for token, value in frequencies.items() if value is exc.value)
+            if isinstance(exc, TypeError):
+                raise ConfigError(f"token {token!r} has non-numeric frequency {exc.value!r}") \
+                    from None
+            raise NonFiniteValue(f"token {token!r} has a frequency too large for a float") from None
+        finite = np.isfinite(values)
+        if not finite.all():
+            token = tokens[finite.argmin()]
+            raise NonFiniteValue(f"token {token!r} has non-finite frequency {frequencies[token]!r}")
         row = np.zeros(len(vocab), dtype=np.float64)
-        for token, value in frequencies.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"token {token!r} has non-numeric frequency {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:
-                raise NonFiniteValue(
-                    f"token {token!r} has a frequency too large for a float"
-                ) from None
-            if not math.isfinite(number):
-                raise NonFiniteValue(f"token {token!r} has non-finite frequency {value!r}")
-            index = vocab.ids.get(token)
-            if index is not None:
-                row[index] = number
+        for token, number in zip(tokens, values):
+            if token in vocab.ids:
+                row[vocab.ids[token]] = number
         if project is not None:
             row = _projected(project, row[None], "the frequency row")[0]
         self._row = row

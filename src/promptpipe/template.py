@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -47,6 +48,7 @@ from .errors import (
     TemplateError,
     UnbalancedBrace,
     UnknownAttributeKey,
+    check_instance,
 )
 from .textfile import read_lines
 
@@ -506,6 +508,7 @@ def validate_template(
     """
     if not isinstance(ast, TemplateAST):
         raise InvalidValueType(f"validate_template takes a TemplateAST, got {ast!r}")
+    check_instance("known_meta_keys", known_meta_keys, AbstractSet, InvalidValueType)
     diagnostics: list[Diagnostic] = []
     for index, node in enumerate(ast.nodes):
         if node.kind is NodeKind.META and node.meta_key not in known_meta_keys:

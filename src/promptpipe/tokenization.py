@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ConfigError,
+    DataError,
     DuplicateToken,
     InvalidValueType,
     MissingSpecialToken,
@@ -387,6 +388,7 @@ def encode_wrapped(
     ``add_special_tokens`` a CLS/SEP pair is added and counted against
     ``max_len``.
     """
+    check_instance("seq", seq, WrappedSequence, DataError)
     runs = [_run(seg, tokenizer) for seg in seq.segments]
     fixed = sum(len(run[0]) for run in runs if not run[2])
     _check_fits(fixed, 2 if add_special_tokens else 0, max_len)

@@ -22,11 +22,10 @@ and :meth:`DenseIndex.check_prior` is the one check a prior passes before
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,44 @@ __all__ = [
     "calibrate",
 ]
 
+_NUMBERS = (int, float, np.integer, np.floating)
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least int that float() refuses: it rounds to 2**1024
+
+
+def float_array(values, array: np.ndarray | None = None) -> np.ndarray:
+    """``values`` as a float64 array, each a number: an ``int`` or a ``float``,
+    Python's or numpy's, never a ``bool``.
+
+    A numeric ndarray is taken as it is. Anything else is read by numpy
+    (``array``, if the caller has read it; ragged values raise its
+    ``ValueError``), and as numpy reads ``True`` as 1, the set of the
+    values' types is checked. The first value that is not a number raises
+    ``TypeError``, and the first int beyond float64 numpy's
+    ``OverflowError``, either holding that value as ``value``.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(np.float64, copy=False)
+    array = np.asarray(values) if array is None else array
+
+    def leaves():  # the values, nested as deep as numpy read them
+        flat = [values]
+        for _ in range(array.ndim):
+            flat = chain.from_iterable(flat)
+        return flat
+
+    refused = {kind for kind in set(map(type, leaves()))
+               if kind is bool or not issubclass(kind, _NUMBERS)}
+    if refused:
+        value = next(value for value in leaves() if type(value) in refused)
+        error = TypeError(f"got {value.item() if isinstance(value, np.generic) else value!r}")
+        error.value = value
+        raise error
+    try:
+        return array.astype(np.float64, copy=False)
+    except OverflowError as error:
+        error.value = next(value for value in leaves() if abs(value) >= _FLOAT_LIMIT)
+        raise
+
 
 @dataclass(frozen=True)
 class Verbalizer:
@@ -71,7 +108,8 @@ class Verbalizer:
 @dataclass(frozen=True)
 class ClassScores:
     """Per-class scores aligned with the verbalizer's class order: one finite
-    real score per class, and at least one class, named by a string."""
+    number (:func:`float_array`'s) per class, and at least one class, named
+    by a string."""
 
     classes: tuple[str, ...]
     scores: tuple[float, ...]
@@ -85,12 +123,16 @@ class ClassScores:
             raise DimensionMismatch(
                 f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
             )
-        for score in self.scores:
-            if isinstance(score, bool) or not isinstance(score, numbers.Real):
-                raise DimensionMismatch(f"a class score must be a real number, got {score!r}")
-            if not math.isfinite(score):
-                raise NonFiniteValue(f"class score {score!r} is not finite: a NaN, an "
-                                     "infinity or a sum beyond the float64 range")
+        try:
+            finite = np.isfinite(float_array(np.fromiter(self.scores, object, len(self.scores))))
+        except TypeError as exc:
+            raise DimensionMismatch(
+                f"a class score must be a real number, got {exc.value!r}") from None
+        except OverflowError as exc:  # an int beyond float64: the first is not finite
+            finite = [score is not exc.value for score in self.scores]
+        if not all(finite):
+            raise NonFiniteValue(f"class score {self.scores[np.argmin(finite)]!r} is not finite: "
+                                 "a NaN, an infinity or a sum beyond the float64 range")
 
     @property
     def predicted_class(self) -> int:
@@ -205,19 +247,11 @@ class DenseIndex:
 
     def check_rows(self, logits) -> np.ndarray:
         """``logits`` as a float64 ``(R, V)`` array of finite values, wide enough
-        for the label ids; ``logits`` that numpy cannot read as such an array of
-        numbers, or that hold a string, a boolean or ``None``, raise
-        :class:`~promptpipe.errors.DimensionMismatch`."""
+        for the label ids; ``logits`` that numpy cannot read as such an array,
+        or that hold a value that is not a number (:func:`float_array`),
+        raise :class:`~promptpipe.errors.DimensionMismatch`."""
         try:
-            rows = np.asarray(logits)
-            # float64 would read "1" and True as 1.0 and None as NaN; an
-            # object array may hold ints too large for int64, which are numbers
-            if rows.dtype.kind not in "iuf":
-                for value in rows.flat:
-                    value = value.item() if isinstance(value, np.generic) else value
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise TypeError(f"got {value!r}")
-            rows = rows.astype(np.float64, copy=False)
+            rows = float_array(logits)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch(f"logits must be rows of numbers: {exc}") from None
         if rows.ndim == 1:
@@ -238,14 +272,15 @@ class DenseIndex:
         """``prior`` as a float64 ``(M, C, W)`` array, zero at padding words.
 
         ``prior`` is a :func:`calibrate` result for ``mask_count`` positions.
-        Any other shape raises :class:`~promptpipe.errors.DimensionMismatch`
-        and a NaN or an infinity at a real word
+        A value that is not a number (:func:`float_array`) or any other
+        shape raises :class:`~promptpipe.errors.DimensionMismatch`, and a
+        NaN or an infinity at a real word
         :class:`~promptpipe.errors.NonFiniteValue`; padding entries are
-        ignored whatever they hold.
+        ignored, whatever number they hold.
         """
         shape = (mask_count, *self.word_mask.shape)
         try:
-            values = np.asarray(prior, dtype=np.float64)
+            values = float_array(prior)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch(f"calibration must be a {shape} array: {exc}") from None
         if values.shape != shape:
@@ -299,6 +334,7 @@ class DenseIndex:
         :class:`~promptpipe.errors.DimensionMismatch`, and an unknown
         aggregation :class:`~promptpipe.errors.ConfigError`.
         """
+        check_instance("words", words, np.ndarray, DimensionMismatch)
         aggregation = Aggregation.parse(aggregation)
         shape = words.shape[-3:]
         if len(shape) < 3 or shape[0] == 0 or shape[1:] != self.word_mask.shape:

@@ -20,7 +20,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ConfigError, ConflictingAttributes, DataError, InvalidValueType, MissingMetaKey
+from .errors import (
+    ConfigError,
+    ConflictingAttributes,
+    DataError,
+    InvalidValueType,
+    MissingMetaKey,
+    check_instance,
+)
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
 from .template import NodeKind, PostProcessing, TemplateAST
 
@@ -46,7 +53,7 @@ class InputExample:
     """One raw dataset record: guid, optional class label, meta fields.
 
     The guid and a label, when present, are non-empty strings, and every
-    meta value is a string; anything else raises
+    meta key and value is a string; anything else raises
     :class:`~promptpipe.errors.DataError`.
     """
 
@@ -64,6 +71,8 @@ class InputExample:
         if not isinstance(self.meta, Mapping):
             raise DataError(f"'meta' must be an object, got {type(self.meta).__name__}")
         for key, value in self.meta.items():
+            if not isinstance(key, str):
+                raise DataError(f"meta key must be a string, got {key!r}")
             if not isinstance(value, str):
                 raise DataError(f"meta value for {key!r} must be a string, got {value!r}")
 
@@ -117,6 +126,8 @@ class TemplateLayout:
     """
 
     def __init__(self, ast: TemplateAST, node_slots: Sequence[Sequence[int]]):
+        check_instance("ast", ast, TemplateAST, InvalidValueType)
+        check_instance("node_slots", node_slots, Sequence)
         self.ast = ast
         segments: list[Segment] = []
         # per meta node: (segment index, key, post-processing)
@@ -183,6 +194,8 @@ def wrap_example(
     raises :class:`~promptpipe.errors.MissingMetaKey`; an empty value gives
     an empty segment.
     """
+    check_instance("ast", ast, TemplateAST, InvalidValueType)
+    check_instance("example", example, InputExample, DataError)
     layout = TemplateLayout(ast, plan.node_slots if plan is not None else assign_soft_slots(ast))
     segments = list(layout.segments)
     for (index, _, _), value in zip(layout._metas, layout.resolve(example)):
@@ -199,6 +212,7 @@ def wrapped_text(seq: WrappedSequence) -> str:
     and soft segments; template whitespace is already part of the text
     segments, so no separators are inserted.
     """
+    check_instance("seq", seq, WrappedSequence, DataError)
     parts = []
     for seg in seq.segments:
         if seg.is_mask:

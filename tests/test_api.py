@@ -17,6 +17,7 @@ from promptpipe.errors import (
     ConfigError,
     DataError,
     DimensionMismatch,
+    DuplicateGuid,
     InvalidValueType,
     VerbalizerError,
     VocabError,
@@ -82,6 +83,14 @@ def _vocab():
 def _verbalizer():
     tokenizer = promptpipe.WhitespaceTokenizer(_vocab())
     return promptpipe.build_verbalizer({"a": ["a"]}, tokenizer)
+
+
+def _ast():
+    return promptpipe.parse_template('{"meta": "text"} {"mask"}')
+
+
+def _example():
+    return promptpipe.InputExample(guid="a", meta={"text": "a"})
 
 
 # a public call with an ill-typed argument: the stage error it raises, and its
@@ -169,10 +178,48 @@ BAD_ARGUMENTS = {
                         "vocab must be a Vocab, got 5"),
     "vocab_from_tokens": (lambda: promptpipe.Vocab.from_tokens(5), VocabError,
                           "tokens must be an Iterable, got 5"),
-    "dataset_examples": (lambda: promptpipe.Dataset(5, frozenset()), DataError,
+    "dataset_examples": (lambda: promptpipe.Dataset(5), DataError,
                          "examples must be a tuple, got 5"),
-    "dataset_label_set": (lambda: promptpipe.Dataset((), {"a"}), DataError,
-                          "label_set must be a frozenset, got {'a'}"),
+    "dataset_repeated_guid": (lambda: promptpipe.Dataset((_example(), _example())), DuplicateGuid,
+                              "guid 'a' appears twice"),
+    "dataset_from_examples_not_iterable": (lambda: promptpipe.Dataset.from_examples(5), DataError,
+                                           "examples must be an Iterable, got 5"),
+    "input_example_meta_key": (lambda: promptpipe.InputExample(guid="a", meta={5: "x"}),
+                               DataError, "meta key must be a string, got 5"),
+    "template_layout_ast": (lambda: promptpipe.TemplateLayout(5, ()), InvalidValueType,
+                            "ast must be a TemplateAST, got 5"),
+    "template_layout_node_slots": (lambda: promptpipe.TemplateLayout(_ast(), 5), ConfigError,
+                                   "node_slots must be a Sequence, got 5"),
+    "validate_template_known_meta_keys": (lambda: validate_template(_ast(), 5), InvalidValueType,
+                                          "known_meta_keys must be a Set, got 5"),
+    "wrap_example_ast": (lambda: promptpipe.wrap_example(5, 5), InvalidValueType,
+                         "ast must be a TemplateAST, got 5"),
+    "wrap_example_example": (lambda: promptpipe.wrap_example(_ast(), 5), DataError,
+                             "example must be an InputExample, got 5"),
+    "wrapped_text": (lambda: promptpipe.wrapped_text(5), DataError,
+                     "seq must be a WrappedSequence, got 5"),
+    "encode_wrapped": (
+        lambda: promptpipe.encode_wrapped(5, promptpipe.WhitespaceTokenizer(_vocab()), 8),
+        DataError, "seq must be a WrappedSequence, got 5"),
+    "dense_index_aggregate": (lambda: _verbalizer().dense.aggregate([[[0.0]]], "max"),
+                              DimensionMismatch, "words must be a ndarray, got [[[0.0]]]"),
+    # the vocab size is checked before the file is read, so the file need not exist
+    "logits_file_scorer_vocab_size": (lambda: promptpipe.LogitsFileScorer("logits.jsonl", "8"),
+                                      ConfigError, "'vocab_size' must be an integer, got '8'"),
+    "pipeline_config_from_file": (lambda: promptpipe.PipelineConfig.from_file(5), ConfigError,
+                                  "input must be a file path, got 5"),
+    "template_ast_nodes": (lambda: promptpipe.TemplateAST(5), InvalidValueType,
+                           "nodes must be a tuple, got int"),
+    "template_node_kind": (lambda: promptpipe.TemplateNode(5), InvalidValueType,
+                           "node kind must be a NodeKind, got 5"),
+    "parse_template": (lambda: promptpipe.parse_template(5), InvalidValueType,
+                       "template source must be a string, got 5"),
+    "serialize_template": (lambda: promptpipe.serialize_template(5), InvalidValueType,
+                           "serialize_template takes a TemplateAST, got 5"),
+    "apply_post_processing": (
+        lambda: promptpipe.apply_post_processing("lowercase", "x"), ConfigError,
+        "unknown post-processing function 'lowercase'; expected one of "
+        "strip_trailing_punctuation, lowercase, prepend_space"),
 }
 
 
@@ -182,3 +229,27 @@ def test_an_ill_typed_argument_raises_its_stage_error(name):
     with pytest.raises(error) as failure:
         call()
     assert str(failure.value) == message
+
+
+# public names that take no ill-typed argument from a user: the enums, the base
+# error, and the records that only promptpipe builds (a parse, a plan, an
+# encoding, a report; a verbalizer comes from build_verbalizer or load_verbalizer)
+NO_BAD_ARGUMENTS = {
+    "Aggregation", "NodeKind", "PostProcessing", "TokenizerKind",
+    "PromptPipeError",
+    "Diagnostic", "RunReport", "SlotSpec", "SoftEmbeddingPlan", "TokenizedInput",
+    "Verbalizer", "WrappedSequence",
+}
+
+
+def _rows_calling(name: str) -> list[str]:
+    """The rows whose key starts with ``name`` in snake case (underscores aside)."""
+    return [key for key in BAD_ARGUMENTS
+            if key.replace("_", "").startswith(name.replace("_", "").lower())]
+
+
+def test_every_public_name_has_a_bad_argument_row_or_is_exempt():
+    assert NO_BAD_ARGUMENTS <= {*promptpipe.__all__}
+    uncovered = [name for name in promptpipe.__all__
+                 if name not in NO_BAD_ARGUMENTS and not _rows_calling(name)]
+    assert uncovered == []

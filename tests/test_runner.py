@@ -1009,7 +1009,7 @@ def _oracle_read_logits_records(path, vocab_size):
         n for n, line in read_lines(path)
         if "e" in line and ("true" in line or "false" in line)
     }
-    for line_no, guid, record, _ in read_guid_lines(path):
+    for line_no, guid, record in read_guid_lines(path):
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
             raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,8 +414,10 @@ def test_non_finite_prior_rejected(toy, bad):
         lambda n: np.ones(n, dtype=bool),
         lambda n: np.full(n, "1"),
         lambda n: [0.0] * (n - 1) + [None],
+        lambda n: [0.0] * (n - 1) + [True],
     ],
-    ids=["digit strings", "true", "null", "object", "bool array", "str array", "null last"],
+    ids=["digit strings", "true", "null", "object", "bool array", "str array", "null last",
+         "true last"],
 )
 def test_non_number_logits_rejected(toy, make_row):
     # float64 would read these as 1.0 or NaN
@@ -422,6 +427,63 @@ def test_non_number_logits_rejected(toy, make_row):
         project([row], verb)
     with pytest.raises(DimensionMismatch, match="logits must be rows of numbers"):
         calibrate(lambda _: [row], verb, content_free_input=None)
+
+
+# a value that is not a number: a boolean, a numeric string, null or a list
+NON_NUMBERS = st.one_of(
+    st.booleans(),
+    st.floats(-10, 10).map(repr),
+    st.none(),
+    st.lists(st.floats(-10, 10), max_size=2),
+)
+
+
+def _json_tier_records(values, width):
+    """The records of a one-line logits file of ``values``; mask_logits come
+    first, so the JSON decoder reads the line."""
+    from promptpipe.logits import read_logits_records
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "logits.jsonl"
+        path.write_text(json.dumps({"mask_logits": [values], "guid": "g"}) + "\n")
+        return dict(read_logits_records(path, width))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(row=st.lists(st.floats(-10, 10), min_size=9, max_size=9), data=st.data())
+def test_one_definition_of_a_number(row, data):
+    """A logits file's JSON tier, project, calibrate, a prior and a frequency
+    dict each accept a row of numbers, and each rejects it with one value that
+    is not a number at any index, a prior's padding words included."""
+    from promptpipe.runner import ToyScorer
+
+    vocab = Vocab.from_tokens(SPECIALS + WORDS)
+    # three classes of at most three words: a (1, 3, 3) prior holds a whole row
+    verb = build_verbalizer(
+        {"negative": ["bad"], "positive": ["good", "wonderful", "great"], "mixed": ["bad", "good"]},
+        build_tokenizer("whitespace", vocab))
+
+    def prior(values):
+        return np.array(values, dtype=object).reshape(1, 3, 3).tolist()
+
+    assert _json_tier_records(row, len(vocab))["g"].tobytes() == np.array([row]).tobytes()
+    project([row], verb)
+    calibrate(lambda _: [row], verb, None)
+    project([row], verb, calibration=prior(row))
+    ToyScorer(dict(zip(vocab.tokens, row)), vocab)
+
+    bad = list(row)
+    bad[data.draw(st.integers(0, len(row) - 1), label="index")] = data.draw(NON_NUMBERS)
+    with pytest.raises(ConfigError, match="logits.jsonl:1: "):
+        _json_tier_records(bad, len(vocab))
+    with pytest.raises(DimensionMismatch, match="^logits must be rows of numbers: "):
+        project([bad], verb)
+    with pytest.raises(DimensionMismatch, match="^logits must be rows of numbers: "):
+        calibrate(lambda _: [bad], verb, None)
+    with pytest.raises(DimensionMismatch, match=r"^calibration must be a \(1, 3, 3\) array: "):
+        project([row], verb, calibration=prior(bad))
+    with pytest.raises(ConfigError, match="^token .* has non-numeric frequency "):
+        ToyScorer(dict(zip(vocab.tokens, bad)), vocab)
 
 
 def test_int_logits_beyond_int64_are_numbers(toy):
