@@ -18,7 +18,7 @@ from .data import example_to_dict, fewshot_sample, load_jsonl
 from .errors import ConfigError, PipelineStageError, PromptPipeError
 from .soft_plan import assign_soft_slots, build_soft_plan
 from .template import load_template_file, serialize_template, validate_template
-from .textfile import write_jsonl
+from .textfile import write_jsonl, write_lines
 from .tokenization import CompiledTemplate, Vocab, build_tokenizer
 from .wrapping import TemplateLayout
 
@@ -113,12 +113,7 @@ def cmd_plan(args) -> int:
     ast = _single_template(args)
     vocab = Vocab.from_file(args.vocab)
     tokenizer = build_tokenizer(args.tokenizer_kind, vocab)
-    text = build_soft_plan(ast, tokenizer).to_json() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    write_lines([build_soft_plan(ast, tokenizer).to_json() + "\n"], args.output)
     return 0
 
 

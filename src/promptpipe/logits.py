@@ -206,8 +206,7 @@ def _numeric_record(
         rows = np.empty((len(bounds), vocab_size))
     view = memoryview(line)
     for m, (begin, close) in enumerate(bounds):
-        out = None if rows is None else rows[m]
-        if _decimal_row(view[begin:close], vocab_size, out is not None, out, pad) is None:
+        if not _decimal_row(view[begin:close], vocab_size, None if rows is None else rows[m], pad):
             return None
     return guid, rows
 
@@ -224,18 +223,12 @@ _POW10 = np.array([10**k for k in range(9)], dtype=np.uint64)
 _SCALE = np.array([float(sign * 10**k) for sign in (1, -1) for k in range(9)])
 
 
-def _decimal_row(
-    row,
-    width: int,
-    convert: bool = True,
-    out: np.ndarray | None = None,
-    pad: bytearray | None = None,
-) -> np.ndarray | None:
-    """The ``width`` values of a logits row of short decimals, in bytes, each
-    the value ``float()`` reads, written to ``out`` if given, or without
-    ``convert`` an empty array once the row is checked; ``None`` for any
-    other row. The row is copied once, padded, into ``pad`` if given, a
-    buffer of zeros grown as needed that a reader reuses across rows.
+def _decimal_row(row, width: int, out: np.ndarray | None, pad: bytearray) -> bool:
+    """Whether ``row``, a logits row in bytes, holds ``width`` short decimals;
+    if so, each is converted to the value ``float()`` reads into ``out``,
+    unless ``out`` is ``None``. The row is copied once, padded, into
+    ``pad``, a buffer of zeros grown as needed that a reader reuses across
+    rows.
 
     Each field is ``-?(0|[1-9][0-9]{0,7})\\.[0-9]{1,8}`` with at most 15
     digits in all, and one space may follow each comma and lead the row.
@@ -250,32 +243,25 @@ def _decimal_row(
     comma, so every temporary stays small: whole-row temporaries come as
     fresh pages, whose faults cost more than the arithmetic (a replay_bert
     row took about twice as long). A step finds its commas and dots in one
-    pass, which must alternate, and checks the form; with ``convert``, it
-    then converts the digits before each dot and before each next comma
-    from the unaligned 8-byte window that ends there, masked to those
-    digits, by multiply and shift. A row is accepted or refused alike
-    either way.
+    pass, which must alternate, and checks the form; with ``out``, it then
+    converts the digits before each dot and before each next comma from
+    the unaligned 8-byte window that ends there, masked to those digits,
+    by multiply and shift. A row is accepted or refused alike either way.
     """
-    # a field takes at least 4 bytes with its comma: this also bounds the
-    # memory a short row can ask for
-    if len(row) < 4 * width - 1:
-        return None
     # a comma before and after the row, so every step runs from a comma to
     # a comma, and 8 zero bytes before those for the first field's windows;
     # bytes after the second comma are not read
     length = len(row) + 10
-    data = bytearray(length) if pad is None else pad
-    if len(data) < length:
-        data.extend(bytes(length - len(data)))
-    data[9 : length - 1] = row
-    data[8] = data[length - 1] = _SEP
-    x = np.frombuffer(data, np.uint8, length)
-    windows = np.ndarray((length - 7,), "<u8", buffer=data, strides=(1,))
-    values = np.empty(width if convert else 0) if out is None else out
+    if len(pad) < length:
+        pad.extend(bytes(length - len(pad)))
+    pad[9 : length - 1] = row
+    pad[8] = pad[length - 1] = _SEP
+    x = np.frombuffer(pad, np.uint8, length)
+    windows = np.ndarray((length - 7,), "<u8", buffer=pad, strides=(1,))
     done = 0
     start = 8
     while start < length - 1:
-        stop = data.find(b",", start + _CHUNK, length - 1)
+        stop = pad.find(b",", start + _CHUNK, length - 1)
         if stop < 0:
             stop = length - 1
         text = x[start : stop + 1]
@@ -284,10 +270,10 @@ def _decimal_row(
         marks = ((text & 0xFD) == _SEP).nonzero()[0]
         k = len(marks) // 2
         if len(marks) % 2 == 0 or done + k > width:
-            return None
+            return False
         kinds = text[marks]
         if kinds[0::2].max() != _SEP or kinds[1::2].min() != _DOT:
-            return None
+            return False
         # each field's first digit, after its comma, a space and a sign
         first = marks[:-1:2] + 1
         first += text[first] == _SPACE
@@ -298,15 +284,15 @@ def _decimal_row(
         n -= 1
         np.subtract(marks[1::2], first, out=n[0::2])
         if n.min() < 1 or n.max() > 8 or (n[0::2] + n[1::2]).max() > 15:
-            return None
+            return False
         # every byte of those runs is a digit, as no byte outside them is one
         if np.count_nonzero((text - _ZERO) < 10) != n.sum():
-            return None
+            return False
         # no leading zero: an integer part of several digits starts with 1-9
         if ((text[first] == _ZERO) & (n[0::2] > 1)).any():
-            return None
-        if convert:
-            # the window ending at place p of the step starts at data[start + p - 8]
+            return False
+        if out is not None:
+            # the window ending at place p of the step starts at pad[start + p - 8]
             digits = windows[start - 8 :][marks[1:]]
             digits &= _DIGIT_BITS[n]
             # byte values to 2-digit, 4-digit, then 8-digit numbers; the first
@@ -324,10 +310,10 @@ def _decimal_row(
             integers *= _POW10[f]
             integers += fractions
             f += 9 * negative
-            np.divide(integers, _SCALE[f], out=values[done : done + k])
+            np.divide(integers, _SCALE[f], out=out[done : done + k])
         done += k
         start = stop
-    return values if done == width else None
+    return done == width
 
 
 class LogitsFileScorer:
@@ -340,7 +326,7 @@ class LogitsFileScorer:
     only its result is kept, which must be an array of the record's M rows
     on axis 0 (a :class:`~promptpipe.errors.ConfigError` naming the guid
     otherwise): the runner passes
-    :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, so it holds
+    :meth:`~promptpipe.verbalizer.Verbalizer.word_scores`, so it holds
     ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
 
     With ``guids``, a collection of strings, every line is still read and

@@ -35,10 +35,10 @@ context-independent toy scorer driven by a token-frequency file. Both
 reject non-numeric and non-finite values, and both project their rows
 when they load them: each ``(M, V)`` logits record, and the toy
 scorer's one row, become ``(M, C, W)`` label-word scores
-(:meth:`~promptpipe.verbalizer.DenseIndex.word_scores`), and the run
+(:meth:`~promptpipe.verbalizer.Verbalizer.word_scores`), and the run
 keeps only those, so replay memory is about M·C·W floats per record,
 not M·V. The run then only aggregates them
-(:meth:`~promptpipe.verbalizer.DenseIndex.aggregate`), and calibration
+(:meth:`~promptpipe.verbalizer.Verbalizer.aggregate`), and calibration
 takes its priors from the scores of the ``__content_free__`` guid: the
 same ``(M, C, W)`` array :func:`~promptpipe.verbalizer.calibrate`
 returns.
@@ -99,7 +99,7 @@ class ToyScorer:
     does a call with an encoding of M masks; with ``project``, the row goes
     through it once, here, as a one-row array whose result must be one too,
     and they return ``M`` copies of the result (the
-    runner passes :meth:`~promptpipe.verbalizer.DenseIndex.word_scores`, as
+    runner passes :meth:`~promptpipe.verbalizer.Verbalizer.word_scores`, as
     it does to :class:`~promptpipe.logits.LogitsFileScorer`).
     """
 
@@ -228,12 +228,6 @@ def evaluate_accuracy(
     return correct / len(golds)
 
 
-def _content_free_example(ast: TemplateAST) -> InputExample:
-    return InputExample(
-        guid=CONTENT_FREE_GUID, meta={key: "" for key in ast.meta_keys()}
-    )
-
-
 @dataclass
 class _Pipeline:
     templates: list[CompiledTemplate]
@@ -253,7 +247,7 @@ class _Pipeline:
         template that measures values resolves them; every other template
         checks that the example has its meta keys.
         """
-        index = self.verbalizer.dense
+        verbalizer = self.verbalizer
         rows = self.scorer.rows
         resolving = [t == 0 or template.measures_values
                      for t, template in enumerate(self.templates)]
@@ -279,13 +273,13 @@ class _Pipeline:
                     found[t].append(rows(guid, m))
                 except PromptPipeError as exc:
                     raise PipelineStageError(guid, stage, exc) from exc
-        shape = index.word_mask.shape
+        shape = verbalizer.word_mask.shape
         combined = _mean_over_templates(np.stack([
-            index.aggregate(np.array(scores).reshape(len(examples), m, *shape),
-                            self.aggregation, prior)
+            verbalizer.aggregate(np.array(scores).reshape(len(examples), m, *shape),
+                                 self.aggregation, prior)
             for scores, m, prior in zip(found, self.mask_counts, self.priors)
         ]))
-        return _predict(records, combined, self.verbalizer.classes)
+        return _predict(records, combined, verbalizer.classes)
 
 
 def _predict(records: list[dict], scores: np.ndarray, classes: Sequence[str]) -> list[dict]:
@@ -320,11 +314,11 @@ def _score_logits_file(path: str, vocab: str, verbalizer: str, tokenizer_kind: s
     and reduced to its C class scores as it is read."""
     aggregation = Aggregation.parse(aggregation)
     tokenizer = build_tokenizer(tokenizer_kind, Vocab.from_file(vocab))
-    index = load_verbalizer(verbalizer, tokenizer).dense
-    records = [(guid, index.aggregate(index.word_scores(rows), aggregation))
+    v = load_verbalizer(verbalizer, tokenizer)
+    records = [(guid, v.aggregate(v.word_scores(rows), aggregation))
                for guid, rows in read_logits_records(path, len(tokenizer.vocab))]
-    totals = np.array([scores for _, scores in records]).reshape(len(records), len(index.classes))
-    return _predict([{"guid": guid} for guid, _ in records], totals, index.classes)
+    totals = np.array([scores for _, scores in records]).reshape(len(records), len(v.classes))
+    return _predict([{"guid": guid} for guid, _ in records], totals, v.classes)
 
 
 def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
@@ -345,7 +339,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     dataset = load_jsonl(cfg.dataset)
     # scorers project their rows when they load them: the run keeps
     # label-word scores, never a vocabulary-wide row
-    project = verbalizer.dense.word_scores
+    project = verbalizer.word_scores
     scorer: Scorer
     if cfg.logits_file is not None:
         guids = [example.guid for example in dataset]
@@ -364,10 +358,9 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         if not cfg.calibrate:
             priors.append(None)
             continue
-        mask_count = template.measure(template.resolve(_content_free_example(template.ast)))
         # the projected content-free rows are exactly the priors that
         # ``calibrate`` measures from the rows themselves
-        prior = scorer.rows(CONTENT_FREE_GUID, mask_count)
+        prior = scorer.rows(CONTENT_FREE_GUID, template.ast.mask_count)
         if not np.isfinite(prior).all():
             raise NonFiniteValue(
                 f"guid {CONTENT_FREE_GUID!r} has label-word scores beyond the float64 range"

@@ -73,15 +73,45 @@ class TokenizerKind(Choice):
     WORDPIECE = "wordpiece"
 
 
+def _derived():
+    """A dataclass field that ``__post_init__`` derives from the others."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Vocab:
+    """A token list; a token's id is its index. The id map and the five
+    special ids are derived from ``tokens``, a tuple of distinct strings
+    that holds every special token; anything else raises
+    :class:`~promptpipe.errors.VocabError`."""
+
     tokens: tuple[str, ...]
-    ids: dict[str, int] = field(compare=False, repr=False)
-    pad_id: int
-    unk_id: int
-    mask_id: int
-    cls_id: int
-    sep_id: int
+    ids: dict[str, int] = _derived()
+    pad_id: int = _derived()
+    unk_id: int = _derived()
+    mask_id: int = _derived()
+    cls_id: int = _derived()
+    sep_id: int = _derived()
+
+    def __post_init__(self):
+        check_instance("tokens", self.tokens, tuple, VocabError)
+        if not all(issubclass(kind, str) for kind in set(map(type, self.tokens))):
+            index, token = next((i, t) for i, t in enumerate(self.tokens) if not isinstance(t, str))
+            raise VocabError(f"token {index} must be a string, got {token!r}")
+        ids = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(ids) < len(self.tokens):
+            first: dict[str, int] = {}
+            for index, token in enumerate(self.tokens):
+                if first.setdefault(token, index) != index:
+                    raise DuplicateToken(
+                        f"token {token!r} appears twice (ids {first[token]} and {index})"
+                    )
+        for name in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, CLS_TOKEN, SEP_TOKEN):
+            if name not in ids:
+                raise MissingSpecialToken(f"vocabulary lacks special token {name}")
+        vars(self).update(  # the instance is frozen: set the derived fields directly
+            ids=ids, pad_id=ids[PAD_TOKEN], unk_id=ids[UNK_TOKEN], mask_id=ids[MASK_TOKEN],
+            cls_id=ids[CLS_TOKEN], sep_id=ids[SEP_TOKEN])
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -89,29 +119,7 @@ class Vocab:
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocab":
         check_instance("tokens", tokens, Iterable, VocabError)
-        token_list = tuple(tokens)
-        ids = dict(zip(token_list, range(len(token_list))))
-        if len(ids) < len(token_list):
-            first: dict[str, int] = {}
-            for index, token in enumerate(token_list):
-                if first.setdefault(token, index) != index:
-                    raise DuplicateToken(
-                        f"token {token!r} appears twice (ids {first[token]} and {index})"
-                    )
-        specials = {}
-        for name in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, CLS_TOKEN, SEP_TOKEN):
-            if name not in ids:
-                raise MissingSpecialToken(f"vocabulary lacks special token {name}")
-            specials[name] = ids[name]
-        return cls(
-            tokens=token_list,
-            ids=ids,
-            pad_id=specials[PAD_TOKEN],
-            unk_id=specials[UNK_TOKEN],
-            mask_id=specials[MASK_TOKEN],
-            cls_id=specials[CLS_TOKEN],
-            sep_id=specials[SEP_TOKEN],
-        )
+        return cls(tuple(tokens))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vocab":
@@ -197,11 +205,7 @@ class WordPieceTokenizer:
         return pieces
 
     def tokenize(self, text: str) -> list[str]:
-        out: list[str] = []
-        for word in _text(text).split():
-            pieces = self._word_pieces(word)
-            out.extend(pieces if pieces is not None else [UNK_TOKEN])
-        return out
+        return [self.vocab.tokens[i] for i in self.encode(text)]
 
     def encode(self, text: str, limit: int | None = None) -> list[int]:
         """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``.
@@ -373,6 +377,16 @@ def _fit(
     )
 
 
+def _check_encoding(tokenizer, max_len) -> None:
+    """Raise :class:`~promptpipe.errors.ConfigError` unless ``tokenizer`` has the
+    two parts an encoding uses, whatever its type, and ``max_len`` is an int."""
+    if not (isinstance(getattr(tokenizer, "vocab", None), Vocab)
+            and callable(getattr(tokenizer, "encode", None))):
+        raise ConfigError(f"tokenizer must have a Vocab vocab and an encode method, "
+                          f"got {tokenizer!r}")
+    check_integer("max_len", max_len)
+
+
 def encode_wrapped(
     seq: WrappedSequence,
     tokenizer,
@@ -389,6 +403,7 @@ def encode_wrapped(
     ``max_len``.
     """
     check_instance("seq", seq, WrappedSequence, DataError)
+    _check_encoding(tokenizer, max_len)
     runs = [_run(seg, tokenizer) for seg in seq.segments]
     fixed = sum(len(run[0]) for run in runs if not run[2])
     _check_fits(fixed, 2 if add_special_tokens else 0, max_len)
@@ -418,12 +433,7 @@ class CompiledTemplate(TemplateLayout):
         add_special_tokens: bool = True,
     ):
         check_instance("ast", ast, TemplateAST, InvalidValueType)
-        # any tokenizer will do that has the two parts an encoding uses
-        if not (isinstance(getattr(tokenizer, "vocab", None), Vocab)
-                and callable(getattr(tokenizer, "encode", None))):
-            raise ConfigError(f"tokenizer must have a Vocab vocab and an encode method, "
-                              f"got {tokenizer!r}")
-        check_integer("max_len", max_len)
+        _check_encoding(tokenizer, max_len)
         super().__init__(ast, build_soft_plan(ast, tokenizer).node_slots)
         self.tokenizer = tokenizer
         self.max_len = max_len

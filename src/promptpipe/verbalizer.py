@@ -8,23 +8,22 @@ and sums class scores across mask positions. Calibration subtracts each
 label word's prior log-probability, measured at the same mask position
 of a content-free input, before aggregation.
 
-All projection goes through one kernel over a verbalizer's
-:class:`DenseIndex`; :func:`project` and :func:`calibrate` are its only
-callers, and one verbalizer scores every mask position. The kernel has
-two steps: :meth:`DenseIndex.word_scores`, the only one that reads whole
-vocabulary-wide rows, and :meth:`DenseIndex.aggregate`, which needs only
-the ``(M, C, W)`` label-word scores of one example (or ``(N, M, C, W)`` of
-many), so a caller can keep those and drop the rows. Priors have that
-same form: :func:`calibrate` returns the content-free rows' word scores,
-and :meth:`DenseIndex.check_prior` is the one check a prior passes before
-:meth:`DenseIndex.aggregate` subtracts it.
+All projection goes through one kernel over a :class:`Verbalizer`'s
+padded label-word arrays; :func:`project` and :func:`calibrate` are its
+only callers, and one verbalizer scores every mask position. The kernel
+has two steps: :meth:`Verbalizer.word_scores`, the only one that reads
+whole vocabulary-wide rows, and :meth:`Verbalizer.aggregate`, which needs
+only the ``(M, C, W)`` label-word scores of one example (or
+``(N, M, C, W)`` of many), so a caller can keep those and drop the rows.
+Priors have that same form: :func:`calibrate` returns the content-free
+rows' word scores, and :meth:`Verbalizer.check_prior` is the one check a
+prior passes before :meth:`Verbalizer.aggregate` subtracts it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -41,13 +40,12 @@ from .errors import (
     check_instance,
 )
 from .textfile import read_json_object
-from .tokenization import UNK_TOKEN, WhitespaceTokenizer, WordPieceTokenizer
+from .tokenization import UNK_TOKEN, WhitespaceTokenizer, WordPieceTokenizer, _derived
 
 __all__ = [
     "Aggregation",
     "Verbalizer",
     "ClassScores",
-    "DenseIndex",
     "build_verbalizer",
     "load_verbalizer",
     "project",
@@ -95,154 +93,84 @@ def float_array(values, array: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Verbalizer:
-    classes: tuple[str, ...]
-    label_words: dict[str, tuple[str, ...]]
-    label_word_ids: dict[str, tuple[tuple[int, ...], ...]]
-
-    @cached_property
-    def dense(self) -> "DenseIndex":
-        """The padded label-word index, derived once on first use."""
-        return DenseIndex.build(self)
-
-
-@dataclass(frozen=True)
-class ClassScores:
-    """Per-class scores aligned with the verbalizer's class order: one finite
-    number (:func:`float_array`'s) per class, and at least one class, named
-    by a string."""
-
-    classes: tuple[str, ...]
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        check_instance("classes", self.classes, Sequence, DimensionMismatch)
-        check_instance("scores", self.scores, Sequence, DimensionMismatch)
-        if isinstance(self.classes, str) or not all(isinstance(c, str) for c in self.classes):
-            raise DimensionMismatch(f"classes must be a sequence of strings, got {self.classes!r}")
-        if not self.classes or len(self.classes) != len(self.scores):
-            raise DimensionMismatch(
-                f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
-            )
-        try:
-            finite = np.isfinite(float_array(np.fromiter(self.scores, object, len(self.scores))))
-        except TypeError as exc:
-            raise DimensionMismatch(
-                f"a class score must be a real number, got {exc.value!r}") from None
-        except OverflowError as exc:  # an int beyond float64: the first is not finite
-            finite = [score is not exc.value for score in self.scores]
-        if not all(finite):
-            raise NonFiniteValue(f"class score {self.scores[np.argmin(finite)]!r} is not finite: "
-                                 "a NaN, an infinity or a sum beyond the float64 range")
-
-    @property
-    def predicted_class(self) -> int:
-        """Index of the best class; ties break toward the lowest index."""
-        return int(np.argmax(self.scores))
-
-    @property
-    def predicted_label(self) -> str:
-        return self.classes[self.predicted_class]
-
-
-def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Verbalizer:
-    """Construct a verbalizer from a class -> word-list mapping.
-
-    Each class is named by a string and maps to a list (or tuple) of words;
-    any other name, and a string or any other value for the words, raises
-    :class:`~promptpipe.errors.VerbalizerError`, and a tokenizer of another
-    type :class:`~promptpipe.errors.ConfigError`.
-    """
-    check_instance("label_words", label_words, Mapping, VerbalizerError)
-    check_instance("tokenizer", tokenizer, (WhitespaceTokenizer, WordPieceTokenizer))
-    if not label_words:
-        raise EmptyClass("verbalizer defines no classes")
-    classes = tuple(label_words.keys())
-    words: dict[str, tuple[str, ...]] = {}
-    word_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for name in classes:
-        if not isinstance(name, str):
-            raise VerbalizerError(f"class name must be a string, got {name!r}")
-        if not isinstance(label_words[name], (list, tuple)):
-            raise VerbalizerError(f"class {name!r} must map to a list of words")
-        entries = tuple(label_words[name])
-        if not entries:
-            raise EmptyClass(f"class {name!r} has no label words")
-        encoded = []
-        for word in entries:
-            if not isinstance(word, str):
-                raise VerbalizerError(f"class {name!r} has a non-string label word")
-            ids = tuple(tokenizer.encode(word))
-            if not ids:
-                raise VerbalizerError(f"label word {word!r} tokenizes to nothing")
-            if tokenizer.vocab.unk_id in ids:
-                raise VerbalizerError(
-                    f"class {name!r}: label word {word!r} tokenizes to {UNK_TOKEN}"
-                )
-            encoded.append(ids)
-        words[name] = entries
-        word_ids[name] = tuple(encoded)
-    return Verbalizer(classes=classes, label_words=words, label_word_ids=word_ids)
-
-
-def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
-    """Load a JSON verbalizer file: a map from class name to word list."""
-    try:
-        mapping = read_json_object(
-            path, "verbalizer file", UnreadableFile,
-            lambda key: DuplicateClass(f"verbalizer file {path}: class {key!r} defined twice"))
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read verbalizer file {path}: {exc}") from None
-    return build_verbalizer(mapping, tokenizer)
-
-
-# compared by identity: the generated __eq__ would compare arrays
-@dataclass(frozen=True, eq=False)
-class DenseIndex:
-    """A verbalizer's label words as one padded ``(C, W, P)`` id array.
+    """Classes, each class's label words, and each word's piece ids, with the
+    words as one padded ``(C, W, P)`` piece-id array derived once.
 
     ``C`` is the class count, ``W`` the most label words of any class and
     ``P`` the most pieces of any word. Padding pieces and padding words
     are masked out. This is the ``label_words_ids`` / ``words_ids_mask``
-    layout of OpenPrompt's ManualVerbalizer.
+    layout of OpenPrompt's ManualVerbalizer. Construction checks the three
+    fields against each other and raises
+    :class:`~promptpipe.errors.VerbalizerError` for a verbalizer that
+    could not score: ``classes`` must be a non-empty tuple of distinct
+    strings, and both mappings must hold exactly those keys, each class's
+    words a non-empty tuple of strings and its ids a tuple, one per word,
+    of one or more ints >= 0. Two verbalizers are equal if these fields
+    are.
 
     Sums over a padded axis add trailing zeros, which leave a numpy sum
     unchanged while the axis has fewer than 8 entries; from 8 up numpy
     sums pairwise, so a class with 8 or more label words (or a word with
     8 or more pieces) may round differently in the last bit from a sum
-    over its own entries. Every caller shares this index, so the runner
+    over its own entries. Every caller shares these arrays, so the runner
     and :func:`project` still agree exactly.
     """
 
     classes: tuple[str, ...]
-    ids: np.ndarray  # (C, W, P) label-word piece ids; 0 at padding
-    padding: np.ndarray | None  # flat indices into ``ids`` of padding; None if unpadded
-    piece_counts: np.ndarray  # (C, W) pieces per word; 1 for padding words
-    word_mask: np.ndarray  # (C, W) bool, True for a real word
-    word_counts: np.ndarray  # (C,) words per class
-    max_id: int
+    label_words: dict[str, tuple[str, ...]]
+    label_word_ids: dict[str, tuple[tuple[int, ...], ...]]
+    piece_ids: np.ndarray = _derived()  # (C, W, P) label-word piece ids; 0 at padding
+    padding: np.ndarray | None = _derived()  # flat indices into piece_ids; None if unpadded
+    piece_counts: np.ndarray = _derived()  # (C, W) pieces per word; 1 for padding words
+    word_mask: np.ndarray = _derived()  # (C, W) bool, True for a real word
+    word_counts: np.ndarray = _derived()  # (C,) words per class
+    max_id: int = _derived()
 
-    @classmethod
-    def build(cls, v: Verbalizer) -> "DenseIndex":
-        words = [v.label_word_ids[name] for name in v.classes]
-        n_words = max(len(ws) for ws in words)
-        n_pieces = max(len(ids) for ws in words for ids in ws)
-        shape = (len(words), n_words, n_pieces)
-        ids = np.zeros(shape, dtype=np.intp)
+    def __post_init__(self):
+        check_instance("classes", self.classes, tuple, VerbalizerError)
+        if not self.classes:
+            raise EmptyClass("verbalizer defines no classes")
+        for name in self.classes:
+            if not isinstance(name, str):
+                raise VerbalizerError(f"class name must be a string, got {name!r}")
+        names = set(self.classes)
+        if len(names) < len(self.classes) or not all(
+                isinstance(m, Mapping) and m.keys() == names
+                for m in (self.label_words, self.label_word_ids)):
+            raise VerbalizerError(f"label_words and label_word_ids must each map every class "
+                                  f"of {self.classes!r} once")
+        for name in self.classes:
+            entries, ids = self.label_words[name], self.label_word_ids[name]
+            if not (isinstance(entries, tuple) and all(isinstance(w, str) for w in entries)
+                    and isinstance(ids, tuple) and len(ids) == len(entries)):
+                raise VerbalizerError(
+                    f"class {name!r} must map to a tuple of words and a tuple of their ids")
+            if not entries:
+                raise EmptyClass(f"class {name!r} has no label words")
+            for word, pieces in zip(entries, ids):
+                if not isinstance(pieces, tuple) or not all(
+                        type(i) is int and i >= 0 for i in pieces):
+                    raise VerbalizerError(
+                        f"label word {word!r} must have a tuple of ids >= 0, got {pieces!r}")
+                if not pieces:
+                    raise VerbalizerError(f"label word {word!r} tokenizes to nothing")
+        words = [self.label_word_ids[name] for name in self.classes]
+        shape = (len(words), max(map(len, words)), max(len(ids) for ws in words for ids in ws))
+        piece_ids = np.zeros(shape, dtype=np.intp)
         piece_mask = np.zeros(shape, dtype=bool)
         piece_counts = np.ones(shape[:2], dtype=np.float64)
         for c, ws in enumerate(words):
             for w, word in enumerate(ws):
-                ids[c, w, : len(word)] = word
+                piece_ids[c, w, : len(word)] = word
                 piece_mask[c, w, : len(word)] = True
                 piece_counts[c, w] = len(word)
-        return cls(
-            classes=v.classes,
-            ids=ids,
+        vars(self).update(  # the instance is frozen: set the derived fields directly
+            piece_ids=piece_ids,
             padding=None if piece_mask.all() else np.flatnonzero(~piece_mask),
             piece_counts=piece_counts,
             word_mask=piece_mask[:, :, 0].copy(),
             word_counts=np.array([len(ws) for ws in words], dtype=np.float64),
-            max_id=int(ids.max()),
+            max_id=int(piece_ids.max()),
         )
 
     def check_rows(self, logits) -> np.ndarray:
@@ -306,12 +234,12 @@ class DenseIndex:
             shifted = np.subtract(rows, peak[:, None], order="C")
         # gather on the flat (R, C*W*P) layout, cheaper than 4-d, before
         # ``shifted`` is exponentiated in place
-        pieces = shifted[:, self.ids.reshape(-1)]
+        pieces = shifted[:, self.piece_ids.reshape(-1)]
         log_z = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1))
         pieces -= log_z[:, None]
         if self.padding is not None:
             pieces[:, self.padding] = 0.0
-        n_classes, n_words, n_pieces = self.ids.shape
+        n_classes, n_words, n_pieces = self.piece_ids.shape
         if n_pieces == 1:  # one piece per word: its mean is itself
             return pieces.reshape(len(rows), n_classes, n_words)
         pieces = pieces.reshape(len(rows), n_classes, n_words, n_pieces)
@@ -329,12 +257,14 @@ class DenseIndex:
         An ``(M, C, W)`` :meth:`check_prior` ``prior`` is subtracted before each
         class's words are aggregated; the M positions are then summed left to
         right. A sum that overflows gives an infinity, without a warning.
-        Scores of another shape or with no mask position, or a prior whose
-        shape is not the scores' last three axes, raise
+        Scores of another shape or with no mask position, or a prior that is
+        not an array of the scores' last three axes, raise
         :class:`~promptpipe.errors.DimensionMismatch`, and an unknown
         aggregation :class:`~promptpipe.errors.ConfigError`.
         """
         check_instance("words", words, np.ndarray, DimensionMismatch)
+        if prior is not None:
+            check_instance("prior", prior, np.ndarray, DimensionMismatch)
         aggregation = Aggregation.parse(aggregation)
         shape = words.shape[-3:]
         if len(shape) < 3 or shape[0] == 0 or shape[1:] != self.word_mask.shape:
@@ -359,6 +289,85 @@ class DenseIndex:
         return totals
 
 
+@dataclass(frozen=True)
+class ClassScores:
+    """Per-class scores aligned with the verbalizer's class order: one finite
+    number (:func:`float_array`'s) per class, and at least one class, named
+    by a string."""
+
+    classes: tuple[str, ...]
+    scores: tuple[float, ...]
+
+    def __post_init__(self):
+        check_instance("classes", self.classes, Sequence, DimensionMismatch)
+        check_instance("scores", self.scores, Sequence, DimensionMismatch)
+        if isinstance(self.classes, str) or not all(isinstance(c, str) for c in self.classes):
+            raise DimensionMismatch(f"classes must be a sequence of strings, got {self.classes!r}")
+        if not self.classes or len(self.classes) != len(self.scores):
+            raise DimensionMismatch(
+                f"{len(self.scores)} scores for {len(self.classes)} classes; need one per class"
+            )
+        try:
+            finite = np.isfinite(float_array(np.fromiter(self.scores, object, len(self.scores))))
+        except TypeError as exc:
+            raise DimensionMismatch(
+                f"a class score must be a real number, got {exc.value!r}") from None
+        except OverflowError as exc:  # an int beyond float64: the first is not finite
+            finite = [score is not exc.value for score in self.scores]
+        if not all(finite):
+            raise NonFiniteValue(f"class score {self.scores[np.argmin(finite)]!r} is not finite: "
+                                 "a NaN, an infinity or a sum beyond the float64 range")
+
+    @property
+    def predicted_class(self) -> int:
+        """Index of the best class; ties break toward the lowest index."""
+        return int(np.argmax(self.scores))
+
+    @property
+    def predicted_label(self) -> str:
+        return self.classes[self.predicted_class]
+
+
+def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Verbalizer:
+    """Construct a verbalizer from a class -> word-list mapping.
+
+    Each class is named by a string and maps to a list (or tuple) of words;
+    any other name, and a string or any other value for the words, raises
+    :class:`~promptpipe.errors.VerbalizerError`, and a tokenizer of another
+    type :class:`~promptpipe.errors.ConfigError`. :class:`Verbalizer` checks
+    the words' ids.
+    """
+    check_instance("label_words", label_words, Mapping, VerbalizerError)
+    check_instance("tokenizer", tokenizer, (WhitespaceTokenizer, WordPieceTokenizer))
+    words: dict[str, tuple[str, ...]] = {}
+    word_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
+    for name, entries in label_words.items():
+        if not isinstance(entries, (list, tuple)):
+            raise VerbalizerError(f"class {name!r} must map to a list of words")
+        encoded = []
+        for word in entries:
+            if not isinstance(word, str):
+                raise VerbalizerError(f"class {name!r} has a non-string label word")
+            encoded.append(tuple(tokenizer.encode(word)))
+            if tokenizer.vocab.unk_id in encoded[-1]:
+                raise VerbalizerError(
+                    f"class {name!r}: label word {word!r} tokenizes to {UNK_TOKEN}"
+                )
+        words[name], word_ids[name] = tuple(entries), tuple(encoded)
+    return Verbalizer(classes=tuple(label_words), label_words=words, label_word_ids=word_ids)
+
+
+def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
+    """Load a JSON verbalizer file: a map from class name to word list."""
+    try:
+        mapping = read_json_object(
+            path, "verbalizer file", UnreadableFile,
+            lambda key: DuplicateClass(f"verbalizer file {path}: class {key!r} defined twice"))
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read verbalizer file {path}: {exc}") from None
+    return build_verbalizer(mapping, tokenizer)
+
+
 def project(
     logits,
     v: Verbalizer,
@@ -374,10 +383,9 @@ def project(
     toward index 0.
     """
     check_instance("verbalizer", v, Verbalizer, VerbalizerError)
-    index = v.dense
-    rows = index.check_rows(logits)
-    prior = None if calibration is None else index.check_prior(calibration, len(rows))
-    totals = index.aggregate(index.word_scores(rows), aggregation, prior)
+    rows = v.check_rows(logits)
+    prior = None if calibration is None else v.check_prior(calibration, len(rows))
+    totals = v.aggregate(v.word_scores(rows), aggregation, prior)
     return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
 
 
@@ -390,7 +398,7 @@ def calibrate(
 
     ``scores_fn`` maps the content-free tokenized input to logits rows
     (one per mask position). The result is their ``(M, C, W)``
-    :meth:`DenseIndex.word_scores`: per mask position, per class, each
+    :meth:`Verbalizer.word_scores`: per mask position, per class, each
     label word's prior log-probability there, 0 at padding words. It can
     be passed to :func:`project` as ``calibration``; projection then
     subtracts, at each mask position, that position's priors before
@@ -398,8 +406,7 @@ def calibrate(
     """
     check_instance("scores_fn", scores_fn, Callable)
     check_instance("verbalizer", v, Verbalizer, VerbalizerError)
-    index = v.dense
-    priors = index.word_scores(index.check_rows(scores_fn(content_free_input)))
+    priors = v.word_scores(v.check_rows(scores_fn(content_free_input)))
     if not np.isfinite(priors).all():
         raise NonFiniteValue("content-free label-word scores are beyond the float64 range")
     return priors

@@ -106,6 +106,7 @@ class WrappedSequence:
 
 def apply_post_processing(fn: PostProcessing, text: str) -> str:
     """Apply one named post-processing function to a piece of text."""
+    check_instance("text", text, str, DataError)
     if fn is PostProcessing.STRIP_TRAILING_PUNCTUATION:
         return text.rstrip(string.punctuation)
     if fn is PostProcessing.LOWERCASE:
@@ -196,6 +197,8 @@ def wrap_example(
     """
     check_instance("ast", ast, TemplateAST, InvalidValueType)
     check_instance("example", example, InputExample, DataError)
+    if plan is not None:
+        check_instance("plan", plan, SoftEmbeddingPlan)
     layout = TemplateLayout(ast, plan.node_slots if plan is not None else assign_soft_slots(ast))
     segments = list(layout.segments)
     for (index, _, _), value in zip(layout._metas, layout.resolve(example)):

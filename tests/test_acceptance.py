@@ -439,7 +439,7 @@ def test_dense_kernel_matches_naive_projection(aggregation, calibrated, case):
         calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
         priors = [_naive_word_scores(row, verb) for row in prior_rows]
         # one (M, C, W) array: the real words' priors, then 0.0 at padding words
-        assert calibration.shape == (len(priors), *verb.dense.word_mask.shape)
+        assert calibration.shape == (len(priors), *verb.word_mask.shape)
         for got_position, want_position in zip(calibration, priors):
             assert len(got_position) == len(want_position)
             for got, want in zip(got_position, want_position):

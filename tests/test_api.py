@@ -9,6 +9,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import promptpipe
@@ -49,7 +50,7 @@ def test_star_import_binds_every_exported_name():
 
 
 REMOVED_NAMES = ["SegmentOrigin", "TokenEntry", "truncate", "project_per_position",
-                 "save_jsonl", "log_softmax"]
+                 "save_jsonl", "log_softmax", "DenseIndex"]
 
 
 @pytest.mark.parametrize("name", REMOVED_NAMES)
@@ -62,8 +63,10 @@ def test_removed_names_are_not_importable(name):
 
 def test_removed_members_are_gone():
     assert not hasattr(promptpipe.Dataset, "without_guids")
-    assert not hasattr(promptpipe.verbalizer.DenseIndex, "prior")
-    assert not hasattr(promptpipe.verbalizer.DenseIndex, "class_scores")
+    for member in ("dense", "prior", "class_scores"):
+        assert not hasattr(promptpipe.Verbalizer, member), member
+    # a Vocab's id map and special ids are derived from its tokens, never given
+    assert [f.name for f in dataclasses.fields(promptpipe.Vocab) if f.init] == ["tokens"]
     assert not hasattr(promptpipe.runner, "BLOCK_BYTES")
     assert not hasattr(promptpipe.ClassScores, "normalized")
     assert not {"Setting", "CONFIG_SCHEMA"} & {*promptpipe.runner.__all__}
@@ -91,6 +94,10 @@ def _ast():
 
 def _example():
     return promptpipe.InputExample(guid="a", meta={"text": "a"})
+
+
+def _wrapped():
+    return promptpipe.wrap_example(_ast(), _example())
 
 
 # a public call with an ill-typed argument: the stage error it raises, and its
@@ -201,8 +208,40 @@ BAD_ARGUMENTS = {
     "encode_wrapped": (
         lambda: promptpipe.encode_wrapped(5, promptpipe.WhitespaceTokenizer(_vocab()), 8),
         DataError, "seq must be a WrappedSequence, got 5"),
-    "dense_index_aggregate": (lambda: _verbalizer().dense.aggregate([[[0.0]]], "max"),
-                              DimensionMismatch, "words must be a ndarray, got [[[0.0]]]"),
+    "encode_wrapped_tokenizer": (
+        lambda: promptpipe.encode_wrapped(_wrapped(), 5, 8), ConfigError,
+        "tokenizer must have a Vocab vocab and an encode method, got 5"),
+    "encode_wrapped_max_len": (
+        lambda: promptpipe.encode_wrapped(_wrapped(), promptpipe.WhitespaceTokenizer(_vocab()),
+                                          "8"),
+        ConfigError, "'max_len' must be an integer, got '8'"),
+    "wrap_example_plan": (lambda: promptpipe.wrap_example(_ast(), _example(), 5), ConfigError,
+                          "plan must be a SoftEmbeddingPlan, got 5"),
+    "apply_post_processing_text": (
+        lambda: promptpipe.apply_post_processing(promptpipe.PostProcessing.LOWERCASE, 5),
+        DataError, "text must be a str, got 5"),
+    "verbalizer_aggregate": (lambda: _verbalizer().aggregate([[[0.0]]], "max"),
+                             DimensionMismatch, "words must be a ndarray, got [[[0.0]]]"),
+    "verbalizer_aggregate_prior": (
+        lambda: _verbalizer().aggregate(np.zeros((1, 1, 1)), "max", 5), DimensionMismatch,
+        "prior must be a ndarray, got 5"),
+    "verbalizer_empty_maps": (
+        lambda: promptpipe.Verbalizer(("a",), {}, {}), VerbalizerError,
+        "label_words and label_word_ids must each map every class of ('a',) once"),
+    "verbalizer_negative_id": (
+        lambda: promptpipe.Verbalizer(("a",), {"a": ("a",)}, {"a": ((-1,),)}), VerbalizerError,
+        "label word 'a' must have a tuple of ids >= 0, got (-1,)"),
+    "verbalizer_string_id": (
+        lambda: promptpipe.Verbalizer(("a",), {"a": ("a",)}, {"a": (("5",),)}), VerbalizerError,
+        "label word 'a' must have a tuple of ids >= 0, got ('5',)"),
+    "verbalizer_classes_list": (
+        lambda: promptpipe.Verbalizer(["a"], {"a": ("a",)}, {"a": ((5,),)}), VerbalizerError,
+        "classes must be a tuple, got ['a']"),
+    "vocab_token": (lambda: promptpipe.Vocab.from_tokens([*_vocab().tokens, 5]), VocabError,
+                    "token 6 must be a string, got 5"),
+    "vocab_tokens_list": (lambda: promptpipe.Vocab(list(_vocab().tokens)), VocabError,
+                          "tokens must be a tuple, got ['[PAD]', '[UNK]', '[MASK]', '[CLS]', "
+                          "'[SEP]', 'a']"),
     # the vocab size is checked before the file is read, so the file need not exist
     "logits_file_scorer_vocab_size": (lambda: promptpipe.LogitsFileScorer("logits.jsonl", "8"),
                                       ConfigError, "'vocab_size' must be an integer, got '8'"),
@@ -233,12 +272,12 @@ def test_an_ill_typed_argument_raises_its_stage_error(name):
 
 # public names that take no ill-typed argument from a user: the enums, the base
 # error, and the records that only promptpipe builds (a parse, a plan, an
-# encoding, a report; a verbalizer comes from build_verbalizer or load_verbalizer)
+# encoding, a report)
 NO_BAD_ARGUMENTS = {
     "Aggregation", "NodeKind", "PostProcessing", "TokenizerKind",
     "PromptPipeError",
     "Diagnostic", "RunReport", "SlotSpec", "SoftEmbeddingPlan", "TokenizedInput",
-    "Verbalizer", "WrappedSequence",
+    "WrappedSequence",
 }
 
 

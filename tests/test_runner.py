@@ -703,18 +703,18 @@ def test_projected_toy_scorer_returns_the_word_scores_of_its_rows(fixtures_dir):
     from promptpipe.runner import ToyScorer
 
     vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
-    index = load_verbalizer(fixtures_dir / "verbalizer.json",
-                            build_tokenizer("wordpiece", vocab)).dense
+    verbalizer = load_verbalizer(fixtures_dir / "verbalizer.json",
+                                 build_tokenizer("wordpiece", vocab))
     frequencies = {"great": 3.0, "bad": 1.5, "boring": -1.0}
     rows_scorer = ToyScorer(frequencies, vocab)
-    scorer = ToyScorer(frequencies, vocab, index.word_scores)
+    scorer = ToyScorer(frequencies, vocab, verbalizer.word_scores)
     for n in (1, 3, 2):
         enc = SimpleNamespace(mask_positions=list(range(n)))  # all the scorer reads
         rows = rows_scorer("g", enc)
         assert rows.shape == (n, len(vocab))
         got = scorer("g", enc)
-        assert got.shape == (n, *index.word_mask.shape)
-        assert got.tobytes() == index.word_scores(rows).tobytes()
+        assert got.shape == (n, *verbalizer.word_mask.shape)
+        assert got.tobytes() == verbalizer.word_scores(rows).tobytes()
 
 
 @pytest.mark.parametrize("scorer", ["toy", "replay"])
@@ -722,23 +722,23 @@ def test_runner_buffers_hold_word_scores_not_vocabulary_rows(
     fixtures_dir, tmp_path, scorer, monkeypatch
 ):
     from promptpipe.runner import _setup
-    from promptpipe.verbalizer import DenseIndex
+    from promptpipe.verbalizer import Verbalizer
 
     cfg, vocab_size = _block_case(fixtures_dir, tmp_path, True, scorer)
     n = 3
     _write_inputs(cfg, n, vocab_size)
     pipeline, dataset = _setup(cfg)
     calls = []
-    aggregate = DenseIndex.aggregate
+    aggregate = Verbalizer.aggregate
 
     def spy(self, words, aggregation, prior=None):
         calls.append((words.shape, None if prior is None else prior.shape))
         return aggregate(self, words, aggregation, prior)
 
-    monkeypatch.setattr(DenseIndex, "aggregate", spy)
+    monkeypatch.setattr(Verbalizer, "aggregate", spy)
     pipeline.process(dataset.examples)
     # one call per template for the whole run, over (N, M, C, W) word scores
-    words_shape = pipeline.verbalizer.dense.word_mask.shape
+    words_shape = pipeline.verbalizer.word_mask.shape
     assert calls == [
         ((n, m, *words_shape), (m, *words_shape) if cfg.calibrate else None)
         for m in pipeline.mask_counts
@@ -809,23 +809,23 @@ def test_replay_run_memory_does_not_grow_by_a_row_per_record(fixtures_dir, tmp_p
 def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_path, n_masks):
     from promptpipe import calibrate
     from promptpipe.logits import LogitsFileScorer
-    from promptpipe.runner import CONTENT_FREE_GUID, _content_free_example, _setup
+    from promptpipe.runner import CONTENT_FREE_GUID, _setup
 
     guids = ["e0", "e1", CONTENT_FREE_GUID]
     cfg = _replay_case(fixtures_dir, tmp_path, n_masks, guids, calibrate=True)
     pipeline, _ = _setup(cfg)
     template, verbalizer = pipeline.templates[0], pipeline.verbalizer
-    index = verbalizer.dense
-    assert not index.word_mask.all(), "the case must have padding words"
+    assert not verbalizer.word_mask.all(), "the case must have padding words"
     # the reference: priors measured from the full rows, as calibrate does
-    blank = template.encode(template.resolve(_content_free_example(template.ast)))
+    content_free = InputExample(CONTENT_FREE_GUID, {key: "" for key in template.ast.meta_keys()})
+    blank = template.encode(template.resolve(content_free))
     rows_scorer = LogitsFileScorer(cfg.logits_file, _vocab_size(fixtures_dir))
     assert rows_scorer(CONTENT_FREE_GUID, blank).shape == (n_masks, _vocab_size(fixtures_dir))
     expected = calibrate(lambda t: rows_scorer(CONTENT_FREE_GUID, t), verbalizer, blank)
     got = pipeline.priors[0]
-    assert got.shape == expected.shape == (n_masks, *index.word_mask.shape)
+    assert got.shape == expected.shape == (n_masks, *verbalizer.word_mask.shape)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert (expected[:, ~index.word_mask] == 0.0).all()
+    assert (expected[:, ~verbalizer.word_mask] == 0.0).all()
 
 
 def test_replay_calibration_without_content_free_record_fails_at_setup(fixtures_dir, tmp_path):
@@ -1245,10 +1245,10 @@ def test_decimal_logits_read_back_as_float(texts, separator):
     from promptpipe.logits import _decimal_row, read_logits_records
 
     row = separator.join(texts)
-    fast = _decimal_row(row.encode(), len(texts))
+    fast = np.empty(len(texts))
     in_form = all(_FAST_FORM.fullmatch(t) and sum(map(str.isdigit, t)) <= 15 for t in texts)
-    assert (fast is not None) == in_form
-    if fast is not None:
+    assert _decimal_row(row.encode(), len(texts), fast, bytearray()) == in_form
+    if in_form:
         assert fast.tobytes() == np.array([float(t) for t in texts]).tobytes()
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "logits.jsonl"
@@ -1298,7 +1298,7 @@ def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
 
     vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
     tokenizer = build_tokenizer("wordpiece", vocab)
-    index = load_verbalizer(fixtures_dir / "verbalizer.json", tokenizer).dense
+    verbalizer = load_verbalizer(fixtures_dir / "verbalizer.json", tokenizer)
     rng = np.random.default_rng(26)
     records = {guid: np.round(rng.normal(0.0, 3.0, size=(m, len(vocab))), 4)
                for guid, m in [("a", 1), ("b", 1), ("c", 2), ("d", 1), ("e", 2)]}
@@ -1310,7 +1310,7 @@ def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
     LogitsFileScorer(path, len(vocab), lambda rows: seen.append(rows) or rows.sum(axis=1))
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
     # the identity and a slice keep views of the rows
-    for project in (index.word_scores, lambda rows: rows, lambda rows: rows[:, 2:5]):
+    for project in (verbalizer.word_scores, lambda rows: rows, lambda rows: rows[:, 2:5]):
         kept = LogitsFileScorer(path, len(vocab), project).records
         assert list(kept) == list(records)
         for guid, rows in records.items():
@@ -1382,13 +1382,13 @@ def test_decimal_row_check_accepts_exactly_the_rows_it_converts(texts, separator
         _FAST_FORM.fullmatch(t) and sum(map(str.isdigit, t)) <= 15 for t in texts))
     with mock.patch.object(logits, "_CHUNK", chunk):
         for width in {len(texts) - 1, len(texts), len(texts) + 1} - {0}:
-            converted = logits._decimal_row(row, width)
-            checked = logits._decimal_row(row, width, convert=False)
-            assert (converted is not None) == (in_form and width == len(texts))
-            assert (checked is not None) == (converted is not None)
-            if converted is not None:
-                assert converted.tobytes() == np.array([float(t) for t in texts]).tobytes()
-                assert checked.size == 0
+            values = np.empty(width)
+            converted = logits._decimal_row(row, width, values, bytearray())
+            checked = logits._decimal_row(row, width, None, bytearray())
+            assert converted == (in_form and width == len(texts))
+            assert checked == converted
+            if converted:
+                assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

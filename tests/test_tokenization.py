@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 from typing import NamedTuple
@@ -158,7 +157,9 @@ class _CountingIds(dict):
 def test_wordpiece_long_word_has_bounded_lookups():
     vocab = Vocab.from_tokens(SPECIALS + ["a", "ab", "abc", "##a", "##ab", "##abc"])
     ids = _CountingIds(vocab.ids)
-    tok = build_tokenizer("wordpiece", dataclasses.replace(vocab, ids=ids))
+    # ids is derived from the tokens; put the counting copy in its place
+    object.__setattr__(vocab, "ids", ids)
+    tok = build_tokenizer("wordpiece", vocab)
     word = "abc" * 1333 + "a"  # 4000 characters
     # no token is longer than "##abc", so the unbounded greedy rule can only
     # ever match "abc" pieces, then the final "a"

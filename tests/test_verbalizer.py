@@ -31,7 +31,6 @@ from promptpipe.errors import (
     UnreadableFile,
     VerbalizerError,
 )
-from promptpipe.verbalizer import DenseIndex
 
 SPECIALS = ["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]"]
 WORDS = ["bad", "good", "wonderful", "great"]
@@ -205,7 +204,7 @@ def test_unknown_aggregation_is_a_config_error(toy, name):
         project([row], verb, aggregation=name)
     with pytest.raises(ConfigError, match=f"^unknown aggregation {name!r}; expected one of "
                                           "mean_log_prob, max, first$"):
-        verb.dense.aggregate(np.zeros((1, *verb.dense.word_mask.shape)), name)
+        verb.aggregate(np.zeros((1, *verb.word_mask.shape)), name)
     assert Aggregation.parse("MAX") is Aggregation.MAX
 
 
@@ -213,12 +212,11 @@ def test_aggregate_takes_an_aggregation_name(toy):
     # a name, not a member, used to fall through to the first word's score
     vocab, tok, verb = toy
     row = _row(vocab, {"good": 1.0, "great": 2.0})
-    index = verb.dense
-    words = index.word_scores(np.array([row]))
-    want = index.aggregate(words, Aggregation.MAX)
-    assert want.tolist() != index.aggregate(words, Aggregation.FIRST).tolist()
+    words = verb.word_scores(np.array([row]))
+    want = verb.aggregate(words, Aggregation.MAX)
+    assert want.tolist() != verb.aggregate(words, Aggregation.FIRST).tolist()
     for name in ("max", "MAX", " Max "):
-        assert index.aggregate(words, name).tolist() == want.tolist()
+        assert verb.aggregate(words, name).tolist() == want.tolist()
 
 
 def test_projection_multi_subword_words_average(fixtures_dir, wordpiece, vocab):
@@ -286,11 +284,21 @@ def test_class_scores_take_any_finite_real_number():
     assert scores.predicted_label == "b"
 
 
-def test_dense_index_compares_by_identity(toy):
-    _, _, verb = toy
-    assert verb.dense == verb.dense
-    assert (verb.dense == DenseIndex.build(verb)) is False
-    assert hash(verb.dense) == hash(verb.dense)
+def test_verbalizers_compare_by_their_words_and_ids(toy):
+    # the derived arrays take no part: the generated __eq__ would compare them
+    # element-wise, and they follow from the three fields anyway
+    _, tok, verb = toy
+    same = build_verbalizer({"negative": ["bad"], "positive": ["good", "wonderful", "great"]}, tok)
+    assert same is not verb and same.piece_ids is not verb.piece_ids
+    assert (same == verb) is True
+    rebuilt = Verbalizer(verb.classes, dict(verb.label_words), dict(verb.label_word_ids))
+    assert (rebuilt == verb) is True
+    assert rebuilt.piece_ids.tobytes() == verb.piece_ids.tobytes()
+    reordered = build_verbalizer({"negative": ["bad"], "positive": ["great", "good", "wonderful"]},
+                                 tok)
+    assert (reordered == verb) is False
+    assert (build_verbalizer({"negative": ["bad"], "positive": ["good"]}, tok) == verb) is False
+    assert "piece_ids" not in repr(verb)
 
 
 def test_permuting_label_words_does_not_change_mean_or_max(toy):
@@ -372,9 +380,8 @@ def test_calibrate_returns_the_padded_word_scores_of_the_rows(toy):
     rng = random.Random(8)
     rows = [[rng.uniform(-4, 4) for _ in range(len(vocab))] for _ in range(2)]
     calibration = calibrate(lambda _: rows, verb, content_free_input=None)
-    index = verb.dense
-    assert calibration.shape == (2, *index.word_mask.shape)
-    assert calibration.tobytes() == index.word_scores(np.asarray(rows)).tobytes()
+    assert calibration.shape == (2, *verb.word_mask.shape)
+    assert calibration.tobytes() == verb.word_scores(np.asarray(rows)).tobytes()
     # "negative" has one label word of three: its padding words are 0
     assert (calibration[:, 0, 1:] == 0.0).all()
 
@@ -385,11 +392,11 @@ def test_calibration_padding_entries_are_ignored(toy):
     calibration = calibrate(lambda _: [row], verb, content_free_input=None)
     for junk in (5.0, math.nan, math.inf):
         dirty = calibration.copy()
-        dirty[:, ~verb.dense.word_mask] = junk
+        dirty[:, ~verb.word_mask] = junk
         for aggregation in ("mean_log_prob", "max", "first"):
             want = project([row], verb, aggregation=aggregation, calibration=calibration)
             assert project([row], verb, aggregation=aggregation, calibration=dirty) == want
-        assert verb.dense.check_prior(dirty, 1).tobytes() == calibration.tobytes()
+        assert verb.check_prior(dirty, 1).tobytes() == calibration.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -401,7 +408,7 @@ def test_non_finite_prior_rejected(toy, bad):
     with pytest.raises(NonFiniteValue):
         project([row], verb, calibration=calibration)
     with pytest.raises(NonFiniteValue):
-        verb.dense.check_prior(calibration, 1)
+        verb.check_prior(calibration, 1)
 
 
 @pytest.mark.parametrize(
@@ -562,18 +569,18 @@ def test_aggregate_reduces_each_example_on_its_own(
     # classes with fewer words are padded; from 8 words a class sum is pairwise
     classes = tuple(f"c{k}" for k in range(len(words_per_class)))
     ids = {c: tuple((w,) for w in range(k)) for c, k in zip(classes, words_per_class)}
-    index = Verbalizer(classes, {c: ("w",) * len(ids[c]) for c in classes}, ids).dense
-    shape = (n_masks, *index.word_mask.shape)
+    verb = Verbalizer(classes, {c: ("w",) * len(ids[c]) for c in classes}, ids)
+    shape = (n_masks, *verb.word_mask.shape)
     rng = np.random.default_rng(seed)
     # padding words score 0, as word_scores gives them
-    words = np.where(index.word_mask, rng.uniform(-30, 0, (n, *shape)), 0.0)
+    words = np.where(verb.word_mask, rng.uniform(-30, 0, (n, *shape)), 0.0)
     prior = None
     if calibrated:
-        prior = index.check_prior(rng.uniform(-30, 0, shape), n_masks)
-    together = index.aggregate(words, aggregation, prior)
+        prior = verb.check_prior(rng.uniform(-30, 0, shape), n_masks)
+    together = verb.aggregate(words, aggregation, prior)
     assert together.shape == (n, len(classes))
     for i in range(n):
-        alone = index.aggregate(words[i], aggregation, prior)
+        alone = verb.aggregate(words[i], aggregation, prior)
         assert together[i].tobytes() == alone.tobytes()
 
 
@@ -582,10 +589,10 @@ def test_aggregate_reduces_each_example_on_its_own(
 def test_aggregate_rejects_no_mask_position_or_another_shape(aggregation, shape):
     # a template without a mask gives (N, 0, C, W) word scores: no class score to sum
     ids = {"a": ((0,), (1,)), "b": ((2,),)}
-    index = Verbalizer(("a", "b"), {"a": ("x", "y"), "b": ("z",)}, ids).dense
-    assert index.word_mask.shape == (2, 2)
+    verb = Verbalizer(("a", "b"), {"a": ("x", "y"), "b": ("z",)}, ids)
+    assert verb.word_mask.shape == (2, 2)
     with pytest.raises(DimensionMismatch, match=r"word scores have shape .*M >= 1"):
-        index.aggregate(np.zeros(shape), aggregation)
+        verb.aggregate(np.zeros(shape), aggregation)
 
 
 @pytest.mark.parametrize("aggregation", list(Aggregation))
@@ -593,10 +600,10 @@ def test_aggregate_rejects_no_mask_position_or_another_shape(aggregation, shape)
 def test_aggregate_rejects_a_prior_of_another_shape(aggregation, prior_shape):
     # a prior for another mask count used to broadcast over the word scores
     ids = {"a": ((0,), (1,)), "b": ((2,),)}
-    index = Verbalizer(("a", "b"), {"a": ("x", "y"), "b": ("z",)}, ids).dense
+    verb = Verbalizer(("a", "b"), {"a": ("x", "y"), "b": ("z",)}, ids)
     with pytest.raises(DimensionMismatch, match=r"prior has shape .*expected \(1, 2, 2\)"):
-        index.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros(prior_shape))
-    assert index.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros((1, 2, 2))).shape == (4, 2)
+        verb.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros(prior_shape))
+    assert verb.aggregate(np.zeros((4, 1, 2, 2)), aggregation, np.zeros((1, 2, 2))).shape == (4, 2)
 
 
 # --- a word set per mask position ---------------------------------------------
@@ -651,10 +658,9 @@ def test_check_prior_takes_only_the_per_position_form(toy):
     # one position's (C, W) priors are not an (M, C, W) array with M = 1
     vocab, tok, verb = toy
     calibration = calibrate(lambda _: [[0.0] * len(vocab)], verb, content_free_input=None)
-    index = verb.dense
-    assert index.check_prior(calibration, 1).shape == (1, 2, 3)
+    assert verb.check_prior(calibration, 1).shape == (1, 2, 3)
     with pytest.raises(DimensionMismatch, match=r"^calibration has shape \(2, 3\), "
                                                 r"expected \(1, 2, 3\)$"):
-        index.check_prior(calibration[0], 1)
+        verb.check_prior(calibration[0], 1)
     with pytest.raises(DimensionMismatch):
         project([[0.0] * len(vocab)], verb, calibration=calibration[0])

@@ -1,6 +1,6 @@
 """Whole ``run`` outputs against a reference of README "Scoring semantics".
 
-The reference below shares no code with ``DenseIndex`` or the runner: it
+The reference below shares no code with ``Verbalizer`` or the runner: it
 wraps each example with the public per-example functions (``wrap_example``,
 ``wrapped_text``), applies the length rule to the wrapped segments, and
 scores each label word from one logits row at a time with plain Python
@@ -81,9 +81,7 @@ def _reference(templates, examples, label_words, rows, aggregation, calibrate, m
 
     priors = [None] * len(asts)
     if calibrate:
-        for t, (ast, plan) in enumerate(zip(asts, plans)):
-            blank = InputExample(guid=CONTENT_FREE, meta={key: "" for key in ast.meta_keys()})
-            wrapped(ast, plan, blank)  # raises at set-up
+        for t, ast in enumerate(asts):
             priors[t] = [_word_scores(row, words) for row in rows(CONTENT_FREE, ast.mask_count)]
     lines = []
     for example in examples:
@@ -234,14 +232,7 @@ def test_whole_run_equals_the_scoring_semantics_reference(tmp_path_factory, data
         scorer = {VOCAB.tokens[i]: float(np.round(rng.uniform(-5, 5), 4)) for i in tokens}
     cfg = _config(tmp_path_factory.mktemp("run"), templates, examples, label_words, scorer,
                   decimals=decimals, **options)
-    try:
-        expected = _reference(templates, examples, label_words, _rows_of(scorer, decimals),
-                              **options)
-    except TemplateTooLong:
-        # only a calibrated run measures a template before its first example
-        with pytest.raises(TemplateTooLong):
-            run_pipeline(cfg)
-        return
+    expected = _reference(templates, examples, label_words, _rows_of(scorer, decimals), **options)
     assert _outcome(cfg) == expected
 
 
@@ -304,3 +295,21 @@ def test_a_template_too_long_without_its_values_fails_no_empty_run(tmp_path):
     cfg = _config(tmp_path, [_TEXT, _LONG], [], {"negative": ["bad"], "positive": ["good"]},
                   {"great": 1.0}, max_len=8)
     assert _outcome(cfg) == b""
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_a_calibrated_run_takes_its_priors_without_measuring_a_template(tmp_path, replay):
+    """Calibration reads the content-free rows for the template's mask count, so
+    a template too long for ``max_len`` fails a calibrated run at its first
+    example's ``encode`` stage, as it does an uncalibrated one, and a run
+    without examples succeeds."""
+    label_words = {"negative": ["bad"], "positive": ["good"]}
+    scorer = _logits("e0", CONTENT_FREE) if replay else {"great": 1.0}
+    for examples, expected in [([], b""), ([_example("e0")], ("e0", "encode"))]:
+        directory = tmp_path / f"{len(examples)}"
+        directory.mkdir()
+        cfg = _config(directory, [_TEXT, _LONG], examples, label_words, scorer, max_len=8,
+                      calibrate=True)
+        assert _outcome(cfg) == expected
+        assert _reference([_TEXT, _LONG], examples, label_words, _rows_of(scorer),
+                          "mean_log_prob", True, 8, True) == expected
