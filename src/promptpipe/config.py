@@ -165,7 +165,7 @@ def _read_yaml(path: str | Path) -> dict:
 
     try:
         raw = yaml.load(read_text(path), Loader)
-    except (ValueError, yaml.YAMLError) as exc:
+    except (ValueError, RecursionError, yaml.YAMLError) as exc:
         # one line: YAML's own message spans several
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -20,6 +20,7 @@ bit-reproducible across platforms, runs, and reimplementations:
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +36,14 @@ from .errors import (
     check_instance,
     check_integer,
 )
-from .textfile import JSON_DECODER, decode_line, read_spans
+from .textfile import (
+    JSON_DECODER,
+    decode_line,
+    has_surrogate,
+    is_file_path,
+    read_line_blocks,
+    read_spans,
+)
 from .wrapping import InputExample
 
 __all__ = ["Dataset", "load_jsonl", "fewshot_sample"]
@@ -90,7 +98,9 @@ def read_guid_lines(
     reads it, so an error is the one of the first bad line in the file,
     whether its bytes are not UTF-8 or its record is bad; blank lines are
     skipped. A line that is not a JSON object with a non-empty string
-    ``guid``, or that repeats a key, raises :class:`~promptpipe.errors.MalformedLine`,
+    ``guid`` free of lone surrogates, that repeats a key or that nests
+    deeper than the decoder can recurse raises
+    :class:`~promptpipe.errors.MalformedLine`,
     and a guid seen on an earlier line raises
     :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
     error names ``path:line``.
@@ -112,7 +122,7 @@ def read_guid_lines(
                 continue
             try:
                 record = JSON_DECODER.decode(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise MalformedLine(path, line_no, "expected a JSON object")
@@ -121,6 +131,8 @@ def read_guid_lines(
             guid, record = read
         if not isinstance(guid, str) or not guid:
             raise MalformedLine(path, line_no, "missing or non-string 'guid'")
+        if has_surrogate(guid):
+            raise MalformedLine(path, line_no, f"'guid' must not hold a lone surrogate, got {guid!r}")
         if guid in first_line:
             raise DuplicateGuid(
                 f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
@@ -144,11 +156,49 @@ def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> Inpu
 
 
 def load_jsonl(path: str | Path) -> Dataset:
-    """Load a JSONL dataset, preserving line order; errors name ``path:line``."""
+    """Load a JSONL dataset, preserving line order; errors name ``path:line``.
+
+    A regular file is read first by :func:`_load_blocks`; on any fault
+    there, and for a file that could not be read twice (a pipe), the line
+    reader reads it and raises the error of the first bad line.
+    """
+    if is_file_path(path) and os.path.isfile(path):
+        try:
+            return _load_blocks(path)
+        except (ValueError, RecursionError, DataError):
+            pass  # the line reader below names the first bad line
     return Dataset.from_examples(
         _parse_example(path, line_no, guid, record)
         for line_no, guid, record in read_guid_lines(path)
     )
+
+
+def _load_blocks(path: str | Path) -> Dataset:
+    """:func:`load_jsonl`'s dataset for a file whose every non-blank line is
+    one valid record without the legacy fields; for any other file a
+    ``ValueError``, ``RecursionError`` or :class:`~promptpipe.errors.DataError`
+    whose message no caller shows.
+
+    Each line is decoded by one ``raw_decode`` call, which must end at the
+    line's end: one array decode per block would read a value cut over two
+    lines, with two values on a third, as one record per line.
+    """
+    decode = JSON_DECODER.raw_decode
+    examples = []
+    for lines in read_line_blocks(path):
+        for line in lines:
+            if line.isspace():
+                continue
+            # the record must span the line but for JSON whitespace, which
+            # here is only " ", "\t" and the "\n" that ends the line
+            record, end = decode(line, len(line) - len(line.lstrip(" \t")))
+            if line[end:].strip(" \t\n") or type(record) is not dict:
+                raise ValueError("not one JSON object")
+            if "text_a" in record or "text_b" in record:
+                raise ValueError("legacy fields")
+            examples.append(InputExample(record.get("guid"), record.get("meta", {}),
+                                         record.get("label")))
+    return Dataset(tuple(examples))
 
 
 def example_to_dict(example: InputExample) -> dict:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ from .logits import (
     read_logits_records,
 )
 from .template import TemplateAST, load_template_file
-from .textfile import JSON_ENCODER, read_json_object, write_lines
+from .textfile import read_json_object, write_lines
 from .tokenization import CompiledTemplate, TokenizedInput, Vocab, build_tokenizer
 from .verbalizer import ClassScores, Verbalizer, float_array, load_verbalizer
 from .wrapping import InputExample
@@ -297,10 +298,11 @@ def _predict(records: list[dict], scores: np.ndarray, classes: Sequence[str]) ->
 
 def _result_lines(results: Iterable[dict]) -> Iterator[str]:
     """Each of ``run``'s results as the line :func:`~promptpipe.textfile.write_jsonl`
-    writes for it, formatted directly: its strings through the same encoder,
-    and its class scores, finite floats (:func:`_predict`), as the repr of
-    their list, which is their JSON text."""
-    encode = JSON_ENCODER.encode
+    writes for it, formatted directly: its strings by the function that
+    encoder calls for a ``str`` (it does not escape non-ASCII text), and its
+    class scores, finite floats (:func:`_predict`), as the repr of their
+    list, which is their JSON text."""
+    encode = encode_basestring
     for record in results:
         yield (f'{{"guid": {encode(record["guid"])}, '
                f'"wrapped_text": {encode(record["wrapped_text"])}, '

@@ -8,17 +8,23 @@ line, and each line is decoded as it is reached (:func:`decode_line`). A
 file that is not valid UTF-8 raises
 :class:`~promptpipe.errors.InvalidEncoding` naming the file and the line
 of the first undecodable byte, and a path that is not a non-empty ``str``
-or an ``os.PathLike`` raises :class:`~promptpipe.errors.ConfigError`. Every JSON
-or YAML input rejects a repeated key, at any depth: each JSON file and
-JSONL line is decoded by :data:`JSON_DECODER`, whose hook
-:func:`unique_keys` also builds the YAML config's mappings. Every JSONL
-output is encoded by :data:`JSON_ENCODER`.
+or an ``os.PathLike`` raises :class:`~promptpipe.errors.ConfigError`.
+A dataset is read first as text, in blocks of whole lines framed by the
+same rule (:func:`read_line_blocks`), so memory is bounded by one block
+plus the dataset returned; any fault there is left to the line reader,
+which names the first bad line in file order. Every JSON or YAML input
+rejects a repeated key, at any depth, and a value nested deeper than
+the parser can recurse: each JSON file and JSONL line is decoded by
+:data:`JSON_DECODER`, whose hook :func:`unique_keys` also builds the
+YAML config's mappings. Every JSONL output is encoded by
+:data:`JSON_ENCODER`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -26,7 +32,8 @@ from typing import Iterable, Iterator
 from .errors import ConfigError, InvalidEncoding
 
 __all__ = ["JSON_DECODER", "JSON_ENCODER", "decode_line", "is_file_path", "read_json_object",
-           "read_lines", "read_spans", "read_text", "unique_keys", "write_jsonl", "write_lines"]
+           "has_surrogate", "read_line_blocks", "read_lines", "read_spans", "read_text",
+           "unique_keys", "write_jsonl", "write_lines"]
 
 # "utf-8-sig" drops one byte-order mark at the start of the file and
 # otherwise decodes exactly as "utf-8"
@@ -35,7 +42,11 @@ BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 # bytes that read_spans reads at a time, into one buffer that grows only to
 # hold a line longer than itself
 _BUFFER = 1 << 20
+# characters of whole lines that read_line_blocks gives at a time
+_BLOCK = 1 << 16
 
+# a code point that no UTF-8 text holds: JSON's "\\ud800" escape decodes to one
+_SURROGATE = re.compile("[\\ud800-\\udfff]")
 # one encoder for every output; its encode gives json.dumps(..., ensure_ascii=False)
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -84,7 +95,7 @@ def read_json_object(path: str | Path, what: str, error: type[Exception], repeat
     text = read_text(path)
     try:
         value = JSON_DECODER.decode(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         if repeated and isinstance(exc, RepeatedKey) and _repeated_at_top(text, exc.key):
             raise repeated(exc.key) from None
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
@@ -101,7 +112,7 @@ def _repeated_at_top(text: str, key) -> bool:
     """
     try:
         top = json.JSONDecoder(object_pairs_hook=tuple).decode(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return isinstance(top, tuple) and [k for k, _ in top].count(key) > 1
 
@@ -122,6 +133,15 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, line)`` from 1, each line ending in ``\\n`` but the last."""
     for line_no, buffer, start, end in read_spans(path):
         yield line_no, decode_line(path, line_no, buffer, start, end)
+
+
+def read_line_blocks(path: str | Path) -> Iterator[list[str]]:
+    """Yield the lines :func:`read_lines` gives, in lists of about ``_BLOCK``
+    characters, framed by the text reader's universal newlines; bytes that
+    are not UTF-8 raise a ``UnicodeDecodeError`` that names no line."""
+    with open(_file_path(path), encoding=ENCODING, newline=None) as handle:
+        while lines := handle.readlines(_BLOCK):
+            yield lines
 
 
 def read_spans(path: str | Path) -> Iterator[tuple[int, bytearray, int, int]]:
@@ -197,6 +217,12 @@ def decode_line(path: str | Path, line_no: int, buffer: bytearray, start: int, e
     if end - start > 1 and buffer[end - 2] == 13:
         return line[:-2] + "\n"
     return line
+
+
+def has_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, which no UTF-8 output can
+    write; ASCII text is answered in O(1)."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def write_jsonl(records: Iterable, output: str | Path | None = None) -> None:

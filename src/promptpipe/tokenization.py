@@ -377,14 +377,16 @@ def _fit(
     )
 
 
-def _check_encoding(tokenizer, max_len) -> None:
+def _check_encoding(tokenizer, max_len, add_special_tokens) -> None:
     """Raise :class:`~promptpipe.errors.ConfigError` unless ``tokenizer`` has the
-    two parts an encoding uses, whatever its type, and ``max_len`` is an int."""
+    two parts an encoding uses, whatever its type, ``max_len`` is an int and
+    ``add_special_tokens`` a bool."""
     if not (isinstance(getattr(tokenizer, "vocab", None), Vocab)
             and callable(getattr(tokenizer, "encode", None))):
         raise ConfigError(f"tokenizer must have a Vocab vocab and an encode method, "
                           f"got {tokenizer!r}")
     check_integer("max_len", max_len)
+    check_instance("add_special_tokens", add_special_tokens, bool)
 
 
 def encode_wrapped(
@@ -403,7 +405,7 @@ def encode_wrapped(
     ``max_len``.
     """
     check_instance("seq", seq, WrappedSequence, DataError)
-    _check_encoding(tokenizer, max_len)
+    _check_encoding(tokenizer, max_len, add_special_tokens)
     runs = [_run(seg, tokenizer) for seg in seq.segments]
     fixed = sum(len(run[0]) for run in runs if not run[2])
     _check_fits(fixed, 2 if add_special_tokens else 0, max_len)
@@ -433,7 +435,7 @@ class CompiledTemplate(TemplateLayout):
         add_special_tokens: bool = True,
     ):
         check_instance("ast", ast, TemplateAST, InvalidValueType)
-        _check_encoding(tokenizer, max_len)
+        _check_encoding(tokenizer, max_len, add_special_tokens)
         super().__init__(ast, build_soft_plan(ast, tokenizer).node_slots)
         self.tokenizer = tokenizer
         self.max_len = max_len

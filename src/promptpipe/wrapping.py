@@ -30,6 +30,7 @@ from .errors import (
 )
 from .soft_plan import SoftEmbeddingPlan, assign_soft_slots
 from .template import NodeKind, PostProcessing, TemplateAST
+from .textfile import has_surrogate
 
 # what wrapped_text prints for a mask and for each soft slot
 MASK_MARKER = "<mask>"
@@ -53,7 +54,8 @@ class InputExample:
     """One raw dataset record: guid, optional class label, meta fields.
 
     The guid and a label, when present, are non-empty strings, and every
-    meta key and value is a string; anything else raises
+    meta key and value is a string; none of these strings holds a lone
+    surrogate, which no output could write. Anything else raises
     :class:`~promptpipe.errors.DataError`.
     """
 
@@ -62,19 +64,36 @@ class InputExample:
     label: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.guid, str):
-            raise DataError(f"'guid' must be a string, got {self.guid!r}")
-        if not self.guid:
+        guid, meta, label = self.guid, self.meta, self.label
+        if not isinstance(guid, str):
+            raise DataError(f"'guid' must be a string, got {guid!r}")
+        if not guid:
             raise DataError("guid must be non-empty")
-        if self.label is not None and not (isinstance(self.label, str) and self.label):
-            raise DataError(f"'label' must be a non-empty string when present, got {self.label!r}")
-        if not isinstance(self.meta, Mapping):
-            raise DataError(f"'meta' must be an object, got {type(self.meta).__name__}")
-        for key, value in self.meta.items():
+        if not guid.isascii():
+            _check_text("'guid'", guid)
+        if label is not None:
+            if not (isinstance(label, str) and label):
+                raise DataError(f"'label' must be a non-empty string when present, got {label!r}")
+            if not label.isascii():
+                _check_text("'label'", label)
+        # a dict, as every loaded meta is, needs no ABC check
+        if type(meta) is not dict and not isinstance(meta, Mapping):
+            raise DataError(f"'meta' must be an object, got {type(meta).__name__}")
+        for key, value in meta.items():
             if not isinstance(key, str):
                 raise DataError(f"meta key must be a string, got {key!r}")
             if not isinstance(value, str):
                 raise DataError(f"meta value for {key!r} must be a string, got {value!r}")
+            if not (key.isascii() and value.isascii()):
+                _check_text("meta key", key)
+                _check_text(f"meta value for {key!r}", value)
+
+
+def _check_text(name: str, text: str) -> None:
+    """Raise :class:`~promptpipe.errors.DataError` if ``text`` holds a lone
+    surrogate; only non-ASCII text can, so callers test ``isascii`` first."""
+    if has_surrogate(text):
+        raise DataError(f"{name} must not hold a lone surrogate, got {text!r}")
 
 
 @dataclass(frozen=True)

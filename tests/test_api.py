@@ -211,6 +211,14 @@ BAD_ARGUMENTS = {
     "encode_wrapped_tokenizer": (
         lambda: promptpipe.encode_wrapped(_wrapped(), 5, 8), ConfigError,
         "tokenizer must have a Vocab vocab and an encode method, got 5"),
+    "compiled_template_add_special_tokens": (
+        lambda: promptpipe.CompiledTemplate(promptpipe.parse_template('{"mask"}'),
+                                            promptpipe.WhitespaceTokenizer(_vocab()), 8, 5),
+        ConfigError, "add_special_tokens must be a bool, got 5"),
+    "encode_wrapped_add_special_tokens": (
+        lambda: promptpipe.encode_wrapped(_wrapped(), promptpipe.WhitespaceTokenizer(_vocab()),
+                                          8, "no"),
+        ConfigError, "add_special_tokens must be a bool, got 'no'"),
     "encode_wrapped_max_len": (
         lambda: promptpipe.encode_wrapped(_wrapped(), promptpipe.WhitespaceTokenizer(_vocab()),
                                           "8"),

@@ -24,6 +24,8 @@ from promptpipe import (
     run_pipeline,
 )
 from promptpipe.cli import main
+from promptpipe.runner import _result_lines
+from promptpipe.textfile import write_jsonl
 from promptpipe.errors import (
     ClassListMismatch,
     ConfigError,
@@ -38,6 +40,19 @@ from promptpipe.errors import (
 
 def scores(*values: float) -> ClassScores:
     return ClassScores(classes=("a", "b"), scores=tuple(values))
+
+
+@pytest.mark.parametrize("text", [
+    "plain", 'a "quoted" word', "back\\slash", "tab\tnew\nline\rcr\x00nul\x1fus\x7fdel",
+    "line\u2028para\u2029sep\x85nel", "café 日本 😀", "",
+])
+def test_result_lines_are_the_bytes_write_jsonl_writes(tmp_path, text):
+    """run formats its lines directly; each must equal write_jsonl's line."""
+    records = [{"guid": text or "g", "wrapped_text": text, "predicted_class": text,
+                "class_scores": [0.5, -1.25e-300, 3.0]}]
+    path = tmp_path / "expected.jsonl"
+    write_jsonl(records, path)
+    assert "".join(_result_lines(records)).encode("utf-8") == path.read_bytes()
 
 
 # --- ensembling ---------------------------------------------------------------

@@ -266,6 +266,50 @@ def test_a_repeated_key_is_an_error_naming_file_and_key(fixtures_dir, tmp_path, 
         assert message.startswith(f"{path}:2: ")
 
 
+_DEEP = "[" * 50_000 + "]" * 50_000
+
+# input, file name, a file nested past the decoder's recursion limit (on line
+# 2 of each JSONL file), the error and the start of its message
+DEEP_VALUES = {
+    "dataset": ("dataset", "d.jsonl", '{"guid": "a", "meta": {"t": "x"}}\n'
+                '{"guid": "b", "meta": {"t": "x"}, "x": %s}\n' % _DEEP, MalformedLine,
+                "{path}:2: invalid JSON: maximum recursion depth exceeded"),
+    "logits": ("logits", "l.jsonl", '{"guid": "a", "mask_logits": [[0, 1, 2]]}\n'
+               '{"guid": "b", "mask_logits": %s}\n' % _DEEP, MalformedLine,
+               "{path}:2: invalid JSON: maximum recursion depth exceeded"),
+    "verbalizer": ("verbalizer", "v.json", '{"positive": %s}' % _DEEP, UnreadableFile,
+                   "verbalizer file {path} is not valid JSON: maximum recursion depth exceeded"),
+    "json_config": ("config", "c.json", '{"dataset": %s}' % _DEEP, ConfigError,
+                    "config file {path} is not valid JSON: maximum recursion depth exceeded"),
+    "yaml_config": ("config", "c.yaml", "dataset: " + "[" * 5000 + "]" * 5000 + "\n",
+                    ConfigError,
+                    "config file {path} is not valid YAML: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_VALUES)
+def test_a_value_nested_too_deeply_is_an_error_naming_the_file(fixtures_dir, tmp_path, case):
+    """Past the decoder's recursion limit a value is bad input, not a crash."""
+    name, file_name, text, error, start = DEEP_VALUES[case]
+    path = tmp_path / file_name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as failure:
+        READERS[name][0](path, fixtures_dir)
+    assert str(failure.value).startswith(start.format(path=path))
+
+
+@pytest.mark.parametrize("name", ["logits", "logits_decimal"])
+def test_a_logits_guid_with_a_lone_surrogate_names_its_line(fixtures_dir, tmp_path, name):
+    """No output could write the guid: a UTF-8 encoder refuses a lone surrogate."""
+    lines = _lines(name, fixtures_dir)
+    path = tmp_path / "l.jsonl"
+    path.write_text("\n".join([lines[0], lines[1].replace('"b"', '"s\\ud800"')]) + "\n",
+                    encoding="utf-8")
+    message = f"{path}:2: 'guid' must not hold a lone surrogate, got 's\\ud800'"
+    with pytest.raises(MalformedLine, match=f"^{re.escape(message)}$"):
+        READERS[name][0](path, fixtures_dir)
+
+
 @pytest.mark.parametrize(("text", "key", "line", "column"), [
     ("templates: [t.txt]\nmax_len: 32\nmax_len: 8\n", "max_len", 3, 1),
     ("templates: [t.txt]\nx:\n  a: 1\n  a: 2\n", "a", 4, 3),
