@@ -88,8 +88,8 @@ def cmd_wrap(args) -> int:
     dataset = load_jsonl(args.dataset)
     records = []
     for example in dataset:
-        values = _staged("wrap", example.guid, layout.resolve, example)
-        records.append({"guid": example.guid, "wrapped_text": layout.render(values)})
+        wrapped = _staged("wrap", example.guid, layout.render, example)
+        records.append({"guid": example.guid, "wrapped_text": wrapped})
     write_jsonl(records, args.output)
     return 0
 
@@ -102,8 +102,8 @@ def cmd_tokenize(args) -> int:
     dataset = load_jsonl(args.dataset)
     records = []
     for example in dataset:
-        values = _staged("wrap", example.guid, template.resolve, example)
-        encoded = _staged("encode", example.guid, template.encode, values)
+        values = _staged("wrap", example.guid, template._resolve, example)
+        encoded = _staged("encode", example.guid, template._encode, values)
         records.append({"guid": example.guid, **encoded.to_dict()})
     write_jsonl(records, args.output)
     return 0

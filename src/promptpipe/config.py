@@ -6,7 +6,7 @@ does not load it, and only a YAML config loads PyYAML.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -96,13 +96,16 @@ class PipelineConfig:
     output: str | None = _setting(_OPTIONAL_PATH, None)
 
     @classmethod
-    def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
+    def from_file(cls, path: str | Path, overrides: Mapping | None = None) -> "PipelineConfig":
         """Load a YAML or JSON config document, apply overrides, then validate.
 
-        A document that does not parse, or a merged config that fails
-        :meth:`validate`, raises :class:`~promptpipe.errors.ConfigError`
-        naming the file.
+        ``overrides`` that are neither ``None`` nor a mapping, a document
+        that does not parse, or a merged config that fails :meth:`validate`
+        raise :class:`~promptpipe.errors.ConfigError`, the last two naming
+        the file.
         """
+        if overrides is not None and not isinstance(overrides, Mapping):
+            raise ConfigError(f"overrides must be None or a Mapping, got {overrides!r}")
         raw = (read_json_object(path, "config file", ConfigError)
                if str(path).endswith(".json") else _read_yaml(path))
         given = {k: v for k, v in (overrides or {}).items() if v is not None}

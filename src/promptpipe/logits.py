@@ -22,7 +22,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .data import read_guid_lines
-from .errors import ConfigError, DimensionMismatch, MissingLogits, NonFiniteValue, check_integer
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionMismatch,
+    MissingLogits,
+    NonFiniteValue,
+    check_integer,
+)
 from .textfile import JSON_DECODER
 from .tokenization import TokenizedInput
 from .verbalizer import float_array
@@ -51,6 +58,19 @@ def _check_mask_count(mask_count) -> None:
     check_integer("mask_count", mask_count)
     if mask_count < 1:
         raise DimensionMismatch(f"mask_count must be >= 1, got {mask_count}")
+
+
+class _Scorer:
+    """A scorer called with an encoding gives ``rows`` for its mask count;
+    anything without a sized ``mask_positions`` raises
+    :class:`~promptpipe.errors.DataError`."""
+
+    def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
+        try:
+            mask_count = len(tokenized.mask_positions)
+        except (AttributeError, TypeError):
+            raise DataError(f"tokenized must have mask_positions, got {tokenized!r}") from None
+        return self.rows(guid, mask_count)
 
 
 def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str, np.ndarray]]:
@@ -316,7 +336,7 @@ def _decimal_row(row, width: int, out: np.ndarray | None, pad: bytearray) -> boo
     return done == width
 
 
-class LogitsFileScorer:
+class LogitsFileScorer(_Scorer):
     """Replays logits from a JSONL file of {guid, mask_logits} records.
 
     ``rows(guid, M)``, or a call with an encoding of M masks, returns the
@@ -352,7 +372,10 @@ class LogitsFileScorer:
         self.records = MappingProxyType(dict(records))
 
     def rows(self, guid: str, mask_count: int) -> np.ndarray:
-        rows = self.records.get(guid)
+        try:
+            rows = self.records.get(guid)
+        except TypeError:  # an unhashable guid names no record
+            rows = None
         if rows is None:
             raise MissingLogits(guid)
         if type(mask_count) is not int or rows.shape[0] != mask_count:
@@ -361,6 +384,3 @@ class LogitsFileScorer:
                 f"guid {guid!r} has {rows.shape[0]} logits rows for {mask_count} mask positions"
             )
         return rows
-
-    def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
-        return self.rows(guid, len(tokenized.mask_positions))

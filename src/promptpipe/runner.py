@@ -6,10 +6,10 @@ loaded once; each example flows through wrap -> measure -> score ->
 aggregate, per-template class scores are ensembled by arithmetic mean,
 and results are written as JSONL in dataset order. A run builds no token
 arrays (``tokenize`` is the command that does): scoring reads only a
-template's mask count, which
-:meth:`~promptpipe.tokenization.CompiledTemplate.measure` returns after
-checking the length rule on the non-shortenable meta values alone, and
-a scorer's ``rows(guid, mask_count)`` gives that many rows.
+template's mask count, which the compiled template's private measure
+step returns after checking the length rule on the non-shortenable meta
+values alone, and a scorer's ``rows(guid, mask_count)`` gives that many
+rows.
 
 Examples run serially, and the per-example loop holds only the work that
 can depend on the example: the first template resolves and renders its
@@ -67,6 +67,7 @@ from .errors import (
 )
 from .logits import (
     LogitsFileScorer,
+    _Scorer,
     _check_mask_count,
     _check_project,
     _projected,
@@ -74,7 +75,7 @@ from .logits import (
 )
 from .template import TemplateAST, load_template_file
 from .textfile import read_json_object, write_lines
-from .tokenization import CompiledTemplate, TokenizedInput, Vocab, build_tokenizer
+from .tokenization import CompiledTemplate, Vocab, build_tokenizer
 from .verbalizer import ClassScores, Verbalizer, float_array, load_verbalizer
 from .wrapping import InputExample
 
@@ -89,7 +90,7 @@ __all__ = [
 CONTENT_FREE_GUID = "__content_free__"
 
 
-class ToyScorer:
+class ToyScorer(_Scorer):
     """Context-independent scorer: one logit per vocabulary token.
 
     Logits come from a JSON frequency file mapping token text to a finite
@@ -158,9 +159,6 @@ class ToyScorer:
             rows = self._rows[mask_count] = np.broadcast_to(
                 self._row, (mask_count, *self._row.shape))
         return rows
-
-    def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
-        return self.rows(guid, len(tokenized.mask_positions))
 
 
 Scorer = ToyScorer | LogitsFileScorer
@@ -250,7 +248,7 @@ class _Pipeline:
         """
         verbalizer = self.verbalizer
         rows = self.scorer.rows
-        resolving = [t == 0 or template.measures_values
+        resolving = [t == 0 or template._measures_values
                      for t, template in enumerate(self.templates)]
         # each template's word scores, one (M, C, W) array per example
         found: list[list[np.ndarray]] = [[] for _ in self.templates]
@@ -261,15 +259,15 @@ class _Pipeline:
                 stage = "wrap"
                 try:
                     if resolving[t]:
-                        values = template.resolve(example)
+                        values = template._resolve(example)
                         if t == 0:
-                            records.append({"guid": guid, "wrapped_text": template.render(values)})
+                            records.append({"guid": guid, "wrapped_text": template._render(values)})
                     else:
                         # measure reads none of this template's values
-                        template.check_keys(example)
+                        template._check_keys(example)
                         values = ()
                     stage = "encode"
-                    m = template.measure(values)
+                    m = template._measure(values)
                     stage = "score"
                     found[t].append(rows(guid, m))
                 except PromptPipeError as exc:

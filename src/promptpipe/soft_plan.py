@@ -104,12 +104,13 @@ def _allocate(
 def build_soft_plan(ast: TemplateAST, tokenizer) -> SoftEmbeddingPlan:
     """Build the slot table for a template, tokenizing initialization text.
 
-    ``tokenizer`` is anything with an ``encode(text) -> list[int]`` method;
-    anything else raises :class:`~promptpipe.errors.ConfigError`.
+    ``tokenizer`` is anything with an ``encode(text) -> list[int]`` method,
+    and no string (whose ``encode`` names a codec); anything else raises
+    :class:`~promptpipe.errors.ConfigError`.
     """
     check_instance("ast", ast, TemplateAST, InvalidValueType)
     encode = getattr(tokenizer, "encode", None)
-    if not callable(encode):
+    if not callable(encode) or isinstance(tokenizer, str):
         raise ConfigError(f"tokenizer must have an encode method, got {tokenizer!r}")
     slots, node_slots = _layout(ast, encode)
     return SoftEmbeddingPlan(slots=tuple(slots), node_slots=tuple(node_slots))

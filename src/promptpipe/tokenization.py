@@ -24,8 +24,10 @@ prefix.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
 from .soft_plan import build_soft_plan
 from .template import Choice, TemplateAST
 from .textfile import read_text
-from .wrapping import Segment, TemplateLayout, WrappedSequence
+from .wrapping import InputExample, Segment, TemplateLayout, WrappedSequence
 
 __all__ = [
     "PAD_TOKEN",
@@ -83,10 +85,10 @@ class Vocab:
     """A token list; a token's id is its index. The id map and the five
     special ids are derived from ``tokens``, a tuple of distinct strings
     that holds every special token; anything else raises
-    :class:`~promptpipe.errors.VocabError`."""
+    :class:`~promptpipe.errors.VocabError`. ``ids`` is read-only."""
 
     tokens: tuple[str, ...]
-    ids: dict[str, int] = _derived()
+    ids: Mapping[str, int] = _derived()
     pad_id: int = _derived()
     unk_id: int = _derived()
     mask_id: int = _derived()
@@ -110,8 +112,12 @@ class Vocab:
             if name not in ids:
                 raise MissingSpecialToken(f"vocabulary lacks special token {name}")
         vars(self).update(  # the instance is frozen: set the derived fields directly
-            ids=ids, pad_id=ids[PAD_TOKEN], unk_id=ids[UNK_TOKEN], mask_id=ids[MASK_TOKEN],
-            cls_id=ids[CLS_TOKEN], sep_id=ids[SEP_TOKEN])
+            ids=MappingProxyType(ids), pad_id=ids[PAD_TOKEN], unk_id=ids[UNK_TOKEN],
+            mask_id=ids[MASK_TOKEN], cls_id=ids[CLS_TOKEN], sep_id=ids[SEP_TOKEN])
+
+    def __reduce__(self):
+        # a view cannot be pickled: rebuild, and so check, from the tokens
+        return Vocab, (self.tokens,)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -147,6 +153,14 @@ def _text(text: object) -> str:
     return text
 
 
+def _check_limit(limit: object) -> None:
+    """Raise :class:`~promptpipe.errors.ConfigError` unless ``limit``, which
+    is not ``None``, is an ``int`` of at least 0."""
+    check_integer("limit", limit)
+    if limit < 0:
+        raise ConfigError(f"limit must be >= 0, got {limit}")
+
+
 class WhitespaceTokenizer:
     """Splits on Unicode whitespace; out-of-vocabulary words map to UNK."""
 
@@ -158,11 +172,16 @@ class WhitespaceTokenizer:
         return _text(text).split()
 
     def encode(self, text: str, limit: int | None = None) -> list[int]:
-        """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``."""
+        """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``.
+        ``limit`` is ``None`` or an ``int``: :func:`_check_limit`."""
         get = self.vocab.ids.get
         unk = self.vocab.unk_id
         text = _text(text)
-        words = text.split() if limit is None else text.split(None, limit)[:limit]
+        if limit is None:
+            words = text.split()
+        else:
+            _check_limit(limit)
+            words = text.split(None, limit)[:limit]
         return [get(word, unk) for word in words]
 
 
@@ -213,12 +232,15 @@ class WordPieceTokenizer:
         A word that is itself a token is looked up whole: greedy longest
         match tries the whole word first, as no token is longer than the
         longest one. With ``limit``, words are tokenized only until
-        ``limit`` ids are found.
+        ``limit`` ids are found; ``limit`` is ``None`` or an ``int``:
+        :func:`_check_limit`.
         """
         ids = self.vocab.ids
         get = ids.get
         if limit is None:
             limit = sys.maxsize
+        else:
+            _check_limit(limit)
         out: list[int] = []
         # every word gives at least one id, so the last item of the split,
         # which holds any words past the first `limit`, is never tokenized
@@ -419,12 +441,14 @@ class CompiledTemplate(TemplateLayout):
     own tokenizer (:func:`~promptpipe.soft_plan.build_soft_plan`) and
     holds the run of every segment of its layout already encoded: the ids
     of each literal text, and one placeholder position per mask and per
-    soft slot. Per example it resolves the meta values and renders the
-    text as its layout does; :meth:`measure` checks the length rule,
-    tokenizing only the non-shortenable values, and :meth:`encode` also
-    tokenizes the shortenable ones (the rightmost only to its budget) and
-    lays out the arrays. The results, errors included, equal those of
-    ``wrap_example``, ``wrapped_text`` and :func:`encode_wrapped`.
+    soft slot. Per example it renders the text as its layout does, and
+    :meth:`encode` resolves the meta values, tokenizes them (the rightmost
+    shortenable one only to its budget) and lays out the arrays. The
+    results, errors included, equal those of ``wrap_example``,
+    ``wrapped_text`` and :func:`encode_wrapped`. The runner calls the
+    steps on resolved values: :meth:`_measure` checks the length rule,
+    tokenizing only the non-shortenable values, and returns the mask
+    count.
     """
 
     def __init__(
@@ -450,20 +474,24 @@ class CompiledTemplate(TemplateLayout):
         # (run index, value index) of the non-shortenable and the shortenable values
         self._fixed_metas = [(i, k) for k, (i, _, _) in enumerate(self._metas) if not runs[i][2]]
         self._short_metas = [(i, k) for k, (i, _, _) in enumerate(self._metas) if runs[i][2]]
+        # whether _measure reads the values: only a non-shortenable value
+        # counts toward the length rule
+        self._measures_values = bool(self._fixed_metas)
         # without a non-shortenable value, the length rule has one verdict for
         # every example; a failing one is still raised per example
         self._always_fits = not self._fixed_metas and self._fixed + (
             2 if add_special_tokens else 0) <= max_len
 
-    @property
-    def measures_values(self) -> bool:
-        """Whether :meth:`measure` reads the values: only a non-shortenable
-        value counts toward the length rule."""
-        return bool(self._fixed_metas)
+    def encode(self, example: InputExample) -> TokenizedInput:
+        """The example's padded arrays, as :func:`encode_wrapped` gives them for
+        its wrapped sequence; anything but an :class:`InputExample` raises
+        :class:`~promptpipe.errors.DataError`."""
+        check_instance("example", example, InputExample, DataError)
+        return self._encode(self._resolve(example))
 
-    def measure(self, values: Sequence[str]) -> int:
+    def _measure(self, values: Sequence[str]) -> int:
         """The mask count for resolved meta values (masks are never cut);
-        raises what :meth:`encode` raises."""
+        raises what :meth:`_encode` raises."""
         if not self._always_fits:
             self._fixed_runs(values)
         return self.ast.mask_count
@@ -478,8 +506,7 @@ class CompiledTemplate(TemplateLayout):
         _check_fits(fixed, 2 if self.add_special_tokens else 0, self.max_len)
         return runs
 
-    def encode(self, values: Sequence[str]) -> TokenizedInput:
-        """The padded arrays for resolved meta values, as :func:`encode_wrapped`."""
+    def _encode(self, values: Sequence[str]) -> TokenizedInput:
         runs = self._fixed_runs(values)
         tail = None
         for index, k in self._short_metas:

@@ -26,6 +26,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,7 +106,8 @@ class Verbalizer:
     could not score: ``classes`` must be a non-empty tuple of distinct
     strings, and both mappings must hold exactly those keys, each class's
     words a non-empty tuple of strings and its ids a tuple, one per word,
-    of one or more ints >= 0. Two verbalizers are equal if these fields
+    of one or more ints >= 0. Both mappings are read-only views of the
+    copies that were checked. Two verbalizers are equal if these fields
     are.
 
     Sums over a padded axis add trailing zeros, which leave a numpy sum
@@ -117,8 +119,8 @@ class Verbalizer:
     """
 
     classes: tuple[str, ...]
-    label_words: dict[str, tuple[str, ...]]
-    label_word_ids: dict[str, tuple[tuple[int, ...], ...]]
+    label_words: Mapping[str, tuple[str, ...]]
+    label_word_ids: Mapping[str, tuple[tuple[int, ...], ...]]
     piece_ids: np.ndarray = _derived()  # (C, W, P) label-word piece ids; 0 at padding
     padding: np.ndarray | None = _derived()  # flat indices into piece_ids; None if unpadded
     piece_counts: np.ndarray = _derived()  # (C, W) pieces per word; 1 for padding words
@@ -134,13 +136,15 @@ class Verbalizer:
             if not isinstance(name, str):
                 raise VerbalizerError(f"class name must be a string, got {name!r}")
         names = set(self.classes)
+        label_words, label_word_ids = maps = [
+            dict(m) if isinstance(m, Mapping) else None
+            for m in (self.label_words, self.label_word_ids)]
         if len(names) < len(self.classes) or not all(
-                isinstance(m, Mapping) and m.keys() == names
-                for m in (self.label_words, self.label_word_ids)):
+                m is not None and m.keys() == names for m in maps):
             raise VerbalizerError(f"label_words and label_word_ids must each map every class "
                                   f"of {self.classes!r} once")
         for name in self.classes:
-            entries, ids = self.label_words[name], self.label_word_ids[name]
+            entries, ids = label_words[name], label_word_ids[name]
             if not (isinstance(entries, tuple) and all(isinstance(w, str) for w in entries)
                     and isinstance(ids, tuple) and len(ids) == len(entries)):
                 raise VerbalizerError(
@@ -154,7 +158,7 @@ class Verbalizer:
                         f"label word {word!r} must have a tuple of ids >= 0, got {pieces!r}")
                 if not pieces:
                     raise VerbalizerError(f"label word {word!r} tokenizes to nothing")
-        words = [self.label_word_ids[name] for name in self.classes]
+        words = [label_word_ids[name] for name in self.classes]
         shape = (len(words), max(map(len, words)), max(len(ids) for ws in words for ids in ws))
         piece_ids = np.zeros(shape, dtype=np.intp)
         piece_mask = np.zeros(shape, dtype=bool)
@@ -165,6 +169,8 @@ class Verbalizer:
                 piece_mask[c, w, : len(word)] = True
                 piece_counts[c, w] = len(word)
         vars(self).update(  # the instance is frozen: set the derived fields directly
+            label_words=MappingProxyType(label_words),
+            label_word_ids=MappingProxyType(label_word_ids),
             piece_ids=piece_ids,
             padding=None if piece_mask.all() else np.flatnonzero(~piece_mask),
             piece_counts=piece_counts,
@@ -172,6 +178,10 @@ class Verbalizer:
             word_counts=np.array([len(ws) for ws in words], dtype=np.float64),
             max_id=int(piece_ids.max()),
         )
+
+    def __reduce__(self):
+        # a view cannot be pickled: rebuild, and so check, from plain dicts
+        return Verbalizer, (self.classes, dict(self.label_words), dict(self.label_word_ids))
 
     def check_rows(self, logits) -> np.ndarray:
         """``logits`` as a float64 ``(R, V)`` array of finite values, wide enough
@@ -226,7 +236,19 @@ class Verbalizer:
         log-probability matrix is never built. Padding words score 0. Finite
         logits that span more than the float64 range give ``-inf`` scores,
         without a warning; the callers that aggregate them reject them.
+        Anything but a 2-d array wide enough for the label ids raises
+        :class:`~promptpipe.errors.DimensionMismatch`, as :meth:`check_rows`
+        words it; the values are :meth:`check_rows`'s to check.
         """
+        check_instance("rows", rows, np.ndarray, DimensionMismatch)
+        if rows.ndim != 2:
+            raise DimensionMismatch(f"logits must be a 2-d array, got shape {rows.shape}")
+        if rows.dtype.kind != "f":
+            raise DimensionMismatch(f"logits must be floats, got dtype {rows.dtype}")
+        if rows.shape[1] <= self.max_id:
+            raise DimensionMismatch(
+                f"logits rows have width {rows.shape[1]} but label words use id {self.max_id}"
+            )
         peak = np.maximum.reduce(rows, axis=1)
         # C order whatever the layout of ``rows`` (a broadcast view, say),
         # so each row's sum runs exactly as np.sum over one 1-d row does

@@ -4,8 +4,8 @@ A :class:`TemplateLayout` is the one place where node kinds become
 positions: one :class:`Segment` per literal text, mask and soft slot (soft
 nodes expand their duplicates into their assigned slots), and an empty
 placeholder per meta node; a mask segment is the only prediction slot.
-It needs no tokenizer. Per example it resolves the meta values,
-post-processed, and renders the human-readable text;
+It needs no tokenizer. Per example it renders the human-readable text
+(:meth:`TemplateLayout.render`);
 :class:`~promptpipe.tokenization.CompiledTemplate` builds on it to encode.
 :func:`wrap_example` substitutes the meta values into the layout's
 segments, giving a :class:`WrappedSequence` that
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import string
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import (
@@ -49,22 +50,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InputExample:
     """One raw dataset record: guid, optional class label, meta fields.
 
     The guid and a label, when present, are non-empty strings, and every
     meta key and value is a string; none of these strings holds a lone
     surrogate, which no output could write. Anything else raises
-    :class:`~promptpipe.errors.DataError`.
+    :class:`~promptpipe.errors.DataError`. ``meta`` is a read-only view of
+    the copy that was checked.
     """
 
     guid: str
-    meta: Mapping[str, str] = field(default_factory=dict)
+    meta: Mapping[str, str]
     label: str | None = None
 
-    def __post_init__(self):
-        guid, meta, label = self.guid, self.meta, self.label
+    def __init__(self, guid: str, meta: Mapping[str, str] = MappingProxyType({}),
+                 label: str | None = None):
         if not isinstance(guid, str):
             raise DataError(f"'guid' must be a string, got {guid!r}")
         if not guid:
@@ -79,6 +81,7 @@ class InputExample:
         # a dict, as every loaded meta is, needs no ABC check
         if type(meta) is not dict and not isinstance(meta, Mapping):
             raise DataError(f"'meta' must be an object, got {type(meta).__name__}")
+        meta = dict(meta)
         for key, value in meta.items():
             if not isinstance(key, str):
                 raise DataError(f"meta key must be a string, got {key!r}")
@@ -87,6 +90,13 @@ class InputExample:
             if not (key.isascii() and value.isascii()):
                 _check_text("meta key", key)
                 _check_text(f"meta value for {key!r}", value)
+        # the instance is frozen: one update of its fields costs less than the
+        # three setattr calls of a generated __init__, and pays for the copy
+        self.__dict__.update(guid=guid, meta=MappingProxyType(meta), label=label)
+
+    def __reduce__(self):
+        # a view cannot be pickled: rebuild, and so check, from a plain dict
+        return InputExample, (self.guid, dict(self.meta), self.label)
 
 
 def _check_text(name: str, text: str) -> None:
@@ -140,7 +150,7 @@ class TemplateLayout:
     """A template's positions, independent of any tokenizer and example.
 
     ``segments`` holds one segment per literal text, mask and soft slot
-    (``node_slots`` gives each node's slots, as a
+    (``node_slots`` holds each node's sequence of int slot ids, as a
     :class:`~promptpipe.soft_plan.SoftEmbeddingPlan` does), and an empty
     placeholder per meta node, whose shortenable flag is the node's.
     """
@@ -148,12 +158,19 @@ class TemplateLayout:
     def __init__(self, ast: TemplateAST, node_slots: Sequence[Sequence[int]]):
         check_instance("ast", ast, TemplateAST, InvalidValueType)
         check_instance("node_slots", node_slots, Sequence)
+        slots_per_node = [tuple(slots) if isinstance(slots, Sequence) else None
+                          for slots in node_slots]
+        if len(slots_per_node) != len(ast.nodes) or not all(
+                slots is not None and all(type(slot) is int for slot in slots)
+                for slots in slots_per_node):
+            raise ConfigError(
+                f"node_slots must hold one sequence of int slot ids per node, got {node_slots!r}")
         self.ast = ast
         segments: list[Segment] = []
         # per meta node: (segment index, key, post-processing)
         metas: list[tuple[int, str, PostProcessing | None]] = []
         text: list[str] = []  # str.format pieces of the rendered text
-        for node, slots in zip(ast.nodes, node_slots):
+        for node, slots in zip(ast.nodes, slots_per_node):
             if node.kind is NodeKind.TEXT:
                 text.append(node.text.replace("{", "{{").replace("}", "}}"))
                 segments.append(Segment(text=node.text, shortenable=node.shortenable))
@@ -173,12 +190,19 @@ class TemplateLayout:
         self._keys = frozenset(key for _, key, _ in metas)
         self._format = "".join(text)
 
-    def resolve(self, example: InputExample) -> list[str]:
-        """The example's meta values in node order, post-processed.
+    def render(self, example: InputExample) -> str:
+        """The example's human-readable text, as :func:`wrapped_text` gives it.
 
-        A missing key raises :class:`~promptpipe.errors.MissingMetaKey`;
-        an empty value is legal.
+        Anything but an :class:`InputExample` raises
+        :class:`~promptpipe.errors.DataError`, and a missing meta key
+        :class:`~promptpipe.errors.MissingMetaKey`.
         """
+        check_instance("example", example, InputExample, DataError)
+        return self._render(self._resolve(example))
+
+    def _resolve(self, example: InputExample) -> list[str]:
+        """The example's meta values in node order, post-processed; an empty
+        value is legal."""
         values = []
         for _, key, post_processing in self._metas:
             value = example.meta.get(key)
@@ -189,13 +213,12 @@ class TemplateLayout:
             values.append(value)
         return values
 
-    def check_keys(self, example: InputExample) -> None:
-        """Raise what :meth:`resolve` raises, without resolving the values."""
+    def _check_keys(self, example: InputExample) -> None:
+        """Raise what :meth:`_resolve` raises, without resolving the values."""
         if not example.meta.keys() >= self._keys:
-            self.resolve(example)
+            self._resolve(example)
 
-    def render(self, values: Sequence[str]) -> str:
-        """The human-readable text for resolved meta values, as :func:`wrapped_text`."""
+    def _render(self, values: Sequence[str]) -> str:
         return self._format.format(*values)
 
 
@@ -220,7 +243,7 @@ def wrap_example(
         check_instance("plan", plan, SoftEmbeddingPlan)
     layout = TemplateLayout(ast, plan.node_slots if plan is not None else assign_soft_slots(ast))
     segments = list(layout.segments)
-    for (index, _, _), value in zip(layout._metas, layout.resolve(example)):
+    for (index, _, _), value in zip(layout._metas, layout._resolve(example)):
         segments[index] = Segment(text=value, shortenable=segments[index].shortenable)
     return WrappedSequence(
         segments=tuple(segments), example_guid=example.guid, label=example.label

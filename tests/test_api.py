@@ -3,9 +3,11 @@ and an ill-typed argument raises a PromptPipeError that names it."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 from pathlib import Path
 
@@ -74,6 +76,12 @@ def test_removed_members_are_gone():
     for fn in (promptpipe.CompiledTemplate, promptpipe.encode_wrapped):
         assert "objective" not in inspect.signature(fn).parameters, fn
     assert not hasattr(promptpipe.tokenization, "_is_causal")
+    # a template's per-example steps on a values list are private: render and
+    # encode take an example
+    for member in ("resolve", "check_keys"):
+        assert not hasattr(promptpipe.TemplateLayout, member), member
+    for member in ("resolve", "check_keys", "measure", "measures_values"):
+        assert not hasattr(promptpipe.CompiledTemplate, member), member
     for module in MODULES:
         for name in (*REMOVED_NAMES, "read_records"):
             assert not hasattr(module, name), (module.__name__, name)
@@ -127,6 +135,8 @@ BAD_ARGUMENTS = {
                                         "preds must be a Sequence, got 5"),
     "toy_scorer_frequencies": (lambda: promptpipe.ToyScorer(5, _vocab()), ConfigError,
                                "frequencies must be a Mapping, got 5"),
+    "toy_scorer_call": (lambda: promptpipe.ToyScorer({}, _vocab())("a", 5), DataError,
+                        "tokenized must have mask_positions, got 5"),
     "toy_scorer_vocab": (lambda: promptpipe.ToyScorer({}, 5), ConfigError,
                          "vocab must be a Vocab, got 5"),
     # vocab is checked before the file is read, so the file need not exist
@@ -144,6 +154,12 @@ BAD_ARGUMENTS = {
                          "text must be a string, got 5"),
     "whitespace_encode": (lambda: promptpipe.WhitespaceTokenizer(_vocab()).encode(5), VocabError,
                           "text must be a string, got 5"),
+    "wordpiece_encode_limit": (
+        lambda: promptpipe.WordPieceTokenizer(_vocab()).encode("a", 1.5), ConfigError,
+        "'limit' must be an integer, got 1.5"),
+    "whitespace_encode_limit": (
+        lambda: promptpipe.WhitespaceTokenizer(_vocab()).encode("a", True), ConfigError,
+        "'limit' must be an integer, got True"),
     "build_verbalizer_label_words": (
         lambda: promptpipe.build_verbalizer(5, promptpipe.WhitespaceTokenizer(_vocab())),
         VerbalizerError, "label_words must be a Mapping, got 5"),
@@ -177,6 +193,10 @@ BAD_ARGUMENTS = {
     "build_soft_plan_tokenizer": (
         lambda: promptpipe.build_soft_plan(promptpipe.parse_template('{"mask"}'), 5),
         ConfigError, "tokenizer must have an encode method, got 5"),
+    # a string's encode names a codec: "It was" would be looked up as one
+    "build_soft_plan_string_tokenizer": (
+        lambda: promptpipe.build_soft_plan(promptpipe.parse_template('{"soft": "It was"}'), "x"),
+        ConfigError, "tokenizer must have an encode method, got 'x'"),
     "wordpiece_tokenizer": (lambda: promptpipe.WordPieceTokenizer(5), VocabError,
                             "vocab must be a Vocab, got 5"),
     "whitespace_tokenizer": (lambda: promptpipe.WhitespaceTokenizer(5), VocabError,
@@ -195,8 +215,24 @@ BAD_ARGUMENTS = {
                                DataError, "meta key must be a string, got 5"),
     "template_layout_ast": (lambda: promptpipe.TemplateLayout(5, ()), InvalidValueType,
                             "ast must be a TemplateAST, got 5"),
+    "template_layout_render": (lambda: promptpipe.TemplateLayout(_ast(), ((),) * 3).render(5),
+                               DataError, "example must be an InputExample, got 5"),
+    "compiled_template_encode": (
+        lambda: promptpipe.CompiledTemplate(_ast(), promptpipe.WhitespaceTokenizer(_vocab()),
+                                            8).encode(5),
+        DataError, "example must be an InputExample, got 5"),
+    "compiled_template_render": (
+        lambda: promptpipe.CompiledTemplate(_ast(), promptpipe.WhitespaceTokenizer(_vocab()),
+                                            8).render(5),
+        DataError, "example must be an InputExample, got 5"),
     "template_layout_node_slots": (lambda: promptpipe.TemplateLayout(_ast(), 5), ConfigError,
                                    "node_slots must be a Sequence, got 5"),
+    "template_layout_node_slots_items": (
+        lambda: promptpipe.TemplateLayout(_ast(), b"xy"), ConfigError,
+        "node_slots must hold one sequence of int slot ids per node, got b'xy'"),
+    "template_layout_node_slots_ids": (
+        lambda: promptpipe.TemplateLayout(_ast(), [("x",), (), ()]), ConfigError,
+        "node_slots must hold one sequence of int slot ids per node, got [('x',), (), ()]"),
     "validate_template_known_meta_keys": (lambda: validate_template(_ast(), 5), InvalidValueType,
                                           "known_meta_keys must be a Set, got 5"),
     "wrap_example_ast": (lambda: promptpipe.wrap_example(5, 5), InvalidValueType,
@@ -228,6 +264,14 @@ BAD_ARGUMENTS = {
     "apply_post_processing_text": (
         lambda: promptpipe.apply_post_processing(promptpipe.PostProcessing.LOWERCASE, 5),
         DataError, "text must be a str, got 5"),
+    "verbalizer_word_scores": (lambda: _verbalizer().word_scores(np.zeros(6)),
+                               DimensionMismatch, "logits must be a 2-d array, got shape (6,)"),
+    "verbalizer_word_scores_width": (
+        lambda: _verbalizer().word_scores(np.zeros((1, 5))), DimensionMismatch,
+        "logits rows have width 5 but label words use id 5"),
+    "verbalizer_word_scores_dtype": (
+        lambda: _verbalizer().word_scores(np.zeros((1, 6), dtype=np.int64)), DimensionMismatch,
+        "logits must be floats, got dtype int64"),
     "verbalizer_aggregate": (lambda: _verbalizer().aggregate([[[0.0]]], "max"),
                              DimensionMismatch, "words must be a ndarray, got [[[0.0]]]"),
     "verbalizer_aggregate_prior": (
@@ -255,6 +299,10 @@ BAD_ARGUMENTS = {
                                       ConfigError, "'vocab_size' must be an integer, got '8'"),
     "pipeline_config_from_file": (lambda: promptpipe.PipelineConfig.from_file(5), ConfigError,
                                   "input must be a file path, got 5"),
+    # overrides are checked before the file is read, so the file need not exist
+    "pipeline_config_from_file_overrides": (
+        lambda: promptpipe.PipelineConfig.from_file("run.yaml", 5), ConfigError,
+        "overrides must be None or a Mapping, got 5"),
     "template_ast_nodes": (lambda: promptpipe.TemplateAST(5), InvalidValueType,
                            "nodes must be a tuple, got int"),
     "template_node_kind": (lambda: promptpipe.TemplateNode(5), InvalidValueType,
@@ -300,3 +348,82 @@ def test_every_public_name_has_a_bad_argument_row_or_is_exempt():
     uncovered = [name for name in promptpipe.__all__
                  if name not in NO_BAD_ARGUMENTS and not _rows_calling(name)]
     assert uncovered == []
+
+
+# --- frozen records -----------------------------------------------------------------
+
+
+def _scoring():
+    """A vocab, a verbalizer, an example and a compiled template from the
+    fixtures, and what project, encode and render give for them."""
+    vocab = promptpipe.Vocab.from_file(FIXTURES / "vocab.txt")
+    tokenizer = promptpipe.build_tokenizer("wordpiece", vocab)
+    verbalizer = promptpipe.load_verbalizer(FIXTURES / "verbalizer.json", tokenizer)
+    example = promptpipe.load_jsonl(FIXTURES / "sentiment.jsonl").examples[0]
+    template = promptpipe.CompiledTemplate(
+        promptpipe.load_template_file(FIXTURES / "template_sentiment.txt")[0], tokenizer, 32)
+    rows = np.sin(np.arange(len(vocab), dtype=np.float64))[None]
+
+    def results():
+        return (promptpipe.project(rows, verbalizer), template.encode(example),
+                template.render(example))
+
+    return vocab, verbalizer, example, results
+
+
+# each read-only map, and a key and a value that would change a result
+READ_ONLY_MAPS = {
+    "Verbalizer.label_words": (lambda v, verbalizer, ex: verbalizer.label_words,
+                               "negative", ("great",)),
+    "Verbalizer.label_word_ids": (lambda v, verbalizer, ex: verbalizer.label_word_ids,
+                                  "negative", ((62,),)),
+    "InputExample.meta": (lambda v, verbalizer, ex: ex.meta, "text", "bad"),
+    "Vocab.ids": (lambda v, verbalizer, ex: v.ids, "great", 0),
+}
+
+
+@pytest.mark.parametrize("name", READ_ONLY_MAPS)
+def test_a_frozen_records_map_is_read_only(name):
+    vocab, verbalizer, example, results = _scoring()
+    get, key, value = READ_ONLY_MAPS[name]
+    mapping = get(vocab, verbalizer, example)
+    before = results()
+    with pytest.raises(TypeError):
+        mapping[key] = value
+    with pytest.raises(TypeError):
+        del mapping[key]
+    assert results() == before
+
+
+def test_a_record_holds_a_copy_of_the_maps_it_was_given():
+    meta = {"text": "good"}
+    example = promptpipe.InputExample("a", meta)
+    meta["text"] = 5
+    assert example.meta == {"text": "good"}
+    words, ids = {"a": ("a",)}, {"a": ((5,),)}
+    verbalizer = promptpipe.Verbalizer(("a",), words, ids)
+    ids["a"] = ((-1,),)
+    assert verbalizer.label_word_ids == {"a": ((5,),)}
+
+
+@pytest.mark.parametrize("name", ["Vocab", "Verbalizer", "InputExample", "Dataset"])
+def test_a_frozen_record_round_trips_through_pickle_and_deepcopy(name):
+    vocab, verbalizer, example, _ = _scoring()
+    record = {"Vocab": vocab, "Verbalizer": verbalizer, "InputExample": example,
+              "Dataset": promptpipe.load_jsonl(FIXTURES / "topics.jsonl")}[name]
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record)
+        assert copied == record
+    assert pickle.loads(pickle.dumps(vocab)).ids["great"] == vocab.ids["great"]
+
+
+class _Forged:
+    """Pickles as an InputExample whose meta breaks its rules."""
+
+    def __reduce__(self):
+        return promptpipe.InputExample, ("a", {"text": 5})
+
+
+def test_a_loaded_record_is_checked_again():
+    with pytest.raises(DataError, match="meta value for 'text' must be a string, got 5"):
+        pickle.loads(pickle.dumps(_Forged()))

@@ -2,8 +2,8 @@
 node-by-node wrap (``reference_wrap``), then ``wrapped_text`` and
 ``encode_wrapped``, field for field, errors included; ``wrap_example``,
 built on the template's layout, equals that reference wrap; a compiled
-template's ``measure`` raises what its ``encode`` raises or counts its
-masks; and the runner built on it fails at the same guid and stage while
+template's private measure step raises what its encode step raises or
+counts its masks; and the runner built on it fails at the same guid and stage while
 tokenizing only non-shortenable meta values."""
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def test_compiled_template_equals_reference_path(case, data):
         return text, encode_wrapped(wrapped, tokenizer, max_len, add_specials)
 
     def compiled():
-        values = template.resolve(example)
-        return template.render(values), template.encode(values)
+        return template.render(example), template.encode(example)
 
     assert _outcome(compiled) == _outcome(reference)
 
@@ -167,9 +166,9 @@ def test_measure_raises_what_encode_raises_or_counts_its_masks(case, data):
     plan = build_soft_plan(ast, tokenizer)
     max_len = data.draw(st.sampled_from(_max_lens(ast, example, tokenizer, plan, add_specials)))
     template = CompiledTemplate(ast, tokenizer, max_len, add_specials)
-    values = template.resolve(example)
-    assert _outcome(lambda: template.measure(values)) == _outcome(
-        lambda: len(template.encode(values).mask_positions))
+    values = template._resolve(example)
+    assert _outcome(lambda: template._measure(values)) == _outcome(
+        lambda: len(template._encode(values).mask_positions))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -191,7 +190,7 @@ def test_missing_meta_key_raised_alike(kind):
     with pytest.raises(MissingMetaKey) as want:
         reference_wrap(ast, example, plan)
     with pytest.raises(MissingMetaKey) as got:
-        template.resolve(example)
+        template.encode(example)
     assert got.value.key == want.value.key == "b"
 
 
@@ -205,7 +204,7 @@ def test_template_too_long_raised_alike(kind):
     with pytest.raises(TemplateTooLong) as want:
         encode_wrapped(reference_wrap(ast, example, plan), tokenizer, 6)
     with pytest.raises(TemplateTooLong) as got:
-        template.encode(template.resolve(example))
+        template.encode(example)
     assert str(got.value) == str(want.value)
 
 
@@ -234,7 +233,7 @@ def test_last_shortenable_field_is_tokenized_only_to_its_budget():
     template = CompiledTemplate(ast, tokenizer, 16)
     example = InputExample(guid="g", meta={"title": "the movie", "body": "greatest " * 400})
     tokenizer.limits.clear()
-    encoded = template.encode(template.resolve(example))
+    encoded = template.encode(example)
     # CLS a MASK news : the movie SEP leave 16 - 8 = 8 positions for the body
     assert tokenizer.limits == [None, 8]
     assert encoded.length == 16
@@ -247,6 +246,20 @@ _LONG_WORD = st.text(alphabet="abc", min_size=LONGEST, max_size=4 * LONGEST)
 _TOKEN_TEXT = st.lists(
     st.sampled_from(WORDS) | st.sampled_from(VOCAB.tokens) | _LONG_WORD, max_size=15
 ).flatmap(lambda words: st.sampled_from([" ", "  ", "\t", "\n "]).map(lambda sep: sep.join(words)))
+
+
+@pytest.mark.parametrize("kind", sorted(TOKENIZERS))
+@pytest.mark.parametrize("limit, message", [
+    (-1, "limit must be >= 0, got -1"),
+    (True, "'limit' must be an integer, got True"),
+    (1.5, "'limit' must be an integer, got 1.5"),
+])
+def test_a_tokenizer_limit_is_none_or_an_int_of_at_least_0(kind, limit, message):
+    tokenizer = TOKENIZERS[kind]
+    with pytest.raises(ConfigError) as got:
+        tokenizer.encode("good movie great", limit)
+    assert str(got.value) == message
+    assert tokenizer.encode("good movie great", 0) == []
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

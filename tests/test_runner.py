@@ -833,7 +833,7 @@ def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_p
     assert not verbalizer.word_mask.all(), "the case must have padding words"
     # the reference: priors measured from the full rows, as calibrate does
     content_free = InputExample(CONTENT_FREE_GUID, {key: "" for key in template.ast.meta_keys()})
-    blank = template.encode(template.resolve(content_free))
+    blank = template.encode(content_free)
     rows_scorer = LogitsFileScorer(cfg.logits_file, _vocab_size(fixtures_dir))
     assert rows_scorer(CONTENT_FREE_GUID, blank).shape == (n_masks, _vocab_size(fixtures_dir))
     expected = calibrate(lambda t: rows_scorer(CONTENT_FREE_GUID, t), verbalizer, blank)

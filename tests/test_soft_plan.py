@@ -315,7 +315,9 @@ def test_init_text_without_ids_gives_one_uninitialized_slot(wordpiece, source):
     assert plan.node_slots == ((0,), (), ())
     assert plan.slots == (SlotSpec(slot_id=0),)
     layout = TemplateLayout(ast, plan.node_slots)
-    assert layout.render(layout.resolve(InputExample(guid="g", meta={}))) == "<soft> <mask>"
+    assert layout.render(InputExample(guid="g", meta={})) == "<soft> <mask>"
+    # any sequence of ints per node is read as its tuple
+    assert TemplateLayout(ast, [[0], [], []]).segments == layout.segments
 
 
 @pytest.mark.parametrize("text", ["", " "])

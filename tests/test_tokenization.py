@@ -157,7 +157,8 @@ class _CountingIds(dict):
 def test_wordpiece_long_word_has_bounded_lookups():
     vocab = Vocab.from_tokens(SPECIALS + ["a", "ab", "abc", "##a", "##ab", "##abc"])
     ids = _CountingIds(vocab.ids)
-    # ids is derived from the tokens; put the counting copy in its place
+    # ids is derived from the tokens; put the counting copy where the
+    # tokenizer reads it, so every piece's lookup is counted
     object.__setattr__(vocab, "ids", ids)
     tok = build_tokenizer("wordpiece", vocab)
     word = "abc" * 1333 + "a"  # 4000 characters
@@ -166,7 +167,7 @@ def test_wordpiece_long_word_has_bounded_lookups():
     assert tok.tokenize(word) == ["abc"] + ["##abc"] * 1332 + ["##a"]
     # at most one lookup per candidate length up to the longest token, per piece;
     # candidates running to the end of the word would take millions
-    assert ids.lookups <= 1334 * len("##abc")
+    assert 1334 <= ids.lookups <= 1334 * len("##abc")
     short = word[:301]
     assert tok.tokenize(short) == _oracle_pieces(short, vocab.ids)
 
