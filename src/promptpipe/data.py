@@ -99,11 +99,10 @@ def read_guid_lines(
     whether its bytes are not UTF-8 or its record is bad; blank lines are
     skipped. A line that is not a JSON object with a non-empty string
     ``guid`` free of lone surrogates, that repeats a key or that nests
-    deeper than the decoder can recurse raises
-    :class:`~promptpipe.errors.MalformedLine`,
-    and a guid seen on an earlier line raises
-    :class:`~promptpipe.errors.DuplicateGuid` naming both lines; every
-    error names ``path:line``.
+    arrays and objects more than :data:`~promptpipe.textfile.MAX_DEPTH`
+    deep raises :class:`~promptpipe.errors.MalformedLine`, and a guid seen
+    on an earlier line raises :class:`~promptpipe.errors.DuplicateGuid`
+    naming both lines; every error names ``path:line``.
 
     ``read_line(buffer, start, end)`` gets each line's bytes as
     :func:`~promptpipe.textfile.read_spans` yields them, which hold only
@@ -122,7 +121,7 @@ def read_guid_lines(
                 continue
             try:
                 record = JSON_DECODER.decode(line)
-            except (ValueError, RecursionError) as exc:
+            except ValueError as exc:
                 raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise MalformedLine(path, line_no, "expected a JSON object")
@@ -165,7 +164,7 @@ def load_jsonl(path: str | Path) -> Dataset:
     if is_file_path(path) and os.path.isfile(path):
         try:
             return _load_blocks(path)
-        except (ValueError, RecursionError, DataError):
+        except (ValueError, DataError):
             pass  # the line reader below names the first bad line
     return Dataset.from_examples(
         _parse_example(path, line_no, guid, record)
@@ -176,8 +175,8 @@ def load_jsonl(path: str | Path) -> Dataset:
 def _load_blocks(path: str | Path) -> Dataset:
     """:func:`load_jsonl`'s dataset for a file whose every non-blank line is
     one valid record without the legacy fields; for any other file a
-    ``ValueError``, ``RecursionError`` or :class:`~promptpipe.errors.DataError`
-    whose message no caller shows.
+    ``ValueError`` or :class:`~promptpipe.errors.DataError` whose message
+    no caller shows.
 
     Each line is decoded by one ``raw_decode`` call, which must end at the
     line's end: one array decode per block would read a value cut over two

@@ -3,9 +3,10 @@
 A logits file is read in two tiers (:func:`read_logits_records`), both
 giving the values ``json.loads`` gives: rows of short decimals (at most 8
 integer and 8 fraction digits, 15 in all) are converted exactly by numpy
-arithmetic, one division per value; every other line, such as one of
-17-digit reprs or exponents, is read by the JSON decoder, the only path
-that raises. A run reads its dataset first and checks every line of the
+arithmetic, one division per value, from one 8-byte window per value when
+it has at most 7 digits and from two otherwise; every other line, such as
+one of 17-digit reprs or exponents, is read by the JSON decoder, the only
+path that raises. A run reads its dataset first and checks every line of the
 logits file, but converts and projects only the records of the guids it
 scores: its examples', and the content-free one when it calibrates.
 """
@@ -264,9 +265,15 @@ def _decimal_row(row, width: int, out: np.ndarray | None, pad: bytearray) -> boo
     fresh pages, whose faults cost more than the arithmetic (a replay_bert
     row took about twice as long). A step finds its commas and dots in one
     pass, which must alternate, and checks the form; with ``out``, it then
-    converts the digits before each dot and before each next comma from
-    the unaligned 8-byte window that ends there, masked to those digits,
-    by multiply and shift. A row is accepted or refused alike either way.
+    converts the digits by multiply and shift from unaligned 8-byte
+    windows, masked to those digits. When the step's longest field has at
+    most 7 digits, a field's digits and dot fit in the one window that ends
+    at its comma: moving the integer digits up a byte, over the dot, leaves
+    the digits of the field as one integer, divided once by ``10**f``.
+    A step with a longer field converts the digits before each dot and
+    before each next comma from the window that ends there, and joins the
+    two parts as ``integer * 10**f + fraction``; both give the same
+    integer. A row is accepted or refused alike with or without ``out``.
     """
     # a comma before and after the row, so every step runs from a comma to
     # a comma, and 8 zero bytes before those for the first field's windows;
@@ -303,7 +310,9 @@ def _decimal_row(row, width: int, out: np.ndarray | None, pad: bytearray) -> boo
         n = marks[1:] - marks[:-1]
         n -= 1
         np.subtract(marks[1::2], first, out=n[0::2])
-        if n.min() < 1 or n.max() > 8 or (n[0::2] + n[1::2]).max() > 15:
+        counts = n[0::2] + n[1::2]
+        longest = counts.max()
+        if n.min() < 1 or n.max() > 8 or longest > 15:
             return False
         # every byte of those runs is a digit, as no byte outside them is one
         if np.count_nonzero((text - _ZERO) < 10) != n.sum():
@@ -313,8 +322,19 @@ def _decimal_row(row, width: int, out: np.ndarray | None, pad: bytearray) -> boo
             return False
         if out is not None:
             # the window ending at place p of the step starts at pad[start + p - 8]
-            digits = windows[start - 8 :][marks[1:]]
-            digits &= _DIGIT_BITS[n]
+            f = n[1::2]
+            if longest <= 7:
+                # a field's digits and dot fit in the window ending at its
+                # comma: move the integer digits up a byte, over the dot
+                digits = windows[start - 8 :][marks[2::2]]
+                shifted = digits << 8
+                digits ^= shifted
+                digits &= _DIGIT_BITS[f]
+                digits ^= shifted
+                digits &= _DIGIT_BITS[counts]
+            else:
+                digits = windows[start - 8 :][marks[1:]]
+                digits &= _DIGIT_BITS[n]
             # byte values to 2-digit, 4-digit, then 8-digit numbers; the first
             # digit is the low byte, and masked bytes lead with zeros
             digits *= 10 << 8 | 1
@@ -325,12 +345,14 @@ def _decimal_row(row, width: int, out: np.ndarray | None, pad: bytearray) -> boo
             digits &= 0x0000FFFF0000FFFF
             digits *= 10000 << 32 | 1
             digits >>= 32
-            integers, fractions = digits[0::2], digits[1::2]
-            f = n[1::2]
-            integers *= _POW10[f]
-            integers += fractions
+            if longest > 7:
+                # the integer part, then the fraction, of each field
+                fractions = digits[1::2]
+                digits = digits[0::2]
+                digits *= _POW10[f]
+                digits += fractions
             f += 9 * negative
-            np.divide(integers, _SCALE[f], out=out[done : done + k])
+            np.divide(digits, _SCALE[f], out=out[done : done + k])
         done += k
         start = stop
     return done == width

@@ -13,11 +13,12 @@ A dataset is read first as text, in blocks of whole lines framed by the
 same rule (:func:`read_line_blocks`), so memory is bounded by one block
 plus the dataset returned; any fault there is left to the line reader,
 which names the first bad line in file order. Every JSON or YAML input
-rejects a repeated key, at any depth, and a value nested deeper than
-the parser can recurse: each JSON file and JSONL line is decoded by
-:data:`JSON_DECODER`, whose hook :func:`unique_keys` also builds the
-YAML config's mappings. Every JSONL output is encoded by
-:data:`JSON_ENCODER`.
+rejects a repeated key, at any depth: each JSON file and JSONL line is
+decoded by :data:`JSON_DECODER`, whose hook :func:`unique_keys` also
+builds the YAML config's mappings. That decoder also refuses a value
+nested more than :data:`MAX_DEPTH` arrays and objects deep, and a YAML
+config is refused if nested deeper than its parser can recurse. Every
+JSONL output is encoded by :data:`JSON_ENCODER`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError, InvalidEncoding
 
-__all__ = ["JSON_DECODER", "JSON_ENCODER", "decode_line", "is_file_path", "read_json_object",
-           "has_surrogate", "read_line_blocks", "read_lines", "read_spans", "read_text",
-           "unique_keys", "write_jsonl", "write_lines"]
+__all__ = ["JSON_DECODER", "JSON_ENCODER", "MAX_DEPTH", "decode_line", "is_file_path",
+           "read_json_object", "has_surrogate", "read_line_blocks", "read_lines", "read_spans",
+           "read_text", "unique_keys", "write_jsonl", "write_lines"]
 
 # "utf-8-sig" drops one byte-order mark at the start of the file and
 # otherwise decodes exactly as "utf-8"
@@ -70,7 +71,33 @@ def unique_keys(pairs: list) -> dict:
     return obj
 
 
-JSON_DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)  # of every JSON input
+# the deepest that arrays and objects may nest in a JSON input, so that
+# whether a document is too deep depends on the document, not on how deep
+# the caller's stack is when it is decoded
+MAX_DEPTH = 100
+# a string, whose brackets do not nest, or a bracket
+_NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]')
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+class _BoundedDecoder(json.JSONDecoder):
+    """A JSON decoder that refuses a value nesting arrays and objects more
+    than :data:`MAX_DEPTH` deep, with a ``ValueError``, before decoding it.
+    Only a text holding more ``[`` and ``{`` than that is scanned for its
+    depth; any other passes in two C calls."""
+
+    def raw_decode(self, s, idx=0):
+        if s.count("[", idx) + s.count("{", idx) > MAX_DEPTH:
+            depth = 0
+            for match in _NESTING.finditer(s, idx):
+                depth += _STEP.get(match[0], 0)
+                if depth > MAX_DEPTH:
+                    raise ValueError(f"maximum recursion depth exceeded: JSON values may nest "
+                                     f"{MAX_DEPTH} arrays and objects deep")
+        return super().raw_decode(s, idx)
+
+
+JSON_DECODER = _BoundedDecoder(object_pairs_hook=unique_keys)  # of every JSON input
 
 
 def is_file_path(value: object) -> bool:
@@ -95,7 +122,7 @@ def read_json_object(path: str | Path, what: str, error: type[Exception], repeat
     text = read_text(path)
     try:
         value = JSON_DECODER.decode(text)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         if repeated and isinstance(exc, RepeatedKey) and _repeated_at_top(text, exc.key):
             raise repeated(exc.key) from None
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
@@ -112,7 +139,7 @@ def _repeated_at_top(text: str, key) -> bool:
     """
     try:
         top = json.JSONDecoder(object_pairs_hook=tuple).decode(text)
-    except (ValueError, RecursionError):
+    except ValueError:
         return False
     return isinstance(top, tuple) and [k for k, _ in top].count(key) > 1
 

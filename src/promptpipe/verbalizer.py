@@ -39,6 +39,7 @@ from .errors import (
     UnreadableFile,
     VerbalizerError,
     check_instance,
+    check_integer,
 )
 from .textfile import read_json_object
 from .tokenization import UNK_TOKEN, WhitespaceTokenizer, WordPieceTokenizer, _derived
@@ -214,8 +215,11 @@ class Verbalizer:
         shape raises :class:`~promptpipe.errors.DimensionMismatch`, and a
         NaN or an infinity at a real word
         :class:`~promptpipe.errors.NonFiniteValue`; padding entries are
-        ignored, whatever number they hold.
+        ignored, whatever number they hold. A ``mask_count`` that is not an
+        ``int``, or is a ``bool``, raises
+        :class:`~promptpipe.errors.ConfigError`.
         """
+        check_integer("mask_count", mask_count)
         shape = (mask_count, *self.word_mask.shape)
         try:
             values = float_array(prior)
@@ -315,7 +319,8 @@ class Verbalizer:
 class ClassScores:
     """Per-class scores aligned with the verbalizer's class order: one finite
     number (:func:`float_array`'s) per class, and at least one class, named
-    by a string."""
+    by a string. Scores given as a ``str``, ``bytes`` or ``bytearray`` are
+    refused, as the classes are as a ``str``."""
 
     classes: tuple[str, ...]
     scores: tuple[float, ...]
@@ -323,6 +328,8 @@ class ClassScores:
     def __post_init__(self):
         check_instance("classes", self.classes, Sequence, DimensionMismatch)
         check_instance("scores", self.scores, Sequence, DimensionMismatch)
+        if isinstance(self.scores, (str, bytes, bytearray)):
+            raise DimensionMismatch(f"scores must be a sequence of numbers, got {self.scores!r}")
         if isinstance(self.classes, str) or not all(isinstance(c, str) for c in self.classes):
             raise DimensionMismatch(f"classes must be a sequence of strings, got {self.classes!r}")
         if not self.classes or len(self.classes) != len(self.scores):

@@ -108,6 +108,12 @@ def _check_text(name: str, text: str) -> None:
 
 @dataclass(frozen=True)
 class Segment:
+    """One position of a wrapped template: literal or meta text, a mask, or
+    a soft slot. ``text`` must be a ``str``, ``is_mask`` and
+    ``shortenable`` ``bool`` values, and ``soft_slot`` ``None`` or an
+    ``int`` >= 0 that is not a ``bool``; anything else, or a soft slot
+    or mask with text, raises a :class:`~promptpipe.errors.TemplateError`."""
+
     text: str
     is_mask: bool = False
     soft_slot: int | None = None
@@ -116,6 +122,12 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.text, str):
             raise InvalidValueType(f"segment text must be a string, got {self.text!r}")
+        if not (isinstance(self.is_mask, bool) and isinstance(self.shortenable, bool)):
+            name = "shortenable" if isinstance(self.is_mask, bool) else "is_mask"
+            raise InvalidValueType(f"segment {name} must be a bool, got {getattr(self, name)!r}")
+        slot = self.soft_slot
+        if slot is not None and (not isinstance(slot, int) or isinstance(slot, bool) or slot < 0):
+            raise InvalidValueType(f"segment soft_slot must be None or an int >= 0, got {slot!r}")
         if self.soft_slot is not None and (self.is_mask or self.text):
             raise ConflictingAttributes("soft segments have no text and are not masks")
         if self.is_mask and self.text:
@@ -124,9 +136,22 @@ class Segment:
 
 @dataclass(frozen=True)
 class WrappedSequence:
+    """One example wrapped by a template: its segments in order, with the
+    example's guid and label. ``segments`` must be a tuple of
+    :class:`Segment`, ``example_guid`` a ``str`` and ``label`` a ``str``
+    or ``None``; anything else raises :class:`~promptpipe.errors.DataError`."""
+
     segments: tuple[Segment, ...]
     example_guid: str
     label: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.segments, tuple) or not all(
+                isinstance(segment, Segment) for segment in self.segments):
+            raise DataError(f"segments must be a tuple of Segment, got {self.segments!r}")
+        check_instance("example_guid", self.example_guid, str, DataError)
+        if self.label is not None and not isinstance(self.label, str):
+            raise DataError(f"label must be a str or None, got {self.label!r}")
 
     @property
     def mask_count(self) -> int:

@@ -118,6 +118,27 @@ BAD_ARGUMENTS = {
                      "segment text must be a string, got 5"),
     "mask_segment_text": (lambda: promptpipe.Segment(text=None, is_mask=True), InvalidValueType,
                           "segment text must be a string, got None"),
+    "segment_soft_slot": (lambda: promptpipe.Segment(text="", soft_slot="x"), InvalidValueType,
+                          "segment soft_slot must be None or an int >= 0, got 'x'"),
+    "segment_soft_slot_bool": (lambda: promptpipe.Segment(text="", soft_slot=True),
+                               InvalidValueType,
+                               "segment soft_slot must be None or an int >= 0, got True"),
+    "segment_soft_slot_negative": (lambda: promptpipe.Segment(text="", soft_slot=-1),
+                                   InvalidValueType,
+                                   "segment soft_slot must be None or an int >= 0, got -1"),
+    "segment_is_mask": (lambda: promptpipe.Segment(text="", is_mask=1), InvalidValueType,
+                        "segment is_mask must be a bool, got 1"),
+    "segment_shortenable": (lambda: promptpipe.Segment(text="a", shortenable="yes"),
+                            InvalidValueType, "segment shortenable must be a bool, got 'yes'"),
+    # refused when built, so no consumer (encode_wrapped, wrapped_text) sees it
+    "wrapped_sequence_segments": (lambda: promptpipe.WrappedSequence(5, "g"), DataError,
+                                  "segments must be a tuple of Segment, got 5"),
+    "wrapped_sequence_segment_items": (lambda: promptpipe.WrappedSequence((5,), "g"), DataError,
+                                       "segments must be a tuple of Segment, got (5,)"),
+    "wrapped_sequence_example_guid": (lambda: promptpipe.WrappedSequence((), 5), DataError,
+                                      "example_guid must be a str, got 5"),
+    "wrapped_sequence_label": (lambda: promptpipe.WrappedSequence((), "g", 5), DataError,
+                               "label must be a str or None, got 5"),
     "load_template_file": (lambda: promptpipe.load_template_file(5), ConfigError,
                            "input must be a file path, got 5"),
     "vocab_from_file": (lambda: promptpipe.Vocab.from_file(0), ConfigError,
@@ -181,6 +202,13 @@ BAD_ARGUMENTS = {
                              "classes must be a Sequence, got 5"),
     "class_scores_scores": (lambda: promptpipe.ClassScores(("a",), 5), DimensionMismatch,
                             "scores must be a Sequence, got 5"),
+    "class_scores_scores_bytes": (lambda: promptpipe.ClassScores(("a",), b"x"), DimensionMismatch,
+                                  "scores must be a sequence of numbers, got b'x'"),
+    "class_scores_scores_bytearray": (
+        lambda: promptpipe.ClassScores(("a",), bytearray(b"x")), DimensionMismatch,
+        "scores must be a sequence of numbers, got bytearray(b'x')"),
+    "class_scores_scores_str": (lambda: promptpipe.ClassScores(("a",), "x"), DimensionMismatch,
+                                "scores must be a sequence of numbers, got 'x'"),
     "compiled_template_ast": (
         lambda: promptpipe.CompiledTemplate(5, promptpipe.WhitespaceTokenizer(_vocab()), 8),
         InvalidValueType, "ast must be a TemplateAST, got 5"),
@@ -272,6 +300,10 @@ BAD_ARGUMENTS = {
     "verbalizer_word_scores_dtype": (
         lambda: _verbalizer().word_scores(np.zeros((1, 6), dtype=np.int64)), DimensionMismatch,
         "logits must be floats, got dtype int64"),
+    "verbalizer_check_prior_bool": (lambda: _verbalizer().check_prior(np.zeros((1, 1, 1)), True),
+                                    ConfigError, "'mask_count' must be an integer, got True"),
+    "verbalizer_check_prior_float": (lambda: _verbalizer().check_prior(np.zeros((1, 1, 1)), 1.0),
+                                     ConfigError, "'mask_count' must be an integer, got 1.0"),
     "verbalizer_aggregate": (lambda: _verbalizer().aggregate([[[0.0]]], "max"),
                              DimensionMismatch, "words must be a ndarray, got [[[0.0]]]"),
     "verbalizer_aggregate_prior": (
@@ -333,7 +365,6 @@ NO_BAD_ARGUMENTS = {
     "Aggregation", "NodeKind", "PostProcessing", "TokenizerKind",
     "PromptPipeError",
     "Diagnostic", "RunReport", "SlotSpec", "SoftEmbeddingPlan", "TokenizedInput",
-    "WrappedSequence",
 }
 
 

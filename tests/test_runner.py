@@ -1384,6 +1384,19 @@ _ROW_SPELLINGS = ["01.5", "00.1", "-01.5", "-0.0", "0.0", "0.5", "12345678.12345
 @example(texts=["1.", "0.5"], separator=", ", lead="", chunk=1 << 16)
 @example(texts=["0.5", ".5"], separator=", ", lead="", chunk=1)
 @example(texts=["1.5e0"], separator=", ", lead="", chunk=1 << 16)
+# 7 and 8 digits: one window per field, or two, and a step of both
+@example(texts=["123456.7"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["123456.7"], separator=", ", lead="", chunk=1)
+@example(texts=["1234567.0"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["1234567.0"], separator=", ", lead="", chunk=1)
+@example(texts=["-0.000001"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["-0.000001"], separator=", ", lead="", chunk=1)
+@example(texts=["9.999999"], separator=", ", lead="", chunk=1 << 16)
+@example(texts=["9.999999"], separator=", ", lead="", chunk=1)
+@example(texts=["123456.7", "1234567.0", "-0.000001", "9.999999"], separator=", ", lead=" ",
+         chunk=1 << 16)
+@example(texts=["123456.7", "1234567.0", "-0.000001", "9.999999"], separator=", ", lead=" ",
+         chunk=1)
 def test_decimal_row_check_accepts_exactly_the_rows_it_converts(texts, separator, lead, chunk):
     """Checking a row without converting it accepts or refuses it as the
     converting step does, at the row's width and one off, in one step or
@@ -1404,6 +1417,38 @@ def test_decimal_row_check_accepts_exactly_the_rows_it_converts(texts, separator
             assert checked == converted
             if converted:
                 assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+@st.composite
+def _seven_digit_text(draw):
+    """A short decimal of at most 7 digits in all, signed or not."""
+    integer = draw(st.sampled_from(["0"]) | st.from_regex(r"[1-9][0-9]{0,5}", fullmatch=True))
+    room = 7 - len(integer)  # a lone 0 counts as a digit of the field
+    fraction = draw(st.text("0123456789", min_size=1, max_size=room))
+    return draw(st.sampled_from(["", "-"])) + integer + "." + fraction
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    texts=st.lists(_seven_digit_text() | st.sampled_from(["-0.0", "0.0", "-9.999999"]),
+                   min_size=1, max_size=8),
+    separator=st.sampled_from([", ", ","]),
+    lead=st.sampled_from(["", " "]),
+    chunk=st.sampled_from([1 << 16, 1]),
+)
+def test_rows_of_seven_digit_fields_convert_as_float(texts, separator, lead, chunk):
+    """A row whose every field has at most 7 digits, which each step converts
+    from one window per field, reads back bit for bit as float() reads it,
+    in one step or in a step per field."""
+    from unittest import mock
+
+    from promptpipe import logits
+
+    row = (lead + separator.join(texts)).encode()
+    values = np.empty(len(texts))
+    with mock.patch.object(logits, "_CHUNK", chunk):
+        assert logits._decimal_row(row, len(texts), values, bytearray())
+    assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -300,6 +300,36 @@ def test_a_value_nested_too_deeply_is_an_error_naming_the_file(fixtures_dir, tmp
     assert str(failure.value).startswith(start.format(path=path))
 
 
+def _called_from(frames: int, call):
+    """``call()``, made ``frames`` Python frames deeper than this one."""
+    return call() if frames == 0 else _called_from(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 500])
+def test_the_nesting_limit_is_the_files_not_the_stacks(fixtures_dir, tmp_path, frames):
+    """A record nested MAX_DEPTH deep loads and one a level deeper is refused,
+    however deep the caller's stack; brackets inside strings do not nest."""
+    from promptpipe.textfile import MAX_DEPTH
+
+    def dataset(depth: int):
+        inner = "[" * (depth - 1) + "]" * (depth - 1)
+        path = tmp_path / f"d{depth}.jsonl"
+        path.write_text('{"guid": "a", "meta": {"t": "[{\\"[ %s"}}\n'
+                        '{"guid": "b", "meta": {"t": "x"}, "x": %s}\n' % ("[{" * 200, inner),
+                        encoding="utf-8")
+        return path
+
+    assert MAX_DEPTH == 100
+    loaded = _called_from(frames, lambda: READERS["dataset"][0](dataset(100), fixtures_dir))
+    assert [example.guid for example in loaded.examples] == ["a", "b"]
+    assert loaded.examples[0].meta["t"] == '[{"[ ' + "[{" * 200
+    path = dataset(101)
+    with pytest.raises(MalformedLine) as failure:
+        _called_from(frames, lambda: READERS["dataset"][0](path, fixtures_dir))
+    assert str(failure.value).startswith(
+        f"{path}:2: invalid JSON: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("name", ["logits", "logits_decimal"])
 def test_a_logits_guid_with_a_lone_surrogate_names_its_line(fixtures_dir, tmp_path, name):
     """No output could write the guid: a UTF-8 encoder refuses a lone surrogate."""
