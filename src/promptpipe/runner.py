@@ -294,16 +294,26 @@ def _predict(records: list[dict], scores: np.ndarray, classes: Sequence[str]) ->
     return records
 
 
+# the characters encode_basestring escapes; none is a byte of a UTF-8
+# multi-byte sequence
+_ESCAPED = bytes(range(0x20)) + b'"\\'
+
+
 def _result_lines(results: Iterable[dict]) -> Iterator[str]:
     """Each of ``run``'s results as the line :func:`~promptpipe.textfile.write_jsonl`
     writes for it, formatted directly: its strings by the function that
     encoder calls for a ``str`` (it does not escape non-ASCII text), and its
     class scores, finite floats (:func:`_predict`), as the repr of their
-    list, which is their JSON text."""
+    list, which is their JSON text. A wrapped text with nothing to escape,
+    as one C scan of its UTF-8 bytes finds, is copied as is; a lone
+    surrogate passes the scan and fails at the write, as it does there."""
     encode = encode_basestring
     for record in results:
+        text = record["wrapped_text"]
+        raw = text.encode("utf-8", "surrogatepass")
+        text = f'"{text}"' if len(raw.translate(None, _ESCAPED)) == len(raw) else encode(text)
         yield (f'{{"guid": {encode(record["guid"])}, '
-               f'"wrapped_text": {encode(record["wrapped_text"])}, '
+               f'"wrapped_text": {text}, '
                f'"predicted_class": {encode(record["predicted_class"])}, '
                f'"class_scores": {record["class_scores"]!r}}}\n')
 

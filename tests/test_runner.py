@@ -42,9 +42,22 @@ def scores(*values: float) -> ClassScores:
     return ClassScores(classes=("a", "b"), scores=tuple(values))
 
 
+# a wrapped text with nothing to escape is copied as is; these sit at the
+# edges of that check: a long plain text, it with one character to escape
+# last, first or in the middle, and non-ASCII text needing no escape
+_LONG_PLAIN = "plain words " * 8333 + "pad!"
+_RAW_COPY_EDGES = [
+    _LONG_PLAIN,
+    _LONG_PLAIN[:-1] + '"',
+    "\x1f" + _LONG_PLAIN[1:],
+    _LONG_PLAIN[:50_000] + "\\" + _LONG_PLAIN[50_001:],
+    "line\u2028sep \u0085nel \x7fdel café 😀",
+]
+
+
 @pytest.mark.parametrize("text", [
     "plain", 'a "quoted" word', "back\\slash", "tab\tnew\nline\rcr\x00nul\x1fus\x7fdel",
-    "line\u2028para\u2029sep\x85nel", "café 日本 😀", "",
+    "line\u2028para\u2029sep\x85nel", "café 日本 😀", "", *_RAW_COPY_EDGES,
 ])
 def test_result_lines_are_the_bytes_write_jsonl_writes(tmp_path, text):
     """run formats its lines directly; each must equal write_jsonl's line."""
@@ -53,6 +66,19 @@ def test_result_lines_are_the_bytes_write_jsonl_writes(tmp_path, text):
     path = tmp_path / "expected.jsonl"
     write_jsonl(records, path)
     assert "".join(_result_lines(records)).encode("utf-8") == path.read_bytes()
+
+
+def test_a_lone_surrogate_in_a_wrapped_text_fails_at_the_write(tmp_path):
+    """A lone surrogate needs no escape, so the text is copied as is, and
+    writing it fails as it does through write_jsonl."""
+    from promptpipe.textfile import write_lines
+
+    records = [{"guid": "g", "wrapped_text": "a \ud800 b", "predicted_class": "c",
+                "class_scores": [0.5]}]
+    with pytest.raises(UnicodeEncodeError):
+        write_jsonl(records, tmp_path / "encoder.jsonl")
+    with pytest.raises(UnicodeEncodeError):
+        write_lines(_result_lines(records), tmp_path / "formatted.jsonl")
 
 
 # --- ensembling ---------------------------------------------------------------
@@ -515,6 +541,11 @@ def test_cli_plan_and_sample_and_score(fixtures_dir, tmp_path, capsys):
 )
 @example(strings=['"q" \\ \x00\x1f\x7f', "\t\n\u2028\u2029 café 😀", "日本"],
          class_scores=[-0.0, 5e-324, 1e16, 1.7976931348623157e308])
+@example(strings=["g", _RAW_COPY_EDGES[0], "c"], class_scores=[0.5])
+@example(strings=["g", _RAW_COPY_EDGES[1], "c"], class_scores=[0.5])
+@example(strings=["g", _RAW_COPY_EDGES[2], "c"], class_scores=[0.5])
+@example(strings=["g", _RAW_COPY_EDGES[3], "c"], class_scores=[0.5])
+@example(strings=["g", _RAW_COPY_EDGES[4], "c"], class_scores=[0.5])
 def test_run_result_lines_are_the_bytes_write_jsonl_writes(tmp_path_factory, strings,
                                                            class_scores):
     """``run`` formats its fixed-schema lines itself; for any strings and any
@@ -1449,6 +1480,71 @@ def test_rows_of_seven_digit_fields_convert_as_float(texts, separator, lead, chu
     with mock.patch.object(logits, "_CHUNK", chunk):
         assert logits._decimal_row(row, len(texts), values, bytearray())
     assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+@st.composite
+def _short_decimal(draw):
+    """A field of the form -?(0|[1-9][0-9]{0,7})\\.[0-9]{1,8}, up to 16 digits."""
+    f = draw(st.integers(1, 8))
+    return (draw(st.sampled_from(["", "-"])) + str(draw(st.integers(0, 10**8 - 1))) + "."
+            + str(draw(st.integers(0, 10**f - 1))).zfill(f))
+
+
+def _in_fast_form(row: bytes, width: int) -> bool:
+    """The oracle of _decimal_row's check, field by field: ``width`` fields
+    in the short-decimal form, one space allowed before each."""
+    fields = [f[1:] if f.startswith(" ") else f for f in row.decode().split(",")]
+    return len(fields) == width and all(
+        _FAST_FORM.fullmatch(f) and sum(map(str.isdigit, f)) <= 15 for f in fields)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    texts=st.lists(_short_decimal(), min_size=1, max_size=12),
+    separator=st.sampled_from([",", ", "]),
+    lead=st.sampled_from(["", " "]),
+    mutations=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                 st.integers(0, 1 << 8), st.sampled_from(b"0123456789.,- e+x]")),
+                       max_size=2),
+)
+# a leading zero, a second space, an exponent and a lost dot, each mid-row
+@example(texts=["0.5", "0.25", "1.5"], separator=", ", lead="", mutations=[("insert", 5, 48)])
+@example(texts=["0.5", "0.25", "1.5"], separator=", ", lead="", mutations=[("insert", 4, 32)])
+@example(texts=["0.5", "0.255"], separator=",", lead=" ",
+         mutations=[("replace", 8, ord("e")), ("insert", 9, ord("+"))])
+@example(texts=["12.5", "0.25"], separator=",", lead="", mutations=[("delete", 2, 48)])
+def test_decimal_row_accepts_mutated_rows_as_a_field_oracle_does(texts, separator, lead,
+                                                                 mutations):
+    """A row of short decimals with up to two bytes replaced, inserted or
+    deleted is accepted, with and without an output, exactly when each of
+    its fields is in the form, at any step size and at the row's width and
+    one off; an accepted row converts as float() does."""
+    from unittest import mock
+
+    from promptpipe import logits
+
+    row = bytearray((lead + separator.join(texts)).encode())
+    for kind, at, byte in mutations:
+        at %= len(row) + (kind == "insert")
+        if kind == "replace":
+            row[at] = byte
+        elif kind == "insert":
+            row.insert(at, byte)
+        elif len(row) > 1:
+            del row[at]
+    row = bytes(row)
+    n = row.count(b",") + 1
+    pad = bytearray()
+    for chunk in (1, 2, 3, 5, 8, 13, 64, 1 << 16):
+        with mock.patch.object(logits, "_CHUNK", chunk):
+            for width in {n - 1, n, n + 1} - {0}:
+                expected = _in_fast_form(row, width)
+                values = np.empty(width)
+                assert logits._decimal_row(row, width, values, pad) == expected, chunk
+                assert logits._decimal_row(row, width, None, pad) == expected, chunk
+                if expected:
+                    fields = row.replace(b" ", b"").split(b",")
+                    assert values.tobytes() == np.array([float(f) for f in fields]).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
