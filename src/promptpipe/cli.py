@@ -233,10 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.checked:
             CONFIG_SCHEMA[name].check(name, getattr(args, name))
         return args.func(args)
-    except PromptPipeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (PromptPipeError, OSError) as exc:  # OSError: an output that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -20,7 +20,6 @@ bit-reproducible across platforms, runs, and reimplementations:
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +31,7 @@ from .errors import (
     DataError,
     DuplicateGuid,
     InsufficientExamples,
+    InvalidEncoding,
     MalformedLine,
     check_instance,
     check_integer,
@@ -40,7 +40,6 @@ from .textfile import (
     JSON_DECODER,
     decode_line,
     has_surrogate,
-    is_file_path,
     read_line_blocks,
     read_spans,
 )
@@ -92,112 +91,100 @@ def read_guid_lines(
     read_line: Callable[[bytearray, int, int], tuple[str, Any] | None] | None = None,
 ) -> Iterator[tuple[int, str, Any]]:
     """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL
-    file.
+    file read as bytes, line by line (the logits file's reader), skipping
+    blank lines; the error is the first bad line's: bytes that are not UTF-8,
+    a line that is not one JSON object (:class:`~promptpipe.errors.MalformedLine`)
+    or a guid :func:`_add_guid` refuses.
 
-    The file is read line by line, as :func:`~promptpipe.textfile.read_lines`
-    reads it, so an error is the one of the first bad line in the file,
-    whether its bytes are not UTF-8 or its record is bad; blank lines are
-    skipped. A line that is not a JSON object with a non-empty string
-    ``guid`` free of lone surrogates, that repeats a key or that nests
-    arrays and objects more than :data:`~promptpipe.textfile.MAX_DEPTH`
-    deep raises :class:`~promptpipe.errors.MalformedLine`, and a guid seen
-    on an earlier line raises :class:`~promptpipe.errors.DuplicateGuid`
-    naming both lines; every error names ``path:line``.
-
-    ``read_line(buffer, start, end)`` gets each line's bytes as
-    :func:`~promptpipe.textfile.read_spans` yields them, which hold only
-    during the call. It returns ``(guid, record)`` for a line it reads, and
-    must do so only when :data:`~promptpipe.textfile.JSON_DECODER` decodes
-    the line, as UTF-8 text, as an object whose ``guid`` is that string.
-    It returns ``None`` for any other line, which is then decoded and read
-    by that decoder. The guid rules apply to every line either way.
+    ``read_line(buffer, start, end)`` gets each line's bytes, as ``read_spans``
+    yields them and valid only during the call, and returns ``(guid, record)``
+    only when the decoder would read the line as an object with that ``guid``,
+    else ``None`` for the decoder to read it; the guid rules apply either way.
     """
-    first_line: dict[str, int] = {}
+    seen: dict[str, int] = {}  # each guid's line
     for line_no, buffer, start, end in read_spans(path):
         read = read_line(buffer, start, end) if read_line else None
         if read is None:
             line = decode_line(path, line_no, buffer, start, end)
             if line.isspace():
                 continue
-            try:
-                record = JSON_DECODER.decode(line)
-            except ValueError as exc:
-                raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise MalformedLine(path, line_no, "expected a JSON object")
+            record = _record(path, line_no, line)
             guid = record.get("guid")
         else:
             guid, record = read
-        if not isinstance(guid, str) or not guid:
-            raise MalformedLine(path, line_no, "missing or non-string 'guid'")
-        if has_surrogate(guid):
-            raise MalformedLine(path, line_no, f"'guid' must not hold a lone surrogate, got {guid!r}")
-        if guid in first_line:
-            raise DuplicateGuid(
-                f"{path}:{line_no}: guid {guid!r} already appears on line {first_line[guid]}"
-            )
-        first_line[guid] = line_no
+        _add_guid(path, line_no, guid, seen)
         yield line_no, guid, record
 
 
-def _parse_example(path: str | Path, line_no: int, guid: str, obj: dict) -> InputExample:
-    """The line's example; the legacy ``text_a``/``text_b`` fields fold into ``meta``."""
-    meta = obj.get("meta", {})
-    for legacy in ("text_a", "text_b"):
-        if legacy in obj and isinstance(meta, dict):
-            if legacy in meta:
-                raise MalformedLine(path, line_no, f"{legacy!r} given both top-level and in meta")
-            meta = {**meta, legacy: obj[legacy]}
+def _record(path: str | Path, line_no: int, line: str) -> dict:
+    """The JSON object that line ``line_no`` holds; anything else raises MalformedLine."""
     try:
-        return InputExample(guid=guid, meta=meta, label=obj.get("label"))
-    except DataError as exc:
-        raise MalformedLine(path, line_no, str(exc)) from None
+        record = JSON_DECODER.decode(line)
+    except ValueError as exc:
+        raise MalformedLine(path, line_no, f"invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise MalformedLine(path, line_no, "expected a JSON object")
+    return record
+
+
+def _add_guid(path: str | Path, line_no: int, guid: object, seen: dict[str, int]) -> None:
+    """Map line ``line_no``'s ``guid`` to it in ``seen``, unless it breaks a rule or is there."""
+    if not isinstance(guid, str) or not guid:
+        raise MalformedLine(path, line_no, "missing or non-string 'guid'")
+    if has_surrogate(guid):
+        raise MalformedLine(path, line_no, f"'guid' must not hold a lone surrogate, got {guid!r}")
+    if guid in seen:
+        raise DuplicateGuid(f"{path}:{line_no}: guid {guid!r} already appears on line {seen[guid]}")
+    seen[guid] = line_no
 
 
 def load_jsonl(path: str | Path) -> Dataset:
     """Load a JSONL dataset, preserving line order; errors name ``path:line``.
 
-    A regular file is read first by :func:`_load_blocks`; on any fault
-    there, and for a file that could not be read twice (a pipe), the line
-    reader reads it and raises the error of the first bad line.
-    """
-    if is_file_path(path) and os.path.isfile(path):
-        try:
-            return _load_blocks(path)
-        except (ValueError, DataError):
-            pass  # the line reader below names the first bad line
-    return Dataset.from_examples(
-        _parse_example(path, line_no, guid, record)
-        for line_no, guid, record in read_guid_lines(path)
-    )
-
-
-def _load_blocks(path: str | Path) -> Dataset:
-    """:func:`load_jsonl`'s dataset for a file whose every non-blank line is
-    one valid record without the legacy fields; for any other file a
-    ``ValueError`` or :class:`~promptpipe.errors.DataError` whose message
-    no caller shows.
-
-    Each line is decoded by one ``raw_decode`` call, which must end at the
-    line's end: one array decode per block would read a value cut over two
-    lines, with two values on a third, as one record per line.
+    The file is read once, in blocks of lines; the error is the first bad
+    line's: not UTF-8, :func:`read_guid_lines`' checks, a legacy field also
+    in ``meta``, then ``InputExample``'s rules. Each line is one ``raw_decode``
+    that must end at its end: an array decode per block would read a value
+    cut over two lines, with two values on a third, as one record a line.
     """
     decode = JSON_DECODER.raw_decode
-    examples = []
-    for lines in read_line_blocks(path):
-        for line in lines:
-            if line.isspace():
-                continue
-            # the record must span the line but for JSON whitespace, which
-            # here is only " ", "\t" and the "\n" that ends the line
-            record, end = decode(line, len(line) - len(line.lstrip(" \t")))
-            if line[end:].strip(" \t\n") or type(record) is not dict:
-                raise ValueError("not one JSON object")
-            if "text_a" in record or "text_b" in record:
-                raise ValueError("legacy fields")
-            examples.append(InputExample(record.get("guid"), record.get("meta", {}),
-                                         record.get("label")))
-    return Dataset(tuple(examples))
+    examples: list[InputExample | None] = []  # one per line, None for a blank one
+    try:
+        for lines in read_line_blocks(path):
+            for line in lines:
+                if line.isspace():
+                    examples.append(None)
+                    continue
+                # the record must span the line but for JSON whitespace, which
+                # here is only " ", "\t" and the "\n" that ends the line
+                record, end = decode(line, len(line) - len(line.lstrip(" \t")))
+                if line[end:].strip(" \t\n") or type(record) is not dict:
+                    raise ValueError("not one JSON object")
+                if "text_a" in record or "text_b" in record:
+                    _fold_legacy(record)
+                examples.append(InputExample(record.get("guid"), record.get("meta", {}),
+                                             record.get("label")))
+        return Dataset(tuple(filter(None, examples)))  # an example is never false
+    except (InvalidEncoding, DuplicateGuid, ValueError, DataError) as exc:
+        seen: dict[str, int] = {}
+        for line_no, example in enumerate(examples, 1):
+            if example is not None:
+                _add_guid(path, line_no, example.guid, seen)
+        if isinstance(exc, (InvalidEncoding, DuplicateGuid)):  # the reader's, or Dataset's
+            raise
+        line_no = len(examples) + 1  # ``line`` gives no example
+        _add_guid(path, line_no, _record(path, line_no, line).get("guid"), seen)
+        raise MalformedLine(path, line_no, str(exc)) from None  # legacy fold's or InputExample's
+
+
+def _fold_legacy(record: dict) -> None:
+    """Fold ``record``'s legacy top-level ``text_a``/``text_b`` into its ``meta``."""
+    for legacy in ("text_a", "text_b"):
+        meta = record.get("meta", {})
+        if legacy in record and isinstance(meta, dict):
+            if legacy in meta:
+                raise DataError(f"{legacy!r} given both top-level and in meta")
+            record["meta"] = {**meta, legacy: record[legacy]}
 
 
 def example_to_dict(example: InputExample) -> dict:

@@ -17,6 +17,10 @@ class InvalidEncoding(PromptPipeError):
     """An input file that does not decode as UTF-8."""
 
 
+class UnreadableFile(PromptPipeError):
+    """An input file that cannot be opened, or a verbalizer that is not a JSON object."""
+
+
 # --- template language ---
 
 
@@ -88,10 +92,6 @@ class EmptyClass(VerbalizerError):
 
 
 class DuplicateClass(VerbalizerError):
-    pass
-
-
-class UnreadableFile(VerbalizerError):
     pass
 
 

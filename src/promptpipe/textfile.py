@@ -2,22 +2,19 @@
 dropped, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``; how every
 JSON document is decoded; and how every JSONL output is written.
 
-Line-by-line files (templates, datasets, logits) are read as bytes through
-one reused buffer (:func:`read_spans`), so memory is bounded by the longest
-line, and each line is decoded as it is reached (:func:`decode_line`). A
-file that is not valid UTF-8 raises
+Every input but the logits file is read once as text, whole
+(:func:`read_text`) or in blocks of lines (:func:`read_line_blocks`); a
+byte that is not UTF-8 reads as a lone surrogate, so that pass raises
 :class:`~promptpipe.errors.InvalidEncoding` naming the file and the line
-of the first undecodable byte, and a path that is not a non-empty ``str``
-or an ``os.PathLike`` raises :class:`~promptpipe.errors.ConfigError`.
-A dataset is read first as text, in blocks of whole lines framed by the
-same rule (:func:`read_line_blocks`), so memory is bounded by one block
-plus the dataset returned; any fault there is left to the line reader,
-which names the first bad line in file order. Every JSON or YAML input
-rejects a repeated key, at any depth: each JSON file and JSONL line is
-decoded by :data:`JSON_DECODER`, whose hook :func:`unique_keys` also
-builds the YAML config's mappings. That decoder also refuses a value
-nested more than :data:`MAX_DEPTH` arrays and objects deep, and a YAML
-config is refused if nested deeper than its parser can recurse. Every
+of the first such byte, as :func:`decode_line` does for each line of the
+logits file, read as bytes through one reused buffer (:func:`read_spans`).
+A path that is not a non-empty ``str`` or an ``os.PathLike`` raises
+:class:`~promptpipe.errors.ConfigError`, and a file that cannot be opened
+:class:`~promptpipe.errors.UnreadableFile`. Each JSON file and JSONL line
+is decoded by :data:`JSON_DECODER`, which refuses a repeated key at any
+depth (its hook :func:`unique_keys` also builds the YAML config's
+mappings) and a value nested more than :data:`MAX_DEPTH` deep; a YAML
+config nested deeper than its parser can recurse is refused too. Every
 JSONL output is encoded by :data:`JSON_ENCODER`.
 """
 
@@ -27,10 +24,11 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
-from .errors import ConfigError, InvalidEncoding
+from .errors import ConfigError, InvalidEncoding, UnreadableFile
 
 __all__ = ["JSON_DECODER", "JSON_ENCODER", "MAX_DEPTH", "decode_line", "is_file_path",
            "read_json_object", "has_surrogate", "read_line_blocks", "read_lines", "read_spans",
@@ -144,30 +142,54 @@ def _repeated_at_top(text: str, key) -> bool:
     return isinstance(top, tuple) and [k for k, _ in top].count(key) > 1
 
 
+def _open(path: str | Path, *args, **options) -> IO:
+    """Input file ``path`` opened by ``open``; one it cannot open raises UnreadableFile."""
+    try:
+        return open(_file_path(path), *args, **options)
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _bad_line(path: str | Path, text: str, line_no: int) -> tuple[int, InvalidEncoding] | None:
+    """How many lines of ``text``, from line ``line_no`` of ``path``, precede the
+    first that held bytes that are not UTF-8, and its error; ``None`` if none did."""
+    try:
+        text.isascii() or text.encode()  # a lone surrogate, a byte that is not UTF-8, raises
+        return None
+    except UnicodeEncodeError:
+        raw = text.encode("utf-8", "surrogateescape")  # the bytes read, "\n" ending each line
+    try:
+        raw.decode()
+    except UnicodeDecodeError as exc:
+        before = raw.count(b"\n", 0, exc.start)
+        return before, InvalidEncoding(f"{path}:{line_no + before}: not valid UTF-8 "
+                                       f"(byte 0x{raw[exc.start]:02x}: {exc.reason})")
+
+
 def read_text(path: str | Path) -> str:
     """The whole file, with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
-    try:
-        with open(_file_path(path), encoding=ENCODING) as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        pass
-    for _ in read_lines(path):  # raises at the first line that is not UTF-8
-        pass
-    raise InvalidEncoding(f"{path}: not valid UTF-8")
+    with _open(path, encoding=ENCODING, errors="surrogateescape") as handle:
+        text = handle.read()
+    if bad := _bad_line(path, text, 1):
+        raise bad[1]
+    return text
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield ``(line_no, line)`` from 1, each line ending in ``\\n`` but the last."""
-    for line_no, buffer, start, end in read_spans(path):
-        yield line_no, decode_line(path, line_no, buffer, start, end)
+    """``(line_no, line)`` from 1, each line ending in ``\\n`` but the last."""
+    return enumerate(chain.from_iterable(read_line_blocks(path)), 1)
 
 
 def read_line_blocks(path: str | Path) -> Iterator[list[str]]:
-    """Yield the lines :func:`read_lines` gives, in lists of about ``_BLOCK``
-    characters, framed by the text reader's universal newlines; bytes that
-    are not UTF-8 raise a ``UnicodeDecodeError`` that names no line."""
-    with open(_file_path(path), encoding=ENCODING, newline=None) as handle:
+    """Yield the file's lines, each ending in ``\\n`` but the last, in lists of about
+    ``_BLOCK`` characters; a line not UTF-8 raises InvalidEncoding once those before it are."""
+    line_no = 1
+    with _open(path, encoding=ENCODING, errors="surrogateescape") as handle:
         while lines := handle.readlines(_BLOCK):
+            if bad := _bad_line(path, "".join(lines), line_no):
+                yield lines[:bad[0]]
+                raise bad[1]
+            line_no += len(lines)
             yield lines
 
 
@@ -181,7 +203,7 @@ def read_spans(path: str | Path) -> Iterator[tuple[int, bytearray, int, int]]:
     for every line, so a line's bytes hold only until the next line is
     asked for; a line longer than the buffer grows it to twice its size.
     """
-    with open(_file_path(path), "rb", buffering=0) as handle:
+    with _open(path, "rb", buffering=0) as handle:
         # a smaller file needs its size, and one byte more for the read that finds its end
         size = os.fstat(handle.fileno()).st_size
         buffer = bytearray(min(_BUFFER, size + 1) if size else _BUFFER)
@@ -231,13 +253,9 @@ def decode_line(path: str | Path, line_no: int, buffer: bytearray, start: int, e
     gives it, as text whose line end is ``\\n``; bytes that are not UTF-8
     raise :class:`~promptpipe.errors.InvalidEncoding` naming the line and
     the first of them."""
-    try:
-        line = buffer[start:end].decode()
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(
-            f"{path}:{line_no}: not valid UTF-8 "
-            f"(byte 0x{buffer[start + exc.start]:02x}: {exc.reason})"
-        ) from None
+    line = buffer[start:end].decode(errors="surrogateescape")
+    if bad := _bad_line(path, line, line_no):
+        raise bad[1]
     # a "\r" inside a line ends it, so one can only be last or before a last "\n"
     if buffer[end - 1] == 13:
         return line[:-1] + "\n"

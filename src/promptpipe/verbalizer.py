@@ -388,12 +388,9 @@ def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Ver
 
 def load_verbalizer(path: str | Path, tokenizer) -> Verbalizer:
     """Load a JSON verbalizer file: a map from class name to word list."""
-    try:
-        mapping = read_json_object(
-            path, "verbalizer file", UnreadableFile,
-            lambda key: DuplicateClass(f"verbalizer file {path}: class {key!r} defined twice"))
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read verbalizer file {path}: {exc}") from None
+    mapping = read_json_object(
+        path, "verbalizer file", UnreadableFile,
+        lambda key: DuplicateClass(f"verbalizer file {path}: class {key!r} defined twice"))
     return build_verbalizer(mapping, tokenizer)
 
 

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from promptpipe import Dataset, InputExample, fewshot_sample, load_jsonl, textfile
 from promptpipe import data
-from promptpipe.data import SplitMix64, _parse_example, example_to_dict, fnv1a64, read_guid_lines
+from promptpipe.data import SplitMix64, example_to_dict, fnv1a64, read_guid_lines
 from promptpipe.errors import (
     ConfigError,
     DataError,
     DuplicateGuid,
     InsufficientExamples,
+    InvalidEncoding,
     MalformedLine,
     PromptPipeError,
 )
@@ -187,7 +188,24 @@ def _dataset_files(draw) -> bytes:
     return bom + b"".join(line + end for line, end in zip(lines, ends))
 
 
+def _parse_example(path, line_no: int, guid: str, obj: dict) -> InputExample:
+    """The line's example; the legacy ``text_a``/``text_b`` fields fold into ``meta``."""
+    meta = obj.get("meta", {})
+    for legacy in ("text_a", "text_b"):
+        if legacy in obj and isinstance(meta, dict):
+            if legacy in meta:
+                raise MalformedLine(path, line_no, f"{legacy!r} given both top-level and in meta")
+            meta = {**meta, legacy: obj[legacy]}
+    try:
+        return InputExample(guid=guid, meta=meta, label=obj.get("label"))
+    except DataError as exc:
+        raise MalformedLine(path, line_no, str(exc)) from None
+
+
 def _read_by_lines(path) -> Dataset:
+    """The dataset as a line reader gives it, the oracle of load_jsonl's one
+    pass: each line read by the logits file's reader, read_guid_lines, which
+    checks JSON, object, guid and repeated guid, then folded and built."""
     return Dataset.from_examples(_parse_example(path, line_no, guid, record)
                                  for line_no, guid, record in read_guid_lines(path))
 
@@ -252,27 +270,33 @@ def test_a_path_that_is_not_a_file_path_is_refused_before_any_open(monkeypatch, 
         load_jsonl(path)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_a_pipe_is_read_once_by_the_line_reader(tmp_path, monkeypatch):
-    """A pipe could not be read a second time after a fault, so only the
-    line reader reads it."""
-    fifo = tmp_path / "d.jsonl"
-    os.mkfifo(fifo)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the block reader read a pipe")
-
+def _load_from_pipe(fifo, data: bytes):
+    """``load_jsonl(fifo)`` while a thread writes ``data`` into the named pipe."""
     def write():
-        with open(fifo, "w", encoding="utf-8") as handle:
-            handle.write('{"guid": "a", "text_a": "x"}\n')
+        with open(fifo, "wb") as handle:
+            handle.write(data)
 
-    monkeypatch.setattr(data, "_load_blocks", refuse)
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
-    dataset = load_jsonl(fifo)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    try:
+        return load_jsonl(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_once_by_the_line_reader(tmp_path):
+    """A pipe cannot be read a second time, and it never needs to be: the one
+    pass over its lines loads a legacy record, and names the first bad line
+    itself, here line 2, not UTF-8, before line 3, not JSON."""
+    fifo = tmp_path / "d.jsonl"
+    os.mkfifo(fifo)
+    dataset = _load_from_pipe(fifo, b'{"guid": "a", "text_a": "x"}\n')
     assert dataset == Dataset((InputExample("a", {"text_a": "x"}),))
+    with pytest.raises(InvalidEncoding) as failure:
+        _load_from_pipe(fifo, b'{"guid": "a"}\n{"guid": "b\xff"}\n{"guid": \n')
+    assert str(failure.value) == f"{fifo}:2: not valid UTF-8 (byte 0xff: invalid start byte)"
 
 
 @pytest.mark.parametrize(("line", "message"), [

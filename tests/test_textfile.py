@@ -1,12 +1,15 @@
 """Every input file is read as UTF-8 with an optional byte-order mark;
 bytes that are not UTF-8 raise an error naming the file and the line.
-Every JSON or YAML input rejects a repeated key, and every reader takes
-only a ``str`` or ``os.PathLike`` path."""
+Every JSON or YAML input rejects a repeated key, every reader takes
+only a ``str`` or ``os.PathLike`` path, and an input that cannot be
+opened is an ``UnreadableFile`` naming it."""
 
 from __future__ import annotations
 
+import builtins
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +31,13 @@ from promptpipe.errors import (
     DuplicateClass,
     InvalidEncoding,
     MalformedLine,
+    PromptPipeError,
     UnreadableFile,
+    VerbalizerError,
 )
 from promptpipe import textfile
 from promptpipe.logits import LogitsFileScorer, read_logits_records
-from promptpipe.textfile import read_lines, write_jsonl
+from promptpipe.textfile import decode_line, read_lines, read_spans, write_jsonl
 
 BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 
@@ -155,10 +160,11 @@ def test_read_lines_reads_as_text_mode_does(tmp_path_factory, parts, bom, size):
 
 
 def test_lines_ending_at_a_lone_cr_are_framed_in_linear_time(tmp_path, monkeypatch):
-    """A file of many short lines is framed with a bounded number of bytes
-    scanned per byte at the real buffer size, whichever line end it uses:
-    a line ending at a lone \r does not scan the rest of the buffer for a
-    \n that is not there."""
+    """The byte reader that frames every logits line, read_spans, frames a
+    file of many short lines with a bounded number of bytes scanned per
+    byte at the real buffer size, whichever line end it uses: a line
+    ending at a lone \r does not scan the rest of the buffer for a \n
+    that is not there."""
     scanned = 0
 
     class Buffer(bytearray):
@@ -174,7 +180,8 @@ def test_lines_ending_at_a_lone_cr_are_framed_in_linear_time(tmp_path, monkeypat
         path = tmp_path / "lines.txt"
         path.write_bytes((newline.join(lines) + newline).encode())
         scanned = 0
-        assert [line for _, line in read_lines(path)] == [line + "\n" for line in lines]
+        spans = [decode_line(path, *span) for span in read_spans(path)]
+        assert spans == [line + "\n" for line in lines]
         # the count must cover the file: a reader that scans no patched buffer
         # would pass the bound with nothing counted
         assert path.stat().st_size <= scanned <= 3 * path.stat().st_size, repr(newline)
@@ -373,3 +380,113 @@ def test_write_jsonl_takes_a_file_path_or_none(output, capsys):
         write_jsonl([{"a": 1}], output)
     write_jsonl([{"a": 1}], None)
     assert capsys.readouterr().out == '{"a": 1}\n'
+
+
+# every public loader of an input file, the replaying scorer too
+LOADERS = {**{name: read for name, (read, _) in READERS.items()},
+           "logits_scorer": lambda path, fixtures_dir: LogitsFileScorer(path, 3)}
+
+
+@pytest.mark.parametrize("suffix", [".json", ".yaml"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_an_input_that_cannot_be_opened_is_an_unreadable_file(fixtures_dir, tmp_path, name,
+                                                                kind, suffix):
+    """One rule for every input, where the file is opened: UnreadableFile,
+    a PromptPipeError naming the file, never a bare OSError."""
+    path = tmp_path / f"{kind}{suffix}"
+    if kind == "directory":
+        path.mkdir()
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    with pytest.raises(UnreadableFile) as failure:
+        LOADERS[name](path, fixtures_dir)
+    assert str(failure.value) == f"cannot read {path}: {reason}"
+    assert isinstance(failure.value, PromptPipeError)
+    assert not isinstance(failure.value, (OSError, VerbalizerError))
+
+
+# a reader, at least three lines of a valid file in its format (the
+# vocabulary's are the fixture's), and a third line that breaks it
+ONE_OPEN = {
+    "dataset": (_read_dataset, ['{"guid": "a"}', '{"guid": "b"}', '{"guid": "c"}'],
+                '{"guid": "c", "meta": 5}'),
+    "vocab": (_read_vocab, None, ""),
+    "template": (_read_templates, ['# templates', '{"mask"} x', 'It is {"mask"}'], '{"mask" x'),
+}
+
+
+@pytest.mark.parametrize("third", ["valid", "not UTF-8", "bad"])
+@pytest.mark.parametrize("name", sorted(ONE_OPEN))
+def test_an_input_is_opened_once_valid_or_not(fixtures_dir, tmp_path, monkeypatch, name, third):
+    """A text input is read in one pass: a valid file, one whose line 3 is
+    not UTF-8 and one whose line 3 is bad are each opened exactly once."""
+    read, lines, bad = ONE_OPEN[name]
+    lines = list(_vocab_tokens(fixtures_dir) if lines is None else lines)
+    if third == "not UTF-8":
+        lines[2] += "\udcff"
+    elif third == "bad":
+        lines[2] = bad
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    if third == "valid":
+        read(path, fixtures_dir)
+    else:
+        with pytest.raises(PromptPipeError, match=f"^{re.escape(str(path))}:3: "):
+            read(path, fixtures_dir)
+    assert opened == [path]
+
+
+def _spans_or_error(path) -> list:
+    """The byte reader's lines, each decoded as the logits reader decodes
+    it, then the message of the first line that is not UTF-8, if any."""
+    got = []
+    try:
+        for line_no, *span in read_spans(path):
+            got.append((line_no, decode_line(path, line_no, *span)))
+    except InvalidEncoding as exc:
+        got.append(str(exc))
+    return got
+
+
+def _lines_or_error(read) -> list:
+    got = []
+    try:
+        got.extend(read())
+    except InvalidEncoding as exc:
+        got.append(str(exc))
+    return got
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(st.sampled_from(
+        [b"a", b" ", "\u00e9".encode(), "\u2028".encode(), "\x85".encode(), b"\n", b"\r",
+         b"\r\n", BOM, b"\xff", b"\x80", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80", b"\xf0\x9f"]),
+        max_size=12),
+    block=st.sampled_from([1, 3, 16, 1 << 16]),
+)
+def test_the_text_pass_names_the_line_and_byte_the_byte_reader_names(tmp_path_factory, parts,
+                                                                      block):
+    """Whatever bytes a file holds, the one text pass (read_lines, and so
+    read_line_blocks, and read_text) gives the lines the byte reader gives
+    up to the first line that is not UTF-8, then that line's error, the
+    message decode_line words: file, line, first bad byte and reason."""
+    path = tmp_path_factory.mktemp("text") / "t.txt"
+    path.write_bytes(b"".join(parts))
+    expected = _spans_or_error(path)
+    with mock.patch.object(textfile, "_BLOCK", block):
+        assert _lines_or_error(lambda: read_lines(path)) == expected
+    lines = [line for line in expected if isinstance(line, tuple)]
+    if len(lines) == len(expected):
+        assert textfile.read_text(path) == "".join(line for _, line in lines)
+    else:
+        with pytest.raises(InvalidEncoding, match=f"^{re.escape(expected[-1])}$"):
+            textfile.read_text(path)
