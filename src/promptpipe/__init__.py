@@ -78,7 +78,6 @@ __all__ = [
     "build_soft_plan",
     "build_tokenizer",
     "build_verbalizer",
-    "calibrate",
     "encode_wrapped",
     "ensemble_scores",
     "evaluate_accuracy",
@@ -98,7 +97,7 @@ __all__ = [
 
 # the names whose modules build arrays, each imported with numpy on first use
 _ARRAY_MODULES = {
-    "verbalizer": ("ClassScores", "Verbalizer", "build_verbalizer", "calibrate",
+    "verbalizer": ("ClassScores", "Verbalizer", "build_verbalizer",
                    "load_verbalizer", "project"),
     "logits": ("LogitsFileScorer",),
     "runner": ("RunReport", "ToyScorer", "ensemble_scores", "evaluate_accuracy", "run_pipeline"),

@@ -39,9 +39,9 @@ scorer's one row, become ``(M, C, W)`` label-word scores
 keeps only those, so replay memory is about M·C·W floats per record,
 not M·V. The run then only aggregates them
 (:meth:`~promptpipe.verbalizer.Verbalizer.aggregate`), and calibration
-takes its priors from the scores of the ``__content_free__`` guid: the
-same ``(M, C, W)`` array :func:`~promptpipe.verbalizer.calibrate`
-returns.
+takes its priors from the scores of the ``__content_free__`` guid, the
+``(M, C, W)`` array that
+:meth:`~promptpipe.verbalizer.Verbalizer.check_prior` checks.
 """
 
 from __future__ import annotations
@@ -368,8 +368,7 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
         if not cfg.calibrate:
             priors.append(None)
             continue
-        # the projected content-free rows are exactly the priors that
-        # ``calibrate`` measures from the rows themselves
+        # the projected content-free rows are the priors
         prior = scorer.rows(CONTENT_FREE_GUID, template.ast.mask_count)
         if not np.isfinite(prior).all():
             raise NonFiniteValue(

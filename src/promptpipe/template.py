@@ -210,7 +210,7 @@ class Diagnostic:
 # --- scanner ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class _Expression:
     """An unquoted attribute value, such as a lambda. It is not a ``str``,
     so no field that takes a string accepts it: ``{"meta": abc}`` is no key."""

@@ -9,20 +9,19 @@ label word's prior log-probability, measured at the same mask position
 of a content-free input, before aggregation.
 
 All projection goes through one kernel over a :class:`Verbalizer`'s
-padded label-word arrays; :func:`project` and :func:`calibrate` are its
-only callers, and one verbalizer scores every mask position. The kernel
-has two steps: :meth:`Verbalizer.word_scores`, the only one that reads
-whole vocabulary-wide rows, and :meth:`Verbalizer.aggregate`, which needs
-only the ``(M, C, W)`` label-word scores of one example (or
+padded label-word arrays, and one verbalizer scores every mask position.
+The kernel has two steps: :meth:`Verbalizer.word_scores`, the only one
+that reads whole vocabulary-wide rows, and :meth:`Verbalizer.aggregate`,
+which needs only the ``(M, C, W)`` label-word scores of one example (or
 ``(N, M, C, W)`` of many), so a caller can keep those and drop the rows.
-Priors have that same form: :func:`calibrate` returns the content-free
-rows' word scores, and :meth:`Verbalizer.check_prior` is the one check a
-prior passes before :meth:`Verbalizer.aggregate` subtracts it.
+Priors have that same form: a content-free input's priors are its rows'
+word scores, and :meth:`Verbalizer.check_prior` is the one check a prior
+passes before :meth:`Verbalizer.aggregate` subtracts it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -51,7 +50,6 @@ __all__ = [
     "build_verbalizer",
     "load_verbalizer",
     "project",
-    "calibrate",
 ]
 
 _NUMBERS = (int, float, np.integer, np.floating)
@@ -210,7 +208,7 @@ class Verbalizer:
     def check_prior(self, prior, mask_count: int) -> np.ndarray:
         """``prior`` as a float64 ``(M, C, W)`` array, zero at padding words.
 
-        ``prior`` is a :func:`calibrate` result for ``mask_count`` positions.
+        ``prior`` is the :meth:`word_scores` of ``mask_count`` content-free rows.
         A value that is not a number (:func:`float_array`) or any other
         shape raises :class:`~promptpipe.errors.DimensionMismatch`, and a
         NaN or an infinity at a real word
@@ -403,36 +401,13 @@ def project(
     """Project per-mask-position vocabulary logits onto class scores.
 
     ``logits`` is one row per mask position, each of vocabulary width.
-    ``calibration`` is :func:`calibrate`'s ``(M, C, W)`` array, one set of
-    priors per mask position. Scores from multiple mask positions are
-    summed per class. The predicted class is the argmax, ties breaking
-    toward index 0.
+    ``calibration`` is the ``(M, C, W)`` :meth:`Verbalizer.word_scores` of
+    content-free rows, one set of priors per mask position. Scores from
+    multiple mask positions are summed per class. The predicted class is
+    the argmax, ties breaking toward index 0.
     """
     check_instance("verbalizer", v, Verbalizer, VerbalizerError)
     rows = v.check_rows(logits)
     prior = None if calibration is None else v.check_prior(calibration, len(rows))
     totals = v.aggregate(v.word_scores(rows), aggregation, prior)
     return ClassScores(classes=v.classes, scores=tuple(totals.tolist()))
-
-
-def calibrate(
-    scores_fn: Callable[[object], object],
-    v: Verbalizer,
-    content_free_input,
-) -> np.ndarray:
-    """Measure label-word priors from a content-free input.
-
-    ``scores_fn`` maps the content-free tokenized input to logits rows
-    (one per mask position). The result is their ``(M, C, W)``
-    :meth:`Verbalizer.word_scores`: per mask position, per class, each
-    label word's prior log-probability there, 0 at padding words. It can
-    be passed to :func:`project` as ``calibration``; projection then
-    subtracts, at each mask position, that position's priors before
-    aggregating, so the content-free input itself scores 0 everywhere.
-    """
-    check_instance("scores_fn", scores_fn, Callable)
-    check_instance("verbalizer", v, Verbalizer, VerbalizerError)
-    priors = v.word_scores(v.check_rows(scores_fn(content_free_input)))
-    if not np.isfinite(priors).all():
-        raise NonFiniteValue("content-free label-word scores are beyond the float64 range")
-    return priors

@@ -15,7 +15,6 @@ template knowledge.
 
 from __future__ import annotations
 
-import string
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -36,6 +35,9 @@ from .textfile import has_surrogate
 # what wrapped_text prints for a mask and for each soft slot
 MASK_MARKER = "<mask>"
 SOFT_MARKER = "<soft>"
+# string.punctuation, the characters strip_trailing_punctuation strips; importing
+# string for it would also compile string.Template's pattern
+_PUNCTUATION = r"""!"#$%&'()*+,-./:;<=>?@[\]^_`{|}~"""
 
 __all__ = [
     "MASK_MARKER",
@@ -162,7 +164,7 @@ def apply_post_processing(fn: PostProcessing, text: str) -> str:
     """Apply one named post-processing function to a piece of text."""
     check_instance("text", text, str, DataError)
     if fn is PostProcessing.STRIP_TRAILING_PUNCTUATION:
-        return text.rstrip(string.punctuation)
+        return text.rstrip(_PUNCTUATION)
     if fn is PostProcessing.LOWERCASE:
         return text.lower()
     if fn is PostProcessing.PREPEND_SPACE:

@@ -37,7 +37,6 @@ from promptpipe import (
     wrapped_text,
 )
 from promptpipe.config import PipelineConfig
-from promptpipe.verbalizer import calibrate
 
 EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 
@@ -390,7 +389,7 @@ def test_criterion_5_verbalizer_math():
         vocab_size = rng.randrange(4, 21)
         verb = _random_verbalizer(rng, vocab_size, rng.randrange(1, 4))
         flat = [[rng.uniform(-1, -1)] * vocab_size]
-        calibration = calibrate(lambda _: flat, verb, content_free_input=None)
+        calibration = verb.word_scores(verb.check_rows(flat))
         row = [rng.uniform(-4, 4) for _ in range(vocab_size)]
         raw = project([row], verb)
         adjusted = project([row], verb, calibration=calibration)
@@ -436,7 +435,7 @@ def test_dense_kernel_matches_naive_projection(aggregation, calibrated, case):
     priors = None
     calibration = None
     if calibrated:
-        calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
+        calibration = verb.word_scores(verb.check_rows(prior_rows))
         priors = [_naive_word_scores(row, verb) for row in prior_rows]
         # one (M, C, W) array: the real words' priors, then 0.0 at padding words
         assert calibration.shape == (len(priors), *verb.word_mask.shape)

@@ -193,11 +193,6 @@ BAD_ARGUMENTS = {
         "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 5"),
     "project_verbalizer": (lambda: promptpipe.project([[0.0] * 6], 5), VerbalizerError,
                            "verbalizer must be a Verbalizer, got 5"),
-    "calibrate_verbalizer": (
-        lambda: promptpipe.calibrate(lambda _: [[0.0] * 6], 5, None), VerbalizerError,
-        "verbalizer must be a Verbalizer, got 5"),
-    "calibrate_scores_fn": (lambda: promptpipe.calibrate(5, _verbalizer(), None), ConfigError,
-                            "scores_fn must be a Callable, got 5"),
     "class_scores_classes": (lambda: promptpipe.ClassScores(5, (1.0,)), DimensionMismatch,
                              "classes must be a Sequence, got 5"),
     "class_scores_scores": (lambda: promptpipe.ClassScores(("a",), 5), DimensionMismatch,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -317,19 +318,135 @@ def test_bad_input_gives_one_error_line(fixtures_dir, tmp_path, capsys, case):
 
 
 def test_main_leaves_the_collector_unfrozen(fixtures_dir, tmp_path, capsys):
-    before = gc.get_freeze_count()
+    before = gc.isenabled(), gc.get_freeze_count()
     argv = ["run", "--config", str(fixtures_dir / "run_sentiment.yaml"),
             "--output", str(tmp_path / "out.jsonl")]
     assert main(argv) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
-def test_the_process_entry_freezes_before_it_runs_main(monkeypatch):
+class _Exited(Exception):
+    """Raised by the test's ``os._exit``, which must not return."""
+
+
+class _Stream:
+    def __init__(self, name: str, calls: list):
+        self.name, self.calls = name, calls
+
+    def flush(self):
+        self.calls.append(f"flush {self.name}")
+
+
+@pytest.mark.parametrize("tool", [None, "gettrace", "getprofile"])
+def test_the_process_entry_runs_main_with_the_collector_off_and_exits(monkeypatch, tool):
+    # the process ends by os._exit with main's status once both streams are
+    # flushed; under a tracer or a profiler, entry returns the status instead
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
-    assert entry() == 7
-    assert calls == ["freeze", "main", "freeze"]
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", calls))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", calls))
+
+    def exit_(status):
+        calls.append(f"exit {status}")
+        raise _Exited
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    for name in ("gettrace", "getprofile"):
+        monkeypatch.setattr(sys, name, lambda name=name: print if name == tool else None)
+    if tool is None:
+        with pytest.raises(_Exited):
+            entry()
+        assert calls == ["freeze", "disable", "main", "flush stdout", "flush stderr", "exit 7"]
+    else:
+        assert entry() == 7
+        assert calls == ["freeze", "disable", "main"]
+
+
+def test_the_process_entry_lets_an_exit_from_main_through(monkeypatch):
+    # argparse's --help and usage errors end the process the normal way
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setattr(gc, "disable", lambda: None)
+    monkeypatch.setattr(os, "_exit", lambda status: pytest.fail("os._exit was called"))
+    monkeypatch.setattr(cli, "main", lambda: sys.exit(2))
+    with pytest.raises(SystemExit) as exit_:
+        entry()
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sample", "run"])
+def test_a_closed_stdout_pipe_is_one_error_line_and_exit_1(fixtures_dir, tmp_path, command):
+    # stdout buffered, as it is without PYTHONUNBUFFERED, on a pipe whose reader
+    # closed before the process started, so the flush of its one line fails
+    argv = {"sample": ["sample", "--dataset", str(fixtures_dir / "topics.jsonl"), "--k", "2"],
+            "run": ["run", "--config", str(fixtures_dir / "run_sentiment.yaml"),
+                    "--output", str(tmp_path / "out.jsonl")]}[command]
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "promptpipe", *argv], stdout=write,
+                             stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def _repeated_inputs(fixtures, tmp, times: int) -> tuple[Path, Path]:
+    """The sentiment dataset ``times`` over, each copy's guids its own, and a
+    logits file of one 4-decimal row per guid."""
+    width = len((fixtures / "vocab.txt").read_text(encoding="utf-8").splitlines())
+    examples = [json.loads(line)
+                for line in (fixtures / "sentiment.jsonl").read_text(encoding="utf-8").splitlines()]
+    records = [{**example, "guid": f"{example['guid']}-{k}"}
+               for k in range(times) for example in examples]
+    dataset, logits = tmp / f"data_{times}.jsonl", tmp / f"logits_{times}.jsonl"
+    write_jsonl(records, dataset)
+    write_jsonl(({"guid": record["guid"],
+                  "mask_logits": [[round(math.sin(i + width * n), 4) for i in range(width)]]}
+                 for n, record in enumerate(records)), logits)
+    return dataset, logits
+
+
+def _unreachable_after(argv: list[str]) -> int:
+    """The objects ``gc.collect()`` finds unreachable after ``main(argv)`` runs
+    with the collector off, as the process entry runs it."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("command", ["run_toy", "run_replay", "tokenize", "wrap", "score"])
+def test_a_command_makes_no_reference_cycle_per_example(fixtures_dir, tmp_path, capsys, command):
+    # the process entry turns the collector off, which is safe only while the
+    # cycles a command leaves are the same in number at 1 and at 8 times the input
+    def argv(times):
+        dataset, logits = _repeated_inputs(fixtures_dir, tmp_path, times)
+        files = {name: str(fixtures_dir / name)
+                 for name in ("run_sentiment.yaml", "template_sentiment.txt", "vocab.txt",
+                              "verbalizer.json")}
+        data = ["--dataset", str(dataset)]
+        return {
+            "run_toy": ["run", "--config", files["run_sentiment.yaml"], *data],
+            "run_replay": ["run", "--templates", files["template_sentiment.txt"],
+                           "--vocab", files["vocab.txt"], "--verbalizer", files["verbalizer.json"],
+                           "--logits-file", str(logits), *data],
+            "tokenize": ["tokenize", "--template-file", files["template_sentiment.txt"],
+                         "--vocab", files["vocab.txt"], *data],
+            "wrap": ["wrap", "--template-file", files["template_sentiment.txt"], *data],
+            "score": ["score", "--logits-file", str(logits), "--verbalizer",
+                      files["verbalizer.json"], "--vocab", files["vocab.txt"]],
+        }[command] + ["--output", str(tmp_path / "out.jsonl")]
+
+    once, eight = argv(1), argv(8)
+    _unreachable_after(once)  # a first run also leaves what its imports and caches make
+    assert _unreachable_after(once) == _unreachable_after(eight)
 
 
 def test_ensemble_of_finite_scores_near_the_float_limit_is_finite(fixtures_dir, tmp_path):
@@ -561,10 +678,15 @@ _ARRAY_FREE_COMMANDS = [
 
 @pytest.mark.parametrize("argv", _ARRAY_FREE_COMMANDS, ids=lambda argv: argv[0])
 def test_a_command_that_builds_no_array_leaves_numpy_unimported(fixtures_dir, tmp_path, argv):
-    # python -m promptpipe in a fresh interpreter, whose modules are listed at exit
+    # python -m promptpipe in a fresh interpreter, whose modules are listed as it
+    # ends: by os._exit, which skips atexit handlers
     argv = [str(fixtures_dir / arg) if (fixtures_dir / arg).is_file() else arg for arg in argv]
-    code = ("import atexit, runpy, sys\n"
-            "atexit.register(lambda: print('numpy' in sys.modules))\n"
+    code = ("import os, runpy, sys\n"
+            "hard_exit = os._exit\n"
+            "def report(status):\n"
+            "    print('numpy' in sys.modules, flush=True)\n"
+            "    hard_exit(status)\n"
+            "os._exit = report\n"
             "runpy.run_module('promptpipe', run_name='__main__', alter_sys=True)\n")
     src = Path(cli.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", code, *argv, "--output", str(tmp_path / "out")],

@@ -666,7 +666,6 @@ def _per_example_bytes(cfg: PipelineConfig) -> bytes:
         Vocab,
         build_soft_plan,
         build_tokenizer,
-        calibrate,
         encode_wrapped,
         load_jsonl,
         load_template_file,
@@ -693,8 +692,7 @@ def _per_example_bytes(cfg: PipelineConfig) -> bytes:
         for ast, plan in zip(templates, plans):
             blank = InputExample(guid="__content_free__", meta={k: "" for k in ast.meta_keys()})
             enc = encode_wrapped(wrap_example(ast, blank, plan), tok, cfg.max_len)
-            calibrations.append(
-                calibrate(lambda t: scorer("__content_free__", t), verb, enc))
+            calibrations.append(verb.word_scores(verb.check_rows(scorer("__content_free__", enc))))
     out = []
     for example in load_jsonl(cfg.dataset):
         per_template = []
@@ -853,7 +851,6 @@ def test_replay_run_memory_does_not_grow_by_a_row_per_record(fixtures_dir, tmp_p
 
 @pytest.mark.parametrize("n_masks", [1, 2])
 def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_path, n_masks):
-    from promptpipe import calibrate
     from promptpipe.logits import LogitsFileScorer
     from promptpipe.runner import CONTENT_FREE_GUID, _setup
 
@@ -862,12 +859,13 @@ def test_replay_priors_are_the_projected_content_free_record(fixtures_dir, tmp_p
     pipeline, _ = _setup(cfg)
     template, verbalizer = pipeline.templates[0], pipeline.verbalizer
     assert not verbalizer.word_mask.all(), "the case must have padding words"
-    # the reference: priors measured from the full rows, as calibrate does
+    # the reference: the word scores of the full content-free rows
     content_free = InputExample(CONTENT_FREE_GUID, {key: "" for key in template.ast.meta_keys()})
     blank = template.encode(content_free)
     rows_scorer = LogitsFileScorer(cfg.logits_file, _vocab_size(fixtures_dir))
     assert rows_scorer(CONTENT_FREE_GUID, blank).shape == (n_masks, _vocab_size(fixtures_dir))
-    expected = calibrate(lambda t: rows_scorer(CONTENT_FREE_GUID, t), verbalizer, blank)
+    rows = verbalizer.check_rows(rows_scorer(CONTENT_FREE_GUID, blank))
+    expected = verbalizer.word_scores(rows)
     got = pipeline.priors[0]
     assert got.shape == expected.shape == (n_masks, *verbalizer.word_mask.shape)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

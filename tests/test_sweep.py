@@ -57,7 +57,6 @@ from promptpipe import (
     build_soft_plan,
     build_tokenizer,
     build_verbalizer,
-    calibrate,
     encode_wrapped,
     ensemble_scores,
     evaluate_accuracy,
@@ -101,8 +100,7 @@ ROWS = [np.zeros((1, V)), np.sin(np.arange(2.0 * V)).reshape(2, V), np.zeros(V),
         np.zeros((1, V), dtype=np.int64), np.full((1, V), 1e308), [[0.0] * V]]
 SCORES = [project(ROWS[1], VERBALIZER), project(ROWS[0], VERBALIZER),
           ClassScores(("a",), (1.0,))]
-PRIORS = [calibrate(lambda _: ROWS[1][:1], VERBALIZER, None),
-          calibrate(lambda _: ROWS[1], VERBALIZER, None), np.zeros((1, C)),
+PRIORS = [VERBALIZER.word_scores(ROWS[1][:1]), VERBALIZER.word_scores(ROWS[1]), np.zeros((1, C)),
           np.full((1, C, W), np.inf), [[[0.0] * W] * C]]
 WORDS = [VERBALIZER.word_scores(ROWS[1]), np.zeros((3, 2, C, W)), np.zeros((0, C, W)),
          np.zeros((C, W)), np.full((1, C, W), -np.inf)]
@@ -260,8 +258,6 @@ def sweep(out: Path) -> dict:
         "build_tokenizer": call(build_tokenizer, valid_or([*TokenizerKind, "whitespace"]),
                                 valid_or([VOCAB])),
         "build_verbalizer": call(build_verbalizer, LABEL_WORDS, TOKENIZER),
-        "calibrate": call(calibrate, valid_or([lambda _, row=row: row for row in ROWS]),
-                          VERBALIZERS, JUNK),
         "encode_wrapped": call(encode_wrapped, SEQ, TOKENIZER, INTS | JUNK, BOOL),
         "ensemble_scores": call(ensemble_scores, valid_or([SCORES[:2], SCORES, [], SCORES[:1]])),
         "evaluate_accuracy": call(evaluate_accuracy, PAIRS, PAIRS),

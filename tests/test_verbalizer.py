@@ -18,7 +18,6 @@ from promptpipe import (
     Vocab,
     build_tokenizer,
     build_verbalizer,
-    calibrate,
     load_verbalizer,
     project,
 )
@@ -34,6 +33,12 @@ from promptpipe.errors import (
 
 SPECIALS = ["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]"]
 WORDS = ["bad", "good", "wonderful", "great"]
+
+
+def _priors(verb, rows):
+    """The label-word scores of content-free logits ``rows``: the priors a
+    calibrated run subtracts."""
+    return verb.word_scores(verb.check_rows(rows))
 
 
 @pytest.fixture()
@@ -173,7 +178,7 @@ def test_projection_sums_positions_left_to_right_exactly(toy):
                 rows = [[rng.uniform(-9, 9) for _ in range(len(vocab))] for _ in range(n_masks)]
                 prior_rows = [[rng.uniform(-9, 9) for _ in range(len(vocab))]
                               for _ in range(n_masks)]
-                for cal in (None, calibrate(lambda _: prior_rows, verb, None)):
+                for cal in (None, _priors(verb, prior_rows)):
                     per_position = [
                         project([row], verb, aggregation, None if cal is None else cal[p:p + 1])
                         for p, row in enumerate(rows)]
@@ -244,7 +249,7 @@ def test_projection_dimension_errors(toy):
     with pytest.raises(DimensionMismatch, match="rows of numbers"):
         project([[10**400] * len(vocab)], verb)
     with pytest.raises(DimensionMismatch, match="rows of numbers"):
-        calibrate(lambda _: "abc", verb, None)
+        _priors(verb, "abc")
     with pytest.raises(DimensionMismatch, match="calibration must be"):
         project([[0.0] * len(vocab)], verb, calibration=[[[10**400, 0.0, 0.0]] * 2])
 
@@ -331,8 +336,7 @@ def test_mean_log_prob_lies_within_word_score_bounds(toy):
 
 def test_uniform_prior_preserves_argmax(toy):
     vocab, tok, verb = toy
-    flat_scorer = lambda _: [[0.0] * len(vocab)]
-    calibration = calibrate(flat_scorer, verb, content_free_input=None)
+    calibration = _priors(verb, [[0.0] * len(vocab)])
     rng = random.Random(21)
     for _ in range(50):
         row = [rng.uniform(-3, 3) for _ in range(len(vocab))]
@@ -346,7 +350,7 @@ def test_prior_favoring_great_breaks_tie_toward_negative(toy):
     # calibrated positive mean drops by 1/3 nat relative to negative
     vocab, tok, verb = toy
     prior_row = _row(vocab, {"great": 1.0})
-    calibration = calibrate(lambda _: [prior_row], verb, content_free_input=None)
+    calibration = _priors(verb, [prior_row])
     uniform = [0.0] * len(vocab)
     raw = project([uniform], verb)
     assert raw.scores[0] == pytest.approx(raw.scores[1], abs=1e-12)
@@ -361,7 +365,7 @@ def test_single_class_calibration_cannot_change_prediction(toy):
     rng = random.Random(3)
     for _ in range(20):
         prior_row = [rng.uniform(-2, 2) for _ in range(len(vocab))]
-        calibration = calibrate(lambda _: [prior_row], verb, content_free_input=None)
+        calibration = _priors(verb, [prior_row])
         row = [rng.uniform(-2, 2) for _ in range(len(vocab))]
         assert project([row], verb, calibration=calibration).predicted_class == 0
 
@@ -370,18 +374,18 @@ def test_calibration_shape_mismatch_rejected(toy):
     vocab, tok, verb = toy
     with pytest.raises(DimensionMismatch):
         project([[0.0] * len(vocab)], verb, calibration=[[0.0], [0.0]])
-    calibration = calibrate(lambda _: [[0.0] * len(vocab)] * 2, verb, content_free_input=None)
+    calibration = _priors(verb, [[0.0] * len(vocab)] * 2)
     with pytest.raises(DimensionMismatch):
         project([[0.0] * len(vocab)] * 3, verb, calibration=calibration)
 
 
-def test_calibrate_returns_the_padded_word_scores_of_the_rows(toy):
+def test_content_free_priors_are_padded_word_scores(toy):
     vocab, tok, verb = toy
     rng = random.Random(8)
     rows = [[rng.uniform(-4, 4) for _ in range(len(vocab))] for _ in range(2)]
-    calibration = calibrate(lambda _: rows, verb, content_free_input=None)
+    calibration = _priors(verb, rows)
     assert calibration.shape == (2, *verb.word_mask.shape)
-    assert calibration.tobytes() == verb.word_scores(np.asarray(rows)).tobytes()
+    assert verb.check_prior(calibration, 2).tobytes() == calibration.tobytes()
     # "negative" has one label word of three: its padding words are 0
     assert (calibration[:, 0, 1:] == 0.0).all()
 
@@ -389,7 +393,7 @@ def test_calibrate_returns_the_padded_word_scores_of_the_rows(toy):
 def test_calibration_padding_entries_are_ignored(toy):
     vocab, tok, verb = toy
     row = [float(i) for i in range(len(vocab))]
-    calibration = calibrate(lambda _: [row], verb, content_free_input=None)
+    calibration = _priors(verb, [row])
     for junk in (5.0, math.nan, math.inf):
         dirty = calibration.copy()
         dirty[:, ~verb.word_mask] = junk
@@ -403,7 +407,7 @@ def test_calibration_padding_entries_are_ignored(toy):
 def test_non_finite_prior_rejected(toy, bad):
     vocab, tok, verb = toy
     row = [0.0] * len(vocab)
-    calibration = calibrate(lambda _: [row], verb, content_free_input=None)
+    calibration = _priors(verb, [row])
     calibration[0, 1, 2] = bad
     with pytest.raises(NonFiniteValue):
         project([row], verb, calibration=calibration)
@@ -433,7 +437,7 @@ def test_non_number_logits_rejected(toy, make_row):
     with pytest.raises(DimensionMismatch, match="logits must be rows of numbers"):
         project([row], verb)
     with pytest.raises(DimensionMismatch, match="logits must be rows of numbers"):
-        calibrate(lambda _: [row], verb, content_free_input=None)
+        _priors(verb, [row])
 
 
 # a value that is not a number: a boolean, a numeric string, null or a list
@@ -459,7 +463,7 @@ def _json_tier_records(values, width):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(row=st.lists(st.floats(-10, 10), min_size=9, max_size=9), data=st.data())
 def test_one_definition_of_a_number(row, data):
-    """A logits file's JSON tier, project, calibrate, a prior and a frequency
+    """A logits file's JSON tier, project, check_rows, a prior and a frequency
     dict each accept a row of numbers, and each rejects it with one value that
     is not a number at any index, a prior's padding words included."""
     from promptpipe.runner import ToyScorer
@@ -475,7 +479,7 @@ def test_one_definition_of_a_number(row, data):
 
     assert _json_tier_records(row, len(vocab))["g"].tobytes() == np.array([row]).tobytes()
     project([row], verb)
-    calibrate(lambda _: [row], verb, None)
+    _priors(verb, [row])
     project([row], verb, calibration=prior(row))
     ToyScorer(dict(zip(vocab.tokens, row)), vocab)
 
@@ -486,7 +490,7 @@ def test_one_definition_of_a_number(row, data):
     with pytest.raises(DimensionMismatch, match="^logits must be rows of numbers: "):
         project([bad], verb)
     with pytest.raises(DimensionMismatch, match="^logits must be rows of numbers: "):
-        calibrate(lambda _: [bad], verb, None)
+        _priors(verb, [bad])
     with pytest.raises(DimensionMismatch, match=r"^calibration must be a \(1, 3, 3\) array: "):
         project([row], verb, calibration=prior(bad))
     with pytest.raises(ConfigError, match="^token .* has non-numeric frequency "):
@@ -501,13 +505,13 @@ def test_int_logits_beyond_int64_are_numbers(toy):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_logits_rejected(toy, bad):
-    # check_rows gates project and calibrate
+    # check_rows gates project and the content-free rows of a prior
     vocab, tok, verb = toy
     row = _row(vocab, {"good": bad})
     with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
         project([row], verb)
     with pytest.raises(NonFiniteValue, match="NaN or an infinity"):
-        calibrate(lambda _: [row], verb, content_free_input=None)
+        _priors(verb, [row])
 
 
 @pytest.mark.parametrize(
@@ -529,8 +533,9 @@ def test_finite_logits_beyond_the_float_range_give_an_error_not_a_warning(
     with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
         project([row], verb, aggregation=aggregation)
     if "bad" in values:
-        with pytest.raises(NonFiniteValue, match="beyond the float64 range"):
-            calibrate(lambda _: [row], verb, content_free_input=None)
+        # taken as content-free rows, its -inf word score is no prior
+        with pytest.raises(NonFiniteValue, match="non-finite prior"):
+            verb.check_prior(_priors(verb, [row]), 1)
 
 
 def test_nested_list_calibration_rejected(toy):
@@ -548,7 +553,7 @@ def test_self_calibrated_content_free_logits_score_zero(toy, n_masks, aggregatio
     vocab, tok, verb = toy
     rng = random.Random(n_masks)
     rows = [[rng.uniform(-4, 4) for _ in range(len(vocab))] for _ in range(n_masks)]
-    calibration = calibrate(lambda _: rows, verb, content_free_input=None)
+    calibration = _priors(verb, rows)
     assert len(calibration) == n_masks
     scores = project(rows, verb, aggregation=aggregation, calibration=calibration).scores
     assert scores == (0.0, 0.0)
@@ -642,7 +647,7 @@ def test_per_position_calibration_matches_single_verbalizer(toy):
     rng = random.Random(5)
     rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
     prior_rows = [[rng.uniform(-2, 2) for _ in range(len(vocab))] for _ in range(2)]
-    calibration = calibrate(lambda _: prior_rows, verb, content_free_input=None)
+    calibration = _priors(verb, prior_rows)
     assert calibration.shape == (2, 2, 3)
     per_position = [project([row], verb, calibration=calibration[p:p + 1]).scores
                     for p, row in enumerate(rows)]
@@ -650,14 +655,14 @@ def test_per_position_calibration_matches_single_verbalizer(toy):
     assert got == list(project(rows, verb, calibration=calibration).scores)
     # each position's priors are that position's own (1, C, W) slice
     for p, row in enumerate(rows):
-        own = calibrate(lambda _: [prior_rows[p]], verb, content_free_input=None)
+        own = _priors(verb, [prior_rows[p]])
         assert own.tobytes() == calibration[p:p + 1].tobytes()
 
 
 def test_check_prior_takes_only_the_per_position_form(toy):
     # one position's (C, W) priors are not an (M, C, W) array with M = 1
     vocab, tok, verb = toy
-    calibration = calibrate(lambda _: [[0.0] * len(vocab)], verb, content_free_input=None)
+    calibration = _priors(verb, [[0.0] * len(vocab)])
     assert verb.check_prior(calibration, 1).shape == (1, 2, 3)
     with pytest.raises(DimensionMismatch, match=r"^calibration has shape \(2, 3\), "
                                                 r"expected \(1, 2, 3\)$"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import string
 
 import pytest
 
@@ -19,6 +20,7 @@ from promptpipe import (
 from promptpipe.data import example_to_dict
 from promptpipe.errors import ConfigError, ConflictingAttributes, DataError, MissingMetaKey
 from promptpipe.textfile import write_jsonl
+from promptpipe.wrapping import _PUNCTUATION
 
 EINSTEIN = "Albert Einstein was one of the greatest intellects of his time."
 
@@ -74,6 +76,13 @@ def test_unknown_post_processing_is_a_config_error_listing_valid_names():
         "unknown post-processing function 'lowercase'; expected one of "
         "strip_trailing_punctuation, lowercase, prepend_space"
     )
+
+
+def test_trailing_punctuation_is_string_punctuation():
+    # wrapping spells the set out rather than importing string for it
+    assert _PUNCTUATION == string.punctuation
+    text = "done" + string.punctuation[::-1]
+    assert apply_post_processing(PostProcessing.STRIP_TRAILING_PUNCTUATION, text) == "done"
 
 
 def test_sentiment_wrap_matches_expected_sentence():
