@@ -15,21 +15,25 @@ def entry() -> int:
     are flushed, and the process ends by :func:`os._exit` with that status: no
     interpreter teardown and no ``atexit`` handler. A standard output that cannot be
     flushed (its reader closed the pipe) is reported as main reports an output it
-    cannot write: one ``error:`` line and status 1. Under a tracer or a profiler the
-    status is returned instead, so the process ends the normal way and the tool sees
-    the end; so does a ``SystemExit`` or any other exception out of main.
+    cannot write: one ``error:`` line and status 1, and its descriptor then points at
+    :data:`os.devnull`, so no later flush fails again. Under a tracer or a profiler
+    the status is returned once both streams are flushed, so the process ends the
+    normal way and the tool sees the end; so does a ``SystemExit`` or any other
+    exception out of main.
     """
     gc.freeze()
     gc.disable()
     status = cli.main()
-    if sys.gettrace() is not None or sys.getprofile() is not None:
-        return status
     try:
         sys.stdout.flush()
     except OSError as exc:  # as main reports an output that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         status = 1
+        # the interpreter's teardown flushes what is left to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.stderr.flush()
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return status
     os._exit(status)
 
 

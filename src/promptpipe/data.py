@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
-    ConfigError,
     DataError,
     DuplicateGuid,
     InsufficientExamples,
@@ -243,10 +242,8 @@ def fewshot_sample(
     ``(dataset, k_per_class, seed)`` always yields the identical sample.
     """
     check_instance("dataset", dataset, Dataset, DataError)
-    check_integer("k_per_class", k_per_class)
+    check_integer("k_per_class", k_per_class, 1)
     check_integer("seed", seed)
-    if k_per_class < 1:
-        raise ConfigError(f"k_per_class must be >= 1, got {k_per_class}")
     by_label: dict[str, list[InputExample]] = {}
     for example in dataset.examples:
         if example.label is not None:

@@ -135,11 +135,14 @@ class ConfigError(PromptPipeError):
     pass
 
 
-def check_integer(name: str, value: object) -> None:
+def check_integer(name: str, value: object, minimum: int | None = None) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an ``int`` and not a
-    ``bool``, in the words of the config schema's integer rule."""
+    ``bool``, in the words of the config schema's integer rule, and, with
+    ``minimum``, at least ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_instance(name: str, value: object, cls: type | tuple[type, ...],

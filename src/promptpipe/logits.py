@@ -7,15 +7,17 @@ arithmetic, one division per value, from one 8-byte window per value when
 it has at most 7 digits and from two otherwise; every other line, such as
 one of 17-digit reprs or exponents, is read by the JSON decoder, the only
 path that raises. A run reads its dataset first and checks every line of the
-logits file, but converts and projects only the records of the guids it
-scores: its examples', and the content-free one when it calibrates.
+logits file, but converts only the records of the guids it scores: its
+examples', and the content-free one when it calibrates. The scorer built on
+the reader projects each record it keeps with the run's
+:class:`~promptpipe.verbalizer.Verbalizer`, once, as it reads it.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Collection, Iterator
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
@@ -29,30 +31,20 @@ from .errors import (
     DimensionMismatch,
     MissingLogits,
     NonFiniteValue,
+    check_instance,
     check_integer,
 )
 from .textfile import JSON_DECODER
 from .tokenization import TokenizedInput
-from .verbalizer import float_array
+from .verbalizer import Verbalizer, float_array
 
 __all__ = ["LogitsFileScorer", "read_logits_records"]
 
 
-def _check_project(project) -> None:
-    if project is not None and not callable(project):
-        raise ConfigError(f"project must be callable or None, got {project!r}")
-
-
-def _projected(project: Callable[[np.ndarray], np.ndarray], rows: np.ndarray,
-               what: str) -> np.ndarray:
-    """``project(rows)``, which must be an array of as many rows, on axis 0, as
-    ``rows``; any other result raises :class:`~promptpipe.errors.ConfigError`
-    naming ``what``."""
-    result = project(rows)
-    if not isinstance(result, np.ndarray) or result.shape[:1] != rows.shape[:1]:
-        raise ConfigError(f"project result for {what} must be an array with {len(rows)} "
-                          f"row(s) on axis 0, got {result!r:.60}")
-    return result
+def _check_verbalizer(verbalizer) -> None:
+    """A scorer's ``verbalizer`` is ``None`` or a :class:`Verbalizer`."""
+    if verbalizer is not None:
+        check_instance("verbalizer", verbalizer, Verbalizer)
 
 
 def _check_mask_count(mask_count) -> None:
@@ -62,9 +54,10 @@ def _check_mask_count(mask_count) -> None:
 
 
 class _Scorer:
-    """A scorer called with an encoding gives ``rows`` for its mask count;
-    anything without a sized ``mask_positions`` raises
-    :class:`~promptpipe.errors.DataError`."""
+    """A scorer gives ``rows(guid, M)``: ``(M, V)`` logits, or ``(M, C, W)``
+    label-word scores when it was built with a verbalizer. Called with an
+    encoding, it gives ``rows`` for its mask count; anything without a sized
+    ``mask_positions`` raises :class:`~promptpipe.errors.DataError`."""
 
     def __call__(self, guid: str, tokenized: TokenizedInput) -> np.ndarray:
         try:
@@ -101,14 +94,8 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
       raises a :class:`~promptpipe.errors.PromptPipeError` naming the
       file, line and guid.
     """
-    _check_vocab_size(vocab_size)
+    check_integer("vocab_size", vocab_size, 1)
     return _logits_records(path, vocab_size)
-
-
-def _check_vocab_size(vocab_size) -> None:
-    check_integer("vocab_size", vocab_size)
-    if vocab_size < 1:
-        raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
 
 
 def _check_guids(guids) -> frozenset[str] | None:
@@ -365,14 +352,14 @@ class LogitsFileScorer(_Scorer):
     """Replays logits from a JSONL file of {guid, mask_logits} records.
 
     ``rows(guid, M)``, or a call with an encoding of M masks, returns the
-    guid's ``(M, V)`` rows, which must number M, an integer >= 1;
-    ``records`` maps each guid to its rows in file order, read-only. With
-    ``project``, each record's rows go through it as they are read and
-    only its result is kept, which must be an array of the record's M rows
-    on axis 0 (a :class:`~promptpipe.errors.ConfigError` naming the guid
-    otherwise): the runner passes
-    :meth:`~promptpipe.verbalizer.Verbalizer.word_scores`, so it holds
-    ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows.
+    guid's rows, which must number M, an integer >= 1; ``records`` maps
+    each guid to its rows in file order, read-only. Without a
+    ``verbalizer`` these are the record's ``(M, V)`` logits. With one, a
+    :class:`~promptpipe.verbalizer.Verbalizer`, each record's logits go
+    through its :meth:`~promptpipe.verbalizer.Verbalizer.word_scores` once,
+    as they are read, and only the result is kept: the scorer holds
+    ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows. The
+    runner passes its verbalizer.
 
     With ``guids``, a collection of strings, every line is still read and
     checked as :func:`read_logits_records` checks it, and rejected alike,
@@ -385,15 +372,14 @@ class LogitsFileScorer(_Scorer):
         self,
         path: str | Path,
         vocab_size: int,
-        project: Callable[[np.ndarray], np.ndarray] | None = None,
+        verbalizer: Verbalizer | None = None,
         guids: Collection[str] | None = None,
     ):
-        _check_project(project)
-        _check_vocab_size(vocab_size)
+        _check_verbalizer(verbalizer)
+        check_integer("vocab_size", vocab_size, 1)
         records = _logits_records(path, vocab_size, _check_guids(guids))
-        if project is not None:
-            records = ((guid, _projected(project, rows, f"guid {guid!r}"))
-                       for guid, rows in records)
+        if verbalizer is not None:
+            records = ((guid, verbalizer.word_scores(rows)) for guid, rows in records)
         self.records = MappingProxyType(dict(records))
 
     def rows(self, guid: str, mask_count: int) -> np.ndarray:

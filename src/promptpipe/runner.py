@@ -32,21 +32,22 @@ how many examples share a call.
 Two model interfaces are built in so the scoring path is exercisable
 without a language model: a logits file (JSONL keyed by guid) and a
 context-independent toy scorer driven by a token-frequency file. Both
-reject non-numeric and non-finite values, and both project their rows
+reject non-numeric and non-finite values, and both take the run's
+:class:`~promptpipe.verbalizer.Verbalizer` and project their rows with it
 when they load them: each ``(M, V)`` logits record, and the toy
-scorer's one row, become ``(M, C, W)`` label-word scores
-(:meth:`~promptpipe.verbalizer.Verbalizer.word_scores`), and the run
-keeps only those, so replay memory is about M·C·W floats per record,
-not M·V. The run then only aggregates them
-(:meth:`~promptpipe.verbalizer.Verbalizer.aggregate`), and calibration
-takes its priors from the scores of the ``__content_free__`` guid, the
-``(M, C, W)`` array that
+scorer's one row, go through its
+:meth:`~promptpipe.verbalizer.Verbalizer.word_scores` once and become
+``(M, C, W)`` label-word scores, and the run keeps only those, so replay
+memory is about M·C·W floats per record, not M·V. The run then only
+aggregates them (:meth:`~promptpipe.verbalizer.Verbalizer.aggregate`),
+and calibration takes its priors from the scores of the
+``__content_free__`` guid, the ``(M, C, W)`` array that
 :meth:`~promptpipe.verbalizer.Verbalizer.check_prior` checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -69,8 +70,7 @@ from .logits import (
     LogitsFileScorer,
     _Scorer,
     _check_mask_count,
-    _check_project,
-    _projected,
+    _check_verbalizer,
     read_logits_records,
 )
 from .template import TemplateAST, load_template_file
@@ -97,23 +97,24 @@ class ToyScorer(_Scorer):
     number (:func:`~promptpipe.verbalizer.float_array`'s); absent tokens
     score 0.0. Every mask position receives the same row, which is enough
     to drive the projection path end to end.
-    ``rows(guid, M)`` returns ``(M, V)`` rows for an integer M >= 1, as
-    does a call with an encoding of M masks; with ``project``, the row goes
-    through it once, here, as a one-row array whose result must be one too,
-    and they return ``M`` copies of the result (the
-    runner passes :meth:`~promptpipe.verbalizer.Verbalizer.word_scores`, as
-    it does to :class:`~promptpipe.logits.LogitsFileScorer`).
+    ``rows(guid, M)`` returns the row ``M`` times, as one read-only view,
+    for an integer M >= 1, as does a call with an encoding of M masks:
+    ``(M, V)`` logits without a ``verbalizer``. With one, a
+    :class:`~promptpipe.verbalizer.Verbalizer`, the row goes through its
+    :meth:`~promptpipe.verbalizer.Verbalizer.word_scores` once, here, and
+    they are ``(M, C, W)`` label-word scores, as the runner's
+    :class:`~promptpipe.logits.LogitsFileScorer` gives.
     """
 
     def __init__(
         self,
         frequencies: dict[str, float],
         vocab: Vocab,
-        project: Callable[[np.ndarray], np.ndarray] | None = None,
+        verbalizer: Verbalizer | None = None,
     ):
         check_instance("frequencies", frequencies, Mapping)
         check_instance("vocab", vocab, Vocab)
-        _check_project(project)
+        _check_verbalizer(verbalizer)
         tokens = list(frequencies)
         try:
             values = float_array(np.fromiter(frequencies.values(), object, len(tokens)))
@@ -131,8 +132,8 @@ class ToyScorer(_Scorer):
         for token, number in zip(tokens, values):
             if token in vocab.ids:
                 row[vocab.ids[token]] = number
-        if project is not None:
-            row = _projected(project, row[None], "the frequency row")[0]
+        if verbalizer is not None:
+            row = verbalizer.word_scores(row[None])[0]
         self._row = row
         # per mask count, one read-only zero-stride view that every call
         # returns, which is cheaper than building a view or a copy per call
@@ -143,12 +144,13 @@ class ToyScorer(_Scorer):
         cls,
         path: str | Path,
         vocab: Vocab,
-        project: Callable[[np.ndarray], np.ndarray] | None = None,
+        verbalizer: Verbalizer | None = None,
     ) -> "ToyScorer":
         check_instance("vocab", vocab, Vocab)
+        _check_verbalizer(verbalizer)
         raw = read_json_object(path, "frequency file", ConfigError)
         try:
-            return cls(raw, vocab, project)
+            return cls(raw, vocab, verbalizer)
         except ConfigError as exc:
             raise type(exc)(f"frequency file {path}: {exc}") from None
 
@@ -347,18 +349,17 @@ def _setup(cfg: PipelineConfig) -> tuple[_Pipeline, Dataset]:
     verbalizer = load_verbalizer(cfg.verbalizer, tokenizer)
     # the dataset first: a logits file is converted only for the guids it scores
     dataset = load_jsonl(cfg.dataset)
-    # scorers project their rows when they load them: the run keeps
-    # label-word scores, never a vocabulary-wide row
-    project = verbalizer.word_scores
+    # scorers project their rows with the verbalizer when they load them:
+    # the run keeps label-word scores, never a vocabulary-wide row
     scorer: Scorer
     if cfg.logits_file is not None:
         guids = [example.guid for example in dataset]
         if cfg.calibrate:
             guids.append(CONTENT_FREE_GUID)
-        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), project, guids)
+        scorer = LogitsFileScorer(cfg.logits_file, len(vocab), verbalizer, guids)
     else:
         assert cfg.frequency_file is not None
-        scorer = ToyScorer.from_file(cfg.frequency_file, vocab, project)
+        scorer = ToyScorer.from_file(cfg.frequency_file, vocab, verbalizer)
     compiled = [
         CompiledTemplate(ast, tokenizer, cfg.max_len, cfg.add_special_tokens) for ast in templates
     ]

@@ -153,14 +153,6 @@ def _text(text: object) -> str:
     return text
 
 
-def _check_limit(limit: object) -> None:
-    """Raise :class:`~promptpipe.errors.ConfigError` unless ``limit``, which
-    is not ``None``, is an ``int`` of at least 0."""
-    check_integer("limit", limit)
-    if limit < 0:
-        raise ConfigError(f"limit must be >= 0, got {limit}")
-
-
 class WhitespaceTokenizer:
     """Splits on Unicode whitespace; out-of-vocabulary words map to UNK."""
 
@@ -173,14 +165,14 @@ class WhitespaceTokenizer:
 
     def encode(self, text: str, limit: int | None = None) -> list[int]:
         """Token ids of ``text``; with ``limit`` (>= 0), only the first ``limit``.
-        ``limit`` is ``None`` or an ``int``: :func:`_check_limit`."""
+        Any other ``limit`` raises :class:`~promptpipe.errors.ConfigError`."""
         get = self.vocab.ids.get
         unk = self.vocab.unk_id
         text = _text(text)
         if limit is None:
             words = text.split()
         else:
-            _check_limit(limit)
+            check_integer("limit", limit, 0)
             words = text.split(None, limit)[:limit]
         return [get(word, unk) for word in words]
 
@@ -232,15 +224,15 @@ class WordPieceTokenizer:
         A word that is itself a token is looked up whole: greedy longest
         match tries the whole word first, as no token is longer than the
         longest one. With ``limit``, words are tokenized only until
-        ``limit`` ids are found; ``limit`` is ``None`` or an ``int``:
-        :func:`_check_limit`.
+        ``limit`` ids are found. Any other ``limit`` raises
+        :class:`~promptpipe.errors.ConfigError`.
         """
         ids = self.vocab.ids
         get = ids.get
         if limit is None:
             limit = sys.maxsize
         else:
-            _check_limit(limit)
+            check_integer("limit", limit, 0)
         out: list[int] = []
         # every word gives at least one id, so the last item of the split,
         # which holds any words past the first `limit`, is never tokenized

@@ -75,6 +75,14 @@ def test_removed_members_are_gone():
     assert not {"origin", "loss"} & {f.name for f in dataclasses.fields(promptpipe.Segment)}
     for fn in (promptpipe.CompiledTemplate, promptpipe.encode_wrapped):
         assert "objective" not in inspect.signature(fn).parameters, fn
+    # a scorer projects with a Verbalizer, never with a callable of its caller's
+    for fn in (promptpipe.ToyScorer, promptpipe.ToyScorer.from_file,
+               promptpipe.LogitsFileScorer):
+        assert "project" not in inspect.signature(fn).parameters, fn
+        assert "verbalizer" in inspect.signature(fn).parameters, fn
+    for name in ("_check_project", "_projected", "_check_vocab_size"):
+        assert not hasattr(promptpipe.logits, name), name
+    assert not hasattr(promptpipe.tokenization, "_check_limit")
     assert not hasattr(promptpipe.tokenization, "_is_causal")
     # a template's per-example steps on a values list are private: render and
     # encode take an example
@@ -163,6 +171,12 @@ BAD_ARGUMENTS = {
     # vocab is checked before the file is read, so the file need not exist
     "toy_scorer_from_file_vocab": (lambda: promptpipe.ToyScorer.from_file("freq.json", 5),
                                    ConfigError, "vocab must be a Vocab, got 5"),
+    "toy_scorer_verbalizer": (lambda: promptpipe.ToyScorer({}, _vocab(), 5), ConfigError,
+                              "verbalizer must be a Verbalizer, got 5"),
+    # a verbalizer is checked before the file is read, so the file need not exist
+    "toy_scorer_from_file_verbalizer": (
+        lambda: promptpipe.ToyScorer.from_file("freq.json", _vocab(), "v.json"), ConfigError,
+        "verbalizer must be a Verbalizer, got 'v.json'"),
     "run_pipeline": (lambda: promptpipe.run_pipeline(5), ConfigError,
                      "cfg must be a PipelineConfig, got 5"),
     "ensemble_scores": (lambda: promptpipe.ensemble_scores([1]), ClassListMismatch,
@@ -324,6 +338,12 @@ BAD_ARGUMENTS = {
     # the vocab size is checked before the file is read, so the file need not exist
     "logits_file_scorer_vocab_size": (lambda: promptpipe.LogitsFileScorer("logits.jsonl", "8"),
                                       ConfigError, "'vocab_size' must be an integer, got '8'"),
+    "logits_file_scorer_vocab_size_below_1": (
+        lambda: promptpipe.LogitsFileScorer("logits.jsonl", 0), ConfigError,
+        "vocab_size must be >= 1, got 0"),
+    "logits_file_scorer_verbalizer": (
+        lambda: promptpipe.LogitsFileScorer("logits.jsonl", 8, print), ConfigError,
+        "verbalizer must be a Verbalizer, got <built-in function print>"),
     "pipeline_config_from_file": (lambda: promptpipe.PipelineConfig.from_file(5), ConfigError,
                                   "input must be a file path, got 5"),
     # overrides are checked before the file is read, so the file need not exist

@@ -340,7 +340,8 @@ class _Stream:
 @pytest.mark.parametrize("tool", [None, "gettrace", "getprofile"])
 def test_the_process_entry_runs_main_with_the_collector_off_and_exits(monkeypatch, tool):
     # the process ends by os._exit with main's status once both streams are
-    # flushed; under a tracer or a profiler, entry returns the status instead
+    # flushed; under a tracer or a profiler, entry flushes them and returns the
+    # status instead
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
@@ -355,13 +356,14 @@ def test_the_process_entry_runs_main_with_the_collector_off_and_exits(monkeypatc
     monkeypatch.setattr(os, "_exit", exit_)
     for name in ("gettrace", "getprofile"):
         monkeypatch.setattr(sys, name, lambda name=name: print if name == tool else None)
+    flushed = ["freeze", "disable", "main", "flush stdout", "flush stderr"]
     if tool is None:
         with pytest.raises(_Exited):
             entry()
-        assert calls == ["freeze", "disable", "main", "flush stdout", "flush stderr", "exit 7"]
+        assert calls == [*flushed, "exit 7"]
     else:
         assert entry() == 7
-        assert calls == ["freeze", "disable", "main"]
+        assert calls == flushed
 
 
 def test_the_process_entry_lets_an_exit_from_main_through(monkeypatch):
@@ -375,19 +377,28 @@ def test_the_process_entry_lets_an_exit_from_main_through(monkeypatch):
     assert exit_.value.code == 2
 
 
+@pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
 @pytest.mark.parametrize("command", ["sample", "run"])
-def test_a_closed_stdout_pipe_is_one_error_line_and_exit_1(fixtures_dir, tmp_path, command):
+def test_a_closed_stdout_pipe_is_one_error_line_and_exit_1(fixtures_dir, tmp_path, command,
+                                                           profiled):
     # stdout buffered, as it is without PYTHONUNBUFFERED, on a pipe whose reader
-    # closed before the process started, so the flush of its one line fails
+    # closed before the process started, so the flush of its one line fails;
+    # under a profiler the process tears down, and its own flush must not fail
+    # again (sys.setprofile, as cProfile's runner would swallow the exit status)
     argv = {"sample": ["sample", "--dataset", str(fixtures_dir / "topics.jsonl"), "--k", "2"],
             "run": ["run", "--config", str(fixtures_dir / "run_sentiment.yaml"),
                     "--output", str(tmp_path / "out.jsonl")]}[command]
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    launch = ["-m", "promptpipe"]
+    if profiled:
+        launch = ["-c", "import sys; sys.setprofile(lambda *a: None); "
+                        "sys.argv[0] = 'promptpipe'; "
+                        "from promptpipe.__main__ import entry; sys.exit(entry())"]
     read, write = os.pipe()
     os.close(read)
     try:
-        out = subprocess.run([sys.executable, "-m", "promptpipe", *argv], stdout=write,
+        out = subprocess.run([sys.executable, *launch, *argv], stdout=write,
                              stderr=subprocess.PIPE, env=env, text=True)
     finally:
         os.close(write)

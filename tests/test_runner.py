@@ -742,25 +742,6 @@ def test_toy_run_matches_per_example_path_byte_for_byte(
     assert (tmp_path / "out.jsonl").read_bytes() == _per_example_bytes(cfg)
 
 
-def test_projected_toy_scorer_returns_the_word_scores_of_its_rows(fixtures_dir):
-    from promptpipe import Vocab, build_tokenizer, load_verbalizer
-    from promptpipe.runner import ToyScorer
-
-    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
-    verbalizer = load_verbalizer(fixtures_dir / "verbalizer.json",
-                                 build_tokenizer("wordpiece", vocab))
-    frequencies = {"great": 3.0, "bad": 1.5, "boring": -1.0}
-    rows_scorer = ToyScorer(frequencies, vocab)
-    scorer = ToyScorer(frequencies, vocab, verbalizer.word_scores)
-    for n in (1, 3, 2):
-        enc = SimpleNamespace(mask_positions=list(range(n)))  # all the scorer reads
-        rows = rows_scorer("g", enc)
-        assert rows.shape == (n, len(vocab))
-        got = scorer("g", enc)
-        assert got.shape == (n, *verbalizer.word_mask.shape)
-        assert got.tobytes() == verbalizer.word_scores(rows).tobytes()
-
-
 @pytest.mark.parametrize("scorer", ["toy", "replay"])
 def test_runner_buffers_hold_word_scores_not_vocabulary_rows(
     fixtures_dir, tmp_path, scorer, monkeypatch
@@ -1332,40 +1313,84 @@ def test_replay_spelled_logits_skip_the_decoder(tmp_path, monkeypatch):
         assert got[guid].tobytes() == rows.tobytes()
 
 
-def test_records_read_in_turn_keep_their_own_values(fixtures_dir, tmp_path):
-    """Each record is converted into an array of its own that no later record
-    overwrites, so a projecting scorer keeps every record's own projected
-    scores, a view of its rows too, and so do the reader and a scorer
-    without a projection."""
+def _fixture_verbalizer(fixtures_dir):
     from promptpipe import Vocab, build_tokenizer, load_verbalizer
-    from promptpipe.logits import LogitsFileScorer, read_logits_records
 
     vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
-    tokenizer = build_tokenizer("wordpiece", vocab)
-    verbalizer = load_verbalizer(fixtures_dir / "verbalizer.json", tokenizer)
-    rng = np.random.default_rng(26)
-    records = {guid: np.round(rng.normal(0.0, 3.0, size=(m, len(vocab))), 4)
-               for guid, m in [("a", 1), ("b", 1), ("c", 2), ("d", 1), ("e", 2)]}
-    records["x"] = rng.normal(0.0, 3.0, size=(1, len(vocab)))  # 17-digit reprs: the decoder's
-    path = tmp_path / "logits.jsonl"
-    path.write_text("".join(json.dumps({"guid": guid, "mask_logits": rows.tolist()}) + "\n"
-                            for guid, rows in records.items()))
-    seen = []
-    LogitsFileScorer(path, len(vocab), lambda rows: seen.append(rows) or rows.sum(axis=1))
-    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(seen, 2))
-    # the identity and a slice keep views of the rows
-    for project in (verbalizer.word_scores, lambda rows: rows, lambda rows: rows[:, 2:5]):
-        kept = LogitsFileScorer(path, len(vocab), project).records
-        assert list(kept) == list(records)
-        for guid, rows in records.items():
-            expected = np.asarray(project(rows.copy())).tobytes()
-            assert np.asarray(kept[guid]).tobytes() == expected, guid
-    assert not np.array_equal(kept["a"], kept["b"])
-    for got in (list(read_logits_records(path, len(vocab))),
-                list(LogitsFileScorer(path, len(vocab)).records.items())):
-        assert [guid for guid, _ in got] == list(records)
-        for guid, rows in got:
-            assert rows.tobytes() == records[guid].tobytes(), guid
+    return vocab, load_verbalizer(fixtures_dir / "verbalizer.json",
+                                  build_tokenizer("wordpiece", vocab))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    masks=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    reprs=st.lists(st.booleans(), min_size=5, max_size=5),
+    kept=st.none() | st.sets(st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_replay_scorer_with_a_verbalizer_keeps_the_word_scores_of_its_records(
+    fixtures_dir, masks, reprs, kept, seed
+):
+    """A record's projected rows are the word scores of its unprojected rows,
+    byte for byte, on both reader tiers (4-decimal rows and 17-digit reprs,
+    the decoder's), with and without ``guids``. Each record is converted into
+    an array of its own that no later record overwrites, and the reader and
+    the unprojected scorer give the file's values."""
+    import tempfile
+
+    from promptpipe.logits import LogitsFileScorer, read_logits_records
+
+    vocab, verbalizer = _fixture_verbalizer(fixtures_dir)
+    rng = np.random.default_rng(seed)
+    records = {}
+    for k, (m, full) in enumerate(zip(masks, reprs)):
+        rows = rng.normal(0.0, 3.0, size=(m, len(vocab)))
+        records[f"g{k}"] = rows if full else np.round(rows, 4)
+    guids = None if kept is None else [f"g{k}" for k in sorted(kept)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "logits.jsonl"
+        path.write_text("".join(json.dumps({"guid": guid, "mask_logits": rows.tolist()}) + "\n"
+                                for guid, rows in records.items()))
+        plain = LogitsFileScorer(path, len(vocab), None, guids)
+        projected = LogitsFileScorer(path, len(vocab), verbalizer, guids)
+        read = list(read_logits_records(path, len(vocab)))
+    expected = [guid for guid in records if guids is None or guid in guids]
+    assert list(plain.records) == list(projected.records) == expected
+    for guid in expected:
+        m = len(records[guid])
+        assert plain.rows(guid, m).tobytes() == records[guid].tobytes(), guid
+        got = projected.rows(guid, m)
+        assert got.shape == (m, *verbalizer.word_mask.shape)
+        assert got.tobytes() == verbalizer.word_scores(plain.rows(guid, m)).tobytes(), guid
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(plain.records.values(), 2))
+    assert [guid for guid, _ in read] == list(records)
+    for guid, rows in read:
+        assert rows.tobytes() == records[guid].tobytes(), guid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    frequencies=st.dictionaries(
+        st.sampled_from(["great", "bad", "good", "wonderful", "the", "absent"]),
+        st.floats(-50.0, 50.0), max_size=6),
+    masks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+)
+def test_a_toy_scorer_with_a_verbalizer_gives_the_word_scores_of_its_rows(
+    fixtures_dir, frequencies, masks
+):
+    from promptpipe.runner import ToyScorer
+
+    vocab, verbalizer = _fixture_verbalizer(fixtures_dir)
+    plain = ToyScorer(frequencies, vocab)
+    projected = ToyScorer(frequencies, vocab, verbalizer)
+    for m in masks:
+        enc = SimpleNamespace(mask_positions=list(range(m)))  # all the scorer reads
+        rows = plain("g", enc)
+        assert rows.shape == (m, len(vocab))
+        got = projected("g", enc)
+        assert got.shape == (m, *verbalizer.word_mask.shape)
+        assert got.tobytes() == verbalizer.word_scores(rows).tobytes()
 
 
 @pytest.mark.parametrize("vocab_size", ["113", True, 0, -1, 113.0, None])
@@ -1673,45 +1698,6 @@ def test_scorer_keeps_only_the_named_guids(tmp_path):
                               for g in ("a", "b", "c")))
     for guids, kept in [(None, ["a", "b", "c"]), (["c", "a", "z"], ["a", "c"]), (set(), [])]:
         assert list(LogitsFileScorer(logits, 2, None, guids).records) == kept
-
-
-def test_scorer_project_must_be_callable(fixtures_dir, tmp_path):
-    from promptpipe import Vocab
-    from promptpipe.logits import LogitsFileScorer
-    from promptpipe.runner import ToyScorer
-
-    logits = tmp_path / "logits.jsonl"
-    logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113]}) + "\n")
-    vocab = Vocab.from_file(fixtures_dir / "vocab.txt")
-    with pytest.raises(ConfigError, match="project must be callable or None, got 5"):
-        LogitsFileScorer(logits, 113, 5)
-    with pytest.raises(ConfigError, match="project must be callable or None, got 5"):
-        ToyScorer({}, vocab, 5)
-
-
-@pytest.mark.parametrize("project, shown", [
-    (lambda rows: rows.tolist(), "[[0.5, 0.5, "),
-    (lambda rows: None, "None"),
-], ids=["list", "none"])
-def test_scorer_project_must_give_an_array_of_the_records_rows(fixtures_dir, tmp_path, project,
-                                                                shown):
-    """A result that is not an array of the record's M rows names the guid at
-    load, rather than failing later as a bare AttributeError at ``rows`` or
-    a MissingLogits for a guid the file holds; the toy scorer's row alike."""
-    from promptpipe import Vocab
-    from promptpipe.logits import LogitsFileScorer
-    from promptpipe.runner import ToyScorer
-
-    logits = tmp_path / "logits.jsonl"
-    logits.write_text(json.dumps({"guid": "a", "mask_logits": [[0.5] * 113] * 2}) + "\n")
-    for bad, got in ((project, shown), (lambda rows: rows[:1], "array([[0.5, 0.5, ")):
-        message = ("project result for guid 'a' must be an array with 2 row(s) on axis 0, "
-                   f"got {got}")
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-            LogitsFileScorer(logits, 113, bad)
-    message = "project result for the frequency row must be an array with 1 row(s) on axis 0"
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}, got "):
-        ToyScorer({}, Vocab.from_file(fixtures_dir / "vocab.txt"), project)
 
 
 @pytest.mark.parametrize("scorer_kind", ["toy", "logits"])

@@ -135,8 +135,8 @@ ENCODING = valid_or(ENCODED)
 ROW = valid_or(ROWS)
 PRIOR = valid_or(PRIORS) | st.none()
 AGGREGATION = valid_or([*Aggregation, "max", "First", "mean-log-prob", "median"])
-PROJECT = valid_or([None, VERBALIZER.word_scores, lambda rows: rows, lambda rows: 5,
-                  lambda rows: rows[:0]])
+# a scorer's verbalizer; its bound word_scores is a callable of the wrong type
+SCORER_VERBALIZER = valid_or([None, VERBALIZER], JUNK | st.just(VERBALIZER.word_scores))
 BOOL = st.booleans() | JUNK
 TOKENS = valid_or([VOCAB.tokens, list(VOCAB.tokens), ("[PAD]",), (*VOCAB.tokens, "a")]) \
     | st.builds(lambda: iter(VOCAB.tokens))
@@ -170,8 +170,8 @@ def sweep(out: Path) -> dict:
     logits.write_text("".join(
         json.dumps({"guid": guid, "mask_logits": [[0.5] * V] * m}) + "\n"
         for guid, m in (("s1", 1), ("s2", 2), ("__content_free__", 1))), encoding="utf-8")
-    scorers = [LogitsFileScorer(logits, V), LogitsFileScorer(logits, V, VERBALIZER.word_scores)]
-    toys = [ToyScorer({"great": 3.0}, VOCAB), ToyScorer({}, VOCAB, VERBALIZER.word_scores)]
+    scorers = [LogitsFileScorer(logits, V), LogitsFileScorer(logits, V, VERBALIZER)]
+    toys = [ToyScorer({"great": 3.0}, VOCAB), ToyScorer({}, VOCAB, VERBALIZER)]
     output = st.sampled_from([None, str(out / "out.jsonl")])
     config = st.builds(
         PipelineConfig,
@@ -196,7 +196,7 @@ def sweep(out: Path) -> dict:
                                       | st.builds(lambda: iter(EXAMPLES))),
         "Diagnostic": call(Diagnostic, JUNK, JUNK, JUNK),
         "InputExample": call(InputExample, GUIDS, TEXTS, GUIDS | st.none()),
-        "LogitsFileScorer": call(LogitsFileScorer, PATHS, INTS | JUNK, PROJECT,
+        "LogitsFileScorer": call(LogitsFileScorer, PATHS, INTS | JUNK, SCORER_VERBALIZER,
                                  valid_or([None, ["s1"], ("s2", "s1"), "s1", [5]])),
         "LogitsFileScorer.__call__": method(st.sampled_from(scorers), "__call__", GUIDS,
                                             ENCODING),
@@ -221,8 +221,9 @@ def sweep(out: Path) -> dict:
                              INTS | JUNK, INTS | JUNK, BOOL, valid_or(list(PostProcessing))),
         "TokenizedInput": call(TokenizedInput, JUNK, JUNK, JUNK, JUNK, JUNK, JUNK),
         "TokenizedInput.to_dict": method(st.sampled_from(ENCODED), "to_dict"),
-        "ToyScorer": call(ToyScorer, FREQUENCIES, valid_or([VOCAB]), PROJECT),
-        "ToyScorer.from_file": call(ToyScorer.from_file, PATHS, valid_or([VOCAB]), PROJECT),
+        "ToyScorer": call(ToyScorer, FREQUENCIES, valid_or([VOCAB]), SCORER_VERBALIZER),
+        "ToyScorer.from_file": call(ToyScorer.from_file, PATHS, valid_or([VOCAB]),
+                                    SCORER_VERBALIZER),
         "ToyScorer.rows": method(st.sampled_from(toys), "rows", GUIDS, INTS | JUNK),
         "ToyScorer.__call__": method(st.sampled_from(toys), "__call__", GUIDS, ENCODING),
         "Verbalizer": call(Verbalizer, valid_or([VERBALIZER.classes, ("a",), ()]),
