@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DataError,
@@ -35,13 +35,7 @@ from .errors import (
     check_instance,
     check_integer,
 )
-from .textfile import (
-    JSON_DECODER,
-    decode_line,
-    has_surrogate,
-    read_line_blocks,
-    read_spans,
-)
+from .textfile import JSON_DECODER, has_surrogate, read_line_blocks
 from .wrapping import InputExample
 
 __all__ = ["Dataset", "load_jsonl", "fewshot_sample"]
@@ -85,38 +79,8 @@ class Dataset:
         return cls(tuple(examples))
 
 
-def read_guid_lines(
-    path: str | Path,
-    read_line: Callable[[bytearray, int, int], tuple[str, Any] | None] | None = None,
-) -> Iterator[tuple[int, str, Any]]:
-    """Yield ``(line_no, guid, record)`` for each record of a guid-keyed JSONL
-    file read as bytes, line by line (the logits file's reader), skipping
-    blank lines; the error is the first bad line's: bytes that are not UTF-8,
-    a line that is not one JSON object (:class:`~promptpipe.errors.MalformedLine`)
-    or a guid :func:`_add_guid` refuses.
-
-    ``read_line(buffer, start, end)`` gets each line's bytes, as ``read_spans``
-    yields them and valid only during the call, and returns ``(guid, record)``
-    only when the decoder would read the line as an object with that ``guid``,
-    else ``None`` for the decoder to read it; the guid rules apply either way.
-    """
-    seen: dict[str, int] = {}  # each guid's line
-    for line_no, buffer, start, end in read_spans(path):
-        read = read_line(buffer, start, end) if read_line else None
-        if read is None:
-            line = decode_line(path, line_no, buffer, start, end)
-            if line.isspace():
-                continue
-            record = _record(path, line_no, line)
-            guid = record.get("guid")
-        else:
-            guid, record = read
-        _add_guid(path, line_no, guid, seen)
-        yield line_no, guid, record
-
-
 def _record(path: str | Path, line_no: int, line: str) -> dict:
-    """The JSON object that line ``line_no`` holds; anything else raises MalformedLine."""
+    """The JSON object that line ``line_no`` holds, else MalformedLine; the logits reader's too."""
     try:
         record = JSON_DECODER.decode(line)
     except ValueError as exc:
@@ -141,8 +105,9 @@ def load_jsonl(path: str | Path) -> Dataset:
     """Load a JSONL dataset, preserving line order; errors name ``path:line``.
 
     The file is read once, in blocks of lines; the error is the first bad
-    line's: not UTF-8, :func:`read_guid_lines`' checks, a legacy field also
-    in ``meta``, then ``InputExample``'s rules. Each line is one ``raw_decode``
+    line's: not UTF-8, not one JSON object (:func:`_record`), a guid
+    :func:`_add_guid` refuses, a legacy field also in ``meta``, then
+    ``InputExample``'s rules. Each line is one ``raw_decode``
     that must end at its end: an array decode per block would read a value
     cut over two lines, with two values on a third, as one record a line.
     """

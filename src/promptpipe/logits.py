@@ -5,10 +5,13 @@ giving the values ``json.loads`` gives: rows of short decimals (at most 8
 integer and 8 fraction digits, 15 in all) are converted exactly by numpy
 arithmetic, one division per value, from one 8-byte window per value when
 it has at most 7 digits and from two otherwise; every other line, such as
-one of 17-digit reprs or exponents, is read by the JSON decoder, the only
-path that raises. A run reads its dataset first and checks every line of the
-logits file, but converts only the records of the guids it scores: its
-examples', and the content-free one when it calibrates. The scorer built on
+one of 17-digit reprs or exponents, is decoded and read by the JSON decoder,
+the only path that refuses a record's content. One loop reads the file's
+lines, each by the numeric tier first; both tiers' guids pass the dataset
+reader's guid rules (:mod:`promptpipe.data`) through one map. A run reads
+its dataset first and checks every line of the logits file, but converts
+only the records of the guids it scores: its examples', and the
+content-free one when it calibrates. The scorer built on
 the reader projects each record it keeps with the run's
 :class:`~promptpipe.verbalizer.Verbalizer`, once, as it reads it.
 """
@@ -18,13 +21,12 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Collection, Iterator
-from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .data import read_guid_lines
+from .data import _add_guid, _record
 from .errors import (
     ConfigError,
     DataError,
@@ -34,17 +36,22 @@ from .errors import (
     check_instance,
     check_integer,
 )
-from .textfile import JSON_DECODER
+from .textfile import JSON_DECODER, decode_line, read_spans
 from .tokenization import TokenizedInput
 from .verbalizer import Verbalizer, float_array
 
 __all__ = ["LogitsFileScorer", "read_logits_records"]
 
 
-def _check_verbalizer(verbalizer) -> None:
-    """A scorer's ``verbalizer`` is ``None`` or a :class:`Verbalizer`."""
+def _check_verbalizer(verbalizer, width: int, where: str = "") -> None:
+    """A scorer's ``verbalizer`` is ``None`` or a :class:`Verbalizer` whose
+    label ids all index its ``width``-wide logits rows, checked before any
+    row is read; ``where`` leads the message of a mismatch."""
     if verbalizer is not None:
         check_instance("verbalizer", verbalizer, Verbalizer)
+        if verbalizer.max_id >= width:
+            raise DimensionMismatch(f"{where}logits rows have width {width} "
+                                    f"but label words use id {verbalizer.max_id}")
 
 
 def _check_mask_count(mask_count) -> None:
@@ -73,11 +80,12 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
 
     Each non-blank line is ``{"guid": ..., "mask_logits": [[...], ...]}``
     with rows of width ``vocab_size`` (an integer, at least 1) holding JSON
-    numbers. Records are read by :func:`~promptpipe.data.read_guid_lines`,
-    so the guid rules are those of every guid-keyed file. The file is read
-    as bytes through one reused buffer, and memory does not grow with the
-    line count. A line is read in one of two tiers, which both give the
-    values ``json.loads`` gives:
+    numbers. The file is read as bytes through one reused buffer
+    (:func:`~promptpipe.textfile.read_spans`), and memory does not grow
+    with the line count. Blank lines are skipped; every guid, from either
+    tier, passes the dataset reader's guid rules through one map, so a
+    repeated guid names both lines. A line is read in one of two tiers,
+    which both give the values ``json.loads`` gives:
 
     - a line of exactly that form whose every value is a short decimal
       (up to 8 integer and 8 fraction digits, 15 in all, as ``json.dumps``
@@ -86,9 +94,11 @@ def read_logits_records(path: str | Path, vocab_size: int) -> Iterator[tuple[str
       ``float()`` because each value is one correctly rounded division of
       two exact doubles; the line is never decoded to text;
     - every other line, such as one holding the 16- and 17-digit reprs of
-      float32 logits upcast or numbers with an exponent, is decoded by the
-      one JSON decoder, the only path that raises: a record without
-      usable ``mask_logits``, with a value that is not a number
+      float32 logits upcast or numbers with an exponent, is decoded to text
+      and read by the one JSON decoder under the dataset reader's record
+      rules (a line that is not UTF-8 or not one JSON object is refused
+      alike). It is the only path that refuses a record's content: a record
+      without usable ``mask_logits``, with a value that is not a number
       (:func:`~promptpipe.verbalizer.float_array`: a string, ``true``,
       ``false`` or ``null``) or with a non-finite logit
       raises a :class:`~promptpipe.errors.PromptPipeError` naming the
@@ -113,13 +123,22 @@ def _logits_records(
     path: str | Path, vocab_size: int, guids: frozenset[str] | None = None
 ) -> Iterator[tuple[str, np.ndarray]]:
     """The records of ``guids`` (all of them for ``None``), every line checked."""
-    # one padded row buffer for the whole file, which _decimal_row grows to the longest row
-    read_line = partial(_numeric_record, vocab_size=vocab_size, guids=guids, pad=bytearray())
-    for line_no, guid, record in read_guid_lines(path, read_line):
-        if not isinstance(record, dict):  # read by _numeric_record; None if not kept
-            if record is not None:
-                yield guid, record
+    seen: dict[str, int] = {}  # each guid's line
+    pad = bytearray()  # one padded row buffer, which _decimal_row grows to the longest row
+    for line_no, buffer, start, end in read_spans(path):
+        read = _numeric_record(buffer, start, end, vocab_size, guids, pad)
+        if read is not None:  # rows is None for a record not kept
+            guid, rows = read
+            _add_guid(path, line_no, guid, seen)
+            if rows is not None:
+                yield guid, rows
             continue
+        line = decode_line(path, line_no, buffer, start, end)
+        if line.isspace():
+            continue
+        record = _record(path, line_no, line)
+        guid = record.get("guid")
+        _add_guid(path, line_no, guid, seen)
         where = f"{path}:{line_no}"
         if "mask_logits" not in record:
             raise ConfigError(f"{where}: logits record for guid {guid!r} has no 'mask_logits'")
@@ -359,7 +378,10 @@ class LogitsFileScorer(_Scorer):
     through its :meth:`~promptpipe.verbalizer.Verbalizer.word_scores` once,
     as they are read, and only the result is kept: the scorer holds
     ``(M, C, W)`` label-word scores per guid, never ``(M, V)`` rows. The
-    runner passes its verbalizer.
+    runner passes its verbalizer. A verbalizer with a label id of
+    ``vocab_size`` or more raises
+    :class:`~promptpipe.errors.DimensionMismatch` naming ``path``, before
+    the file is read.
 
     With ``guids``, a collection of strings, every line is still read and
     checked as :func:`read_logits_records` checks it, and rejected alike,
@@ -375,8 +397,8 @@ class LogitsFileScorer(_Scorer):
         verbalizer: Verbalizer | None = None,
         guids: Collection[str] | None = None,
     ):
-        _check_verbalizer(verbalizer)
         check_integer("vocab_size", vocab_size, 1)
+        _check_verbalizer(verbalizer, vocab_size, f"{path}: ")
         records = _logits_records(path, vocab_size, _check_guids(guids))
         if verbalizer is not None:
             records = ((guid, verbalizer.word_scores(rows)) for guid, rows in records)

@@ -41,8 +41,8 @@ scorer's one row, go through its
 memory is about M·C·W floats per record, not M·V. The run then only
 aggregates them (:meth:`~promptpipe.verbalizer.Verbalizer.aggregate`),
 and calibration takes its priors from the scores of the
-``__content_free__`` guid, the ``(M, C, W)`` array that
-:meth:`~promptpipe.verbalizer.Verbalizer.check_prior` checks.
+``__content_free__`` guid: ``(M, C, W)`` arrays, shaped by
+``word_scores``, that :func:`_setup` checks only for finite values.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ class ToyScorer(_Scorer):
     :class:`~promptpipe.verbalizer.Verbalizer`, the row goes through its
     :meth:`~promptpipe.verbalizer.Verbalizer.word_scores` once, here, and
     they are ``(M, C, W)`` label-word scores, as the runner's
-    :class:`~promptpipe.logits.LogitsFileScorer` gives.
+    :class:`~promptpipe.logits.LogitsFileScorer` gives; a label id of
+    ``len(vocab)`` or more raises
+    :class:`~promptpipe.errors.DimensionMismatch`, before any file is read.
     """
 
     def __init__(
@@ -114,7 +116,7 @@ class ToyScorer(_Scorer):
     ):
         check_instance("frequencies", frequencies, Mapping)
         check_instance("vocab", vocab, Vocab)
-        _check_verbalizer(verbalizer)
+        _check_verbalizer(verbalizer, len(vocab))
         tokens = list(frequencies)
         try:
             values = float_array(np.fromiter(frequencies.values(), object, len(tokens)))
@@ -147,7 +149,7 @@ class ToyScorer(_Scorer):
         verbalizer: Verbalizer | None = None,
     ) -> "ToyScorer":
         check_instance("vocab", vocab, Vocab)
-        _check_verbalizer(verbalizer)
+        _check_verbalizer(verbalizer, len(vocab))
         raw = read_json_object(path, "frequency file", ConfigError)
         try:
             return cls(raw, vocab, verbalizer)

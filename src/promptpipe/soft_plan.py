@@ -104,15 +104,15 @@ def _allocate(
 def build_soft_plan(ast: TemplateAST, tokenizer) -> SoftEmbeddingPlan:
     """Build the slot table for a template, tokenizing initialization text.
 
-    ``tokenizer`` is anything with an ``encode(text) -> list[int]`` method,
-    and no string (whose ``encode`` names a codec); anything else raises
-    :class:`~promptpipe.errors.ConfigError`.
+    ``tokenizer`` is a :class:`~promptpipe.tokenization.WhitespaceTokenizer`
+    or :class:`~promptpipe.tokenization.WordPieceTokenizer`; anything else
+    raises :class:`~promptpipe.errors.ConfigError`.
     """
+    from .tokenization import _check_tokenizer  # tokenization imports this module
+
     check_instance("ast", ast, TemplateAST, InvalidValueType)
-    encode = getattr(tokenizer, "encode", None)
-    if not callable(encode) or isinstance(tokenizer, str):
-        raise ConfigError(f"tokenizer must have an encode method, got {tokenizer!r}")
-    slots, node_slots = _layout(ast, encode)
+    _check_tokenizer(tokenizer)
+    slots, node_slots = _layout(ast, tokenizer.encode)
     return SoftEmbeddingPlan(slots=tuple(slots), node_slots=tuple(node_slots))
 
 

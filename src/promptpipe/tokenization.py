@@ -31,7 +31,6 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import (
-    ConfigError,
     DataError,
     DuplicateToken,
     InvalidValueType,
@@ -391,14 +390,16 @@ def _fit(
     )
 
 
+def _check_tokenizer(tokenizer) -> None:
+    """The one tokenizer rule, of every call that takes one: either class, or a ConfigError."""
+    check_instance("tokenizer", tokenizer, (WhitespaceTokenizer, WordPieceTokenizer))
+
+
 def _check_encoding(tokenizer, max_len, add_special_tokens) -> None:
-    """Raise :class:`~promptpipe.errors.ConfigError` unless ``tokenizer`` has the
-    two parts an encoding uses, whatever its type, ``max_len`` is an int and
-    ``add_special_tokens`` a bool."""
-    if not (isinstance(getattr(tokenizer, "vocab", None), Vocab)
-            and callable(getattr(tokenizer, "encode", None))):
-        raise ConfigError(f"tokenizer must have a Vocab vocab and an encode method, "
-                          f"got {tokenizer!r}")
+    """Raise :class:`~promptpipe.errors.ConfigError` unless ``tokenizer`` passes
+    :func:`_check_tokenizer`, ``max_len`` is an int and ``add_special_tokens``
+    a bool."""
+    _check_tokenizer(tokenizer)
     check_integer("max_len", max_len)
     check_instance("add_special_tokens", add_special_tokens, bool)
 

@@ -15,8 +15,11 @@ that reads whole vocabulary-wide rows, and :meth:`Verbalizer.aggregate`,
 which needs only the ``(M, C, W)`` label-word scores of one example (or
 ``(N, M, C, W)`` of many), so a caller can keep those and drop the rows.
 Priors have that same form: a content-free input's priors are its rows'
-word scores, and :meth:`Verbalizer.check_prior` is the one check a prior
-passes before :meth:`Verbalizer.aggregate` subtracts it.
+word scores. A prior given to :func:`project` passes
+:meth:`Verbalizer.check_prior` before :meth:`Verbalizer.aggregate`
+subtracts it; ``run`` builds its priors itself, with
+:meth:`Verbalizer.word_scores`, so its setup checks only that they are
+finite.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     check_integer,
 )
 from .textfile import read_json_object
-from .tokenization import UNK_TOKEN, WhitespaceTokenizer, WordPieceTokenizer, _derived
+from .tokenization import UNK_TOKEN, _check_tokenizer, _derived
 
 __all__ = [
     "Aggregation",
@@ -365,7 +368,7 @@ def build_verbalizer(label_words: Mapping[str, Sequence[str]], tokenizer) -> Ver
     the words' ids.
     """
     check_instance("label_words", label_words, Mapping, VerbalizerError)
-    check_instance("tokenizer", tokenizer, (WhitespaceTokenizer, WordPieceTokenizer))
+    _check_tokenizer(tokenizer)
     words: dict[str, tuple[str, ...]] = {}
     word_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
     for name, entries in label_words.items():

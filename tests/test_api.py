@@ -99,6 +99,11 @@ def _vocab():
     return promptpipe.Vocab.from_tokens(["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]", "a"])
 
 
+def _short_vocab():
+    """``_vocab()`` without its last token, "a", which ``_verbalizer()`` uses."""
+    return promptpipe.Vocab.from_tokens(_vocab().tokens[:-1])
+
+
 def _verbalizer():
     tokenizer = promptpipe.WhitespaceTokenizer(_vocab())
     return promptpipe.build_verbalizer({"a": ["a"]}, tokenizer)
@@ -177,6 +182,13 @@ BAD_ARGUMENTS = {
     "toy_scorer_from_file_verbalizer": (
         lambda: promptpipe.ToyScorer.from_file("freq.json", _vocab(), "v.json"), ConfigError,
         "verbalizer must be a Verbalizer, got 'v.json'"),
+    # the verbalizer's label id 5 is past a 5-token vocabulary
+    "toy_scorer_verbalizer_ids": (
+        lambda: promptpipe.ToyScorer({}, _short_vocab(), _verbalizer()), DimensionMismatch,
+        "logits rows have width 5 but label words use id 5"),
+    "toy_scorer_from_file_verbalizer_ids": (
+        lambda: promptpipe.ToyScorer.from_file("freq.json", _short_vocab(), _verbalizer()),
+        DimensionMismatch, "logits rows have width 5 but label words use id 5"),
     "run_pipeline": (lambda: promptpipe.run_pipeline(5), ConfigError,
                      "cfg must be a PipelineConfig, got 5"),
     "ensemble_scores": (lambda: promptpipe.ensemble_scores([1]), ClassListMismatch,
@@ -223,17 +235,17 @@ BAD_ARGUMENTS = {
         InvalidValueType, "ast must be a TemplateAST, got 5"),
     "compiled_template_tokenizer": (
         lambda: promptpipe.CompiledTemplate(promptpipe.parse_template('{"mask"}'), 5, 8),
-        ConfigError, "tokenizer must have a Vocab vocab and an encode method, got 5"),
+        ConfigError, "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 5"),
     "build_soft_plan": (
         lambda: promptpipe.build_soft_plan(5, promptpipe.WhitespaceTokenizer(_vocab())),
         InvalidValueType, "ast must be a TemplateAST, got 5"),
     "build_soft_plan_tokenizer": (
         lambda: promptpipe.build_soft_plan(promptpipe.parse_template('{"mask"}'), 5),
-        ConfigError, "tokenizer must have an encode method, got 5"),
+        ConfigError, "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 5"),
     # a string's encode names a codec: "It was" would be looked up as one
     "build_soft_plan_string_tokenizer": (
         lambda: promptpipe.build_soft_plan(promptpipe.parse_template('{"soft": "It was"}'), "x"),
-        ConfigError, "tokenizer must have an encode method, got 'x'"),
+        ConfigError, "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 'x'"),
     "wordpiece_tokenizer": (lambda: promptpipe.WordPieceTokenizer(5), VocabError,
                             "vocab must be a Vocab, got 5"),
     "whitespace_tokenizer": (lambda: promptpipe.WhitespaceTokenizer(5), VocabError,
@@ -283,7 +295,7 @@ BAD_ARGUMENTS = {
         DataError, "seq must be a WrappedSequence, got 5"),
     "encode_wrapped_tokenizer": (
         lambda: promptpipe.encode_wrapped(_wrapped(), 5, 8), ConfigError,
-        "tokenizer must have a Vocab vocab and an encode method, got 5"),
+        "tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got 5"),
     "compiled_template_add_special_tokens": (
         lambda: promptpipe.CompiledTemplate(promptpipe.parse_template('{"mask"}'),
                                             promptpipe.WhitespaceTokenizer(_vocab()), 8, 5),
@@ -344,6 +356,14 @@ BAD_ARGUMENTS = {
     "logits_file_scorer_verbalizer": (
         lambda: promptpipe.LogitsFileScorer("logits.jsonl", 8, print), ConfigError,
         "verbalizer must be a Verbalizer, got <built-in function print>"),
+    # the verbalizer's ids are checked against the width before the file is
+    # read, with or without a record to keep
+    "logits_file_scorer_verbalizer_ids": (
+        lambda: promptpipe.LogitsFileScorer("logits.jsonl", 5, _verbalizer()),
+        DimensionMismatch, "logits.jsonl: logits rows have width 5 but label words use id 5"),
+    "logits_file_scorer_verbalizer_ids_no_guids": (
+        lambda: promptpipe.LogitsFileScorer("logits.jsonl", 5, _verbalizer(), guids=[]),
+        DimensionMismatch, "logits.jsonl: logits rows have width 5 but label words use id 5"),
     "pipeline_config_from_file": (lambda: promptpipe.PipelineConfig.from_file(5), ConfigError,
                                   "input must be a file path, got 5"),
     # overrides are checked before the file is read, so the file need not exist
@@ -371,6 +391,35 @@ def test_an_ill_typed_argument_raises_its_stage_error(name):
     with pytest.raises(error) as failure:
         call()
     assert str(failure.value) == message
+
+
+class _DuckTokenizer:
+    """Everything a tokenizer's callers use of it, a Vocab ``vocab`` and an
+    ``encode`` method, on a type that is not a tokenizer."""
+
+    def __init__(self):
+        self.vocab = _vocab()
+        self.encode = promptpipe.WhitespaceTokenizer(self.vocab).encode
+
+
+# each entry point that takes a tokenizer, called with one
+TOKENIZER_ENTRY_POINTS = {
+    "CompiledTemplate": lambda t: promptpipe.CompiledTemplate(_ast(), t, 8),
+    "encode_wrapped": lambda t: promptpipe.encode_wrapped(_wrapped(), t, 8),
+    "build_soft_plan": lambda t: promptpipe.build_soft_plan(_ast(), t),
+    "build_verbalizer": lambda t: promptpipe.build_verbalizer({"a": ["a"]}, t),
+}
+
+
+@pytest.mark.parametrize("entry", TOKENIZER_ENTRY_POINTS)
+def test_every_entry_point_takes_a_tokenizer_by_one_rule(entry):
+    call = TOKENIZER_ENTRY_POINTS[entry]
+    call(promptpipe.WhitespaceTokenizer(_vocab()))
+    duck = _DuckTokenizer()
+    with pytest.raises(ConfigError) as failure:
+        call(duck)
+    assert str(failure.value) == (
+        f"tokenizer must be a WhitespaceTokenizer or WordPieceTokenizer, got {duck!r}")
 
 
 # public names that take no ill-typed argument from a user: the enums, the base

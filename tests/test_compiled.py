@@ -26,6 +26,7 @@ from promptpipe import (
     TemplateAST,
     TemplateNode,
     Vocab,
+    WordPieceTokenizer,
     WrappedSequence,
     apply_post_processing,
     build_soft_plan,
@@ -219,15 +220,16 @@ def test_max_len_must_be_an_integer_as_the_config_schema_says(max_len):
 
 
 def test_last_shortenable_field_is_tokenized_only_to_its_budget():
-    class Counting:
-        def __init__(self, inner):
-            self.inner, self.vocab, self.limits = inner, inner.vocab, []
+    class Counting(WordPieceTokenizer):
+        def __init__(self, vocab):
+            super().__init__(vocab)
+            self.limits = []
 
         def encode(self, text, limit=None):
             self.limits.append(limit)
-            return self.inner.encode(text, limit)
+            return super().encode(text, limit)
 
-    tokenizer = Counting(TOKENIZERS["wordpiece"])
+    tokenizer = Counting(VOCAB)
     ast = parse_template('a {"mask"} news: {"meta": "title"} {"meta": "body"}')
     plan = build_soft_plan(ast, tokenizer)
     template = CompiledTemplate(ast, tokenizer, 16)
@@ -237,7 +239,8 @@ def test_last_shortenable_field_is_tokenized_only_to_its_budget():
     # CLS a MASK news : the movie SEP leave 16 - 8 = 8 positions for the body
     assert tokenizer.limits == [None, 8]
     assert encoded.length == 16
-    assert encoded == encode_wrapped(reference_wrap(ast, example, plan), tokenizer.inner, 16)
+    wrapped = reference_wrap(ast, example, plan)
+    assert encoded == encode_wrapped(wrapped, TOKENIZERS["wordpiece"], 16)
 
 
 # --- tokenizers -------------------------------------------------------------------

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptpipe import Dataset, InputExample, fewshot_sample, load_jsonl, textfile
-from promptpipe import data
-from promptpipe.data import SplitMix64, example_to_dict, fnv1a64, read_guid_lines
+from promptpipe.data import SplitMix64, example_to_dict, fnv1a64
 from promptpipe.errors import (
     ConfigError,
     DataError,
@@ -22,6 +21,8 @@ from promptpipe.errors import (
     MalformedLine,
     PromptPipeError,
 )
+
+from line_reader import read_guid_lines
 
 
 def write_jsonl(path, rows):
@@ -204,8 +205,8 @@ def _parse_example(path, line_no: int, guid: str, obj: dict) -> InputExample:
 
 def _read_by_lines(path) -> Dataset:
     """The dataset as a line reader gives it, the oracle of load_jsonl's one
-    pass: each line read by the logits file's reader, read_guid_lines, which
-    checks JSON, object, guid and repeated guid, then folded and built."""
+    pass: each line read by the test-local line reader, which checks UTF-8,
+    JSON, object, guid and repeated guid, then folded and built."""
     return Dataset.from_examples(_parse_example(path, line_no, guid, record)
                                  for line_no, guid, record in read_guid_lines(path))
 
@@ -254,7 +255,7 @@ def test_a_valid_dataset_loads_without_the_line_reader(fixtures_dir, tmp_path, m
     def refuse(*args, **kwargs):
         raise AssertionError("the line reader was used")
 
-    monkeypatch.setattr(data, "read_guid_lines", refuse)
+    monkeypatch.setattr(textfile, "read_spans", refuse)
     assert load_jsonl(path) == expected
 
 

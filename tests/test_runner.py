@@ -889,14 +889,25 @@ def test_logits_record_without_mask_logits_names_file_and_line(fixtures_dir, tmp
         LogitsFileScorer(logits, _vocab_size(fixtures_dir))
 
 
-def test_duplicate_guid_in_logits_file_names_both_lines(fixtures_dir, tmp_path, capsys):
+@pytest.mark.parametrize("exponent_line", [None, 1, 3])
+def test_duplicate_guid_in_logits_file_names_both_lines(
+    fixtures_dir, tmp_path, capsys, exponent_line
+):
+    """A record spelled with ``e0`` after every value is read by the decoder
+    tier, the others by the numeric tier: one guid map spans both."""
     from promptpipe.errors import DuplicateGuid
-    from promptpipe.logits import LogitsFileScorer
+    from promptpipe.logits import LogitsFileScorer, _numeric_record
 
     row = [0.0] * _vocab_size(fixtures_dir)
+    lines = [json.dumps({"guid": guid, "mask_logits": [row]}) for guid in ("a", "b", "a")]
+    if exponent_line is not None:
+        lines[exponent_line - 1] = re.sub(r"(\d)(?=[,\]])", r"\1e0", lines[exponent_line - 1])
+    for line in lines:  # the numeric tier declines exactly the line spelled with e0
+        data = bytearray(line.encode())
+        declined = _numeric_record(data, 0, len(data), len(row), None, bytearray()) is None
+        assert declined == ("e0" in line)
     logits = tmp_path / "logits.jsonl"
-    logits.write_text("".join(
-        json.dumps({"guid": guid, "mask_logits": [row]}) + "\n" for guid in ("a", "b", "a")))
+    logits.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(DuplicateGuid) as err:
         LogitsFileScorer(logits, len(row))
     assert "logits.jsonl:3" in str(err.value) and "line 1" in str(err.value)
@@ -1026,7 +1037,7 @@ def _oracle_read_logits_records(path, vocab_size):
     """The logits reader before the numeric path: ``json.loads`` and a
     dtype-inferring ``np.asarray`` for every record, after a pass over the
     file for the lines spelling ``true`` or ``false``."""
-    from promptpipe.data import read_guid_lines
+    from line_reader import read_guid_lines
     from promptpipe.errors import DimensionMismatch, NonFiniteValue
     from promptpipe.textfile import read_lines
 
